@@ -4,15 +4,45 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test chaos clippy obs-smoke lint-smoke perf-smoke diff-smoke serve-smoke cov-smoke profile-smoke par-smoke bench bench-all
+.PHONY: ci build test test-repeat chaos clippy obs-smoke lint-smoke perf-smoke diff-smoke serve-smoke cov-smoke profile-smoke par-smoke bench bench-all
 
-ci: build test chaos clippy obs-smoke lint-smoke perf-smoke diff-smoke serve-smoke cov-smoke profile-smoke par-smoke
+ci: build test test-repeat chaos clippy obs-smoke lint-smoke perf-smoke diff-smoke serve-smoke cov-smoke profile-smoke par-smoke
+
+# One way to run each tool. The front ends (batnet-lint, batnet-cov,
+# batnet-repair, batnet-diff, obs-validate) live in the root package.
+RUN      = $(CARGO) run --release --offline
+HARNESS  = $(RUN) -p batnet-bench --bin harness --
+VALIDATE = $(RUN) -p batnet-repro --bin obs-validate --
+OBS_DIFF = $(RUN) -p batnet-obs --bin obs-diff --
+LINT     = $(RUN) -p batnet-repro --bin batnet-lint --
+COV      = $(RUN) -p batnet-repro --bin batnet-cov --
+REPAIR   = $(RUN) -p batnet-repro --bin batnet-repair --
+DIFF     = $(RUN) -p batnet-repro --bin batnet-diff --
+SERVE    = $(RUN) -p batnet-serve --bin batnet-serve --
+
+# The bench gate every *-smoke target ends with: re-measure with the
+# harness ($(1) = its arguments, writing $(2)), validate the emitted
+# file, and diff its structure against the committed baseline $(3).
+# `--structure-only` skips the timing comparison (CI machines are too
+# noisy for that; run obs-diff without the flag locally) but still fails
+# on schema drift, missing stages, or rows that appear from nowhere.
+define bench-gate
+	$(HARNESS) $(1) --out $(2)
+	$(VALIDATE) $(2)
+	$(OBS_DIFF) --structure-only $(3) $(2)
+endef
 
 build:
 	$(CARGO) build --release --offline --workspace
 
 test:
 	$(CARGO) test -q --offline --workspace
+
+# The three tests that were red off a 1-CPU box (ROADMAP item 0) share
+# the process-global recorder and the pool; five consecutive passes at
+# the default --test-threads is the regression gate for that.
+test-repeat:
+	for i in 1 2 3 4 5; do $(CARGO) test -q --offline --test parallel --test profiling || exit 1; done
 
 # Robustness gate: 25 seeds x all 6 mutation classes over NET1 and the
 # N2 data center — zero escaped panics, every quarantined device
@@ -21,7 +51,7 @@ test:
 # sweep: 5 seeds x 7 adversarial client classes against a live
 # batnet-serve, every rejection accounted, the listener never down.
 chaos: build
-	$(CARGO) run --release --offline -p batnet-chaos -- --seeds 25 --nets net1,n2 --serve-seeds 5
+	$(RUN) -p batnet-chaos -- --seeds 25 --nets net1,n2 --serve-seeds 5
 
 # No unwrap/panic on library paths of the facade and chaos crates (their
 # dependency closure is swept in by cargo, so this effectively covers
@@ -40,29 +70,23 @@ clippy:
 # suite network and validate the emitted JSON with the in-tree
 # validator — schema drift fails CI.
 obs-smoke: build
-	$(CARGO) run --release --offline -p batnet-bench --bin harness -- smoke
-	$(CARGO) run --release --offline -p batnet-obs --bin obs-validate -- target/BENCH_smoke.json
+	$(HARNESS) smoke
+	$(VALIDATE) target/BENCH_smoke.json
 
 # Lint gate: SARIF output on the smallest suite network validates
 # against the in-tree checker, the clean network passes `--deny error`,
 # and the planted undefined-reference fixture fails it — proving the
 # exit gate actually gates.
 lint-smoke: build
-	$(CARGO) run --release --offline -p batnet-lint --bin batnet-lint -- --net n2 --format sarif --out target/lint-n2.sarif
-	$(CARGO) run --release --offline -p batnet-lint --bin batnet-lint -- --validate target/lint-n2.sarif
-	$(CARGO) run --release --offline -p batnet-lint --bin batnet-lint -- --net n2 --deny error --out /dev/null
-	! $(CARGO) run --release --offline -p batnet-lint --bin batnet-lint -- --dir fixtures/lint-bad --deny error --out /dev/null
+	$(LINT) --net n2 --format sarif --out target/lint-n2.sarif
+	$(VALIDATE) target/lint-n2.sarif
+	$(LINT) --net n2 --deny error --out /dev/null
+	! $(LINT) --dir fixtures/lint-bad --deny error --out /dev/null
 
 # Performance regression gate (structure mode): re-measure the N2 rows
-# of Table 2 with 3 repeats, validate the emitted file, and diff it
-# against the committed baseline. `--structure-only` skips the timing
-# comparison (CI machines are too noisy for that; run obs-diff without
-# the flag locally) but still fails on schema drift, missing stages, or
-# rows that appear from nowhere.
+# of Table 2 with 3 repeats against the committed baseline.
 perf-smoke: build
-	$(CARGO) run --release --offline -p batnet-bench --bin harness -- table2 --json --repeat 3 --net N2 --out target/BENCH_perf_smoke.json
-	$(CARGO) run --release --offline -p batnet-obs --bin obs-validate -- target/BENCH_perf_smoke.json
-	$(CARGO) run --release --offline -p batnet-obs --bin obs-diff -- --structure-only BENCH_table2.json target/BENCH_perf_smoke.json
+	$(call bench-gate,table2 --json --repeat 3 --net N2,target/BENCH_perf_smoke.json,BENCH_table2.json)
 
 # Differential-analysis gate: (1) self-diff of the N2 suite network is
 # empty, exits 0, and its JSON is byte-identical across two runs
@@ -72,13 +96,12 @@ perf-smoke: build
 # (3) the diff bench re-measures its stages, the emitted file validates,
 # and its structure matches the committed BENCH_diff.json baseline.
 diff-smoke: build
-	$(CARGO) run --release --offline -p batnet-repro --bin batnet-diff -- --net N2 --format json --out target/diff-self-1.json --deny any
-	$(CARGO) run --release --offline -p batnet-repro --bin batnet-diff -- --net N2 --format json --out target/diff-self-2.json
+	$(DIFF) --net N2 --format json --out target/diff-self-1.json --deny any
+	$(DIFF) --net N2 --format json --out target/diff-self-2.json
 	cmp target/diff-self-1.json target/diff-self-2.json
-	! $(CARGO) run --release --offline -p batnet-repro --bin batnet-diff -- --before fixtures/diff-pair/before --after fixtures/diff-pair/after --deny any --out target/diff-pair.txt
-	$(CARGO) run --release --offline -p batnet-bench --bin harness -- diff --out target/BENCH_diff_smoke.json
-	$(CARGO) run --release --offline -p batnet-obs --bin obs-validate -- target/BENCH_diff_smoke.json
-	$(CARGO) run --release --offline -p batnet-obs --bin obs-diff -- --structure-only BENCH_diff.json target/BENCH_diff_smoke.json
+	$(VALIDATE) target/diff-self-1.json
+	! $(DIFF) --before fixtures/diff-pair/before --after fixtures/diff-pair/after --deny any --out target/diff-pair.txt
+	$(call bench-gate,diff,target/BENCH_diff_smoke.json,BENCH_diff.json)
 
 # Serving gate: (1) the in-process smoke sequence — spawn, readiness
 # under Backoff retry, a complete reachability answer, a forced-206
@@ -90,11 +113,9 @@ diff-smoke: build
 # validates, and its structure matches the committed BENCH_serve.json
 # baseline (which now carries per-endpoint p50/p99 meta).
 serve-smoke: build
-	$(CARGO) run --release --offline -p batnet-serve --bin batnet-serve -- --smoke
-	$(CARGO) run --release --offline -p batnet-obs --bin obs-validate -- --kind tracez target/tracez-smoke.json
-	$(CARGO) run --release --offline -p batnet-bench --bin harness -- serve --out target/BENCH_serve_smoke.json
-	$(CARGO) run --release --offline -p batnet-obs --bin obs-validate -- target/BENCH_serve_smoke.json
-	$(CARGO) run --release --offline -p batnet-obs --bin obs-diff -- --structure-only BENCH_serve.json target/BENCH_serve_smoke.json
+	$(SERVE) --smoke
+	$(VALIDATE) target/tracez-smoke.json
+	$(call bench-gate,serve,target/BENCH_serve_smoke.json,BENCH_serve.json)
 
 # Coverage + repair gate: (1) the N2 coverage report validates and is
 # byte-identical across two runs (the JSON is the audit artifact, so
@@ -105,18 +126,16 @@ serve-smoke: build
 # revert); (4) the cov bench re-measures its stages, the emitted file
 # validates, and its structure matches the committed BENCH_cov.json.
 cov-smoke: build
-	$(CARGO) run --release --offline -p batnet-coverage --bin batnet-cov -- --net n2 --format json --out target/cov-n2-1.json
-	$(CARGO) run --release --offline -p batnet-coverage --bin batnet-cov -- --validate target/cov-n2-1.json
-	$(CARGO) run --release --offline -p batnet-coverage --bin batnet-cov -- --net n2 --format json --out target/cov-n2-2.json
+	$(COV) --net n2 --format json --out target/cov-n2-1.json
+	$(VALIDATE) target/cov-n2-1.json
+	$(COV) --net n2 --format json --out target/cov-n2-2.json
 	cmp target/cov-n2-1.json target/cov-n2-2.json
-	! $(CARGO) run --release --offline -p batnet-coverage --bin batnet-cov -- --dir fixtures/lint-bad --deny gap --out /dev/null
-	$(CARGO) run --release --offline -p batnet-coverage --bin batnet-repair -- --dir fixtures/repair-bad/lint --check undefined-reference --out target/repair-lint.patch
+	! $(COV) --dir fixtures/lint-bad --deny gap --out /dev/null
+	$(REPAIR) --dir fixtures/repair-bad/lint --check undefined-reference --out target/repair-lint.patch
 	cmp target/repair-lint.patch fixtures/repair-bad/lint/expected.patch
-	$(CARGO) run --release --offline -p batnet-coverage --bin batnet-repair -- --before fixtures/repair-bad/diff/before --after fixtures/repair-bad/diff/after --out target/repair-diff.patch
+	$(REPAIR) --before fixtures/repair-bad/diff/before --after fixtures/repair-bad/diff/after --out target/repair-diff.patch
 	cmp target/repair-diff.patch fixtures/repair-bad/diff/expected.patch
-	$(CARGO) run --release --offline -p batnet-bench --bin harness -- cov --out target/BENCH_cov_smoke.json
-	$(CARGO) run --release --offline -p batnet-obs --bin obs-validate -- target/BENCH_cov_smoke.json
-	$(CARGO) run --release --offline -p batnet-obs --bin obs-diff -- --structure-only BENCH_cov.json target/BENCH_cov_smoke.json
+	$(call bench-gate,cov,target/BENCH_cov_smoke.json,BENCH_cov.json)
 
 # Continuous-profiling gate: (1) the smoke bench runs with the 997 Hz
 # sampler attached and its `batnet-prof/v1` window artifact passes the
@@ -126,10 +145,10 @@ cov-smoke: build
 # with `--profile-hz` so every /profilez, /tracez?id=, and sampler-meta
 # assertion in the smoke sequence executes against a live server.
 profile-smoke: build
-	$(CARGO) run --release --offline -p batnet-bench --bin harness -- smoke --profile
-	$(CARGO) run --release --offline -p batnet-obs --bin obs-validate -- --kind profile target/BENCH_smoke.profile.json
-	$(CARGO) run --release --offline -p batnet-obs --bin obs-trace -- target/BENCH_smoke.profile.json --format folded --out target/BENCH_smoke.folded
-	$(CARGO) run --release --offline -p batnet-serve --bin batnet-serve -- --smoke --profile-hz 1997
+	$(HARNESS) smoke --profile
+	$(VALIDATE) target/BENCH_smoke.profile.json
+	$(RUN) -p batnet-obs --bin obs-trace -- target/BENCH_smoke.profile.json --format folded --out target/BENCH_smoke.folded
+	$(SERVE) --smoke --profile-hz 1997
 
 # Parallel-execution gate: the work-stealing pool's byte-identity
 # contract, end to end. (1) `batnet-diff` over N2 at `--threads 1` and
@@ -140,15 +159,11 @@ profile-smoke: build
 # baselines structurally (timings move with the machine; the row set
 # must not).
 par-smoke: build
-	$(CARGO) run --release --offline -p batnet-repro --bin batnet-diff -- --net N2 --threads 1 --format json --out target/par-diff-t1.json
-	$(CARGO) run --release --offline -p batnet-repro --bin batnet-diff -- --net N2 --format json --out target/par-diff-tmax.json
+	$(DIFF) --net N2 --threads 1 --format json --out target/par-diff-t1.json
+	$(DIFF) --net N2 --format json --out target/par-diff-tmax.json
 	cmp target/par-diff-t1.json target/par-diff-tmax.json
-	$(CARGO) run --release --offline -p batnet-bench --bin harness -- table2 --json --net N2 --threads 1 --out target/BENCH_par_t1.json
-	$(CARGO) run --release --offline -p batnet-obs --bin obs-validate -- target/BENCH_par_t1.json
-	$(CARGO) run --release --offline -p batnet-obs --bin obs-diff -- --structure-only BENCH_table2.threads1.json target/BENCH_par_t1.json
-	$(CARGO) run --release --offline -p batnet-bench --bin harness -- table2 --json --net N2 --out target/BENCH_par_tmax.json
-	$(CARGO) run --release --offline -p batnet-obs --bin obs-validate -- target/BENCH_par_tmax.json
-	$(CARGO) run --release --offline -p batnet-obs --bin obs-diff -- --structure-only BENCH_table2.json target/BENCH_par_tmax.json
+	$(call bench-gate,table2 --json --net N2 --threads 1,target/BENCH_par_t1.json,BENCH_table2.threads1.json)
+	$(call bench-gate,table2 --json --net N2,target/BENCH_par_tmax.json,BENCH_table2.json)
 
 bench:
 	$(CARGO) bench --offline -p batnet-bench
@@ -157,5 +172,5 @@ bench:
 # in one command and appends one commit-stamped row per bench to
 # results/TRAJECTORY.jsonl — the recorded perf trajectory of the repo.
 bench-all: build
-	$(CARGO) run --release --offline -p batnet-bench --bin harness -- bench-all
-	$(CARGO) run --release --offline -p batnet-obs --bin obs-validate -- --kind trajectory results/TRAJECTORY.jsonl
+	$(HARNESS) bench-all
+	$(VALIDATE) results/TRAJECTORY.jsonl

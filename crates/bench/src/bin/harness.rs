@@ -2,65 +2,56 @@
 //! paper's evaluation (§6) plus the DESIGN.md ablations.
 //!
 //! ```text
-//! harness fig1                 # Figure 1: convergence gadgets
-//! harness fig3 [--json]        # Figure 3: current vs original engines (NET1)
-//! harness table1               # Table 1: the 11-network suite
-//! harness table2 [--full] [--json]  # Table 2: pipeline performance
-//! harness smoke                # smallest network, always writes JSON
-//! harness lint [--full]        # lint engine throughput, writes BENCH_lint.json
-//! harness diff                 # differential analysis on N2, writes BENCH_diff.json
-//! harness cov [--full]         # coverage engine throughput, writes BENCH_cov.json
-//! harness serve                # service load on loopback, writes BENCH_serve.json
-//! harness apt                  # §6.2: APT comparison (92 nodes)
-//! harness ablate-convergence   # A-1: coloring / logical clocks
-//! harness ablate-memory        # A-2: attribute interning
-//! harness ablate-varorder     # A-3: BDD variable order
-//! harness ablate-dataflow      # A-4: graph compression & backward walk
-//! harness ablate-transform     # A-5: fused vs 3-step NAT transform
-//! harness all [--full] [--json]  # everything above
-//! harness bench-all [--full]   # every BENCH_*.json + results/TRAJECTORY.jsonl
+//! usage: harness [OPTIONS] [EXPERIMENT]
+//!
+//! Run one EXPERIMENT (default: all):
+//!   fig1                Figure 1: convergence gadgets
+//!   fig3                Figure 3: current vs original engines (NET1)
+//!   table1              Table 1: the 11-network suite
+//!   table2              Table 2: pipeline performance
+//!   smoke               smallest network, always writes target/BENCH_smoke.json
+//!   lint                lint engine throughput, writes BENCH_lint.json
+//!   diff                differential analysis on N2, writes BENCH_diff.json
+//!   cov                 coverage engine throughput, writes BENCH_cov.json
+//!   serve               service load on loopback, writes BENCH_serve.json
+//!   apt                 section 6.2: APT comparison (92 nodes)
+//!   ablate-convergence  A-1: coloring / logical clocks
+//!   ablate-memory       A-2: attribute interning
+//!   ablate-varorder     A-3: BDD variable order
+//!   ablate-dataflow     A-4: graph compression & backward walk
+//!   ablate-transform    A-5: fused vs 3-step NAT transform
+//!   all                 every figure, table and ablation above
+//!   bench-all           every BENCH_*.json + results/TRAJECTORY.jsonl
+//! Exit 0 done, 2 usage error or unknown experiment.
+//!
+//! options:
+//!   --full       all eleven suite networks instead of the smallest four
+//!   --json       also write BENCH_<experiment>.json at the repo root (fig3, table2)
+//!   --repeat N   run a row-producing bench N times; rows carry the median plus mad_ms/repeat meta
+//!   --net ID     restrict table2 / lint / cov to one suite network
+//!   --out FILE   write the bench JSON to FILE instead of the committed baseline
+//!   --threads N  size of the shared execution pool (0 or omitted = all cores)
+//!   --profile    sample at 997 Hz and write a .profile.json (batnet-prof/v1) next to each bench JSON
+//!   --help       print this help and exit
 //! ```
-//!
-//! Cross-cutting flags:
-//!
-//! * `--repeat N` — run a row-producing bench (`fig3`, `table2`,
-//!   `smoke`, `lint`) N times and emit one row per `(network, stage)`
-//!   with the **median** time plus `mad_ms` / `repeat` meta, so
-//!   `obs-diff` can tell regressions from noise.
-//! * `--net ID` — restrict `table2` / `lint` to one suite network
-//!   (the CI `perf-smoke` gate runs `table2 --net N2`).
-//! * `--out PATH` — write the JSON somewhere other than the committed
-//!   repo-root baseline (CI writes under `target/`).
-//! * `--threads N` — size the shared `batnet_exec` pool (0 or omitted =
-//!   all cores). Recorded in every emitted bench file's provenance meta
-//!   and in `results/TRAJECTORY.jsonl` rows, so speedup comparisons
-//!   across thread counts are first-class `obs-diff` material.
-//! * `--profile` — run the continuous profiler (997 Hz) alongside the
-//!   bench and write the `batnet-prof/v1` window as a `.profile.json`
-//!   artifact next to each emitted `BENCH_*.json`; the sampler's own
-//!   overhead is printed as an absolute and as a % of bench wall time.
 //!
 //! `bench-all` regenerates every bench JSON in one command (one obs
 //! reset + capture per bench, so each embedded report is that bench's
 //! own) and appends one commit-stamped summary row per bench to
 //! `results/TRAJECTORY.jsonl` — the recorded perf trajectory across
-//! PRs, schema-validated on every append (`obs-validate --kind
-//! trajectory`).
+//! PRs, schema-validated on every append.
 //!
 //! `table2` runs the four smallest networks by default; `--full` runs
 //! all eleven (minutes of wall clock on the biggest).
 //!
-//! `--json` additionally writes machine-readable results —
-//! `BENCH_table2.json` / `BENCH_fig3.json` at the repo root — with the
-//! stable `{bench, network, stage, ms, meta}` row schema and the full
-//! run report (span tree, metrics, events) embedded. Rows carry
-//! per-stage peak/delta heap meta (`peak_kb` / `delta_kb`, from the
-//! counting allocator) and the file meta stamps commit, command line,
-//! rustc version, and build profile — `obs-diff` refuses cross-profile
-//! comparisons. `smoke` always writes `target/BENCH_smoke.json` (the CI
-//! `obs-smoke` gate validates it). Every text report ends with a
-//! provenance stamp: git commit, command line, and total wall time from
-//! the root span.
+//! Bench files carry the stable `{bench, network, stage, ms, meta}` row
+//! schema and the full run report (span tree, metrics, events)
+//! embedded. Rows carry per-stage peak/delta heap meta (`peak_kb` /
+//! `delta_kb`, from the counting allocator) and the file meta stamps
+//! commit, command line, thread width, rustc version, and build profile
+//! — `obs-diff` refuses cross-profile comparisons. Every text report
+//! ends with a provenance stamp: git commit, command line, and total
+//! wall time from the root span.
 
 use batnet::baselines::{AptEngine, CubeNetwork};
 use batnet::bdd::NodeId;
@@ -70,39 +61,59 @@ use batnet::dataplane::{NodeKind, ReachAnalysis};
 use batnet::routing::{simulate, SchedulerMode, SimOptions};
 use batnet_bench::*;
 use batnet_obs::clock;
+use batnet_obs::flags::{self, Cli, Flag};
 use std::time::Duration;
 
+static CLI: Cli = Cli {
+    bin: "harness",
+    about: "Run one EXPERIMENT (default: all):\n\
+            \x20 fig1                Figure 1: convergence gadgets\n\
+            \x20 fig3                Figure 3: current vs original engines (NET1)\n\
+            \x20 table1              Table 1: the 11-network suite\n\
+            \x20 table2              Table 2: pipeline performance\n\
+            \x20 smoke               smallest network, always writes target/BENCH_smoke.json\n\
+            \x20 lint                lint engine throughput, writes BENCH_lint.json\n\
+            \x20 diff                differential analysis on N2, writes BENCH_diff.json\n\
+            \x20 cov                 coverage engine throughput, writes BENCH_cov.json\n\
+            \x20 serve               service load on loopback, writes BENCH_serve.json\n\
+            \x20 apt                 section 6.2: APT comparison (92 nodes)\n\
+            \x20 ablate-convergence  A-1: coloring / logical clocks\n\
+            \x20 ablate-memory       A-2: attribute interning\n\
+            \x20 ablate-varorder     A-3: BDD variable order\n\
+            \x20 ablate-dataflow     A-4: graph compression & backward walk\n\
+            \x20 ablate-transform    A-5: fused vs 3-step NAT transform\n\
+            \x20 all                 every figure, table and ablation above\n\
+            \x20 bench-all           every BENCH_*.json + results/TRAJECTORY.jsonl\n\
+            Exit 0 done, 2 usage error or unknown experiment.",
+    positional: "[EXPERIMENT]",
+    flags: &[
+        Flag::switch("--full", "all eleven suite networks instead of the smallest four"),
+        Flag::switch("--json", "also write BENCH_<experiment>.json at the repo root (fig3, table2)"),
+        Flag::positive(
+            "--repeat",
+            "run a row-producing bench N times; rows carry the median plus mad_ms/repeat meta",
+        ),
+        Flag::text("--net", "ID", "restrict table2 / lint / cov to one suite network"),
+        Flag::text("--out", "FILE", "write the bench JSON to FILE instead of the committed baseline"),
+        flags::THREADS,
+        Flag::switch(
+            "--profile",
+            "sample at 997 Hz and write a .profile.json (batnet-prof/v1) next to each bench JSON",
+        ),
+    ],
+};
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let cmd = args.first().map(String::as_str).unwrap_or("all");
-    let full = args.iter().any(|a| a == "--full");
-    let json = args.iter().any(|a| a == "--json");
-    let repeat = match flag_value(&args, "--repeat") {
-        None => 1,
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("--repeat wants a positive integer, got {v:?}");
-                std::process::exit(2);
-            }
-        },
+    let args = CLI.parse_env();
+    let cmd = match args.args.as_slice() {
+        [] => "all",
+        [cmd] => cmd.as_str(),
+        _ => CLI.fail("expected at most one EXPERIMENT"),
     };
-    let net_filter = flag_value(&args, "--net");
-    let out = flag_value(&args, "--out");
-    let profile = args.iter().any(|a| a == "--profile");
-    let threads = match flag_value(&args, "--threads") {
-        None => 0,
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("--threads wants a non-negative integer (0 = all cores), got {v:?}");
-                std::process::exit(2);
-            }
-        },
-    };
-    if !batnet_exec::configure_threads(threads) {
-        eprintln!("--threads: the execution pool is already sized differently");
-        std::process::exit(2);
+    let full = args.has("--full");
+    let profile = args.has("--profile");
+    if !batnet_exec::configure_threads(args.num("--threads").unwrap_or(0)) {
+        CLI.fail("--threads: the execution pool is already sized differently");
     }
     if cmd == "bench-all" {
         bench_all(full, profile);
@@ -114,7 +125,7 @@ fn main() {
     // Repeats only make sense for the row-producing benches; everything
     // else (ablations, text-only tables) runs once.
     let repeat = if matches!(cmd, "fig3" | "table2" | "smoke" | "lint" | "diff" | "serve" | "cov") {
-        repeat
+        args.num("--repeat").unwrap_or(1)
     } else {
         1
     };
@@ -124,7 +135,7 @@ fn main() {
             println!("\n### repeat {}/{repeat} ###", i + 1);
         }
         let mut rows: Vec<Row> = Vec::new();
-        run_cmd(cmd, full, net_filter.as_deref(), &mut rows);
+        run_cmd(cmd, full, args.text("--net"), &mut rows);
         runs.push(rows);
     }
     let rows = if repeat > 1 {
@@ -135,20 +146,20 @@ fn main() {
     let wall = root.close();
     let profile_doc = finish_profiler(profiler, wall);
     let commit = git_commit();
-    let cmdline = format!("harness {}", args.join(" "));
+    let cmdline = &args.cmdline;
     println!(
         "\n--- provenance: commit {commit} | cmd \"{}\" | wall {:.2}s ---",
         cmdline.trim_end(),
         wall.as_secs_f64()
     );
-    if json || cmd == "smoke" || cmd == "lint" || cmd == "diff" || cmd == "serve" || cmd == "cov" {
+    if args.has("--json") || matches!(cmd, "smoke" | "lint" | "diff" | "serve" | "cov") {
         emit_json(
             cmd,
             &rows,
             &commit,
-            &cmdline,
+            cmdline,
             repeat,
-            out.as_deref(),
+            args.text("--out"),
             profile_doc.as_deref(),
         );
     }
@@ -260,14 +271,6 @@ fn append_trajectory(
     f.write_all(lines.as_bytes()).map_err(|e| e.to_string())
 }
 
-/// The value following `flag` on the command line, if any.
-fn flag_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
 /// Dispatches one run of an experiment command.
 fn run_cmd(cmd: &str, full: bool, net: Option<&str>, rows: &mut Vec<Row>) {
     match cmd {
@@ -298,10 +301,7 @@ fn run_cmd(cmd: &str, full: bool, net: Option<&str>, rows: &mut Vec<Row>) {
             ablate_dataflow();
             ablate_transform();
         }
-        other => {
-            eprintln!("unknown experiment: {other}");
-            std::process::exit(2);
-        }
+        other => CLI.fail(&format!("unknown experiment '{other}'")),
     }
 }
 
@@ -594,6 +594,18 @@ fn table1(full: bool) {
     }
 }
 
+/// The suite networks a per-network bench runs over: the one `--net`
+/// names, else the networks up to 520 nodes (all eleven with `--full`).
+fn selected(full: bool, net: Option<&str>) -> Vec<batnet_topogen::suite::SuiteEntry> {
+    match net {
+        Some(id) => vec![batnet_topogen::suite::find(id).unwrap_or_else(|e| CLI.fail(&e))],
+        None => batnet_topogen::suite::suite()
+            .into_iter()
+            .filter(|e| full || e.nominal_nodes <= 520)
+            .collect(),
+    }
+}
+
 /// Table 2: pipeline performance per network. `net` restricts the run
 /// to one suite network (by id, case-insensitive) — the CI `perf-smoke`
 /// gate uses it to measure only N2.
@@ -604,14 +616,7 @@ fn table2(full: bool, net: Option<&str>, rows: &mut Vec<Row>) {
         "net", "nodes", "routes", "parse", "DP gen", "graph", "dest-reach", "multipath"
     );
     let before = rows.len();
-    for entry in batnet_topogen::suite::suite() {
-        if let Some(filter) = net {
-            if !entry.id.eq_ignore_ascii_case(filter) {
-                continue;
-            }
-        } else if !full && entry.nominal_nodes > 520 {
-            continue;
-        }
+    for entry in selected(full, net) {
         let net = (entry.build)();
         let m = measure_pipeline("table2", entry.id, net, rows);
         println!(
@@ -662,14 +667,7 @@ fn lint_bench(full: bool, net: Option<&str>, rows: &mut Vec<Row>) {
         "{:<6} {:>7} {:>10} {:>10} {:>9} {:>9}",
         "net", "devices", "parse", "lint", "findings", "errors"
     );
-    for entry in batnet_topogen::suite::suite() {
-        if let Some(filter) = net {
-            if !entry.id.eq_ignore_ascii_case(filter) {
-                continue;
-            }
-        } else if !full && entry.nominal_nodes > 520 {
-            continue;
-        }
+    for entry in selected(full, net) {
         let net = (entry.build)();
         let id = entry.id;
         let t = clock::now();
@@ -716,14 +714,7 @@ fn cov_bench(full: bool, net: Option<&str>, rows: &mut Vec<Row>) {
         "{:<6} {:>7} {:>10} {:>10} {:>7} {:>9} {:>6}",
         "net", "devices", "parse", "analyze", "items", "exercised", "gaps"
     );
-    for entry in batnet_topogen::suite::suite() {
-        if let Some(filter) = net {
-            if !entry.id.eq_ignore_ascii_case(filter) {
-                continue;
-            }
-        } else if !full && entry.nominal_nodes > 520 {
-            continue;
-        }
+    for entry in selected(full, net) {
         let net = (entry.build)();
         let id = entry.id;
         let t = clock::now();

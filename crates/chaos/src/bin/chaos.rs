@@ -3,122 +3,85 @@
 //! sampler-read-onlyness half of 11, and the parallel-engine parity
 //! sweep of 12), and against a live `batnet-serve` under adversarial
 //! clients with the continuous profiler attached (invariants 8–9 and
-//! 11's serve half). Exits non-zero on any violation.
+//! 11's serve half).
 //!
 //! ```text
-//! chaos [--seeds N] [--classes truncate,garbage,...] [--nets net1,n2] \
-//!       [--victims K] [--deadline-secs S] [--serve-seeds N]
-//! ```
+//! usage: chaos [OPTIONS]
 //!
-//! `--serve-seeds 0` skips the service sweep; the default drives five
-//! seeded adversaries per abuse class.
+//! Sweep seeded faults over suite networks and a live batnet-serve.
+//! Exit 0 every invariant held, 1 on any violation, 2 usage error.
+//!
+//! options:
+//!   --seeds N          pipeline seeds 1..=N per network and class (default 25)
+//!   --classes LIST     comma-separated mutation classes: truncate, duplicate, garbage, delete-stanza, undefined-ref, link-flap (default all)
+//!   --nets LIST        comma-separated suite network ids (default net1,n2)
+//!   --victims N        victim devices per text mutation (default 2)
+//!   --deadline-secs N  per-run wall-clock deadline (default 120)
+//!   --serve-seeds N    adversaries per abuse class against the service; 0 skips it (default 5)
+//!   --help             print this help and exit
+//! ```
 
 #![deny(clippy::unwrap_used, clippy::panic)]
 
 use batnet_chaos::{run_chaos, run_serve_chaos, ChaosConfig, MutationClass, ServeChaosConfig};
-use batnet_topogen::{suite, GeneratedNetwork};
+use batnet_obs::flags::{Cli, Flag};
 use std::process::ExitCode;
 use std::time::Duration;
 
-fn net_by_name(name: &str) -> Option<GeneratedNetwork> {
-    match name {
-        "net1" => Some(suite::net1()),
-        "n2" => Some(suite::n2()),
-        "n3" => Some(suite::n3()),
-        "n7" => Some(suite::n7()),
-        _ => None,
-    }
-}
+static CLI: Cli = Cli {
+    bin: "chaos",
+    about: "Sweep seeded faults over suite networks and a live batnet-serve.\n\
+            Exit 0 every invariant held, 1 on any violation, 2 usage error.",
+    positional: "",
+    flags: &[
+        Flag::positive("--seeds", "pipeline seeds 1..=N per network and class (default 25)"),
+        Flag::text(
+            "--classes",
+            "LIST",
+            "comma-separated mutation classes: truncate, duplicate, garbage, delete-stanza, \
+             undefined-ref, link-flap (default all)",
+        ),
+        Flag::text("--nets", "LIST", "comma-separated suite network ids (default net1,n2)"),
+        Flag::positive("--victims", "victim devices per text mutation (default 2)"),
+        Flag::positive("--deadline-secs", "per-run wall-clock deadline (default 120)"),
+        Flag::uint("--serve-seeds", "adversaries per abuse class against the service; 0 skips it (default 5)"),
+    ],
+};
 
 fn main() -> ExitCode {
+    let args = CLI.parse_env();
     let mut cfg = ChaosConfig::default();
     let mut serve_cfg = ServeChaosConfig::default();
-    let mut net_names: Vec<String> = vec!["net1".to_string(), "n2".to_string()];
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut take = |what: &str| -> Option<String> {
-            let v = args.next();
-            if v.is_none() {
-                eprintln!("{arg} requires a {what}");
-            }
-            v
-        };
-        match arg.as_str() {
-            "--seeds" => {
-                let Some(v) = take("count") else { return ExitCode::from(2) };
-                match v.parse::<u64>() {
-                    Ok(n) if n > 0 => cfg.seeds = (1..=n).collect(),
-                    _ => {
-                        eprintln!("--seeds wants a positive integer, got {v:?}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--classes" => {
-                let Some(v) = take("list") else { return ExitCode::from(2) };
-                let mut classes = Vec::new();
-                for name in v.split(',') {
-                    match MutationClass::from_name(name.trim()) {
-                        Some(c) => classes.push(c),
-                        None => {
-                            eprintln!("unknown mutation class {name:?}");
-                            return ExitCode::from(2);
-                        }
-                    }
-                }
-                cfg.classes = classes;
-            }
-            "--nets" => {
-                let Some(v) = take("list") else { return ExitCode::from(2) };
-                net_names = v.split(',').map(|s| s.trim().to_string()).collect();
-            }
-            "--victims" => {
-                let Some(v) = take("count") else { return ExitCode::from(2) };
-                match v.parse::<usize>() {
-                    Ok(n) if n > 0 => cfg.victims_per_run = n,
-                    _ => {
-                        eprintln!("--victims wants a positive integer, got {v:?}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--deadline-secs" => {
-                let Some(v) = take("seconds") else { return ExitCode::from(2) };
-                match v.parse::<u64>() {
-                    Ok(n) if n > 0 => cfg.deadline = Duration::from_secs(n),
-                    _ => {
-                        eprintln!("--deadline-secs wants a positive integer, got {v:?}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            "--serve-seeds" => {
-                let Some(v) = take("count") else { return ExitCode::from(2) };
-                match v.parse::<u64>() {
-                    Ok(n) => serve_cfg.seeds = (1..=n).collect(),
-                    _ => {
-                        eprintln!("--serve-seeds wants an integer, got {v:?}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            other => {
-                eprintln!("unknown argument {other:?}");
-                return ExitCode::from(2);
-            }
-        }
+    if let Some(n) = args.num::<u64>("--seeds") {
+        cfg.seeds = (1..=n).collect();
     }
-
-    let mut nets = Vec::new();
-    for name in &net_names {
-        match net_by_name(name) {
-            Some(n) => nets.push(n),
-            None => {
-                eprintln!("unknown network {name:?} (known: net1, n2, n3, n7)");
-                return ExitCode::from(2);
-            }
-        }
+    if let Some(list) = args.text("--classes") {
+        cfg.classes = list
+            .split(',')
+            .map(|name| {
+                MutationClass::from_name(name.trim())
+                    .unwrap_or_else(|| CLI.fail(&format!("unknown mutation class {name:?}")))
+            })
+            .collect();
     }
+    if let Some(n) = args.num("--victims") {
+        cfg.victims_per_run = n;
+    }
+    if let Some(n) = args.num("--deadline-secs") {
+        cfg.deadline = Duration::from_secs(n);
+    }
+    if let Some(n) = args.num::<u64>("--serve-seeds") {
+        serve_cfg.seeds = (1..=n).collect();
+    }
+    let nets: Vec<_> = args
+        .text("--nets")
+        .unwrap_or("net1,n2")
+        .split(',')
+        .map(|id| match batnet_topogen::suite::find(id.trim()) {
+            Ok(entry) => (entry.build)(),
+            Err(e) => CLI.fail(&e),
+        })
+        .collect();
 
     let t0 = batnet_obs::clock::now();
     let report = run_chaos(&nets, &cfg);

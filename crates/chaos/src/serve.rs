@@ -187,7 +187,6 @@ pub fn run_serve_chaos(cfg: &ServeChaosConfig) -> ServeChaosReport {
     batnet_obs::reset();
     let (access_log, access_buf) = AccessLog::sink();
     let handle = match batnet_serve::spawn(ServeConfig {
-        workers: 2,
         queue_depth: 8,
         io_timeout_ms: cfg.io_timeout_ms.max(50),
         max_body_bytes: 64 << 10,

@@ -39,7 +39,7 @@ pub mod snapshot;
 pub use error::Error;
 pub use fidelity::{differential_test, validate as validate_lab, Expectation, FidelityReport};
 pub use quarantine::{Quarantine, QuarantineReason, QuarantineStage};
-pub use snapshot::{Analysis, Snapshot};
+pub use snapshot::{load_dir, Analysis, DirLoad, Snapshot};
 
 // The differential-analysis vocabulary (PR 5): `Snapshot::diff` returns
 // these.

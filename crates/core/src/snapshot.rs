@@ -14,7 +14,7 @@ use batnet_net::Flow;
 use batnet_obs::report::{PartialOutcome, SnapshotSummary};
 use batnet_obs::RunReport;
 use batnet_queries::QueryContext;
-use batnet_routing::{simulate, simulate_governed, DataPlane, Environment, SimOptions};
+use batnet_routing::{simulate_governed, DataPlane, Environment, SimOptions};
 use batnet_traceroute::{StartLocation, Trace, Tracer};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -134,128 +134,14 @@ impl Snapshot {
     }
 
     /// Loads every file in a directory as one device config (the way real
-    /// snapshots arrive: a directory of per-device files).
-    ///
-    /// Robustness contract: only a failure to list the directory itself
-    /// is fatal. Subdirectories and symlinks are skipped with a
-    /// diagnostic; unreadable or non-UTF-8 files are quarantined with a
-    /// machine-readable reason and the rest of the snapshot loads.
+    /// snapshots arrive: a directory of per-device files), under
+    /// [`load_dir`]'s robustness contract.
     pub fn from_dir(dir: &std::path::Path) -> Result<Snapshot, Error> {
-        let io_err = |source: std::io::Error| Error::Io {
-            path: dir.to_path_buf(),
-            source,
-        };
-        let mut entries: Vec<_> = std::fs::read_dir(dir)
-            .map_err(io_err)?
-            .collect::<Result<_, _>>()
-            .map_err(io_err)?;
-        entries.sort_by_key(|e| e.file_name());
-
-        let mut configs: Vec<(String, String)> = Vec::new();
-        let mut skipped: Vec<(String, Vec<Diagnostic>)> = Vec::new();
-        let mut quarantined: Vec<Quarantine> = Vec::new();
-        // Device name (file stem) -> the file that claimed it. `r1.ios`
-        // next to `r1.flat` must not silently produce two devices named
-        // `r1`: the first file in sorted order wins, the rest are
-        // quarantined with a machine-readable reason.
-        let mut claimed: std::collections::BTreeMap<String, String> =
-            std::collections::BTreeMap::new();
-        for entry in entries {
-            let path = entry.path();
-            let name = path
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .unwrap_or("device")
-                .to_string();
-            let file_name = path
-                .file_name()
-                .and_then(|s| s.to_str())
-                .unwrap_or("device")
-                .to_string();
-            // symlink_metadata: treat symlinks as skippable, not as what
-            // they point to (a dangling or cyclic link must not abort the
-            // load).
-            let is_file = path
-                .symlink_metadata()
-                .map(|m| m.file_type().is_file())
-                .unwrap_or(false);
-            if !is_file {
-                skipped.push((
-                    name,
-                    vec![Diagnostic::new(
-                        Severity::Info,
-                        0,
-                        format!("skipped {}: not a regular file", path.display()),
-                    )],
-                ));
-                continue;
-            }
-            match std::fs::read(&path) {
-                Err(e) => {
-                    skipped.push((
-                        name.clone(),
-                        vec![Diagnostic::new(
-                            Severity::ParseError,
-                            0,
-                            format!("skipped {}: {e}", path.display()),
-                        )],
-                    ));
-                    quarantined.push(Quarantine {
-                        device: name,
-                        stage: QuarantineStage::Load,
-                        reason: QuarantineReason::UnreadableFile {
-                            detail: e.to_string(),
-                        },
-                    });
-                }
-                Ok(bytes) => match String::from_utf8(bytes) {
-                    Ok(text) => {
-                        if let Some(kept) = claimed.get(&name) {
-                            skipped.push((
-                                name.clone(),
-                                vec![Diagnostic::new(
-                                    Severity::ParseError,
-                                    0,
-                                    format!(
-                                        "skipped {}: device name {name:?} already \
-                                         claimed by {kept}",
-                                        path.display()
-                                    ),
-                                )],
-                            ));
-                            quarantined.push(Quarantine {
-                                device: name,
-                                stage: QuarantineStage::Load,
-                                reason: QuarantineReason::DuplicateName {
-                                    kept: kept.clone(),
-                                },
-                            });
-                        } else {
-                            claimed.insert(name.clone(), file_name);
-                            configs.push((name, text));
-                        }
-                    }
-                    Err(_) => {
-                        skipped.push((
-                            name.clone(),
-                            vec![Diagnostic::new(
-                                Severity::ParseError,
-                                0,
-                                format!("skipped {}: not valid UTF-8", path.display()),
-                            )],
-                        ));
-                        quarantined.push(Quarantine {
-                            device: name,
-                            stage: QuarantineStage::Load,
-                            reason: QuarantineReason::NotUtf8,
-                        });
-                    }
-                },
-            }
-        }
-        for q in &quarantined {
-            batnet_obs::event("quarantine", &q.device, q.reason.code());
-        }
+        let DirLoad {
+            configs,
+            skipped,
+            mut quarantined,
+        } = load_dir(dir)?;
         let mut snapshot = Snapshot::from_configs(configs);
         snapshot.diagnostics.extend(skipped);
         // Load-stage quarantines come first: they happened first.
@@ -281,33 +167,14 @@ impl Snapshot {
         self.analyze_with(&SimOptions::default(), 1)
     }
 
-    /// Runs the full pipeline with explicit options.
+    /// Runs the full pipeline with explicit options: the ungoverned name
+    /// for [`Snapshot::analyze_resilient`]'s body. Unlike it, an empty
+    /// snapshot is not an error here — it analyzes to an empty
+    /// [`Analysis`].
     pub fn analyze_with(&self, opts: &SimOptions, waypoints: u32) -> Analysis {
-        let root = batnet_obs::Span::enter("pipeline");
-        let topo_span = batnet_obs::Span::enter("topology.infer");
-        let topo = Topology::infer(&self.devices);
-        topo_span.close();
-        let dp = simulate(&self.devices, &self.env, opts);
-        let (mut bdd, vars) = PacketVars::new(waypoints);
-        let graph = ForwardingGraph::build(&mut bdd, &vars, &self.devices, &dp, &topo);
-        publish_bdd_gauges(&mut bdd);
-        root.close();
-        let report = finish_report(
-            self.devices.len(),
-            self.diagnostic_count(),
-            &self.quarantined,
-            None,
-        );
-        Analysis {
-            devices: self.devices.clone(),
-            topo,
-            dp,
-            bdd,
-            vars,
-            graph,
-            quarantined: self.quarantined.clone(),
-            report,
-        }
+        self.pipeline(opts, waypoints, &ResourceGovernor::unlimited())
+            .map(Outcome::into_value)
+            .expect("forwarding graph construction panicked")
     }
 
     /// Runs the full pipeline with route-stage quarantine and a resource
@@ -325,50 +192,51 @@ impl Snapshot {
         waypoints: u32,
         gov: &ResourceGovernor,
     ) -> Result<Outcome<Analysis>, Error> {
-        let mut devices = self.devices.clone();
-        let mut quarantined = self.quarantined.clone();
-        if devices.is_empty() {
+        if self.devices.is_empty() {
             return Err(Error::EmptySnapshot);
         }
+        let outcome = self.pipeline(opts, waypoints, gov)?;
+        if outcome.value().devices.is_empty() {
+            return Err(Error::EmptySnapshot);
+        }
+        Ok(outcome)
+    }
+
+    /// The one pipeline body behind every `analyze*` name: simulate
+    /// (re-running on the survivors while devices poison the route
+    /// stage), infer topology, build the forwarding graph, capture the
+    /// report. Errs only when graph construction panics.
+    fn pipeline(
+        &self,
+        opts: &SimOptions,
+        waypoints: u32,
+        gov: &ResourceGovernor,
+    ) -> Result<Outcome<Analysis>, Error> {
+        let mut devices = self.devices.clone();
+        let mut quarantined = self.quarantined.clone();
         let root = batnet_obs::Span::enter("pipeline");
 
-        let mut outcome: Option<Outcome<DataPlane>> = None;
-        for _round in 0..MAX_ROUTE_RETRIES {
+        let mut round = 0;
+        let outcome = loop {
             let out = simulate_governed(&devices, &self.env, opts, gov);
-            let poisoned = out.value().convergence.poisoned_devices.clone();
-            if poisoned.is_empty() {
-                outcome = Some(out);
-                break;
-            }
+            round += 1;
+            let poisoned = &out.value().convergence.poisoned_devices;
             for name in poisoned {
-                devices.retain(|d| d.name != name);
-                batnet_obs::event("quarantine", &name, QuarantineReason::RoutePanic.code());
+                devices.retain(|d| &d.name != name);
+                batnet_obs::event("quarantine", name, QuarantineReason::RoutePanic.code());
                 quarantined.push(Quarantine {
-                    device: name,
+                    device: name.clone(),
                     stage: QuarantineStage::Route,
                     reason: QuarantineReason::RoutePanic,
                 });
             }
-            if devices.is_empty() {
-                return Err(Error::EmptySnapshot);
+            // The last permitted result stands even if still poisoned
+            // (its poisoned devices are already out of `devices`): never
+            // loop forever.
+            if poisoned.is_empty() || devices.is_empty() || round == MAX_ROUTE_RETRIES {
+                break out;
             }
-            // Last permitted result even if still poisoned: never loop
-            // forever.
-            outcome = Some(out);
-        }
-        let outcome = outcome.ok_or_else(|| {
-            Error::Internal("route simulation produced no outcome".to_string())
-        })?;
-        // If the final round still reported poisoned devices (retry
-        // budget exhausted), drop them from the published device list so
-        // downstream stages only see devices with trustworthy state.
-        let still_poisoned = outcome.value().convergence.poisoned_devices.clone();
-        if !still_poisoned.is_empty() {
-            devices.retain(|d| !still_poisoned.contains(&d.name));
-            if devices.is_empty() {
-                return Err(Error::EmptySnapshot);
-            }
-        }
+        };
 
         let (dp, partial) = match outcome {
             Outcome::Complete(dp) => (dp, None),
@@ -476,6 +344,118 @@ impl Snapshot {
                 .collect(),
         }
     }
+}
+
+/// A snapshot directory as read from disk, before any parsing: what
+/// [`load_dir`] hands to [`Snapshot::from_dir`] and to the front ends
+/// that work on config text (lint, coverage, repair).
+pub struct DirLoad {
+    /// `(device name, config text)` per loaded file, in file-name order;
+    /// the device name is the file stem.
+    pub configs: Vec<(String, String)>,
+    /// A diagnostic for every entry that was skipped.
+    pub skipped: Vec<(String, Vec<Diagnostic>)>,
+    /// Load-stage quarantines, with machine-readable reasons.
+    pub quarantined: Vec<Quarantine>,
+}
+
+/// Reads every regular file in `dir` as one device config — the one
+/// directory loader every front end shares.
+///
+/// Robustness contract: only a failure to list the directory itself is
+/// fatal. Entries are taken in sorted order. Subdirectories and symlinks
+/// are skipped with a diagnostic; unreadable or non-UTF-8 files, and
+/// files whose stem repeats an earlier file's, are quarantined with a
+/// machine-readable reason and the rest of the directory loads.
+pub fn load_dir(dir: &std::path::Path) -> Result<DirLoad, Error> {
+    let io_err = |source: std::io::Error| Error::Io {
+        path: dir.to_path_buf(),
+        source,
+    };
+    let mut entries: Vec<_> = std::fs::read_dir(dir)
+        .map_err(io_err)?
+        .collect::<Result<_, _>>()
+        .map_err(io_err)?;
+    entries.sort_by_key(|e| e.file_name());
+
+    let mut configs: Vec<(String, String)> = Vec::new();
+    let mut skipped: Vec<(String, Vec<Diagnostic>)> = Vec::new();
+    let mut quarantined: Vec<Quarantine> = Vec::new();
+    // Device name (file stem) -> the file that claimed it. `r1.ios`
+    // next to `r1.flat` must not silently produce two devices named
+    // `r1`: the first file in sorted order wins, the rest are
+    // quarantined with a machine-readable reason.
+    let mut claimed: std::collections::BTreeMap<String, String> =
+        std::collections::BTreeMap::new();
+    for entry in entries {
+        let path = entry.path();
+        let name = path
+            .file_stem()
+            .and_then(|s| s.to_str())
+            .unwrap_or("device")
+            .to_string();
+        let file_name = path
+            .file_name()
+            .and_then(|s| s.to_str())
+            .unwrap_or("device")
+            .to_string();
+        // symlink_metadata: treat symlinks as skippable, not as what
+        // they point to (a dangling or cyclic link must not abort the
+        // load).
+        let is_file = path
+            .symlink_metadata()
+            .map(|m| m.file_type().is_file())
+            .unwrap_or(false);
+        // What keeps this entry out of the snapshot, if anything: always
+        // a diagnostic, and a quarantine unless it simply is not a file.
+        let problem = if !is_file {
+            Some((Severity::Info, "not a regular file".to_string(), None))
+        } else {
+            match std::fs::read(&path).map(String::from_utf8) {
+                Err(e) => {
+                    let detail = e.to_string();
+                    let reason = QuarantineReason::UnreadableFile { detail: detail.clone() };
+                    Some((Severity::ParseError, detail, Some(reason)))
+                }
+                Ok(Err(_)) => Some((
+                    Severity::ParseError,
+                    "not valid UTF-8".to_string(),
+                    Some(QuarantineReason::NotUtf8),
+                )),
+                Ok(Ok(text)) => match claimed.get(&name) {
+                    Some(kept) => Some((
+                        Severity::ParseError,
+                        format!("device name {name:?} already claimed by {kept}"),
+                        Some(QuarantineReason::DuplicateName { kept: kept.clone() }),
+                    )),
+                    None => {
+                        claimed.insert(name.clone(), file_name);
+                        configs.push((name.clone(), text));
+                        None
+                    }
+                },
+            }
+        };
+        if let Some((severity, why, reason)) = problem {
+            let message = format!("skipped {}: {why}", path.display());
+            skipped.push((name.clone(), vec![Diagnostic::new(severity, 0, message)]));
+            if let Some(reason) = reason {
+                quarantined.push(Quarantine {
+                    device: name,
+                    stage: QuarantineStage::Load,
+                    reason,
+                });
+            }
+        }
+    }
+    for q in &quarantined {
+        batnet_obs::event("quarantine", &q.device, q.reason.code());
+    }
+    Ok(DirLoad {
+        configs,
+        skipped,
+        quarantined,
+    })
 }
 
 /// Publishes the BDD manager's end-of-build statistics as gauges, then

@@ -37,7 +37,7 @@ use batnet_bdd::NodeId;
 use batnet_config::vi::{Device, SourceSpan};
 use batnet_dataplane::{acl::compile_acl, PacketVars};
 use batnet_lint::{dead_clauses, never_touched_structures, StructureRef};
-use batnet_obs::json::{self, write_str, Value};
+use batnet_obs::json::{within, write_str, Value};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -314,6 +314,9 @@ fn write_summary(out: &mut String, s: &Summary) {
     );
 }
 
+/// The schema tag every coverage report carries.
+pub const SCHEMA: &str = "batnet-cov/v1";
+
 /// The JSON report (schema `batnet-cov/v1`). Timestamp-free and fully
 /// sorted: the same devices serialize to the same bytes in any input
 /// order, which is what the determinism gate compares.
@@ -404,24 +407,14 @@ pub fn render_text(network: &str, report: &CoverageReport) -> String {
     out
 }
 
-fn get_count(v: &Value, key: &str) -> Result<usize, String> {
-    v.get(key)
-        .and_then(Value::as_f64)
-        .map(|f| f as usize)
-        .ok_or_else(|| format!("summary missing numeric '{key}'"))
-}
-
 fn validate_summary(v: &Value, label: &str) -> Result<Summary, String> {
+    let count = |key: &str| within(label, v.num(key)).map(|n| n as usize);
     let s = Summary {
-        device: v
-            .get("device")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("{label}: missing device"))?
-            .to_string(),
-        items: get_count(v, "items").map_err(|e| format!("{label}: {e}"))?,
-        exercised: get_count(v, "exercised").map_err(|e| format!("{label}: {e}"))?,
-        shadowed: get_count(v, "shadowed").map_err(|e| format!("{label}: {e}"))?,
-        never_touched: get_count(v, "never_touched").map_err(|e| format!("{label}: {e}"))?,
+        device: within(label, v.text("device"))?.to_string(),
+        items: count("items")?,
+        exercised: count("exercised")?,
+        shadowed: count("shadowed")?,
+        never_touched: count("never_touched")?,
     };
     if s.items != s.exercised + s.shadowed + s.never_touched {
         return Err(format!(
@@ -429,7 +422,7 @@ fn validate_summary(v: &Value, label: &str) -> Result<Summary, String> {
             s.items, s.exercised, s.shadowed, s.never_touched
         ));
     }
-    let permille = get_count(v, "coverage_permille").map_err(|e| format!("{label}: {e}"))?;
+    let permille = count("coverage_permille")?;
     if permille as u32 != s.coverage_permille() {
         return Err(format!(
             "{label}: coverage_permille {} does not match counts (expected {})",
@@ -440,52 +433,36 @@ fn validate_summary(v: &Value, label: &str) -> Result<Summary, String> {
     Ok(s)
 }
 
-/// Validates a `batnet-cov/v1` report: schema id, consistent counts at
-/// every level (totals, per device, and against the item list), and
-/// well-formed items. Writer and reader live in-tree so schema drift is
-/// a test failure, not a consumer surprise.
-pub fn validate_report(text: &str) -> Result<(), String> {
-    let doc = json::parse(text)?;
-    if doc.get("schema").and_then(Value::as_str) != Some("batnet-cov/v1") {
-        return Err("schema must be \"batnet-cov/v1\"".into());
+/// Validates a parsed `batnet-cov/v1` report: schema id, consistent
+/// counts at every level (totals, per device, and against the item
+/// list), and well-formed items. Writer and reader live in-tree so
+/// schema drift is a test failure, not a consumer surprise.
+pub fn validate_report(doc: &Value) -> Result<(), String> {
+    if doc.get("schema").and_then(Value::as_str) != Some(SCHEMA) {
+        return Err(format!("schema must be {SCHEMA:?}"));
     }
-    if doc.get("network").and_then(Value::as_str).is_none() {
-        return Err("missing network name".into());
-    }
+    doc.text("network")?;
     let totals = validate_summary(doc.get("totals").ok_or("missing totals")?, "totals")?;
-    let devices = doc
-        .get("devices")
-        .and_then(Value::as_arr)
-        .ok_or("missing devices array")?;
     let mut dev_sum = Summary::default();
-    for (i, d) in devices.iter().enumerate() {
+    for (i, d) in doc.arr("devices")?.iter().enumerate() {
         let s = validate_summary(d, &format!("devices[{i}]"))?;
         dev_sum.items += s.items;
         dev_sum.exercised += s.exercised;
         dev_sum.shadowed += s.shadowed;
         dev_sum.never_touched += s.never_touched;
     }
-    let items = doc
-        .get("items")
-        .and_then(Value::as_arr)
-        .ok_or("missing items array")?;
     let mut item_sum = Summary::default();
-    for (i, item) in items.iter().enumerate() {
-        let status = item
-            .get("status")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("items[{i}]: missing status"))?;
-        match status {
+    for (i, item) in doc.arr("items")?.iter().enumerate() {
+        let place = format!("items[{i}]");
+        match within(&place, item.text("status"))? {
             "exercised" => item_sum.exercised += 1,
             "shadowed" => item_sum.shadowed += 1,
             "never-touched" => item_sum.never_touched += 1,
-            other => return Err(format!("items[{i}]: unknown status '{other}'")),
+            other => return Err(format!("{place}: unknown status '{other}'")),
         }
         item_sum.items += 1;
-        if item.get("device").and_then(Value::as_str).is_none()
-            || item.get("path").and_then(Value::as_str).is_none()
-        {
-            return Err(format!("items[{i}]: missing device or path"));
+        for k in ["device", "path"] {
+            within(&place, item.text(k))?;
         }
     }
     for (label, a, b) in [
@@ -506,6 +483,7 @@ pub fn validate_report(text: &str) -> Result<(), String> {
 mod tests {
     use super::*;
     use batnet_config::parse_device;
+    use batnet_obs::json;
 
     fn devices(cfgs: &[(&str, &str)]) -> Vec<Device> {
         cfgs.iter()
@@ -605,11 +583,12 @@ interface e0
         devs.reverse();
         let c = render_json("t", &analyze(&devs));
         assert_eq!(a, c, "device order must not matter");
-        validate_report(&a).expect("own report validates");
+        validate_report(&json::parse(&a).expect("parses")).expect("own report validates");
     }
 
     #[test]
     fn validator_rejects_inconsistent_reports() {
+        let validate_report = |text: &str| validate_report(&json::parse(text).expect("parses"));
         assert!(validate_report("{}").is_err());
         let devs = devices(&[("r1", R1), ("r2", R2)]);
         let good = render_json("t", &analyze(&devs));

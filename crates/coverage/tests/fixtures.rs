@@ -86,6 +86,7 @@ fn lint_bad_fixture_has_a_genuine_never_touched_gap() {
     assert!(gap.line > 0 && gap.end_line > gap.line, "block span: {gap:?}");
     // And the JSON report over the fixture is valid and deterministic.
     let json = render_json("lint-bad", &report);
-    validate_report(&json).expect("valid report");
+    let doc = batnet_obs::json::parse(&json).expect("report parses");
+    validate_report(&doc).expect("valid report");
     assert_eq!(json, render_json("lint-bad", &analyze(&devices)));
 }

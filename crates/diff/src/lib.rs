@@ -33,7 +33,7 @@ pub use routes::{RouteChange, RouteChangeKind, RouteDiff};
 pub use structural::{ChangeKind, StructChange, StructuralDiff};
 
 use batnet_config::vi::Device;
-use batnet_routing::{simulate, Environment, SimOptions};
+use batnet_routing::{Environment, SimOptions};
 use std::collections::BTreeSet;
 
 /// Tuning knobs for a diff run.
@@ -114,7 +114,11 @@ impl SnapshotDiff {
     }
 }
 
-/// [`diff`] under a [`batnet_net::governor::ResourceGovernor`].
+/// The three-layer comparison under a
+/// [`batnet_net::governor::ResourceGovernor`]: structural, then control
+/// plane (simulate both sides, merge-join the RIBs/FIBs), then data
+/// plane — with the equivalence fast path: identical devices and
+/// identical RIBs/FIBs make the graphs equal by construction.
 ///
 /// The governor is consulted at the three layer boundaries
 /// (`diff.configs`, `diff.routes`, `diff.reach`) and threaded into the
@@ -192,51 +196,9 @@ pub fn diff_governed(
     Outcome::Complete(out)
 }
 
-/// Compares two snapshot sides across all three layers.
+/// Compares two snapshot sides across all three layers: [`diff_governed`]
+/// with no budget.
 pub fn diff(before: &DiffSide<'_>, after: &DiffSide<'_>, opts: &DiffOptions) -> SnapshotDiff {
-    // Layer 1: structural.
-    let span = batnet_obs::Span::enter("diff.configs");
-    let structural = structural::diff_structural(before.devices, after.devices);
-    batnet_obs::counter_add("diff.structural.changes", structural.change_count() as u64);
-    span.close();
-
-    // Layer 2: control plane (simulate both sides, then merge-join).
-    let span = batnet_obs::Span::enter("diff.routes");
-    let dp_before = simulate(before.devices, before.env, &opts.sim);
-    let dp_after = simulate(after.devices, after.env, &opts.sim);
-    let routes = routes::diff_routes(&dp_before, &dp_after, opts.max_route_changes);
-    batnet_obs::counter_add("diff.routes.changes", routes.change_count() as u64);
-    span.close();
-
-    // Layer 3: data plane. Equivalence fast path: identical devices and
-    // identical RIBs/FIBs make the graphs equal by construction.
-    let span = batnet_obs::Span::enter("diff.reach");
-    let reach = if structural.is_empty() && routes.is_empty() {
-        ReachDiff {
-            skipped_equivalent: true,
-            ..ReachDiff::default()
-        }
-    } else {
-        let mut changed: BTreeSet<String> = structural.changed_devices();
-        changed.extend(routes.changed_devices.iter().cloned());
-        reach::diff_reach(
-            &ReachInputs {
-                devices_before: before.devices,
-                dp_before: &dp_before,
-                devices_after: after.devices,
-                dp_after: &dp_after,
-                changed_devices: &changed,
-            },
-            opts,
-        )
-    };
-    span.close();
-
-    SnapshotDiff {
-        structural,
-        routes,
-        reach,
-        quarantined_before: before.quarantined.clone(),
-        quarantined_after: after.quarantined.clone(),
-    }
+    diff_governed(before, after, opts, &batnet_net::governor::ResourceGovernor::unlimited())
+        .into_value()
 }

@@ -269,28 +269,16 @@ pub const PASSES: &[(&str, &[&str], Pass)] = &[
     ("unexercised-config", &["unexercised-config"], Pass::Network(unexercised_config)),
 ];
 
-/// Runs every registered pass, applies device-level suppressions, and
-/// returns the sorted finding list. Emits one `lint.<pass>` span and a
-/// `lint.findings.<pass>` counter per pass.
+/// Runs every registered pass with no budget: [`run_all_governed`]'s
+/// complete result.
 pub fn run_all(devices: &[Device]) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for (name, _, pass) in PASSES {
-        let span = batnet_obs::Span::enter(format!("lint.{name}"));
-        let produced = match pass {
-            Pass::Device(f) => devices.iter().flat_map(f).collect::<Vec<_>>(),
-            Pass::Network(f) => f(devices),
-        };
-        span.close();
-        batnet_obs::counter_add(&format!("lint.findings.{name}"), produced.len() as u64);
-        findings.extend(produced);
-    }
-    apply_suppressions(devices, &mut findings);
-    findings.sort();
-    findings.dedup();
-    findings
+    run_all_governed(devices, &batnet_net::governor::ResourceGovernor::unlimited()).into_value()
 }
 
-/// [`run_all`] under a [`batnet_net::governor::ResourceGovernor`]: the
+/// Runs every registered pass under a
+/// [`batnet_net::governor::ResourceGovernor`], applies device-level
+/// suppressions, and returns the sorted finding list. Emits one
+/// `lint.<pass>` span and a `lint.findings.<pass>` counter per pass. The
 /// budget is polled before each pass and each pass ticks the iteration
 /// budget once. Passes are local and cheap (Lesson 5), so a deadline
 /// lands between passes within milliseconds — that is the checkpoint
@@ -330,10 +318,11 @@ pub fn run_all_governed(
     Outcome::Complete(finish(findings))
 }
 
-/// [`run_network`] under a governor: governed passes via
-/// [`run_all_governed`], plus the diagnostics bridge — which is always
-/// included, complete or partial, because the diagnostics were already
-/// computed at parse time and cost nothing to surface.
+/// Governed passes via [`run_all_governed`] plus the diagnostics bridge,
+/// for callers (the CLI) that hold the per-device [`Diagnostics`]. The
+/// bridge is always included, complete or partial, because the
+/// diagnostics were already computed at parse time and cost nothing to
+/// surface.
 pub fn run_network_governed(
     devices: &[Device],
     diags: &[(String, Diagnostics)],
@@ -353,20 +342,11 @@ pub fn run_network_governed(
     })
 }
 
-/// [`run_all`] plus parse diagnostics bridged into the same stream, for
-/// callers (the CLI) that hold the per-device [`Diagnostics`].
+/// [`run_all`] plus parse diagnostics bridged into the same stream:
+/// [`run_network_governed`] with no budget.
 pub fn run_network(devices: &[Device], diags: &[(String, Diagnostics)]) -> Vec<Finding> {
-    let mut findings = run_all(devices);
-    let mut bridged: Vec<Finding> = diags
-        .iter()
-        .flat_map(|(name, dg)| diagnostics_findings(name, dg))
-        .collect();
-    batnet_obs::counter_add("lint.findings.bridged", bridged.len() as u64);
-    apply_suppressions(devices, &mut bridged);
-    findings.extend(bridged);
-    findings.sort();
-    findings.dedup();
-    findings
+    run_network_governed(devices, diags, &batnet_net::governor::ResourceGovernor::unlimited())
+        .into_value()
 }
 
 /// Bridges one device's parse diagnostics into findings, with the same

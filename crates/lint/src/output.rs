@@ -16,7 +16,7 @@
 //! surprise.
 
 use crate::{Finding, Severity, CHECKS};
-use batnet_obs::json::{self, write_str, Value};
+use batnet_obs::json::{self, within, write_str, Value};
 use std::fmt::Write as _;
 
 /// Plain-text rendering, one finding per line:
@@ -163,15 +163,11 @@ fn is_fingerprint(s: &str) -> bool {
 /// Validates the SARIF-lite contract: version, one run with a named
 /// driver and rules, and for every result a known `ruleId`, a legal
 /// `level`, a `message.text`, and a well-formed `batnet/v1` fingerprint.
-pub fn validate_sarif(text: &str) -> Result<(), String> {
-    let doc = json::parse(text)?;
+pub fn validate_sarif(doc: &Value) -> Result<(), String> {
     if doc.get("version").and_then(Value::as_str) != Some("2.1.0") {
         return Err("version must be \"2.1.0\"".into());
     }
-    let runs = doc
-        .get("runs")
-        .and_then(Value::as_arr)
-        .ok_or("missing runs array")?;
+    let runs = doc.arr("runs")?;
     if runs.is_empty() {
         return Err("runs is empty".into());
     }
@@ -180,49 +176,27 @@ pub fn validate_sarif(text: &str) -> Result<(), String> {
             .get("tool")
             .and_then(|t| t.get("driver"))
             .ok_or("run missing tool.driver")?;
-        if driver.get("name").and_then(Value::as_str).is_none() {
-            return Err("driver missing name".into());
-        }
-        let rules = driver
-            .get("rules")
-            .and_then(Value::as_arr)
-            .ok_or("driver missing rules")?;
-        let rule_ids: Vec<&str> = rules
+        within("driver", driver.text("name"))?;
+        let rule_ids = within("driver", driver.arr("rules"))?
             .iter()
-            .filter_map(|r| r.get("id").and_then(Value::as_str))
-            .collect();
-        if rule_ids.len() != rules.len() {
-            return Err("every rule needs a string id".into());
-        }
-        let results = run
-            .get("results")
-            .and_then(Value::as_arr)
-            .ok_or("run missing results array")?;
-        for (i, r) in results.iter().enumerate() {
-            let rule = r
-                .get("ruleId")
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("result {i}: missing ruleId"))?;
+            .map(|r| within("rule", r.text("id")))
+            .collect::<Result<Vec<&str>, String>>()?;
+        for (i, r) in within("run", run.arr("results"))?.iter().enumerate() {
+            let place = format!("result {i}");
+            let rule = within(&place, r.text("ruleId"))?;
             if !rule_ids.contains(&rule) {
-                return Err(format!("result {i}: ruleId '{rule}' not declared in rules"));
+                return Err(format!("{place}: ruleId '{rule}' not declared in rules"));
             }
-            let level = r
-                .get("level")
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("result {i}: missing level"))?;
+            let level = within(&place, r.text("level"))?;
             if !matches!(level, "error" | "warning" | "note") {
-                return Err(format!("result {i}: bad level '{level}'"));
+                return Err(format!("{place}: bad level '{level}'"));
             }
-            if r.get("message").and_then(|m| m.get("text")).and_then(Value::as_str).is_none() {
-                return Err(format!("result {i}: missing message.text"));
-            }
-            let fp = r
-                .get("partialFingerprints")
-                .and_then(|p| p.get("batnet/v1"))
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("result {i}: missing partialFingerprints.batnet/v1"))?;
+            let message = r.get("message").unwrap_or(&Value::Null);
+            within(format!("{place}: message"), message.text("text"))?;
+            let prints = r.get("partialFingerprints").unwrap_or(&Value::Null);
+            let fp = within(format!("{place}: partialFingerprints"), prints.text("batnet/v1"))?;
             if !is_fingerprint(fp) {
-                return Err(format!("result {i}: malformed fingerprint '{fp}'"));
+                return Err(format!("{place}: malformed fingerprint '{fp}'"));
             }
         }
     }
@@ -328,9 +302,9 @@ mod tests {
     #[test]
     fn sarif_output_validates() {
         let text = render_sarif(&sample());
-        validate_sarif(&text).expect("own SARIF validates");
-        // And it is real JSON with the right shape.
+        // It is real JSON with the right shape, and it validates.
         let doc = json::parse(&text).expect("valid json");
+        validate_sarif(&doc).expect("own SARIF validates");
         let runs = doc.get("runs").and_then(Value::as_arr).expect("runs");
         let results = runs[0].get("results").and_then(Value::as_arr).expect("results");
         assert_eq!(results.len(), 3);
@@ -338,6 +312,7 @@ mod tests {
 
     #[test]
     fn sarif_validator_rejects_bad_documents() {
+        let validate_sarif = |text: &str| validate_sarif(&json::parse(text).expect("valid json"));
         assert!(validate_sarif("{}").is_err());
         assert!(validate_sarif("{\"version\":\"2.1.0\",\"runs\":[]}").is_err());
         // Undeclared ruleId.

@@ -3,33 +3,52 @@
 //! change is judged with.
 //!
 //! ```text
-//! obs-diff [options] BASELINE NEW
-//!   --kind bench|report   force the document kind (default: autodetect,
-//!                         bench when a "bench" key is present)
-//!   --k F                 MAD multiplier in the threshold (default 4)
-//!   --pct F               relative floor as a fraction (default 0.25)
-//!   --min-ms F            absolute floor in ms (default 0.01)
-//!   --structure-only      schema/structure gate, ignore timings
-//!   --force               compare even across build profiles
-//!   --json                emit the verdict as JSON
+//! usage: obs-diff [OPTIONS] BASELINE NEW
+//!
+//! Compare a baseline bench file or run report with a new one.
+//! Exit 0 clean (improvements and warnings allowed), 1 failing findings,
+//! 2 usage errors or incomparable inputs (schema-invalid files, mismatched
+//! build profiles without --force).
+//!
+//! options:
+//!   --kind bench|report  force the document kind (default: bench when a "bench" key is present)
+//!   --k F                MAD multiplier in the threshold (default 4)
+//!   --pct F              relative floor as a fraction (default 0.25)
+//!   --min-ms F           absolute floor in ms (default 0.01)
+//!   --structure-only     schema/structure gate, ignore timings
+//!   --force              compare even across build profiles
+//!   --json               emit the verdict as JSON
+//!   --help               print this help and exit
 //! ```
 //!
 //! A row regresses only when `|Δmedian| > max(k·MAD, pct·base, min_ms)`.
-//! Exit codes: 0 clean (improvements and warnings allowed), 1 failing
-//! findings, 2 usage errors or incomparable inputs (schema-invalid
-//! files, mismatched build profiles without `--force`).
 
 use batnet_obs::diff::{diff_bench, diff_reports, DiffOptions};
+use batnet_obs::flags::{Cli, Flag};
 use batnet_obs::json::{self, Value};
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!(
-        "usage: obs-diff [--kind bench|report] [--k F] [--pct F] [--min-ms F]\n\
-         \x20               [--structure-only] [--force] [--json] BASELINE NEW"
-    );
-    ExitCode::from(2)
-}
+static CLI: Cli = Cli {
+    bin: "obs-diff",
+    about: "Compare a baseline bench file or run report with a new one.\n\
+            Exit 0 clean (improvements and warnings allowed), 1 failing findings,\n\
+            2 usage errors or incomparable inputs (schema-invalid files, mismatched\n\
+            build profiles without --force).",
+    positional: "BASELINE NEW",
+    flags: &[
+        Flag::choice(
+            "--kind",
+            &["bench", "report"],
+            "force the document kind (default: bench when a \"bench\" key is present)",
+        ),
+        Flag::float("--k", "MAD multiplier in the threshold (default 4)"),
+        Flag::float("--pct", "relative floor as a fraction (default 0.25)"),
+        Flag::float("--min-ms", "absolute floor in ms (default 0.01)"),
+        Flag::switch("--structure-only", "schema/structure gate, ignore timings"),
+        Flag::switch("--force", "compare even across build profiles"),
+        Flag::switch("--json", "emit the verdict as JSON"),
+    ],
+};
 
 fn load(path: &str) -> Result<Value, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -37,83 +56,37 @@ fn load(path: &str) -> Result<Value, String> {
 }
 
 fn main() -> ExitCode {
-    let mut opts = DiffOptions::default();
-    let mut kind: Option<String> = None;
-    let mut as_json = false;
-    let mut files: Vec<String> = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut float = |name: &str| -> Option<f64> {
-            match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(f) if f >= 0.0 => Some(f),
-                _ => {
-                    eprintln!("{name} wants a non-negative number");
-                    None
-                }
-            }
+    CLI.main(|args| {
+        let [base, new] = args.args.as_slice() else {
+            CLI.fail("expected exactly two files: BASELINE NEW");
         };
-        match arg.as_str() {
-            "--kind" => match args.next() {
-                Some(k) if k == "bench" || k == "report" => kind = Some(k),
-                _ => {
-                    eprintln!("--kind wants 'bench' or 'report'");
-                    return ExitCode::from(2);
-                }
-            },
-            "--k" => match float("--k") {
-                Some(f) => opts.k = f,
-                None => return ExitCode::from(2),
-            },
-            "--pct" => match float("--pct") {
-                Some(f) => opts.pct = f,
-                None => return ExitCode::from(2),
-            },
-            "--min-ms" => match float("--min-ms") {
-                Some(f) => opts.min_ms = f,
-                None => return ExitCode::from(2),
-            },
-            "--structure-only" => opts.structure_only = true,
-            "--force" => opts.force = true,
-            "--json" => as_json = true,
-            other if !other.starts_with("--") => files.push(other.to_string()),
-            _ => return usage(),
+        let (base, new) = (load(base)?, load(new)?);
+        let defaults = DiffOptions::default();
+        let opts = DiffOptions {
+            k: args.num("--k").unwrap_or(defaults.k),
+            pct: args.num("--pct").unwrap_or(defaults.pct),
+            min_ms: args.num("--min-ms").unwrap_or(defaults.min_ms),
+            structure_only: args.has("--structure-only"),
+            force: args.has("--force"),
+        };
+        let is_bench = match args.text("--kind") {
+            Some(kind) => kind == "bench",
+            None => base.get("bench").is_some() || new.get("bench").is_some(),
+        };
+        let report = if is_bench {
+            diff_bench(&base, &new, &opts)?
+        } else {
+            diff_reports(&base, &new, &opts)?
+        };
+        if args.has("--json") {
+            println!("{}", report.render_json());
+        } else {
+            print!("{}", report.render_text());
         }
-    }
-    if files.len() != 2 {
-        return usage();
-    }
-    let (base, new) = match (load(&files[0]), load(&files[1])) {
-        (Ok(b), Ok(n)) => (b, n),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("obs-diff: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let is_bench = match kind.as_deref() {
-        Some("bench") => true,
-        Some(_) => false,
-        None => base.get("bench").is_some() || new.get("bench").is_some(),
-    };
-    let result = if is_bench {
-        diff_bench(&base, &new, &opts)
-    } else {
-        diff_reports(&base, &new, &opts)
-    };
-    let report = match result {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("obs-diff: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    if as_json {
-        println!("{}", report.render_json());
-    } else {
-        print!("{}", report.render_text());
-    }
-    if report.ok() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+        Ok(if report.ok() {
+            ExitCode::SUCCESS
+        } else {
+            ExitCode::FAILURE
+        })
+    })
 }

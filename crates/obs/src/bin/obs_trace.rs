@@ -2,184 +2,100 @@
 //! flamegraph text.
 //!
 //! ```text
-//! obs-trace [--format chrome|folded] [--out FILE] INPUT
-//! obs-trace --validate TRACE.json
+//! usage: obs-trace [OPTIONS] INPUT
+//!
+//! Export INPUT — a run-report JSON file, a BENCH_*.json bench file (its embedded report
+//! is used), or a batnet-prof/v1 sampling profile (from /profilez or harness --profile) —
+//! as a Chrome trace or as folded flamegraph stacks.
+//! Exit 0 exported, 1 the input cannot be exported, 2 usage error.
+//!
+//! options:
+//!   --format chrome|folded  output format (default chrome)
+//!   --out FILE              write the output to FILE instead of stdout
+//!   --help                  print this help and exit
 //! ```
 //!
-//! `INPUT` is a run-report JSON file, a `BENCH_*.json` bench file (the
-//! embedded report is used), or a `batnet-prof/v1` sampling profile
-//! (from `/profilez` or `harness --profile`; its folded stacks export
-//! directly, so `--format folded` is implied). The Chrome output loads
-//! in Perfetto or `chrome://tracing` (open the UI, drag the file in); it
-//! is validated against the in-tree checker before it is written, so
-//! `obs-trace` never emits a trace Perfetto would reject. `--validate`
-//! checks an existing trace file and exits non-zero if it is not
-//! loadable.
+//! The Chrome output loads in Perfetto or `chrome://tracing` (open the
+//! UI, drag the file in); it is validated against the in-tree checker
+//! before it is written, so `obs-trace` never emits a trace Perfetto
+//! would reject (`obs-validate` re-checks an existing trace file). A
+//! sampling profile carries folded stacks already — sampled counts have
+//! no span forest to reconstruct — so it exports as `--format folded`
+//! only.
 
+use batnet_obs::flags::{self, Cli, Flag};
 use batnet_obs::json::{self, Value};
 use batnet_obs::report::validate_profile;
 use batnet_obs::sampler::profile_folded;
 use batnet_obs::trace::{chrome_trace, folded, forest_from_json, validate_chrome_trace};
 use std::process::ExitCode;
 
-fn usage() -> ExitCode {
-    eprintln!("usage: obs-trace [--format chrome|folded] [--out FILE] INPUT");
-    eprintln!("       obs-trace --validate TRACE.json");
-    ExitCode::from(2)
-}
+static CLI: Cli = Cli {
+    bin: "obs-trace",
+    about: "Export INPUT — a run-report JSON file, a BENCH_*.json bench file (its embedded report\n\
+            is used), or a batnet-prof/v1 sampling profile (from /profilez or harness --profile) —\n\
+            as a Chrome trace or as folded flamegraph stacks.\n\
+            Exit 0 exported, 1 the input cannot be exported, 2 usage error.",
+    positional: "INPUT",
+    flags: &[
+        Flag::choice("--format", &["chrome", "folded"], "output format (default chrome)"),
+        flags::OUT,
+    ],
+};
 
-fn load(path: &str) -> Result<Value, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    json::parse(&text).map_err(|e| format!("{path}: not valid JSON: {e}"))
-}
-
-fn main() -> ExitCode {
-    let mut format = "chrome".to_string();
-    let mut out: Option<String> = None;
-    let mut validate: Option<String> = None;
-    let mut input: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--format" => match args.next() {
-                Some(f) if f == "chrome" || f == "folded" => format = f,
-                _ => {
-                    eprintln!("--format wants 'chrome' or 'folded'");
-                    return ExitCode::from(2);
-                }
-            },
-            "--out" => match args.next() {
-                Some(p) => out = Some(p),
-                None => return usage(),
-            },
-            "--validate" => match args.next() {
-                Some(p) => validate = Some(p),
-                None => return usage(),
-            },
-            other if !other.starts_with("--") && input.is_none() => input = Some(other.to_string()),
-            _ => return usage(),
-        }
-    }
-
-    if let Some(path) = validate {
-        let v = match load(&path) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("obs-trace: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match validate_chrome_trace(&v) {
-            Ok(()) => {
-                let n = v
-                    .get("traceEvents")
-                    .and_then(Value::as_arr)
-                    .map(<[Value]>::len)
-                    .unwrap_or(0);
-                println!("obs-trace: {path}: OK ({n} events)");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("obs-trace: {path}: INVALID: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
-    let Some(input) = input else { return usage() };
-    let doc = match load(&input) {
-        Ok(v) => v,
-        Err(e) => {
-            eprintln!("obs-trace: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // A sampling profile carries folded stacks already — validate and
-    // export them directly (sampled counts have no span forest to
-    // reconstruct, so a Chrome trace is not available).
+/// Renders `doc` in the requested format.
+fn export(doc: Value, chrome: bool) -> Result<String, String> {
     if doc.get("kind").and_then(Value::as_str) == Some("batnet-prof/v1") {
-        if format == "chrome" {
-            eprintln!("obs-trace: {input}: sampling profiles export as --format folded only");
-            return ExitCode::FAILURE;
+        if chrome {
+            return Err("sampling profiles export as --format folded only".to_string());
         }
-        let rendered = match validate_profile(&doc).and_then(|()| profile_folded(&doc)) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("obs-trace: {input}: INVALID profile: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match out {
-            Some(path) => match std::fs::write(&path, rendered) {
-                Ok(()) => {
-                    println!("wrote {path}");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("obs-trace: {path}: {e}");
-                    ExitCode::FAILURE
-                }
-            },
-            None => {
-                print!("{rendered}");
-                ExitCode::SUCCESS
-            }
-        };
+        return validate_profile(&doc)
+            .and_then(|()| profile_folded(&doc))
+            .map_err(|e| format!("INVALID profile: {e}"));
     }
     // A bench file embeds its run report under "report".
     let report = if doc.get("bench").is_some() {
-        match doc.get("report") {
-            Some(r) => r.clone(),
-            None => {
-                eprintln!("obs-trace: {input}: bench file has no embedded report");
-                return ExitCode::FAILURE;
-            }
-        }
+        doc.get("report")
+            .ok_or("bench file has no embedded report")?
     } else {
-        doc
+        &doc
     };
-    let forest = match forest_from_json(&report) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("obs-trace: {input}: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let rendered = if format == "chrome" {
-        let text = chrome_trace(&forest);
-        // Never emit a trace the validator would reject.
-        match json::parse(&text).map_err(|e| e.to_string()).and_then(|v| {
-            validate_chrome_trace(&v).map(|()| {
-                v.get("traceEvents")
-                    .and_then(Value::as_arr)
-                    .map(<[Value]>::len)
-                    .unwrap_or(0)
-            })
-        }) {
-            Ok(n) => eprintln!("obs-trace: {n} events, validated"),
-            Err(e) => {
-                eprintln!("obs-trace: internal error, rendered trace invalid: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        text
-    } else {
-        folded(&forest)
-    };
-    match out {
-        Some(path) => match std::fs::write(&path, rendered) {
+    let forest = forest_from_json(report)?;
+    if !chrome {
+        return Ok(folded(&forest));
+    }
+    let text = chrome_trace(&forest);
+    // Never emit a trace the validator would reject.
+    let events = json::parse(&text)
+        .and_then(|v| validate_chrome_trace(&v).and_then(|()| Ok(v.arr("traceEvents")?.len())))
+        .map_err(|e| format!("internal error, rendered trace invalid: {e}"))?;
+    eprintln!("obs-trace: {events} events, validated");
+    Ok(text)
+}
+
+fn main() -> ExitCode {
+    CLI.main(|args| {
+        let [input] = args.args.as_slice() else {
+            CLI.fail("expected exactly one INPUT file");
+        };
+        let rendered = std::fs::read_to_string(input)
+            .map_err(|e| e.to_string())
+            .and_then(|text| json::parse(&text).map_err(|e| format!("not valid JSON: {e}")))
+            .and_then(|doc| export(doc, args.text("--format") != Some("folded")));
+        let written = rendered
+            .map_err(|e| format!("{input}: {e}"))
+            .and_then(|text| flags::emit(args.text("--out"), &text));
+        Ok(match written {
             Ok(()) => {
-                println!("wrote {path}");
+                if let Some(path) = args.text("--out") {
+                    println!("wrote {path}");
+                }
                 ExitCode::SUCCESS
             }
             Err(e) => {
-                eprintln!("obs-trace: {path}: {e}");
+                eprintln!("obs-trace: {e}");
                 ExitCode::FAILURE
             }
-        },
-        None => {
-            print!("{rendered}");
-            ExitCode::SUCCESS
-        }
-    }
+        })
+    })
 }

@@ -91,6 +91,61 @@ impl Value {
     }
 }
 
+/// Required-member access for the schema validators: each returns the
+/// member in its expected shape or the one `missing <shape> "<key>"`
+/// message every validator shares.
+impl Value {
+    /// A number at `key`.
+    pub fn num(&self, key: &str) -> Result<f64, String> {
+        self.get(key)
+            .and_then(Value::as_f64)
+            .ok_or_else(|| format!("missing numeric {key:?}"))
+    }
+
+    /// A number at `key` that is at least `min`.
+    pub fn num_min(&self, key: &str, min: f64) -> Result<f64, String> {
+        match self.num(key) {
+            Ok(n) if n >= min => Ok(n),
+            _ => Err(format!("missing numeric {key:?} >= {min}")),
+        }
+    }
+
+    /// A string at `key`.
+    pub fn text(&self, key: &str) -> Result<&str, String> {
+        self.get(key)
+            .and_then(Value::as_str)
+            .ok_or_else(|| format!("missing string {key:?}"))
+    }
+
+    /// A non-empty string at `key`.
+    pub fn nonempty(&self, key: &str) -> Result<&str, String> {
+        match self.text(key) {
+            Ok(s) if !s.is_empty() => Ok(s),
+            _ => Err(format!("missing non-empty string {key:?}")),
+        }
+    }
+
+    /// An array at `key`.
+    pub fn arr(&self, key: &str) -> Result<&[Value], String> {
+        self.get(key)
+            .and_then(Value::as_arr)
+            .ok_or_else(|| format!("missing array {key:?}"))
+    }
+
+    /// An object at `key`.
+    pub fn obj(&self, key: &str) -> Result<&BTreeMap<String, Value>, String> {
+        match self.get(key) {
+            Some(Value::Obj(m)) => Ok(m),
+            _ => Err(format!("missing object {key:?}")),
+        }
+    }
+}
+
+/// Prefixes a validation error with where in the document it happened.
+pub fn within<T>(place: impl std::fmt::Display, r: Result<T, String>) -> Result<T, String> {
+    r.map_err(|e| format!("{place}: {e}"))
+}
+
 /// Parses a complete JSON document. Errors carry a byte offset and a
 /// short description.
 pub fn parse(text: &str) -> Result<Value, String> {

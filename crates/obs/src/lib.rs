@@ -40,6 +40,9 @@
 //! * **Regression diffing** ([`diff`]) — noise-aware comparison of two
 //!   bench files or run reports (`max(k·MAD, pct·base, abs floor)`
 //!   thresholds); the `obs-diff` bin is the CI gate built on it.
+//! * **Command lines** ([`flags`]) — the declarative flag tables every
+//!   workspace binary parses its arguments with (hosted here, like
+//!   [`json`], because this is the one crate they all depend on).
 //!
 //! The recorder is sharded per OS thread ([`shard`]): recording touches
 //! only the calling thread's state, so concurrent workers never
@@ -64,6 +67,7 @@
 pub mod attr;
 pub mod clock;
 pub mod diff;
+pub mod flags;
 pub mod json;
 pub mod mem;
 pub mod metrics;

@@ -29,7 +29,7 @@
 //! An open span (`Span` alive at capture) serializes `"ms": null`;
 //! histogram buckets list only non-empty `[lo, hi, count]` triples.
 
-use crate::json::{self, Value};
+use crate::json::{self, within, Value};
 use crate::metrics::{bucket_range, Event, MetricValue};
 use crate::span::SpanRecord;
 use std::collections::BTreeMap;
@@ -328,100 +328,64 @@ fn write_metric(out: &mut String, value: &MetricValue) {
     }
 }
 
-/// Validates a parsed schema-1 run report. Returns the first problem
-/// found; `Ok` means the document has every required section with the
-/// required shape.
-pub fn validate_run_report(v: &Value) -> Result<(), String> {
-    let schema = v
-        .get("schema")
-        .and_then(Value::as_f64)
-        .ok_or("missing numeric \"schema\"")?;
+/// The version gate every schema-1 document opens with.
+fn check_schema(v: &Value) -> Result<(), String> {
+    let schema = v.num("schema")?;
     if schema != SCHEMA_VERSION as f64 {
         return Err(format!(
             "schema drift: expected {SCHEMA_VERSION}, found {schema}"
         ));
     }
-    if !matches!(v.get("meta"), Some(Value::Obj(_))) {
-        return Err("missing object \"meta\"".to_string());
-    }
-    let spans = v
-        .get("spans")
-        .and_then(Value::as_arr)
-        .ok_or("missing array \"spans\"")?;
-    for s in spans {
+    Ok(())
+}
+
+/// Validates a parsed schema-1 run report. Returns the first problem
+/// found; `Ok` means the document has every required section with the
+/// required shape.
+pub fn validate_run_report(v: &Value) -> Result<(), String> {
+    check_schema(v)?;
+    v.obj("meta")?;
+    for s in v.arr("spans")? {
         validate_span(s)?;
     }
-    let Some(Value::Obj(metrics)) = v.get("metrics") else {
-        return Err("missing object \"metrics\"".to_string());
-    };
-    for (name, m) in metrics {
-        let ty = m
-            .get("type")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("metric {name}: missing \"type\""))?;
-        match ty {
+    for (name, m) in v.obj("metrics")? {
+        let place = format!("metric {name}");
+        match within(&place, m.text("type"))? {
             "counter" | "gauge" => {
-                if m.get("value").and_then(Value::as_f64).is_none() {
-                    return Err(format!("metric {name}: missing numeric \"value\""));
-                }
+                within(&place, m.num("value"))?;
             }
             "histogram" => {
                 for k in ["count", "sum", "mean"] {
-                    if m.get(k).and_then(Value::as_f64).is_none() {
-                        return Err(format!("metric {name}: missing numeric \"{k}\""));
-                    }
+                    within(&place, m.num(k))?;
                 }
-                let buckets = m
-                    .get("buckets")
-                    .and_then(Value::as_arr)
-                    .ok_or_else(|| format!("metric {name}: missing \"buckets\""))?;
-                for b in buckets {
+                for b in within(&place, m.arr("buckets"))? {
                     let triple = b.as_arr().unwrap_or(&[]);
                     if triple.len() != 3 || triple.iter().any(|t| t.as_f64().is_none()) {
-                        return Err(format!("metric {name}: bucket is not [lo, hi, count]"));
+                        return Err(format!("{place}: bucket is not [lo, hi, count]"));
                     }
                 }
             }
-            other => return Err(format!("metric {name}: unknown type {other:?}")),
+            other => return Err(format!("{place}: unknown type {other:?}")),
         }
     }
-    let events = v
-        .get("events")
-        .and_then(Value::as_arr)
-        .ok_or("missing array \"events\"")?;
-    for e in events {
+    for e in v.arr("events")? {
         for k in ["kind", "subject", "detail"] {
-            if e.get(k).and_then(Value::as_str).is_none() {
-                return Err(format!("event missing string \"{k}\""));
-            }
+            within("event", e.text(k))?;
         }
-        if e.get("at_ms").and_then(Value::as_f64).is_none() {
-            return Err("event missing numeric \"at_ms\"".to_string());
-        }
+        within("event", e.num("at_ms"))?;
     }
-    let quarantined = v
-        .get("quarantined")
-        .and_then(Value::as_arr)
-        .ok_or("missing array \"quarantined\"")?;
-    for q in quarantined {
+    for q in v.arr("quarantined")? {
         for k in ["device", "stage", "code"] {
-            match q.get(k).and_then(Value::as_str) {
-                Some(s) if !s.is_empty() => {}
-                _ => return Err(format!("quarantine entry missing non-empty \"{k}\"")),
-            }
+            within("quarantine entry", q.nonempty(k))?;
         }
     }
     match v.get("partial") {
         Some(Value::Null) => {}
         Some(p @ Value::Obj(_)) => {
             for k in ["stage", "limit"] {
-                if p.get(k).and_then(Value::as_str).is_none() {
-                    return Err(format!("partial missing string \"{k}\""));
-                }
+                within("partial", p.text(k))?;
             }
-            if p.get("abandoned").and_then(Value::as_arr).is_none() {
-                return Err("partial missing array \"abandoned\"".to_string());
-            }
+            within("partial", p.arr("abandoned"))?;
         }
         _ => return Err("missing \"partial\" (object or null)".to_string()),
     }
@@ -429,9 +393,7 @@ pub fn validate_run_report(v: &Value) -> Result<(), String> {
         Some(Value::Null) | None => {}
         Some(s @ Value::Obj(_)) => {
             for k in ["devices", "quarantined", "diagnostics"] {
-                if s.get(k).and_then(Value::as_f64).is_none() {
-                    return Err(format!("snapshot missing numeric \"{k}\""));
-                }
+                within("snapshot", s.num(k))?;
             }
         }
         _ => return Err("\"snapshot\" must be object or null".to_string()),
@@ -443,12 +405,8 @@ pub fn validate_run_report(v: &Value) -> Result<(), String> {
 /// because `/tracez` documents embed per-request span forests in the
 /// same shape.
 pub fn validate_span(s: &Value) -> Result<(), String> {
-    if s.get("name").and_then(Value::as_str).is_none() {
-        return Err("span missing string \"name\"".to_string());
-    }
-    if s.get("start_ms").and_then(Value::as_f64).is_none() {
-        return Err("span missing numeric \"start_ms\"".to_string());
-    }
+    within("span", s.text("name"))?;
+    within("span", s.num("start_ms"))?;
     match s.get("ms") {
         Some(Value::Num(_)) | Some(Value::Null) => {}
         _ => return Err("span \"ms\" must be number or null".to_string()),
@@ -459,11 +417,7 @@ pub fn validate_span(s: &Value) -> Result<(), String> {
         None | Some(Value::Num(_)) => {}
         _ => return Err("span \"self_ms\" must be a number when present".to_string()),
     }
-    let children = s
-        .get("children")
-        .and_then(Value::as_arr)
-        .ok_or("span missing array \"children\"")?;
-    for c in children {
+    for c in within("span", s.arr("children"))? {
         validate_span(c)?;
     }
     Ok(())
@@ -474,61 +428,30 @@ pub fn validate_span(s: &Value) -> Result<(), String> {
 /// a non-empty trace id, request identity, non-negative timing fields,
 /// and a valid span forest.
 pub fn validate_tracez(v: &Value) -> Result<(), String> {
-    let schema = v
-        .get("schema")
-        .and_then(Value::as_f64)
-        .ok_or("missing numeric \"schema\"")?;
-    if schema != SCHEMA_VERSION as f64 {
-        return Err(format!(
-            "schema drift: expected {SCHEMA_VERSION}, found {schema}"
-        ));
-    }
-    match v.get("capacity").and_then(Value::as_f64) {
-        Some(c) if c >= 1.0 => {}
-        _ => return Err("missing positive numeric \"capacity\"".to_string()),
-    }
-    match v.get("evicted").and_then(Value::as_f64) {
-        Some(e) if e >= 0.0 => {}
-        _ => return Err("missing non-negative numeric \"evicted\"".to_string()),
-    }
-    let traces = v
-        .get("traces")
-        .and_then(Value::as_arr)
-        .ok_or("missing array \"traces\"")?;
-    for (i, t) in traces.iter().enumerate() {
-        match t.get("trace_id").and_then(Value::as_str) {
-            Some(id) if !id.is_empty() => {}
-            _ => return Err(format!("trace {i}: missing non-empty \"trace_id\"")),
+    check_schema(v)?;
+    v.num_min("capacity", 1.0)?;
+    v.num_min("evicted", 0.0)?;
+    for (i, t) in v.arr("traces")?.iter().enumerate() {
+        let place = format!("trace {i}");
+        for k in ["trace_id", "method", "path"] {
+            within(&place, t.nonempty(k))?;
         }
-        for k in ["method", "path"] {
-            match t.get(k).and_then(Value::as_str) {
-                Some(s) if !s.is_empty() => {}
-                _ => return Err(format!("trace {i}: missing non-empty \"{k}\"")),
-            }
-        }
-        match t.get("status").and_then(Value::as_f64) {
-            Some(s) if (100.0..600.0).contains(&s) => {}
-            _ => return Err(format!("trace {i}: \"status\" must be an HTTP status")),
+        match t.num("status") {
+            Ok(s) if (100.0..600.0).contains(&s) => {}
+            _ => return Err(format!("{place}: \"status\" must be an HTTP status")),
         }
         for k in ["queue_wait_ms", "handler_ms"] {
-            match t.get(k).and_then(Value::as_f64) {
-                Some(n) if n >= 0.0 => {}
-                _ => return Err(format!("trace {i}: missing non-negative \"{k}\"")),
-            }
+            within(&place, t.num_min(k, 0.0))?;
         }
         match t.get("deadline_ms") {
             Some(Value::Num(_)) | Some(Value::Null) | None => {}
-            _ => return Err(format!("trace {i}: \"deadline_ms\" must be number or null")),
+            _ => return Err(format!("{place}: \"deadline_ms\" must be number or null")),
         }
         if !matches!(t.get("partial"), Some(Value::Bool(_))) {
-            return Err(format!("trace {i}: missing boolean \"partial\""));
+            return Err(format!("{place}: missing boolean \"partial\""));
         }
-        let spans = t
-            .get("spans")
-            .and_then(Value::as_arr)
-            .ok_or_else(|| format!("trace {i}: missing array \"spans\""))?;
-        for s in spans {
-            validate_span(s).map_err(|e| format!("trace {i}: {e}"))?;
+        for s in within(&place, t.arr("spans"))? {
+            within(&place, validate_span(s))?;
         }
     }
     Ok(())
@@ -538,42 +461,22 @@ pub fn validate_tracez(v: &Value) -> Result<(), String> {
 /// `{bench, network, stage, ms, meta}` row schema plus an embedded run
 /// report.
 pub fn validate_bench(v: &Value) -> Result<(), String> {
-    let schema = v
-        .get("schema")
-        .and_then(Value::as_f64)
-        .ok_or("missing numeric \"schema\"")?;
-    if schema != SCHEMA_VERSION as f64 {
-        return Err(format!(
-            "schema drift: expected {SCHEMA_VERSION}, found {schema}"
-        ));
-    }
-    if v.get("bench").and_then(Value::as_str).is_none() {
-        return Err("missing string \"bench\"".to_string());
-    }
-    let rows = v
-        .get("rows")
-        .and_then(Value::as_arr)
-        .ok_or("missing array \"rows\"")?;
+    check_schema(v)?;
+    v.text("bench")?;
+    let rows = v.arr("rows")?;
     if rows.is_empty() {
         return Err("\"rows\" is empty".to_string());
     }
     for (i, row) in rows.iter().enumerate() {
+        let place = format!("row {i}");
         for k in ["bench", "network", "stage"] {
-            match row.get(k).and_then(Value::as_str) {
-                Some(s) if !s.is_empty() => {}
-                _ => return Err(format!("row {i}: missing non-empty string \"{k}\"")),
-            }
+            within(&place, row.nonempty(k))?;
         }
-        match row.get("ms").and_then(Value::as_f64) {
-            Some(ms) if ms >= 0.0 => {}
-            _ => return Err(format!("row {i}: missing non-negative numeric \"ms\"")),
-        }
-        if !matches!(row.get("meta"), Some(Value::Obj(_))) {
-            return Err(format!("row {i}: missing object \"meta\""));
-        }
+        within(&place, row.num_min("ms", 0.0))?;
+        within(&place, row.obj("meta"))?;
     }
     let report = v.get("report").ok_or("missing \"report\"")?;
-    validate_run_report(report).map_err(|e| format!("embedded report: {e}"))
+    within("embedded report", validate_run_report(report))
 }
 
 /// Validates a `batnet-prof/v1` sampling-profile document: window and
@@ -581,76 +484,40 @@ pub fn validate_bench(v: &Value) -> Result<(), String> {
 /// `samples == recorded + dropped`, numeric gauges, and folded stack
 /// entries with positive counts.
 pub fn validate_profile(v: &Value) -> Result<(), String> {
-    let schema = v
-        .get("schema")
-        .and_then(Value::as_f64)
-        .ok_or("missing numeric \"schema\"")?;
-    if schema != SCHEMA_VERSION as f64 {
-        return Err(format!(
-            "schema drift: expected {SCHEMA_VERSION}, found {schema}"
-        ));
-    }
+    check_schema(v)?;
     match v.get("kind").and_then(Value::as_str) {
         Some("batnet-prof/v1") => {}
         other => return Err(format!("\"kind\" must be \"batnet-prof/v1\", found {other:?}")),
     }
-    match v.get("hz").and_then(Value::as_f64) {
-        Some(hz) if hz >= 0.0 => {}
-        _ => return Err("missing non-negative numeric \"hz\"".to_string()),
-    }
+    v.num_min("hz", 0.0)?;
+    // A non-object here fails the member checks below.
     let window = v.get("window").ok_or("missing object \"window\"")?;
-    if !matches!(window, Value::Obj(_)) {
-        return Err("\"window\" must be an object".to_string());
-    }
     for k in ["ticks", "duration_ms"] {
-        match window.get(k).and_then(Value::as_f64) {
-            Some(n) if n >= 0.0 => {}
-            _ => return Err(format!("window missing non-negative numeric \"{k}\"")),
-        }
+        within("window", window.num_min(k, 0.0))?;
     }
     let sampler = v.get("sampler").ok_or("missing object \"sampler\"")?;
-    if !matches!(sampler, Value::Obj(_)) {
-        return Err("\"sampler\" must be an object".to_string());
+    for k in ["truncated", "overhead_us"] {
+        within("sampler", sampler.num_min(k, 0.0))?;
     }
-    let mut acct = [0.0; 5];
-    for (i, k) in ["samples", "recorded", "dropped", "truncated", "overhead_us"]
-        .iter()
-        .enumerate()
-    {
-        match sampler.get(k).and_then(Value::as_f64) {
-            Some(n) if n >= 0.0 => acct[i] = n,
-            _ => return Err(format!("sampler missing non-negative numeric \"{k}\"")),
-        }
-    }
-    let (samples, recorded, dropped) = (acct[0], acct[1], acct[2]);
+    let samples = within("sampler", sampler.num_min("samples", 0.0))?;
+    let recorded = within("sampler", sampler.num_min("recorded", 0.0))?;
+    let dropped = within("sampler", sampler.num_min("dropped", 0.0))?;
     if samples != recorded + dropped {
         return Err(format!(
             "sampler accounting does not balance: samples {samples} != \
              recorded {recorded} + dropped {dropped}"
         ));
     }
-    let Some(Value::Obj(gauges)) = v.get("gauges") else {
-        return Err("missing object \"gauges\"".to_string());
-    };
-    for (name, g) in gauges {
+    for (name, g) in v.obj("gauges")? {
         if g.as_f64().is_none() {
             return Err(format!("gauge {name}: value is not numeric"));
         }
     }
-    let stacks = v
-        .get("stacks")
-        .and_then(Value::as_arr)
-        .ok_or("missing array \"stacks\"")?;
     let mut counted = 0.0;
-    for (i, s) in stacks.iter().enumerate() {
-        match s.get("stack").and_then(Value::as_str) {
-            Some(st) if !st.is_empty() => {}
-            _ => return Err(format!("stack {i}: missing non-empty string \"stack\"")),
-        }
-        match s.get("count").and_then(Value::as_f64) {
-            Some(c) if c >= 1.0 => counted += c,
-            _ => return Err(format!("stack {i}: missing positive numeric \"count\"")),
-        }
+    for (i, s) in v.arr("stacks")?.iter().enumerate() {
+        let place = format!("stack {i}");
+        within(&place, s.nonempty("stack"))?;
+        counted += within(&place, s.num_min("count", 1.0))?;
     }
     if counted != recorded {
         return Err(format!(
@@ -664,33 +531,13 @@ pub fn validate_profile(v: &Value) -> Result<(), String> {
 /// summary (`{schema, bench, commit, unix, rows, total_ms}`) appended by
 /// `harness bench-all`.
 pub fn validate_trajectory_row(v: &Value) -> Result<(), String> {
-    let schema = v
-        .get("schema")
-        .and_then(Value::as_f64)
-        .ok_or("missing numeric \"schema\"")?;
-    if schema != SCHEMA_VERSION as f64 {
-        return Err(format!(
-            "schema drift: expected {SCHEMA_VERSION}, found {schema}"
-        ));
-    }
+    check_schema(v)?;
     for k in ["bench", "commit"] {
-        match v.get(k).and_then(Value::as_str) {
-            Some(s) if !s.is_empty() => {}
-            _ => return Err(format!("missing non-empty string \"{k}\"")),
-        }
+        v.nonempty(k)?;
     }
-    match v.get("unix").and_then(Value::as_f64) {
-        Some(u) if u >= 0.0 => {}
-        _ => return Err("missing non-negative numeric \"unix\"".to_string()),
-    }
-    match v.get("rows").and_then(Value::as_f64) {
-        Some(r) if r >= 1.0 => {}
-        _ => return Err("missing positive numeric \"rows\"".to_string()),
-    }
-    match v.get("total_ms").and_then(Value::as_f64) {
-        Some(t) if t >= 0.0 => {}
-        _ => return Err("missing non-negative numeric \"total_ms\"".to_string()),
-    }
+    v.num_min("unix", 0.0)?;
+    v.num_min("rows", 1.0)?;
+    v.num_min("total_ms", 0.0)?;
     Ok(())
 }
 

@@ -33,7 +33,7 @@
 //! [`SamplerThread`] is the wall-clock mode used by `--profile-hz` and
 //! `harness --profile`. [`Sampler::take_profile`] snapshots-and-resets
 //! the window and renders the deterministic-schema `batnet-prof/v1`
-//! JSON validated by `obs-validate --kind profile`.
+//! JSON validated by `obs-validate`.
 
 use crate::clock;
 use crate::json;
@@ -276,18 +276,9 @@ pub fn profile_folded(doc: &json::Value) -> Result<String, String> {
     if doc.get("kind").and_then(json::Value::as_str) != Some("batnet-prof/v1") {
         return Err("not a batnet-prof/v1 document".to_string());
     }
-    let stacks = doc
-        .get("stacks")
-        .and_then(json::Value::as_arr)
-        .ok_or("missing array \"stacks\"")?;
     let mut out = String::new();
-    for s in stacks {
-        let (Some(stack), Some(count)) = (
-            s.get("stack").and_then(json::Value::as_str),
-            s.get("count").and_then(json::Value::as_f64),
-        ) else {
-            return Err("stack entry missing \"stack\"/\"count\"".to_string());
-        };
+    for s in doc.arr("stacks")? {
+        let (stack, count) = (s.text("stack")?, s.num("count")?);
         let _ = writeln!(out, "{stack} {}", count as u64);
     }
     Ok(out)

@@ -199,6 +199,33 @@ fn registry_lock() -> MutexGuard<'static, Vec<Arc<Shard>>> {
     registry().lock().unwrap_or_else(|e| e.into_inner())
 }
 
+/// Process-wide table of `;`-joined span paths, so a `Copy`
+/// [`crate::SpanContext`] can carry its span's ancestry to another
+/// thread as one integer. Entry 0 is the empty path. The table only
+/// grows, and only by the distinct paths work fans out from (a handful
+/// per pipeline), so lookup is a linear scan.
+fn paths_lock() -> MutexGuard<'static, Vec<String>> {
+    static P: OnceLock<Mutex<Vec<String>>> = OnceLock::new();
+    P.get_or_init(|| Mutex::new(vec![String::new()]))
+        .lock()
+        .unwrap_or_else(|e| e.into_inner())
+}
+
+/// Interns `path`, returning its stable id.
+pub(crate) fn intern_path(path: &str) -> u32 {
+    let mut paths = paths_lock();
+    let pos = paths.iter().position(|p| p == path).unwrap_or_else(|| {
+        paths.push(path.to_string());
+        paths.len() - 1
+    });
+    pos as u32
+}
+
+/// The path interned as `id` (empty for an id never handed out).
+pub(crate) fn path(id: u32) -> String {
+    paths_lock().get(id as usize).cloned().unwrap_or_default()
+}
+
 thread_local! {
     static LOCAL: std::cell::OnceCell<Arc<Shard>> = const { std::cell::OnceCell::new() };
 }

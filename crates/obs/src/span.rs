@@ -61,9 +61,16 @@ static NEXT_ID: AtomicU64 = AtomicU64::new(0);
 thread_local! {
     // (open-sequence id, interned name id): the id drives parenting,
     // the name id feeds the shard's lock-free stack view for the
-    // sampling profiler.
+    // sampling profiler. A worker's stack may start with frames
+    // inherited from its logical parent's thread (id `INHERITED`); they
+    // sit below every real frame and leave with the last one.
     static STACK: RefCell<Vec<(u64, u32)>> = const { RefCell::new(Vec::new()) };
 }
+
+/// The id of a stack frame that stands for an ancestor span open on
+/// another thread. Never a real span id, so it parents nothing and no
+/// close matches it.
+const INHERITED: u64 = u64::MAX;
 
 /// Publishes the thread's current stack (already borrowed) to `shard`'s
 /// seqlock view. Only ever called from the shard's owning thread.
@@ -77,6 +84,9 @@ fn publish_stack(shard: &Shard, stack: &[(u64, u32)]) {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpanContext {
     id: u64,
+    /// The span's `;`-joined path from its root, interned process-wide
+    /// (see [`shard::intern_path`]); 0 when unknown.
+    path: u32,
 }
 
 /// An open span; closing (drop or [`Span::close`]) records the
@@ -92,24 +102,36 @@ impl Span {
     /// this thread.
     pub fn enter(name: impl Into<String>) -> Span {
         let parent = STACK.with(|s| s.borrow().last().map(|&(id, _)| id));
-        Span::open(name.into(), parent)
+        Span::open(name.into(), parent, "")
     }
 
     /// Opens a span under an explicit parent — the cross-thread form:
     /// capture [`Span::context`] on the spawning thread, move it into
     /// the worker, and the worker's span (and everything nested inside
     /// it on that thread) attaches under the logical parent.
+    ///
+    /// On a thread with nothing open (a pool worker), the parent's path
+    /// becomes the prefix of this thread's published live stack, so the
+    /// sampling profiler files the worker under the stage that spawned
+    /// it — the same path [`crate::attr::path_totals`] computes.
     pub fn enter_with_parent(name: impl Into<String>, ctx: SpanContext) -> Span {
-        Span::open(name.into(), Some(ctx.id))
+        let idle = STACK.with(|s| s.borrow().is_empty());
+        let inherited = if idle { shard::path(ctx.path) } else { String::new() };
+        Span::open(name.into(), Some(ctx.id), &inherited)
     }
 
-    fn open(name: String, parent: Option<u64>) -> Span {
+    fn open(name: String, parent: Option<u64>, inherited: &str) -> Span {
         let start = clock::now();
         let start_ns = shard::run_ns(start);
         let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
-        let (shard, name_id) = shard::with_local(|s| {
+        let (shard, frames) = shard::with_local(|s| {
             let mut data = s.lock();
-            let name_id = s.intern(&mut data, &name);
+            let mut frames: Vec<(u64, u32)> = inherited
+                .split(';')
+                .filter(|n| !n.is_empty())
+                .map(|n| (INHERITED, s.intern(&mut data, n)))
+                .collect();
+            frames.push((id, s.intern(&mut data, &name)));
             data.spans.push(SpanSlot {
                 id,
                 parent,
@@ -118,11 +140,11 @@ impl Span {
                 dur_ns: None,
             });
             drop(data);
-            (Arc::clone(s), name_id)
+            (Arc::clone(s), frames)
         });
         STACK.with(|s| {
             let mut stack = s.borrow_mut();
-            stack.push((id, name_id));
+            stack.extend(frames);
             publish_stack(&shard, &stack);
         });
         Span { shard, id, start }
@@ -130,8 +152,17 @@ impl Span {
 
     /// This span's context: `Copy`, `Send`, and valid until the next
     /// [`crate::reset`] (after which children simply become roots).
+    /// Carries the span's path when called on the thread that opened it.
     pub fn context(&self) -> SpanContext {
-        SpanContext { id: self.id }
+        let frames: Vec<u32> = STACK.with(|s| {
+            let stack = s.borrow();
+            let depth = stack.iter().position(|&(id, _)| id == self.id).map_or(0, |p| p + 1);
+            stack[..depth].iter().map(|&(_, name_id)| name_id).collect()
+        });
+        SpanContext {
+            id: self.id,
+            path: shard::intern_path(&self.shard.resolve_path(&frames)),
+        }
     }
 
     /// Wall clock since this span opened (the span stays open).
@@ -165,6 +196,9 @@ impl Drop for Span {
             let mut stack = s.borrow_mut();
             if let Some(pos) = stack.iter().rposition(|&(i, _)| i == id) {
                 stack.remove(pos);
+                if stack.iter().all(|&(i, _)| i == INHERITED) {
+                    stack.clear();
+                }
                 // The stack held our id, so this close runs on the
                 // opening thread and `self.shard` is its local shard —
                 // the single-writer seqlock invariant holds.
@@ -378,6 +412,38 @@ mod tests {
         assert_eq!(spans[i].parent, Some(w), "nesting continues on the worker");
         assert_ne!(spans[o].tid, spans[w].tid, "distinct OS threads, distinct tids");
         assert_eq!(spans[w].tid, spans[i].tid);
+    }
+
+    #[test]
+    fn worker_publishes_its_logical_parents_path() {
+        let _g = test_guard();
+        crate::reset();
+        // What the sampler would fold for the calling thread right now.
+        fn live_path() -> String {
+            shard::with_local(|s| match s.stack.read(&mut Vec::new()) {
+                shard::StackRead::Ok { frames, .. } => s.resolve_path(&frames),
+                shard::StackRead::Torn => "torn".to_string(),
+            })
+        }
+        let _root = Span::enter("pipeline");
+        let stage = Span::enter("route.fib");
+        let ctx = stage.context();
+        std::thread::spawn(move || {
+            let w = Span::enter_with_parent("exec.fib", ctx);
+            assert_eq!(live_path(), "pipeline;route.fib;exec.fib");
+            let inner = Span::enter("fib.device");
+            assert_eq!(live_path(), "pipeline;route.fib;exec.fib;fib.device");
+            // A fan-out from the worker carries the whole path on.
+            let nested = inner.context();
+            assert_eq!(shard::path(nested.path), "pipeline;route.fib;exec.fib;fib.device");
+            drop(inner);
+            drop(w);
+            assert_eq!(live_path(), "", "inherited frames leave with the last real one");
+        })
+        .join()
+        .expect("worker thread");
+        // The spawning thread's own view never changed shape.
+        assert_eq!(live_path(), "pipeline;route.fib");
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! or report file can be exported after the fact.
 
 use crate::attr;
-use crate::json::{self, Value};
+use crate::json::{self, within, Value};
 use crate::span::SpanRecord;
 use std::fmt::Write as _;
 
@@ -74,24 +74,15 @@ pub fn forest_from_records(spans: &[SpanRecord]) -> Vec<SpanNode> {
 /// document (the nested `{name, start_ms, ms, children}` shape).
 pub fn forest_from_json(report: &Value) -> Result<Vec<SpanNode>, String> {
     fn node(v: &Value) -> Result<SpanNode, String> {
-        let name = v
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or("span missing string \"name\"")?
-            .to_string();
-        let start_ms = v
-            .get("start_ms")
-            .and_then(Value::as_f64)
-            .ok_or("span missing numeric \"start_ms\"")?;
+        let name = v.text("name")?.to_string();
+        let start_ms = v.num("start_ms")?;
         let dur_ms = match v.get("ms") {
             Some(Value::Num(n)) => *n,
             Some(Value::Null) | None => 0.0,
             _ => return Err("span \"ms\" must be number or null".to_string()),
         };
         let children = v
-            .get("children")
-            .and_then(Value::as_arr)
-            .ok_or("span missing array \"children\"")?
+            .arr("children")?
             .iter()
             .map(node)
             .collect::<Result<Vec<_>, _>>()?;
@@ -102,13 +93,7 @@ pub fn forest_from_json(report: &Value) -> Result<Vec<SpanNode>, String> {
             children,
         })
     }
-    report
-        .get("spans")
-        .and_then(Value::as_arr)
-        .ok_or("document has no \"spans\" array")?
-        .iter()
-        .map(node)
-        .collect()
+    report.arr("spans")?.iter().map(node).collect()
 }
 
 fn us(ns: u64) -> f64 {
@@ -221,22 +206,14 @@ pub fn folded_from_records(spans: &[SpanRecord]) -> String {
 /// name and non-negative numeric `ts`/`dur`/`pid`/`tid`. This is the
 /// subset Perfetto needs to load the file.
 pub fn validate_chrome_trace(v: &Value) -> Result<(), String> {
-    let events = v
-        .get("traceEvents")
-        .and_then(Value::as_arr)
-        .ok_or("missing array \"traceEvents\"")?;
-    for (i, e) in events.iter().enumerate() {
-        if e.get("name").and_then(Value::as_str).is_none() {
-            return Err(format!("event {i}: missing string \"name\""));
-        }
+    for (i, e) in v.arr("traceEvents")?.iter().enumerate() {
+        let place = format!("event {i}");
+        within(&place, e.text("name"))?;
         if e.get("ph").and_then(Value::as_str) != Some("X") {
-            return Err(format!("event {i}: \"ph\" must be \"X\""));
+            return Err(format!("{place}: \"ph\" must be \"X\""));
         }
         for k in ["ts", "dur", "pid", "tid"] {
-            match e.get(k).and_then(Value::as_f64) {
-                Some(n) if n >= 0.0 => {}
-                _ => return Err(format!("event {i}: missing non-negative numeric \"{k}\"")),
-            }
+            within(&place, e.num_min(k, 0.0))?;
         }
     }
     Ok(())

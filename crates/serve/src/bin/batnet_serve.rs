@@ -1,21 +1,29 @@
 //! batnet-serve: run the analysis service, or drive its smoke sequence.
 //!
 //! ```text
-//! batnet-serve [--addr HOST:PORT] [--threads N] [--queue-depth N]
-//!              [--io-timeout-ms N] [--deadline-ms N] [--store-capacity N]
-//!              [--prewarm N2,NET1] [--trace-ring N] [--trace-seed N]
-//!              [--profile-hz N] [--access-log] [--smoke]
+//! usage: batnet-serve [OPTIONS]
+//!
+//! Serve analysis queries over HTTP/1.1 until a client POSTs /admin/shutdown.
+//! Exit 0 drained (or smoke passed), 1 bind or smoke failure, 2 usage error.
+//!
+//! options:
+//!   --addr HOST:PORT    bind address (default 127.0.0.1:0 = ephemeral loopback port)
+//!   --threads N         size of the shared execution pool (0 or omitted = all cores)
+//!   --queue-depth N     accepted-connection queue depth; beyond it, 503 + Retry-After
+//!   --io-timeout-ms N   socket read/write timeout, the slow-loris watchdog
+//!   --deadline-ms N     governor deadline applied when a request names none
+//!   --store-capacity N  warm snapshots held before eviction
+//!   --prewarm IDS       comma-separated suite networks analyzed into the store before ready
+//!   --trace-ring N      recent request traces retained for GET /tracez (default 256)
+//!   --trace-seed N      seed for the deterministic X-Batnet-Trace-Id stream
+//!   --profile-hz N      sample every live span stack N times a second for GET /profilez (0 = off)
+//!   --access-log        one JSON line per request on stderr
+//!   --smoke             run the CI end-to-end sequence in-process and exit
+//!   --help              print this help and exit
 //! ```
 //!
-//! `--threads N` sizes the shared execution pool request handlers (and
-//! the analysis they trigger) run on; 0 or omitted = all cores.
-//! `--workers N` is accepted as a deprecated alias.
-//!
 //! Without `--smoke`, binds, prewarms, prints the address, and serves
-//! until a client POSTs `/admin/shutdown`. `--profile-hz N` turns on the
-//! continuous profiler: a sampler thread snapshots every live span stack
-//! N times a second and `GET /profilez` serves (and resets) the
-//! accumulated `batnet-prof/v1` window. With `--smoke`, runs the CI
+//! until a client POSTs `/admin/shutdown`. With `--smoke`, runs the CI
 //! end-to-end sequence in one process — ephemeral port, `/readyz` poll,
 //! a real reachability query, a deliberately over-deadline query that
 //! must come back `206` partial (not hang), a bad route, a `/tracez`
@@ -28,100 +36,82 @@
 //! SLO meta, graceful drain — and exits nonzero on the first deviation.
 
 use batnet_net::Backoff;
+use batnet_obs::flags::{self, Cli, Flag};
 use batnet_serve::{client, AccessLog, ServeConfig, TraceIds};
+use std::process::ExitCode;
 use std::time::Duration;
 
-fn main() {
-    let mut cfg = ServeConfig::default();
-    let mut smoke = false;
-    let mut args = std::env::args().skip(1);
-    let fail = |msg: String| -> ! {
-        eprintln!("batnet-serve: {msg}");
-        std::process::exit(2);
-    };
-    while let Some(arg) = args.next() {
-        let mut take = |name: &str| -> String {
-            args.next()
-                .unwrap_or_else(|| fail(format!("{name} needs a value")))
+static CLI: Cli = Cli {
+    bin: "batnet-serve",
+    about: "Serve analysis queries over HTTP/1.1 until a client POSTs /admin/shutdown.\n\
+            Exit 0 drained (or smoke passed), 1 bind or smoke failure, 2 usage error.",
+    positional: "",
+    flags: &[
+        Flag::text("--addr", "HOST:PORT", "bind address (default 127.0.0.1:0 = ephemeral loopback port)"),
+        flags::THREADS,
+        Flag::uint("--queue-depth", "accepted-connection queue depth; beyond it, 503 + Retry-After"),
+        Flag::uint("--io-timeout-ms", "socket read/write timeout, the slow-loris watchdog"),
+        Flag::uint("--deadline-ms", "governor deadline applied when a request names none"),
+        Flag::uint("--store-capacity", "warm snapshots held before eviction"),
+        Flag::text("--prewarm", "IDS", "comma-separated suite networks analyzed into the store before ready"),
+        Flag::uint("--trace-ring", "recent request traces retained for GET /tracez (default 256)"),
+        Flag::uint("--trace-seed", "seed for the deterministic X-Batnet-Trace-Id stream"),
+        Flag::uint("--profile-hz", "sample every live span stack N times a second for GET /profilez (0 = off)"),
+        Flag::switch("--access-log", "one JSON line per request on stderr"),
+        Flag::switch("--smoke", "run the CI end-to-end sequence in-process and exit"),
+    ],
+};
+
+fn main() -> ExitCode {
+    CLI.main(|args| {
+        if !batnet_exec::configure_threads(args.num("--threads").unwrap_or(0)) {
+            return Err("--threads: the execution pool is already sized differently".to_string());
+        }
+        let d = ServeConfig::default();
+        let smoke = args.has("--smoke");
+        let mut cfg = ServeConfig {
+            addr: args.text("--addr").map_or(d.addr, str::to_string),
+            queue_depth: args.num("--queue-depth").unwrap_or(d.queue_depth),
+            io_timeout_ms: args.num("--io-timeout-ms").unwrap_or(d.io_timeout_ms),
+            default_deadline_ms: args.num("--deadline-ms").unwrap_or(d.default_deadline_ms),
+            store_capacity: args.num("--store-capacity").unwrap_or(d.store_capacity),
+            prewarm: args.text("--prewarm").map_or(d.prewarm, |ids| {
+                ids.split(',').filter(|s| !s.is_empty()).map(str::to_string).collect()
+            }),
+            trace_ring_capacity: args.num("--trace-ring").unwrap_or(d.trace_ring_capacity),
+            trace_seed: args.num("--trace-seed").unwrap_or(d.trace_seed),
+            profile_hz: args.num("--profile-hz").unwrap_or(d.profile_hz),
+            access_log: if args.has("--access-log") { AccessLog::Stderr } else { d.access_log },
+            ..d
         };
-        match arg.as_str() {
-            "--addr" => cfg.addr = take("--addr"),
-            "--threads" => {
-                let n: usize = parse(&take("--threads"), "--threads");
-                if !batnet_exec::configure_threads(n) {
-                    fail("--threads: the execution pool is already sized differently".to_string());
+        if smoke {
+            cfg.addr = "127.0.0.1:0".to_string();
+            if cfg.prewarm.is_empty() {
+                cfg.prewarm = vec!["N2".to_string()];
+            }
+            return Ok(match run_smoke(cfg) {
+                Ok(()) => {
+                    println!("serve-smoke: ok");
+                    ExitCode::SUCCESS
                 }
-            }
-            "--workers" => cfg.workers = parse(&take("--workers"), "--workers"),
-            "--queue-depth" => cfg.queue_depth = parse(&take("--queue-depth"), "--queue-depth"),
-            "--io-timeout-ms" => {
-                cfg.io_timeout_ms = parse(&take("--io-timeout-ms"), "--io-timeout-ms")
-            }
-            "--deadline-ms" => {
-                cfg.default_deadline_ms = parse(&take("--deadline-ms"), "--deadline-ms")
-            }
-            "--store-capacity" => {
-                cfg.store_capacity = parse(&take("--store-capacity"), "--store-capacity")
-            }
-            "--prewarm" => {
-                cfg.prewarm = take("--prewarm")
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(str::to_string)
-                    .collect()
-            }
-            "--trace-ring" => {
-                cfg.trace_ring_capacity = parse(&take("--trace-ring"), "--trace-ring")
-            }
-            "--trace-seed" => cfg.trace_seed = parse(&take("--trace-seed"), "--trace-seed"),
-            "--profile-hz" => cfg.profile_hz = parse(&take("--profile-hz"), "--profile-hz"),
-            "--access-log" => cfg.access_log = AccessLog::Stderr,
-            "--smoke" => smoke = true,
-            "--help" | "-h" => {
-                println!(
-                    "usage: batnet-serve [--addr HOST:PORT] [--threads N] [--queue-depth N] \
-                     [--io-timeout-ms N] [--deadline-ms N] [--store-capacity N] \
-                     [--prewarm IDS] [--trace-ring N] [--trace-seed N] [--profile-hz N] \
-                     [--access-log] [--smoke]"
-                );
-                return;
-            }
-            other => fail(format!("unknown argument {other:?}")),
+                Err(e) => {
+                    eprintln!("serve-smoke: FAIL: {e}");
+                    ExitCode::FAILURE
+                }
+            });
         }
-    }
-
-    if smoke {
-        cfg.addr = "127.0.0.1:0".to_string();
-        if cfg.prewarm.is_empty() {
-            cfg.prewarm = vec!["N2".to_string()];
-        }
-        match run_smoke(cfg) {
-            Ok(()) => println!("serve-smoke: ok"),
+        Ok(match batnet_serve::spawn(cfg) {
+            Ok(handle) => {
+                println!("batnet-serve listening on {}", handle.addr());
+                handle.join();
+                println!("batnet-serve drained");
+                ExitCode::SUCCESS
+            }
             Err(e) => {
-                eprintln!("serve-smoke: FAIL: {e}");
-                std::process::exit(1);
+                eprintln!("batnet-serve: bind failed: {e}");
+                ExitCode::FAILURE
             }
-        }
-        return;
-    }
-
-    match batnet_serve::spawn(cfg) {
-        Ok(handle) => {
-            println!("batnet-serve listening on {}", handle.addr());
-            handle.join();
-            println!("batnet-serve drained");
-        }
-        Err(e) => {
-            eprintln!("batnet-serve: bind failed: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-fn parse<T: std::str::FromStr>(v: &str, name: &str) -> T {
-    v.parse().unwrap_or_else(|_| {
-        eprintln!("batnet-serve: bad value for {name}: {v:?}");
-        std::process::exit(2);
+        })
     })
 }
 

@@ -64,11 +64,6 @@ use std::time::{Duration, Instant};
 pub struct ServeConfig {
     /// Bind address (`127.0.0.1:0` = loopback, ephemeral port).
     pub addr: String,
-    /// Legacy worker-count knob, retained for config compatibility.
-    /// Request handlers now run on the shared `batnet_exec` pool —
-    /// size it once per process with `batnet_exec::configure_threads`
-    /// (`--threads` on the binaries); this field spawns nothing.
-    pub workers: usize,
     /// Accepted-connection queue depth; beyond it, 503 + `Retry-After`.
     pub queue_depth: usize,
     /// Socket read/write timeout — the slow-loris watchdog.
@@ -99,7 +94,6 @@ impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
-            workers: 4,
             queue_depth: 32,
             io_timeout_ms: 2_000,
             default_deadline_ms: 10_000,

@@ -201,9 +201,7 @@ impl SnapshotStore {
     /// Builds and inserts a suite network (server warm-up, benches,
     /// smoke tests). Unknown ids return `None`.
     pub fn prewarm(&self, net_id: &str) -> Option<Arc<Mutex<StoredSnapshot>>> {
-        let entry = batnet_topogen::suite::suite()
-            .into_iter()
-            .find(|e| e.id.eq_ignore_ascii_case(net_id))?;
+        let entry = batnet_topogen::suite::find(net_id).ok()?;
         let net = (entry.build)();
         self.insert(entry.id, net.configs, &ResourceGovernor::unlimited())
             .ok()

@@ -9,7 +9,7 @@
 //! "why was *this* request slow", holding the most recent N requests
 //! with queue-wait/handler timing, deadline/partial accounting, and the
 //! full span forest in the same schema the run report uses (validated
-//! by `obs-validate --tracez`). Evictions are counted, never silent —
+//! by `obs-validate`). Evictions are counted, never silent —
 //! chaos invariant 9 checks `requests == ring + evicted` exactly.
 //!
 //! The access log ([`AccessLog`]) is one JSON line per request, off by

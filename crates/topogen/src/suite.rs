@@ -76,6 +76,19 @@ pub fn suite() -> Vec<SuiteEntry> {
     ]
 }
 
+/// Looks a suite network up by id, case-insensitively. The error names
+/// the known ids — it is the message every `--net ID` front end prints.
+pub fn find(id: &str) -> Result<SuiteEntry, String> {
+    let mut all = suite();
+    match all.iter().position(|e| e.id.eq_ignore_ascii_case(id)) {
+        Some(i) => Ok(all.swap_remove(i)),
+        None => {
+            let ids: Vec<&str> = all.iter().map(|e| e.id).collect();
+            Err(format!("unknown network '{id}' (known: {})", ids.join(", ")))
+        }
+    }
+}
+
 /// N2: small DC, 75 nodes.
 pub fn n2() -> GeneratedNetwork {
     leaf_spine("N2", 5, 70)

@@ -1,204 +1,146 @@
 //! `batnet-diff` — differential snapshot analysis from the command line.
 //!
 //! ```text
-//! batnet-diff --before DIR --after DIR [flags]
-//! batnet-diff --net ID [--scenario NAME --seed N] [flags]
+//! usage: batnet-diff [OPTIONS]
+//!
+//! Compare two snapshot directories (--before with --after), or a suite network (--net)
+//! against a seeded perturbation of itself (--scenario; without it the network is
+//! diffed against itself and the result must be empty).
+//! Exit 0 clean or no --deny given, 1 the denied layer has differences,
+//! 2 usage or I/O error.
+//!
+//! options:
+//!   --before DIR                        the snapshot directory before the change
+//!   --after DIR                         the snapshot directory after the change
+//!   --net ID                            suite network to load (N2, NET1, N3 ... N11)
+//!   --scenario NAME                     with --net: the change to apply to a seed-chosen victim
+//!   --seed N                            with --scenario: picks the victim (default 1)
+//!   --format text|json                  report format (default text)
+//!   --out FILE                          write the output to FILE instead of stdout
+//!   --deny any|structural|routes|reach  exit 1 when the named layer (or any layer) has differences
+//!   --max-flows N                       cap on example-flow witnesses
+//!   --max-starts N                      cap on start locations compared symbolically (0 = all)
+//!   --deadline-ms N                     wall-clock budget; a blown deadline yields a partial result, never a hang
+//!   --threads N                         size of the shared execution pool (0 or omitted = all cores)
+//!   --help                              print this help and exit
 //! ```
 //!
-//! The first form compares two snapshot directories (one config file per
-//! device, file stem = device name). The second builds a suite network;
-//! with `--scenario` it perturbs a seed-chosen victim and diffs the
-//! before/after pair, without it the network is diffed against itself (a
-//! determinism/CI smoke: the result must be empty).
-//!
-//! Flags: `--format text|json`, `--out FILE`, `--deny any|structural|
-//! routes|reach` (exit 1 when the named layer — or any layer — is
-//! non-empty), `--max-flows N`, `--max-starts N`, `--threads N` (size
-//! the shared execution pool; 0 or omitted = all cores — output is
-//! byte-identical at every thread count).
-//!
-//! Exit codes: 0 clean (or no `--deny` given), 1 the denied layer has
-//! differences, 2 usage or I/O error. Unreadable or unparseable devices
-//! are quarantined, reported in the output, and excluded from the
-//! comparison — they never abort the run.
+//! Unreadable or unparseable devices are quarantined, reported in the
+//! output, and excluded from the comparison — they never abort the run.
+//! JSON output is byte-identical across runs and thread counts.
 
-use batnet::diff::{render_json, render_text, DiffOptions, SnapshotDiff};
-use batnet::{Outcome, ResourceGovernor, Snapshot};
+use batnet::diff::{render_json, render_text, DiffOptions};
+use batnet::obs::flags::{self, Cli, Flag};
+use batnet::{Outcome, Snapshot};
+use batnet_topogen::perturb::{perturb, Scenario};
 use std::process::ExitCode;
-use std::time::Duration;
 
-struct Args {
-    before: Option<String>,
-    after: Option<String>,
-    net: Option<String>,
-    scenario: Option<String>,
-    seed: u64,
-    format: String,
-    out: Option<String>,
-    deny: Option<String>,
-    max_flows: usize,
-    max_starts: usize,
-    deadline_ms: Option<u64>,
-    threads: usize,
-}
+static CLI: Cli = Cli {
+    bin: "batnet-diff",
+    about: "Compare two snapshot directories (--before with --after), or a suite network (--net)\n\
+            against a seeded perturbation of itself (--scenario; without it the network is\n\
+            diffed against itself and the result must be empty).\n\
+            Exit 0 clean or no --deny given, 1 the denied layer has differences,\n\
+            2 usage or I/O error.",
+    positional: "",
+    flags: &[
+        Flag::text(
+            "--before",
+            "DIR",
+            "the snapshot directory before the change",
+        ),
+        Flag::text("--after", "DIR", "the snapshot directory after the change"),
+        flags::NET,
+        Flag::text(
+            "--scenario",
+            "NAME",
+            "with --net: the change to apply to a seed-chosen victim",
+        ),
+        Flag::uint("--seed", "with --scenario: picks the victim (default 1)"),
+        Flag::choice(
+            "--format",
+            &["text", "json"],
+            "report format (default text)",
+        ),
+        flags::OUT,
+        Flag::choice(
+            "--deny",
+            &["any", "structural", "routes", "reach"],
+            "exit 1 when the named layer (or any layer) has differences",
+        ),
+        Flag::uint("--max-flows", "cap on example-flow witnesses"),
+        Flag::uint(
+            "--max-starts",
+            "cap on start locations compared symbolically (0 = all)",
+        ),
+        flags::DEADLINE_MS,
+        flags::THREADS,
+    ],
+};
 
-const USAGE: &str = "usage: batnet-diff --before DIR --after DIR [--format text|json] \
-[--out FILE] [--deny any|structural|routes|reach] [--max-flows N] [--max-starts N] [--deadline-ms N] \
-[--threads N]
-       batnet-diff --net ID [--scenario NAME --seed N] [...same flags]";
-
-fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let defaults = DiffOptions::default();
-    let mut args = Args {
-        before: None,
-        after: None,
-        net: None,
-        scenario: None,
-        seed: 1,
-        format: "text".into(),
-        out: None,
-        deny: None,
-        max_flows: defaults.max_flow_deltas,
-        max_starts: defaults.max_starts,
-        deadline_ms: None,
-        threads: 0,
-    };
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--before" => args.before = Some(value("--before")?),
-            "--after" => args.after = Some(value("--after")?),
-            "--net" => args.net = Some(value("--net")?),
-            "--scenario" => args.scenario = Some(value("--scenario")?),
-            "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
-            }
-            "--format" => args.format = value("--format")?,
-            "--out" => args.out = Some(value("--out")?),
-            "--deny" => args.deny = Some(value("--deny")?),
-            "--max-flows" => {
-                args.max_flows = value("--max-flows")?
-                    .parse()
-                    .map_err(|e| format!("--max-flows: {e}"))?;
-            }
-            "--max-starts" => {
-                args.max_starts = value("--max-starts")?
-                    .parse()
-                    .map_err(|e| format!("--max-starts: {e}"))?;
-            }
-            "--deadline-ms" => {
-                args.deadline_ms = Some(
-                    value("--deadline-ms")?
-                        .parse()
-                        .map_err(|e| format!("--deadline-ms: {e}"))?,
-                );
-            }
-            "--threads" => {
-                args.threads = value("--threads")?
-                    .parse()
-                    .map_err(|e| format!("--threads: {e}"))?;
-            }
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            other => return Err(format!("unknown flag '{other}'\n{USAGE}")),
-        }
-    }
-    if !matches!(args.format.as_str(), "text" | "json") {
-        return Err(format!("--format must be text|json, got '{}'", args.format));
-    }
-    if let Some(d) = &args.deny {
-        if !matches!(d.as_str(), "any" | "structural" | "routes" | "reach") {
-            return Err(format!("--deny must be any|structural|routes|reach, got '{d}'"));
-        }
-    }
-    let dir_mode = args.before.is_some() || args.after.is_some();
-    let net_mode = args.net.is_some();
-    match (dir_mode, net_mode) {
-        (true, true) => Err("--before/--after and --net are mutually exclusive".to_string()),
-        (false, false) => Err(USAGE.to_string()),
-        (true, false) if args.before.is_none() || args.after.is_none() => {
-            Err("--before and --after must be given together".to_string())
-        }
-        _ => {
-            if args.scenario.is_some() && args.net.is_none() {
-                return Err("--scenario requires --net".to_string());
-            }
-            Ok(args)
-        }
-    }
+fn from_dir(flag: &str, dir: &str) -> Result<Snapshot, String> {
+    let snapshot =
+        Snapshot::from_dir(std::path::Path::new(dir)).map_err(|e| format!("{flag} {dir}: {e}"))?;
+    let load: Vec<_> = snapshot
+        .quarantined
+        .iter()
+        .filter(|q| matches!(q.stage, batnet::QuarantineStage::Load))
+        .cloned()
+        .collect();
+    batnet_repro::report_quarantined(CLI.bin, dir, &load);
+    Ok(snapshot)
 }
 
 /// Builds the before/after snapshot pair.
-fn load_sides(args: &Args) -> Result<(Snapshot, Snapshot), String> {
-    if let (Some(before), Some(after)) = (&args.before, &args.after) {
-        let b = Snapshot::from_dir(std::path::Path::new(before))
-            .map_err(|e| format!("--before {before}: {e}"))?;
-        let a = Snapshot::from_dir(std::path::Path::new(after))
-            .map_err(|e| format!("--after {after}: {e}"))?;
-        return Ok((b, a));
-    }
-    let id = args.net.as_deref().unwrap_or_default();
-    let entry = batnet_topogen::suite::suite()
-        .into_iter()
-        .find(|e| e.id.eq_ignore_ascii_case(id))
-        .ok_or_else(|| {
-            let ids: Vec<&str> = batnet_topogen::suite::suite().iter().map(|e| e.id).collect();
-            format!("unknown network '{id}' (known: {})", ids.join(", "))
-        })?;
-    let net = (entry.build)();
-    let before = Snapshot::from_configs(net.configs.clone()).with_env(net.env.clone());
-    let after = match &args.scenario {
-        None => Snapshot::from_configs(net.configs.clone()).with_env(net.env.clone()),
+fn load_sides(args: &flags::Parsed<'_>) -> Result<(Snapshot, Snapshot), String> {
+    let id = match (
+        args.text("--before"),
+        args.text("--after"),
+        args.text("--net"),
+    ) {
+        (Some(before), Some(after), None) if !args.has("--scenario") => {
+            return Ok((from_dir("--before", before)?, from_dir("--after", after)?));
+        }
+        (None, None, Some(id)) => id,
+        _ => CLI.fail("give --before with --after, or --net (optionally with --scenario)"),
+    };
+    let net = (batnet_topogen::suite::find(id)?.build)();
+    let snapshot = |configs| Snapshot::from_configs(configs).with_env(net.env.clone());
+    let after = match args.text("--scenario") {
+        None => snapshot(net.configs.clone()),
         Some(name) => {
-            let scenario = batnet_topogen::perturb::Scenario::from_name(name).ok_or_else(|| {
-                let names: Vec<&str> = batnet_topogen::perturb::Scenario::ALL
-                    .iter()
-                    .map(|s| s.name())
-                    .collect();
+            let scenario = Scenario::from_name(name).ok_or_else(|| {
+                let names: Vec<&str> = Scenario::ALL.iter().map(|s| s.name()).collect();
                 format!("unknown scenario '{name}' (known: {})", names.join(", "))
             })?;
-            let p = batnet_topogen::perturb::perturb(&net, scenario, args.seed)
+            let p = perturb(&net, scenario, args.num("--seed").unwrap_or(1))
                 .ok_or_else(|| format!("no device on {id} is eligible for scenario '{name}'"))?;
-            eprintln!("batnet-diff: {}: {} on {}", scenario.name(), p.description, p.victim);
-            Snapshot::from_configs(p.configs).with_env(net.env.clone())
+            eprintln!(
+                "batnet-diff: {}: {} on {}",
+                scenario.name(),
+                p.description,
+                p.victim
+            );
+            snapshot(p.configs)
         }
     };
-    Ok((before, after))
+    Ok((snapshot(net.configs.clone()), after))
 }
 
-/// Is the `--deny`-named layer non-empty?
-fn denied(diff: &SnapshotDiff, deny: &str) -> bool {
-    match deny {
-        "structural" => !diff.structural.is_empty(),
-        "routes" => !diff.routes.is_empty(),
-        "reach" => !diff.reach.is_empty(),
-        _ => !diff.is_empty(),
-    }
-}
-
-fn run() -> Result<ExitCode, String> {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = parse_args(&argv)?;
-    if !batnet_exec::configure_threads(args.threads) {
+fn run(args: &flags::Parsed<'_>) -> Result<ExitCode, String> {
+    if !batnet_exec::configure_threads(args.num("--threads").unwrap_or(0)) {
         return Err("--threads: the execution pool is already sized differently".to_string());
     }
-    let (before, after) = load_sides(&args)?;
+    let (before, after) = load_sides(args)?;
 
-    let opts = DiffOptions {
-        max_flow_deltas: args.max_flows,
-        max_starts: args.max_starts,
-        ..DiffOptions::default()
-    };
-    // One enforcement mechanism for batch and serve alike: the governor.
-    // A blown deadline reports the layers compared so far, never hangs.
-    let gov = match args.deadline_ms {
-        Some(ms) => ResourceGovernor::with_deadline(Duration::from_millis(ms)),
-        None => ResourceGovernor::unlimited(),
-    };
+    let mut opts = DiffOptions::default();
+    if let Some(n) = args.num("--max-flows") {
+        opts.max_flow_deltas = n;
+    }
+    if let Some(n) = args.num("--max-starts") {
+        opts.max_starts = n;
+    }
+    let gov = batnet_repro::governor(args.num("--deadline-ms"));
     let (diff, partial) = match before.diff_with_governed(&after, &opts, &gov) {
         Outcome::Complete(d) => (d, None),
         Outcome::Partial {
@@ -215,17 +157,20 @@ fn run() -> Result<ExitCode, String> {
         );
     }
 
-    let rendered = match args.format.as_str() {
-        "json" => render_json(&diff),
+    let rendered = match args.text("--format") {
+        Some("json") => render_json(&diff),
         _ => render_text(&diff),
     };
-    match args.out.as_deref() {
-        Some(path) => std::fs::write(path, &rendered).map_err(|e| format!("{path}: {e}"))?,
-        None => print!("{rendered}"),
-    }
+    flags::emit(args.text("--out"), &rendered)?;
 
-    if let Some(deny) = &args.deny {
-        if denied(&diff, deny) {
+    if let Some(deny) = args.text("--deny") {
+        let denied = match deny {
+            "structural" => !diff.structural.is_empty(),
+            "routes" => !diff.routes.is_empty(),
+            "reach" => !diff.reach.is_empty(),
+            _ => !diff.is_empty(),
+        };
+        if denied {
             eprintln!(
                 "batnet-diff: differences present (--deny {deny}): \
 {} structural, {} route, {} changed start(s)",
@@ -240,11 +185,5 @@ fn run() -> Result<ExitCode, String> {
 }
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(code) => code,
-        Err(msg) => {
-            eprintln!("batnet-diff: {msg}");
-            ExitCode::from(2)
-        }
-    }
+    CLI.main(run)
 }

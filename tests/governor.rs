@@ -128,11 +128,7 @@ fn bdd_node_ceiling_yields_partial_reachability() {
 /// HTTP 206 whose JSON carries the stage/limit/abandoned accounting.
 #[test]
 fn serve_endpoint_returns_partial_json_for_each_limit() {
-    let handle = batnet_serve::spawn(batnet_serve::ServeConfig {
-        workers: 2,
-        ..Default::default()
-    })
-    .expect("bind loopback");
+    let handle = batnet_serve::spawn(batnet_serve::ServeConfig::default()).expect("bind loopback");
     let addr = handle.addr();
     let t = Duration::from_secs(10);
 

@@ -13,6 +13,11 @@
 //! panic mid-sweep is contained to that task's item — the pool keeps
 //! working, later runs on the same pool stay byte-identical, and no
 //! mutex is left poisoned.
+//!
+//! A single `#[test]` on purpose: every run `obs::reset()`s and
+//! `capture()`s the process-global recorder, and `cargo test` runs the
+//! tests of one file on concurrent threads, so this file owns its
+//! process — the width sweep first, then the poisoning check.
 
 use batnet::config::parse_device;
 use batnet::{DiffOptions, Snapshot};
@@ -113,6 +118,11 @@ fn run_artifacts(
 }
 
 #[test]
+fn artifacts_are_byte_identical_and_the_pool_survives_a_panic() {
+    artifacts_are_byte_identical_across_thread_counts();
+    pool_survives_a_mid_sweep_panic_without_poisoning();
+}
+
 fn artifacts_are_byte_identical_across_thread_counts() {
     let net = batnet_topogen::suite::n2();
     for seed in SEEDS {
@@ -144,7 +154,6 @@ fn artifacts_are_byte_identical_across_thread_counts() {
     }
 }
 
-#[test]
 fn pool_survives_a_mid_sweep_panic_without_poisoning() {
     let pool = Pool::new(4);
     let items: Vec<usize> = (0..16).collect();

@@ -1,11 +1,14 @@
 //! Continuous-profiling integration over a real pipeline: run the
-//! fault-tolerant NET1 analysis single-threaded with the wall-clock
-//! sampler attached and pin the subset property — every non-idle path
-//! the sampler folded is a path the finished run's exact attribution
-//! ([`obs::attr::path_totals`]) also knows. The sampler can only ever
-//! see stacks the span recorder published, so a sampled path outside
-//! the exact set means the two views of "where time goes" have
-//! diverged.
+//! fault-tolerant NET1 analysis — on the default pool and on a 4-thread
+//! one, so the property does not depend on the host's core count — with
+//! the wall-clock sampler attached and pin the subset property: every
+//! non-idle path the sampler folded is a path the finished run's exact
+//! attribution ([`obs::attr::path_totals`]) also knows. The sampler can
+//! only ever see stacks the span recorder published, so a sampled path
+//! outside the exact set means the two views of "where time goes" have
+//! diverged. Pool workers are where that could happen: a worker's
+//! `exec.*` span hangs under its logical parent in the exact tree, so
+//! its published live stack must start with that parent's path.
 //!
 //! A single `#[test]` on purpose: the observability registry is
 //! process-global and `cargo test` runs tests on threads, so this file
@@ -18,6 +21,12 @@ use std::collections::BTreeSet;
 
 #[test]
 fn sampled_paths_are_a_subset_of_exact_attribution() {
+    sampled_paths_are_exact_paths();
+    batnet_exec::with_pool(&batnet_exec::Pool::new(4), sampled_paths_are_exact_paths);
+}
+
+/// The body, under whatever pool is current.
+fn sampled_paths_are_exact_paths() {
     let net = batnet_topogen::suite::net1();
     // The sampler is wall-clock, so whether any given tick lands while
     // the analysis is mid-flight is timing luck; retry a few times
