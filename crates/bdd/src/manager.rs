@@ -232,6 +232,27 @@ impl Bdd {
         id
     }
 
+    /// The canonical node "if `var` then `hi` else `lo`", for encoders that
+    /// build a diagram bottom-up instead of through `apply` (prefix cubes,
+    /// longest-prefix-match tables): one unique-table probe, no operation
+    /// cache. Hash-consing, `lo == hi` elision and governor polling are
+    /// [`Bdd::mk`]'s; what this adds is the ordering check in release
+    /// builds, because a caller that passes a child testing `var` or an
+    /// earlier variable would otherwise put a non-canonical node in the
+    /// arena.
+    ///
+    /// # Panics
+    /// If `var` is out of range or not strictly above both children in the
+    /// variable order.
+    pub fn node(&mut self, var: u32, lo: NodeId, hi: NodeId) -> NodeId {
+        assert!(var < self.num_vars, "variable {var} out of range");
+        assert!(
+            self.var_of(lo) > var && self.var_of(hi) > var,
+            "ordering violation at var {var}"
+        );
+        self.mk(var, lo, hi)
+    }
+
     /// Installs a [`ResourceGovernor`]. The manager polls it as the arena
     /// grows; drivers observe trips via [`Bdd::exhausted`].
     pub fn install_governor(&mut self, gov: ResourceGovernor) {
@@ -689,6 +710,28 @@ mod tests {
         assert_eq!(b.size(f), 3);
         // fixed = 0 is the universe.
         assert_eq!(b.prefix_cube(0, 8, 0, 0), NodeId::TRUE);
+    }
+
+    #[test]
+    fn node_is_the_hash_consed_ite_on_a_variable() {
+        let mut b = Bdd::new(6);
+        let lo = b.var(3);
+        let hi = b.nvar(5);
+        let x1 = b.var(1);
+        let expect = b.ite(x1, hi, lo);
+        let lookups = b.cache_hits() + b.cache_misses();
+        let n = b.node(1, lo, hi);
+        assert_eq!(n, expect);
+        assert_eq!(b.node(1, lo, lo), lo, "redundant test elided");
+        assert_eq!(b.cache_hits() + b.cache_misses(), lookups, "no op cache involved");
+    }
+
+    #[test]
+    #[should_panic(expected = "ordering violation at var 3")]
+    fn node_rejects_a_child_at_or_above_its_variable() {
+        let mut b = Bdd::new(6);
+        let child = b.var(3);
+        b.node(3, NodeId::FALSE, child);
     }
 
     #[test]

@@ -203,35 +203,34 @@ impl PacketVars {
 
     /// BDD for `field == value` (unprimed).
     pub fn field_value(&self, bdd: &mut Bdd, field: Field, value: u64) -> NodeId {
-        self.field_value_inner(bdd, field, value, false)
+        self.field_cube(bdd, field, value, field.bits(), false)
     }
 
     /// BDD for `field' == value` (primed copy of a transformable field).
     pub fn field_value_primed(&self, bdd: &mut Bdd, field: Field, value: u64) -> NodeId {
-        self.field_value_inner(bdd, field, value, true)
-    }
-
-    fn field_value_inner(&self, bdd: &mut Bdd, field: Field, value: u64, primed: bool) -> NodeId {
-        let bits = field.bits();
-        let mut acc = NodeId::TRUE;
-        for i in (0..bits).rev() {
-            let bit = (value >> (bits - 1 - i)) & 1 == 1;
-            let v = self.var_of(field, i, primed);
-            let lit = bdd.literal(v, bit);
-            acc = bdd.and(lit, acc);
-        }
-        acc
+        self.field_cube(bdd, field, value, field.bits(), true)
     }
 
     /// BDD for "the top `fixed` bits of `field` equal those of `value`".
     pub fn field_prefix(&self, bdd: &mut Bdd, field: Field, value: u64, fixed: u32) -> NodeId {
+        self.field_cube(bdd, field, value, fixed, false)
+    }
+
+    /// The cube pinning the top `fixed` bits of `field` to those of
+    /// `value`, built from the last constrained bit upwards: each bit is
+    /// one node whose other branch is `FALSE`, so the whole cube costs
+    /// `fixed` unique-table probes and never touches an operation cache.
+    fn field_cube(&self, bdd: &mut Bdd, field: Field, value: u64, fixed: u32, primed: bool) -> NodeId {
         let bits = field.bits();
+        debug_assert!(fixed <= bits);
         let mut acc = NodeId::TRUE;
         for i in (0..fixed).rev() {
-            let bit = (value >> (bits - 1 - i)) & 1 == 1;
-            let v = self.var_of(field, i, false);
-            let lit = bdd.literal(v, bit);
-            acc = bdd.and(lit, acc);
+            let v = self.var_of(field, i, primed);
+            acc = if (value >> (bits - 1 - i)) & 1 == 1 {
+                bdd.node(v, NodeId::FALSE, acc)
+            } else {
+                bdd.node(v, acc, NodeId::FALSE)
+            };
         }
         acc
     }
@@ -592,6 +591,54 @@ mod tests {
             vars.var_of(Field::DstIp, 7, true),
             vars.var_of(Field::DstIp, 7, false) + 1
         );
+    }
+
+    /// The bottom-up cubes are the same nodes as the and-of-literals
+    /// construction they replaced: every field, both copies, every
+    /// prefix length.
+    #[test]
+    fn field_cubes_equal_and_of_literals() {
+        let (mut bdd, vars) = setup();
+        let mut rng = batnet_net::Rng::new(0xC0BE);
+        for field in [
+            Field::DstIp,
+            Field::SrcIp,
+            Field::DstPort,
+            Field::SrcPort,
+            Field::IcmpCode,
+            Field::IcmpType,
+            Field::Protocol,
+            Field::TcpFlags,
+        ] {
+            let bits = field.bits();
+            for primed in [false, true] {
+                if primed && field.transform_offset().is_none() {
+                    continue;
+                }
+                for fixed in 0..=bits {
+                    let value = rng.next_u64() & ((1 << bits) - 1);
+                    let mut expect = NodeId::TRUE;
+                    for i in (0..fixed).rev() {
+                        let bit = (value >> (bits - 1 - i)) & 1 == 1;
+                        let lit = bdd.literal(vars.var_of(field, i, primed), bit);
+                        expect = bdd.and(lit, expect);
+                    }
+                    let cube = vars.field_cube(&mut bdd, field, value, fixed, primed);
+                    assert_eq!(cube, expect, "{field:?} primed={primed} /{fixed}");
+                    if !primed {
+                        assert_eq!(vars.field_prefix(&mut bdd, field, value, fixed), expect);
+                    }
+                    if fixed == bits {
+                        let whole = if primed {
+                            vars.field_value_primed(&mut bdd, field, value)
+                        } else {
+                            vars.field_value(&mut bdd, field, value)
+                        };
+                        assert_eq!(whole, expect);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -69,6 +69,13 @@ impl FibEntry {
 }
 
 /// A device's forwarding table.
+///
+/// Invariant: `entries` is in strictly increasing [`Prefix`] order —
+/// `(network, len)`, the pre-order of the binary trie over destination
+/// bits — so every prefix appears at most once. [`Fib::build`] is the only
+/// constructor and gets it from the RIB's `BTreeMap` iteration.
+/// [`Fib::lookup`] binary-searches on it and the data plane's FIB encoder
+/// recurses over it; a new constructor must sort and deduplicate.
 #[derive(Clone, Debug, Default)]
 pub struct Fib {
     entries: Vec<FibEntry>,
@@ -126,7 +133,8 @@ impl Fib {
         None
     }
 
-    /// All entries in prefix order.
+    /// All entries, in strictly increasing `(network, len)` order (see the
+    /// type's invariant).
     pub fn entries(&self) -> &[FibEntry] {
         &self.entries
     }
