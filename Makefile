@@ -4,9 +4,9 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test test-repeat chaos clippy obs-smoke lint-smoke perf-smoke diff-smoke serve-smoke cov-smoke profile-smoke par-smoke bench bench-all
+.PHONY: ci build test test-repeat chaos clippy bench-smoke lint-smoke diff-smoke serve-smoke cov-smoke yardstick
 
-ci: build test test-repeat chaos clippy obs-smoke lint-smoke perf-smoke diff-smoke serve-smoke cov-smoke profile-smoke par-smoke
+ci: build test test-repeat chaos clippy bench-smoke lint-smoke diff-smoke serve-smoke cov-smoke yardstick
 
 # One way to run each tool. The front ends (batnet-lint, batnet-cov,
 # batnet-repair, batnet-diff, obs-validate) live in the root package.
@@ -14,22 +14,22 @@ RUN      = $(CARGO) run --release --offline
 HARNESS  = $(RUN) -p batnet-bench --bin harness --
 VALIDATE = $(RUN) -p batnet-repro --bin obs-validate --
 OBS_DIFF = $(RUN) -p batnet-obs --bin obs-diff --
+OBS_TRACE = $(RUN) -p batnet-obs --bin obs-trace --
 LINT     = $(RUN) -p batnet-repro --bin batnet-lint --
 COV      = $(RUN) -p batnet-repro --bin batnet-cov --
 REPAIR   = $(RUN) -p batnet-repro --bin batnet-repair --
 DIFF     = $(RUN) -p batnet-repro --bin batnet-diff --
 SERVE    = $(RUN) -p batnet-serve --bin batnet-serve --
 
-# The bench gate every *-smoke target ends with: re-measure with the
-# harness ($(1) = its arguments, writing $(2)), validate the emitted
-# file, and diff its structure against the committed baseline $(3).
-# `--structure-only` skips the timing comparison (CI machines are too
-# noisy for that; run obs-diff without the flag locally) but still fails
-# on schema drift, missing stages, or rows that appear from nowhere.
+# The bench gate: re-run a harness experiment ($(1) = its arguments,
+# writing $(2)), validate the emitted file, and check its row set
+# against the committed baseline $(3) — schema drift, a missing stage or
+# a row from nowhere fails. Time is not compared here: that takes the
+# benchmark's ten alternating pairs (benchmark/README.md).
 define bench-gate
 	$(HARNESS) $(1) --out $(2)
 	$(VALIDATE) $(2)
-	$(OBS_DIFF) --structure-only $(3) $(2)
+	$(OBS_DIFF) $(3) $(2)
 endef
 
 build:
@@ -66,12 +66,17 @@ clippy:
 	$(CARGO) clippy --offline -p batnet-obs -p batnet-serve -p batnet-lint -p batnet-diff -p batnet-coverage -- -D clippy::unwrap_used
 	$(CARGO) clippy --offline --workspace --all-targets -- -D clippy::disallowed_methods
 
-# Observability smoke gate: run the harness pipeline on the smallest
-# suite network and validate the emitted JSON with the in-tree
-# validator — schema drift fails CI.
-obs-smoke: build
-	$(HARNESS) smoke
-	$(VALIDATE) target/BENCH_smoke.json
+# Pipeline gate: the N2 rows of Table 2 at `--threads 1` and at the
+# default all-core width (that run with the 997 Hz sampler attached).
+# Both files validate and both match the committed BENCH_table2.json
+# row set (row keys are width-independent); the `batnet-prof/v1` window
+# validates (`samples == recorded + dropped` and the stack-count sum, so
+# silent sample loss fails CI) and renders as a folded flamegraph.
+bench-smoke: build
+	$(call bench-gate,table2 --net N2 --threads 1,target/BENCH_n2_t1.json,BENCH_table2.json)
+	$(call bench-gate,table2 --net N2 --profile,target/BENCH_n2.json,BENCH_table2.json)
+	$(VALIDATE) target/BENCH_n2.profile.json
+	$(OBS_TRACE) target/BENCH_n2.profile.json --format folded --out target/BENCH_n2.folded
 
 # Lint gate: SARIF output on the smallest suite network validates
 # against the in-tree checker, the clean network passes `--deny error`,
@@ -83,14 +88,11 @@ lint-smoke: build
 	$(LINT) --net n2 --deny error --out /dev/null
 	! $(LINT) --dir fixtures/lint-bad --deny error --out /dev/null
 
-# Performance regression gate (structure mode): re-measure the N2 rows
-# of Table 2 with 3 repeats against the committed baseline.
-perf-smoke: build
-	$(call bench-gate,table2 --json --repeat 3 --net N2,target/BENCH_perf_smoke.json,BENCH_table2.json)
-
 # Differential-analysis gate: (1) self-diff of the N2 suite network is
-# empty, exits 0, and its JSON is byte-identical across two runs
-# (determinism is the contract pre-deployment gating stands on);
+# empty, exits 0, and its JSON is byte-identical across two runs and
+# across pool widths (`--threads 1` vs all cores — `cmp`, because the
+# whole report must match, not just its shape: determinism is the
+# contract pre-deployment gating stands on);
 # (2) the committed fixture pair with one planted ACL edit reports the
 # delta and fails under `--deny any` — proving the gate actually gates;
 # (3) the diff bench re-measures its stages, the emitted file validates,
@@ -99,6 +101,8 @@ diff-smoke: build
 	$(DIFF) --net N2 --format json --out target/diff-self-1.json --deny any
 	$(DIFF) --net N2 --format json --out target/diff-self-2.json
 	cmp target/diff-self-1.json target/diff-self-2.json
+	$(DIFF) --net N2 --threads 1 --format json --out target/diff-self-t1.json
+	cmp target/diff-self-1.json target/diff-self-t1.json
 	$(VALIDATE) target/diff-self-1.json
 	! $(DIFF) --before fixtures/diff-pair/before --after fixtures/diff-pair/after --deny any --out target/diff-pair.txt
 	$(call bench-gate,diff,target/BENCH_diff_smoke.json,BENCH_diff.json)
@@ -109,13 +113,13 @@ diff-smoke: build
 # on every response, a validator-checked /tracez fetch, a metrics audit
 # with per-endpoint SLO meta and zero contained panics, graceful drain;
 # (2) the /tracez dump the smoke wrote passes the standalone validator;
-# (3) the serve load bench re-measures its stages, the emitted file
-# validates, and its structure matches the committed BENCH_serve.json
-# baseline (which now carries per-endpoint p50/p99 meta).
+# (3) the same sequence with `--profile-hz`, so every /profilez,
+# /tracez?id= and sampler-meta assertion runs against a live server.
+# Load on the service is the benchmark's `serve-mix-n2` workload.
 serve-smoke: build
 	$(SERVE) --smoke
 	$(VALIDATE) target/tracez-smoke.json
-	$(call bench-gate,serve,target/BENCH_serve_smoke.json,BENCH_serve.json)
+	$(SERVE) --smoke --profile-hz 1997
 
 # Coverage + repair gate: (1) the N2 coverage report validates and is
 # byte-identical across two runs (the JSON is the audit artifact, so
@@ -137,40 +141,16 @@ cov-smoke: build
 	cmp target/repair-diff.patch fixtures/repair-bad/diff/expected.patch
 	$(call bench-gate,cov,target/BENCH_cov_smoke.json,BENCH_cov.json)
 
-# Continuous-profiling gate: (1) the smoke bench runs with the 997 Hz
-# sampler attached and its `batnet-prof/v1` window artifact passes the
-# standalone validator (the `samples == recorded + dropped` balance and
-# the stack-count sum are checked, so silent sample loss fails CI);
-# (2) the folded-flamegraph export renders; (3) the serve smoke runs
-# with `--profile-hz` so every /profilez, /tracez?id=, and sampler-meta
-# assertion in the smoke sequence executes against a live server.
-profile-smoke: build
-	$(HARNESS) smoke --profile
-	$(VALIDATE) target/BENCH_smoke.profile.json
-	$(RUN) -p batnet-obs --bin obs-trace -- target/BENCH_smoke.profile.json --format folded --out target/BENCH_smoke.folded
-	$(SERVE) --smoke --profile-hz 1997
-
-# Parallel-execution gate: the work-stealing pool's byte-identity
-# contract, end to end. (1) `batnet-diff` over N2 at `--threads 1` and
-# at the default all-core width writes byte-identical JSON — `cmp`, not
-# obs-diff, because the whole report must match, not just its shape;
-# (2) the N2 rows of Table 2 measured at `--threads 1` and at the
-# default width both validate and both match the committed per-width
-# baselines structurally (timings move with the machine; the row set
-# must not).
-par-smoke: build
-	$(DIFF) --net N2 --threads 1 --format json --out target/par-diff-t1.json
-	$(DIFF) --net N2 --format json --out target/par-diff-tmax.json
-	cmp target/par-diff-t1.json target/par-diff-tmax.json
-	$(call bench-gate,table2 --json --net N2 --threads 1,target/BENCH_par_t1.json,BENCH_table2.threads1.json)
-	$(call bench-gate,table2 --json --net N2,target/BENCH_par_tmax.json,BENCH_table2.json)
-
-bench:
-	$(CARGO) bench --offline -p batnet-bench
-
-# Regenerates every committed bench baseline (plus target/BENCH_smoke)
-# in one command and appends one commit-stamped row per bench to
-# results/TRAJECTORY.jsonl — the recorded perf trajectory of the repo.
-bench-all: build
-	$(HARNESS) bench-all
+# The yardstick (BENCHMARK.json's command, short): all four workloads,
+# timed and traced, at quick size for 1 s each. Exits non-zero on a
+# wrong answer (the Tracer-backed oracle), a failed operation, or a
+# metric BENCHMARK.json names that the program does not report. The
+# numbers are not judged here — that takes ten alternating pairs
+# (benchmark/README.md). cargo rewrites the stale benchmark/Cargo.lock
+# when it builds; the file is frozen, so it is put back. Then every
+# recorded trajectory row must still validate.
+yardstick: build
+	cp benchmark/Cargo.lock target/benchmark-Cargo.lock
+	$(CARGO) run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- run --all --quick --seconds 1; \
+		status=$$?; cp target/benchmark-Cargo.lock benchmark/Cargo.lock; exit $$status
 	$(VALIDATE) results/TRAJECTORY.jsonl

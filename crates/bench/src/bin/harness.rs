@@ -9,11 +9,9 @@
 //!   fig3                Figure 3: current vs original engines (NET1)
 //!   table1              Table 1: the 11-network suite
 //!   table2              Table 2: pipeline performance
-//!   smoke               smallest network, always writes target/BENCH_smoke.json
 //!   lint                lint engine throughput, writes BENCH_lint.json
 //!   diff                differential analysis on N2, writes BENCH_diff.json
 //!   cov                 coverage engine throughput, writes BENCH_cov.json
-//!   serve               service load on loopback, writes BENCH_serve.json
 //!   apt                 section 6.2: APT comparison (92 nodes)
 //!   ablate-convergence  A-1: coloring / logical clocks
 //!   ablate-memory       A-2: attribute interning
@@ -21,25 +19,18 @@
 //!   ablate-dataflow     A-4: graph compression & backward walk
 //!   ablate-transform    A-5: fused vs 3-step NAT transform
 //!   all                 every figure, table and ablation above
-//!   bench-all           every BENCH_*.json + results/TRAJECTORY.jsonl
-//! Exit 0 done, 2 usage error or unknown experiment.
+//! Exit 0 done, 1 a bench file could not be written, 2 usage error, unknown
+//! experiment, or a flag the experiment does not read.
 //!
 //! options:
-//!   --full       all eleven suite networks instead of the smallest four
-//!   --json       also write BENCH_<experiment>.json at the repo root (fig3, table2)
-//!   --repeat N   run a row-producing bench N times; rows carry the median plus mad_ms/repeat meta
+//!   --full       all eleven suite networks (table1, table2, lint, cov, all)
+//!   --json       also write BENCH_<experiment>.json at the repo root (fig3, table2, all)
 //!   --net ID     restrict table2 / lint / cov to one suite network
-//!   --out FILE   write the bench JSON to FILE instead of the committed baseline
+//!   --out FILE   write the one bench JSON to FILE instead of the committed baseline
 //!   --threads N  size of the shared execution pool (0 or omitted = all cores)
 //!   --profile    sample at 997 Hz and write a .profile.json (batnet-prof/v1) next to each bench JSON
 //!   --help       print this help and exit
 //! ```
-//!
-//! `bench-all` regenerates every bench JSON in one command (one obs
-//! reset + capture per bench, so each embedded report is that bench's
-//! own) and appends one commit-stamped summary row per bench to
-//! `results/TRAJECTORY.jsonl` — the recorded perf trajectory across
-//! PRs, schema-validated on every append.
 //!
 //! `table2` runs the four smallest networks by default; `--full` runs
 //! all eleven (minutes of wall clock on the biggest).
@@ -48,10 +39,13 @@
 //! schema and the full run report (span tree, metrics, events)
 //! embedded. Rows carry per-stage peak/delta heap meta (`peak_kb` /
 //! `delta_kb`, from the counting allocator) and the file meta stamps
-//! commit, command line, thread width, rustc version, and build profile
-//! — `obs-diff` refuses cross-profile comparisons. Every text report
-//! ends with a provenance stamp: git commit, command line, and total
-//! wall time from the root span.
+//! commit, command line, thread width, rustc version, and build
+//! profile. The numbers are one run on one machine — what the paper's
+//! figures look like here; whether a revision got faster is the
+//! benchmark's question (`benchmark/`), and CI checks these files for
+//! shape only (`obs-diff`). Every text report ends with a provenance
+//! stamp: git commit, command line, and total wall time from the root
+//! span.
 
 use batnet::baselines::{AptEngine, CubeNetwork};
 use batnet::bdd::NodeId;
@@ -71,11 +65,9 @@ static CLI: Cli = Cli {
             \x20 fig3                Figure 3: current vs original engines (NET1)\n\
             \x20 table1              Table 1: the 11-network suite\n\
             \x20 table2              Table 2: pipeline performance\n\
-            \x20 smoke               smallest network, always writes target/BENCH_smoke.json\n\
             \x20 lint                lint engine throughput, writes BENCH_lint.json\n\
             \x20 diff                differential analysis on N2, writes BENCH_diff.json\n\
             \x20 cov                 coverage engine throughput, writes BENCH_cov.json\n\
-            \x20 serve               service load on loopback, writes BENCH_serve.json\n\
             \x20 apt                 section 6.2: APT comparison (92 nodes)\n\
             \x20 ablate-convergence  A-1: coloring / logical clocks\n\
             \x20 ablate-memory       A-2: attribute interning\n\
@@ -83,18 +75,14 @@ static CLI: Cli = Cli {
             \x20 ablate-dataflow     A-4: graph compression & backward walk\n\
             \x20 ablate-transform    A-5: fused vs 3-step NAT transform\n\
             \x20 all                 every figure, table and ablation above\n\
-            \x20 bench-all           every BENCH_*.json + results/TRAJECTORY.jsonl\n\
-            Exit 0 done, 2 usage error or unknown experiment.",
+            Exit 0 done, 1 a bench file could not be written, 2 usage error, unknown\n\
+            experiment, or a flag the experiment does not read.",
     positional: "[EXPERIMENT]",
     flags: &[
-        Flag::switch("--full", "all eleven suite networks instead of the smallest four"),
-        Flag::switch("--json", "also write BENCH_<experiment>.json at the repo root (fig3, table2)"),
-        Flag::positive(
-            "--repeat",
-            "run a row-producing bench N times; rows carry the median plus mad_ms/repeat meta",
-        ),
+        Flag::switch("--full", "all eleven suite networks (table1, table2, lint, cov, all)"),
+        Flag::switch("--json", "also write BENCH_<experiment>.json at the repo root (fig3, table2, all)"),
         Flag::text("--net", "ID", "restrict table2 / lint / cov to one suite network"),
-        Flag::text("--out", "FILE", "write the bench JSON to FILE instead of the committed baseline"),
+        Flag::text("--out", "FILE", "write the one bench JSON to FILE instead of the committed baseline"),
         flags::THREADS,
         Flag::switch(
             "--profile",
@@ -103,6 +91,23 @@ static CLI: Cli = Cli {
     ],
 };
 
+/// The flags an experiment reads, besides `--threads` (which sizes the
+/// pool for all of them). Giving any other is misuse, as is an
+/// experiment this does not name.
+fn reads(cmd: &str) -> &'static [&'static str] {
+    match cmd {
+        "table2" => &["--full", "--net", "--json", "--out", "--profile"],
+        "fig3" => &["--json", "--out", "--profile"],
+        "lint" | "cov" => &["--full", "--net", "--out", "--profile"],
+        "diff" => &["--out", "--profile"],
+        "all" => &["--full", "--net", "--json", "--profile"],
+        "table1" => &["--full"],
+        "fig1" | "apt" | "ablate-convergence" | "ablate-memory" | "ablate-varorder"
+        | "ablate-dataflow" | "ablate-transform" => &[],
+        other => CLI.fail(&format!("unknown experiment '{other}'")),
+    }
+}
+
 fn main() {
     let args = CLI.parse_env();
     let cmd = match args.args.as_slice() {
@@ -110,68 +115,42 @@ fn main() {
         [cmd] => cmd.as_str(),
         _ => CLI.fail("expected at most one EXPERIMENT"),
     };
-    let full = args.has("--full");
-    let profile = args.has("--profile");
+    let accepted = reads(cmd);
+    for flag in CLI.flags {
+        if flag.name != "--threads" && args.has(flag.name) && !accepted.contains(&flag.name) {
+            CLI.fail(&format!("{} does not apply to '{cmd}'", flag.name));
+        }
+    }
     if !batnet_exec::configure_threads(args.num("--threads").unwrap_or(0)) {
         CLI.fail("--threads: the execution pool is already sized differently");
     }
-    if cmd == "bench-all" {
-        bench_all(full, profile);
-        return;
-    }
     batnet_obs::reset();
-    let profiler = start_profiler(profile);
+    let profiler = args
+        .has("--profile")
+        .then(|| batnet_obs::SamplerThread::spawn(PROFILE_HZ));
     let root = batnet_obs::Span::enter("harness");
-    // Repeats only make sense for the row-producing benches; everything
-    // else (ablations, text-only tables) runs once.
-    let repeat = if matches!(cmd, "fig3" | "table2" | "smoke" | "lint" | "diff" | "serve" | "cov") {
-        args.num("--repeat").unwrap_or(1)
-    } else {
-        1
-    };
-    let mut runs: Vec<Vec<Row>> = Vec::new();
-    for i in 0..repeat {
-        if repeat > 1 {
-            println!("\n### repeat {}/{repeat} ###", i + 1);
-        }
-        let mut rows: Vec<Row> = Vec::new();
-        run_cmd(cmd, full, args.text("--net"), &mut rows);
-        runs.push(rows);
-    }
-    let rows = if repeat > 1 {
-        aggregate_repeats(&runs)
-    } else {
-        runs.pop().unwrap_or_default()
-    };
+    let mut rows: Vec<Row> = Vec::new();
+    run_cmd(cmd, args.has("--full"), args.text("--net"), &mut rows);
     let wall = root.close();
     let profile_doc = finish_profiler(profiler, wall);
     let commit = git_commit();
-    let cmdline = &args.cmdline;
+    let cmdline = args.cmdline.trim_end();
     println!(
-        "\n--- provenance: commit {commit} | cmd \"{}\" | wall {:.2}s ---",
-        cmdline.trim_end(),
+        "\n--- provenance: commit {commit} | cmd \"{cmdline}\" | wall {:.2}s ---",
         wall.as_secs_f64()
     );
-    if args.has("--json") || matches!(cmd, "smoke" | "lint" | "diff" | "serve" | "cov") {
-        emit_json(
-            cmd,
-            &rows,
-            &commit,
-            cmdline,
-            repeat,
-            args.text("--out"),
-            profile_doc.as_deref(),
-        );
+    let out = args.text("--out");
+    if args.has("--json") || out.is_some() || matches!(cmd, "lint" | "diff" | "cov") {
+        if let Err(e) = emit_json(cmd, &rows, &commit, cmdline, out, profile_doc.as_deref()) {
+            eprintln!("harness: {e}");
+            std::process::exit(1);
+        }
     }
 }
 
 /// The continuous profiler's bench cadence: an odd prime, so sampling
 /// does not alias with any periodic work in the measured pipeline.
 const PROFILE_HZ: u64 = 997;
-
-fn start_profiler(profile: bool) -> Option<batnet_obs::SamplerThread> {
-    profile.then(|| batnet_obs::SamplerThread::spawn(PROFILE_HZ))
-}
 
 /// Stops the profiler, reports its strictly-accounted cost against the
 /// bench wall time, and returns the window's `batnet-prof/v1` document.
@@ -191,97 +170,15 @@ fn finish_profiler(
     Some(text)
 }
 
-/// The benches `bench-all` regenerates, in dependency-free order. All
-/// but `smoke` write committed repo-root baselines; `smoke` lands in
-/// `target/` like always.
-const ALL_BENCHES: [&str; 7] = ["table2", "fig3", "lint", "diff", "serve", "cov", "smoke"];
-
-/// `harness bench-all`: every bench JSON in one command, each under its
-/// own obs reset/capture, plus one commit-stamped trajectory row per
-/// bench appended to `results/TRAJECTORY.jsonl`.
-fn bench_all(full: bool, profile: bool) {
-    let commit = git_commit();
-    let mut summary = Vec::new();
-    for bench in ALL_BENCHES {
-        batnet_obs::reset();
-        let profiler = start_profiler(profile);
-        let root = batnet_obs::Span::enter("harness");
-        let mut rows: Vec<Row> = Vec::new();
-        run_cmd(bench, full, None, &mut rows);
-        let wall = root.close();
-        let profile_doc = finish_profiler(profiler, wall);
-        emit_json(
-            bench,
-            &rows,
-            &commit,
-            &format!("harness bench-all ({bench})"),
-            1,
-            None,
-            profile_doc.as_deref(),
-        );
-        summary.push((bench, rows.len(), wall));
-    }
-    let path = repo_root().join("results").join("TRAJECTORY.jsonl");
-    if let Err(e) = append_trajectory(&path, &commit, &summary) {
-        eprintln!("bench-all: trajectory append failed: {e}");
-        std::process::exit(1);
-    }
-    println!(
-        "\nbench-all: {} benches, trajectory rows appended to {}",
-        summary.len(),
-        path.display()
-    );
-}
-
-/// Appends one schema-validated summary row per bench. Every line is
-/// validated *before* it is written — a malformed row must fail the run,
-/// not poison the committed trajectory.
-fn append_trajectory(
-    path: &std::path::Path,
-    commit: &str,
-    summary: &[(&str, usize, Duration)],
-) -> Result<(), String> {
-    use std::io::Write as _;
-    let unix = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let mut lines = String::new();
-    let threads = batnet_exec::current().threads();
-    for (bench, rows, wall) in summary {
-        let line = format!(
-            "{{\"schema\": 1, \"bench\": \"{bench}\", \"commit\": \"{commit}\", \
-             \"unix\": {unix}, \"rows\": {rows}, \"total_ms\": {:.3}, \"threads\": {threads}}}",
-            wall.as_secs_f64() * 1000.0
-        );
-        let parsed = batnet_obs::json::parse(&line).map_err(|e| format!("{bench}: {e}"))?;
-        batnet_obs::report::validate_trajectory_row(&parsed)
-            .map_err(|e| format!("{bench}: row invalid: {e}"))?;
-        lines.push_str(&line);
-        lines.push('\n');
-    }
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir).map_err(|e| e.to_string())?;
-    }
-    let mut f = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .map_err(|e| e.to_string())?;
-    f.write_all(lines.as_bytes()).map_err(|e| e.to_string())
-}
-
-/// Dispatches one run of an experiment command.
+/// Dispatches an experiment [`reads`] has vetted.
 fn run_cmd(cmd: &str, full: bool, net: Option<&str>, rows: &mut Vec<Row>) {
     match cmd {
         "fig1" => fig1(),
         "fig3" => fig3(rows),
         "table1" => table1(full),
         "table2" => table2(full, net, rows),
-        "smoke" => smoke(rows),
         "lint" => lint_bench(full, net, rows),
         "diff" => diff_bench(rows),
-        "serve" => serve_bench(rows),
         "cov" => cov_bench(full, net, rows),
         "apt" => apt(),
         "ablate-convergence" => ablate_convergence(),
@@ -289,7 +186,8 @@ fn run_cmd(cmd: &str, full: bool, net: Option<&str>, rows: &mut Vec<Row>) {
         "ablate-varorder" => ablate_varorder(),
         "ablate-dataflow" => ablate_dataflow(),
         "ablate-transform" => ablate_transform(),
-        "all" => {
+        // "all": the paper's figures, tables and ablations.
+        _ => {
             fig1();
             fig3(rows);
             table1(full);
@@ -301,66 +199,57 @@ fn run_cmd(cmd: &str, full: bool, net: Option<&str>, rows: &mut Vec<Row>) {
             ablate_dataflow();
             ablate_transform();
         }
-        other => CLI.fail(&format!("unknown experiment '{other}'")),
     }
 }
 
-/// Writes `BENCH_<bench>.json` for each bench that produced rows. The
-/// repo-root baselines (`table2`, `fig3`) are written on `--json`; the
-/// `smoke` bench always lands in `target/` so CI never dirties the
-/// committed baselines. `--out` redirects the (single) output file —
-/// the CI `perf-smoke` gate uses it to write under `target/`. When a
-/// profile window was captured (`--profile`), it is written next to each
-/// bench file with a `.profile.json` extension.
-#[allow(clippy::too_many_arguments)]
+/// Writes one `BENCH_<bench>.json` per bench that produced rows: at the
+/// repo root (the committed baselines), or at `out` — which [`reads`]
+/// only lets through for single-bench experiments, so CI can write
+/// under `target/`. A captured profile window (`--profile`) goes next to
+/// each bench file with a `.profile.json` extension. A file that cannot
+/// be written is an error: a gate downstream must never pass on what an
+/// earlier run left at that path.
 fn emit_json(
     cmd: &str,
     rows: &[Row],
     commit: &str,
     cmdline: &str,
-    repeat: usize,
     out: Option<&str>,
     profile: Option<&str>,
-) {
+) -> Result<(), String> {
     let report = batnet_obs::capture();
     let meta = vec![
         ("commit".to_string(), commit.to_string()),
-        ("cmd".to_string(), cmdline.trim_end().to_string()),
+        ("cmd".to_string(), cmdline.to_string()),
         ("rustc".to_string(), rustc_version()),
         ("profile".to_string(), build_profile().to_string()),
-        ("repeat".to_string(), repeat.to_string()),
         ("threads".to_string(), batnet_exec::current().threads().to_string()),
     ];
-    let benches: Vec<&str> = match cmd {
-        "all" => vec!["table2", "fig3"],
-        b => vec![b],
+    let benches: &[&str] = match cmd {
+        "all" => &["table2", "fig3"],
+        _ => std::slice::from_ref(&cmd),
     };
-    if out.is_some() && benches.len() > 1 {
-        eprintln!("--out applies to single-bench commands; ignoring it for `all`");
-    }
-    for bench in &benches {
+    let write = |path: &std::path::Path, text: &str| {
+        std::fs::write(path, text).map_err(|e| format!("failed to write {}: {e}", path.display()))
+    };
+    for bench in benches {
         let subset: Vec<Row> = rows.iter().filter(|r| r.bench == *bench).cloned().collect();
         if subset.is_empty() {
             continue;
         }
         let path = match out {
-            Some(p) if benches.len() == 1 => std::path::PathBuf::from(p),
-            _ if *bench == "smoke" => repo_root().join("target").join("BENCH_smoke.json"),
-            _ => repo_root().join(format!("BENCH_{bench}.json")),
+            Some(p) => std::path::PathBuf::from(p),
+            None => repo_root().join(format!("BENCH_{bench}.json")),
         };
-        let text = bench_json(bench, &meta, &subset, &report);
-        match std::fs::write(&path, &text) {
-            Ok(()) => println!("wrote {} ({} rows)", path.display(), subset.len()),
-            Err(e) => eprintln!("failed to write {}: {e}", path.display()),
-        }
+        write(&path, &bench_json(bench, &meta, &subset, &report))?;
+        println!("wrote {} ({} rows)", path.display(), subset.len());
         if let Some(doc) = profile {
             let ppath = path.with_extension("profile.json");
-            match std::fs::write(&ppath, doc) {
-                Ok(()) => println!("wrote {}", ppath.display()),
-                Err(e) => eprintln!("failed to write {}: {e}", ppath.display()),
-            }
+            write(&ppath, doc)?;
+            println!("wrote {}", ppath.display());
         }
     }
+    Ok(())
 }
 
 /// Attaches the stage's heap accounting — published as
@@ -607,7 +496,7 @@ fn selected(full: bool, net: Option<&str>) -> Vec<batnet_topogen::suite::SuiteEn
 }
 
 /// Table 2: pipeline performance per network. `net` restricts the run
-/// to one suite network (by id, case-insensitive) — the CI `perf-smoke`
+/// to one suite network (by id, case-insensitive) — the CI `bench-smoke`
 /// gate uses it to measure only N2.
 fn table2(full: bool, net: Option<&str>, rows: &mut Vec<Row>) {
     banner("E-T2 (Table 2): pipeline performance");
@@ -638,24 +527,6 @@ fn table2(full: bool, net: Option<&str>, rows: &mut Vec<Row>) {
     }
     println!("(times are wall clock on this machine; the paper's claim is");
     println!(" minutes even at thousands of nodes — compare shapes, not values)");
-}
-
-/// The CI smoke bench: the full pipeline on the smallest suite network,
-/// always emitting `target/BENCH_smoke.json` for the validator.
-fn smoke(rows: &mut Vec<Row>) {
-    banner("obs-smoke: pipeline on N2");
-    let net = batnet_topogen::suite::n2();
-    let m = measure_pipeline("smoke", "N2", net, rows);
-    println!(
-        "N2: {} nodes, {} routes — parse {} | dpgen {} | graph {} | dest-reach {} | multipath {}",
-        m.nodes,
-        m.routes,
-        fmt_dur(m.parse),
-        fmt_dur(m.dpgen),
-        fmt_dur(m.graph),
-        fmt_dur(m.dest),
-        fmt_dur(m.mp),
-    );
 }
 
 /// The lint bench: parse + full static-analysis pass per suite network,
@@ -754,7 +625,7 @@ fn cov_bench(full: bool, net: Option<&str>, rows: &mut Vec<Row>) {
 /// seeded `acl-attach-peering` perturbation (one ACL attach that kills a
 /// BGP session, so every layer has real work). Mirrors the staging of
 /// `batnet_diff::diff` but times each layer separately. Always writes
-/// `BENCH_diff.json` for the obs-diff perf gate.
+/// `BENCH_diff.json` for the `diff-smoke` structure gate.
 fn diff_bench(rows: &mut Vec<Row>) {
     use batnet::diff::reach::{diff_reach, ReachInputs};
     banner("E-D: differential analysis (acl-attach-peering on N2)");
@@ -820,179 +691,6 @@ fn diff_bench(rows: &mut Vec<Row>) {
             .with("starts", reach.starts_compared)
             .with("changed", reach.changed_starts),
     );
-}
-
-/// The serve bench: the full service loop on loopback. Spawns
-/// `batnet-serve` in-process, uploads the N2 data center through the
-/// public API, then drives reachability / trace / lint / report loads
-/// with `Backoff`-retried clients. Every stage row carries request
-/// counts plus that endpoint's own p50/p99 (from the server's
-/// `serve.latency.us.<endpoint>` histograms — per-endpoint, so one
-/// endpoint's tail regression can't hide behind a fast-path-dominated
-/// aggregate); the `total` row keeps the global-histogram tail. Always
-/// writes `BENCH_serve.json` — the CI `serve-smoke` gate diffs its
-/// structure against the committed baseline.
-fn serve_bench(rows: &mut Vec<Row>) {
-    use batnet_net::Backoff;
-    use batnet_serve::{client, ServeConfig};
-    banner("E-SV: analysis service under load (loopback)");
-    let net = batnet_topogen::suite::n2();
-    let devices = net.configs.len();
-    // A real device/interface pair for the trace load, straight from
-    // the generated config text.
-    let (trace_dev, trace_iface) = net
-        .configs
-        .iter()
-        .find_map(|(name, text)| {
-            text.lines()
-                .find_map(|l| l.strip_prefix("interface "))
-                .map(|i| (name.clone(), i.trim().to_string()))
-        })
-        .expect("suite configs declare interfaces");
-
-    let handle = batnet_serve::spawn(ServeConfig::default()).expect("bind loopback");
-    let addr = handle.addr();
-    let t = Duration::from_secs(30);
-    let retry = || Backoff::new(Duration::from_millis(5), Duration::from_millis(80), 6, 17);
-    let get = |target: &str, step: &str| -> batnet_serve::client::ClientResponse {
-        let r = client::get_with_retry(addr, target, t, retry())
-            .unwrap_or_else(|e| panic!("{step}: transport: {e}"));
-        assert_eq!(r.status, 200, "{step}: {}", r.body_str());
-        r
-    };
-
-    let span = batnet_obs::Span::enter("serve-bench");
-
-    // Upload: the whole network as one governed POST.
-    let mut body = String::from("{\"configs\": [");
-    for (i, (name, text)) in net.configs.iter().enumerate() {
-        if i > 0 {
-            body.push_str(", ");
-        }
-        body.push_str("{\"name\": ");
-        batnet_obs::json::write_str(&mut body, name);
-        body.push_str(", \"text\": ");
-        batnet_obs::json::write_str(&mut body, text);
-        body.push('}');
-    }
-    body.push_str("]}");
-    let t0 = clock::now();
-    let up = client::post(addr, "/snapshots/N2", body.as_bytes(), t).expect("upload transport");
-    let upload = t0.elapsed();
-    assert_eq!(up.status, 201, "upload: {}", up.body_str());
-
-    // Query loads, each a burst of identical requests.
-    let reach_n = 16;
-    let t0 = clock::now();
-    for _ in 0..reach_n {
-        let r = get("/query/reach?snapshot=N2&port=80", "reach");
-        assert!(r.body_str().contains("\"partial\": null"), "reach went partial");
-    }
-    let reach = t0.elapsed();
-
-    let trace_n = 8;
-    let target = format!(
-        "/query/trace?snapshot=N2&device={trace_dev}&iface={trace_iface}&src=10.0.0.1&dst=10.0.1.1&port=80"
-    );
-    let t0 = clock::now();
-    for _ in 0..trace_n {
-        get(&target, "trace");
-    }
-    let trace = t0.elapsed();
-
-    let lint_n = 4;
-    let t0 = clock::now();
-    for _ in 0..lint_n {
-        get("/lint?snapshot=N2", "lint");
-    }
-    let lint = t0.elapsed();
-
-    let report_n = 4;
-    let t0 = clock::now();
-    for _ in 0..report_n {
-        get("/report?snapshot=N2", "report");
-    }
-    let report = t0.elapsed();
-
-    let total = span.close();
-    // One capture covers every stage: each row reads its own endpoint's
-    // latency histogram, the total row the global one.
-    let obs = batnet_obs::capture();
-    let pct = |name: &str| serve_latency_percentiles(&obs, name);
-    let (up50, up99) = pct("serve.latency.us.snapshots.upload");
-    let (re50, re99) = pct("serve.latency.us.query.reach");
-    let (tr50, tr99) = pct("serve.latency.us.query.trace");
-    let (li50, li99) = pct("serve.latency.us.lint");
-    let (rp50, rp99) = pct("serve.latency.us.report");
-    let (p50, p99) = pct("serve.latency.us");
-    rows.push(
-        Row::new("serve", "N2", "upload", upload)
-            .with("devices", devices)
-            .with("body_kb", body.len() / 1024)
-            .with("p50_us", up50)
-            .with("p99_us", up99),
-    );
-    rows.push(
-        Row::new("serve", "N2", "reach", reach)
-            .with("requests", reach_n)
-            .with("p50_us", re50)
-            .with("p99_us", re99),
-    );
-    rows.push(
-        Row::new("serve", "N2", "trace", trace)
-            .with("requests", trace_n)
-            .with("p50_us", tr50)
-            .with("p99_us", tr99),
-    );
-    rows.push(
-        Row::new("serve", "N2", "lint", lint)
-            .with("requests", lint_n)
-            .with("p50_us", li50)
-            .with("p99_us", li99),
-    );
-    rows.push(
-        Row::new("serve", "N2", "report", report)
-            .with("requests", report_n)
-            .with("p50_us", rp50)
-            .with("p99_us", rp99),
-    );
-    rows.push(
-        Row::new("serve", "N2", "total", total)
-            .with("requests", 1 + reach_n + trace_n + lint_n + report_n)
-            .with("p50_us", p50)
-            .with("p99_us", p99),
-    );
-    handle.shutdown();
-    println!(
-        "N2 over HTTP: upload {} ({} devices) | reach {}/{}q | trace {}/{}q | lint {}/{}q | report {}/{}q",
-        fmt_dur(upload),
-        devices,
-        fmt_dur(reach),
-        reach_n,
-        fmt_dur(trace),
-        trace_n,
-        fmt_dur(lint),
-        lint_n,
-        fmt_dur(report),
-        report_n,
-    );
-    println!(
-        "server-side request latency: p50 ~{p50}us, p99 ~{p99}us global \
-         (log2-bucket upper bounds; per-endpoint tails on each row)"
-    );
-    println!(
-        "per-endpoint p99: upload ~{up99}us | reach ~{re99}us | trace ~{tr99}us | \
-         lint ~{li99}us | report ~{rp99}us"
-    );
-}
-
-/// Upper-bound p50/p99 estimates from one of the server's log2 latency
-/// histograms (each percentile reports its bucket's upper edge).
-fn serve_latency_percentiles(report: &batnet_obs::RunReport, name: &str) -> (u64, u64) {
-    let Some(batnet_obs::metrics::MetricValue::Histogram(h)) = report.metrics.get(name) else {
-        return (0, 0);
-    };
-    (h.percentile_upper(0.5), h.percentile_upper(0.99))
 }
 
 /// §6.2: the APT comparison on the 92-node network.

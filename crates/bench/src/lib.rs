@@ -1,6 +1,6 @@
-//! Shared experiment plumbing for the harness binary and the Criterion
-//! benches: world construction, timing, and the per-experiment
-//! measurement routines that regenerate the paper's tables and figures.
+//! Experiment plumbing for the harness binary: world construction,
+//! timing, and the per-experiment measurement routines that regenerate
+//! the paper's tables and figures.
 //!
 //! Timing flows through [`batnet_obs`] spans: every measured window is a
 //! span, so the same numbers that print in the text tables appear in the
@@ -176,35 +176,12 @@ pub fn fmt_speedup(slow: Duration, fast: Duration) -> String {
     format!("{:.0}x", slow.as_secs_f64() / fast.as_secs_f64())
 }
 
-/// A dependency-free micro-benchmark runner for the `harness = false`
-/// bench targets: runs `f` for `samples` timed iterations after one
-/// warm-up, prints min/median/max. `cargo bench` treats any normal exit
-/// as success, so regressions are read off the printed numbers (or
-/// compared across commits by CI) rather than asserted.
-pub fn bench_fn<R>(group: &str, name: &str, samples: usize, mut f: impl FnMut() -> R) {
-    let samples = samples.max(1);
-    std::hint::black_box(f()); // warm-up
-    let mut times: Vec<Duration> = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let t = batnet_obs::clock::now();
-        std::hint::black_box(f());
-        times.push(t.elapsed());
-    }
-    times.sort_unstable();
-    println!(
-        "{group}/{name}: median {} (min {}, max {}, n={samples})",
-        fmt_dur(times[times.len() / 2]),
-        fmt_dur(times[0]),
-        fmt_dur(times[times.len() - 1]),
-    );
-}
-
 /// One measurement row of the machine-readable bench output. The schema
 /// is stable: `{bench, network, stage, ms, meta}` — CI and external
 /// dashboards key on these five fields.
 #[derive(Clone, Debug)]
 pub struct Row {
-    /// The experiment this row belongs to (`table2`, `fig3`, `smoke`).
+    /// The experiment this row belongs to (`table2`, `fig3`, `lint`, ...).
     pub bench: String,
     /// Network id (`NET1`, `N2`, ...).
     pub network: String,
@@ -290,71 +267,10 @@ pub fn bench_json(
     out
 }
 
-/// Median of a sample list (mean of the middle two for even counts;
-/// 0 for empty input).
-pub fn median(samples: &[f64]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let mut s = samples.to_vec();
-    s.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let mid = s.len() / 2;
-    if s.len() % 2 == 1 {
-        s[mid]
-    } else {
-        (s[mid - 1] + s[mid]) / 2.0
-    }
-}
-
-/// Median absolute deviation from the median — the robust noise
-/// estimate `obs-diff` scales its thresholds with.
-pub fn mad(samples: &[f64]) -> f64 {
-    if samples.len() < 2 {
-        return 0.0;
-    }
-    let med = median(samples);
-    let deviations: Vec<f64> = samples.iter().map(|x| (x - med).abs()).collect();
-    median(&deviations)
-}
-
-/// Collapses `N` repeated runs of the same bench into one row set:
-/// rows are grouped on `(bench, network, stage)` in first-run order,
-/// `ms` becomes the median across runs, and each row's meta gains
-/// `mad_ms` (the noise estimate) and `repeat` (the sample count).
-/// Non-timing meta is taken from the first run.
-pub fn aggregate_repeats(runs: &[Vec<Row>]) -> Vec<Row> {
-    let Some(first) = runs.first() else {
-        return Vec::new();
-    };
-    first
-        .iter()
-        .map(|proto| {
-            let samples: Vec<f64> = runs
-                .iter()
-                .filter_map(|run| {
-                    run.iter()
-                        .find(|r| {
-                            r.bench == proto.bench
-                                && r.network == proto.network
-                                && r.stage == proto.stage
-                        })
-                        .map(|r| r.ms)
-                })
-                .collect();
-            let mut row = proto.clone();
-            row.ms = median(&samples);
-            row.meta.push(("repeat".to_string(), samples.len().to_string()));
-            row.meta
-                .push(("mad_ms".to_string(), format!("{:.6}", mad(&samples))));
-            row
-        })
-        .collect()
-}
-
 /// The rustc that built this binary (`rustc --version` of the ambient
 /// toolchain — the workspace pins one toolchain, so the runtime query
 /// matches the compiler), or `"unknown"`. Stamped into bench
-/// provenance so `obs-diff` can flag cross-toolchain comparisons.
+/// provenance.
 pub fn rustc_version() -> String {
     std::process::Command::new("rustc")
         .arg("--version")
@@ -366,8 +282,8 @@ pub fn rustc_version() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// The build profile of this binary. `obs-diff` refuses to compare
-/// debug numbers against a release baseline.
+/// The build profile of this binary, stamped into bench provenance
+/// (debug numbers are not the paper's figures).
 pub fn build_profile() -> &'static str {
     if cfg!(debug_assertions) {
         "debug"
@@ -400,47 +316,6 @@ pub fn repo_root() -> std::path::PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn median_and_mad_are_robust() {
-        assert_eq!(median(&[]), 0.0);
-        assert_eq!(median(&[5.0]), 5.0);
-        assert_eq!(median(&[1.0, 9.0]), 5.0);
-        assert_eq!(median(&[3.0, 1.0, 2.0]), 2.0);
-        // One wild outlier barely moves the median and the MAD.
-        let samples = [10.0, 11.0, 10.5, 500.0, 10.2];
-        assert_eq!(median(&samples), 10.5);
-        assert!(mad(&samples) < 1.0, "mad = {}", mad(&samples));
-        assert_eq!(mad(&[7.0]), 0.0);
-    }
-
-    #[test]
-    fn aggregate_repeats_takes_median_and_stamps_noise() {
-        let run = |ms_parse: f64, ms_total: f64| {
-            vec![
-                Row::new("t", "N2", "parse", Duration::from_secs_f64(ms_parse / 1e3))
-                    .with("nodes", 75),
-                Row::new("t", "N2", "total", Duration::from_secs_f64(ms_total / 1e3)),
-            ]
-        };
-        let rows = aggregate_repeats(&[run(2.0, 100.0), run(8.0, 130.0), run(3.0, 110.0)]);
-        assert_eq!(rows.len(), 2);
-        assert!((rows[0].ms - 3.0).abs() < 1e-9, "median parse, got {}", rows[0].ms);
-        assert!((rows[1].ms - 110.0).abs() < 1e-9);
-        let meta = |row: &Row, key: &str| -> String {
-            row.meta
-                .iter()
-                .find(|(k, _)| k == key)
-                .map(|(_, v)| v.clone())
-                .unwrap_or_default()
-        };
-        assert_eq!(meta(&rows[0], "repeat"), "3");
-        assert_eq!(meta(&rows[0], "nodes"), "75");
-        // MAD of [2, 8, 3] around 3 is median([1, 5, 0]) = 1.
-        let mad_ms: f64 = meta(&rows[0], "mad_ms").parse().expect("numeric mad");
-        assert!((mad_ms - 1.0).abs() < 1e-6, "mad = {mad_ms}");
-        assert!(aggregate_repeats(&[]).is_empty());
-    }
 
     #[test]
     fn bench_json_validates() {

@@ -91,9 +91,9 @@ pub struct PathTotals {
 }
 
 /// Aggregates the forest by full span path. Repeated paths (the same
-/// stage entered once per network, say) merge into one entry — this is
-/// the folded-stack view and the unit `obs-diff` compares run reports
-/// at.
+/// stage entered once per network, say) merge into one entry — the
+/// folded-stack view, and the exact reference the sampler's paths are
+/// tested against.
 pub fn path_totals(spans: &[SpanRecord]) -> BTreeMap<String, PathTotals> {
     let self_ns = self_times_ns(spans);
     let mut paths: Vec<String> = Vec::with_capacity(spans.len());

@@ -27,8 +27,6 @@ pub enum Kind {
     Text(&'static str),
     /// An integer no smaller than `min` (0 or 1 in practice).
     Uint { min: u64 },
-    /// A non-negative decimal number.
-    Float,
     /// One member of a closed set.
     Choice(&'static [&'static str]),
 }
@@ -68,11 +66,6 @@ impl Flag {
         Flag::new(name, Kind::Uint { min: 1 }, help)
     }
 
-    /// A flag that takes a non-negative decimal number.
-    pub const fn float(name: &'static str, help: &'static str) -> Flag {
-        Flag::new(name, Kind::Float, help)
-    }
-
     /// A flag whose value is one of `choices`.
     pub const fn choice(name: &'static str, choices: &'static [&'static str], help: &'static str) -> Flag {
         Flag::new(name, Kind::Choice(choices), help)
@@ -84,27 +77,24 @@ impl Flag {
             Kind::Switch => self.name.to_string(),
             Kind::Text(metavar) => format!("{} {metavar}", self.name),
             Kind::Uint { .. } => format!("{} N", self.name),
-            Kind::Float => format!("{} F", self.name),
             Kind::Choice(set) => format!("{} {}", self.name, set.join("|")),
         }
     }
 
     /// Checks `value` against the flag's kind.
     fn check(&self, value: &str) -> Result<(), String> {
-        let ok = match self.kind {
-            Kind::Switch | Kind::Text(_) => true,
-            Kind::Uint { min } => value.parse::<u64>().is_ok_and(|n| n >= min),
-            Kind::Float => value.parse::<f64>().is_ok_and(|f| f >= 0.0),
-            Kind::Choice(set) => set.contains(&value),
-        };
-        if ok {
-            return Ok(());
+        match self.kind {
+            Kind::Uint { min } if !value.parse::<u64>().is_ok_and(|n| n >= min) => Err(format!(
+                "{} wants an integer >= {min}, got '{value}'",
+                self.name
+            )),
+            Kind::Choice(set) if !set.contains(&value) => Err(format!(
+                "{} must be {}, got '{value}'",
+                self.name,
+                set.join("|")
+            )),
+            _ => Ok(()),
         }
-        Err(match self.kind {
-            Kind::Choice(set) => format!("{} must be {}, got '{value}'", self.name, set.join("|")),
-            Kind::Uint { min } => format!("{} wants an integer >= {min}, got '{value}'", self.name),
-            _ => format!("{} wants a non-negative number, got '{value}'", self.name),
-        })
     }
 }
 
@@ -284,9 +274,9 @@ impl Parsed<'_> {
         self.text(name).is_some()
     }
 
-    /// The value of a [`Kind::Uint`] or [`Kind::Float`] flag as `T`. The
-    /// text already parsed as its kind; a value too large for `T` is
-    /// misuse and exits 2.
+    /// The value of a [`Kind::Uint`] flag as `T`. The text already
+    /// parsed as its kind; a value too large for `T` is misuse and
+    /// exits 2.
     pub fn num<T: std::str::FromStr>(&self, name: &str) -> Option<T> {
         self.text(name).map(|v| {
             v.parse()
@@ -318,8 +308,7 @@ mod tests {
         flags: &[
             Flag::choice("--format", &["text", "json"], "output format"),
             Flag::uint("--seed", "perturbation seed"),
-            Flag::positive("--repeat", "runs per row"),
-            Flag::float("--pct", "relative floor"),
+            Flag::positive("--victims", "victims per run"),
             Flag::switch("--force", "compare anyway"),
             OUT,
         ],
@@ -338,7 +327,7 @@ mod tests {
         .expect("parses");
         assert_eq!(p.text("--format"), Some("json"));
         assert_eq!(p.num::<u64>("--seed"), Some(7));
-        assert_eq!(p.num::<f64>("--pct"), None);
+        assert_eq!(p.num::<u64>("--victims"), None);
         assert!(p.has("--force"));
         assert!(!p.has("--out"));
         assert_eq!(p.args, ["a.json", "b.json"]);
@@ -354,8 +343,7 @@ mod tests {
             &["--format", "yaml"],
             &["--seed", "-1"],
             &["--seed", "many"],
-            &["--repeat", "0"],
-            &["--pct", "-0.5"],
+            &["--victims", "0"],
         ] {
             assert!(
                 matches!(parse(bad), Err(Stop::Usage(_))),
@@ -374,7 +362,7 @@ mod tests {
         for needle in [
             "--format text|json",
             "--seed N",
-            "--pct F",
+            "--victims N",
             "--force  ",
             "--out FILE",
             "--help",

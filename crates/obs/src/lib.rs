@@ -37,9 +37,9 @@
 //!   flamegraph counts (`batnet-prof/v1` JSON), and its own cost is
 //!   strictly accounted. Powers `batnet-serve /profilez` and
 //!   `harness --profile`.
-//! * **Regression diffing** ([`diff`]) — noise-aware comparison of two
-//!   bench files or run reports (`max(k·MAD, pct·base, abs floor)`
-//!   thresholds); the `obs-diff` bin is the CI gate built on it.
+//! * **Structure gate** ([`diff`]) — do two bench files have the same
+//!   `bench/network/stage` rows? The `obs-diff` bin is the CI gate
+//!   built on it; time is the benchmark's to compare, not this crate's.
 //! * **Command lines** ([`flags`]) — the declarative flag tables every
 //!   workspace binary parses its arguments with (hosted here, like
 //!   [`json`], because this is the one crate they all depend on).

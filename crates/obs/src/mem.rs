@@ -89,7 +89,8 @@ mod imp {
 }
 
 /// Whether the counting allocator is compiled in.
-pub fn enabled() -> bool {
+#[cfg(test)]
+fn enabled() -> bool {
     cfg!(feature = "alloc-track")
 }
 

@@ -124,7 +124,8 @@ pub fn bucket_range(i: usize) -> (u64, u64) {
 
 /// Whether value `v` belongs to bucket `i` — the single source of truth
 /// for the boundary semantics above (top bucket hi-inclusive).
-pub fn bucket_contains(i: usize, v: u64) -> bool {
+#[cfg(test)]
+fn bucket_contains(i: usize, v: u64) -> bool {
     bucket_index(v) == i
 }
 

@@ -528,8 +528,8 @@ pub fn validate_profile(v: &Value) -> Result<(), String> {
 }
 
 /// Validates one `results/TRAJECTORY.jsonl` row: a commit-stamped bench
-/// summary (`{schema, bench, commit, unix, rows, total_ms}`) appended by
-/// `harness bench-all`.
+/// summary (`{schema, bench, commit, unix, rows, total_ms}`), one per
+/// `benchmark/` workload result a merged PR records.
 pub fn validate_trajectory_row(v: &Value) -> Result<(), String> {
     check_schema(v)?;
     for k in ["bench", "commit"] {

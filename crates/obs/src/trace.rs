@@ -12,13 +12,11 @@
 //! line per distinct span path — `root;child;leaf <self-time-µs>` —
 //! ready for `flamegraph.pl` or speedscope.
 //!
-//! Both renderers work from a [`SpanNode`] forest, which can be built
-//! from in-process [`SpanRecord`]s ([`forest_from_records`]) or from a
-//! parsed run-report JSON document ([`forest_from_json`]) — the
-//! `obs-trace` binary uses the latter so any committed `BENCH_*.json`
-//! or report file can be exported after the fact.
+//! [`chrome_trace`] and [`folded`] work from a [`SpanNode`] forest built
+//! from a parsed run-report JSON document ([`forest_from_json`]), so the
+//! `obs-trace` binary can export any committed `BENCH_*.json` or report
+//! file after the fact.
 
-use crate::attr;
 use crate::json::{self, within, Value};
 use crate::span::SpanRecord;
 use std::fmt::Write as _;
@@ -49,8 +47,10 @@ impl SpanNode {
     }
 }
 
-/// Builds the forest from flat records (parent indices → tree).
-pub fn forest_from_records(spans: &[SpanRecord]) -> Vec<SpanNode> {
+/// Builds the forest from flat records (parent indices → tree): the
+/// reference [`forest_from_json`]'s round trip is tested against.
+#[cfg(test)]
+fn forest_from_records(spans: &[SpanRecord]) -> Vec<SpanNode> {
     fn build(i: usize, spans: &[SpanRecord], children: &[Vec<usize>]) -> SpanNode {
         SpanNode {
             name: spans[i].name.clone(),
@@ -184,19 +184,6 @@ pub fn folded(forest: &[SpanNode]) -> String {
     let mut out = String::new();
     for root in forest {
         walk(&mut out, root, "");
-    }
-    out
-}
-
-/// Renders folded-stack text directly from flat records, merging
-/// repeated paths via [`attr::path_totals`].
-pub fn folded_from_records(spans: &[SpanRecord]) -> String {
-    let mut out = String::new();
-    for (path, t) in attr::path_totals(spans) {
-        let self_us = t.self_ns / 1_000;
-        if self_us > 0 {
-            let _ = writeln!(out, "{path} {self_us}");
-        }
     }
     out
 }

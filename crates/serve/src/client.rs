@@ -1,6 +1,6 @@
 //! A minimal blocking HTTP/1.1 client for the served API.
 //!
-//! Exists so the load driver (`harness serve`), the smoke mode, the
+//! Exists so the load driver (`benchmark/`), the smoke mode, the
 //! chaos harness's *well-behaved* clients, and the integration tests
 //! all speak to the server the same way — one connection per request,
 //! `Connection: close`, socket timeouts armed. Idempotent GETs can be
