@@ -4,9 +4,9 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test test-repeat chaos clippy bench-smoke lint-smoke diff-smoke serve-smoke cov-smoke yardstick
+.PHONY: ci build test test-repeat chaos clippy bench-smoke lint-smoke diff-smoke cov-smoke yardstick
 
-ci: build test test-repeat chaos clippy bench-smoke lint-smoke diff-smoke serve-smoke cov-smoke yardstick
+ci: build test test-repeat chaos clippy bench-smoke lint-smoke diff-smoke cov-smoke yardstick
 
 # One way to run each tool. The front ends (batnet-lint, batnet-cov,
 # batnet-repair, batnet-diff, obs-validate) live in the root package.
@@ -19,7 +19,6 @@ LINT     = $(RUN) -p batnet-repro --bin batnet-lint --
 COV      = $(RUN) -p batnet-repro --bin batnet-cov --
 REPAIR   = $(RUN) -p batnet-repro --bin batnet-repair --
 DIFF     = $(RUN) -p batnet-repro --bin batnet-diff --
-SERVE    = $(RUN) -p batnet-serve --bin batnet-serve --
 
 # The bench gate: re-run a harness experiment ($(1) = its arguments,
 # writing $(2)), validate the emitted file, and check its row set
@@ -38,9 +37,10 @@ build:
 test:
 	$(CARGO) test -q --offline --workspace
 
-# The three tests that were red off a 1-CPU box (ROADMAP item 0) share
-# the process-global recorder and the pool; five consecutive passes at
-# the default --test-threads is the regression gate for that.
+# The three tests that were red off a 1-CPU box share the
+# process-global recorder and the pool (still statics: ROADMAP item 3);
+# five consecutive passes at the default --test-threads is the
+# regression gate for that.
 test-repeat:
 	for i in 1 2 3 4 5; do $(CARGO) test -q --offline --test parallel --test profiling || exit 1; done
 
@@ -106,20 +106,6 @@ diff-smoke: build
 	$(VALIDATE) target/diff-self-1.json
 	! $(DIFF) --before fixtures/diff-pair/before --after fixtures/diff-pair/after --deny any --out target/diff-pair.txt
 	$(call bench-gate,diff,target/BENCH_diff_smoke.json,BENCH_diff.json)
-
-# Serving gate: (1) the in-process smoke sequence — spawn, readiness
-# under Backoff retry, a complete reachability answer, a forced-206
-# partial with accounting, a 404, a seeded deterministic trace-id stream
-# on every response, a validator-checked /tracez fetch, a metrics audit
-# with per-endpoint SLO meta and zero contained panics, graceful drain;
-# (2) the /tracez dump the smoke wrote passes the standalone validator;
-# (3) the same sequence with `--profile-hz`, so every /profilez,
-# /tracez?id= and sampler-meta assertion runs against a live server.
-# Load on the service is the benchmark's `serve-mix-n2` workload.
-serve-smoke: build
-	$(SERVE) --smoke
-	$(VALIDATE) target/tracez-smoke.json
-	$(SERVE) --smoke --profile-hz 1997
 
 # Coverage + repair gate: (1) the N2 coverage report validates and is
 # byte-identical across two runs (the JSON is the audit artifact, so

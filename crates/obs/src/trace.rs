@@ -19,6 +19,7 @@
 
 use crate::json::{self, within, Value};
 use crate::span::SpanRecord;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// One span in tree form.
@@ -164,26 +165,43 @@ pub fn chrome_trace_records(spans: &[SpanRecord]) -> String {
 }
 
 /// Renders the forest as folded-stack text: `path;to;span <self-µs>`
-/// per line, repeated paths merged, zero-self-time paths kept only when
-/// they are leaves (interior zero rows are pure structure).
+/// per line in first-visit order, repeated paths merged (self times
+/// summed), zero-self-time paths kept only when they are leaves
+/// (interior zero rows are pure structure).
 pub fn folded(forest: &[SpanNode]) -> String {
-    fn walk(out: &mut String, node: &SpanNode, prefix: &str) {
+    /// Per distinct path, in first-visit order: summed self time and
+    /// whether any span on it was a leaf.
+    #[derive(Default)]
+    struct Rows {
+        index: HashMap<String, usize>,
+        rows: Vec<(String, u64, bool)>,
+    }
+    fn walk(acc: &mut Rows, node: &SpanNode, prefix: &str) {
         let path = if prefix.is_empty() {
             node.name.clone()
         } else {
             format!("{prefix};{}", node.name)
         };
-        let self_us = node.self_ns() / 1_000;
-        if self_us > 0 || node.children.is_empty() {
-            let _ = writeln!(out, "{path} {self_us}");
+        let i = *acc.index.entry(path.clone()).or_insert(acc.rows.len());
+        if i == acc.rows.len() {
+            acc.rows.push((path.clone(), 0, false));
         }
+        acc.rows[i].1 += node.self_ns();
+        acc.rows[i].2 |= node.children.is_empty();
         for c in &node.children {
-            walk(out, c, &path);
+            walk(acc, c, &path);
         }
     }
-    let mut out = String::new();
+    let mut acc = Rows::default();
     for root in forest {
-        walk(&mut out, root, "");
+        walk(&mut acc, root, "");
+    }
+    let mut out = String::new();
+    for (path, self_ns, leaf) in acc.rows {
+        let self_us = self_ns / 1_000;
+        if self_us > 0 || leaf {
+            let _ = writeln!(out, "{path} {self_us}");
+        }
     }
     out
 }
@@ -326,6 +344,24 @@ mod tests {
         assert!(lines.contains(&"run;parse 30"));
         assert!(lines.contains(&"run;route 50"));
         assert!(lines.contains(&"worker 20"));
+    }
+
+    #[test]
+    fn folded_merges_repeated_paths() {
+        let span = |name: &str, dur_ns, children| SpanNode {
+            name: name.to_string(),
+            start_ns: 0,
+            dur_ns,
+            children,
+        };
+        // Two sibling shards under one query, and the same path again
+        // under a second root of the same name.
+        let shard = || span("reach.forward", 30_000, vec![]);
+        let forest = [
+            span("query", 100_000, vec![shard(), shard()]),
+            span("query", 50_000, vec![shard()]),
+        ];
+        assert_eq!(folded(&forest), "query 60\nquery;reach.forward 90\n");
     }
 
     #[test]

@@ -99,7 +99,7 @@ pub struct QueryContext<'a> {
 impl QueryContext<'_> {
     /// The symbolic service traffic: dst in the service prefix, service
     /// port/protocol.
-    fn service_traffic(&mut self, service: &ServiceSpec) -> NodeId {
+    pub fn service_traffic(&mut self, service: &ServiceSpec) -> NodeId {
         let dst = self.vars.ip_prefix(self.bdd, Field::DstIp, service.prefix);
         let port = self
             .vars
@@ -114,17 +114,20 @@ impl QueryContext<'_> {
     /// The scoped seed set for traffic entering at one host interface:
     /// service traffic with legitimate (on-subnet) sources, bookkeeping
     /// bits initialized.
-    fn seed(&mut self, iface: &HostIface, traffic: NodeId) -> NodeId {
+    pub fn seed(&mut self, iface: &HostIface, traffic: NodeId) -> NodeId {
         let src = self
             .vars
             .ip_prefix(self.bdd, Field::SrcIp, crate::scope::scoped_sources(iface));
         let init = self.vars.initial_bits(self.bdd);
-        let a = self.bdd.and(traffic, src);
-        self.bdd.and(a, init)
+        // The interface's half first: it does not depend on the question,
+        // so on a long-lived manager it is built once and every later
+        // question adds only the seed itself.
+        let scoped = self.bdd.and(src, init);
+        self.bdd.and(traffic, scoped)
     }
 
     /// Success sinks that deliver into the service prefix.
-    fn service_sinks(&self, service: &ServiceSpec) -> Vec<usize> {
+    pub fn service_sinks(&self, service: &ServiceSpec) -> Vec<usize> {
         self.graph.nodes_where(|k| match k {
             NodeKind::DeliveredToSubnet(d, i) => self
                 .devices

@@ -47,8 +47,6 @@ pub struct SimOptions {
     pub use_logical_clocks: bool,
     /// Sweep budget before declaring non-convergence.
     pub max_sweeps: usize,
-    /// Parallelize same-color groups across threads.
-    pub parallel: bool,
     /// Maximum session re-evaluation rounds (§4.1.1 "key points").
     pub session_reeval_rounds: usize,
 }
@@ -59,7 +57,6 @@ impl Default for SimOptions {
             scheduler: SchedulerMode::Colored,
             use_logical_clocks: true,
             max_sweeps: 100,
-            parallel: true,
             session_reeval_rounds: 2,
         }
     }
@@ -670,7 +667,7 @@ fn run_bgp_fixed_point(
                     },
                 }
             };
-            let changes: Vec<NodeChanges> = if opts.parallel && group.len() >= 8 {
+            let changes: Vec<NodeChanges> = if group.len() >= 8 {
                 batnet_exec::current().map(group, compute)
             } else {
                 group.iter().map(compute).collect()
@@ -876,23 +873,11 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_across_runs_and_modes() {
+    fn deterministic_across_runs() {
         let d = ebgp_pair();
         let dp1 = simulate(&d, &Environment::none(), &SimOptions::default());
         let dp2 = simulate(&d, &Environment::none(), &SimOptions::default());
         for (a, b) in dp1.devices.iter().zip(dp2.devices.iter()) {
-            assert_eq!(a.main_rib, b.main_rib);
-        }
-        // Serial and parallel must agree byte-for-byte.
-        let dp3 = simulate(
-            &d,
-            &Environment::none(),
-            &SimOptions {
-                parallel: false,
-                ..SimOptions::default()
-            },
-        );
-        for (a, b) in dp1.devices.iter().zip(dp3.devices.iter()) {
             assert_eq!(a.main_rib, b.main_rib);
         }
     }

@@ -1,4 +1,5 @@
-//! Endpoint handlers: the service's API surface.
+//! Endpoint handlers: the service's API surface, one row of [`ROUTES`]
+//! per endpoint.
 //!
 //! Every handler is a pure function from a parsed [`Request`] plus the
 //! shared state to a [`Response`] — no I/O, no panics on malformed
@@ -8,91 +9,110 @@
 //! accounting as [`batnet_obs`] run reports. Partiality is a first-class
 //! response shape, not an error: what was computed is returned, what
 //! was abandoned is named.
+//!
+//! Locking rule: a stored snapshot is immutable; the BDD manager is the
+//! only thing a query locks, and `/query/reach` the only query that
+//! needs it.
 
 use crate::http::{Method, Request, Response};
-use crate::server::{ServeConfig, ServiceState};
-use crate::store::{SnapshotStore, StoreError, StoredSnapshot};
-use crate::tracing::{TraceIds, TraceRing};
+use crate::server::{DispatchCtx, ServeConfig};
+use crate::store::StoredSnapshot;
+use batnet::traceroute::{StartLocation, Tracer};
 use batnet::{Exhaustion, Outcome, ResourceGovernor};
-use batnet_dataplane::vars::Field;
 use batnet_dataplane::{NodeKind, ReachAnalysis};
 use batnet_net::{Flow, Prefix};
 use batnet_obs::json;
-use batnet_queries::{host_facing_interfaces, scoped_sources};
-use std::sync::MutexGuard;
+use batnet_obs::metrics::MetricValue;
+use batnet_queries::{host_facing_interfaces, QueryContext, ServiceSpec};
+use std::sync::Arc;
 use std::time::Duration;
 
-/// Routes a request. The caller (the dispatch task) wraps this in
-/// `catch_unwind`, so a handler bug becomes one 500, never a dead
-/// worker.
-#[allow(clippy::too_many_arguments)]
-pub fn handle(
-    req: &Request,
-    store: &SnapshotStore,
-    cfg: &ServeConfig,
-    state: &ServiceState,
-    ring: &TraceRing,
-    sampler: Option<&batnet_obs::Sampler>,
-    ids: &TraceIds,
-    pool: &batnet_exec::Pool,
-) -> Response {
+/// A handler's answer; `Err` is the early 4xx/5xx exit, so handlers
+/// reject bad input with `?`.
+type Reply = Result<Response, Response>;
+
+/// One endpoint: what it matches, what it is called in metrics, and the
+/// code that answers it.
+pub struct Route {
+    /// Method.
+    pub method: Method,
+    /// Path segments; `"*"` matches any one segment, which the handler
+    /// receives as its second argument.
+    pub pattern: &'static [&'static str],
+    /// The stable endpoint label in per-endpoint SLO metric names
+    /// (`serve.latency.us.<label>`).
+    pub label: &'static str,
+    handler: Handler,
+}
+
+type Handler = fn(&Request, &str, &DispatchCtx) -> Reply;
+
+const fn route(
+    method: Method,
+    pattern: &'static [&'static str],
+    label: &'static str,
+    handler: Handler,
+) -> Route {
+    Route { method, pattern, label, handler }
+}
+
+/// The label of a request no route matches. With [`ROUTES`]' labels it
+/// closes the set, so unknown paths cannot mint unbounded metric names.
+pub const OTHER: &str = "other";
+
+/// Every endpoint the service answers. A request is resolved against
+/// this table once, yielding both its latency label and its handler.
+pub static ROUTES: [Route; 14] = [
+    route(Method::Get, &["healthz"], "healthz", |_, _, _| Ok(Response::text(200, "ok\n"))),
+    route(Method::Get, &["readyz"], "readyz", readyz),
+    route(Method::Get, &["metricsz"], "metricsz", metricsz),
+    route(Method::Get, &["tracez"], "tracez", tracez),
+    route(Method::Get, &["profilez"], "profilez", profilez),
+    route(Method::Get, &["snapshots"], "snapshots.list", list_snapshots),
+    route(Method::Post, &["snapshots", "*"], "snapshots.upload", upload),
+    route(Method::Get, &["snapshots", "*"], "snapshots.summary", |_, name, ctx| {
+        let s = ctx.store.get(name).ok_or_else(|| unknown_snapshot(name))?;
+        Ok(Response::json(200, summary_json(&s)))
+    }),
+    route(Method::Get, &["query", "reach"], "query.reach", query_reach),
+    route(Method::Get, &["query", "trace"], "query.trace", query_trace),
+    route(Method::Get, &["lint"], "lint", lint),
+    route(Method::Get, &["diff"], "diff", diff),
+    route(Method::Get, &["report"], "report", |req, _, ctx| {
+        Ok(Response::json(200, snapshot(req, ctx)?.report.to_json()))
+    }),
+    route(Method::Post, &["admin", "shutdown"], "admin.shutdown", |_, _, ctx| {
+        ctx.state.request_shutdown();
+        batnet_obs::event("serve", "shutdown", "requested");
+        Ok(Response::json(202, "{\"draining\": true}\n"))
+    }),
+];
+
+/// Routes a request: its endpoint label and its response. The caller
+/// (the dispatch task) wraps this in `catch_unwind`, so a handler bug
+/// becomes one 500, never a dead worker.
+pub(crate) fn handle(req: &Request, ctx: &DispatchCtx) -> (&'static str, Response) {
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
-    match (req.method, segments.as_slice()) {
-        (Method::Get, ["healthz"]) => Response::text(200, "ok\n"),
-        (Method::Get, ["readyz"]) => {
-            if state.is_ready() {
-                Response::text(200, "ready\n")
-            } else {
-                Response::error(503, "draining").with_header("Retry-After", 1)
-            }
+    let route = ROUTES.iter().find(|r| {
+        r.method == req.method
+            && r.pattern.len() == segments.len()
+            && r.pattern.iter().zip(&segments).all(|(p, s)| *p == "*" || p == s)
+    });
+    match route {
+        Some(r) => {
+            let star = r.pattern.iter().position(|p| *p == "*");
+            let arg = star.map_or("", |i| segments[i]);
+            (r.label, (r.handler)(req, arg, ctx).unwrap_or_else(|early| early))
         }
-        (Method::Get, ["metricsz"]) => metricsz(sampler, pool),
-        (Method::Get, ["tracez"]) => tracez(req, ring, ids),
-        (Method::Get, ["profilez"]) => profilez(sampler),
-        (Method::Get, ["snapshots"]) => list_snapshots(store),
-        (Method::Post, ["snapshots", name]) => upload(req, store, cfg, name),
-        (Method::Get, ["snapshots", name]) => snapshot_summary(store, name),
-        (Method::Get, ["query", "reach"]) => with_snapshot(req, store, |req, s| {
-            query_reach(req, s, cfg)
-        }),
-        (Method::Get, ["query", "trace"]) => with_snapshot(req, store, |req, s| {
-            query_trace(req, s)
-        }),
-        (Method::Get, ["lint"]) => with_snapshot(req, store, |req, s| lint(req, s, cfg)),
-        (Method::Get, ["diff"]) => diff(req, store, cfg),
-        (Method::Get, ["report"]) => with_snapshot(req, store, |_, s| {
-            Response::json(200, s.analysis.report.to_json())
-        }),
-        (Method::Post, ["admin", "shutdown"]) => {
-            state.request_shutdown();
-            batnet_obs::event("serve", "shutdown", "requested");
-            Response::json(202, "{\"draining\": true}\n")
-        }
-        _ => Response::error(404, &format!("no route for {}", req.path)),
+        None => (OTHER, Response::error(404, &format!("no route for {}", req.path))),
     }
 }
 
-/// The stable endpoint label used in per-endpoint SLO metric names
-/// (`serve.latency.us.<label>`) — a closed set, so unknown paths cannot
-/// mint unbounded metric names.
-pub fn endpoint_label(method: Method, path: &str) -> &'static str {
-    let segments: Vec<&str> = path.split('/').filter(|s| !s.is_empty()).collect();
-    match (method, segments.as_slice()) {
-        (Method::Get, ["healthz"]) => "healthz",
-        (Method::Get, ["readyz"]) => "readyz",
-        (Method::Get, ["metricsz"]) => "metricsz",
-        (Method::Get, ["tracez"]) => "tracez",
-        (Method::Get, ["profilez"]) => "profilez",
-        (Method::Get, ["snapshots"]) => "snapshots.list",
-        (Method::Post, ["snapshots", _]) => "snapshots.upload",
-        (Method::Get, ["snapshots", _]) => "snapshots.summary",
-        (Method::Get, ["query", "reach"]) => "query.reach",
-        (Method::Get, ["query", "trace"]) => "query.trace",
-        (Method::Get, ["lint"]) => "lint",
-        (Method::Get, ["diff"]) => "diff",
-        (Method::Get, ["report"]) => "report",
-        (Method::Post, ["admin", "shutdown"]) => "admin.shutdown",
-        _ => "other",
+fn readyz(_: &Request, _: &str, ctx: &DispatchCtx) -> Reply {
+    if ctx.state.is_ready() {
+        Ok(Response::text(200, "ready\n"))
+    } else {
+        Err(Response::error(503, "draining").with_header("Retry-After", 1))
     }
 }
 
@@ -108,70 +128,49 @@ pub fn endpoint_label(method: Method, path: &str) -> &'static str {
 /// gauges (`exec.workers` / `exec.steals` / `exec.queue_depth`) follow
 /// the same rule: meta only, so reports stay identical at every pool
 /// width.
-fn metricsz(sampler: Option<&batnet_obs::Sampler>, pool: &batnet_exec::Pool) -> Response {
+fn metricsz(_: &Request, _: &str, ctx: &DispatchCtx) -> Reply {
     let mut report = batnet_obs::capture();
-    let mut slo = Vec::new();
+    let mut meta = Vec::new();
     for (name, value) in &report.metrics {
-        let Some(endpoint) = name.strip_prefix("serve.latency.us.") else {
-            continue;
-        };
-        if let batnet_obs::metrics::MetricValue::Histogram(h) = value {
-            slo.push((
-                endpoint.to_string(),
-                h.percentile_upper(0.5),
-                h.percentile_upper(0.99),
-            ));
+        if let (Some(endpoint), MetricValue::Histogram(h)) =
+            (name.strip_prefix("serve.latency.us."), value)
+        {
+            meta.push((format!("slo.{endpoint}.p50_us"), h.percentile_upper(0.5)));
+            meta.push((format!("slo.{endpoint}.p99_us"), h.percentile_upper(0.99)));
         }
     }
-    for (endpoint, p50, p99) in slo {
-        report.meta.insert(format!("slo.{endpoint}.p50_us"), p50.to_string());
-        report.meta.insert(format!("slo.{endpoint}.p99_us"), p99.to_string());
-    }
-    if let Some(s) = sampler {
+    if let Some(s) = &ctx.sampler {
         let st = s.stats();
-        report
-            .meta
-            .insert("obs.sampler.samples".to_string(), st.samples.to_string());
-        report
-            .meta
-            .insert("obs.sampler.dropped".to_string(), st.dropped.to_string());
-        report
-            .meta
-            .insert("obs.sampler.ticks".to_string(), st.ticks.to_string());
-        report.meta.insert(
-            "obs.sampler.overhead_us".to_string(),
-            st.overhead_us.to_string(),
-        );
+        meta.push(("obs.sampler.samples".to_string(), st.samples));
+        meta.push(("obs.sampler.dropped".to_string(), st.dropped));
+        meta.push(("obs.sampler.ticks".to_string(), st.ticks));
+        meta.push(("obs.sampler.overhead_us".to_string(), st.overhead_us));
     }
-    let exec = pool.stats();
+    let exec = ctx.pool.stats();
+    meta.push(("exec.workers".to_string(), ctx.pool.threads() as u64));
+    meta.push(("exec.steals".to_string(), exec.steals));
+    meta.push(("exec.queue_depth".to_string(), exec.queue_depth as u64));
     report
         .meta
-        .insert("exec.workers".to_string(), pool.threads().to_string());
-    report
-        .meta
-        .insert("exec.steals".to_string(), exec.steals.to_string());
-    report.meta.insert(
-        "exec.queue_depth".to_string(),
-        exec.queue_depth.to_string(),
-    );
-    Response::json(200, report.to_json())
+        .extend(meta.into_iter().map(|(k, v)| (k, v.to_string())));
+    Ok(Response::json(200, report.to_json()))
 }
 
 /// `GET /tracez[?id=<trace-id>]`: the full ring dump, or one retained
 /// trace. A miss is a 404 that says *which kind* of miss: an id the
 /// server issued but the ring has since evicted, or an id this server
 /// never produced — distinguishable in O(1) because trace ids come from
-/// an invertible generator ([`TraceIds::was_issued`]).
-fn tracez(req: &Request, ring: &TraceRing, ids: &TraceIds) -> Response {
+/// an invertible generator ([`crate::TraceIds::was_issued`]).
+fn tracez(req: &Request, _: &str, ctx: &DispatchCtx) -> Reply {
     let Some(id) = req.param("id") else {
-        return Response::json(200, ring.render_json());
+        return Ok(Response::json(200, ctx.ring.render_json()));
     };
-    if let Some(doc) = ring.render_one(id) {
-        return Response::json(200, doc);
+    if let Some(doc) = ctx.ring.render_one(id) {
+        return Ok(Response::json(200, doc));
     }
     let mut body = String::from("{\"error\": \"trace not retained\", \"trace_id\": ");
     json::write_str(&mut body, id);
-    if ids.was_issued(id) {
+    if ctx.ids.was_issued(id) {
         body.push_str(", \"reason\": \"evicted\", \"detail\": \
             \"this server issued the id, but the trace ring has since evicted it; \
              raise --trace-ring to retain more\"}\n");
@@ -179,17 +178,17 @@ fn tracez(req: &Request, ring: &TraceRing, ids: &TraceIds) -> Response {
         body.push_str(", \"reason\": \"unknown\", \"detail\": \
             \"this server never issued the id (not in this seed's stream)\"}\n");
     }
-    Response::json(404, body)
+    Err(Response::json(404, body))
 }
 
 /// `GET /profilez`: snapshot-and-reset the continuous profiler's
 /// current window as a `batnet-prof/v1` document — each fetch reports
 /// the interval since the previous fetch. 404 when the server runs
 /// without `--profile-hz`.
-fn profilez(sampler: Option<&batnet_obs::Sampler>) -> Response {
-    match sampler {
-        Some(s) => Response::json(200, s.take_profile()),
-        None => Response::error(404, "profiling is off; start with --profile-hz N"),
+fn profilez(_: &Request, _: &str, ctx: &DispatchCtx) -> Reply {
+    match &ctx.sampler {
+        Some(s) => Ok(Response::json(200, s.take_profile())),
+        None => Err(Response::error(404, "profiling is off; start with --profile-hz N")),
     }
 }
 
@@ -198,33 +197,42 @@ fn profilez(sampler: Option<&batnet_obs::Sampler>) -> Response {
 /// the same [`ResourceGovernor`] the batch CLIs use, so serve and batch
 /// share one enforcement mechanism.
 fn request_governor(req: &Request, cfg: &ServeConfig) -> Result<ResourceGovernor, Response> {
-    let deadline_ms = match req.param("deadline_ms") {
-        None => cfg.default_deadline_ms,
-        Some(v) => v
-            .parse::<u64>()
-            .map_err(|_| Response::error(400, &format!("bad deadline_ms: {v:?}")))?
-            .min(cfg.max_deadline_ms),
-    };
+    fn number<T: std::str::FromStr>(req: &Request, name: &str) -> Result<Option<T>, Response> {
+        req.param(name)
+            .map(|v| v.parse().map_err(|_| Response::error(400, &format!("bad {name}: {v:?}"))))
+            .transpose()
+    }
+    let deadline_ms = number::<u64>(req, "deadline_ms")?
+        .map_or(cfg.default_deadline_ms, |d| d.min(cfg.max_deadline_ms));
     let mut gov = ResourceGovernor::with_deadline(Duration::from_millis(deadline_ms));
-    if let Some(v) = req.param("max_iterations") {
-        let n = v
-            .parse::<u64>()
-            .map_err(|_| Response::error(400, &format!("bad max_iterations: {v:?}")))?;
+    if let Some(n) = number(req, "max_iterations")? {
         gov = gov.and_iteration_budget(n);
     }
-    if let Some(v) = req.param("max_bdd_nodes") {
-        let n = v
-            .parse::<usize>()
-            .map_err(|_| Response::error(400, &format!("bad max_bdd_nodes: {v:?}")))?;
+    if let Some(n) = number(req, "max_bdd_nodes")? {
         gov = gov.and_node_ceiling(n);
     }
     Ok(gov)
 }
 
+/// A governed stage's value and, when its budget tripped, the
+/// `(abandoned, why)` accounting.
+type Partial<'a> = Option<(&'a [String], &'a Exhaustion)>;
+
+fn split<T>(outcome: &Outcome<T>) -> (&T, Partial<'_>) {
+    match outcome {
+        Outcome::Complete(v) => (v, None),
+        Outcome::Partial {
+            completed,
+            abandoned,
+            why,
+        } => (completed, Some((abandoned.as_slice(), why))),
+    }
+}
+
 /// Appends `"partial": {...}` (or `"partial": null`) to a JSON object
 /// under construction — the `Outcome::Partial` accounting in the shape
 /// run reports use.
-fn write_partial(out: &mut String, partial: Option<(&[String], &Exhaustion)>) {
+fn write_partial(out: &mut String, partial: Partial<'_>) {
     out.push_str("\"partial\": ");
     match partial {
         None => out.push_str("null"),
@@ -245,67 +253,58 @@ fn write_partial(out: &mut String, partial: Option<(&[String], &Exhaustion)>) {
     }
 }
 
-/// Marks a response partial: bumps the metric and returns 206.
-fn partial_status(partial: bool) -> u16 {
+/// A governed answer: 206 (and a `serve.partial.total` tick) when the
+/// budget tripped, `complete` otherwise.
+fn governed(complete: u16, partial: bool, body: String) -> Response {
     if partial {
         batnet_obs::counter_add("serve.partial.total", 1);
-        206
-    } else {
-        200
     }
+    Response::json(if partial { 206 } else { complete }, body)
 }
 
-/// Resolves the `snapshot` parameter and locks the entry for the
-/// handler. Lock poisoning cannot happen (workers catch panics before
-/// unwinding through a guard), but recover anyway.
-fn with_snapshot(
-    req: &Request,
-    store: &SnapshotStore,
-    f: impl FnOnce(&Request, &mut StoredSnapshot) -> Response,
-) -> Response {
-    let Some(name) = req.param("snapshot") else {
-        return Response::error(400, "missing snapshot parameter");
-    };
-    let Some(entry) = store.get(name) else {
-        return Response::error(404, &format!("unknown snapshot {name:?}"));
-    };
-    let mut guard = entry.lock().unwrap_or_else(|e| e.into_inner());
-    f(req, &mut guard)
+fn unknown_snapshot(name: &str) -> Response {
+    Response::error(404, &format!("unknown snapshot {name:?}"))
 }
 
-fn list_snapshots(store: &SnapshotStore) -> Response {
+/// Resolves the `snapshot` parameter.
+fn snapshot(req: &Request, ctx: &DispatchCtx) -> Result<Arc<StoredSnapshot>, Response> {
+    let name = req
+        .param("snapshot")
+        .ok_or_else(|| Response::error(400, "missing snapshot parameter"))?;
+    ctx.store.get(name).ok_or_else(|| unknown_snapshot(name))
+}
+
+fn list_snapshots(_: &Request, _: &str, ctx: &DispatchCtx) -> Reply {
     let mut out = String::from("{\"snapshots\": [");
-    for (i, info) in store.list().iter().enumerate() {
+    for (i, s) in ctx.store.list().iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
         out.push_str("{\"name\": ");
-        json::write_str(&mut out, &info.name);
+        json::write_str(&mut out, &s.name);
         out.push_str(&format!(
             ", \"devices\": {}, \"quarantined\": {}, \"partial\": {}, \"seq\": {}}}",
-            info.devices, info.quarantined, info.partial, info.seq
+            s.devices.len(),
+            s.snapshot.quarantined.len(),
+            s.partial.is_some(),
+            s.seq
         ));
     }
     out.push_str("]}\n");
-    Response::json(200, out)
+    Ok(Response::json(200, out))
 }
 
 /// `POST /snapshots/<name>`: body is `{"configs": [{"name", "text"}…]}`.
-fn upload(req: &Request, store: &SnapshotStore, cfg: &ServeConfig, name: &str) -> Response {
-    let gov = match request_governor(req, cfg) {
-        Ok(g) => g,
-        Err(r) => return r,
-    };
-    let Ok(text) = std::str::from_utf8(&req.body) else {
-        return Response::error(400, "body is not UTF-8");
-    };
-    let parsed = match json::parse(text) {
-        Ok(v) => v,
-        Err(e) => return Response::error(400, &format!("body is not JSON: {e}")),
-    };
-    let Some(list) = parsed.get("configs").and_then(|c| c.as_arr()) else {
-        return Response::error(400, "body must be {\"configs\": [{\"name\", \"text\"}…]}");
-    };
+fn upload(req: &Request, name: &str, ctx: &DispatchCtx) -> Reply {
+    let gov = request_governor(req, &ctx.cfg)?;
+    let text = std::str::from_utf8(&req.body)
+        .map_err(|_| Response::error(400, "body is not UTF-8"))?;
+    let parsed =
+        json::parse(text).map_err(|e| Response::error(400, &format!("body is not JSON: {e}")))?;
+    let list = parsed
+        .get("configs")
+        .and_then(|c| c.as_arr())
+        .ok_or_else(|| Response::error(400, "body must be {\"configs\": [{\"name\", \"text\"}…]}"))?;
     let mut configs = Vec::with_capacity(list.len());
     for item in list {
         match (
@@ -313,30 +312,14 @@ fn upload(req: &Request, store: &SnapshotStore, cfg: &ServeConfig, name: &str) -
             item.get("text").and_then(|v| v.as_str()),
         ) {
             (Some(n), Some(t)) => configs.push((n.to_string(), t.to_string())),
-            _ => return Response::error(400, "each config needs string name and text"),
+            _ => return Err(Response::error(400, "each config needs string name and text")),
         }
     }
-    let stored = match store.insert(name, configs, &gov) {
-        Ok(s) => s,
-        Err(StoreError::Analysis(e)) => return Response::error(422, &e.to_string()),
-        Err(StoreError::Full) => {
-            return Response::error(503, "store full").with_header("Retry-After", 5)
-        }
-    };
-    let guard = stored.lock().unwrap_or_else(|e| e.into_inner());
-    let status = if guard.partial.is_some() { 206 } else { 201 };
-    if status == 206 {
-        batnet_obs::counter_add("serve.partial.total", 1);
-    }
-    Response::json(status, summary_json(&guard))
-}
-
-fn snapshot_summary(store: &SnapshotStore, name: &str) -> Response {
-    let Some(entry) = store.get(name) else {
-        return Response::error(404, &format!("unknown snapshot {name:?}"));
-    };
-    let guard = entry.lock().unwrap_or_else(|e| e.into_inner());
-    Response::json(200, summary_json(&guard))
+    let stored = ctx
+        .store
+        .insert(name, configs, &gov)
+        .map_err(|e| Response::error(422, &e.to_string()))?;
+    Ok(governed(201, stored.partial.is_some(), summary_json(&stored)))
 }
 
 /// The shared upload/summary body: device counts, per-device quarantine
@@ -348,7 +331,7 @@ fn summary_json(s: &StoredSnapshot) -> String {
     json::write_str(&mut out, &s.name);
     out.push_str(&format!(
         ", \"devices\": {}, \"diagnostics\": {}, \"quarantined\": [",
-        s.analysis.devices.len(),
+        s.devices.len(),
         s.snapshot.diagnostic_count()
     ));
     for (i, q) in s.snapshot.quarantined.iter().enumerate() {
@@ -364,10 +347,7 @@ fn summary_json(s: &StoredSnapshot) -> String {
         out.push('}');
     }
     out.push_str("], ");
-    write_partial(
-        &mut out,
-        s.partial.as_ref().map(|(a, w)| (a.as_slice(), w)),
-    );
+    write_partial(&mut out, s.partial.as_ref().map(|(a, w)| (a.as_slice(), w)));
     out.push_str("}\n");
     out
 }
@@ -376,73 +356,50 @@ fn summary_json(s: &StoredSnapshot) -> String {
 /// reachability from every host-facing interface, under the request's
 /// governor. A tripped budget returns 206 with the fixed point computed
 /// so far — the honest under-approximation, never a hang.
-fn query_reach(req: &Request, s: &mut StoredSnapshot, cfg: &ServeConfig) -> Response {
-    let gov = match request_governor(req, cfg) {
-        Ok(g) => g,
-        Err(r) => return r,
-    };
-    let prefix: Prefix = match req.param("prefix").unwrap_or("0.0.0.0/0").parse() {
-        Ok(p) => p,
-        Err(e) => return Response::error(400, &format!("bad prefix: {e}")),
-    };
-    let port: u16 = match req.param("port").unwrap_or("80").parse() {
-        Ok(p) => p,
-        Err(e) => return Response::error(400, &format!("bad port: {e}")),
-    };
-    let a = &mut s.analysis;
-    let (bdd, vars, graph) = (&mut a.bdd, &a.vars, &a.graph);
-
-    // The symbolic service traffic: dst in prefix, dst port, TCP.
-    let dst = vars.ip_prefix(bdd, Field::DstIp, prefix);
-    let port_set = vars.field_value(bdd, Field::DstPort, port as u64);
-    let proto = vars.field_value(bdd, Field::Protocol, 6);
-    let init = vars.initial_bits(bdd);
-    let traffic = {
-        let x = bdd.and(dst, port_set);
-        let y = bdd.and(x, proto);
-        bdd.and(y, init)
+fn query_reach(req: &Request, _: &str, ctx: &DispatchCtx) -> Reply {
+    let s = snapshot(req, ctx)?;
+    let gov = request_governor(req, &ctx.cfg)?;
+    let prefix: Prefix = (req.param("prefix").unwrap_or("0.0.0.0/0").parse())
+        .map_err(|e| Response::error(400, &format!("bad prefix: {e}")))?;
+    let port: u16 = (req.param("port").unwrap_or("80").parse())
+        .map_err(|e| Response::error(400, &format!("bad port: {e}")))?;
+    let service = ServiceSpec::tcp(prefix, port);
+    // The one lock a query takes. Poisoning cannot happen (a handler
+    // panic is caught above the guard's frame), but recover anyway.
+    let mut bdd = s.bdd.lock().unwrap_or_else(|e| e.into_inner());
+    let mut q = QueryContext {
+        devices: &s.devices,
+        dp: &s.dp,
+        topo: &s.topo,
+        bdd: &mut bdd,
+        vars: &s.vars,
+        graph: &s.graph,
     };
 
     // Seed every internal host-facing interface with its scoped sources.
-    let starts = host_facing_interfaces(&a.devices, &a.topo);
+    let traffic = q.service_traffic(&service);
     let mut seeds = Vec::new();
-    for h in starts.iter().filter(|h| !h.external) {
-        let Some(node) = graph.node(&NodeKind::IfaceSrc(h.device.clone(), h.interface.clone()))
-        else {
+    for h in host_facing_interfaces(q.devices, q.topo).iter().filter(|h| !h.external) {
+        let kind = NodeKind::IfaceSrc(h.device.clone(), h.interface.clone());
+        let Some(node) = q.graph.node(&kind) else {
             continue;
         };
-        let src = vars.ip_prefix(bdd, Field::SrcIp, scoped_sources(h));
-        let seed = bdd.and(traffic, src);
+        let seed = q.seed(h, traffic);
         if seed != batnet::bdd::NodeId::FALSE {
             seeds.push((node, seed));
         }
     }
+    // Serve's sink rule is narrower than the query library's: delivery
+    // into the service subnet only, not acceptance by a device that owns
+    // an address in it.
+    let mut sinks = q.service_sinks(&service);
+    sinks.retain(|&n| matches!(q.graph.nodes[n], NodeKind::DeliveredToSubnet(..)));
 
-    // Delivery sinks inside the service prefix.
-    let sinks: Vec<usize> = graph.nodes_where(|k| match k {
-        NodeKind::DeliveredToSubnet(d, i) => a
-            .devices
-            .iter()
-            .find(|dev| dev.name == *d)
-            .and_then(|dev| dev.interfaces.get(i))
-            .and_then(|iface| iface.connected_prefix())
-            .is_some_and(|p| p.overlaps(&prefix)),
-        _ => false,
-    });
-
-    let analysis = ReachAnalysis::new(graph);
-    let outcome = analysis.forward_governed(bdd, &seeds, &gov);
-    let (result, partial) = match &outcome {
-        Outcome::Complete(r) => (r, None),
-        Outcome::Partial {
-            completed,
-            abandoned,
-            why,
-        } => (completed, Some((abandoned.as_slice(), why))),
-    };
+    let outcome = ReachAnalysis::new(q.graph).forward_governed(q.bdd, &seeds, &gov);
+    let (result, partial) = split(&outcome);
     let mut delivered = batnet::bdd::NodeId::FALSE;
     for &sk in &sinks {
-        delivered = bdd.or(delivered, result.at(sk));
+        delivered = q.bdd.or(delivered, result.at(sk));
     }
     let nodes_reached = result
         .reach
@@ -464,46 +421,39 @@ fn query_reach(req: &Request, s: &mut StoredSnapshot, cfg: &ServeConfig) -> Resp
     ));
     write_partial(&mut out, partial);
     out.push_str("}\n");
-    Response::json(partial_status(partial.is_some()), out)
+    Ok(governed(200, partial.is_some(), out))
 }
 
 /// `GET /query/trace?snapshot=S&device=D&iface=I&src=IP&dst=IP&port=N
 /// [&proto=tcp|udp]`: one concrete annotated traceroute.
-fn query_trace(req: &Request, s: &mut StoredSnapshot) -> Response {
+fn query_trace(req: &Request, _: &str, ctx: &DispatchCtx) -> Reply {
+    let s = snapshot(req, ctx)?;
     let need = |name: &str| -> Result<&str, Response> {
         req.param(name)
             .ok_or_else(|| Response::error(400, &format!("missing {name} parameter")))
     };
-    let (device, iface) = match (need("device"), need("iface")) {
-        (Ok(d), Ok(i)) => (d, i),
-        (Err(r), _) | (_, Err(r)) => return r,
-    };
+    let (device, iface) = (need("device")?, need("iface")?);
     let parse_ip = |name: &str| -> Result<batnet_net::Ip, Response> {
         need(name)?
             .parse()
             .map_err(|e| Response::error(400, &format!("bad {name}: {e}")))
     };
-    let (src, dst) = match (parse_ip("src"), parse_ip("dst")) {
-        (Ok(s), Ok(d)) => (s, d),
-        (Err(r), _) | (_, Err(r)) => return r,
-    };
-    let port: u16 = match req.param("port").unwrap_or("80").parse() {
-        Ok(p) => p,
-        Err(e) => return Response::error(400, &format!("bad port: {e}")),
-    };
+    let (src, dst) = (parse_ip("src")?, parse_ip("dst")?);
+    let port: u16 = (req.param("port").unwrap_or("80").parse())
+        .map_err(|e| Response::error(400, &format!("bad port: {e}")))?;
     let flow = match req.param("proto").unwrap_or("tcp") {
         "udp" => Flow::udp(src, 40000, dst, port),
         _ => Flow::tcp(src, 40000, dst, port),
     };
     let known = s
-        .analysis
         .devices
         .iter()
         .any(|d| d.name == device && d.interfaces.contains_key(iface));
     if !known {
-        return Response::error(404, &format!("no interface {iface:?} on device {device:?}"));
+        return Err(Response::error(404, &format!("no interface {iface:?} on device {device:?}")));
     }
-    let trace = s.analysis.trace(device, iface, &flow);
+    let trace = Tracer::new(&s.devices, &s.dp, &s.topo)
+        .trace(&StartLocation::ingress(device, iface), &flow);
     let mut out = String::from("{\"query\": \"trace\", \"snapshot\": ");
     json::write_str(&mut out, &s.name);
     out.push_str(", \"flow\": ");
@@ -511,26 +461,17 @@ fn query_trace(req: &Request, s: &mut StoredSnapshot) -> Response {
     out.push_str(&format!(", \"delivered\": {}, \"trace\": ", trace.any_succeeds()));
     json::write_str(&mut out, &trace.to_string());
     out.push_str("}\n");
-    Response::json(200, out)
+    Ok(Response::json(200, out))
 }
 
 /// `GET /lint?snapshot=S`: the static-analysis passes over the stored
 /// (healthy) devices, governed — a tripped budget abandons the
 /// remaining passes and says which.
-fn lint(req: &Request, s: &mut StoredSnapshot, cfg: &ServeConfig) -> Response {
-    let gov = match request_governor(req, cfg) {
-        Ok(g) => g,
-        Err(r) => return r,
-    };
-    let outcome = batnet_lint::run_all_governed(&s.analysis.devices, &gov);
-    let (findings, partial) = match &outcome {
-        Outcome::Complete(f) => (f, None),
-        Outcome::Partial {
-            completed,
-            abandoned,
-            why,
-        } => (completed, Some((abandoned.as_slice(), why))),
-    };
+fn lint(req: &Request, _: &str, ctx: &DispatchCtx) -> Reply {
+    let s = snapshot(req, ctx)?;
+    let gov = request_governor(req, &ctx.cfg)?;
+    let outcome = batnet_lint::run_all_governed(&s.devices, &gov);
+    let (findings, partial) = split(&outcome);
     let mut out = String::from("{\"query\": \"lint\", \"snapshot\": ");
     json::write_str(&mut out, &s.name);
     out.push_str(&format!(", \"findings\": {}, ", findings.len()));
@@ -538,56 +479,26 @@ fn lint(req: &Request, s: &mut StoredSnapshot, cfg: &ServeConfig) -> Response {
     out.push_str(", \"report\": ");
     out.push_str(&batnet_lint::output::render_json(&s.name, findings));
     out.push_str("}\n");
-    Response::json(partial_status(partial.is_some()), out)
+    Ok(governed(200, partial.is_some(), out))
 }
 
 /// `GET /diff?snapshot=A&against=B`: three-layer differential analysis
 /// between two stored snapshots, governed at the layer boundaries.
-fn diff(req: &Request, store: &SnapshotStore, cfg: &ServeConfig) -> Response {
-    let gov = match request_governor(req, cfg) {
-        Ok(g) => g,
-        Err(r) => return r,
-    };
+fn diff(req: &Request, _: &str, ctx: &DispatchCtx) -> Reply {
+    let gov = request_governor(req, &ctx.cfg)?;
     let (Some(a_name), Some(b_name)) = (req.param("snapshot"), req.param("against")) else {
-        return Response::error(400, "diff needs snapshot and against parameters");
+        return Err(Response::error(400, "diff needs snapshot and against parameters"));
     };
-    let (Some(a_entry), Some(b_entry)) = (store.get(a_name), store.get(b_name)) else {
-        return Response::error(404, "unknown snapshot in snapshot/against");
+    let (Some(a), Some(b)) = (ctx.store.get(a_name), ctx.store.get(b_name)) else {
+        return Err(Response::error(404, "unknown snapshot in snapshot/against"));
     };
-    // Lock in name order so concurrent diff(A,B) and diff(B,A) cannot
-    // deadlock; a self-diff takes the lock once.
-    let _ordered: Vec<&str> = {
-        let mut v = vec![a_name, b_name];
-        v.sort_unstable();
-        v
-    };
-    let (guard_a, guard_b): (MutexGuard<'_, StoredSnapshot>, Option<MutexGuard<'_, StoredSnapshot>>) =
-        if a_name == b_name {
-            (a_entry.lock().unwrap_or_else(|e| e.into_inner()), None)
-        } else if a_name < b_name {
-            let ga = a_entry.lock().unwrap_or_else(|e| e.into_inner());
-            let gb = b_entry.lock().unwrap_or_else(|e| e.into_inner());
-            (ga, Some(gb))
-        } else {
-            let gb = b_entry.lock().unwrap_or_else(|e| e.into_inner());
-            let ga = a_entry.lock().unwrap_or_else(|e| e.into_inner());
-            (ga, Some(gb))
-        };
-    let before_side = guard_a.snapshot.diff_side();
-    let after_side = match &guard_b {
-        Some(g) => g.snapshot.diff_side(),
-        None => guard_a.snapshot.diff_side(),
-    };
-    let opts = batnet::DiffOptions::default();
-    let outcome = batnet_diff::diff_governed(&before_side, &after_side, &opts, &gov);
-    let (d, partial) = match &outcome {
-        Outcome::Complete(d) => (d, None),
-        Outcome::Partial {
-            completed,
-            abandoned,
-            why,
-        } => (completed, Some((abandoned.as_slice(), why))),
-    };
+    let outcome = batnet_diff::diff_governed(
+        &a.snapshot.diff_side(),
+        &b.snapshot.diff_side(),
+        &batnet::DiffOptions::default(),
+        &gov,
+    );
+    let (d, partial) = split(&outcome);
     let mut out = String::from("{\"query\": \"diff\", \"snapshot\": ");
     json::write_str(&mut out, a_name);
     out.push_str(", \"against\": ");
@@ -601,5 +512,5 @@ fn diff(req: &Request, store: &SnapshotStore, cfg: &ServeConfig) -> Response {
     out.push_str(", \"report\": ");
     out.push_str(&batnet_diff::render_json(d));
     out.push_str("}\n");
-    Response::json(partial_status(partial.is_some()), out)
+    Ok(governed(200, partial.is_some(), out))
 }

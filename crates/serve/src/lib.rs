@@ -10,16 +10,18 @@
 //! * [`http`] — a hand-rolled parser with strict size/header limits;
 //!   every limit violation is a typed rejection with an accounting
 //!   class.
-//! * [`queue`] — bounded admission; full means `503` + `Retry-After`
-//!   *now*, not unbounded queueing.
-//! * [`store`] — the warm snapshot store, itself bounded (eviction).
-//! * [`api`] — handlers where a tripped [`batnet::ResourceGovernor`]
-//!   budget returns `206` with `Outcome::Partial` accounting, the same
-//!   mechanism the batch CLIs use for `--deadline-ms`.
-//! * [`server`] — accept loop, worker pool, slow-loris watchdog,
-//!   per-request panic isolation, graceful drain.
-//! * [`client`] — the blocking client the load driver, smoke mode, and
-//!   tests share, with deterministic [`batnet_net::Backoff`] retries
+//! * [`store`] — the warm snapshot store, itself bounded (eviction);
+//!   a stored snapshot is immutable behind one lock on its BDD manager.
+//! * [`api`] — the route table and its handlers, where a tripped
+//!   [`batnet::ResourceGovernor`] budget returns `206` with
+//!   `Outcome::Partial` accounting, the same mechanism the batch CLIs
+//!   use for `--deadline-ms`.
+//! * [`server`] — accept loop, bounded admission (full means `503` +
+//!   `Retry-After` *now*, not unbounded queueing), one pool task per
+//!   connection, slow-loris watchdog, per-request panic isolation,
+//!   graceful drain.
+//! * [`client`] — the blocking client the load driver and the tests
+//!   share, with deterministic [`batnet_net::Backoff`] retries
 //!   for idempotent GETs.
 //! * [`tracing`] — per-request trace ids (`X-Batnet-Trace-Id` on every
 //!   response), the bounded recent-trace ring behind `GET /tracez`,
@@ -32,14 +34,12 @@
 pub mod api;
 pub mod client;
 pub mod http;
-pub mod queue;
 pub mod server;
 pub mod store;
 pub mod tracing;
 
 pub use client::{get, get_with_retry, post, ClientResponse};
 pub use http::{Limits, Method, ParseError, Request, Response};
-pub use queue::{BoundedQueue, PushError};
-pub use server::{spawn, Handle, ServeConfig, ServiceState};
-pub use store::{SnapshotInfo, SnapshotStore, StoreError, StoredSnapshot};
+pub use server::{spawn, Handle, ServeConfig};
+pub use store::{SnapshotStore, StoredSnapshot};
 pub use tracing::{AccessLog, TraceEntry, TraceIds, TraceRing};

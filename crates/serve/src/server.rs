@@ -1,16 +1,17 @@
-//! The service core: listener, shared-pool dispatch, watchdog, graceful
-//! drain.
+//! The service core: listener, admission, shared-pool dispatch,
+//! watchdog, graceful drain.
 //!
 //! The threading model is deliberately boring — one nonblocking accept
-//! loop feeding a [`BoundedQueue`] of connections, one dispatch task on
-//! the shared [`batnet_exec`] pool per admitted connection, socket read
-//! timeouts as the slow-loris watchdog — because every piece of it is a
-//! named element of the failure model (DESIGN.md §5f):
+//! loop, one [`Admission`] counter, one dispatch task on the shared
+//! [`batnet_exec`] pool per admitted connection (the task owns its
+//! socket), socket read timeouts as the slow-loris watchdog — because
+//! every piece of it is a named element of the failure model
+//! (DESIGN.md §5f):
 //!
-//! * **Admission control.** The accept loop never blocks on a full
-//!   queue: it sheds the connection with `503` + `Retry-After`
-//!   immediately, so overload degrades to fast rejections instead of
-//!   latency collapse.
+//! * **Admission control.** The accept loop never blocks: with
+//!   `queue_depth` admitted connections still waiting for a pool thread
+//!   it sheds the next one with `503` + `Retry-After` immediately, so
+//!   overload degrades to fast rejections instead of latency collapse.
 //! * **Watchdog.** Every accepted socket gets a read timeout before it
 //!   reaches a dispatch task; a peer that feeds bytes too slowly costs
 //!   one bounded pool slice (`408`), never a wedged worker.
@@ -19,8 +20,7 @@
 //!   a dead thread silently shrinking the pool.
 //! * **Graceful drain.** Shutdown (signalled by `POST /admin/shutdown`
 //!   or [`Handle::shutdown`]) flips `readyz` to 503, stops accepting,
-//!   closes the queue, and waits for every in-flight dispatch task to
-//!   finish its queued request.
+//!   and waits for every admitted connection to be answered.
 //!
 //! Request handlers run *on* the shared execution pool (the same pool
 //! that parallelizes parse, routing sweeps, and reachability — sized
@@ -28,13 +28,10 @@
 //! out its own `parallel_map` nests safely: the pool's help-first join
 //! lets the joining task make progress on its own items even when every
 //! worker is busy, so serve traffic can never deadlock the analysis it
-//! triggers. Admission stays with the bounded queue — the pool sees one
-//! task per *admitted* connection, and a drain waits on the dispatch
-//! tracker, not on thread joins. `/metricsz` lifts the pool's gauges
-//! (`exec.workers` / `exec.steals` / `exec.queue_depth`) into its
-//! response meta the same way it lifts sampler accounting — never into
-//! the metric registry, so analysis reports stay byte-identical at
-//! every pool width.
+//! triggers. `/metricsz` lifts the pool's gauges (`exec.workers` /
+//! `exec.steals` / `exec.queue_depth`) into its response meta the same
+//! way it lifts sampler accounting — never into the metric registry, so
+//! analysis reports stay byte-identical at every pool width.
 //!
 //! Every response — including sheds, parse rejections, and the
 //! post-panic 500 — carries an `X-Batnet-Trace-Id`. For real requests
@@ -47,14 +44,13 @@
 
 use crate::api;
 use crate::http::{read_request, Limits, Response};
-use crate::queue::{BoundedQueue, PushError};
 use crate::store::SnapshotStore;
 use crate::tracing::{AccessLog, TraceEntry, TraceIds, TraceRing};
 use batnet_obs::{Sampler, SamplerThread, Span};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -111,31 +107,25 @@ impl Default for ServeConfig {
 
 /// Shared liveness flags, visible to handlers (for `readyz` and
 /// `/admin/shutdown`) and to the accept loop.
-pub struct ServiceState {
-    pub(crate) ready: AtomicBool,
-    pub(crate) shutdown: AtomicBool,
+#[derive(Default)]
+pub(crate) struct ServiceState {
+    ready: AtomicBool,
+    shutdown: AtomicBool,
 }
 
 impl ServiceState {
-    fn new() -> ServiceState {
-        ServiceState {
-            ready: AtomicBool::new(false),
-            shutdown: AtomicBool::new(false),
-        }
-    }
-
     /// Ready = warmed up and not draining.
-    pub fn is_ready(&self) -> bool {
-        self.ready.load(Ordering::Relaxed) && !self.shutdown.load(Ordering::Relaxed)
+    pub(crate) fn is_ready(&self) -> bool {
+        self.ready.load(Ordering::Relaxed) && !self.is_shutting_down()
     }
 
     /// Flags the server to drain (idempotent).
-    pub fn request_shutdown(&self) {
+    pub(crate) fn request_shutdown(&self) {
         self.shutdown.store(true, Ordering::Relaxed);
     }
 
     /// Has a drain been requested?
-    pub fn is_shutting_down(&self) -> bool {
+    pub(crate) fn is_shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::Relaxed)
     }
 }
@@ -145,13 +135,10 @@ impl ServiceState {
 /// [`Handle::join`]).
 pub struct Handle {
     addr: SocketAddr,
-    state: Arc<ServiceState>,
-    store: SnapshotStore,
-    ring: Arc<TraceRing>,
+    ctx: Arc<DispatchCtx>,
     accept: JoinHandle<()>,
-    dispatches: Arc<Dispatches>,
     /// The continuous profiler, when `profile_hz > 0`. Held here so the
-    /// sampling thread stops (via drop) only after the dispatches drain.
+    /// sampling thread stops (via drop) only after the drain.
     profiler: Option<SamplerThread>,
 }
 
@@ -161,120 +148,139 @@ impl Handle {
         self.addr
     }
 
-    /// The warm store (for in-process seeding in tests and benches).
-    pub fn store(&self) -> &SnapshotStore {
-        &self.store
-    }
-
-    /// The shared liveness flags.
-    pub fn state(&self) -> &ServiceState {
-        &self.state
-    }
-
     /// The recent-trace ring, shared — it outlives [`Handle::shutdown`],
     /// so post-drain accounting audits can read the final stats.
     pub fn trace_ring(&self) -> Arc<TraceRing> {
-        Arc::clone(&self.ring)
+        Arc::clone(&self.ctx.ring)
     }
 
-    /// The continuous profiler's sampler, when profiling is on — shared,
-    /// so post-drain audits can check the accounting balance.
-    pub fn sampler(&self) -> Option<Arc<Sampler>> {
-        self.profiler.as_ref().map(SamplerThread::sampler)
-    }
-
-    /// Requests a drain and waits for the listener and every worker to
-    /// finish queued work.
+    /// Requests a drain and waits for the listener and every admitted
+    /// connection to finish.
     pub fn shutdown(self) {
-        self.state.request_shutdown();
+        self.ctx.state.request_shutdown();
         self.join();
     }
 
     /// Waits for the server to stop (a drain must have been requested,
-    /// e.g. via `POST /admin/shutdown`). The accept loop closes the
-    /// queue on exit; every admitted connection has exactly one
-    /// dispatch task on the shared pool, so waiting the tracker down to
-    /// zero is the whole drain — there are no owned threads to join.
+    /// e.g. via `POST /admin/shutdown`). Once the accept loop has exited
+    /// nothing is admitted any more, and requests run on pool threads
+    /// the service does not own, so waiting [`Admission`] down to idle
+    /// is the whole drain.
     pub fn join(self) {
         let _ = self.accept.join();
-        self.dispatches.wait_idle();
+        self.ctx.admission.wait_idle();
         // Dropping the profiler stops and joins the sampling thread.
         drop(self.profiler);
         batnet_obs::event("serve", "drain", "complete");
     }
 }
 
-/// In-flight dispatch accounting: one `begin` per admitted connection
-/// (before the task is handed to the pool), one `end` when its dispatch
-/// task finishes. A drain waits for zero — the service's requests run
-/// on pool threads it does not own, so the tracker *is* the drain
-/// barrier.
-struct Dispatches {
-    pending: AtomicU64,
-    lock: Mutex<()>,
-    cv: Condvar,
+/// The one account of admitted connections: how many wait for a pool
+/// thread, how many are being served. It is the backpressure bound
+/// (shed at `depth` waiting — bound per-query resources or the service
+/// does not scale), the `serve.inflight` gauge, and the drain barrier.
+pub(crate) struct Admission {
+    depth: usize,
+    counts: Mutex<Counts>,
+    idle: Condvar,
 }
 
-impl Dispatches {
-    fn new() -> Dispatches {
-        Dispatches {
-            pending: AtomicU64::new(0),
-            lock: Mutex::new(()),
-            cv: Condvar::new(),
-        }
+#[derive(Default)]
+struct Counts {
+    waiting: usize,
+    in_flight: usize,
+}
+
+impl Admission {
+    /// Admits until `depth` connections (minimum 1) are waiting.
+    pub(crate) fn new(depth: usize) -> Arc<Admission> {
+        Arc::new(Admission {
+            depth: depth.max(1),
+            counts: Mutex::new(Counts::default()),
+            idle: Condvar::new(),
+        })
     }
 
-    fn begin(&self) {
-        self.pending.fetch_add(1, Ordering::SeqCst);
+    fn counts(&self) -> MutexGuard<'_, Counts> {
+        self.counts.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn end(&self) {
-        // Decrement under the lock so a waiter can't check the count
-        // between the decrement and the notify and then sleep forever.
-        let _g = self.lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if self.pending.fetch_sub(1, Ordering::SeqCst) == 1 {
-            self.cv.notify_all();
+    /// Non-blocking admission: `None` is the backpressure signal.
+    pub(crate) fn try_admit(self: &Arc<Admission>) -> Option<Ticket> {
+        let mut c = self.counts();
+        if c.waiting >= self.depth {
+            return None;
         }
+        c.waiting += 1;
+        Some(Ticket {
+            admission: Arc::clone(self),
+            admitted_at: batnet_obs::now(),
+            in_flight: false,
+        })
     }
 
-    fn wait_idle(&self) {
-        let mut g = self.lock.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        while self.pending.load(Ordering::SeqCst) > 0 {
-            let (guard, _) = self
-                .cv
-                .wait_timeout(g, Duration::from_millis(50))
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            g = guard;
-        }
+    /// Blocks until no admitted connection is waiting or in flight.
+    pub(crate) fn wait_idle(&self) {
+        let idle = self
+            .idle
+            .wait_while(self.counts(), |c| c.waiting + c.in_flight > 0);
+        drop(idle.unwrap_or_else(PoisonError::into_inner));
     }
 }
 
-/// Ends the dispatch accounting even if the task unwinds: the pool
-/// contains handler panics below this frame, but the drain barrier must
-/// hold regardless.
-struct DispatchGuard(Arc<Dispatches>);
+/// One admitted connection's slot: waiting until [`Ticket::start`], in
+/// flight until dropped. Releasing on drop means a task that unwinds —
+/// or one the pool never runs — still frees its slot, so the drain
+/// barrier holds regardless.
+pub(crate) struct Ticket {
+    admission: Arc<Admission>,
+    admitted_at: Instant,
+    in_flight: bool,
+}
 
-impl Drop for DispatchGuard {
+impl Ticket {
+    /// A pool thread picked the connection up: waiting → in flight.
+    /// Returns the queue wait in microseconds.
+    pub(crate) fn start(&mut self) -> u64 {
+        let mut c = self.admission.counts();
+        c.waiting -= 1;
+        c.in_flight += 1;
+        batnet_obs::gauge_set("serve.inflight", c.in_flight as f64);
+        drop(c);
+        self.in_flight = true;
+        self.admitted_at.elapsed().as_micros().min(u64::MAX as u128) as u64
+    }
+}
+
+impl Drop for Ticket {
     fn drop(&mut self) {
-        self.0.end();
+        let mut c = self.admission.counts();
+        if self.in_flight {
+            c.in_flight -= 1;
+            batnet_obs::gauge_set("serve.inflight", c.in_flight as f64);
+        } else {
+            c.waiting -= 1;
+        }
+        if c.waiting + c.in_flight == 0 {
+            self.admission.idle.notify_all();
+        }
     }
 }
 
 /// Everything a dispatch task needs to serve one connection. Shared
-/// (`Arc`) between the accept loop and every task it spawns.
-struct DispatchCtx {
-    queue: Arc<BoundedQueue<(TcpStream, Instant)>>,
-    store: SnapshotStore,
-    cfg: ServeConfig,
-    state: Arc<ServiceState>,
-    inflight: Arc<AtomicU64>,
+/// (`Arc`) between the handle, the accept loop and every task it spawns.
+pub(crate) struct DispatchCtx {
+    pub(crate) store: SnapshotStore,
+    pub(crate) cfg: ServeConfig,
+    pub(crate) state: ServiceState,
+    admission: Arc<Admission>,
     limits: Limits,
-    ids: Arc<TraceIds>,
-    ring: Arc<TraceRing>,
-    sampler: Option<Arc<Sampler>>,
+    pub(crate) ids: TraceIds,
+    pub(crate) ring: Arc<TraceRing>,
+    pub(crate) sampler: Option<Arc<Sampler>>,
     /// The shared execution pool requests run on — also the source of
     /// the `exec.*` gauges `/metricsz` lifts into its meta.
-    pool: batnet_exec::Pool,
+    pub(crate) pool: batnet_exec::Pool,
 }
 
 /// Binds, prewarms, and starts the accept loop; request handlers run as
@@ -289,7 +295,6 @@ pub fn spawn(cfg: ServeConfig) -> std::io::Result<Handle> {
     // Start the profiler before prewarm, so prewarm's pipeline spans
     // (parse, dpgen, graph…) are already in the first window.
     let profiler = (cfg.profile_hz > 0).then(|| SamplerThread::spawn(cfg.profile_hz));
-    let sampler = profiler.as_ref().map(SamplerThread::sampler);
 
     let store = SnapshotStore::new(cfg.store_capacity);
     for id in &cfg.prewarm {
@@ -298,99 +303,63 @@ pub fn spawn(cfg: ServeConfig) -> std::io::Result<Handle> {
         }
     }
 
-    let state = Arc::new(ServiceState::new());
-    let queue = Arc::new(BoundedQueue::<(TcpStream, Instant)>::new(cfg.queue_depth));
-    let inflight = Arc::new(AtomicU64::new(0));
-    let limits = Limits::default().with_max_body(cfg.max_body_bytes);
-    let ids = Arc::new(TraceIds::new(cfg.trace_seed));
-    let ring = Arc::new(TraceRing::new(cfg.trace_ring_capacity));
-
     let ctx = Arc::new(DispatchCtx {
-        queue: Arc::clone(&queue),
-        store: store.clone(),
-        cfg: cfg.clone(),
-        state: Arc::clone(&state),
-        inflight: Arc::clone(&inflight),
-        limits: limits.clone(),
-        ids: Arc::clone(&ids),
-        ring: Arc::clone(&ring),
-        sampler: sampler.clone(),
+        store,
+        state: ServiceState::default(),
+        admission: Admission::new(cfg.queue_depth),
+        limits: Limits::default().with_max_body(cfg.max_body_bytes),
+        ids: TraceIds::new(cfg.trace_seed),
+        ring: Arc::new(TraceRing::new(cfg.trace_ring_capacity)),
+        sampler: profiler.as_ref().map(SamplerThread::sampler),
         pool: batnet_exec::current(),
+        cfg,
     });
-    let dispatches = Arc::new(Dispatches::new());
-
     let accept_ctx = Arc::clone(&ctx);
-    let accept_dispatches = Arc::clone(&dispatches);
-    let io_timeout = Duration::from_millis(cfg.io_timeout_ms.max(1));
     let accept = std::thread::Builder::new()
         .name("serve-accept".to_string())
-        .spawn(move || accept_loop(&listener, &accept_ctx, &accept_dispatches, io_timeout))?;
+        .spawn(move || accept_loop(&listener, &accept_ctx))?;
 
-    state.ready.store(true, Ordering::Relaxed);
+    ctx.state.ready.store(true, Ordering::Relaxed);
     batnet_obs::event("serve", "ready", &addr.to_string());
     Ok(Handle {
         addr,
-        state,
-        store,
-        ring,
+        ctx,
         accept,
-        dispatches,
         profiler,
     })
 }
 
-/// The nonblocking accept loop: admit into the bounded queue (stamped
-/// with the enqueue instant, so dispatch tasks can account queue wait)
-/// or shed with 503 immediately. Each admitted connection gets exactly
-/// one dispatch task on the shared pool — the task pops *a* queued
-/// connection (not necessarily the one whose admission spawned it; the
-/// counts are 1:1, so every connection is served and no task blocks).
-/// Polls the shutdown flag between accepts.
-fn accept_loop(
-    listener: &TcpListener,
-    ctx: &Arc<DispatchCtx>,
-    dispatches: &Arc<Dispatches>,
-    io_timeout: Duration,
-) {
-    let queue = &ctx.queue;
-    let state = &ctx.state;
-    let ids = &ctx.ids;
-    while !state.is_shutting_down() {
+/// The nonblocking accept loop: admit (the ticket is stamped with the
+/// admission instant, so the dispatch task can account queue wait) and
+/// hand the socket to its own dispatch task on the shared pool, or shed
+/// with 503 immediately. Polls the shutdown flag between accepts.
+fn accept_loop(listener: &TcpListener, ctx: &Arc<DispatchCtx>) {
+    let io_timeout = Duration::from_millis(ctx.cfg.io_timeout_ms.max(1));
+    while !ctx.state.is_shutting_down() {
         match listener.accept() {
-            Ok((stream, _)) => {
+            Ok((mut stream, _)) => {
                 // Arm the watchdog before the socket can reach a
                 // dispatch task.
                 let _ = stream.set_read_timeout(Some(io_timeout));
                 let _ = stream.set_write_timeout(Some(io_timeout));
                 batnet_obs::counter_add("serve.accepted", 1);
-                match queue.try_push((stream, batnet_obs::now())) {
-                    Ok(()) => {
-                        dispatches.begin();
-                        let guard = DispatchGuard(Arc::clone(dispatches));
-                        let task_ctx = Arc::clone(ctx);
-                        ctx.pool.spawn(move || {
-                            let _guard = guard;
-                            dispatch_one(&task_ctx);
-                        });
-                    }
-                    Err((why, (mut stream, _))) => {
-                        let detail = match why {
-                            PushError::Full => "server busy",
-                            PushError::Closed => "draining",
-                        };
-                        batnet_obs::counter_add("serve.rejected.backpressure", 1);
-                        let resp = Response::error(503, detail)
-                            .with_header("Retry-After", 1)
-                            .with_header("X-Batnet-Trace-Id", ids.next_id());
-                        // Best-effort, nonblocking shed: the 503 fits
-                        // the socket send buffer when the peer is sane;
-                        // a peer that never reads must cost the accept
-                        // thread nothing — overload is exactly when
-                        // shedding speed matters most. If the write
-                        // would block, just close.
-                        let _ = stream.set_nonblocking(true);
-                        let _ = resp.write_to(&mut stream);
-                    }
+                if let Some(ticket) = ctx.admission.try_admit() {
+                    let task_ctx = Arc::clone(ctx);
+                    ctx.pool
+                        .spawn(move || dispatch_one(&task_ctx, stream, ticket));
+                } else {
+                    batnet_obs::counter_add("serve.rejected.backpressure", 1);
+                    let resp = Response::error(503, "server busy")
+                        .with_header("Retry-After", 1)
+                        .with_header("X-Batnet-Trace-Id", ctx.ids.next_id());
+                    // Best-effort, nonblocking shed: the 503 fits
+                    // the socket send buffer when the peer is sane;
+                    // a peer that never reads must cost the accept
+                    // thread nothing — overload is exactly when
+                    // shedding speed matters most. If the write
+                    // would block, just close.
+                    let _ = stream.set_nonblocking(true);
+                    let _ = resp.write_to(&mut stream);
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -402,23 +371,17 @@ fn accept_loop(
             }
         }
     }
-    // Drain: no new work; queued connections still get served.
-    queue.close();
+    // Drain: no new work; admitted connections still get served.
     batnet_obs::event("serve", "drain", "accept loop stopped");
 }
 
-/// One dispatch task: pop one queued connection and serve it. Runs on a
-/// shared-pool worker thread; the `catch_unwind` below the pop keeps a
-/// handler panic to one `500`, so the pool's own backstop never fires
-/// for serve traffic.
-fn dispatch_one(ctx: &DispatchCtx) {
-    let Some((stream, enqueued_at)) = ctx.queue.pop() else {
-        return;
-    };
-    let queue_wait_us = enqueued_at.elapsed().as_micros().min(u64::MAX as u128) as u64;
+/// One dispatch task: serve the connection it was spawned with. Runs on
+/// a shared-pool worker thread; the `catch_unwind` keeps a handler
+/// panic to one `500`, so the pool's own backstop never fires for serve
+/// traffic. The ticket's slot is released when the task ends.
+fn dispatch_one(ctx: &DispatchCtx, stream: TcpStream, mut ticket: Ticket) {
+    let queue_wait_us = ticket.start();
     let trace_id = ctx.ids.next_id();
-    let n = ctx.inflight.fetch_add(1, Ordering::Relaxed) + 1;
-    batnet_obs::gauge_set("serve.inflight", n as f64);
     let started = batnet_obs::now();
     // The handler closure consumes the stream, so clone the socket
     // handle first: after a contained panic the dispatch still owes
@@ -443,8 +406,6 @@ fn dispatch_one(ctx: &DispatchCtx) {
         "serve.latency.us",
         started.elapsed().as_micros().min(u64::MAX as u128) as u64,
     );
-    let n = ctx.inflight.fetch_sub(1, Ordering::Relaxed) - 1;
-    batnet_obs::gauge_set("serve.inflight", n as f64);
 }
 
 /// One request per connection (`Connection: close`): parse under the
@@ -464,19 +425,9 @@ fn serve_connection(ctx: &DispatchCtx, mut stream: TcpStream, trace_id: &str, qu
         }
         Ok(Some(req)) => {
             batnet_obs::counter_add("serve.requests.total", 1);
-            let label = api::endpoint_label(req.method, &req.path);
             let root = Span::enter("serve.request");
             let span_ctx = root.context();
-            let response = api::handle(
-                &req,
-                &ctx.store,
-                &ctx.cfg,
-                &ctx.state,
-                &ctx.ring,
-                ctx.sampler.as_deref(),
-                &ctx.ids,
-                &ctx.pool,
-            );
+            let (label, response) = api::handle(&req, ctx);
             let handler_us = root.close().as_micros().min(u64::MAX as u128) as u64;
             batnet_obs::observe(&format!("serve.latency.us.{label}"), handler_us);
             batnet_obs::observe("serve.queue.wait.us", queue_wait_us);
@@ -515,5 +466,202 @@ fn serve_connection(ctx: &DispatchCtx, mut stream: TcpStream, trace_id: &str, qu
     );
     if response.write_to(&mut stream).is_err() {
         batnet_obs::counter_add("serve.write.errors", 1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::api::{OTHER, ROUTES};
+    use crate::client;
+    use crate::http::{Method, Request};
+    use crate::store::tests::two_router_configs;
+    use std::sync::mpsc;
+
+    const T: Duration = Duration::from_secs(20);
+
+    /// Two routers, one hop apart, as an upload body.
+    fn upload_body() -> String {
+        let mut body = String::from("{\"configs\": [");
+        for (i, (name, text)) in two_router_configs().iter().enumerate() {
+            if i > 0 {
+                body.push_str(", ");
+            }
+            body.push_str("{\"name\": ");
+            batnet_obs::json::write_str(&mut body, name);
+            body.push_str(", \"text\": ");
+            batnet_obs::json::write_str(&mut body, text);
+            body.push('}');
+        }
+        body.push_str("]}");
+        body
+    }
+
+    fn bare(method: Method, path: &str) -> Request {
+        Request {
+            method,
+            path: path.to_string(),
+            query: Vec::new(),
+            headers: Default::default(),
+            body: Vec::new(),
+        }
+    }
+
+    #[test]
+    fn only_reach_waits_for_a_held_bdd_lock() {
+        let handle = spawn(ServeConfig::default()).expect("bind loopback");
+        let addr = handle.addr();
+        for name in ["a", "b"] {
+            let up = client::post(addr, &format!("/snapshots/{name}"), upload_body().as_bytes(), T);
+            assert_eq!(up.expect("upload").status, 201);
+        }
+        // A reach query holds the BDD manager for its whole deadline;
+        // everything that only reads the snapshot must answer meanwhile.
+        let a = handle.ctx.store.get("a").expect("stored");
+        let held = a.bdd.lock().expect("not poisoned");
+        for path in [
+            "/query/trace?snapshot=a&device=r1&iface=hosts&src=10.1.0.5&dst=10.2.0.5",
+            "/lint?snapshot=a",
+            "/report?snapshot=a",
+            "/diff?snapshot=a&against=b",
+            "/diff?snapshot=b&against=a",
+            "/snapshots",
+            "/snapshots/a",
+        ] {
+            let r = client::get(addr, path, T).unwrap_or_else(|e| panic!("{path}: {e}"));
+            assert_eq!(r.status, 200, "{path}: {}", r.body_str());
+        }
+        let again = client::post(addr, "/snapshots/a", upload_body().as_bytes(), T);
+        assert_eq!(again.expect("re-upload").status, 201);
+        drop(held);
+        let reach = client::get(addr, "/query/reach?snapshot=a&port=80", T).expect("reach");
+        assert_eq!(reach.status, 200, "{}", reach.body_str());
+        handle.shutdown();
+    }
+
+    #[test]
+    fn admission_sheds_exactly_at_depth_waiting() {
+        let adm = Admission::new(2);
+        let mut first = adm.try_admit().expect("slot 1");
+        let _second = adm.try_admit().expect("slot 2");
+        assert!(adm.try_admit().is_none(), "depth waiting: shed");
+        // A pool thread picking one up frees a waiting slot; in-flight
+        // work is bounded by the pool, not by admission.
+        first.start();
+        let third = adm.try_admit().expect("slot freed by start");
+        assert!(adm.try_admit().is_none());
+        drop(third);
+        assert!(adm.try_admit().is_some(), "a dropped ticket frees its slot");
+    }
+
+    #[test]
+    fn wait_idle_returns_only_after_the_last_ticket_ends() {
+        let adm = Admission::new(4);
+        let mut running = adm.try_admit().expect("admit");
+        let waiting = adm.try_admit().expect("admit");
+        running.start();
+        let released = Arc::new(AtomicBool::new(false));
+        let (about_to_wait, go) = mpsc::channel();
+        let waiter = {
+            let (adm, released) = (Arc::clone(&adm), Arc::clone(&released));
+            std::thread::spawn(move || {
+                about_to_wait.send(()).expect("test thread alive");
+                adm.wait_idle();
+                released.load(Ordering::SeqCst)
+            })
+        };
+        go.recv().expect("waiter started");
+        drop(waiting);
+        released.store(true, Ordering::SeqCst);
+        drop(running);
+        assert!(waiter.join().expect("waiter"), "woke before the last ticket ended");
+    }
+
+    #[test]
+    fn a_panicking_task_still_releases_its_slot() {
+        let adm = Admission::new(1);
+        let mut ticket = adm.try_admit().expect("admit");
+        // The production path: the ticket rides a pool task, and the
+        // pool's backstop swallows the unwind.
+        batnet_exec::current().spawn(move || {
+            ticket.start();
+            panic!("handler bug below the dispatch frame");
+        });
+        adm.wait_idle();
+        assert!(adm.try_admit().is_some());
+    }
+
+    #[test]
+    fn overload_sheds_and_drain_waits_for_admitted_work() {
+        let cfg = ServeConfig {
+            queue_depth: 2,
+            ..ServeConfig::default()
+        };
+        let handle = spawn(cfg).expect("bind loopback");
+        let addr = handle.addr();
+        // Two admitted connections no pool thread has picked up yet.
+        let admitted: Vec<Ticket> = (0..2)
+            .map(|_| handle.ctx.admission.try_admit().expect("slot"))
+            .collect();
+        // The shed is written without reading the request, so a peer
+        // that has sent nothing yet sees it whole.
+        let mut shed = String::new();
+        let mut peer = TcpStream::connect(addr).expect("connect");
+        std::io::Read::read_to_string(&mut peer, &mut shed).expect("the shed is still an answer");
+        assert!(shed.starts_with("HTTP/1.1 503 "), "{shed}");
+        assert!(shed.contains("\r\nRetry-After: 1\r\n"), "{shed}");
+        assert!(shed.contains("\r\nX-Batnet-Trace-Id: "), "{shed}");
+
+        let released = Arc::new(AtomicBool::new(false));
+        let drain = {
+            let released = Arc::clone(&released);
+            std::thread::spawn(move || {
+                handle.shutdown();
+                released.load(Ordering::SeqCst)
+            })
+        };
+        released.store(true, Ordering::SeqCst);
+        drop(admitted);
+        assert!(drain.join().expect("drain"), "drained past an admitted connection");
+    }
+
+    #[test]
+    fn routes_resolve_to_themselves_and_labels_are_a_closed_set() {
+        let handle = spawn(ServeConfig::default()).expect("bind loopback");
+        let addr = handle.addr();
+        let request = |method: Method, path: &str| match method {
+            Method::Get => client::get(addr, path, T),
+            Method::Post => client::post(addr, path, upload_body().as_bytes(), T),
+        }
+        .unwrap_or_else(|e| panic!("{method} {path}: {e}"));
+        let mut asked = vec![OTHER];
+        let missing = request(Method::Get, "/no/such/route");
+        assert_eq!(missing.status, 404);
+        for route in ROUTES.iter().filter(|r| r.label != "admin.shutdown") {
+            let path = format!("/{}", route.pattern.join("/").replace('*', "t"));
+            request(route.method, &path);
+            asked.push(route.label);
+            // The table has no row an earlier row shadows, and the
+            // label a request is timed under is its own row's.
+            assert_eq!(api::handle(&bare(route.method, &path), &handle.ctx).0, route.label);
+        }
+        let unrouted = bare(Method::Post, "/healthz");
+        let (label, response) = api::handle(&unrouted, &handle.ctx);
+        assert_eq!((label, response.status), (OTHER, 404));
+
+        // asked ⊆ what /metricsz reports per endpoint ⊆ the closed set
+        // (other tests in this process may have asked for more).
+        let metrics = request(Method::Get, "/metricsz");
+        let reported: Vec<&str> = (metrics.body_str().split('"'))
+            .filter_map(|key| key.strip_prefix("slo.")?.strip_suffix(".p50_us"))
+            .collect();
+        for label in &asked {
+            assert!(reported.contains(label), "slo.{label}.p50_us missing");
+        }
+        for label in &reported {
+            let closed = *label == OTHER || ROUTES.iter().any(|r| r.label == *label);
+            assert!(closed, "{label} is outside the closed label set");
+        }
+        handle.shutdown();
     }
 }

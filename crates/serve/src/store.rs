@@ -2,31 +2,51 @@
 //!
 //! A long-running service cannot re-parse and re-simulate a network for
 //! every query: uploads run the fault-tolerant pipeline *once* (under
-//! the request's [`ResourceGovernor`]) and the resulting [`Analysis`] —
-//! parsed devices, simulated RIBs/FIBs, and the BDD forwarding graph —
-//! stays warm in memory. Queries lock one snapshot at a time (the BDD
-//! manager needs `&mut`), so a per-request deadline also bounds how
-//! long a query can hold a snapshot's lock.
+//! the request's [`ResourceGovernor`]) and the result — parsed devices,
+//! simulated RIBs/FIBs, and the BDD forwarding graph — stays warm in
+//! memory. A stored snapshot is immutable: handlers share it through an
+//! `Arc` and read it without locking. The one exception is the BDD
+//! manager, which needs `&mut` to answer a symbolic query, so it sits
+//! behind the snapshot's only mutex and `/query/reach` is the only
+//! handler that locks anything; its per-request deadline bounds how long.
 //!
 //! The store itself is bounded: at capacity, the oldest snapshot is
 //! evicted (uploads must not grow memory without limit any more than a
 //! single request may run without a deadline).
 
+use batnet::bdd::Bdd;
 use batnet::{Analysis, Error, Exhaustion, Outcome, ResourceGovernor, Snapshot};
-use batnet_routing::SimOptions;
+use batnet_config::vi::Device;
+use batnet_config::Topology;
+use batnet_dataplane::{ForwardingGraph, PacketVars};
+use batnet_obs::RunReport;
+use batnet_routing::{DataPlane, SimOptions};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// A snapshot held warm: the parsed snapshot, its analysis, and the
-/// partial-outcome accounting if the upload's budget tripped.
+/// A snapshot held warm: the parsed snapshot, the parts of its
+/// [`Analysis`], and the partial-outcome accounting if the upload's
+/// budget tripped. Immutable once stored, except through `bdd`.
 pub struct StoredSnapshot {
     /// Store key.
     pub name: String,
     /// The parsed snapshot (devices, env, quarantine, diagnostics).
     pub snapshot: Snapshot,
-    /// The analyzed world: data plane + BDD forwarding graph.
-    pub analysis: Analysis,
+    /// The healthy VI devices the analysis covers.
+    pub devices: Vec<Device>,
+    /// Inferred L3 topology.
+    pub topo: Topology,
+    /// Simulated RIBs and FIBs.
+    pub dp: DataPlane,
+    /// The BDD manager backing `graph` — the only thing a query locks.
+    pub bdd: Mutex<Bdd>,
+    /// Packet variable layout.
+    pub vars: PacketVars,
+    /// The dataflow graph.
+    pub graph: ForwardingGraph,
+    /// The upload's run report, served at `GET /report`.
+    pub report: RunReport,
     /// Abandoned work and the limit that tripped, when the upload's
     /// governor cut the analysis short.
     pub partial: Option<(Vec<String>, Exhaustion)>,
@@ -34,62 +54,11 @@ pub struct StoredSnapshot {
     pub seq: u64,
 }
 
-/// Why an upload was refused.
-#[derive(Debug)]
-pub enum StoreError {
-    /// The pipeline returned a typed error (empty snapshot, internal).
-    Analysis(Error),
-    /// The store is at capacity and eviction is disabled.
-    Full,
-}
-
-impl std::fmt::Display for StoreError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StoreError::Analysis(e) => write!(f, "analysis failed: {e}"),
-            StoreError::Full => write!(f, "snapshot store full"),
-        }
-    }
-}
-
-/// The shared store. Cheap to clone (internally `Arc`).
-#[derive(Clone)]
+/// The shared store: name → immutable snapshot, bounded.
 pub struct SnapshotStore {
-    inner: Arc<Inner>,
-}
-
-/// A map entry: the locked snapshot plus the metadata the store needs
-/// for eviction and listing. That metadata is immutable after insert
-/// and lives *outside* the per-snapshot mutex on purpose: a governed
-/// query can hold a snapshot's lock for its whole deadline, and neither
-/// eviction nor `list()` may block on that while holding the map lock
-/// (doing so would stall every `get()` — i.e. all request routing).
-struct Entry {
-    seq: u64,
-    devices: usize,
-    quarantined: usize,
-    partial: bool,
-    snap: Arc<Mutex<StoredSnapshot>>,
-}
-
-struct Inner {
-    snapshots: Mutex<BTreeMap<String, Entry>>,
+    snapshots: Mutex<BTreeMap<String, Arc<StoredSnapshot>>>,
     seq: AtomicU64,
     capacity: usize,
-}
-
-/// One row of `GET /snapshots`.
-pub struct SnapshotInfo {
-    /// Store key.
-    pub name: String,
-    /// Healthy device count.
-    pub devices: usize,
-    /// Quarantined-device count.
-    pub quarantined: usize,
-    /// Did the upload's budget trip?
-    pub partial: bool,
-    /// Upload sequence number.
-    pub seq: u64,
 }
 
 impl SnapshotStore {
@@ -97,34 +66,28 @@ impl SnapshotStore {
     /// oldest is evicted to admit a new one.
     pub fn new(capacity: usize) -> SnapshotStore {
         SnapshotStore {
-            inner: Arc::new(Inner {
-                snapshots: Mutex::new(BTreeMap::new()),
-                seq: AtomicU64::new(0),
-                capacity: capacity.max(1),
-            }),
+            snapshots: Mutex::new(BTreeMap::new()),
+            seq: AtomicU64::new(0),
+            capacity: capacity.max(1),
         }
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, Entry>> {
-        self.inner
-            .snapshots
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+    fn lock(&self) -> std::sync::MutexGuard<'_, BTreeMap<String, Arc<StoredSnapshot>>> {
+        self.snapshots.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Parses, analyzes (under `gov`), and stores a snapshot. Replaces
     /// any snapshot of the same name; evicts the oldest at capacity.
-    /// Returns the stored entry (for summarizing in the response).
+    /// Returns the stored entry (for summarizing in the response), or
+    /// the pipeline's typed error (empty snapshot, internal).
     pub fn insert(
         &self,
         name: &str,
         configs: Vec<(String, String)>,
         gov: &ResourceGovernor,
-    ) -> Result<Arc<Mutex<StoredSnapshot>>, StoreError> {
+    ) -> Result<Arc<StoredSnapshot>, Error> {
         let snapshot = Snapshot::from_configs(configs);
-        let outcome = snapshot
-            .analyze_resilient(&SimOptions::default(), 1, gov)
-            .map_err(StoreError::Analysis)?;
+        let outcome = snapshot.analyze_resilient(&SimOptions::default(), 1, gov)?;
         let (analysis, partial) = match outcome {
             Outcome::Complete(a) => (a, None),
             Outcome::Partial {
@@ -133,29 +96,34 @@ impl SnapshotStore {
                 why,
             } => (completed, Some((abandoned, why))),
         };
-        let seq = self.inner.seq.fetch_add(1, Ordering::Relaxed) + 1;
-        let entry = Entry {
-            seq,
-            devices: analysis.devices.len(),
-            quarantined: snapshot.quarantined.len(),
-            partial: partial.is_some(),
-            snap: Arc::new(Mutex::new(StoredSnapshot {
-                name: name.to_string(),
-                snapshot,
-                analysis,
-                partial,
-                seq,
-            })),
-        };
-        let stored = Arc::clone(&entry.snap);
+        let Analysis {
+            devices,
+            topo,
+            dp,
+            bdd,
+            vars,
+            graph,
+            report,
+            quarantined: _,
+        } = analysis;
+        let stored = Arc::new(StoredSnapshot {
+            name: name.to_string(),
+            snapshot,
+            devices,
+            topo,
+            dp,
+            bdd: Mutex::new(bdd),
+            vars,
+            graph,
+            report,
+            partial,
+            seq: self.seq.fetch_add(1, Ordering::Relaxed) + 1,
+        });
         let mut map = self.lock();
-        if !map.contains_key(name) && map.len() >= self.inner.capacity {
-            // Eviction order comes from Entry.seq alone — never from
-            // inside a snapshot's mutex, which a query may hold for its
-            // whole deadline.
+        if !map.contains_key(name) && map.len() >= self.capacity {
             let oldest = map
                 .iter()
-                .min_by_key(|(_, e)| e.seq)
+                .min_by_key(|(_, s)| s.seq)
                 .map(|(k, _)| k.clone());
             if let Some(k) = oldest {
                 map.remove(&k);
@@ -163,44 +131,24 @@ impl SnapshotStore {
                 batnet_obs::event("store-evict", &k, "capacity");
             }
         }
-        map.insert(name.to_string(), entry);
+        map.insert(name.to_string(), Arc::clone(&stored));
         batnet_obs::gauge_set("serve.store.snapshots", map.len() as f64);
         Ok(stored)
     }
 
     /// Looks a snapshot up by name.
-    pub fn get(&self, name: &str) -> Option<Arc<Mutex<StoredSnapshot>>> {
-        self.lock().get(name).map(|e| Arc::clone(&e.snap))
+    pub fn get(&self, name: &str) -> Option<Arc<StoredSnapshot>> {
+        self.lock().get(name).cloned()
     }
 
-    /// Summaries of everything stored, in name order. Reads only the
-    /// map-level metadata — a long-held snapshot lock cannot stall it.
-    pub fn list(&self) -> Vec<SnapshotInfo> {
-        self.lock()
-            .iter()
-            .map(|(name, e)| SnapshotInfo {
-                name: name.clone(),
-                devices: e.devices,
-                quarantined: e.quarantined,
-                partial: e.partial,
-                seq: e.seq,
-            })
-            .collect()
-    }
-
-    /// Stored snapshot count.
-    pub fn len(&self) -> usize {
-        self.lock().len()
-    }
-
-    /// Is the store empty?
-    pub fn is_empty(&self) -> bool {
-        self.lock().is_empty()
+    /// Everything stored, in name order.
+    pub fn list(&self) -> Vec<Arc<StoredSnapshot>> {
+        self.lock().values().cloned().collect()
     }
 
     /// Builds and inserts a suite network (server warm-up, benches,
     /// smoke tests). Unknown ids return `None`.
-    pub fn prewarm(&self, net_id: &str) -> Option<Arc<Mutex<StoredSnapshot>>> {
+    pub fn prewarm(&self, net_id: &str) -> Option<Arc<StoredSnapshot>> {
         let entry = batnet_topogen::suite::find(net_id).ok()?;
         let net = (entry.build)();
         self.insert(entry.id, net.configs, &ResourceGovernor::unlimited())
@@ -209,10 +157,10 @@ impl SnapshotStore {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    fn two_router_configs() -> Vec<(String, String)> {
+    pub(crate) fn two_router_configs() -> Vec<(String, String)> {
         vec![
             (
                 "r1".into(),
@@ -231,16 +179,14 @@ mod tests {
         store
             .insert("a", two_router_configs(), &ResourceGovernor::unlimited())
             .expect("insert");
-        assert_eq!(store.len(), 1);
+        assert_eq!(store.list().len(), 1);
         let got = store.get("a").expect("stored");
-        let g = got.lock().unwrap();
-        assert_eq!(g.analysis.devices.len(), 2);
-        assert!(g.partial.is_none());
-        drop(g);
+        assert_eq!(got.devices.len(), 2);
+        assert!(got.partial.is_none());
         let list = store.list();
         assert_eq!(list.len(), 1);
         assert_eq!(list[0].name, "a");
-        assert_eq!(list[0].devices, 2);
+        assert_eq!(list[0].devices.len(), 2);
         assert!(store.get("missing").is_none());
     }
 
@@ -251,8 +197,8 @@ mod tests {
             .insert("empty", vec![], &ResourceGovernor::unlimited())
             .err()
             .expect("no devices");
-        assert!(matches!(err, StoreError::Analysis(Error::EmptySnapshot)));
-        assert!(store.is_empty());
+        assert!(matches!(err, Error::EmptySnapshot));
+        assert!(store.list().is_empty());
     }
 
     #[test]
@@ -263,32 +209,10 @@ mod tests {
                 .insert(name, two_router_configs(), &ResourceGovernor::unlimited())
                 .expect("insert");
         }
-        assert_eq!(store.len(), 2);
+        assert_eq!(store.list().len(), 2);
         assert!(store.get("a").is_none(), "oldest evicted");
         assert!(store.get("b").is_some());
         assert!(store.get("c").is_some());
-    }
-
-    #[test]
-    fn eviction_and_list_never_need_a_held_snapshot_lock() {
-        let store = SnapshotStore::new(2);
-        store
-            .insert("a", two_router_configs(), &ResourceGovernor::unlimited())
-            .unwrap();
-        store
-            .insert("b", two_router_configs(), &ResourceGovernor::unlimited())
-            .unwrap();
-        // A governed query holds "a"'s lock for its whole deadline;
-        // eviction and listing must proceed regardless (with eviction
-        // order read under the snapshot lock, this test deadlocks).
-        let a = store.get("a").expect("stored");
-        let _query = a.lock().unwrap();
-        store
-            .insert("c", two_router_configs(), &ResourceGovernor::unlimited())
-            .expect("insert must not block on the held snapshot");
-        assert!(store.get("a").is_none(), "oldest evicted even while locked");
-        let list = store.list();
-        assert_eq!(list.len(), 2);
     }
 
     #[test]
@@ -303,7 +227,7 @@ mod tests {
         store
             .insert("a", two_router_configs(), &ResourceGovernor::unlimited())
             .unwrap();
-        assert_eq!(store.len(), 2);
+        assert_eq!(store.list().len(), 2);
         assert!(store.get("b").is_some(), "replacement must not evict");
     }
 }

@@ -2,7 +2,7 @@
 //! structured access log.
 //!
 //! Every accepted request gets a trace id — 16 hex digits from a seeded
-//! splitmix64 sequence, so `--smoke` runs see a deterministic id stream
+//! splitmix64 sequence, so the smoke test sees a deterministic id stream
 //! — returned to the client as `X-Batnet-Trace-Id` and attached to the
 //! request's span tree. Finished trees land in a bounded ring
 //! ([`TraceRing`]) served at `GET /tracez`: the operator's answer to
