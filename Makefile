@@ -40,9 +40,11 @@ test:
 # The three tests that were red off a 1-CPU box share the
 # process-global recorder and the pool (still statics: ROADMAP item 3);
 # five consecutive passes at the default --test-threads is the
-# regression gate for that.
+# regression gate for that, and for the recorder's own concurrency
+# contracts (open order, reset, take_tree, sampler ⊆ exact).
 test-repeat:
 	for i in 1 2 3 4 5; do $(CARGO) test -q --offline --test parallel --test profiling || exit 1; done
+	for i in 1 2 3 4 5; do $(CARGO) test -q --offline -p batnet-obs --test concurrency || exit 1; done
 
 # Robustness gate: 25 seeds x all 6 mutation classes over NET1 and the
 # N2 data center — zero escaped panics, every quarantined device

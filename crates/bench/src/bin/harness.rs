@@ -651,7 +651,7 @@ fn diff_bench(rows: &mut Vec<Row>) {
     let t = clock::now();
     let dp_b = simulate(&before.devices, &before.env, &opts.sim);
     let dp_a = simulate(&after.devices, &after.env, &opts.sim);
-    let routes = batnet::diff::routes::diff_routes(&dp_b, &dp_a, opts.max_route_changes);
+    let routes = batnet::diff::routes::diff_routes(&dp_b, &dp_a);
     let routes_time = t.elapsed();
 
     let t = clock::now();

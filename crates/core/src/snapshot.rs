@@ -238,14 +238,7 @@ impl Snapshot {
             }
         };
 
-        let (dp, partial) = match outcome {
-            Outcome::Complete(dp) => (dp, None),
-            Outcome::Partial {
-                completed,
-                abandoned,
-                why,
-            } => (completed, Some((abandoned, why))),
-        };
+        let (dp, partial) = outcome.into_parts();
         if let Some((_, why)) = &partial {
             batnet_obs::event("governor-trip", &why.stage, &why.limit.to_string());
         }

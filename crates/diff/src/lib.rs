@@ -44,8 +44,6 @@ pub struct DiffOptions {
     /// Cap on start locations actually compared symbolically
     /// (0 = unlimited). Pruned starts do not count.
     pub max_starts: usize,
-    /// Cap on the detailed route-change list (totals stay exact).
-    pub max_route_changes: usize,
     /// Route-simulation options (shared by both sides).
     pub sim: SimOptions,
 }
@@ -55,7 +53,6 @@ impl Default for DiffOptions {
         DiffOptions {
             max_flow_deltas: 16,
             max_starts: 0,
-            max_route_changes: 200,
             sim: SimOptions::default(),
         }
     }
@@ -159,7 +156,7 @@ pub fn diff_governed(
     let sim_before = batnet_routing::simulate_governed(before.devices, before.env, &opts.sim, gov);
     let sim_after = batnet_routing::simulate_governed(after.devices, after.env, &opts.sim, gov);
     let (dp_before, dp_after) = (sim_before.value(), sim_after.value());
-    out.routes = routes::diff_routes(dp_before, dp_after, opts.max_route_changes);
+    out.routes = routes::diff_routes(dp_before, dp_after);
     batnet_obs::counter_add("diff.routes.changes", out.routes.change_count() as u64);
     span.close();
     // A partial simulation makes the route delta itself suspect: stop at

@@ -156,10 +156,13 @@ fn diff_prefix_maps(
     n
 }
 
-/// Diffs two data planes device by device. `max_changes` caps the
-/// *detailed* change list; totals and the changed-device set are always
-/// complete.
-pub fn diff_routes(before: &DataPlane, after: &DataPlane, max_changes: usize) -> RouteDiff {
+/// Cap on the detailed route-change list (totals stay exact).
+const MAX_ROUTE_CHANGES: usize = 200;
+
+/// Diffs two data planes device by device. [`MAX_ROUTE_CHANGES`] caps
+/// the *detailed* change list; totals and the changed-device set are
+/// always complete.
+pub fn diff_routes(before: &DataPlane, after: &DataPlane) -> RouteDiff {
     let b: BTreeMap<&str, usize> = before
         .devices
         .iter()
@@ -207,9 +210,9 @@ pub fn diff_routes(before: &DataPlane, after: &DataPlane, max_changes: usize) ->
     detailed.sort_by(|x, y| {
         (x.device.as_str(), x.layer, x.prefix).cmp(&(y.device.as_str(), y.layer, y.prefix))
     });
-    if detailed.len() > max_changes {
-        diff.truncated = detailed.len() - max_changes;
-        detailed.truncate(max_changes);
+    if detailed.len() > MAX_ROUTE_CHANGES {
+        diff.truncated = detailed.len() - MAX_ROUTE_CHANGES;
+        detailed.truncate(MAX_ROUTE_CHANGES);
     }
     diff.changes = detailed;
     diff
@@ -232,7 +235,7 @@ mod tests {
             "r1",
             "hostname r1\ninterface e0\n ip address 10.0.0.1/24\nip route 10.9.0.0/24 10.0.0.2\n",
         )]);
-        let diff = diff_routes(&d, &d, 100);
+        let diff = diff_routes(&d, &d);
         assert!(diff.is_empty(), "{:?}", diff.changes);
     }
 
@@ -243,7 +246,7 @@ mod tests {
             "hostname r1\ninterface e0\n ip address 10.0.0.1/24\nip route 10.9.0.0/24 10.0.0.2\n",
         )]);
         let after = dp(&[("r1", "hostname r1\ninterface e0\n ip address 10.0.0.1/24\n")]);
-        let fwd = diff_routes(&before, &after, 100);
+        let fwd = diff_routes(&before, &after);
         assert_eq!(fwd.total_rib_changes, 1);
         assert_eq!(fwd.total_fib_changes, 1);
         assert!(fwd
@@ -252,7 +255,7 @@ mod tests {
             .all(|c| c.kind == RouteChangeKind::Withdrawn && c.device == "r1"));
         assert!(fwd.changed_devices.contains("r1"));
         // Swapping sides swaps withdrawn <-> added exactly.
-        let rev = diff_routes(&after, &before, 100);
+        let rev = diff_routes(&after, &before);
         assert_eq!(rev.change_count(), fwd.change_count());
         assert!(rev.changes.iter().all(|c| c.kind == RouteChangeKind::Added));
     }

@@ -285,6 +285,19 @@ impl<T> Outcome<T> {
         }
     }
 
+    /// Consumes the outcome into the value and, when the budget tripped,
+    /// the `(abandoned, why)` accounting.
+    pub fn into_parts(self) -> (T, Option<(Vec<String>, Exhaustion)>) {
+        match self {
+            Outcome::Complete(v) => (v, None),
+            Outcome::Partial {
+                completed,
+                abandoned,
+                why,
+            } => (completed, Some((abandoned, why))),
+        }
+    }
+
     /// Did the stage stop early?
     pub fn is_partial(&self) -> bool {
         matches!(self, Outcome::Partial { .. })

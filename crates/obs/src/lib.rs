@@ -32,11 +32,10 @@
 //!   behind the `alloc-track` feature, with windowed peak/delta
 //!   measurement for per-stage memory gauges.
 //! * **Continuous profiling** ([`sampler`]) — an always-on sampling
-//!   profiler: each shard publishes its live open-span stack through a
-//!   single-writer seqlock, a sampler folds periodic snapshots into
-//!   flamegraph counts (`batnet-prof/v1` JSON), and its own cost is
-//!   strictly accounted. Powers `batnet-serve /profilez` and
-//!   `harness --profile`.
+//!   profiler: a sampler folds what every recording thread is inside,
+//!   read off the recorder's own open-span stacks, into flamegraph
+//!   counts (`batnet-prof/v1` JSON), and its own cost is strictly
+//!   accounted. Powers `batnet-serve /profilez` and `harness --profile`.
 //! * **Structure gate** ([`diff`]) — do two bench files have the same
 //!   `bench/network/stage` rows? The `obs-diff` bin is the CI gate
 //!   built on it; time is the benchmark's to compare, not this crate's.
@@ -44,18 +43,18 @@
 //!   workspace binary parses its arguments with (hosted here, like
 //!   [`json`], because this is the one crate they all depend on).
 //!
-//! The recorder is sharded per OS thread ([`shard`]): recording touches
-//! only the calling thread's state, so concurrent workers never
-//! serialize on a global lock, and [`report::capture`] performs a
-//! deterministic merge (spans by global open order, counters summed,
-//! gauges by write stamp, events by timestamp). A single-threaded run
-//! has one shard, so its reports are byte-identical with the
-//! pre-sharding recorder — pinned by the committed golden fixture.
+//! The recorder is one value behind one lock (`recorder.rs`): spans in
+//! open order, one metric map, one event list, the run epoch. Spans
+//! wrap stages and metrics tick once per query or sweep — a dozen spans
+//! per answer, about ten recorder calls per served request — so the
+//! lock is never contended enough to measure, [`report::capture`] is a
+//! clone, and the sampled profile and the exact attribution read the
+//! same parent links and cannot disagree.
 //!
 //! All state is process-global and reset with [`reset`]: a *run* is
 //! "reset → build snapshot → analyze → [`report::capture`]". `reset`
-//! must not race with open spans or in-flight requests — call it only
-//! at orchestration points.
+//! forgets spans still open and requests in flight (safely: their
+//! closes become no-ops) — call it only at orchestration points.
 //!
 //! Timing discipline: a workspace clippy gate disallows
 //! `std::time::Instant::now` everywhere else, so all timing flows
@@ -71,9 +70,9 @@ pub mod flags;
 pub mod json;
 pub mod mem;
 pub mod metrics;
+pub(crate) mod recorder;
 pub mod report;
 pub mod sampler;
-pub(crate) mod shard;
 pub mod span;
 pub mod trace;
 
@@ -86,9 +85,8 @@ pub use span::{take_tree, Span, SpanContext};
 
 /// Clears all recorded spans, metrics, and events and restarts the run
 /// epoch. Call at the start of a run (harness iteration, chaos run,
-/// test); must not race with open spans.
+/// test). Spans still open across it are forgotten: their closes are
+/// no-ops and they parent nothing recorded afterwards.
 pub fn reset() {
-    shard::reset_all();
-    shard::reset_epoch();
-    span::reset_local_stack();
+    recorder::lock().reset();
 }

@@ -7,16 +7,11 @@
 //! rather than panicking (observability must never take the pipeline
 //! down).
 //!
-//! Recording is sharded per OS thread (see [`crate::shard`]): every
-//! `counter_add`/`gauge_set`/`observe`/`event` call touches only the
-//! calling thread's slice of the registry. The merge at capture time is
-//! deterministic: counters sum, histograms add bucket-wise, gauges
-//! resolve to the write with the highest global stamp (last write wins,
-//! exactly as it did under one global lock), and events interleave by
-//! timestamp with shard registration order as the tie-break. A name
-//! bound to different types on different shards is a cross-shard type
-//! conflict: the merge keeps the lowest-shard binding and counts the
-//! rest in `obs.type-conflicts`, same policy as within a thread.
+//! Every `counter_add`/`gauge_set`/`observe`/`event` call updates the
+//! one registry inside the recorder under its one lock, so a
+//! counter is a sum, a gauge is its last write and events are in
+//! recording order with nothing to merge at capture. The engine crates
+//! record metrics once per query or per sweep, never per item.
 //!
 //! Histograms use fixed log2 buckets: bucket 0 holds the value 0 and
 //! bucket *i* ≥ 1 holds values in `[2^(i-1), 2^i)`, except the top
@@ -26,15 +21,12 @@
 //! value lands in exactly one bucket (`count == sum(buckets)` always).
 
 use crate::clock;
-use crate::shard::{self, ShardData};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::recorder::{self, Recorder};
 
 /// Number of log2 histogram buckets (value 0 plus one per bit).
 pub const HISTOGRAM_BUCKETS: usize = 65;
 
-/// Cap on retained events (per shard while recording, and again on the
-/// merged stream); later events are counted but dropped.
+/// Cap on retained events; later events are counted but dropped.
 const MAX_EVENTS: usize = 4096;
 
 /// A log2-bucketed histogram.
@@ -66,16 +58,10 @@ impl Histogram {
         }
     }
 
-    /// Folds `other` into `self` bucket-wise (the capture-time shard
-    /// merge). Exact: no observation is lost or double-counted, so the
-    /// merged histogram equals the one a single global registry would
-    /// have recorded.
-    pub fn merge(&mut self, other: &Histogram) {
-        self.count += other.count;
-        self.sum = self.sum.saturating_add(other.sum);
-        for (b, o) in self.buckets.iter_mut().zip(&other.buckets) {
-            *b += o;
-        }
+    fn record(&mut self, v: u64) {
+        self.count += 1;
+        self.sum = self.sum.saturating_add(v);
+        self.buckets[bucket_index(v)] += 1;
     }
 
     /// An upper bound on the `q`-quantile (0 < q ≤ 1): the upper edge
@@ -140,20 +126,6 @@ pub enum MetricValue {
     Histogram(Histogram),
 }
 
-/// One metric as stored in a shard. Gauges carry the global write stamp
-/// so the merge can resolve "last write wins" across threads without
-/// any cross-thread ordering on the write path.
-#[derive(Clone, Debug)]
-pub(crate) enum MetricSlot {
-    Counter(u64),
-    Gauge(f64, u64),
-    Histogram(Histogram),
-}
-
-/// Global sequence for gauge writes: one relaxed fetch per `gauge_set`,
-/// giving the merge a total order over writes to the same gauge.
-static GAUGE_SEQ: AtomicU64 = AtomicU64::new(1);
-
 /// One recorded event (quarantine, governor trip, …).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Event {
@@ -167,11 +139,11 @@ pub struct Event {
     pub detail: String,
 }
 
-fn type_conflict(data: &mut ShardData) {
-    if let MetricSlot::Counter(c) = data
+fn type_conflict(r: &mut Recorder) {
+    if let MetricValue::Counter(c) = r
         .metrics
         .entry("obs.type-conflicts".to_string())
-        .or_insert(MetricSlot::Counter(0))
+        .or_insert(MetricValue::Counter(0))
     {
         *c += 1;
     }
@@ -179,168 +151,78 @@ fn type_conflict(data: &mut ShardData) {
 
 /// Adds `n` to the counter `name`, creating it at 0 first.
 pub fn counter_add(name: &str, n: u64) {
-    shard::with_local(|sh| {
-        let mut data = sh.lock();
-        match data.metrics.get_mut(name) {
-            None => {
-                data.metrics.insert(name.to_string(), MetricSlot::Counter(n));
-            }
-            Some(MetricSlot::Counter(c)) => *c += n,
-            Some(_) => type_conflict(&mut data),
+    let mut r = recorder::lock();
+    match r.metrics.get_mut(name) {
+        None => {
+            r.metrics.insert(name.to_string(), MetricValue::Counter(n));
         }
-    });
+        Some(MetricValue::Counter(c)) => *c += n,
+        Some(_) => type_conflict(&mut r),
+    }
 }
 
 /// Sets the gauge `name` to `v`.
 pub fn gauge_set(name: &str, v: f64) {
-    let stamp = GAUGE_SEQ.fetch_add(1, Ordering::Relaxed);
-    shard::with_local(|sh| {
-        let mut data = sh.lock();
-        match data.metrics.get_mut(name) {
-            None => {
-                data.metrics
-                    .insert(name.to_string(), MetricSlot::Gauge(v, stamp));
-            }
-            Some(MetricSlot::Gauge(g, s)) => {
-                *g = v;
-                *s = stamp;
-            }
-            Some(_) => type_conflict(&mut data),
+    let mut r = recorder::lock();
+    match r.metrics.get_mut(name) {
+        None => {
+            r.metrics.insert(name.to_string(), MetricValue::Gauge(v));
         }
-    });
+        Some(MetricValue::Gauge(g)) => *g = v,
+        Some(_) => type_conflict(&mut r),
+    }
 }
 
 /// Records `v` in the histogram `name`.
 pub fn observe(name: &str, v: u64) {
-    shard::with_local(|sh| {
-        let mut data = sh.lock();
-        let entry = match data.metrics.get_mut(name) {
-            None => {
-                data.metrics
-                    .insert(name.to_string(), MetricSlot::Histogram(Histogram::new()));
-                match data.metrics.get_mut(name) {
-                    Some(MetricSlot::Histogram(h)) => h,
-                    _ => return,
-                }
-            }
-            Some(MetricSlot::Histogram(h)) => h,
-            Some(_) => {
-                type_conflict(&mut data);
-                return;
-            }
-        };
-        entry.count += 1;
-        entry.sum = entry.sum.saturating_add(v);
-        entry.buckets[bucket_index(v)] += 1;
-    });
+    let mut r = recorder::lock();
+    match r.metrics.get_mut(name) {
+        None => {
+            let mut h = Histogram::new();
+            h.record(v);
+            r.metrics.insert(name.to_string(), MetricValue::Histogram(h));
+        }
+        Some(MetricValue::Histogram(h)) => h.record(v),
+        Some(_) => type_conflict(&mut r),
+    }
 }
 
-/// Reads a gauge's current value across all shards (None when unset or
-/// a different type). The bench harness uses this to lift per-stage
-/// gauges into row metadata without re-capturing the whole registry.
+/// Reads a gauge's current value (None when unset or a different
+/// type). The bench harness uses this to lift per-stage gauges into row
+/// metadata without re-capturing the whole registry.
 pub fn gauge(name: &str) -> Option<f64> {
-    let mut best: Option<(u64, f64)> = None;
-    for sh in shard::all() {
-        let data = sh.lock();
-        if let Some(MetricSlot::Gauge(g, s)) = data.metrics.get(name) {
-            if best.is_none_or(|(stamp, _)| *s > stamp) {
-                best = Some((*s, *g));
-            }
-        }
+    match recorder::lock().metrics.get(name) {
+        Some(MetricValue::Gauge(g)) => Some(*g),
+        _ => None,
     }
-    best.map(|(_, g)| g)
 }
 
 /// Records an event. Events beyond the retention cap are counted in the
 /// report's `events_dropped` field instead of growing without bound.
 pub fn event(kind: &str, subject: &str, detail: &str) {
-    let at_ns = shard::run_ns(clock::now());
-    shard::with_local(|sh| {
-        let mut data = sh.lock();
-        if data.events.len() >= MAX_EVENTS {
-            data.events_dropped += 1;
-            return;
-        }
-        data.events.push(Event {
-            at_ns,
-            kind: kind.to_string(),
-            subject: subject.to_string(),
-            detail: detail.to_string(),
-        });
+    let mut r = recorder::lock();
+    if r.events.len() >= MAX_EVENTS {
+        r.events_dropped += 1;
+        return;
+    }
+    let at_ns = r.run_ns(clock::now());
+    r.events.push(Event {
+        at_ns,
+        kind: kind.to_string(),
+        subject: subject.to_string(),
+        detail: detail.to_string(),
     });
-}
-
-/// Snapshot of the registry since the last reset: the deterministic
-/// cross-shard merge. Shards are visited in registration order, so the
-/// result is independent of thread scheduling given the same recorded
-/// data; with one shard (any single-threaded run) the merge is the
-/// identity.
-pub(crate) fn snapshot_metrics() -> (BTreeMap<String, MetricValue>, Vec<Event>, u64) {
-    // (resolved slot, winning gauge stamp) per name.
-    let mut merged: BTreeMap<String, MetricSlot> = BTreeMap::new();
-    let mut events: Vec<Event> = Vec::new();
-    let mut dropped = 0u64;
-    let mut cross_shard_conflicts = 0u64;
-    for sh in shard::all() {
-        let data = sh.lock();
-        for (name, slot) in &data.metrics {
-            match merged.get_mut(name) {
-                None => {
-                    merged.insert(name.clone(), slot.clone());
-                }
-                Some(MetricSlot::Counter(a)) => match slot {
-                    MetricSlot::Counter(b) => *a += b,
-                    _ => cross_shard_conflicts += 1,
-                },
-                Some(MetricSlot::Gauge(g, stamp)) => match slot {
-                    MetricSlot::Gauge(v, s) if s > stamp => {
-                        *g = *v;
-                        *stamp = *s;
-                    }
-                    MetricSlot::Gauge(..) => {}
-                    _ => cross_shard_conflicts += 1,
-                },
-                Some(MetricSlot::Histogram(a)) => match slot {
-                    MetricSlot::Histogram(b) => a.merge(b),
-                    _ => cross_shard_conflicts += 1,
-                },
-            }
-        }
-        events.extend(data.events.iter().cloned());
-        dropped += data.events_dropped;
-    }
-    if cross_shard_conflicts > 0 {
-        if let MetricSlot::Counter(c) = merged
-            .entry("obs.type-conflicts".to_string())
-            .or_insert(MetricSlot::Counter(0))
-        {
-            *c += cross_shard_conflicts;
-        }
-    }
-    // Stable sort: within-shard order (already by timestamp) is kept,
-    // and equal timestamps across shards fall back to shard order.
-    events.sort_by_key(|e| e.at_ns);
-    if events.len() > MAX_EVENTS {
-        dropped += (events.len() - MAX_EVENTS) as u64;
-        events.truncate(MAX_EVENTS);
-    }
-    let metrics = merged
-        .into_iter()
-        .map(|(name, slot)| {
-            let value = match slot {
-                MetricSlot::Counter(c) => MetricValue::Counter(c),
-                MetricSlot::Gauge(g, _) => MetricValue::Gauge(g),
-                MetricSlot::Histogram(h) => MetricValue::Histogram(h),
-            };
-            (name, value)
-        })
-        .collect();
-    (metrics, events, dropped)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
+    fn snapshot_metrics() -> (BTreeMap<String, MetricValue>, Vec<Event>, u64) {
+        let r = crate::capture();
+        (r.metrics, r.events, r.events_dropped)
+    }
 
     #[test]
     fn bucket_index_is_log2() {
@@ -427,26 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_merge_is_exact() {
-        let mut a = Histogram::new();
-        let mut b = Histogram::new();
-        let mut whole = Histogram::new();
-        for (h, vals) in [(&mut a, [0u64, 5, 1 << 40]), (&mut b, [5, 6, u64::MAX])] {
-            for v in vals {
-                h.count += 1;
-                h.sum = h.sum.saturating_add(v);
-                h.buckets[bucket_index(v)] += 1;
-                whole.count += 1;
-                whole.sum = whole.sum.saturating_add(v);
-                whole.buckets[bucket_index(v)] += 1;
-            }
-        }
-        a.merge(&b);
-        assert_eq!(a, whole);
-        assert_eq!(a.count, a.buckets.iter().sum::<u64>());
-    }
-
-    #[test]
     fn percentile_upper_bounds_quantiles() {
         let mut h = Histogram::new();
         for v in [1u64, 2, 3, 4, 100, 1000] {
@@ -488,7 +350,7 @@ mod tests {
         gauge_set("mt.g", 1.0);
         std::thread::spawn(|| {
             counter_add("mt.c", 10);
-            gauge_set("mt.g", 7.5); // later stamp: must win the merge
+            gauge_set("mt.g", 7.5); // the later write: must win
         })
         .join()
         .expect("worker");

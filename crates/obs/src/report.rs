@@ -97,13 +97,13 @@ pub struct RunReport {
 
 /// Captures everything recorded since the last [`crate::reset`].
 pub fn capture() -> RunReport {
-    let (metrics, events, events_dropped) = crate::metrics::snapshot_metrics();
+    let r = crate::recorder::lock();
     RunReport {
         meta: BTreeMap::new(),
-        spans: crate::span::snapshot_spans(),
-        metrics,
-        events,
-        events_dropped,
+        spans: r.records(),
+        metrics: r.metrics.clone(),
+        events: r.events.clone(),
+        events_dropped: r.events_dropped,
         quarantined: Vec::new(),
         partial: None,
         snapshot: None,

@@ -4,32 +4,33 @@
 //! [`RunReport`](crate::report::RunReport) and [`attr`](crate::attr)
 //! explain a run *after* it finishes — useless for a long-running
 //! `batnet-serve` process, where the question is "where is time going
-//! *right now*". The sampler answers it without touching the span hot
-//! path: every per-thread shard publishes its live open-span stack
-//! through a single-writer seqlock ([`shard::StackView`]) on span
-//! open/close — a handful of relaxed atomic stores — and the sampler
-//! walks all registered shards at a configurable cadence, folding each
-//! snapshot into a `path → count` map keyed exactly like
+//! *right now*". The sampler answers it from the recorder itself: at a
+//! configurable cadence it takes the recorder's lock, reads the path of
+//! the innermost span open on every registered thread
+//! (`Recorder::live_paths`) and folds each into a
+//! `path → count` map keyed exactly like
 //! [`attr::path_totals`](crate::attr::path_totals) (`;`-joined span
-//! names). Gauges ride along: the heap (via [`mem`](crate::mem)) is
-//! read every tick, and the BDD/memory gauges are snapshotted when the
-//! profile is taken.
+//! names). A path is the span's parent chain in the one span list, so a
+//! sampled path is always a path the exact attribution also has.
+//! Gauges ride along: the heap (via [`mem`](crate::mem)) is read every
+//! tick, and the BDD/memory gauges are snapshotted when the profile is
+//! taken.
 //!
 //! Two discipline rules keep the sampler honest:
 //!
-//! * **Strict accounting.** Every shard visit is a sample; a sample is
-//!   either recorded (including idle stacks, folded as `(idle)`) or
-//!   dropped (the seqlock writer out-raced the reader's retry budget) —
-//!   `samples == recorded + dropped` always, and snapshots deeper than
-//!   the view's frame cap tick `truncated`. The sampler's own wall time
-//!   is metered per tick (`overhead_us`). Nothing is silent.
+//! * **Strict accounting.** Every thread visit is a sample and every
+//!   sample is recorded (idle threads fold as `(idle)`): a read under
+//!   the lock cannot tear and a parent chain has no depth cap, so the
+//!   schema's `dropped` and `truncated` keys are 0 by construction and
+//!   `samples == recorded` always. The sampler's own wall time is
+//!   metered per tick (`overhead_us`). Nothing is silent.
 //! * **Read-only.** The sampler never records spans, metrics, or
-//!   events into the shard registry — its books live in this module —
-//!   so a run's `RunReport` JSON is byte-identical with the sampler on
-//!   or off. (Chaos invariant 11 pins this.)
+//!   events — its books live in this module — so a run's `RunReport`
+//!   JSON is byte-identical with the sampler on or off. (Chaos
+//!   invariant 11 pins this.)
 //!
 //! [`Sampler::tick`] is the virtual-clock mode: tests drive ticks by
-//! hand and get exact sample counts (`ticks × live shards`).
+//! hand and get exact sample counts (`ticks × registered threads`).
 //! [`SamplerThread`] is the wall-clock mode used by `--profile-hz` and
 //! `harness --profile`. [`Sampler::take_profile`] snapshots-and-resets
 //! the window and renders the deterministic-schema `batnet-prof/v1`
@@ -37,7 +38,8 @@
 
 use crate::clock;
 use crate::json;
-use crate::shard::{self, StackRead};
+use crate::metrics::MetricValue;
+use crate::recorder;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -45,7 +47,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// The folded stack an empty (idle) live stack records as. Idle shards
+/// The folded stack an empty (idle) live stack records as. Idle threads
 /// are real samples — hiding them would make busy fractions look
 /// inflated — so they fold under a name no span can collide with
 /// (span names in this codebase never start with `(`).
@@ -57,14 +59,8 @@ pub const IDLE_STACK: &str = "(idle)";
 struct Window {
     /// Folded stack (`;`-joined span names) → occurrences.
     stacks: BTreeMap<String, u64>,
-    /// Shard visits: `recorded + dropped`, always.
+    /// Thread visits, each folded into `stacks` (idle included).
     samples: u64,
-    /// Consistent snapshots folded into `stacks` (idle included).
-    recorded: u64,
-    /// Snapshots abandoned after the seqlock retry budget.
-    dropped: u64,
-    /// Snapshots whose live stack was deeper than the view retains.
-    truncated: u64,
     /// Ticks in this window.
     ticks: u64,
     /// Sampler wall time spent in this window, nanoseconds.
@@ -88,7 +84,6 @@ pub struct Sampler {
     // Lifetime totals, never reset by take_profile: the `/metricsz`
     // meta reads these so operators see cumulative sampler cost.
     samples_total: AtomicU64,
-    dropped_total: AtomicU64,
     ticks_total: AtomicU64,
     overhead_ns_total: AtomicU64,
 }
@@ -96,9 +91,9 @@ pub struct Sampler {
 /// Cumulative sampler accounting (not reset by window snapshots).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SamplerStats {
-    /// Shard visits since the sampler started.
+    /// Thread visits since the sampler started.
     pub samples: u64,
-    /// Visits abandoned as torn.
+    /// Visits that recorded nothing: always 0 (see the module doc).
     pub dropped: u64,
     /// Ticks since the sampler started.
     pub ticks: u64,
@@ -113,11 +108,10 @@ impl Sampler {
         Sampler {
             hz,
             window: Mutex::new(Window {
-                started_ns: shard::run_ns(clock::now()),
+                started_ns: now_ns(),
                 ..Window::default()
             }),
             samples_total: AtomicU64::new(0),
-            dropped_total: AtomicU64::new(0),
             ticks_total: AtomicU64::new(0),
             overhead_ns_total: AtomicU64::new(0),
         }
@@ -129,33 +123,20 @@ impl Sampler {
         self.window.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// One sampling pass over every registered shard. This is the whole
-    /// sampler; the wall-clock thread just calls it on a timer, and
-    /// tests call it directly (the virtual clock). Returns the number
-    /// of shards visited.
+    /// One sampling pass over every registered thread. This is the
+    /// whole sampler; the wall-clock thread just calls it on a timer,
+    /// and tests call it directly (the virtual clock). Returns the
+    /// number of threads visited.
     pub fn tick(&self) -> usize {
         let t0 = clock::now();
-        let shards = shard::all();
+        let paths = recorder::lock().live_paths();
+        let visited = paths.len();
         let mut w = self.lock();
-        let mut scratch: Vec<u32> = Vec::with_capacity(16);
-        for sh in &shards {
-            w.samples += 1;
-            match sh.stack.read(&mut scratch) {
-                StackRead::Ok { frames, truncated } => {
-                    w.recorded += 1;
-                    if truncated {
-                        w.truncated += 1;
-                    }
-                    let path = if frames.is_empty() {
-                        IDLE_STACK.to_string()
-                    } else {
-                        sh.resolve_path(&frames)
-                    };
-                    *w.stacks.entry(path).or_insert(0) += 1;
-                }
-                StackRead::Torn => w.dropped += 1,
-            }
+        for path in paths {
+            let path = if path.is_empty() { IDLE_STACK.to_string() } else { path };
+            *w.stacks.entry(path).or_insert(0) += 1;
         }
+        w.samples += visited as u64;
         let heap = crate::mem::current_bytes();
         w.heap_last = heap;
         w.heap_max = w.heap_max.max(heap);
@@ -163,20 +144,18 @@ impl Sampler {
         let spent = t0.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         w.overhead_ns += spent;
         drop(w);
-        self.samples_total
-            .fetch_add(shards.len() as u64, Ordering::Relaxed);
+        self.samples_total.fetch_add(visited as u64, Ordering::Relaxed);
         self.ticks_total.fetch_add(1, Ordering::Relaxed);
         self.overhead_ns_total.fetch_add(spent, Ordering::Relaxed);
-        shards.len()
+        visited
     }
 
     /// Cumulative accounting since construction (windows don't reset
-    /// it). `dropped` is folded in from the current window too.
+    /// it).
     pub fn stats(&self) -> SamplerStats {
-        let window_dropped = self.lock().dropped;
         SamplerStats {
             samples: self.samples_total.load(Ordering::Relaxed),
-            dropped: self.dropped_total.load(Ordering::Relaxed) + window_dropped,
+            dropped: 0,
             ticks: self.ticks_total.load(Ordering::Relaxed),
             overhead_us: self.overhead_ns_total.load(Ordering::Relaxed) / 1_000,
         }
@@ -188,7 +167,7 @@ impl Sampler {
     /// with `bdd.` / `mem.` prefixes are read from the live metric
     /// registry at snapshot time — a read-only walk.
     pub fn take_profile(&self) -> String {
-        let now_ns = shard::run_ns(clock::now());
+        let now_ns = now_ns();
         let mut w = self.lock();
         let window = std::mem::replace(
             &mut *w,
@@ -198,10 +177,13 @@ impl Sampler {
             },
         );
         drop(w);
-        self.dropped_total
-            .fetch_add(window.dropped, Ordering::Relaxed);
         render_profile(self.hz, &window, now_ns)
     }
+}
+
+/// Nanoseconds since the run epoch.
+fn now_ns() -> u64 {
+    recorder::lock().run_ns(clock::now())
 }
 
 /// Renders one window as the deterministic `batnet-prof/v1` document.
@@ -213,12 +195,10 @@ fn render_profile(hz: u64, w: &Window, now_ns: u64) -> String {
     json::write_f64(&mut out, (duration_ms * 1000.0).round() / 1000.0);
     let _ = write!(
         out,
-        "}}, \"sampler\": {{\"samples\": {}, \"recorded\": {}, \"dropped\": {}, \
-         \"truncated\": {}, \"overhead_us\": {}}}, ",
+        "}}, \"sampler\": {{\"samples\": {}, \"recorded\": {}, \"dropped\": 0, \
+         \"truncated\": 0, \"overhead_us\": {}}}, ",
         w.samples,
-        w.recorded,
-        w.dropped,
-        w.truncated,
+        w.samples,
         w.overhead_ns / 1_000
     );
     out.push_str("\"gauges\": {");
@@ -254,14 +234,12 @@ fn render_profile(hz: u64, w: &Window, now_ns: u64) -> String {
 /// and per-stage memory gauges the pipeline publishes — read without
 /// mutating anything.
 fn snapshot_gauges() -> Vec<(String, f64)> {
-    let (metrics, _, _) = crate::metrics::snapshot_metrics();
-    metrics
-        .into_iter()
+    let r = recorder::lock();
+    r.metrics
+        .iter()
         .filter_map(|(name, v)| match v {
-            crate::metrics::MetricValue::Gauge(g)
-                if name.starts_with("bdd.") || name.starts_with("mem.") =>
-            {
-                Some((name, g))
+            MetricValue::Gauge(g) if name.starts_with("bdd.") || name.starts_with("mem.") => {
+                Some((name.clone(), *g))
             }
             _ => None,
         })
@@ -353,14 +331,13 @@ mod tests {
         let _root = Span::enter("pipeline");
         let _child = Span::enter("pipeline.stage");
         let sampler = Sampler::new(0);
-        let shards = shard::all().len();
-        assert!(shards >= 1);
+        let threads = 1; // this one: `reset` forgot every other
         let ticks = 5;
         for _ in 0..ticks {
-            assert_eq!(sampler.tick(), shards);
+            assert_eq!(sampler.tick(), threads);
         }
         let stats = sampler.stats();
-        assert_eq!(stats.samples, (ticks * shards) as u64);
+        assert_eq!(stats.samples, (ticks * threads) as u64);
         assert_eq!(stats.ticks, ticks as u64);
         let text = sampler.take_profile();
         let doc = json::parse(&text).expect("profile parses");
@@ -407,6 +384,9 @@ mod tests {
     fn idle_stacks_fold_as_idle() {
         let _g = crate::span::test_guard();
         crate::reset();
+        // A thread registers by opening a span; with it closed again the
+        // thread is idle, not gone.
+        drop(Span::enter("done"));
         let sampler = Sampler::new(0);
         sampler.tick();
         let doc = json::parse(&sampler.take_profile()).expect("parses");
@@ -415,7 +395,7 @@ mod tests {
             stacks.iter().any(|s| {
                 s.get("stack").and_then(json::Value::as_str) == Some(IDLE_STACK)
             }),
-            "an idle shard must still be accounted"
+            "an idle thread must still be accounted"
         );
     }
 

@@ -6,27 +6,21 @@
 //! the report's span tree. Cross-thread structure is explicit: a span
 //! hands out a cheap, `Send` [`SpanContext`], and a worker thread that
 //! opens its span with [`Span::enter_with_parent`] attaches under that
-//! logical parent even though it records into its own thread's shard.
-//! A worker span opened without a context stays a root of its own tree.
+//! logical parent. A worker span opened without a context stays a root
+//! of its own tree.
 //!
-//! Cost model: every open and close touches only the calling thread's
-//! shard (an uncontended mutex) plus one relaxed atomic fetch for the
-//! globally unique open sequence. Spans wrap *stages* (parse, route,
-//! graph build, one reach query, one served request), not inner loops,
-//! so the recorder never becomes a hot path. The merge that produces a
-//! flat [`SpanRecord`] list happens only at capture: records sort by
-//! open sequence, which is the single-thread open order and is always
-//! topological (a parent is open — hence sequenced — before any child).
+//! Cost model: an open and a close each take the recorder's one lock
+//! (`recorder.rs`) for a push or a binary search. Spans wrap
+//! *stages* (parse, route, graph build, one reach query, one served
+//! request), not inner loops, so the recorder never becomes a hot path.
+//! Spans are stored in open order, which is always topological (a
+//! parent is open — hence stored — before any child).
 
 use crate::clock;
-use crate::shard::{self, Shard};
-use std::cell::RefCell;
-use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use crate::recorder;
 use std::time::{Duration, Instant};
 
-/// One finished-or-open span as recorded, after the capture-time merge.
+/// One finished-or-open span as captured.
 #[derive(Clone, Debug)]
 pub struct SpanRecord {
     /// Span name, e.g. `route.simulate`.
@@ -37,46 +31,10 @@ pub struct SpanRecord {
     pub start_ns: u64,
     /// Duration in nanoseconds; `None` while the span is still open.
     pub dur_ns: Option<u64>,
-    /// The recording OS thread (shard registration order, dense from
-    /// 0). The Chrome-trace exporter renders one track per value.
+    /// The recording OS thread (registration order since the last
+    /// reset, dense from 0). The Chrome-trace exporter renders one
+    /// track per value.
     pub tid: u64,
-}
-
-/// One span as stored in its thread's shard: identities are global
-/// open-sequence numbers, so cross-thread parent links need no shared
-/// index space.
-#[derive(Clone, Debug)]
-pub(crate) struct SpanSlot {
-    pub id: u64,
-    pub parent: Option<u64>,
-    pub name: String,
-    pub start_ns: u64,
-    pub dur_ns: Option<u64>,
-}
-
-/// The globally unique, monotone open sequence. One relaxed fetch per
-/// span open; never reset, so merged order is stable across resets.
-static NEXT_ID: AtomicU64 = AtomicU64::new(0);
-
-thread_local! {
-    // (open-sequence id, interned name id): the id drives parenting,
-    // the name id feeds the shard's lock-free stack view for the
-    // sampling profiler. A worker's stack may start with frames
-    // inherited from its logical parent's thread (id `INHERITED`); they
-    // sit below every real frame and leave with the last one.
-    static STACK: RefCell<Vec<(u64, u32)>> = const { RefCell::new(Vec::new()) };
-}
-
-/// The id of a stack frame that stands for an ancestor span open on
-/// another thread. Never a real span id, so it parents nothing and no
-/// close matches it.
-const INHERITED: u64 = u64::MAX;
-
-/// Publishes the thread's current stack (already borrowed) to `shard`'s
-/// seqlock view. Only ever called from the shard's owning thread.
-fn publish_stack(shard: &Shard, stack: &[(u64, u32)]) {
-    let frames: Vec<u32> = stack.iter().map(|&(_, nid)| nid).collect();
-    shard.stack.publish(&frames);
 }
 
 /// A cheap, `Send + Copy` handle to an open (or closed) span, used to
@@ -84,16 +42,13 @@ fn publish_stack(shard: &Shard, stack: &[(u64, u32)]) {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpanContext {
     id: u64,
-    /// The span's `;`-joined path from its root, interned process-wide
-    /// (see [`shard::intern_path`]); 0 when unknown.
-    path: u32,
 }
 
 /// An open span; closing (drop or [`Span::close`]) records the
 /// duration.
 pub struct Span {
-    shard: Arc<Shard>,
     id: u64,
+    tid: usize,
     start: Instant,
 }
 
@@ -101,68 +56,28 @@ impl Span {
     /// Opens a span. The parent is the innermost span still open on
     /// this thread.
     pub fn enter(name: impl Into<String>) -> Span {
-        let parent = STACK.with(|s| s.borrow().last().map(|&(id, _)| id));
-        Span::open(name.into(), parent, "")
+        Span::open(name.into(), None)
     }
 
     /// Opens a span under an explicit parent — the cross-thread form:
     /// capture [`Span::context`] on the spawning thread, move it into
     /// the worker, and the worker's span (and everything nested inside
-    /// it on that thread) attaches under the logical parent.
-    ///
-    /// On a thread with nothing open (a pool worker), the parent's path
-    /// becomes the prefix of this thread's published live stack, so the
-    /// sampling profiler files the worker under the stage that spawned
-    /// it — the same path [`crate::attr::path_totals`] computes.
+    /// it on that thread) attaches under the logical parent, in the
+    /// exact tree and in the sampling profiler's live paths alike.
     pub fn enter_with_parent(name: impl Into<String>, ctx: SpanContext) -> Span {
-        let idle = STACK.with(|s| s.borrow().is_empty());
-        let inherited = if idle { shard::path(ctx.path) } else { String::new() };
-        Span::open(name.into(), Some(ctx.id), &inherited)
+        Span::open(name.into(), Some(ctx.id))
     }
 
-    fn open(name: String, parent: Option<u64>, inherited: &str) -> Span {
+    fn open(name: String, parent: Option<u64>) -> Span {
         let start = clock::now();
-        let start_ns = shard::run_ns(start);
-        let id = NEXT_ID.fetch_add(1, Ordering::Relaxed);
-        let (shard, frames) = shard::with_local(|s| {
-            let mut data = s.lock();
-            let mut frames: Vec<(u64, u32)> = inherited
-                .split(';')
-                .filter(|n| !n.is_empty())
-                .map(|n| (INHERITED, s.intern(&mut data, n)))
-                .collect();
-            frames.push((id, s.intern(&mut data, &name)));
-            data.spans.push(SpanSlot {
-                id,
-                parent,
-                name,
-                start_ns,
-                dur_ns: None,
-            });
-            drop(data);
-            (Arc::clone(s), frames)
-        });
-        STACK.with(|s| {
-            let mut stack = s.borrow_mut();
-            stack.extend(frames);
-            publish_stack(&shard, &stack);
-        });
-        Span { shard, id, start }
+        let (id, tid) = recorder::lock().open(name, parent, start);
+        Span { id, tid, start }
     }
 
     /// This span's context: `Copy`, `Send`, and valid until the next
     /// [`crate::reset`] (after which children simply become roots).
-    /// Carries the span's path when called on the thread that opened it.
     pub fn context(&self) -> SpanContext {
-        let frames: Vec<u32> = STACK.with(|s| {
-            let stack = s.borrow();
-            let depth = stack.iter().position(|&(id, _)| id == self.id).map_or(0, |p| p + 1);
-            stack[..depth].iter().map(|&(_, name_id)| name_id).collect()
-        });
-        SpanContext {
-            id: self.id,
-            path: shard::intern_path(&self.shard.resolve_path(&frames)),
-        }
+        SpanContext { id: self.id }
     }
 
     /// Wall clock since this span opened (the span stays open).
@@ -182,121 +97,19 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let dur = self.start.elapsed();
-        let mut data = self.shard.lock();
-        // Closes are LIFO in practice, so the reverse scan is O(1)-ish;
-        // a reset (or a `take_tree`) between enter and drop removes the
-        // slot, and the close becomes a no-op instead of resurrecting.
-        if let Some(slot) = data.spans.iter_mut().rev().find(|s| s.id == self.id) {
-            slot.dur_ns = Some(dur.as_nanos().min(u64::MAX as u128) as u64);
-        }
-        drop(data);
-        let id = self.id;
-        STACK.with(|s| {
-            let mut stack = s.borrow_mut();
-            if let Some(pos) = stack.iter().rposition(|&(i, _)| i == id) {
-                stack.remove(pos);
-                if stack.iter().all(|&(i, _)| i == INHERITED) {
-                    stack.clear();
-                }
-                // The stack held our id, so this close runs on the
-                // opening thread and `self.shard` is its local shard —
-                // the single-writer seqlock invariant holds.
-                publish_stack(&self.shard, &stack);
-            }
-        });
+        let dur = self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+        recorder::lock().close(self.id, self.tid, dur);
     }
-}
-
-/// Merges `(tid, slot)` pairs into the flat, index-parented record list
-/// every consumer (report, attr, trace) works on. Sorting by the open
-/// sequence makes the order deterministic, topological (parents before
-/// children), and — for a single-threaded run — exactly the open order.
-fn merge_slots(mut slots: Vec<(u64, SpanSlot)>) -> Vec<SpanRecord> {
-    slots.sort_by_key(|(_, s)| s.id);
-    let index: std::collections::HashMap<u64, usize> = slots
-        .iter()
-        .enumerate()
-        .map(|(i, (_, s))| (s.id, i))
-        .collect();
-    slots
-        .iter()
-        .map(|(tid, s)| SpanRecord {
-            name: s.name.clone(),
-            parent: s.parent.and_then(|p| index.get(&p).copied()),
-            start_ns: s.start_ns,
-            dur_ns: s.dur_ns,
-            tid: *tid,
-        })
-        .collect()
-}
-
-/// Snapshot of every span recorded since the last reset, merged across
-/// all thread shards.
-pub(crate) fn snapshot_spans() -> Vec<SpanRecord> {
-    let mut slots: Vec<(u64, SpanSlot)> = Vec::new();
-    for sh in shard::all() {
-        let data = sh.lock();
-        slots.extend(data.spans.iter().map(|s| (sh.seq, s.clone())));
-    }
-    merge_slots(slots)
 }
 
 /// Removes the subtree rooted at `ctx` from the recorder and returns it
 /// as a self-contained record list (the root's parent becomes `None`).
 /// This is how long-running services keep per-request span trees out of
 /// the ever-growing global capture: close the request's root span, then
-/// take its tree into a bounded ring. Call only after the tree has
-/// fully closed; a span still being recorded concurrently into the
-/// subtree may be missed (it becomes a root in the next capture).
+/// take its tree into a bounded ring. A span opened under the tree
+/// after the call becomes a root in the next capture.
 pub fn take_tree(ctx: SpanContext) -> Vec<SpanRecord> {
-    let shards = shard::all();
-    // Pass 1: membership. Ids sort topologically, so one forward scan
-    // over (id, parent) pairs closes the descendant set.
-    let mut pairs: Vec<(u64, Option<u64>)> = Vec::new();
-    for sh in &shards {
-        let data = sh.lock();
-        pairs.extend(data.spans.iter().map(|s| (s.id, s.parent)));
-    }
-    pairs.sort_unstable_by_key(|&(id, _)| id);
-    let mut keep: BTreeSet<u64> = BTreeSet::new();
-    for (id, parent) in pairs {
-        if id == ctx.id || parent.is_some_and(|p| keep.contains(&p)) {
-            keep.insert(id);
-        }
-    }
-    if keep.is_empty() {
-        return Vec::new();
-    }
-    // Pass 2: extraction, one shard at a time.
-    let mut taken: Vec<(u64, SpanSlot)> = Vec::new();
-    for sh in &shards {
-        let mut data = sh.lock();
-        if data.spans.iter().all(|s| !keep.contains(&s.id)) {
-            continue;
-        }
-        let mut remaining = Vec::with_capacity(data.spans.len());
-        for slot in std::mem::take(&mut data.spans) {
-            if keep.contains(&slot.id) {
-                taken.push((sh.seq, slot));
-            } else {
-                remaining.push(slot);
-            }
-        }
-        data.spans = remaining;
-    }
-    merge_slots(taken)
-}
-
-/// Clears the calling thread's nesting stack (part of [`crate::reset`]):
-/// spans still open across a reset must not parent post-reset spans.
-/// The published stack view is emptied too — but only when this thread
-/// already has a shard, and only its own view: other threads' views are
-/// single-writer and stale entries there resolve against name tables
-/// that survive resets.
-pub(crate) fn reset_local_stack() {
-    STACK.with(|s| s.borrow_mut().clear());
-    shard::try_local(|sh| sh.stack.publish(&[]));
+    recorder::lock().take_tree(ctx.id)
 }
 
 #[cfg(test)]
@@ -312,6 +125,10 @@ pub(crate) fn test_guard() -> std::sync::MutexGuard<'static, ()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn snapshot_spans() -> Vec<SpanRecord> {
+        crate::capture().spans
+    }
 
     #[test]
     fn nesting_and_ordering() {
@@ -415,35 +232,40 @@ mod tests {
     }
 
     #[test]
-    fn worker_publishes_its_logical_parents_path() {
+    fn a_workers_live_path_is_its_parent_chain() {
         let _g = test_guard();
         crate::reset();
-        // What the sampler would fold for the calling thread right now.
-        fn live_path() -> String {
-            shard::with_local(|s| match s.stack.read(&mut Vec::new()) {
-                shard::StackRead::Ok { frames, .. } => s.resolve_path(&frames),
-                shard::StackRead::Torn => "torn".to_string(),
-            })
-        }
+        // What the sampler would fold for each thread right now.
+        let live = || recorder::lock().live_paths();
         let _root = Span::enter("pipeline");
         let stage = Span::enter("route.fib");
         let ctx = stage.context();
         std::thread::spawn(move || {
             let w = Span::enter_with_parent("exec.fib", ctx);
-            assert_eq!(live_path(), "pipeline;route.fib;exec.fib");
-            let inner = Span::enter("fib.device");
-            assert_eq!(live_path(), "pipeline;route.fib;exec.fib;fib.device");
+            assert_eq!(live(), ["pipeline;route.fib", "pipeline;route.fib;exec.fib"]);
             // A fan-out from the worker carries the whole path on.
-            let nested = inner.context();
-            assert_eq!(shard::path(nested.path), "pipeline;route.fib;exec.fib;fib.device");
+            let inner = Span::enter("fib.device");
+            assert_eq!(live()[1], "pipeline;route.fib;exec.fib;fib.device");
             drop(inner);
             drop(w);
-            assert_eq!(live_path(), "", "inherited frames leave with the last real one");
+            assert_eq!(live()[1], "", "nothing open, nothing inherited");
         })
         .join()
         .expect("worker thread");
-        // The spawning thread's own view never changed shape.
-        assert_eq!(live_path(), "pipeline;route.fib");
+        // The spawning thread's own path never changed shape.
+        assert_eq!(live()[0], "pipeline;route.fib");
+    }
+
+    #[test]
+    fn a_span_closed_on_another_thread_leaves_its_openers_stack() {
+        let _g = test_guard();
+        crate::reset();
+        let moved = Span::enter("moved");
+        std::thread::spawn(move || drop(moved)).join().expect("closer");
+        let _next = Span::enter("next");
+        let spans = snapshot_spans();
+        assert!(spans[0].dur_ns.is_some());
+        assert_eq!(spans[1].parent, None, "a closed span parents nothing");
     }
 
     #[test]

@@ -1,22 +1,28 @@
-//! Concurrency guarantees of the sharded recorder.
+//! Concurrency guarantees of the recorder.
 //!
-//! Three contracts from the sharding refactor, exercised end to end:
-//! no lost updates under parallel recording (exact span counts and
-//! histogram totals after the merge), cross-thread spans parented under
-//! their logical `SpanContext` parent in both the JSON forest and the
-//! exported Chrome trace, and telemetry that survives a contained panic
-//! (serve workers run handlers under `catch_unwind`; a panic mid-record
-//! must never poison the recorder for the rest of the process).
+//! The contracts every caller leans on, exercised end to end: no lost
+//! updates under parallel recording (exact span counts and histogram
+//! totals), cross-thread spans parented under their logical
+//! `SpanContext` parent in both the JSON forest and the exported Chrome
+//! trace, and telemetry that survives a contained panic (serve workers
+//! run handlers under `catch_unwind`; a panic mid-record must never
+//! poison the recorder for the rest of the process). Then what the
+//! single span list guarantees by construction: open order is
+//! topological across threads, a reset forgets open spans safely,
+//! `take_tree` partitions, and the sampler only ever folds paths the
+//! exact attribution has.
 //!
 //! Byte-level stability of single-threaded reports is pinned separately
-//! by `tests/golden.rs` against the pre-sharding golden fixture.
+//! by `tests/golden.rs` against the golden fixture.
 
 use batnet_obs::json::{self, Value};
 use batnet_obs::metrics::MetricValue;
 use batnet_obs::report::validate_run_report;
 use batnet_obs::trace;
-use batnet_obs::Span;
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use batnet_obs::{Sampler, Span};
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard, OnceLock};
 
 /// Serializes the tests in this binary: they all reset global state.
 fn guard() -> MutexGuard<'static, ()> {
@@ -50,8 +56,8 @@ fn parallel_recording_loses_nothing() {
         w.join().expect("stress worker");
     }
     let report = batnet_obs::capture();
-    // Exact accounting: every span and every metric update survived the
-    // merge, none double-counted.
+    // Exact accounting: every span and every metric update was kept,
+    // none double-counted.
     assert_eq!(report.span_count("stress.worker"), THREADS);
     assert_eq!(report.span_count("stress.iter"), THREADS * ITERS as usize);
     assert_eq!(report.span_count("stress.step"), THREADS * ITERS as usize);
@@ -190,4 +196,180 @@ fn contained_panic_does_not_poison_telemetry() {
     assert!(report.span_ms("request.doomed").is_some(), "closed on unwind");
     let parsed = json::parse(&report.to_json()).expect("report parses");
     validate_run_report(&parsed).expect("post-panic report validates");
+}
+
+#[test]
+fn open_order_is_topological_across_threads() {
+    let _g = guard();
+    batnet_obs::reset();
+    const THREADS: usize = 8;
+    const SPANS: usize = 500;
+    let root = Span::enter("topo.root");
+    let ctx = root.context();
+    let workers: Vec<_> = (0..THREADS)
+        .map(|_| {
+            std::thread::spawn(move || {
+                let mut parent = ctx;
+                for i in 0..SPANS {
+                    // Alternate cross-thread adoption with plain nesting.
+                    let outer = Span::enter_with_parent("topo.adopted", parent);
+                    let inner = Span::enter("topo.nested");
+                    if i % 2 == 0 {
+                        parent = inner.context();
+                    }
+                    drop(inner);
+                    drop(outer);
+                }
+            })
+        })
+        .collect();
+    for w in workers {
+        w.join().expect("topo worker");
+    }
+    drop(root);
+    let spans = batnet_obs::capture().spans;
+    assert_eq!(spans.len(), 1 + THREADS * SPANS * 2, "every span captured");
+    let mut last_start = [0u64; THREADS + 1];
+    for (i, s) in spans.iter().enumerate() {
+        match s.parent {
+            None => assert_eq!(s.name, "topo.root", "only the root is parentless"),
+            Some(p) => assert!(p < i, "parent {p} must precede child {i}"),
+        }
+        assert!(s.dur_ns.is_some(), "every close found its span");
+        // Record order is open order: within a thread, starts never go back.
+        let t = s.tid as usize;
+        assert!(s.start_ns >= last_start[t], "open order kept on tid {t}");
+        last_start[t] = s.start_ns;
+    }
+}
+
+#[test]
+fn reset_forgets_spans_still_open_on_another_thread() {
+    let _g = guard();
+    batnet_obs::reset();
+    let (opened, reset_done) = (Arc::new(Barrier::new(2)), Arc::new(Barrier::new(2)));
+    let holder = {
+        let (opened, reset_done) = (Arc::clone(&opened), Arc::clone(&reset_done));
+        std::thread::spawn(move || {
+            let old_root = Span::enter("old.root");
+            let old_child = Span::enter("old.child");
+            let stale = old_child.context();
+            opened.wait();
+            reset_done.wait();
+            // Closing a forgotten span is a no-op...
+            drop(old_child);
+            // ...and neither this thread's forgotten stack nor a stale
+            // context parents anything recorded after the reset.
+            drop(Span::enter("new.plain"));
+            drop(Span::enter_with_parent("new.adopted", stale));
+            drop(old_root);
+        })
+    };
+    opened.wait();
+    batnet_obs::reset();
+    reset_done.wait();
+    holder.join().expect("holder thread");
+    let spans = batnet_obs::capture().spans;
+    let names: Vec<&str> = spans.iter().map(|s| s.name.as_str()).collect();
+    assert_eq!(names, ["new.plain", "new.adopted"], "pre-reset spans never resurrect");
+    assert!(spans.iter().all(|s| s.parent.is_none() && s.dur_ns.is_some()));
+}
+
+#[test]
+fn take_tree_partitions_while_other_threads_record() {
+    let _g = guard();
+    batnet_obs::reset();
+    const RECORDERS: usize = 3;
+    const BACKGROUND: usize = 400;
+    const REQUESTS: usize = 100;
+    let background: Vec<_> = (0..RECORDERS)
+        .map(|t| {
+            std::thread::spawn(move || {
+                for i in 0..BACKGROUND {
+                    let _outer = Span::enter(format!("bg.{t}.{i}"));
+                    let _inner = Span::enter(format!("bg.{t}.{i}.inner"));
+                }
+            })
+        })
+        .collect();
+    let mut taken: BTreeSet<String> = BTreeSet::new();
+    for k in 0..REQUESTS {
+        let root = Span::enter(format!("req.{k}"));
+        let ctx = root.context();
+        drop(Span::enter(format!("req.{k}.local")));
+        std::thread::spawn(move || drop(Span::enter_with_parent(format!("req.{k}.remote"), ctx)))
+            .join()
+            .expect("request helper");
+        drop(root);
+        let tree = batnet_obs::take_tree(ctx);
+        let names: Vec<&str> = tree.iter().map(|s| s.name.as_str()).collect();
+        assert_eq!(names, [format!("req.{k}"), format!("req.{k}.local"), format!("req.{k}.remote")]);
+        assert_eq!(tree[0].parent, None);
+        assert!(tree[1..].iter().all(|s| s.parent == Some(0)));
+        taken.extend(tree.into_iter().map(|s| s.name));
+        assert!(batnet_obs::take_tree(ctx).is_empty(), "a tree is taken once");
+    }
+    for b in background {
+        b.join().expect("background recorder");
+    }
+    let remaining: Vec<String> = batnet_obs::capture().spans.into_iter().map(|s| s.name).collect();
+    let remaining_set: BTreeSet<String> = remaining.iter().cloned().collect();
+    assert_eq!(remaining.len(), remaining_set.len(), "nothing duplicated");
+    assert_eq!(remaining.len(), RECORDERS * BACKGROUND * 2, "nothing else taken");
+    assert_eq!(taken.len(), REQUESTS * 3);
+    assert!(taken.is_disjoint(&remaining_set));
+    assert!(remaining.iter().all(|n| n.starts_with("bg.")));
+}
+
+#[test]
+fn sampler_racing_span_churn_folds_only_exact_paths() {
+    let _g = guard();
+    batnet_obs::reset();
+    const WORKERS: usize = 4;
+    let root = Span::enter("churn");
+    let ctx = root.context();
+    let stop = Arc::new(AtomicBool::new(false));
+    let workers: Vec<_> = (0..WORKERS)
+        .map(|w| {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut rounds = 0u64;
+                while !stop.load(Ordering::Relaxed) || rounds < 50 {
+                    let _a = Span::enter_with_parent(format!("churn.w{w}"), ctx);
+                    let _b = Span::enter("churn.step");
+                    let _c = Span::enter(if rounds.is_multiple_of(2) { "churn.even" } else { "churn.odd" });
+                    rounds += 1;
+                }
+            })
+        })
+        .collect();
+    let sampler = Sampler::new(0);
+    let mut samples = 0u64;
+    for _ in 0..2_000 {
+        samples += sampler.tick() as u64;
+    }
+    stop.store(true, Ordering::Relaxed);
+    for w in workers {
+        w.join().expect("churn worker");
+    }
+    drop(root);
+    let stats = sampler.stats();
+    assert_eq!((stats.samples, stats.dropped), (samples, 0));
+    let doc = json::parse(&sampler.take_profile()).expect("profile parses");
+    batnet_obs::report::validate_profile(&doc).expect("profile validates");
+    let books = doc.get("sampler").expect("sampler");
+    let book = |k: &str| books.get(k).and_then(Value::as_f64).expect("numeric");
+    assert_eq!(book("recorded"), samples as f64);
+    assert_eq!((book("dropped"), book("truncated")), (0.0, 0.0));
+    let exact = batnet_obs::attr::path_totals(&batnet_obs::capture().spans);
+    let stacks = doc.get("stacks").and_then(Value::as_arr).expect("stacks");
+    let mut live = 0;
+    for s in stacks {
+        let path = s.get("stack").and_then(Value::as_str).expect("stack");
+        if path != batnet_obs::sampler::IDLE_STACK {
+            live += 1;
+            assert!(exact.contains_key(path), "sampled {path:?} is not an exact path");
+        }
+    }
+    assert!(live > 0, "2,000 ticks never caught a live stack");
 }

@@ -47,8 +47,6 @@ pub struct SimOptions {
     pub use_logical_clocks: bool,
     /// Sweep budget before declaring non-convergence.
     pub max_sweeps: usize,
-    /// Maximum session re-evaluation rounds (§4.1.1 "key points").
-    pub session_reeval_rounds: usize,
 }
 
 impl Default for SimOptions {
@@ -57,10 +55,12 @@ impl Default for SimOptions {
             scheduler: SchedulerMode::Colored,
             use_logical_clocks: true,
             max_sweeps: 100,
-            session_reeval_rounds: 2,
         }
     }
 }
+
+/// Maximum session re-evaluation rounds (§4.1.1 "key points").
+const SESSION_REEVAL_ROUNDS: usize = 2;
 
 /// Convergence outcome of the BGP fixed point.
 #[derive(Clone, Debug, Default)]
@@ -214,7 +214,7 @@ pub fn simulate_governed(
     let mut sessions = bgp::discover_sessions(&devices, &external_peers);
     let mut established = evaluate_sessions(&devices, &ribs, &mut sessions);
     let mut nodes: Vec<BgpNode> = Vec::new();
-    for round in 0..=opts.session_reeval_rounds {
+    for round in 0..=SESSION_REEVAL_ROUNDS {
         // (Re)run BGP from scratch against the current session set.
         // Reset any BGP contributions in the main RIBs.
         for rib in ribs.iter_mut() {
@@ -246,7 +246,7 @@ pub fn simulate_governed(
         }
         // Re-evaluate viability against the fuller data plane.
         let now = evaluate_sessions(&devices, &ribs, &mut sessions);
-        if now == established || round == opts.session_reeval_rounds {
+        if now == established || round == SESSION_REEVAL_ROUNDS {
             break;
         }
         established = now;

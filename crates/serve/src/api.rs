@@ -18,7 +18,7 @@ use crate::http::{Method, Request, Response};
 use crate::server::{DispatchCtx, ServeConfig};
 use crate::store::StoredSnapshot;
 use batnet::traceroute::{StartLocation, Tracer};
-use batnet::{Exhaustion, Outcome, ResourceGovernor};
+use batnet::{Exhaustion, ResourceGovernor};
 use batnet_dataplane::{NodeKind, ReachAnalysis};
 use batnet_net::{Flow, Prefix};
 use batnet_obs::json;
@@ -214,25 +214,10 @@ fn request_governor(req: &Request, cfg: &ServeConfig) -> Result<ResourceGovernor
     Ok(gov)
 }
 
-/// A governed stage's value and, when its budget tripped, the
-/// `(abandoned, why)` accounting.
-type Partial<'a> = Option<(&'a [String], &'a Exhaustion)>;
-
-fn split<T>(outcome: &Outcome<T>) -> (&T, Partial<'_>) {
-    match outcome {
-        Outcome::Complete(v) => (v, None),
-        Outcome::Partial {
-            completed,
-            abandoned,
-            why,
-        } => (completed, Some((abandoned.as_slice(), why))),
-    }
-}
-
 /// Appends `"partial": {...}` (or `"partial": null`) to a JSON object
 /// under construction — the `Outcome::Partial` accounting in the shape
 /// run reports use.
-fn write_partial(out: &mut String, partial: Partial<'_>) {
+fn write_partial(out: &mut String, partial: Option<&(Vec<String>, Exhaustion)>) {
     out.push_str("\"partial\": ");
     match partial {
         None => out.push_str("null"),
@@ -347,7 +332,7 @@ fn summary_json(s: &StoredSnapshot) -> String {
         out.push('}');
     }
     out.push_str("], ");
-    write_partial(&mut out, s.partial.as_ref().map(|(a, w)| (a.as_slice(), w)));
+    write_partial(&mut out, s.partial.as_ref());
     out.push_str("}\n");
     out
 }
@@ -395,8 +380,9 @@ fn query_reach(req: &Request, _: &str, ctx: &DispatchCtx) -> Reply {
     let mut sinks = q.service_sinks(&service);
     sinks.retain(|&n| matches!(q.graph.nodes[n], NodeKind::DeliveredToSubnet(..)));
 
-    let outcome = ReachAnalysis::new(q.graph).forward_governed(q.bdd, &seeds, &gov);
-    let (result, partial) = split(&outcome);
+    let (result, partial) = ReachAnalysis::new(q.graph)
+        .forward_governed(q.bdd, &seeds, &gov)
+        .into_parts();
     let mut delivered = batnet::bdd::NodeId::FALSE;
     for &sk in &sinks {
         delivered = q.bdd.or(delivered, result.at(sk));
@@ -419,7 +405,7 @@ fn query_reach(req: &Request, _: &str, ctx: &DispatchCtx) -> Reply {
         delivered != batnet::bdd::NodeId::FALSE,
         result.relaxations,
     ));
-    write_partial(&mut out, partial);
+    write_partial(&mut out, partial.as_ref());
     out.push_str("}\n");
     Ok(governed(200, partial.is_some(), out))
 }
@@ -470,14 +456,13 @@ fn query_trace(req: &Request, _: &str, ctx: &DispatchCtx) -> Reply {
 fn lint(req: &Request, _: &str, ctx: &DispatchCtx) -> Reply {
     let s = snapshot(req, ctx)?;
     let gov = request_governor(req, &ctx.cfg)?;
-    let outcome = batnet_lint::run_all_governed(&s.devices, &gov);
-    let (findings, partial) = split(&outcome);
+    let (findings, partial) = batnet_lint::run_all_governed(&s.devices, &gov).into_parts();
     let mut out = String::from("{\"query\": \"lint\", \"snapshot\": ");
     json::write_str(&mut out, &s.name);
     out.push_str(&format!(", \"findings\": {}, ", findings.len()));
-    write_partial(&mut out, partial);
+    write_partial(&mut out, partial.as_ref());
     out.push_str(", \"report\": ");
-    out.push_str(&batnet_lint::output::render_json(&s.name, findings));
+    out.push_str(&batnet_lint::output::render_json(&s.name, &findings));
     out.push_str("}\n");
     Ok(governed(200, partial.is_some(), out))
 }
@@ -492,13 +477,13 @@ fn diff(req: &Request, _: &str, ctx: &DispatchCtx) -> Reply {
     let (Some(a), Some(b)) = (ctx.store.get(a_name), ctx.store.get(b_name)) else {
         return Err(Response::error(404, "unknown snapshot in snapshot/against"));
     };
-    let outcome = batnet_diff::diff_governed(
+    let (d, partial) = batnet_diff::diff_governed(
         &a.snapshot.diff_side(),
         &b.snapshot.diff_side(),
         &batnet::DiffOptions::default(),
         &gov,
-    );
-    let (d, partial) = split(&outcome);
+    )
+    .into_parts();
     let mut out = String::from("{\"query\": \"diff\", \"snapshot\": ");
     json::write_str(&mut out, a_name);
     out.push_str(", \"against\": ");
@@ -508,9 +493,9 @@ fn diff(req: &Request, _: &str, ctx: &DispatchCtx) -> Reply {
         d.is_empty(),
         d.change_count()
     ));
-    write_partial(&mut out, partial);
+    write_partial(&mut out, partial.as_ref());
     out.push_str(", \"report\": ");
-    out.push_str(&batnet_diff::render_json(d));
+    out.push_str(&batnet_diff::render_json(&d));
     out.push_str("}\n");
     Ok(governed(200, partial.is_some(), out))
 }

@@ -1,14 +1,14 @@
 //! The service core: listener, admission, shared-pool dispatch,
 //! watchdog, graceful drain.
 //!
-//! The threading model is deliberately boring — one nonblocking accept
+//! The threading model is deliberately boring — one blocking accept
 //! loop, one [`Admission`] counter, one dispatch task on the shared
 //! [`batnet_exec`] pool per admitted connection (the task owns its
 //! socket), socket read timeouts as the slow-loris watchdog — because
 //! every piece of it is a named element of the failure model
 //! (DESIGN.md §5f):
 //!
-//! * **Admission control.** The accept loop never blocks: with
+//! * **Admission control.** The accept loop never waits on a client: with
 //!   `queue_depth` admitted connections still waiting for a pool thread
 //!   it sheds the next one with `503` + `Retry-After` immediately, so
 //!   overload degrades to fast rejections instead of latency collapse.
@@ -47,7 +47,7 @@ use crate::http::{read_request, Limits, Response};
 use crate::store::SnapshotStore;
 use crate::tracing::{AccessLog, TraceEntry, TraceIds, TraceRing};
 use batnet_obs::{Sampler, SamplerThread, Span};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -107,26 +107,48 @@ impl Default for ServeConfig {
 
 /// Shared liveness flags, visible to handlers (for `readyz` and
 /// `/admin/shutdown`) and to the accept loop.
-#[derive(Default)]
 pub(crate) struct ServiceState {
     ready: AtomicBool,
     shutdown: AtomicBool,
+    /// Where a connect reaches the listener, to wake its blocking
+    /// `accept()` for the drain.
+    wake: SocketAddr,
 }
 
 impl ServiceState {
+    fn new(bound: SocketAddr) -> ServiceState {
+        let mut wake = bound;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match bound {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        ServiceState {
+            ready: AtomicBool::new(false),
+            shutdown: AtomicBool::new(false),
+            wake,
+        }
+    }
+
     /// Ready = warmed up and not draining.
     pub(crate) fn is_ready(&self) -> bool {
         self.ready.load(Ordering::Relaxed) && !self.is_shutting_down()
     }
 
-    /// Flags the server to drain (idempotent).
+    /// Flags the server to drain (idempotent). The first call wakes
+    /// the accept loop out of its blocking `accept()` with one loopback
+    /// connect; the loop re-checks the flag after every accept.
     pub(crate) fn request_shutdown(&self) {
-        self.shutdown.store(true, Ordering::Relaxed);
+        // Release half pairs with the Acquire load in `is_shutting_down`.
+        if !self.shutdown.swap(true, Ordering::AcqRel) {
+            let _ = TcpStream::connect_timeout(&self.wake, Duration::from_secs(1));
+        }
     }
 
     /// Has a drain been requested?
     pub(crate) fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::Relaxed)
+        self.shutdown.load(Ordering::Acquire)
     }
 }
 
@@ -289,7 +311,6 @@ pub(crate) struct DispatchCtx {
 /// Returns once the service is ready.
 pub fn spawn(cfg: ServeConfig) -> std::io::Result<Handle> {
     let listener = TcpListener::bind(&cfg.addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
 
     // Start the profiler before prewarm, so prewarm's pipeline spans
@@ -305,7 +326,7 @@ pub fn spawn(cfg: ServeConfig) -> std::io::Result<Handle> {
 
     let ctx = Arc::new(DispatchCtx {
         store,
-        state: ServiceState::default(),
+        state: ServiceState::new(addr),
         admission: Admission::new(cfg.queue_depth),
         limits: Limits::default().with_max_body(cfg.max_body_bytes),
         ids: TraceIds::new(cfg.trace_seed),
@@ -329,14 +350,21 @@ pub fn spawn(cfg: ServeConfig) -> std::io::Result<Handle> {
     })
 }
 
-/// The nonblocking accept loop: admit (the ticket is stamped with the
+/// The blocking accept loop: admit (the ticket is stamped with the
 /// admission instant, so the dispatch task can account queue wait) and
 /// hand the socket to its own dispatch task on the shared pool, or shed
-/// with 503 immediately. Polls the shutdown flag between accepts.
+/// with 503 immediately. Checks the shutdown flag after every accept:
+/// [`ServiceState::request_shutdown`] connects once to get it here, and
+/// that connection (or a client racing the drain) is dropped unserved
+/// and uncounted.
 fn accept_loop(listener: &TcpListener, ctx: &Arc<DispatchCtx>) {
     let io_timeout = Duration::from_millis(ctx.cfg.io_timeout_ms.max(1));
-    while !ctx.state.is_shutting_down() {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if ctx.state.is_shutting_down() {
+            break;
+        }
+        match accepted {
             Ok((mut stream, _)) => {
                 // Arm the watchdog before the socket can reach a
                 // dispatch task.
@@ -362,13 +390,7 @@ fn accept_loop(listener: &TcpListener, ctx: &Arc<DispatchCtx>) {
                     let _ = resp.write_to(&mut stream);
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(2));
-            }
-            Err(_) => {
-                batnet_obs::counter_add("serve.accept.errors", 1);
-                std::thread::sleep(Duration::from_millis(2));
-            }
+            Err(_) => batnet_obs::counter_add("serve.accept.errors", 1),
         }
     }
     // Drain: no new work; admitted connections still get served.

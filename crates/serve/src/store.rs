@@ -15,7 +15,7 @@
 //! single request may run without a deadline).
 
 use batnet::bdd::Bdd;
-use batnet::{Analysis, Error, Exhaustion, Outcome, ResourceGovernor, Snapshot};
+use batnet::{Analysis, Error, Exhaustion, ResourceGovernor, Snapshot};
 use batnet_config::vi::Device;
 use batnet_config::Topology;
 use batnet_dataplane::{ForwardingGraph, PacketVars};
@@ -87,15 +87,9 @@ impl SnapshotStore {
         gov: &ResourceGovernor,
     ) -> Result<Arc<StoredSnapshot>, Error> {
         let snapshot = Snapshot::from_configs(configs);
-        let outcome = snapshot.analyze_resilient(&SimOptions::default(), 1, gov)?;
-        let (analysis, partial) = match outcome {
-            Outcome::Complete(a) => (a, None),
-            Outcome::Partial {
-                completed,
-                abandoned,
-                why,
-            } => (completed, Some((abandoned, why))),
-        };
+        let (analysis, partial) = snapshot
+            .analyze_resilient(&SimOptions::default(), 1, gov)?
+            .into_parts();
         let Analysis {
             devices,
             topo,

@@ -31,7 +31,7 @@
 
 use batnet::diff::{render_json, render_text, DiffOptions};
 use batnet::obs::flags::{self, Cli, Flag};
-use batnet::{Outcome, Snapshot};
+use batnet::Snapshot;
 use batnet_topogen::perturb::{perturb, Scenario};
 use std::process::ExitCode;
 
@@ -141,14 +141,7 @@ fn run(args: &flags::Parsed<'_>) -> Result<ExitCode, String> {
         opts.max_starts = n;
     }
     let gov = batnet_repro::governor(args.num("--deadline-ms"));
-    let (diff, partial) = match before.diff_with_governed(&after, &opts, &gov) {
-        Outcome::Complete(d) => (d, None),
-        Outcome::Partial {
-            completed,
-            abandoned,
-            why,
-        } => (completed, Some((abandoned, why))),
-    };
+    let (diff, partial) = before.diff_with_governed(&after, &opts, &gov).into_parts();
     if let Some((abandoned, why)) = &partial {
         batnet::obs::counter_add("diff.partial", 1);
         eprintln!(

@@ -28,7 +28,6 @@
 use batnet::config::parse_device;
 use batnet::lint::{output, run_network_governed, Severity};
 use batnet::obs::flags::{self, Cli, Flag};
-use batnet::Outcome;
 use std::process::ExitCode;
 
 static CLI: Cli = Cli {
@@ -86,14 +85,7 @@ fn run(args: &flags::Parsed<'_>) -> Result<ExitCode, String> {
         diags.push((name.clone(), dg));
     }
     let gov = batnet_repro::governor(args.num("--deadline-ms"));
-    let (mut findings, partial) = match run_network_governed(&devices, &diags, &gov) {
-        Outcome::Complete(f) => (f, None),
-        Outcome::Partial {
-            completed,
-            abandoned,
-            why,
-        } => (completed, Some((abandoned, why))),
-    };
+    let (mut findings, partial) = run_network_governed(&devices, &diags, &gov).into_parts();
     span.close();
     if let Some((abandoned, why)) = &partial {
         batnet::obs::counter_add("lint.partial", 1);
