@@ -116,7 +116,7 @@ impl AptEngine {
             }
         }
         let mut atoms: Vec<NodeId> = vec![NodeId::TRUE];
-        for (i, &p) in predicates.iter().enumerate() {
+        for &p in &predicates {
             if p == NodeId::TRUE || p == NodeId::FALSE {
                 continue;
             }
@@ -133,11 +133,6 @@ impl AptEngine {
                 }
             }
             atoms = next;
-            // The refinement touches every atom against every predicate;
-            // the operation caches would otherwise grow with the product.
-            if i % 64 == 63 {
-                bdd.clear_caches();
-            }
         }
         // Re-encode every edge as an atom set. An atom is in a predicate
         // iff atom ∧ predicate ≠ ∅ (atoms are never split by any

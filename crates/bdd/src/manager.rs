@@ -24,13 +24,15 @@ impl NodeId {
 }
 
 /// One decision node: branch variable plus low (var=0) and high (var=1)
-/// children. 16 bytes; the arena stores millions of these comfortably.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+/// children. 12 bytes; the arena stores millions of these comfortably.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 struct Node {
     var: u32,
     lo: NodeId,
     hi: NodeId,
 }
+
+const _: () = assert!(std::mem::size_of::<Node>() == 12);
 
 /// Variable index used for terminals: larger than any real variable so the
 /// min-var recursion in apply never descends into a terminal.
@@ -69,14 +71,80 @@ impl Hasher for FxHasher {
 pub(crate) type FxBuild = BuildHasherDefault<FxHasher>;
 pub(crate) type FxMap<K, V> = HashMap<K, V, FxBuild>;
 
-/// Binary operations cached in the apply cache.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+/// The same multiply-xor mix over three words, for the two tables the
+/// manager owns. The upper half of the product is the well-mixed one.
+#[inline]
+fn hash3(a: u32, b: u32, c: u32) -> usize {
+    let h = (u64::from(a).rotate_left(5) ^ u64::from(b)).wrapping_mul(SEED);
+    let h = (h.rotate_left(5) ^ u64::from(c)).wrapping_mul(SEED);
+    (h >> 32) as usize
+}
+
+/// Binary operations computed by `apply`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum Op {
     And,
     Or,
     Xor,
     /// Set difference `a ∧ ¬b`.
     Diff,
+}
+
+/// Node ids stay below this, so the third key word of a cache entry is
+/// either an `ite` operand (below) or a [`Tag`] (at or above).
+const ARENA_CEILING: u32 = 1 << 31;
+
+/// Registered map/transform ids share the tag word with the operation.
+pub(crate) const TAG_ID_LIMIT: usize = 1 << 24;
+
+/// Which operation a cache entry belongs to — every cached operation but
+/// `ite`, which needs all three key words for its operands.
+#[derive(Clone, Copy)]
+pub(crate) enum Tag {
+    Apply(Op),
+    Not,
+    Exists,
+    /// With the registered map's id.
+    Rename(u32),
+    /// With the registered transform's id.
+    Transform(u32),
+}
+
+impl Tag {
+    #[inline]
+    fn word(self) -> u32 {
+        let (op, id) = match self {
+            Tag::Apply(op) => (op as u32, 0),
+            Tag::Not => (4, 0),
+            Tag::Exists => (5, 0),
+            Tag::Rename(id) => (6, id),
+            Tag::Transform(id) => (7, id),
+        };
+        debug_assert!((id as usize) < TAG_ID_LIMIT);
+        ARENA_CEILING | op << 24 | id
+    }
+}
+
+/// One operation-cache entry: key words `(a, b, c)` then the result. `a`
+/// is a non-FALSE operand of every cached operation, so the all-zero
+/// entry is "empty" and a zeroed allocation is an empty cache.
+type Entry = [u32; 4];
+
+const _: () = assert!(std::mem::size_of::<Entry>() == 16);
+
+/// Slots in the operation cache (4 MiB) once the unique table is at least
+/// as long; until then the cache is as long as the unique table, so a
+/// small short-lived manager (lint builds one per ACL) does not zero 4 MiB.
+/// Measured, not guessed — see DESIGN §2.2: 2¹⁶ loses a quarter of
+/// `verify-n7`'s hits, 2²⁰ costs every live shard fork 16 MiB and falls
+/// out of L2.
+const CACHE_SLOTS: usize = 1 << 18;
+
+fn empty_cache(slots: usize) -> Vec<Entry> {
+    debug_assert!(slots.is_power_of_two());
+    // Array-of-integer zero is what `vec!` hands to `alloc_zeroed`: pages
+    // no operation has hashed to are never touched.
+    vec![[0; 4]; slots]
 }
 
 /// Counters exposed for benchmarks and regression tests.
@@ -91,17 +159,25 @@ pub struct BddStats {
 }
 
 /// A BDD manager: owns the node arena, the unique table (hash-consing), and
-/// the operation caches. All operations go through `&mut self`; one manager
+/// the operation cache. All operations go through `&mut self`; one manager
 /// is used per analysis.
+///
+/// The arena only grows (no GC); the two tables around it do not hold
+/// anything the arena cannot rebuild. The unique table is open-addressed
+/// arena indices and is regrown by rehashing the arena. The operation
+/// cache is direct-mapped, lossy (a collision overwrites) and bounded: it
+/// doubles with the unique table up to `CACHE_SLOTS` and stays there.
+/// Losing an entry costs a recomputation and never a different answer —
+/// every node a recomputation asks `mk` for was hash-consed the first
+/// time, so results, node numbering and `node_count` do not depend on
+/// what the cache forgot.
 pub struct Bdd {
     nodes: Vec<Node>,
-    unique: FxMap<Node, NodeId>,
-    apply_cache: FxMap<(Op, NodeId, NodeId), NodeId>,
-    not_cache: FxMap<NodeId, NodeId>,
-    ite_cache: FxMap<(NodeId, NodeId, NodeId), NodeId>,
-    pub(crate) quant_cache: FxMap<(NodeId, NodeId), NodeId>,
-    pub(crate) rename_cache: FxMap<(NodeId, u32), NodeId>,
-    pub(crate) transform_cache: FxMap<(NodeId, NodeId, u32), NodeId>,
+    /// Power-of-two table of arena indices, 0 = empty (terminals are
+    /// never hashed), linear probing, load ≤ ½.
+    unique: Vec<u32>,
+    cache: Vec<Entry>,
+    cache_used: usize,
     pub(crate) maps: Vec<crate::ops::MapData>,
     pub(crate) transforms: Vec<crate::ops::TransformData>,
     num_vars: u32,
@@ -115,15 +191,12 @@ impl Bdd {
     /// Creates a manager for `num_vars` variables, indexed `0..num_vars`
     /// with 0 topmost in the order.
     pub fn new(num_vars: u32) -> Bdd {
+        let slots = 1 << 13;
         let mut bdd = Bdd {
-            nodes: Vec::with_capacity(1 << 12),
-            unique: FxMap::default(),
-            apply_cache: FxMap::default(),
-            not_cache: FxMap::default(),
-            ite_cache: FxMap::default(),
-            quant_cache: FxMap::default(),
-            rename_cache: FxMap::default(),
-            transform_cache: FxMap::default(),
+            nodes: Vec::with_capacity(slots / 2),
+            unique: vec![0; slots],
+            cache: empty_cache(slots),
+            cache_used: 0,
             maps: Vec::new(),
             transforms: Vec::new(),
             num_vars,
@@ -146,8 +219,8 @@ impl Bdd {
 
     /// A detached copy for a shard worker: same node arena, unique
     /// table, and registered maps/transforms — every existing `NodeId`,
-    /// `VarMap`, and `Transform` handle stays valid in the fork — but
-    /// fresh empty operation caches and **no governor** (shards are
+    /// `VarMap`, and `Transform` handle stays valid in the fork — but a
+    /// fresh empty operation cache and **no governor** (shards are
     /// budgeted by their driver, not by a shared manager; a governor
     /// must not be cloned into threads it was not accounting for).
     /// Forks diverge from the parent: nodes created in one are
@@ -157,12 +230,8 @@ impl Bdd {
         Bdd {
             nodes: self.nodes.clone(),
             unique: self.unique.clone(),
-            apply_cache: FxMap::default(),
-            not_cache: FxMap::default(),
-            ite_cache: FxMap::default(),
-            quant_cache: FxMap::default(),
-            rename_cache: FxMap::default(),
-            transform_cache: FxMap::default(),
+            cache: empty_cache(self.cache.len()),
+            cache_used: 0,
             maps: self.maps.clone(),
             transforms: self.transforms.clone(),
             num_vars: self.num_vars,
@@ -171,12 +240,6 @@ impl Bdd {
             governor: None,
             exhausted: None,
         }
-    }
-
-    /// Grows the variable universe (used when an analysis discovers it
-    /// needs extra bits, e.g. waypoint variables added on demand).
-    pub fn ensure_vars(&mut self, num_vars: u32) {
-        self.num_vars = self.num_vars.max(num_vars);
     }
 
     #[inline]
@@ -206,8 +269,14 @@ impl Bdd {
             return lo;
         }
         let node = Node { var, lo, hi };
-        if let Some(&id) = self.unique.get(&node) {
-            return id;
+        let mask = self.unique.len() - 1;
+        let mut slot = hash3(var, lo.0, hi.0) & mask;
+        loop {
+            match self.unique[slot] {
+                0 => break,
+                i if self.nodes[i as usize] == node => return NodeId(i),
+                _ => slot = (slot + 1) & mask,
+            }
         }
         // Governance: record (once, sticky) when the arena crosses the
         // ceiling or the deadline passes. The in-flight operation still
@@ -226,10 +295,66 @@ impl Bdd {
                 }
             }
         }
-        let id = NodeId(u32::try_from(self.nodes.len()).expect("BDD arena overflow"));
+        let id = u32::try_from(self.nodes.len())
+            .ok()
+            .filter(|&i| i < ARENA_CEILING)
+            .expect("BDD arena overflow");
         self.nodes.push(node);
-        self.unique.insert(node, id);
-        id
+        self.unique[slot] = id;
+        if self.nodes.len() * 2 > self.unique.len() {
+            self.grow_unique();
+        }
+        NodeId(id)
+    }
+
+    /// Doubles the unique table and rehashes every decision node into it
+    /// from the arena (the table holds nothing the arena does not). The
+    /// operation cache, while it is as long as the table and short of
+    /// `CACHE_SLOTS`, doubles with it and starts over empty — five times
+    /// in a manager's first 65,536 nodes, never after.
+    fn grow_unique(&mut self) {
+        if self.cache.len() == self.unique.len() && self.cache.len() < CACHE_SLOTS {
+            self.cache = empty_cache(self.cache.len() * 2);
+            self.cache_used = 0;
+        }
+        let mut table = vec![0u32; self.unique.len() * 2];
+        let mask = table.len() - 1;
+        for (i, n) in self.nodes.iter().enumerate().skip(2) {
+            let mut slot = hash3(n.var, n.lo.0, n.hi.0) & mask;
+            while table[slot] != 0 {
+                slot = (slot + 1) & mask;
+            }
+            table[slot] = i as u32;
+        }
+        self.unique = table;
+    }
+
+    /// Looks a tagged operation on `(a, b)` up in the operation cache.
+    #[inline]
+    pub(crate) fn cache_get(&self, tag: Tag, a: NodeId, b: NodeId) -> Option<NodeId> {
+        self.lookup(a.0, b.0, tag.word())
+    }
+
+    /// Records a tagged operation's result, overwriting whatever hashed
+    /// to the same slot.
+    #[inline]
+    pub(crate) fn cache_put(&mut self, tag: Tag, a: NodeId, b: NodeId, r: NodeId) {
+        self.store(a.0, b.0, tag.word(), r);
+    }
+
+    #[inline]
+    fn lookup(&self, a: u32, b: u32, c: u32) -> Option<NodeId> {
+        let e = &self.cache[hash3(a, b, c) & (self.cache.len() - 1)];
+        (e[0] == a && e[1] == b && e[2] == c).then_some(NodeId(e[3]))
+    }
+
+    #[inline]
+    fn store(&mut self, a: u32, b: u32, c: u32, r: NodeId) {
+        debug_assert!(a != 0, "the all-zero entry means empty");
+        let slot = hash3(a, b, c) & (self.cache.len() - 1);
+        let e = &mut self.cache[slot];
+        self.cache_used += usize::from(e[0] == 0);
+        *e = [a, b, c, r.0];
     }
 
     /// The canonical node "if `var` then `hi` else `lo`", for encoders that
@@ -342,24 +467,19 @@ impl Bdd {
             }
         }
         // Commutative ops: canonicalize the key order to double cache hits.
-        let key = match op {
-            Op::And | Op::Or | Op::Xor if a.0 > b.0 => (op, b, a),
-            _ => (op, a, b),
-        };
-        if let Some(&r) = self.apply_cache.get(&key) {
+        let (a, b) = if op != Op::Diff && a.0 > b.0 { (b, a) } else { (a, b) };
+        if let Some(r) = self.cache_get(Tag::Apply(op), a, b) {
             self.cache_hits += 1;
             return r;
         }
         self.cache_misses += 1;
-        let va = self.var_of(key.1);
-        let vb = self.var_of(key.2);
-        let v = va.min(vb);
-        let (a0, a1) = self.cofactors(key.1, v);
-        let (b0, b1) = self.cofactors(key.2, v);
+        let v = self.var_of(a).min(self.var_of(b));
+        let (a0, a1) = self.cofactors(a, v);
+        let (b0, b1) = self.cofactors(b, v);
         let lo = self.apply(op, a0, b0);
         let hi = self.apply(op, a1, b1);
         let r = self.mk(v, lo, hi);
-        self.apply_cache.insert(key, r);
+        self.cache_put(Tag::Apply(op), a, b, r);
         r
     }
 
@@ -391,7 +511,7 @@ impl Bdd {
         if a == NodeId::TRUE {
             return NodeId::FALSE;
         }
-        if let Some(&r) = self.not_cache.get(&a) {
+        if let Some(r) = self.cache_get(Tag::Not, a, NodeId::FALSE) {
             self.cache_hits += 1;
             return r;
         }
@@ -399,9 +519,9 @@ impl Bdd {
         let lo = self.not(self.lo_of(a));
         let hi = self.not(self.hi_of(a));
         let r = self.mk(self.var_of(a), lo, hi);
-        self.not_cache.insert(a, r);
+        self.cache_put(Tag::Not, a, NodeId::FALSE, r);
         // Negation is an involution; prime the reverse direction too.
-        self.not_cache.insert(r, a);
+        self.cache_put(Tag::Not, r, NodeId::FALSE, a);
         r
     }
 
@@ -419,8 +539,7 @@ impl Bdd {
         if g == NodeId::TRUE && h == NodeId::FALSE {
             return f;
         }
-        let key = (f, g, h);
-        if let Some(&r) = self.ite_cache.get(&key) {
+        if let Some(r) = self.lookup(f.0, g.0, h.0) {
             self.cache_hits += 1;
             return r;
         }
@@ -432,7 +551,7 @@ impl Bdd {
         let lo = self.ite(f0, g0, h0);
         let hi = self.ite(f1, g1, h1);
         let r = self.mk(v, lo, hi);
-        self.ite_cache.insert(key, r);
+        self.store(f.0, g.0, h.0, r);
         r
     }
 
@@ -487,9 +606,10 @@ impl Bdd {
         self.nodes.len()
     }
 
-    /// Entries in the unique table (hash-consed decision nodes).
+    /// Entries in the unique table (hash-consed decision nodes): every
+    /// arena node but the two terminals.
     pub fn unique_table_len(&self) -> usize {
-        self.unique.len()
+        self.nodes.len() - 2
     }
 
     /// Apply/ITE/not-cache hits since creation or the last
@@ -526,28 +646,29 @@ impl Bdd {
         stats
     }
 
-    /// Total entries across every operation cache — the memory-accounting
-    /// proxy for cache footprint that the bench harness surfaces as the
-    /// `bdd.cache.entries` gauge (each entry is a fixed-size key/value
-    /// pair, so entries × entry size ≈ cache bytes).
+    /// Occupied slots of the operation cache, at most `CACHE_SLOTS` — what
+    /// the bench harness surfaces as the `bdd.cache.entries` gauge (16
+    /// bytes each). Deterministic: a slot fills the first time an
+    /// operation hashes to it and is only ever overwritten after that.
     pub fn cache_entries(&self) -> usize {
-        self.apply_cache.len()
-            + self.not_cache.len()
-            + self.ite_cache.len()
-            + self.quant_cache.len()
-            + self.rename_cache.len()
-            + self.transform_cache.len()
+        self.cache_used
     }
 
-    /// Drops all operation caches (not the arena). Useful between analysis
-    /// phases when the cached operands will not recur.
+    /// Empties the operation cache (not the arena). Never needed to bound
+    /// memory; for measurements that must not see an earlier phase's hits.
     pub fn clear_caches(&mut self) {
-        self.apply_cache.clear();
-        self.not_cache.clear();
-        self.ite_cache.clear();
-        self.quant_cache.clear();
-        self.rename_cache.clear();
-        self.transform_cache.clear();
+        self.cache = empty_cache(self.cache.len());
+        self.cache_used = 0;
+    }
+
+    /// Test seam: replaces the operation cache with an empty one of
+    /// `slots` entries (fewer than the unique table has, so it never
+    /// grows), so a test can show results do not depend on what a tiny
+    /// cache forgot. Not a tuning knob — see `CACHE_SLOTS`.
+    #[doc(hidden)]
+    pub fn shrink_cache_for_test(&mut self, slots: usize) {
+        self.cache = empty_cache(slots);
+        self.cache_used = 0;
     }
 
     /// Builds the conjunction of literals for an unsigned value laid out on
@@ -821,6 +942,64 @@ mod tests {
         assert_eq!(b.node_count(), parent_nodes);
         // The governor stays behind: forks are budgeted by their driver.
         assert!(shard.exhausted().is_none());
+    }
+
+    /// Every decision node of the arena resolves to its own id, and
+    /// nothing new is allocated finding that out.
+    fn assert_refinds_every_node(b: &mut Bdd) {
+        let n = b.node_count();
+        for i in 2..n {
+            let id = NodeId(i as u32);
+            assert_eq!(b.mk(b.var_of(id), b.lo_of(id), b.hi_of(id)), id);
+        }
+        assert_eq!(b.node_count(), n);
+    }
+
+    #[test]
+    fn unique_table_regrows_from_the_arena_and_forks_by_copy() {
+        let mut b = Bdd::new(32);
+        b.shrink_cache_for_test(16);
+        let initial = b.unique.len();
+        let mut k = 0u64;
+        while b.unique.len() < initial << 4 {
+            b.value_cube(0, 32, k.wrapping_mul(0x9E37_79B9));
+            k += 1;
+        }
+        assert!(b.node_count() * 2 <= b.unique.len(), "load stays at or under a half");
+        assert_eq!(b.unique.iter().filter(|&&i| i != 0).count(), b.unique_table_len());
+        assert_refinds_every_node(&mut b);
+        assert_eq!(b.cache.len(), 16, "a shrunk test cache does not follow the table");
+        // The fork's table is the parent's, slot for slot: it re-finds the
+        // same nodes and numbers its first new one after them.
+        let mut shard = b.fork();
+        assert_eq!(shard.unique, b.unique);
+        assert_refinds_every_node(&mut shard);
+        let next = shard.node_count();
+        let fresh = shard.value_cube(0, 32, u64::from(u32::MAX));
+        assert!(fresh.0 as usize >= next, "a new function gets new nodes");
+        assert_eq!(b.node_count(), next, "and the parent does not see them");
+    }
+
+    #[test]
+    fn op_cache_grows_to_its_fixed_size_and_stays() {
+        let mut b = Bdd::new(32);
+        assert_eq!(b.cache.len(), b.unique.len(), "a fresh manager's cache is small");
+        let mut acc = NodeId::FALSE;
+        let mut k = 0u64;
+        while b.cache_hits() + b.cache_misses() < 1_000_000 {
+            let c = b.value_cube(0, 32, k.wrapping_mul(0x9E37_79B9) & 0xFFFF_FFFF);
+            acc = b.or(acc, c);
+            k += 1;
+        }
+        assert_ne!(acc, NodeId::FALSE);
+        assert!(b.unique.len() > CACHE_SLOTS, "the arena outgrew the cache");
+        assert_eq!(b.cache.len(), CACHE_SLOTS);
+        let occupied = b.cache.iter().filter(|e| e[0] != 0).count();
+        assert_eq!(b.cache_entries(), occupied);
+        assert!(occupied > 0 && occupied <= CACHE_SLOTS);
+        b.clear_caches();
+        assert_eq!(b.cache_entries(), 0);
+        assert_eq!(b.cache.len(), CACHE_SLOTS);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! [`Bdd::transform`] does all three steps in one traversal, and the
 //! unfused [`Bdd::transform_3step`] is kept for the A-5 ablation benchmark.
 
-use crate::manager::{Bdd, NodeId};
+use crate::manager::{Bdd, NodeId, Tag, TAG_ID_LIMIT};
 
 /// A registered variable renaming. Create with [`Bdd::register_map`]; apply
 /// with [`Bdd::rename`]. Handles are cheap copies; the mapping data lives in
@@ -51,8 +51,7 @@ impl Bdd {
             return f;
         }
         debug_assert!(cube != NodeId::FALSE, "quantifier cube must be a product of literals");
-        let key = (f, cube);
-        if let Some(&r) = self.quant_cache.get(&key) {
+        if let Some(r) = self.cache_get(Tag::Exists, f, cube) {
             return r;
         }
         // Skip cube variables above f's top variable.
@@ -62,7 +61,7 @@ impl Bdd {
             c = self.hi_of(c);
         }
         if c == NodeId::TRUE {
-            self.quant_cache.insert(key, f);
+            self.cache_put(Tag::Exists, f, cube, f);
             return f;
         }
         let cv = self.var_of(c);
@@ -77,7 +76,7 @@ impl Bdd {
             let hi = self.exists(self.hi_of(f), c);
             self.mk(fv, lo, hi)
         };
-        self.quant_cache.insert(key, r);
+        self.cache_put(Tag::Exists, f, cube, r);
         r
     }
 
@@ -102,6 +101,9 @@ impl Bdd {
         for &(from, to) in pairs {
             mapping[from as usize] = to;
         }
+        // Map and transform ids are part of a cache key word (every
+        // transform registers a map, so this bounds both).
+        assert!(self.maps.len() < TAG_ID_LIMIT, "too many registered variable maps");
         self.maps.push(MapData { mapping });
         VarMap {
             id: (self.maps.len() - 1) as u32,
@@ -118,8 +120,7 @@ impl Bdd {
         if f.is_terminal() {
             return f;
         }
-        let key = (f, map.id);
-        if let Some(&r) = self.rename_cache.get(&key) {
+        if let Some(r) = self.cache_get(Tag::Rename(map.id), f, NodeId::FALSE) {
             return r;
         }
         let v = self.var_of(f);
@@ -127,7 +128,7 @@ impl Bdd {
         let hi = self.rename(self.hi_of(f), map);
         let nv = self.maps[map.id as usize].mapping[v as usize];
         let r = self.mk_ordered(nv, lo, hi);
-        self.rename_cache.insert(key, r);
+        self.cache_put(Tag::Rename(map.id), f, NodeId::FALSE, r);
         r
     }
 
@@ -173,8 +174,7 @@ impl Bdd {
         if f == NodeId::TRUE && rule == NodeId::TRUE {
             return NodeId::TRUE;
         }
-        let key = (f, rule, t.id);
-        if let Some(&r) = self.transform_cache.get(&key) {
+        if let Some(r) = self.cache_get(Tag::Transform(t.id), f, rule) {
             return r;
         }
         let v = self.var_of(f).min(self.var_of(rule));
@@ -189,7 +189,7 @@ impl Bdd {
             let nv = self.transforms[t.id as usize].mapping[v as usize];
             self.mk_ordered(nv, lo, hi)
         };
-        self.transform_cache.insert(key, r);
+        self.cache_put(Tag::Transform(t.id), f, rule, r);
         r
     }
 

@@ -255,3 +255,53 @@ fn fused_transform_matches_3step() {
         assert_eq!(fused, steps, "case {case}: {e:?} / {r:?}");
     }
 }
+
+/// Every operation the cases above exercise, on one manager: the results
+/// in a fixed order.
+fn replay(b: &mut Bdd, case: u64) -> Vec<NodeId> {
+    let mut rng = case_rng(9, case);
+    let e = gen_expr(&mut rng, 4);
+    let r = gen_expr(&mut rng, 4);
+    let qvar = rng.below(NVARS as u64) as u32;
+    let f = to_bdd(&e, b);
+    let rule_in = to_bdd(&r, b);
+    let d = b.diff(f, rule_in);
+    let cube = b.cube_of_vars(&[qvar]);
+    let ex = b.exists(f, cube);
+    let pairs_up: Vec<(u32, u32)> = (0..NVARS).map(|v| (v, v + NVARS)).collect();
+    let up = b.register_map(&pairs_up);
+    let rule_out = b.rename(rule_in, up);
+    let rule = b.or(rule_in, rule_out);
+    let inputs: Vec<u32> = (0..NVARS).collect();
+    let pairs_down: Vec<(u32, u32)> = (0..NVARS).map(|v| (v + NVARS, v)).collect();
+    let t = b.register_transform(&inputs, &pairs_down);
+    let fused = b.transform(f, rule, t);
+    let steps = b.transform_3step(f, rule, t);
+    vec![f, rule_in, d, ex, rule_out, rule, fused, steps]
+}
+
+/// The operation cache is lossy; canonicity must not depend on what it
+/// forgot. The same operations on a manager whose cache is 16 slots give
+/// the same `NodeId`s and leave the same arena as on the default one —
+/// recomputing an evicted subproblem only re-finds hash-consed nodes.
+#[test]
+fn results_do_not_depend_on_what_the_cache_forgot() {
+    let (mut misses, mut small_misses) = (0, 0);
+    for case in 0..CASES {
+        let mut b = Bdd::new(NVARS * 2);
+        let mut small = Bdd::new(NVARS * 2);
+        small.shrink_cache_for_test(16);
+        // Two rounds on the same managers: the second one is all hits or
+        // all re-finds.
+        for round in 0..2 {
+            let want = replay(&mut b, case);
+            let got = replay(&mut small, case);
+            assert_eq!(got, want, "case {case} round {round}");
+            assert_eq!(small.node_count(), b.node_count(), "case {case} round {round}");
+        }
+        assert!(small.cache_entries() <= 16);
+        misses += b.stats().cache_misses;
+        small_misses += small.stats().cache_misses;
+    }
+    assert!(small_misses > misses, "16 slots must actually evict: {small_misses} vs {misses}");
+}
