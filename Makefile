@@ -37,13 +37,13 @@ build:
 test:
 	$(CARGO) test -q --offline --workspace
 
-# The three tests that were red off a 1-CPU box share the
-# process-global recorder and the pool (still statics: ROADMAP item 3);
-# five consecutive passes at the default --test-threads is the
-# regression gate for that, and for the recorder's own concurrency
-# contracts (open order, reset, take_tree, sampler ⊆ exact).
+# The tests that were red off a 1-CPU box share the process-global
+# recorder and the pool (still statics: ROADMAP item 6); five
+# consecutive passes at the default --test-threads is the regression
+# gate for that, and for the recorder's own concurrency contracts (open
+# order, reset, take_tree).
 test-repeat:
-	for i in 1 2 3 4 5; do $(CARGO) test -q --offline --test parallel --test profiling || exit 1; done
+	for i in 1 2 3 4 5; do $(CARGO) test -q --offline --test parallel || exit 1; done
 	for i in 1 2 3 4 5; do $(CARGO) test -q --offline -p batnet-obs --test concurrency || exit 1; done
 
 # Robustness gate: 25 seeds x all 6 mutation classes over NET1 and the
@@ -69,16 +69,14 @@ clippy:
 	$(CARGO) clippy --offline --workspace --all-targets -- -D clippy::disallowed_methods
 
 # Pipeline gate: the N2 rows of Table 2 at `--threads 1` and at the
-# default all-core width (that run with the 997 Hz sampler attached).
-# Both files validate and both match the committed BENCH_table2.json
-# row set (row keys are width-independent); the `batnet-prof/v1` window
-# validates (`samples == recorded + dropped` and the stack-count sum, so
-# silent sample loss fails CI) and renders as a folded flamegraph.
+# default all-core width. Both files validate and both match the
+# committed BENCH_table2.json row set (row keys are width-independent);
+# the default-width run's span forest is its profile, and folds into a
+# flamegraph (exact self time per span path).
 bench-smoke: build
 	$(call bench-gate,table2 --net N2 --threads 1,target/BENCH_n2_t1.json,BENCH_table2.json)
-	$(call bench-gate,table2 --net N2 --profile,target/BENCH_n2.json,BENCH_table2.json)
-	$(VALIDATE) target/BENCH_n2.profile.json
-	$(OBS_TRACE) target/BENCH_n2.profile.json --format folded --out target/BENCH_n2.folded
+	$(call bench-gate,table2 --net N2,target/BENCH_n2.json,BENCH_table2.json)
+	$(OBS_TRACE) target/BENCH_n2.json --format folded --out target/BENCH_n2.folded
 
 # Lint gate: SARIF output on the smallest suite network validates
 # against the in-tree checker, the clean network passes `--deny error`,

@@ -28,7 +28,6 @@
 //!   --net ID     restrict table2 / lint / cov to one suite network
 //!   --out FILE   write the one bench JSON to FILE instead of the committed baseline
 //!   --threads N  size of the shared execution pool (0 or omitted = all cores)
-//!   --profile    sample at 997 Hz and write a .profile.json (batnet-prof/v1) next to each bench JSON
 //!   --help       print this help and exit
 //! ```
 //!
@@ -84,10 +83,6 @@ static CLI: Cli = Cli {
         Flag::text("--net", "ID", "restrict table2 / lint / cov to one suite network"),
         Flag::text("--out", "FILE", "write the one bench JSON to FILE instead of the committed baseline"),
         flags::THREADS,
-        Flag::switch(
-            "--profile",
-            "sample at 997 Hz and write a .profile.json (batnet-prof/v1) next to each bench JSON",
-        ),
     ],
 };
 
@@ -96,11 +91,11 @@ static CLI: Cli = Cli {
 /// experiment this does not name.
 fn reads(cmd: &str) -> &'static [&'static str] {
     match cmd {
-        "table2" => &["--full", "--net", "--json", "--out", "--profile"],
-        "fig3" => &["--json", "--out", "--profile"],
-        "lint" | "cov" => &["--full", "--net", "--out", "--profile"],
-        "diff" => &["--out", "--profile"],
-        "all" => &["--full", "--net", "--json", "--profile"],
+        "table2" => &["--full", "--net", "--json", "--out"],
+        "fig3" => &["--json", "--out"],
+        "lint" | "cov" => &["--full", "--net", "--out"],
+        "diff" => &["--out"],
+        "all" => &["--full", "--net", "--json"],
         "table1" => &["--full"],
         "fig1" | "apt" | "ablate-convergence" | "ablate-memory" | "ablate-varorder"
         | "ablate-dataflow" | "ablate-transform" => &[],
@@ -125,14 +120,10 @@ fn main() {
         CLI.fail("--threads: the execution pool is already sized differently");
     }
     batnet_obs::reset();
-    let profiler = args
-        .has("--profile")
-        .then(|| batnet_obs::SamplerThread::spawn(PROFILE_HZ));
     let root = batnet_obs::Span::enter("harness");
     let mut rows: Vec<Row> = Vec::new();
     run_cmd(cmd, args.has("--full"), args.text("--net"), &mut rows);
     let wall = root.close();
-    let profile_doc = finish_profiler(profiler, wall);
     let commit = git_commit();
     let cmdline = args.cmdline.trim_end();
     println!(
@@ -141,33 +132,11 @@ fn main() {
     );
     let out = args.text("--out");
     if args.has("--json") || out.is_some() || matches!(cmd, "lint" | "diff" | "cov") {
-        if let Err(e) = emit_json(cmd, &rows, &commit, cmdline, out, profile_doc.as_deref()) {
+        if let Err(e) = emit_json(cmd, &rows, &commit, cmdline, out) {
             eprintln!("harness: {e}");
             std::process::exit(1);
         }
     }
-}
-
-/// The continuous profiler's bench cadence: an odd prime, so sampling
-/// does not alias with any periodic work in the measured pipeline.
-const PROFILE_HZ: u64 = 997;
-
-/// Stops the profiler, reports its strictly-accounted cost against the
-/// bench wall time, and returns the window's `batnet-prof/v1` document.
-fn finish_profiler(
-    profiler: Option<batnet_obs::SamplerThread>,
-    wall: Duration,
-) -> Option<String> {
-    let sampler = profiler?.stop();
-    let text = sampler.take_profile();
-    let stats = sampler.stats();
-    let pct = 100.0 * stats.overhead_us as f64 / (wall.as_micros().max(1) as f64);
-    println!(
-        "profiler: {} samples ({} dropped) over {} ticks @ {PROFILE_HZ}Hz, \
-         overhead {}us = {pct:.3}% of wall",
-        stats.samples, stats.dropped, stats.ticks, stats.overhead_us
-    );
-    Some(text)
 }
 
 /// Dispatches an experiment [`reads`] has vetted.
@@ -205,17 +174,14 @@ fn run_cmd(cmd: &str, full: bool, net: Option<&str>, rows: &mut Vec<Row>) {
 /// Writes one `BENCH_<bench>.json` per bench that produced rows: at the
 /// repo root (the committed baselines), or at `out` — which [`reads`]
 /// only lets through for single-bench experiments, so CI can write
-/// under `target/`. A captured profile window (`--profile`) goes next to
-/// each bench file with a `.profile.json` extension. A file that cannot
-/// be written is an error: a gate downstream must never pass on what an
-/// earlier run left at that path.
+/// under `target/`. A file that cannot be written is an error: a gate
+/// downstream must never pass on what an earlier run left at that path.
 fn emit_json(
     cmd: &str,
     rows: &[Row],
     commit: &str,
     cmdline: &str,
     out: Option<&str>,
-    profile: Option<&str>,
 ) -> Result<(), String> {
     let report = batnet_obs::capture();
     let meta = vec![
@@ -229,9 +195,6 @@ fn emit_json(
         "all" => &["table2", "fig3"],
         _ => std::slice::from_ref(&cmd),
     };
-    let write = |path: &std::path::Path, text: &str| {
-        std::fs::write(path, text).map_err(|e| format!("failed to write {}: {e}", path.display()))
-    };
     for bench in benches {
         let subset: Vec<Row> = rows.iter().filter(|r| r.bench == *bench).cloned().collect();
         if subset.is_empty() {
@@ -241,13 +204,9 @@ fn emit_json(
             Some(p) => std::path::PathBuf::from(p),
             None => repo_root().join(format!("BENCH_{bench}.json")),
         };
-        write(&path, &bench_json(bench, &meta, &subset, &report))?;
+        std::fs::write(&path, bench_json(bench, &meta, &subset, &report))
+            .map_err(|e| format!("failed to write {}: {e}", path.display()))?;
         println!("wrote {} ({} rows)", path.display(), subset.len());
-        if let Some(doc) = profile {
-            let ppath = path.with_extension("profile.json");
-            write(&ppath, doc)?;
-            println!("wrote {}", ppath.display());
-        }
     }
     Ok(())
 }
@@ -780,14 +739,15 @@ fn ablate_memory() {
         };
         let world = build_world(net);
         let mem = &world.dp.mem;
+        let combos = world.dp.shareable_combos();
         println!(
             "{id}: {} BGP routes, {} full bundles, {} shareable combos  sharing={:.1}x  reduction={:.0}%  saved~{}KB",
             mem.total_bgp_routes,
             mem.unique_attr_bundles,
-            mem.unique_shared_combos,
-            mem.sharing_factor(),
-            mem.memory_reduction() * 100.0,
-            mem.bytes_saved / 1024
+            combos,
+            mem.sharing_factor(combos),
+            mem.memory_reduction(combos) * 100.0,
+            mem.bytes_saved(combos) / 1024
         );
     }
     println!("(paper: 10x-20x fewer bundles than routes, ~50% memory reduction)");

@@ -16,7 +16,7 @@ fn harness_honours_the_cli_contract() {
         &["fig1", "--json"],
         &["apt", "--out", "f.json"],
         &["all", "--out", "f.json"],
-        &["table1", "--profile"],
+        &["table1", "--net", "N2"],
         &["no-such-experiment"],
     ] {
         contract::assert_misuse(HARNESS, misuse, &help);

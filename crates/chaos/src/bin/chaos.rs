@@ -1,9 +1,7 @@
 //! Chaos sweep CLI: inject faults, assert zero panics and monotone
-//! degradation — in the pipeline (invariants 1–7, 10, the
-//! sampler-read-onlyness half of 11, and the parallel-engine parity
-//! sweep of 12), and against a live `batnet-serve` under adversarial
-//! clients with the continuous profiler attached (invariants 8–9 and
-//! 11's serve half).
+//! degradation — in the pipeline (invariants 1–7, 10, and the
+//! parallel-engine parity sweep of 12), and against a live
+//! `batnet-serve` under adversarial clients (invariants 8–9).
 //!
 //! ```text
 //! usage: chaos [OPTIONS]

@@ -2,7 +2,7 @@
 //! and degrades monotonically.
 //!
 //! For every `(network, class, seed)` triple the harness mutates the
-//! network, runs the fault-tolerant pipeline, and checks seven
+//! network, runs the fault-tolerant pipeline, and checks these
 //! invariants:
 //!
 //! 1. **Zero panics** — no panic escapes the pipeline (containment via
@@ -35,20 +35,15 @@
 //!    across two runs over the same devices; the repairer never panics
 //!    and its candidate accounting always balances
 //!    (`tried == accepted + rejected_regression + rejected_side_effect`).
-//! 11. **Profiler read-onlyness** — with an aggressive (2500 Hz)
-//!    continuous sampler attached, lint fingerprints and coverage JSON
-//!    over the mutated configs are byte-identical to the sampler-off
-//!    baselines, nothing panics, the sampler never writes the metric
-//!    registry, and its window passes the profile validator (which
-//!    enforces `samples == recorded + dropped`).
 //! 12. **Parallel-engine parity** — the whole faulted pipeline re-run on
-//!    a dedicated 4-thread work-stealing pool (with the aggressive
-//!    sampler attached) quarantines the same devices with the same
-//!    reason codes and reports the same partial/complete outcome as the
-//!    ambient run, every panic the pool contains is accounted for in
-//!    the quarantine report (zero leaks), and the sampler profile still
-//!    passes the validator.
-//!    (Invariants 8–9 are the `batnet-serve` sweep in [`crate::serve`].)
+//!     a dedicated 4-thread work-stealing pool quarantines the same
+//!     devices with the same reason codes and reports the same
+//!     partial/complete outcome as the ambient run, and every panic the
+//!     pool contains is accounted for in the quarantine report (zero
+//!     leaks).
+//!
+//! Invariants 8–9 are the `batnet-serve` sweep in [`crate::serve`]; 11
+//! is retired.
 
 use crate::mutate::{mutate, MutationClass};
 use batnet::{ResourceGovernor, Snapshot};
@@ -256,7 +251,6 @@ fn run_one(net: &GeneratedNetwork, class: MutationClass, seed: u64, cfg: &ChaosC
         let second = fingerprints(&batnet::lint::run_all(&devices));
         (first, second)
     }));
-    let mut lint_baseline = None;
     match lint_outcome {
         Err(_) => run
             .violations
@@ -266,7 +260,6 @@ fn run_one(net: &GeneratedNetwork, class: MutationClass, seed: u64, cfg: &ChaosC
                 run.violations
                     .push("lint fingerprints differ across identical runs".to_string());
             }
-            lint_baseline = Some(first);
         }
     }
 
@@ -286,7 +279,6 @@ fn run_one(net: &GeneratedNetwork, class: MutationClass, seed: u64, cfg: &ChaosC
         let second = batnet_coverage::render_json(&run.net, &batnet_coverage::analyze(&devices));
         (first, second)
     }));
-    let mut cov_baseline = None;
     match cov_outcome {
         Err(_) => run
             .violations
@@ -295,60 +287,6 @@ fn run_one(net: &GeneratedNetwork, class: MutationClass, seed: u64, cfg: &ChaosC
             if first != second {
                 run.violations
                     .push("coverage JSON differs across identical runs".to_string());
-            }
-            cov_baseline = Some(first);
-        }
-    }
-
-    // Invariant 11: an aggressive continuous profiler is strictly
-    // read-only. Re-run lint and coverage over the same mutated configs
-    // with a 2500 Hz sampler attached: the fingerprints and the JSON
-    // must be byte-identical to the sampler-off baselines above, nothing
-    // may panic, the sampler must never write the metric registry, and
-    // its window must pass the profile validator (which enforces the
-    // `samples == recorded + dropped` accounting balance).
-    if let (Some(lint_base), Some(cov_base)) = (&lint_baseline, &cov_baseline) {
-        let thread = batnet_obs::SamplerThread::spawn(2500);
-        let sampled = catch_unwind(AssertUnwindSafe(|| {
-            let devices: Vec<batnet_config::vi::Device> = m
-                .configs
-                .iter()
-                .map(|(name, text)| batnet_config::parse_device(name, text).0)
-                .collect();
-            let lints: Vec<String> =
-                batnet::lint::run_all(&devices).iter().map(batnet::lint::Finding::fingerprint).collect();
-            let cov = batnet_coverage::render_json(&run.net, &batnet_coverage::analyze(&devices));
-            (lints, cov)
-        }));
-        let profile = thread.stop().take_profile();
-        match sampled {
-            Err(_) => run
-                .violations
-                .push("panic with the sampler attached".to_string()),
-            Ok((lints, cov)) => {
-                if &lints != lint_base {
-                    run.violations
-                        .push("lint fingerprints differ with the sampler attached".to_string());
-                }
-                if &cov != cov_base {
-                    run.violations
-                        .push("coverage JSON differs with the sampler attached".to_string());
-                }
-            }
-        }
-        if batnet_obs::metrics::gauge("obs.sampler.samples").is_some() {
-            run.violations
-                .push("sampler leaked its stats into the metric registry".to_string());
-        }
-        match batnet_obs::json::parse(&profile) {
-            Err(e) => run
-                .violations
-                .push(format!("sampler profile does not parse: {e}")),
-            Ok(v) => {
-                if let Err(e) = batnet_obs::report::validate_profile(&v) {
-                    run.violations
-                        .push(format!("sampler profile fails validation: {e}"));
-                }
             }
         }
     }
@@ -478,18 +416,16 @@ fn run_one(net: &GeneratedNetwork, class: MutationClass, seed: u64, cfg: &ChaosC
     }
 
     // Invariant 12: the parallel engine degrades identically. Re-run
-    // the whole pipeline on a dedicated 4-thread work-stealing pool
-    // with the aggressive sampler attached: the quarantine list (device
-    // and reason code, in order) and the partial/complete outcome must
-    // match the ambient run above, every panic the pool contained must
-    // surface as a panic-coded quarantine entry (a contained panic that
-    // vanishes from the accounting is a leak), and the sampler's
-    // profile must still pass the validator. The re-run is a full
-    // analysis, so like the repair half it is sampled on the low seeds
-    // only — every mutation class still gets exercised.
+    // the whole pipeline on a dedicated 4-thread work-stealing pool:
+    // the quarantine list (device and reason code, in order) and the
+    // partial/complete outcome must match the ambient run above, and
+    // every panic the pool contained must surface as a panic-coded
+    // quarantine entry (a contained panic that vanishes from the
+    // accounting is a leak). The re-run is a full analysis, so like the
+    // repair half it is sampled on the low seeds only — every mutation
+    // class still gets exercised.
     if seed <= 3 {
         let pool = batnet_exec::Pool::new(4);
-        let thread = batnet_obs::SamplerThread::spawn(2500);
         let par = catch_unwind(AssertUnwindSafe(|| {
             batnet_exec::with_pool(&pool, || {
                 let snap = Snapshot::from_configs(m.configs.clone()).with_env(m.env.clone());
@@ -503,7 +439,6 @@ fn run_one(net: &GeneratedNetwork, class: MutationClass, seed: u64, cfg: &ChaosC
                 (quarantine, result)
             })
         }));
-        let profile = thread.stop().take_profile();
         match par {
             Err(_) => run
                 .violations
@@ -543,17 +478,6 @@ fn run_one(net: &GeneratedNetwork, class: MutationClass, seed: u64, cfg: &ChaosC
                         "contained-panic leak: the pool contained {contained} panic(s) \
 but only {accounted} are accounted in the quarantine"
                     ));
-                }
-            }
-        }
-        match batnet_obs::json::parse(&profile) {
-            Err(e) => run
-                .violations
-                .push(format!("parallel-run sampler profile does not parse: {e}")),
-            Ok(v) => {
-                if let Err(e) = batnet_obs::report::validate_profile(&v) {
-                    run.violations
-                        .push(format!("parallel-run sampler profile fails validation: {e}"));
                 }
             }
         }

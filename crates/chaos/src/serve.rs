@@ -27,13 +27,6 @@
 //! server never issued), and after drain the identity
 //! `requests.total == ring retained + evicted == access-log lines`
 //! holds exactly — a trace is never silently dropped.
-//!
-//! Invariant 11 (serve half; the pipeline half lives in
-//! [`crate::harness`]) runs the whole sweep with the continuous
-//! profiler attached at an aggressive cadence: the server must uphold
-//! every contract above while being sampled, and `/profilez` must
-//! answer a validator-clean `batnet-prof/v1` window whose accounting
-//! balances (`samples == recorded + dropped`).
 
 use batnet_net::Rng;
 use batnet_serve::{client, AccessLog, ServeConfig};
@@ -192,10 +185,6 @@ pub fn run_serve_chaos(cfg: &ServeChaosConfig) -> ServeChaosReport {
         max_body_bytes: 64 << 10,
         store_capacity: 4,
         trace_ring_capacity: 4,
-        // Invariant 11: the whole adversarial sweep runs under an
-        // aggressive continuous profiler — sampling must never change
-        // the service's behavior or books.
-        profile_hz: 1999,
         access_log,
         ..ServeConfig::default()
     }) {
@@ -263,7 +252,6 @@ pub fn run_serve_chaos(cfg: &ServeChaosConfig) -> ServeChaosReport {
 
     audit_metrics(addr, cfg, t, &mut trace_ids, &mut report);
     audit_tracez(addr, t, &trace_ids, &mut report);
-    audit_profilez(addr, t, &mut report);
 
     // Invariant 9, post-drain: the ring outlives the handle, so the
     // final books are read with zero requests in flight.
@@ -652,38 +640,6 @@ fn audit_tracez(
                 .violations
                 .push(format!("tracez lookup of evicted id: transport: {e}")),
         }
-    }
-}
-
-/// Invariant 11, serve half: after the full adversarial sweep the
-/// profiler's window must still render a validator-clean
-/// `batnet-prof/v1` document — the validator enforces the
-/// `samples == recorded + dropped` balance and the stack-count sum, so
-/// sample loss under abuse can't hide.
-fn audit_profilez(addr: SocketAddr, t: Duration, report: &mut ServeChaosReport) {
-    let doc = match client::get(addr, "/profilez", t) {
-        Ok(r) if r.status == 200 => match r.json() {
-            Ok(v) => v,
-            Err(e) => {
-                report
-                    .violations
-                    .push(format!("profilez does not parse as JSON: {e}"));
-                return;
-            }
-        },
-        Ok(r) => {
-            report
-                .violations
-                .push(format!("profilez answered {}", r.status));
-            return;
-        }
-        Err(e) => {
-            report.violations.push(format!("profilez: transport: {e}"));
-            return;
-        }
-    };
-    if let Err(e) = batnet_obs::report::validate_profile(&doc) {
-        report.violations.push(format!("profilez INVALID: {e}"));
     }
 }
 

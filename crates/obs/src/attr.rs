@@ -11,7 +11,6 @@
 //! should read first.
 
 use crate::span::SpanRecord;
-use std::collections::BTreeMap;
 
 /// Per-span self time in nanoseconds, indexed like `spans`. An open
 /// span (no duration) attributes zero to itself; its closed children
@@ -78,40 +77,6 @@ pub fn critical_path(spans: &[SpanRecord]) -> Vec<PathStep> {
     path
 }
 
-/// Aggregated totals for one span path (root-to-node names joined
-/// with `;`, the folded-stack convention).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PathTotals {
-    /// Sum of durations over every occurrence of the path.
-    pub total_ns: u64,
-    /// Sum of self times over every occurrence.
-    pub self_ns: u64,
-    /// Occurrences of the path in the forest.
-    pub count: u64,
-}
-
-/// Aggregates the forest by full span path. Repeated paths (the same
-/// stage entered once per network, say) merge into one entry — the
-/// folded-stack view, and the exact reference the sampler's paths are
-/// tested against.
-pub fn path_totals(spans: &[SpanRecord]) -> BTreeMap<String, PathTotals> {
-    let self_ns = self_times_ns(spans);
-    let mut paths: Vec<String> = Vec::with_capacity(spans.len());
-    let mut out: BTreeMap<String, PathTotals> = BTreeMap::new();
-    for (i, s) in spans.iter().enumerate() {
-        let path = match s.parent {
-            Some(p) if p < i => format!("{};{}", paths[p], s.name),
-            _ => s.name.clone(),
-        };
-        let e = out.entry(path.clone()).or_default();
-        e.total_ns = e.total_ns.saturating_add(s.dur_ns.unwrap_or(0));
-        e.self_ns = e.self_ns.saturating_add(self_ns[i]);
-        e.count += 1;
-        paths.push(path);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,19 +127,5 @@ mod tests {
         assert_eq!(path, ["big-root", "costly", "leaf"]);
         assert_eq!(steps[1].self_ns, 10); // 70 - 60
         assert!(critical_path(&[]).is_empty());
-    }
-
-    #[test]
-    fn path_totals_merge_repeats() {
-        let spans = vec![
-            rec("run", None, 0, Some(100)),
-            rec("stage", Some(0), 0, Some(30)),
-            rec("stage", Some(0), 40, Some(50)),
-        ];
-        let totals = path_totals(&spans);
-        let stage = &totals["run;stage"];
-        assert_eq!(stage.total_ns, 80);
-        assert_eq!(stage.count, 2);
-        assert_eq!(totals["run"].self_ns, 20);
     }
 }

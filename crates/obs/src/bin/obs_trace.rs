@@ -1,12 +1,12 @@
-//! Exports batnet run reports as Chrome trace JSON or folded-stack
+//! Exports batnet span forests as Chrome trace JSON or folded-stack
 //! flamegraph text.
 //!
 //! ```text
 //! usage: obs-trace [OPTIONS] INPUT
 //!
 //! Export INPUT — a run-report JSON file, a BENCH_*.json bench file (its embedded report
-//! is used), or a batnet-prof/v1 sampling profile (from /profilez or harness --profile) —
-//! as a Chrome trace or as folded flamegraph stacks.
+//! is used), or a /tracez dump (one span tree per retained request) — as a Chrome trace
+//! or as folded flamegraph stacks (exact self microseconds per span path).
 //! Exit 0 exported, 1 the input cannot be exported, 2 usage error.
 //!
 //! options:
@@ -18,23 +18,20 @@
 //! The Chrome output loads in Perfetto or `chrome://tracing` (open the
 //! UI, drag the file in); it is validated against the in-tree checker
 //! before it is written, so `obs-trace` never emits a trace Perfetto
-//! would reject (`obs-validate` re-checks an existing trace file). A
-//! sampling profile carries folded stacks already — sampled counts have
-//! no span forest to reconstruct — so it exports as `--format folded`
-//! only.
+//! would reject (`obs-validate` re-checks an existing trace file). Every
+//! root span gets its own lane, so a `/tracez` dump renders one lane per
+//! request.
 
 use batnet_obs::flags::{self, Cli, Flag};
 use batnet_obs::json::{self, Value};
-use batnet_obs::report::validate_profile;
-use batnet_obs::sampler::profile_folded;
-use batnet_obs::trace::{chrome_trace, folded, forest_from_json, validate_chrome_trace};
+use batnet_obs::trace::{chrome_trace, folded, forest_from_json, validate_chrome_trace, SpanNode};
 use std::process::ExitCode;
 
 static CLI: Cli = Cli {
     bin: "obs-trace",
     about: "Export INPUT — a run-report JSON file, a BENCH_*.json bench file (its embedded report\n\
-            is used), or a batnet-prof/v1 sampling profile (from /profilez or harness --profile) —\n\
-            as a Chrome trace or as folded flamegraph stacks.\n\
+            is used), or a /tracez dump (one span tree per retained request) — as a Chrome trace\n\
+            or as folded flamegraph stacks (exact self microseconds per span path).\n\
             Exit 0 exported, 1 the input cannot be exported, 2 usage error.",
     positional: "INPUT",
     flags: &[
@@ -43,24 +40,30 @@ static CLI: Cli = Cli {
     ],
 };
 
-/// Renders `doc` in the requested format.
-fn export(doc: Value, chrome: bool) -> Result<String, String> {
-    if doc.get("kind").and_then(Value::as_str) == Some("batnet-prof/v1") {
-        if chrome {
-            return Err("sampling profiles export as --format folded only".to_string());
+/// The span forest `doc` carries. Every `/tracez` trace holds its
+/// request's tree in the run-report shape, so a dump is the forest of
+/// all retained requests.
+fn forest(doc: &Value) -> Result<Vec<SpanNode>, String> {
+    if doc.get("traces").is_some() {
+        let mut forest = Vec::new();
+        for trace in doc.arr("traces")? {
+            forest.extend(forest_from_json(trace)?);
         }
-        return validate_profile(&doc)
-            .and_then(|()| profile_folded(&doc))
-            .map_err(|e| format!("INVALID profile: {e}"));
+        return Ok(forest);
     }
     // A bench file embeds its run report under "report".
     let report = if doc.get("bench").is_some() {
         doc.get("report")
             .ok_or("bench file has no embedded report")?
     } else {
-        &doc
+        doc
     };
-    let forest = forest_from_json(report)?;
+    forest_from_json(report)
+}
+
+/// Renders `doc` in the requested format.
+fn export(doc: Value, chrome: bool) -> Result<String, String> {
+    let forest = forest(&doc)?;
     if !chrome {
         return Ok(folded(&forest));
     }

@@ -27,15 +27,12 @@
 //!   inside a stage costs the time", not only stage totals.
 //! * **Trace export** ([`trace`]) — any span forest renders as Chrome
 //!   `trace.json` (Perfetto-loadable) or folded-stack flamegraph text;
-//!   the `obs-trace` bin exports committed reports after the fact.
+//!   the `obs-trace` bin exports run reports, bench files and `/tracez`
+//!   dumps after the fact. The exact span forest is the profile: its
+//!   folded rendering is self time per path, to the microsecond.
 //! * **Memory accounting** ([`mem`]) — a counting global allocator
 //!   behind the `alloc-track` feature, with windowed peak/delta
 //!   measurement for per-stage memory gauges.
-//! * **Continuous profiling** ([`sampler`]) — an always-on sampling
-//!   profiler: a sampler folds what every recording thread is inside,
-//!   read off the recorder's own open-span stacks, into flamegraph
-//!   counts (`batnet-prof/v1` JSON), and its own cost is strictly
-//!   accounted. Powers `batnet-serve /profilez` and `harness --profile`.
 //! * **Structure gate** ([`diff`]) — do two bench files have the same
 //!   `bench/network/stage` rows? The `obs-diff` bin is the CI gate
 //!   built on it; time is the benchmark's to compare, not this crate's.
@@ -47,9 +44,8 @@
 //! open order, one metric map, one event list, the run epoch. Spans
 //! wrap stages and metrics tick once per query or sweep — a dozen spans
 //! per answer, about ten recorder calls per served request — so the
-//! lock is never contended enough to measure, [`report::capture`] is a
-//! clone, and the sampled profile and the exact attribution read the
-//! same parent links and cannot disagree.
+//! lock is never contended enough to measure and [`report::capture`] is
+//! a clone.
 //!
 //! All state is process-global and reset with [`reset`]: a *run* is
 //! "reset → build snapshot → analyze → [`report::capture`]". `reset`
@@ -72,7 +68,6 @@ pub mod mem;
 pub mod metrics;
 pub(crate) mod recorder;
 pub mod report;
-pub mod sampler;
 pub mod span;
 pub mod trace;
 
@@ -80,7 +75,6 @@ pub use clock::now;
 pub use mem::{MemStats, MemWindow};
 pub use metrics::{counter_add, event, gauge_set, observe};
 pub use report::{capture, RunReport};
-pub use sampler::{Sampler, SamplerStats, SamplerThread};
 pub use span::{take_tree, Span, SpanContext};
 
 /// Clears all recorded spans, metrics, and events and restarts the run

@@ -10,10 +10,9 @@
 //! spans per ≈410 ms `verify-n7` answer and ≈10 recorder calls per
 //! served request (≈10³ lock acquisitions a second at 70 req/s).
 //!
-//! Because a worker's span names its logical parent by id in this same
-//! list, its path *is* its parent chain: the exact attribution
-//! ([`crate::attr::path_totals`]) and the sampler ([`Recorder::live_paths`])
-//! walk the same links under the same lock and cannot disagree.
+//! A worker's span names its logical parent by id in this same list, so
+//! its path in the captured forest *is* its parent chain, whichever
+//! thread recorded it.
 //!
 //! Ids are never reused — [`Recorder::reset`] carries `next_id` over —
 //! so a [`crate::Span`] or [`crate::SpanContext`] from before a reset
@@ -131,28 +130,6 @@ impl Recorder {
 
     fn find(&self, id: u64) -> Option<usize> {
         self.spans.binary_search_by_key(&id, |s| s.id).ok()
-    }
-
-    /// The `;`-joined names from span `id`'s root down to it — the key
-    /// shape of [`crate::attr::path_totals`].
-    fn path(&self, id: u64) -> String {
-        let mut names = Vec::new();
-        let mut cur = self.find(id);
-        while let Some(i) = cur {
-            names.push(self.spans[i].name.as_str());
-            cur = self.spans[i].parent.and_then(|p| self.find(p));
-        }
-        names.reverse();
-        names.join(";")
-    }
-
-    /// What every registered thread is inside right now: the path of
-    /// its innermost open span, empty when idle. One entry per `tid`.
-    pub fn live_paths(&self) -> Vec<String> {
-        self.threads
-            .iter()
-            .map(|(_, stack)| stack.last().map_or_else(String::new, |&id| self.path(id)))
-            .collect()
     }
 
     /// Every recorded span as the flat, index-parented list all

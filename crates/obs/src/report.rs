@@ -479,54 +479,6 @@ pub fn validate_bench(v: &Value) -> Result<(), String> {
     within("embedded report", validate_run_report(report))
 }
 
-/// Validates a `batnet-prof/v1` sampling-profile document: window and
-/// sampler accounting with the balance invariant
-/// `samples == recorded + dropped`, numeric gauges, and folded stack
-/// entries with positive counts.
-pub fn validate_profile(v: &Value) -> Result<(), String> {
-    check_schema(v)?;
-    match v.get("kind").and_then(Value::as_str) {
-        Some("batnet-prof/v1") => {}
-        other => return Err(format!("\"kind\" must be \"batnet-prof/v1\", found {other:?}")),
-    }
-    v.num_min("hz", 0.0)?;
-    // A non-object here fails the member checks below.
-    let window = v.get("window").ok_or("missing object \"window\"")?;
-    for k in ["ticks", "duration_ms"] {
-        within("window", window.num_min(k, 0.0))?;
-    }
-    let sampler = v.get("sampler").ok_or("missing object \"sampler\"")?;
-    for k in ["truncated", "overhead_us"] {
-        within("sampler", sampler.num_min(k, 0.0))?;
-    }
-    let samples = within("sampler", sampler.num_min("samples", 0.0))?;
-    let recorded = within("sampler", sampler.num_min("recorded", 0.0))?;
-    let dropped = within("sampler", sampler.num_min("dropped", 0.0))?;
-    if samples != recorded + dropped {
-        return Err(format!(
-            "sampler accounting does not balance: samples {samples} != \
-             recorded {recorded} + dropped {dropped}"
-        ));
-    }
-    for (name, g) in v.obj("gauges")? {
-        if g.as_f64().is_none() {
-            return Err(format!("gauge {name}: value is not numeric"));
-        }
-    }
-    let mut counted = 0.0;
-    for (i, s) in v.arr("stacks")?.iter().enumerate() {
-        let place = format!("stack {i}");
-        within(&place, s.nonempty("stack"))?;
-        counted += within(&place, s.num_min("count", 1.0))?;
-    }
-    if counted != recorded {
-        return Err(format!(
-            "stack counts sum to {counted} but sampler recorded {recorded}"
-        ));
-    }
-    Ok(())
-}
-
 /// Validates one `results/TRAJECTORY.jsonl` row: a commit-stamped bench
 /// summary (`{schema, bench, commit, unix, rows, total_ms}`), one per
 /// `benchmark/` workload result a merged PR records.
@@ -655,34 +607,6 @@ mod tests {
         if let Ok(v) = json::parse(&empty) {
             assert!(validate_bench(&v).is_err());
         }
-    }
-
-    #[test]
-    fn profile_schema_validates() {
-        let doc = r#"{"schema": 1, "kind": "batnet-prof/v1", "hz": 99,
-          "window": {"ticks": 10, "duration_ms": 101.5},
-          "sampler": {"samples": 10, "recorded": 9, "dropped": 1,
-                      "truncated": 0, "overhead_us": 42},
-          "gauges": {"heap.current_bytes": 0, "bdd.nodes": 1234},
-          "stacks": [{"stack": "harness;network.n1;parse", "count": 6},
-                     {"stack": "(idle)", "count": 3}]}"#;
-        let v = json::parse(doc).expect("parses");
-        validate_profile(&v).expect("valid profile");
-        for (needle, replacement, what) in [
-            (r#""kind": "batnet-prof/v1""#, r#""kind": "other""#, "wrong kind"),
-            (r#""dropped": 1"#, r#""dropped": 2"#, "unbalanced accounting"),
-            (r#""count": 3"#, r#""count": 0"#, "zero stack count"),
-            (r#""stack": "(idle)""#, r#""stack": """#, "empty stack path"),
-            (r#""bdd.nodes": 1234"#, r#""bdd.nodes": "many""#, "non-numeric gauge"),
-        ] {
-            let bad = doc.replace(needle, replacement);
-            let v = json::parse(&bad).expect("parses");
-            assert!(validate_profile(&v).is_err(), "{what} must fail");
-        }
-        // Recorded samples must all be folded somewhere: 6 + 2 != 9.
-        let short = doc.replace(r#""count": 3"#, r#""count": 2"#);
-        let v = json::parse(&short).expect("parses");
-        assert!(validate_profile(&v).is_err(), "missing folds must fail");
     }
 
     #[test]

@@ -62,8 +62,7 @@ impl Span {
     /// Opens a span under an explicit parent — the cross-thread form:
     /// capture [`Span::context`] on the spawning thread, move it into
     /// the worker, and the worker's span (and everything nested inside
-    /// it on that thread) attaches under the logical parent, in the
-    /// exact tree and in the sampling profiler's live paths alike.
+    /// it on that thread) attaches under the logical parent.
     pub fn enter_with_parent(name: impl Into<String>, ctx: SpanContext) -> Span {
         Span::open(name.into(), Some(ctx.id))
     }
@@ -229,31 +228,6 @@ mod tests {
         assert_eq!(spans[i].parent, Some(w), "nesting continues on the worker");
         assert_ne!(spans[o].tid, spans[w].tid, "distinct OS threads, distinct tids");
         assert_eq!(spans[w].tid, spans[i].tid);
-    }
-
-    #[test]
-    fn a_workers_live_path_is_its_parent_chain() {
-        let _g = test_guard();
-        crate::reset();
-        // What the sampler would fold for each thread right now.
-        let live = || recorder::lock().live_paths();
-        let _root = Span::enter("pipeline");
-        let stage = Span::enter("route.fib");
-        let ctx = stage.context();
-        std::thread::spawn(move || {
-            let w = Span::enter_with_parent("exec.fib", ctx);
-            assert_eq!(live(), ["pipeline;route.fib", "pipeline;route.fib;exec.fib"]);
-            // A fan-out from the worker carries the whole path on.
-            let inner = Span::enter("fib.device");
-            assert_eq!(live()[1], "pipeline;route.fib;exec.fib;fib.device");
-            drop(inner);
-            drop(w);
-            assert_eq!(live()[1], "", "nothing open, nothing inherited");
-        })
-        .join()
-        .expect("worker thread");
-        // The spawning thread's own path never changed shape.
-        assert_eq!(live()[0], "pipeline;route.fib");
     }
 
     #[test]

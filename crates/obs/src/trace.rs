@@ -15,7 +15,8 @@
 //! [`chrome_trace`] and [`folded`] work from a [`SpanNode`] forest built
 //! from a parsed run-report JSON document ([`forest_from_json`]), so the
 //! `obs-trace` binary can export any committed `BENCH_*.json` or report
-//! file after the fact.
+//! file after the fact — and a `/tracez` dump, whose every trace carries
+//! its request's tree in the same shape.
 
 use crate::json::{self, within, Value};
 use crate::span::SpanRecord;
@@ -72,7 +73,8 @@ fn forest_from_records(spans: &[SpanRecord]) -> Vec<SpanNode> {
 }
 
 /// Builds the forest from the `"spans"` section of a parsed run-report
-/// document (the nested `{name, start_ms, ms, children}` shape).
+/// document (the nested `{name, start_ms, ms, children}` shape) or of
+/// one `/tracez` trace.
 pub fn forest_from_json(report: &Value) -> Result<Vec<SpanNode>, String> {
     fn node(v: &Value) -> Result<SpanNode, String> {
         let name = v.text("name")?.to_string();

@@ -19,6 +19,41 @@ fn obs_tools_honour_the_cli_contract() {
     );
 }
 
+/// A `/tracez` dump is a profile: `obs-trace` folds every retained
+/// request's tree into exact self-µs per path, and renders the dump as
+/// a valid Chrome trace with one lane per request.
+#[test]
+fn obs_trace_exports_a_tracez_dump() {
+    let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/tracez.json");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_obs-trace"))
+        .args([fixture, "--format", "folded"])
+        .output()
+        .expect("obs-trace runs");
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "serve.request 750\nserve.request;serve.bdd_lock 1000\nserve.request;reach.forward 2000\n"
+    );
+
+    let chrome = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("tracez.trace.json");
+    let status = std::process::Command::new(env!("CARGO_BIN_EXE_obs-trace"))
+        .args([fixture, "--out"])
+        .arg(&chrome)
+        .status()
+        .expect("obs-trace runs");
+    assert!(status.success());
+    let text = std::fs::read_to_string(&chrome).expect("trace written");
+    let v = batnet_obs::json::parse(&text).expect("trace parses");
+    batnet_obs::trace::validate_chrome_trace(&v).expect("trace validates");
+    let events = v.get("traceEvents").and_then(batnet_obs::json::Value::as_arr).expect("events");
+    let lanes: std::collections::BTreeSet<u64> = events
+        .iter()
+        .filter_map(|e| e.get("tid").and_then(batnet_obs::json::Value::as_f64))
+        .map(|t| t as u64)
+        .collect();
+    assert_eq!((events.len(), lanes.len()), (4, 2), "four spans, one lane per request");
+}
+
 /// `obs-diff` is a structure gate: row keys decide the exit code, `ms`
 /// never does, and a file that is not a bench document is refused.
 #[test]

@@ -8,9 +8,8 @@
 //! run handlers under `catch_unwind`; a panic mid-record must never
 //! poison the recorder for the rest of the process). Then what the
 //! single span list guarantees by construction: open order is
-//! topological across threads, a reset forgets open spans safely,
-//! `take_tree` partitions, and the sampler only ever folds paths the
-//! exact attribution has.
+//! topological across threads, a reset forgets open spans safely, and
+//! `take_tree` partitions.
 //!
 //! Byte-level stability of single-threaded reports is pinned separately
 //! by `tests/golden.rs` against the golden fixture.
@@ -19,9 +18,8 @@ use batnet_obs::json::{self, Value};
 use batnet_obs::metrics::MetricValue;
 use batnet_obs::report::validate_run_report;
 use batnet_obs::trace;
-use batnet_obs::{Sampler, Span};
+use batnet_obs::Span;
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex, MutexGuard, OnceLock};
 
 /// Serializes the tests in this binary: they all reset global state.
@@ -319,57 +317,4 @@ fn take_tree_partitions_while_other_threads_record() {
     assert_eq!(taken.len(), REQUESTS * 3);
     assert!(taken.is_disjoint(&remaining_set));
     assert!(remaining.iter().all(|n| n.starts_with("bg.")));
-}
-
-#[test]
-fn sampler_racing_span_churn_folds_only_exact_paths() {
-    let _g = guard();
-    batnet_obs::reset();
-    const WORKERS: usize = 4;
-    let root = Span::enter("churn");
-    let ctx = root.context();
-    let stop = Arc::new(AtomicBool::new(false));
-    let workers: Vec<_> = (0..WORKERS)
-        .map(|w| {
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut rounds = 0u64;
-                while !stop.load(Ordering::Relaxed) || rounds < 50 {
-                    let _a = Span::enter_with_parent(format!("churn.w{w}"), ctx);
-                    let _b = Span::enter("churn.step");
-                    let _c = Span::enter(if rounds.is_multiple_of(2) { "churn.even" } else { "churn.odd" });
-                    rounds += 1;
-                }
-            })
-        })
-        .collect();
-    let sampler = Sampler::new(0);
-    let mut samples = 0u64;
-    for _ in 0..2_000 {
-        samples += sampler.tick() as u64;
-    }
-    stop.store(true, Ordering::Relaxed);
-    for w in workers {
-        w.join().expect("churn worker");
-    }
-    drop(root);
-    let stats = sampler.stats();
-    assert_eq!((stats.samples, stats.dropped), (samples, 0));
-    let doc = json::parse(&sampler.take_profile()).expect("profile parses");
-    batnet_obs::report::validate_profile(&doc).expect("profile validates");
-    let books = doc.get("sampler").expect("sampler");
-    let book = |k: &str| books.get(k).and_then(Value::as_f64).expect("numeric");
-    assert_eq!(book("recorded"), samples as f64);
-    assert_eq!((book("dropped"), book("truncated")), (0.0, 0.0));
-    let exact = batnet_obs::attr::path_totals(&batnet_obs::capture().spans);
-    let stacks = doc.get("stacks").and_then(Value::as_arr).expect("stacks");
-    let mut live = 0;
-    for s in stacks {
-        let path = s.get("stack").and_then(Value::as_str).expect("stack");
-        if path != batnet_obs::sampler::IDLE_STACK {
-            live += 1;
-            assert!(exact.contains_key(path), "sampled {path:?} is not an exact path");
-        }
-    }
-    assert!(live > 0, "2,000 ticks never caught a live stack");
 }

@@ -183,11 +183,6 @@ pub fn service_reachable(ctx: &mut QueryContext<'_>, service: &ServiceSpec) -> Q
         if seed == NodeId::FALSE {
             continue;
         }
-        let r = analysis.forward(ctx.bdd, &[(src_node, seed)]);
-        let mut delivered = NodeId::FALSE;
-        for &s in &sinks {
-            delivered = ctx.bdd.or(delivered, r.at(s));
-        }
         // Compare at the source: which seeded packets never arrive?
         // (Delivered sets are post-transform; here the service traffic's
         // 5-tuple is what matters and NAT towards an internal service is

@@ -86,7 +86,10 @@ pub struct ConvergenceReport {
     pub poisoned_devices: Vec<String>,
 }
 
-/// Memory accounting for the A-2 ablation (§4.1.3).
+/// Memory accounting for the A-2 ablation (§4.1.3): the counters the
+/// simulation keeps anyway. The shareable-combination count they are
+/// judged against costs a set insert per route, so it is computed on
+/// demand ([`DataPlane::shareable_combos`]) and passed in.
 #[derive(Clone, Debug, Default)]
 pub struct MemReport {
     /// Total BGP routes held across adj-RIBs-in.
@@ -94,35 +97,33 @@ pub struct MemReport {
     /// Distinct interned attribute bundles (full bundles, including
     /// prefix and next hop).
     pub unique_attr_bundles: u64,
-    /// Distinct *shareable* property combinations — the bundle minus the
-    /// per-route prefix and next hop, i.e. the thirteen-odd properties
-    /// the paper moves into one interned object ("there are typically
-    /// 10x–20x fewer combinations of those properties than routes").
-    pub unique_shared_combos: u64,
     /// Interner requests (≥ total routes; includes transient bundles).
     pub intern_requests: u64,
-    /// Estimated bytes saved at 88 bytes per shareable combination.
-    pub bytes_saved: u64,
 }
 
 impl MemReport {
     /// Routes served per shareable combination — the paper reports
     /// 10–20×.
-    pub fn sharing_factor(&self) -> f64 {
-        if self.unique_shared_combos == 0 {
+    pub fn sharing_factor(&self, combos: u64) -> f64 {
+        if combos == 0 {
             0.0
         } else {
-            self.total_bgp_routes as f64 / self.unique_shared_combos as f64
+            self.total_bgp_routes as f64 / combos as f64
         }
     }
 
     /// Fraction of attribute memory avoided: 1 − combos/routes.
-    pub fn memory_reduction(&self) -> f64 {
+    pub fn memory_reduction(&self, combos: u64) -> f64 {
         if self.total_bgp_routes == 0 {
             0.0
         } else {
-            1.0 - (self.unique_shared_combos as f64 / self.total_bgp_routes as f64).min(1.0)
+            1.0 - (combos as f64 / self.total_bgp_routes as f64).min(1.0)
         }
+    }
+
+    /// Estimated bytes saved at 88 bytes per shareable combination.
+    pub fn bytes_saved(&self, combos: u64) -> u64 {
+        self.total_bgp_routes.saturating_sub(combos) * ATTR_BUNDLE_BYTES as u64
     }
 }
 
@@ -161,6 +162,30 @@ impl DataPlane {
     /// Total main-RIB routes across devices (Table 1's "routes").
     pub fn total_routes(&self) -> usize {
         self.devices.iter().map(|d| d.main_rib.route_count()).sum()
+    }
+
+    /// Distinct *shareable* property combinations across every
+    /// adj-RIB-in — the bundle minus the per-route prefix and next hop,
+    /// i.e. the thirteen-odd properties the paper moves into one interned
+    /// object ("there are typically 10x–20x fewer combinations of those
+    /// properties than routes").
+    pub fn shareable_combos(&self) -> u64 {
+        let mut combos = BTreeSet::new();
+        for d in &self.devices {
+            for peers in d.bgp.rib_in.values() {
+                for r in peers.values() {
+                    combos.insert((
+                        r.attrs.local_pref,
+                        r.attrs.med,
+                        &r.attrs.as_path,
+                        r.attrs.communities.iter().copied().collect::<Vec<_>>(),
+                        r.attrs.origin as u8,
+                        r.attrs.tag,
+                    ));
+                }
+            }
+        }
+        combos.len() as u64
     }
 }
 
@@ -279,33 +304,10 @@ pub fn simulate_governed(
         .iter()
         .map(|n| n.rib_in.values().map(|p| p.len() as u64).sum::<u64>())
         .sum();
-    // The shareable-combination projection: everything except prefix and
-    // next hop (the properties the paper moves into one shared object).
-    let mut combos: BTreeSet<(u32, u32, &batnet_net::AsPath, Vec<batnet_net::Community>, u8, u32)> =
-        BTreeSet::new();
-    for node in &nodes {
-        for peers in node.rib_in.values() {
-            for r in peers.values() {
-                combos.insert((
-                    r.attrs.local_pref,
-                    r.attrs.med,
-                    &r.attrs.as_path,
-                    r.attrs.communities.iter().copied().collect(),
-                    r.attrs.origin as u8,
-                    r.attrs.tag,
-                ));
-            }
-        }
-    }
-    let unique_shared_combos = combos.len() as u64;
-    drop(combos);
     let mem = MemReport {
         total_bgp_routes,
         unique_attr_bundles: stats.unique,
-        unique_shared_combos,
         intern_requests: stats.requests,
-        bytes_saved: total_bgp_routes.saturating_sub(unique_shared_combos)
-            * ATTR_BUNDLE_BYTES as u64,
     };
 
     let index = devices
@@ -1009,6 +1011,6 @@ mod tests {
         let dp = simulate(&ebgp_pair(), &Environment::none(), &SimOptions::default());
         assert!(dp.mem.total_bgp_routes > 0);
         assert!(dp.mem.unique_attr_bundles > 0);
-        assert!(dp.mem.sharing_factor() >= 1.0);
+        assert!(dp.mem.sharing_factor(dp.shareable_combos()) >= 1.0);
     }
 }

@@ -62,12 +62,11 @@ pub const OTHER: &str = "other";
 
 /// Every endpoint the service answers. A request is resolved against
 /// this table once, yielding both its latency label and its handler.
-pub static ROUTES: [Route; 14] = [
+pub static ROUTES: [Route; 13] = [
     route(Method::Get, &["healthz"], "healthz", |_, _, _| Ok(Response::text(200, "ok\n"))),
     route(Method::Get, &["readyz"], "readyz", readyz),
     route(Method::Get, &["metricsz"], "metricsz", metricsz),
     route(Method::Get, &["tracez"], "tracez", tracez),
-    route(Method::Get, &["profilez"], "profilez", profilez),
     route(Method::Get, &["snapshots"], "snapshots.list", list_snapshots),
     route(Method::Post, &["snapshots", "*"], "snapshots.upload", upload),
     route(Method::Get, &["snapshots", "*"], "snapshots.summary", |_, name, ctx| {
@@ -120,14 +119,11 @@ fn readyz(_: &Request, _: &str, ctx: &DispatchCtx) -> Reply {
 /// summaries (`slo.<endpoint>.p50_us` / `.p99_us`, upper bucket edges
 /// of the per-endpoint latency histograms) lifted into `meta` so an
 /// operator — or the bench harness — reads p50/p99 without re-deriving
-/// them from raw buckets. When the profiler is on, its cumulative
-/// accounting (`obs.sampler.samples` / `.dropped` / `.ticks` /
-/// `.overhead_us`) is lifted the same way — *into this response's meta,
-/// never into the metric registry*, so captured analysis reports stay
-/// byte-identical with the sampler off. The shared execution pool's
-/// gauges (`exec.workers` / `exec.steals` / `exec.queue_depth`) follow
-/// the same rule: meta only, so reports stay identical at every pool
-/// width.
+/// them from raw buckets. The shared execution pool's gauges
+/// (`exec.workers` / `exec.steals` / `exec.queue_depth`) are lifted the
+/// same way — *into this response's meta, never into the metric
+/// registry* — so captured analysis reports stay byte-identical at
+/// every pool width.
 fn metricsz(_: &Request, _: &str, ctx: &DispatchCtx) -> Reply {
     let mut report = batnet_obs::capture();
     let mut meta = Vec::new();
@@ -138,13 +134,6 @@ fn metricsz(_: &Request, _: &str, ctx: &DispatchCtx) -> Reply {
             meta.push((format!("slo.{endpoint}.p50_us"), h.percentile_upper(0.5)));
             meta.push((format!("slo.{endpoint}.p99_us"), h.percentile_upper(0.99)));
         }
-    }
-    if let Some(s) = &ctx.sampler {
-        let st = s.stats();
-        meta.push(("obs.sampler.samples".to_string(), st.samples));
-        meta.push(("obs.sampler.dropped".to_string(), st.dropped));
-        meta.push(("obs.sampler.ticks".to_string(), st.ticks));
-        meta.push(("obs.sampler.overhead_us".to_string(), st.overhead_us));
     }
     let exec = ctx.pool.stats();
     meta.push(("exec.workers".to_string(), ctx.pool.threads() as u64));
@@ -179,17 +168,6 @@ fn tracez(req: &Request, _: &str, ctx: &DispatchCtx) -> Reply {
             \"this server never issued the id (not in this seed's stream)\"}\n");
     }
     Err(Response::json(404, body))
-}
-
-/// `GET /profilez`: snapshot-and-reset the continuous profiler's
-/// current window as a `batnet-prof/v1` document — each fetch reports
-/// the interval since the previous fetch. 404 when the server runs
-/// without `--profile-hz`.
-fn profilez(_: &Request, _: &str, ctx: &DispatchCtx) -> Reply {
-    match &ctx.sampler {
-        Some(s) => Ok(Response::json(200, s.take_profile())),
-        None => Err(Response::error(404, "profiling is off; start with --profile-hz N")),
-    }
 }
 
 /// Builds the per-request governor: `deadline_ms` (default from config,
@@ -350,8 +328,12 @@ fn query_reach(req: &Request, _: &str, ctx: &DispatchCtx) -> Reply {
         .map_err(|e| Response::error(400, &format!("bad port: {e}")))?;
     let service = ServiceSpec::tcp(prefix, port);
     // The one lock a query takes. Poisoning cannot happen (a handler
-    // panic is caught above the guard's frame), but recover anyway.
+    // panic is caught above the guard's frame), but recover anyway. The
+    // wait is a span of its own, so a request queued behind another
+    // reach shows it in its `/tracez` tree.
+    let waiting = batnet_obs::Span::enter("serve.bdd_lock");
     let mut bdd = s.bdd.lock().unwrap_or_else(|e| e.into_inner());
+    drop(waiting);
     let mut q = QueryContext {
         devices: &s.devices,
         dp: &s.dp,

@@ -16,7 +16,6 @@
 //!   --prewarm IDS       comma-separated suite networks analyzed into the store before ready
 //!   --trace-ring N      recent request traces retained for GET /tracez (default 256)
 //!   --trace-seed N      seed for the deterministic X-Batnet-Trace-Id stream
-//!   --profile-hz N      sample every live span stack N times a second for GET /profilez (0 = off)
 //!   --access-log        one JSON line per request on stderr
 //!   --help              print this help and exit
 //! ```
@@ -44,7 +43,6 @@ static CLI: Cli = Cli {
         Flag::text("--prewarm", "IDS", "comma-separated suite networks analyzed into the store before ready"),
         Flag::uint("--trace-ring", "recent request traces retained for GET /tracez (default 256)"),
         Flag::uint("--trace-seed", "seed for the deterministic X-Batnet-Trace-Id stream"),
-        Flag::uint("--profile-hz", "sample every live span stack N times a second for GET /profilez (0 = off)"),
         Flag::switch("--access-log", "one JSON line per request on stderr"),
     ],
 };
@@ -66,7 +64,6 @@ fn main() -> ExitCode {
             }),
             trace_ring_capacity: args.num("--trace-ring").unwrap_or(d.trace_ring_capacity),
             trace_seed: args.num("--trace-seed").unwrap_or(d.trace_seed),
-            profile_hz: args.num("--profile-hz").unwrap_or(d.profile_hz),
             access_log: if args.has("--access-log") { AccessLog::Stderr } else { d.access_log },
             ..d
         };

@@ -24,14 +24,14 @@
 //!
 //! Request handlers run *on* the shared execution pool (the same pool
 //! that parallelizes parse, routing sweeps, and reachability — sized
-//! once per process, `--threads` on the binaries). A handler that fans
-//! out its own `parallel_map` nests safely: the pool's help-first join
-//! lets the joining task make progress on its own items even when every
-//! worker is busy, so serve traffic can never deadlock the analysis it
-//! triggers. `/metricsz` lifts the pool's gauges (`exec.workers` /
-//! `exec.steals` / `exec.queue_depth`) into its response meta the same
-//! way it lifts sampler accounting — never into the metric registry, so
-//! analysis reports stay byte-identical at every pool width.
+//! once per process, `--threads` on the binaries). A handler whose
+//! analysis fans out over the pool nests safely: the pool's help-first
+//! join lets the joining task make progress on its own items even when
+//! every worker is busy, so serve traffic can never deadlock the
+//! analysis it triggers. `/metricsz` lifts the pool's gauges
+//! (`exec.workers` / `exec.steals` / `exec.queue_depth`) into its
+//! response meta — never into the metric registry, so analysis reports
+//! stay byte-identical at every pool width.
 //!
 //! Every response — including sheds, parse rejections, and the
 //! post-panic 500 — carries an `X-Batnet-Trace-Id`. For real requests
@@ -46,7 +46,7 @@ use crate::api;
 use crate::http::{read_request, Limits, Response};
 use crate::store::SnapshotStore;
 use crate::tracing::{AccessLog, TraceEntry, TraceIds, TraceRing};
-use batnet_obs::{Sampler, SamplerThread, Span};
+use batnet_obs::Span;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -80,10 +80,6 @@ pub struct ServeConfig {
     pub trace_seed: u64,
     /// Where per-request access-log lines go (off by default).
     pub access_log: AccessLog,
-    /// Continuous-profiling cadence in Hz (0 = profiler off). When on,
-    /// a sampler thread snapshots every live span stack and
-    /// `GET /profilez` serves the accumulated window.
-    pub profile_hz: u64,
 }
 
 impl Default for ServeConfig {
@@ -100,7 +96,6 @@ impl Default for ServeConfig {
             trace_ring_capacity: 256,
             trace_seed: 0,
             access_log: AccessLog::Off,
-            profile_hz: 0,
         }
     }
 }
@@ -159,9 +154,6 @@ pub struct Handle {
     addr: SocketAddr,
     ctx: Arc<DispatchCtx>,
     accept: JoinHandle<()>,
-    /// The continuous profiler, when `profile_hz > 0`. Held here so the
-    /// sampling thread stops (via drop) only after the drain.
-    profiler: Option<SamplerThread>,
 }
 
 impl Handle {
@@ -191,8 +183,6 @@ impl Handle {
     pub fn join(self) {
         let _ = self.accept.join();
         self.ctx.admission.wait_idle();
-        // Dropping the profiler stops and joins the sampling thread.
-        drop(self.profiler);
         batnet_obs::event("serve", "drain", "complete");
     }
 }
@@ -299,7 +289,6 @@ pub(crate) struct DispatchCtx {
     limits: Limits,
     pub(crate) ids: TraceIds,
     pub(crate) ring: Arc<TraceRing>,
-    pub(crate) sampler: Option<Arc<Sampler>>,
     /// The shared execution pool requests run on — also the source of
     /// the `exec.*` gauges `/metricsz` lifts into its meta.
     pub(crate) pool: batnet_exec::Pool,
@@ -312,10 +301,6 @@ pub(crate) struct DispatchCtx {
 pub fn spawn(cfg: ServeConfig) -> std::io::Result<Handle> {
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
-
-    // Start the profiler before prewarm, so prewarm's pipeline spans
-    // (parse, dpgen, graph…) are already in the first window.
-    let profiler = (cfg.profile_hz > 0).then(|| SamplerThread::spawn(cfg.profile_hz));
 
     let store = SnapshotStore::new(cfg.store_capacity);
     for id in &cfg.prewarm {
@@ -331,7 +316,6 @@ pub fn spawn(cfg: ServeConfig) -> std::io::Result<Handle> {
         limits: Limits::default().with_max_body(cfg.max_body_bytes),
         ids: TraceIds::new(cfg.trace_seed),
         ring: Arc::new(TraceRing::new(cfg.trace_ring_capacity)),
-        sampler: profiler.as_ref().map(SamplerThread::sampler),
         pool: batnet_exec::current(),
         cfg,
     });
@@ -342,12 +326,7 @@ pub fn spawn(cfg: ServeConfig) -> std::io::Result<Handle> {
 
     ctx.state.ready.store(true, Ordering::Relaxed);
     batnet_obs::event("serve", "ready", &addr.to_string());
-    Ok(Handle {
-        addr,
-        ctx,
-        accept,
-        profiler,
-    })
+    Ok(Handle { addr, ctx, accept })
 }
 
 /// The blocking accept loop: admit (the ticket is stamped with the

@@ -2,36 +2,29 @@
 //! port, `/readyz` poll, a real reachability query, a deliberately
 //! over-deadline query that must come back `206` partial (not hang), a
 //! bad route, a `/tracez` fetch validated against the deterministic
-//! seeded trace-id stream, single-trace `/tracez?id=` lookups (retained
-//! and never-issued; the evicted case is pinned by the chaos serve
-//! sweep), a validator-clean `/profilez` profile when profiling is on,
-//! metrics audit with per-endpoint SLO meta, graceful drain — run once
-//! with the profiler off and once with it sampling, failing on the
-//! first deviation.
+//! seeded trace-id stream and folded into the exact per-path profile,
+//! single-trace `/tracez?id=` lookups (retained and never-issued; the
+//! evicted case is pinned by the chaos serve sweep), metrics audit with
+//! per-endpoint SLO meta, graceful drain — failing on the first
+//! deviation.
 
 use batnet_net::Backoff;
+use batnet_obs::trace::{folded, forest_from_json};
 use batnet_serve::{client, ServeConfig, TraceIds};
 use std::time::Duration;
 
 #[test]
-fn smoke_sequence_with_the_profiler_off() {
-    run_smoke(0).unwrap_or_else(|e| panic!("serve-smoke: {e}"));
-}
-
-#[test]
-fn smoke_sequence_under_the_profiler() {
-    run_smoke(1997).unwrap_or_else(|e| panic!("serve-smoke: {e}"));
+fn smoke_sequence() {
+    run_smoke().unwrap_or_else(|e| panic!("serve-smoke: {e}"));
 }
 
 /// The smoke sequence. Every step names itself in its error.
-fn run_smoke(profile_hz: u64) -> Result<(), String> {
+fn run_smoke() -> Result<(), String> {
     let net = "N2";
     let seed = 0x5eed;
-    let profiling = profile_hz > 0;
     let handle = batnet_serve::spawn(ServeConfig {
         prewarm: vec![net.to_string()],
         trace_seed: seed,
-        profile_hz,
         ..ServeConfig::default()
     })
     .map_err(|e| format!("spawn: {e}"))?;
@@ -149,6 +142,19 @@ fn run_smoke(profile_hz: u64) -> Result<(), String> {
     if !body.contains("\"partial\": true") {
         return Err("tracez: the 206 reach-deadline trace is not marked partial".to_string());
     }
+    // The dump is the profile: every retained request's span tree folds
+    // into exact self time per path, and a reach query's tree shows the
+    // time it spent waiting for the snapshot's BDD lock.
+    let mut forest = Vec::new();
+    for trace in doc.arr("traces")? {
+        forest.extend(forest_from_json(trace).map_err(|e| format!("tracez: forest: {e}"))?);
+    }
+    let profile = folded(&forest);
+    for path in ["serve.request", "serve.request;serve.bdd_lock"] {
+        if !profile.lines().any(|l| l.starts_with(&format!("{path} "))) {
+            return Err(format!("tracez: folded profile has no {path:?} row:\n{profile}"));
+        }
+    }
 
     // Single-trace lookup: a retained id comes back alone,
     // validator-clean; an id outside the issued stream 404s saying
@@ -183,31 +189,6 @@ fn run_smoke(profile_hz: u64) -> Result<(), String> {
         ));
     }
 
-    // Continuous profiling: with `profile_hz` the window accumulated
-    // since startup (prewarm included) must come back validator-clean
-    // and its folded stacks must name real pipeline spans; without it,
-    // /profilez is an honest 404.
-    let prof = step("profilez", client::get(addr, "/profilez", t))?;
-    check_trace(&prof, "profilez")?;
-    if profiling {
-        expect(&prof, 200, "profilez")?;
-        let body = prof.body_str().to_string();
-        let doc = batnet_obs::json::parse(&body)
-            .map_err(|e| format!("profilez: bad JSON: {e}"))?;
-        batnet_obs::report::validate_profile(&doc)
-            .map_err(|e| format!("profilez: INVALID: {e}"))?;
-        let named_real_span = ["snapshot.parse", "route.simulate", "graph.build", "serve.request"]
-            .iter()
-            .any(|s| body.contains(s));
-        if !named_real_span {
-            return Err(format!(
-                "profilez: folded stacks name no real pipeline span: {body}"
-            ));
-        }
-    } else {
-        expect(&prof, 404, "profilez")?;
-    }
-
     // The books must balance: requests counted, per-endpoint SLO meta
     // present, zero contained panics.
     let metrics = step("metricsz", client::get(addr, "/metricsz", t))?;
@@ -229,15 +210,6 @@ fn run_smoke(profile_hz: u64) -> Result<(), String> {
         if !body.contains(key) {
             return Err(format!("metricsz: execution-pool meta {key} missing"));
         }
-    }
-    if profiling {
-        for key in ["obs.sampler.samples", "obs.sampler.overhead_us"] {
-            if !body.contains(key) {
-                return Err(format!("metricsz: sampler meta {key} missing"));
-            }
-        }
-    } else if body.contains("obs.sampler.") {
-        return Err("metricsz: sampler meta present with profiling off".to_string());
     }
 
     // Graceful drain: accepted, readiness drops, the process unwinds.

@@ -5,8 +5,8 @@
 //! usage: obs-validate [OPTIONS] FILE...
 //!
 //! Validate JSON artifacts against the in-tree schemas: run reports, BENCH_*.json files,
-//! /tracez dumps, sampling profiles, trajectory rows (JSONL), Chrome traces, lint SARIF,
-//! coverage reports and diff reports. The schema is picked from each document's own marker.
+//! /tracez dumps, trajectory rows (JSONL), Chrome traces, lint SARIF, coverage reports
+//! and diff reports. The schema is picked from each document's own marker.
 //! Exit 0 every file valid, 1 on the first invalid file, 2 usage error.
 //!
 //! options:
@@ -16,10 +16,10 @@
 //! The schema is picked from the document's own marker, never from the
 //! file name: a SARIF `version`, a string `schema` tag (`batnet-diff-1`,
 //! `batnet-cov/v1`), a `traceEvents` array, or — under the numeric
-//! `schema` the telemetry documents share — `kind: batnet-prof/v1`, a
-//! `traces` array, a top-level `commit`, a `bench` name, and otherwise a
-//! run report. A file that is not one JSON document is read as JSONL and
-//! every line is validated on its own (`results/TRAJECTORY.jsonl`).
+//! `schema` the telemetry documents share — a `traces` array, a
+//! top-level `commit`, a `bench` name, and otherwise a run report. A
+//! file that is not one JSON document is read as JSONL and every line
+//! is validated on its own (`results/TRAJECTORY.jsonl`).
 
 use batnet::obs::flags::Cli;
 use batnet::obs::json::{self, Value};
@@ -29,8 +29,8 @@ use std::process::ExitCode;
 static CLI: Cli = Cli {
     bin: "obs-validate",
     about: "Validate JSON artifacts against the in-tree schemas: run reports, BENCH_*.json files,\n\
-            /tracez dumps, sampling profiles, trajectory rows (JSONL), Chrome traces, lint SARIF,\n\
-            coverage reports and diff reports. The schema is picked from each document's own marker.\n\
+            /tracez dumps, trajectory rows (JSONL), Chrome traces, lint SARIF, coverage reports\n\
+            and diff reports. The schema is picked from each document's own marker.\n\
             Exit 0 every file valid, 1 on the first invalid file, 2 usage error.",
     positional: "FILE...",
     flags: &[],
@@ -70,11 +70,6 @@ const SCHEMAS: &[Schema] = &[
         label: "Chrome trace",
         is: |v| v.get("traceEvents").is_some(),
         validate: trace::validate_chrome_trace,
-    },
-    Schema {
-        label: "sampling profile",
-        is: |v| v.text("kind").is_ok(),
-        validate: report::validate_profile,
     },
     Schema {
         label: "tracez dump",

@@ -1,13 +1,16 @@
 //! Observability integration test: one fault-tolerant NET1 analysis
 //! must produce a RunReport that (a) contains every pipeline stage span
 //! exactly once, (b) validates against the schema-1 validator, and
-//! (c) accounts for every quarantined device with its reason code.
+//! (c) accounts for every quarantined device with its reason code; and
+//! (d) one service question on that analysis opens only the spans its
+//! verdict needs.
 //!
 //! A single `#[test]` on purpose: the observability registry is
 //! process-global and `cargo test` runs tests on threads, so this file
 //! owns the whole run (reset → analyze → capture) without interleaving.
 
 use batnet::obs;
+use batnet::queries::{host_facing_interfaces, service_reachable, ServiceSpec};
 use batnet::routing::SimOptions;
 use batnet::{ResourceGovernor, Snapshot};
 
@@ -30,7 +33,7 @@ fn net1_run_report_is_complete_and_accountable() {
         .analyze_resilient(&SimOptions::default(), 1, &ResourceGovernor::unlimited())
         .expect("healthy subset analyzes");
     assert!(!outcome.is_partial(), "unlimited governor cannot trip");
-    let analysis = outcome.into_value();
+    let mut analysis = outcome.into_value();
     let report = &analysis.report;
 
     // (a) Every pipeline stage appears exactly once. `route.simulate`
@@ -92,4 +95,16 @@ fn net1_run_report_is_complete_and_accountable() {
         report.metrics.contains_key("bdd.nodes"),
         "BDD gauges missing"
     );
+
+    // (d) `service_reachable`'s verdict is the seed minus what the
+    // backward walk from the sinks projects onto each start, so a
+    // question runs backward walks and no forward fixed point per start.
+    let hosts = host_facing_interfaces(&analysis.devices, &analysis.topo);
+    let service = hosts.iter().find(|h| !h.external).expect("NET1 has host subnets").subnet;
+    obs::reset();
+    let answer = service_reachable(&mut analysis.query_context(), &ServiceSpec::tcp(service, 80));
+    let question = obs::capture();
+    assert!(answer.starts_checked > 0);
+    assert!(question.span_count("reach.backward") > 0, "the question never ran");
+    assert_eq!(question.span_count("reach.forward"), 0, "a forward pass nothing reads");
 }
