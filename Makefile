@@ -38,13 +38,15 @@ test:
 	$(CARGO) test -q --offline --workspace
 
 # The tests that were red off a 1-CPU box share the process-global
-# recorder and the pool (still statics: ROADMAP item 6); five
+# recorder and map width (still statics: ROADMAP item 6); five
 # consecutive passes at the default --test-threads is the regression
-# gate for that, and for the recorder's own concurrency contracts (open
-# order, reset, take_tree).
+# gate for that, for the recorder's own concurrency contracts (open
+# order, reset, take_tree), and for the server's timing-sensitive
+# overload and drain tests.
 test-repeat:
 	for i in 1 2 3 4 5; do $(CARGO) test -q --offline --test parallel || exit 1; done
 	for i in 1 2 3 4 5; do $(CARGO) test -q --offline -p batnet-obs --test concurrency || exit 1; done
+	for i in 1 2 3 4 5; do $(CARGO) test -q --offline -p batnet-serve --lib server || exit 1; done
 
 # Robustness gate: 25 seeds x all 6 mutation classes over NET1 and the
 # N2 data center — zero escaped panics, every quarantined device

@@ -27,7 +27,7 @@
 //!   --json       also write BENCH_<experiment>.json at the repo root (fig3, table2, all)
 //!   --net ID     restrict table2 / lint / cov to one suite network
 //!   --out FILE   write the one bench JSON to FILE instead of the committed baseline
-//!   --threads N  size of the shared execution pool (0 or omitted = all cores)
+//!   --threads N  width of the parallel joints (0 or omitted = all cores)
 //!   --help       print this help and exit
 //! ```
 //!
@@ -86,8 +86,8 @@ static CLI: Cli = Cli {
     ],
 };
 
-/// The flags an experiment reads, besides `--threads` (which sizes the
-/// pool for all of them). Giving any other is misuse, as is an
+/// The flags an experiment reads, besides `--threads` (which sets the
+/// width for all of them). Giving any other is misuse, as is an
 /// experiment this does not name.
 fn reads(cmd: &str) -> &'static [&'static str] {
     match cmd {
@@ -116,9 +116,7 @@ fn main() {
             CLI.fail(&format!("{} does not apply to '{cmd}'", flag.name));
         }
     }
-    if !batnet_exec::configure_threads(args.num("--threads").unwrap_or(0)) {
-        CLI.fail("--threads: the execution pool is already sized differently");
-    }
+    batnet_exec::configure_threads(args.num("--threads").unwrap_or(0));
     batnet_obs::reset();
     let root = batnet_obs::Span::enter("harness");
     let mut rows: Vec<Row> = Vec::new();

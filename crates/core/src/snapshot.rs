@@ -46,23 +46,13 @@ impl Snapshot {
     /// no usable model are quarantined rather than aborting the
     /// snapshot.
     pub fn from_configs(configs: Vec<(String, String)>) -> Snapshot {
-        let span = batnet_obs::Span::enter("snapshot.parse");
+        let _span = batnet_obs::Span::enter("snapshot.parse");
         let mut devices = Vec::with_capacity(configs.len());
         let mut diagnostics = Vec::new();
         let mut quarantined = Vec::new();
-        // Per-device parse fans out over the execution pool (panic
-        // containment per task lives in the pool); the merge below is
-        // sequential and input-ordered, so the snapshot — devices,
-        // diagnostics, quarantine list — is byte-identical at every
-        // thread count. A 1-thread pool runs this inline.
-        let pool = batnet_exec::current();
-        let parsed = pool.try_map(
-            &configs,
-            batnet_exec::MapOptions {
-                span: Some(("exec.parse", span.context())),
-            },
-            |(name, text)| {
-                let (device, diags) = parse_device(name, text);
+        for (name, text) in configs {
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                let (device, diags) = parse_device(&name, &text);
                 let meaningful = text
                     .lines()
                     .filter(|l| {
@@ -72,11 +62,9 @@ impl Snapshot {
                     .count();
                 let coverage = diags.coverage(meaningful);
                 (device, diags, meaningful, coverage)
-            },
-        );
-        for ((name, _text), outcome) in configs.into_iter().zip(parsed) {
+            }));
             match outcome {
-                Err(panic) => {
+                Err(payload) => {
                     diagnostics.push((
                         name.clone(),
                         vec![Diagnostic::new(
@@ -89,7 +77,7 @@ impl Snapshot {
                         device: name,
                         stage: QuarantineStage::Parse,
                         reason: QuarantineReason::ParsePanic {
-                            detail: panic.detail,
+                            detail: panic_detail(payload),
                         },
                     });
                 }

@@ -16,11 +16,12 @@
 //! ablation experiment reports: total requests vs. unique values, and an
 //! estimate of bytes saved.
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::ops::Deref;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// A handle to an interned value. Clone is an `Arc` bump; `Eq`/`Hash`/`Ord`
 /// consider two handles from the *same pool* equal iff they point at the
@@ -122,14 +123,18 @@ impl InternStats {
 
 /// A thread-safe deduplicating pool.
 ///
-/// A `Mutex<HashMap>` is deliberate: interning happens on the route-update
-/// path where contention is low (each worker mostly touches routes it
-/// created), and the simple structure keeps behaviour deterministic and
-/// easy to reason about — the smoltcp-style "simplicity over cleverness"
-/// trade.
+/// The pool is [`SHARDS`] `Mutex<HashMap>`s and a value lives in the one
+/// its hash picks, so equal values still meet in one map. One lock was
+/// not enough: the BGP compute phase interns every exported and imported
+/// route from each map thread at once (≈1.2 M routes on N11), and with
+/// two threads on two cores a single lock left one of them queued often
+/// enough to cancel the second core.
 pub struct Interner<T: Eq + Hash> {
-    pool: Mutex<PoolInner<T>>,
+    shards: Vec<Mutex<PoolInner<T>>>,
 }
+
+/// Lock shards per pool.
+const SHARDS: usize = 16;
 
 struct PoolInner<T> {
     map: HashMap<Arc<T>, ()>,
@@ -145,18 +150,30 @@ impl<T: Eq + Hash> Default for Interner<T> {
 impl<T: Eq + Hash> Interner<T> {
     /// Creates an empty pool.
     pub fn new() -> Interner<T> {
-        Interner {
-            pool: Mutex::new(PoolInner {
+        let shard = || {
+            Mutex::new(PoolInner {
                 map: HashMap::new(),
                 stats: InternStats::default(),
-            }),
+            })
+        };
+        Interner {
+            shards: (0..SHARDS).map(|_| shard()).collect(),
         }
+    }
+
+    /// The shard `value` lives in, chosen before any lock is taken.
+    fn shard(&self, value: &T) -> MutexGuard<'_, PoolInner<T>> {
+        let mut hasher = DefaultHasher::new();
+        value.hash(&mut hasher);
+        self.shards[hasher.finish() as usize % SHARDS]
+            .lock()
+            .expect("interner poisoned")
     }
 
     /// Returns the canonical handle for `value`, inserting it on first
     /// sight.
     pub fn intern(&self, value: T) -> Interned<T> {
-        let mut pool = self.pool.lock().expect("interner poisoned");
+        let mut pool = self.shard(&value);
         pool.stats.requests += 1;
         if let Some((existing, ())) = pool.map.get_key_value(&value) {
             return Interned(Arc::clone(existing));
@@ -169,12 +186,19 @@ impl<T: Eq + Hash> Interner<T> {
 
     /// Current statistics snapshot.
     pub fn stats(&self) -> InternStats {
-        self.pool.lock().expect("interner poisoned").stats
+        let mut total = InternStats::default();
+        for shard in &self.shards {
+            let stats = shard.lock().expect("interner poisoned").stats;
+            total.requests += stats.requests;
+            total.unique += stats.unique;
+        }
+        total
     }
 
     /// Number of distinct values currently stored.
     pub fn len(&self) -> usize {
-        self.pool.lock().expect("interner poisoned").map.len()
+        let len = |shard: &Mutex<PoolInner<T>>| shard.lock().expect("interner poisoned").map.len();
+        self.shards.iter().map(len).sum()
     }
 
     /// True when the pool is empty.

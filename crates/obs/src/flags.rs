@@ -120,7 +120,7 @@ pub const OUT: Flag = Flag::text(
 /// See [`NET`].
 pub const THREADS: Flag = Flag::uint(
     "--threads",
-    "size of the shared execution pool (0 or omitted = all cores)",
+    "width of the parallel joints (0 or omitted = all cores)",
 );
 /// See [`NET`].
 pub const DEADLINE_MS: Flag = Flag::uint(

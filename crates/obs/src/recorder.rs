@@ -3,8 +3,11 @@
 //! Spans sit in one list in open order (a span's id is its push order,
 //! so the list is sorted by id and a parent always precedes its
 //! children), next to one metric map, one event list, the run epoch and
-//! — per recording OS thread, in registration order (the `tid`) — the
-//! stack of span ids still open there. Every recording call takes the
+//! — per OS thread that has a span open, keyed by its `tid` — the stack
+//! of span ids still open there. A thread's `tid` is drawn once from a
+//! process counter; its stack leaves the table when its last open span
+//! closes, so threads that come and go (scoped map helpers, one per map
+//! call) leave nothing behind. Every recording call takes the
 //! one lock for a few map or vector operations. That is cheap because
 //! spans wrap *stages*, not inner loops: the yardstick measures 12
 //! spans per ≈410 ms `verify-n7` answer and ≈10 recorder calls per
@@ -23,8 +26,8 @@ use crate::clock;
 use crate::metrics::{Event, MetricValue};
 use crate::span::SpanRecord;
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
-use std::thread::ThreadId;
 use std::time::Instant;
 
 /// One span as stored: parent links are ids, not indices, so removing
@@ -36,7 +39,7 @@ struct Slot {
     name: String,
     start_ns: u64,
     dur_ns: Option<u64>,
-    tid: usize,
+    tid: u64,
 }
 
 pub(crate) struct Recorder {
@@ -44,11 +47,22 @@ pub(crate) struct Recorder {
     next_id: u64,
     /// Sorted by id (push order; removal keeps order).
     spans: Vec<Slot>,
-    /// Index = `tid`; the ids open on that thread, innermost last.
-    threads: Vec<(ThreadId, Vec<u64>)>,
+    /// `tid` → the ids open on that thread, innermost last; only
+    /// threads with a span open have an entry.
+    open: BTreeMap<u64, Vec<u64>>,
     pub metrics: BTreeMap<String, MetricValue>,
     pub events: Vec<Event>,
     pub events_dropped: u64,
+}
+
+/// The calling OS thread's `tid`: a number drawn once per thread from
+/// a process counter, so it is never reused while the process lives.
+fn thread_tid() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    thread_local! {
+        static TID: u64 = NEXT.fetch_add(1, Ordering::Relaxed);
+    }
+    TID.with(|tid| *tid)
 }
 
 /// Locks the process's recorder, recovering from poisoning: a panic on
@@ -68,7 +82,7 @@ impl Recorder {
             epoch: clock::now(),
             next_id,
             spans: Vec::new(),
-            threads: Vec::new(),
+            open: BTreeMap::new(),
             metrics: BTreeMap::new(),
             events: Vec::new(),
             events_dropped: 0,
@@ -89,18 +103,11 @@ impl Recorder {
     /// Opens a span on the calling thread, under `parent` or else under
     /// the innermost span open there. Returns its id and the thread's
     /// `tid`.
-    pub fn open(&mut self, name: String, parent: Option<u64>, start: Instant) -> (u64, usize) {
-        let me = std::thread::current().id();
-        let tid = match self.threads.iter().position(|(t, _)| *t == me) {
-            Some(tid) => tid,
-            None => {
-                self.threads.push((me, Vec::new()));
-                self.threads.len() - 1
-            }
-        };
+    pub fn open(&mut self, name: String, parent: Option<u64>, start: Instant) -> (u64, u64) {
+        let tid = thread_tid();
         let id = self.next_id;
         self.next_id += 1;
-        let stack = &mut self.threads[tid].1;
+        let stack = self.open.entry(tid).or_default();
         let parent = parent.or(stack.last().copied());
         stack.push(id);
         let start_ns = self.run_ns(start);
@@ -117,10 +124,13 @@ impl Recorder {
 
     /// Closes span `id` of thread `tid`; a no-op for a span a reset or
     /// a `take_tree` already removed.
-    pub fn close(&mut self, id: u64, tid: usize, dur_ns: u64) {
-        if let Some((_, stack)) = self.threads.get_mut(tid) {
+    pub fn close(&mut self, id: u64, tid: u64, dur_ns: u64) {
+        if let Some(stack) = self.open.get_mut(&tid) {
             if let Some(pos) = stack.iter().rposition(|&open| open == id) {
                 stack.remove(pos);
+            }
+            if stack.is_empty() {
+                self.open.remove(&tid);
             }
         }
         if let Some(i) = self.find(id) {
@@ -168,7 +178,25 @@ fn to_records(slots: &[Slot]) -> Vec<SpanRecord> {
                 .and_then(|p| slots.binary_search_by_key(&p, |t| t.id).ok()),
             start_ns: s.start_ns,
             dur_ns: s.dur_ns,
-            tid: s.tid as u64,
+            tid: s.tid,
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::span::{test_guard, Span};
+
+    #[test]
+    fn threads_that_come_and_go_leave_the_thread_table_empty() {
+        let _g = test_guard();
+        crate::reset();
+        for _ in 0..10_000 {
+            std::thread::spawn(|| drop(Span::enter("short-lived")))
+                .join()
+                .expect("short-lived thread");
+        }
+        assert!(lock().open.is_empty(), "a finished thread kept its entry");
+    }
 }

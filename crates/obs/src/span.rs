@@ -31,8 +31,9 @@ pub struct SpanRecord {
     pub start_ns: u64,
     /// Duration in nanoseconds; `None` while the span is still open.
     pub dur_ns: Option<u64>,
-    /// The recording OS thread (registration order since the last
-    /// reset, dense from 0). The Chrome-trace exporter renders one
+    /// The recording OS thread: a number drawn once per thread from a
+    /// process counter, so distinct threads never share one (values are
+    /// sparse, not dense from 0). The Chrome-trace exporter renders one
     /// track per value.
     pub tid: u64,
 }
@@ -48,7 +49,7 @@ pub struct SpanContext {
 /// duration.
 pub struct Span {
     id: u64,
-    tid: usize,
+    tid: u64,
     start: Instant,
 }
 

@@ -227,7 +227,7 @@ fn open_order_is_topological_across_threads() {
     drop(root);
     let spans = batnet_obs::capture().spans;
     assert_eq!(spans.len(), 1 + THREADS * SPANS * 2, "every span captured");
-    let mut last_start = [0u64; THREADS + 1];
+    let mut last_start: std::collections::BTreeMap<u64, u64> = Default::default();
     for (i, s) in spans.iter().enumerate() {
         match s.parent {
             None => assert_eq!(s.name, "topo.root", "only the root is parentless"),
@@ -235,10 +235,11 @@ fn open_order_is_topological_across_threads() {
         }
         assert!(s.dur_ns.is_some(), "every close found its span");
         // Record order is open order: within a thread, starts never go back.
-        let t = s.tid as usize;
-        assert!(s.start_ns >= last_start[t], "open order kept on tid {t}");
-        last_start[t] = s.start_ns;
+        let last = last_start.entry(s.tid).or_default();
+        assert!(s.start_ns >= *last, "open order kept on tid {}", s.tid);
+        *last = s.start_ns;
     }
+    assert_eq!(last_start.len(), THREADS + 1, "one tid per OS thread");
 }
 
 #[test]

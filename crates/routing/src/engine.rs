@@ -14,12 +14,11 @@
 //!    session's viability, BGP re-runs (bounded rounds);
 //! 6. FIB construction.
 //!
-//! Same-color nodes are processed in parallel on the shared
-//! `batnet_exec` work-stealing pool (CPU-bound work on OS threads — no
-//! async runtime, per the project's networking guides). The compute
-//! phase of each sweep fans out read-only; the apply phase is
-//! sequential in ascending node order, so RIBs are byte-identical at
-//! every thread count.
+//! Same-color nodes are processed in parallel by a `batnet_exec` map
+//! (CPU-bound work on scoped OS threads — no async runtime, per the
+//! project's networking guides). The compute phase of each sweep fans
+//! out read-only; the apply phase is sequential in ascending node
+//! order, so RIBs are byte-identical at every thread count.
 
 use crate::bgp::{
     self, apply_rib_in, BgpNode, BgpPools, RibInUpdate, Session, ATTR_BUNDLE_BYTES,
@@ -287,7 +286,7 @@ pub fn simulate_governed(
         batnet_obs::counter_add("route.poisoned", report.poisoned_devices.len() as u64);
     }
 
-    // Phase 6: FIBs — independent per device, fanned out over the pool
+    // Phase 6: FIBs — independent per device, fanned out over a map
     // and merged in device order.
     let fib_span = batnet_obs::Span::enter("route.fib");
     let fibs: Vec<Fib> = batnet_exec::current().map_opts(

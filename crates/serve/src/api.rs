@@ -119,12 +119,11 @@ fn readyz(_: &Request, _: &str, ctx: &DispatchCtx) -> Reply {
 /// summaries (`slo.<endpoint>.p50_us` / `.p99_us`, upper bucket edges
 /// of the per-endpoint latency histograms) lifted into `meta` so an
 /// operator — or the bench harness — reads p50/p99 without re-deriving
-/// them from raw buckets. The shared execution pool's gauges
-/// (`exec.workers` / `exec.steals` / `exec.queue_depth`) are lifted the
+/// them from raw buckets. The map width (`exec.workers`) is lifted the
 /// same way — *into this response's meta, never into the metric
 /// registry* — so captured analysis reports stay byte-identical at
-/// every pool width.
-fn metricsz(_: &Request, _: &str, ctx: &DispatchCtx) -> Reply {
+/// every width.
+fn metricsz(_: &Request, _: &str, _: &DispatchCtx) -> Reply {
     let mut report = batnet_obs::capture();
     let mut meta = Vec::new();
     for (name, value) in &report.metrics {
@@ -135,10 +134,8 @@ fn metricsz(_: &Request, _: &str, ctx: &DispatchCtx) -> Reply {
             meta.push((format!("slo.{endpoint}.p99_us"), h.percentile_upper(0.99)));
         }
     }
-    let exec = ctx.pool.stats();
-    meta.push(("exec.workers".to_string(), ctx.pool.threads() as u64));
-    meta.push(("exec.steals".to_string(), exec.steals));
-    meta.push(("exec.queue_depth".to_string(), exec.queue_depth as u64));
+    let width = batnet_exec::current().threads() as u64;
+    meta.push(("exec.workers".to_string(), width));
     report
         .meta
         .extend(meta.into_iter().map(|(k, v)| (k, v.to_string())));

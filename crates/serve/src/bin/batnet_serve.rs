@@ -8,7 +8,7 @@
 //!
 //! options:
 //!   --addr HOST:PORT    bind address (default 127.0.0.1:0 = ephemeral loopback port)
-//!   --threads N         size of the shared execution pool (0 or omitted = all cores)
+//!   --threads N         width of the parallel joints (0 or omitted = all cores)
 //!   --queue-depth N     accepted-connection queue depth; beyond it, 503 + Retry-After
 //!   --io-timeout-ms N   socket read/write timeout, the slow-loris watchdog
 //!   --deadline-ms N     governor deadline applied when a request names none
@@ -49,9 +49,7 @@ static CLI: Cli = Cli {
 
 fn main() -> ExitCode {
     CLI.main(|args| {
-        if !batnet_exec::configure_threads(args.num("--threads").unwrap_or(0)) {
-            return Err("--threads: the execution pool is already sized differently".to_string());
-        }
+        batnet_exec::configure_threads(args.num("--threads").unwrap_or(0));
         let d = ServeConfig::default();
         let cfg = ServeConfig {
             addr: args.text("--addr").map_or(d.addr, str::to_string),

@@ -17,9 +17,9 @@
 //!   `Outcome::Partial` accounting, the same mechanism the batch CLIs
 //!   use for `--deadline-ms`.
 //! * [`server`] — accept loop, bounded admission (full means `503` +
-//!   `Retry-After` *now*, not unbounded queueing), one pool task per
-//!   connection, slow-loris watchdog, per-request panic isolation,
-//!   graceful drain.
+//!   `Retry-After` *now*, not unbounded queueing), a fixed set of
+//!   dispatch threads on one bounded channel, slow-loris watchdog,
+//!   per-request panic isolation, graceful drain.
 //! * [`client`] — the blocking client the load driver and the tests
 //!   share, with deterministic [`batnet_net::Backoff`] retries
 //!   for idempotent GETs.
@@ -30,6 +30,8 @@
 //! Every rejection, partial answer, contained panic, and eviction is
 //! accounted in [`batnet_obs`] metrics, exposed at `GET /metricsz` —
 //! the chaos harness's invariant 8 audits exactly those books.
+
+#![forbid(unsafe_code)]
 
 pub mod api;
 pub mod client;

@@ -1,37 +1,37 @@
-//! The service core: listener, admission, shared-pool dispatch,
-//! watchdog, graceful drain.
+//! The service core: listener, bounded admission queue, dispatch
+//! threads, watchdog, graceful drain.
 //!
 //! The threading model is deliberately boring — one blocking accept
-//! loop, one [`Admission`] counter, one dispatch task on the shared
-//! [`batnet_exec`] pool per admitted connection (the task owns its
-//! socket), socket read timeouts as the slow-loris watchdog — because
-//! every piece of it is a named element of the failure model
-//! (DESIGN.md §5f):
+//! loop, one bounded channel of admitted connections, a fixed set of
+//! dispatch threads the service owns (one per unit of
+//! [`batnet_exec`] width, `--threads` on the binary), each serving one
+//! connection at a time, socket read timeouts as the slow-loris
+//! watchdog — because every piece of it is a named element of the
+//! failure model (DESIGN.md §5f):
 //!
-//! * **Admission control.** The accept loop never waits on a client: with
-//!   `queue_depth` admitted connections still waiting for a pool thread
-//!   it sheds the next one with `503` + `Retry-After` immediately, so
-//!   overload degrades to fast rejections instead of latency collapse.
+//! * **Backpressure.** The accept loop never waits on a client: it
+//!   `try_send`s each connection into a channel of `queue_depth` slots,
+//!   and when every slot is taken it sheds the connection with `503` +
+//!   `Retry-After` immediately, so overload degrades to fast rejections
+//!   instead of latency collapse.
 //! * **Watchdog.** Every accepted socket gets a read timeout before it
-//!   reaches a dispatch task; a peer that feeds bytes too slowly costs
-//!   one bounded pool slice (`408`), never a wedged worker.
+//!   reaches a dispatch thread; a peer that feeds bytes too slowly costs
+//!   one bounded slice of a dispatch thread (`408`), never a wedged one.
 //! * **Panic isolation.** Each request runs under `catch_unwind`; a
 //!   handler bug is one `500` and a `serve.panics.contained` tick, not
-//!   a dead thread silently shrinking the pool.
+//!   a dead dispatch thread.
 //! * **Graceful drain.** Shutdown (signalled by `POST /admin/shutdown`
-//!   or [`Handle::shutdown`]) flips `readyz` to 503, stops accepting,
-//!   and waits for every admitted connection to be answered.
+//!   or [`Handle::shutdown`]) flips `readyz` to 503 and stops the accept
+//!   loop, which drops the channel's only sender; the dispatch threads
+//!   answer every queued connection, find the channel closed and exit,
+//!   and [`Handle::join`] joins them.
 //!
-//! Request handlers run *on* the shared execution pool (the same pool
-//! that parallelizes parse, routing sweeps, and reachability — sized
-//! once per process, `--threads` on the binaries). A handler whose
-//! analysis fans out over the pool nests safely: the pool's help-first
-//! join lets the joining task make progress on its own items even when
-//! every worker is busy, so serve traffic can never deadlock the
-//! analysis it triggers. `/metricsz` lifts the pool's gauges
-//! (`exec.workers` / `exec.steals` / `exec.queue_depth`) into its
-//! response meta — never into the metric registry, so analysis reports
-//! stay byte-identical at every pool width.
+//! A handler whose analysis fans out runs its maps on scoped helper
+//! threads of its own (`batnet_exec::Pool::map`), so serve traffic and
+//! the analysis it triggers share no queue and cannot deadlock.
+//! `/metricsz` reports that map width as `exec.workers` in its response
+//! meta — never in the metric registry, so analysis reports stay
+//! byte-identical at every width.
 //!
 //! Every response — including sheds, parse rejections, and the
 //! post-panic 500 — carries an `X-Batnet-Trace-Id`. For real requests
@@ -49,8 +49,9 @@ use crate::tracing::{AccessLog, TraceEntry, TraceIds, TraceRing};
 use batnet_obs::Span;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -154,6 +155,7 @@ pub struct Handle {
     addr: SocketAddr,
     ctx: Arc<DispatchCtx>,
     accept: JoinHandle<()>,
+    dispatch: Vec<JoinHandle<()>>,
 }
 
 impl Handle {
@@ -176,128 +178,40 @@ impl Handle {
     }
 
     /// Waits for the server to stop (a drain must have been requested,
-    /// e.g. via `POST /admin/shutdown`). Once the accept loop has exited
-    /// nothing is admitted any more, and requests run on pool threads
-    /// the service does not own, so waiting [`Admission`] down to idle
-    /// is the whole drain.
+    /// e.g. via `POST /admin/shutdown`). The accept loop holds the
+    /// queue's only sender, so once it has exited each dispatch thread
+    /// serves what is still queued and then finds the queue closed:
+    /// joining them is the whole drain.
     pub fn join(self) {
         let _ = self.accept.join();
-        self.ctx.admission.wait_idle();
+        for thread in self.dispatch {
+            let _ = thread.join();
+        }
         batnet_obs::event("serve", "drain", "complete");
     }
 }
 
-/// The one account of admitted connections: how many wait for a pool
-/// thread, how many are being served. It is the backpressure bound
-/// (shed at `depth` waiting — bound per-query resources or the service
-/// does not scale), the `serve.inflight` gauge, and the drain barrier.
-pub(crate) struct Admission {
-    depth: usize,
-    counts: Mutex<Counts>,
-    idle: Condvar,
-}
+/// An admitted connection and the instant it was admitted (for the
+/// queue-wait account).
+type Admitted = (TcpStream, Instant);
 
-#[derive(Default)]
-struct Counts {
-    waiting: usize,
-    in_flight: usize,
-}
-
-impl Admission {
-    /// Admits until `depth` connections (minimum 1) are waiting.
-    pub(crate) fn new(depth: usize) -> Arc<Admission> {
-        Arc::new(Admission {
-            depth: depth.max(1),
-            counts: Mutex::new(Counts::default()),
-            idle: Condvar::new(),
-        })
-    }
-
-    fn counts(&self) -> MutexGuard<'_, Counts> {
-        self.counts.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Non-blocking admission: `None` is the backpressure signal.
-    pub(crate) fn try_admit(self: &Arc<Admission>) -> Option<Ticket> {
-        let mut c = self.counts();
-        if c.waiting >= self.depth {
-            return None;
-        }
-        c.waiting += 1;
-        Some(Ticket {
-            admission: Arc::clone(self),
-            admitted_at: batnet_obs::now(),
-            in_flight: false,
-        })
-    }
-
-    /// Blocks until no admitted connection is waiting or in flight.
-    pub(crate) fn wait_idle(&self) {
-        let idle = self
-            .idle
-            .wait_while(self.counts(), |c| c.waiting + c.in_flight > 0);
-        drop(idle.unwrap_or_else(PoisonError::into_inner));
-    }
-}
-
-/// One admitted connection's slot: waiting until [`Ticket::start`], in
-/// flight until dropped. Releasing on drop means a task that unwinds —
-/// or one the pool never runs — still frees its slot, so the drain
-/// barrier holds regardless.
-pub(crate) struct Ticket {
-    admission: Arc<Admission>,
-    admitted_at: Instant,
-    in_flight: bool,
-}
-
-impl Ticket {
-    /// A pool thread picked the connection up: waiting → in flight.
-    /// Returns the queue wait in microseconds.
-    pub(crate) fn start(&mut self) -> u64 {
-        let mut c = self.admission.counts();
-        c.waiting -= 1;
-        c.in_flight += 1;
-        batnet_obs::gauge_set("serve.inflight", c.in_flight as f64);
-        drop(c);
-        self.in_flight = true;
-        self.admitted_at.elapsed().as_micros().min(u64::MAX as u128) as u64
-    }
-}
-
-impl Drop for Ticket {
-    fn drop(&mut self) {
-        let mut c = self.admission.counts();
-        if self.in_flight {
-            c.in_flight -= 1;
-            batnet_obs::gauge_set("serve.inflight", c.in_flight as f64);
-        } else {
-            c.waiting -= 1;
-        }
-        if c.waiting + c.in_flight == 0 {
-            self.admission.idle.notify_all();
-        }
-    }
-}
-
-/// Everything a dispatch task needs to serve one connection. Shared
-/// (`Arc`) between the handle, the accept loop and every task it spawns.
+/// Everything a dispatch thread needs to serve one connection. Shared
+/// (`Arc`) between the handle, the accept loop and every dispatch
+/// thread.
 pub(crate) struct DispatchCtx {
     pub(crate) store: SnapshotStore,
     pub(crate) cfg: ServeConfig,
     pub(crate) state: ServiceState,
-    admission: Arc<Admission>,
+    /// Connections being served right now: the `serve.inflight` gauge.
+    inflight: AtomicUsize,
     limits: Limits,
     pub(crate) ids: TraceIds,
     pub(crate) ring: Arc<TraceRing>,
-    /// The shared execution pool requests run on — also the source of
-    /// the `exec.*` gauges `/metricsz` lifts into its meta.
-    pub(crate) pool: batnet_exec::Pool,
 }
 
-/// Binds, prewarms, and starts the accept loop; request handlers run as
-/// dispatch tasks on the shared `batnet_exec` pool (captured here via
-/// [`batnet_exec::current`], so a test override is honored).
-/// Returns once the service is ready.
+/// Binds, prewarms, and starts the accept loop and one dispatch thread
+/// per unit of [`batnet_exec::current`] width (so a test override is
+/// honored). Returns once the service is ready.
 pub fn spawn(cfg: ServeConfig) -> std::io::Result<Handle> {
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
@@ -309,34 +223,50 @@ pub fn spawn(cfg: ServeConfig) -> std::io::Result<Handle> {
         }
     }
 
+    let (queue, inbox) = mpsc::sync_channel::<Admitted>(cfg.queue_depth.max(1));
+    let inbox = Arc::new(Mutex::new(inbox));
     let ctx = Arc::new(DispatchCtx {
         store,
         state: ServiceState::new(addr),
-        admission: Admission::new(cfg.queue_depth),
+        inflight: AtomicUsize::new(0),
         limits: Limits::default().with_max_body(cfg.max_body_bytes),
         ids: TraceIds::new(cfg.trace_seed),
         ring: Arc::new(TraceRing::new(cfg.trace_ring_capacity)),
-        pool: batnet_exec::current(),
         cfg,
     });
+    let mut dispatch = Vec::new();
+    for i in 0..batnet_exec::current().threads() {
+        let (ctx, inbox) = (Arc::clone(&ctx), Arc::clone(&inbox));
+        dispatch.push(
+            std::thread::Builder::new()
+                .name(format!("serve-dispatch-{i}"))
+                .spawn(move || dispatch_loop(&ctx, &inbox))?,
+        );
+    }
     let accept_ctx = Arc::clone(&ctx);
     let accept = std::thread::Builder::new()
         .name("serve-accept".to_string())
-        .spawn(move || accept_loop(&listener, &accept_ctx))?;
+        .spawn(move || accept_loop(&listener, &accept_ctx, queue))?;
 
     ctx.state.ready.store(true, Ordering::Relaxed);
     batnet_obs::event("serve", "ready", &addr.to_string());
-    Ok(Handle { addr, ctx, accept })
+    Ok(Handle {
+        addr,
+        ctx,
+        accept,
+        dispatch,
+    })
 }
 
-/// The blocking accept loop: admit (the ticket is stamped with the
-/// admission instant, so the dispatch task can account queue wait) and
-/// hand the socket to its own dispatch task on the shared pool, or shed
-/// with 503 immediately. Checks the shutdown flag after every accept:
-/// [`ServiceState::request_shutdown`] connects once to get it here, and
-/// that connection (or a client racing the drain) is dropped unserved
-/// and uncounted.
-fn accept_loop(listener: &TcpListener, ctx: &Arc<DispatchCtx>) {
+/// The blocking accept loop: queue the socket (stamped with the
+/// admission instant, so the dispatch thread can account queue wait)
+/// for the dispatch threads, or — with `queue_depth` connections
+/// already waiting — shed it with 503 immediately. Checks the shutdown
+/// flag after every accept: [`ServiceState::request_shutdown`] connects
+/// once to get it here, and that connection (or a client racing the
+/// drain) is dropped unserved and uncounted. Returning drops `queue`,
+/// the only sender, which is what lets the dispatch threads finish.
+fn accept_loop(listener: &TcpListener, ctx: &DispatchCtx, queue: SyncSender<Admitted>) {
     let io_timeout = Duration::from_millis(ctx.cfg.io_timeout_ms.max(1));
     loop {
         let accepted = listener.accept();
@@ -344,17 +274,17 @@ fn accept_loop(listener: &TcpListener, ctx: &Arc<DispatchCtx>) {
             break;
         }
         match accepted {
-            Ok((mut stream, _)) => {
+            Ok((stream, _)) => {
                 // Arm the watchdog before the socket can reach a
-                // dispatch task.
+                // dispatch thread.
                 let _ = stream.set_read_timeout(Some(io_timeout));
                 let _ = stream.set_write_timeout(Some(io_timeout));
                 batnet_obs::counter_add("serve.accepted", 1);
-                if let Some(ticket) = ctx.admission.try_admit() {
-                    let task_ctx = Arc::clone(ctx);
-                    ctx.pool
-                        .spawn(move || dispatch_one(&task_ctx, stream, ticket));
-                } else {
+                if let Err(
+                    TrySendError::Full((mut stream, _))
+                    | TrySendError::Disconnected((mut stream, _)),
+                ) = queue.try_send((stream, batnet_obs::now()))
+                {
                     batnet_obs::counter_add("serve.rejected.backpressure", 1);
                     let resp = Response::error(503, "server busy")
                         .with_header("Retry-After", 1)
@@ -372,16 +302,29 @@ fn accept_loop(listener: &TcpListener, ctx: &Arc<DispatchCtx>) {
             Err(_) => batnet_obs::counter_add("serve.accept.errors", 1),
         }
     }
-    // Drain: no new work; admitted connections still get served.
+    // Drain: no new work; queued connections still get served.
     batnet_obs::event("serve", "drain", "accept loop stopped");
 }
 
-/// One dispatch task: serve the connection it was spawned with. Runs on
-/// a shared-pool worker thread; the `catch_unwind` keeps a handler
-/// panic to one `500`, so the pool's own backstop never fires for serve
-/// traffic. The ticket's slot is released when the task ends.
-fn dispatch_one(ctx: &DispatchCtx, stream: TcpStream, mut ticket: Ticket) {
-    let queue_wait_us = ticket.start();
+/// One dispatch thread: serve queued connections one at a time until
+/// the queue is closed and empty. The inbox lock is held only while
+/// waiting for the next connection, never while serving one.
+fn dispatch_loop(ctx: &DispatchCtx, inbox: &Mutex<Receiver<Admitted>>) {
+    loop {
+        let next = inbox.lock().unwrap_or_else(PoisonError::into_inner).recv();
+        match next {
+            Ok((stream, admitted_at)) => dispatch_one(ctx, stream, admitted_at),
+            Err(_) => return,
+        }
+    }
+}
+
+/// Serve one connection. The `catch_unwind` keeps a handler panic to
+/// one `500`, so a dispatch thread never dies of one.
+fn dispatch_one(ctx: &DispatchCtx, stream: TcpStream, admitted_at: Instant) {
+    let queue_wait_us = admitted_at.elapsed().as_micros().min(u64::MAX as u128) as u64;
+    let inflight = ctx.inflight.fetch_add(1, Ordering::Relaxed) + 1;
+    batnet_obs::gauge_set("serve.inflight", inflight as f64);
     let trace_id = ctx.ids.next_id();
     let started = batnet_obs::now();
     // The handler closure consumes the stream, so clone the socket
@@ -407,6 +350,8 @@ fn dispatch_one(ctx: &DispatchCtx, stream: TcpStream, mut ticket: Ticket) {
         "serve.latency.us",
         started.elapsed().as_micros().min(u64::MAX as u128) as u64,
     );
+    let inflight = ctx.inflight.fetch_sub(1, Ordering::Relaxed) - 1;
+    batnet_obs::gauge_set("serve.inflight", inflight as f64);
 }
 
 /// One request per connection (`Connection: close`): parse under the
@@ -477,7 +422,6 @@ mod tests {
     use crate::client;
     use crate::http::{Method, Request};
     use crate::store::tests::two_router_configs;
-    use std::sync::mpsc;
 
     const T: Duration = Duration::from_secs(20);
 
@@ -540,90 +484,97 @@ mod tests {
         handle.shutdown();
     }
 
-    #[test]
-    fn admission_sheds_exactly_at_depth_waiting() {
-        let adm = Admission::new(2);
-        let mut first = adm.try_admit().expect("slot 1");
-        let _second = adm.try_admit().expect("slot 2");
-        assert!(adm.try_admit().is_none(), "depth waiting: shed");
-        // A pool thread picking one up frees a waiting slot; in-flight
-        // work is bounded by the pool, not by admission.
-        first.start();
-        let third = adm.try_admit().expect("slot freed by start");
-        assert!(adm.try_admit().is_none());
-        drop(third);
-        assert!(adm.try_admit().is_some(), "a dropped ticket frees its slot");
+    /// Polls `done` until it holds; fails the test after `T`.
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        let started = batnet_obs::now();
+        while !done() {
+            assert!(started.elapsed() < T, "timed out waiting until {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
-    #[test]
-    fn wait_idle_returns_only_after_the_last_ticket_ends() {
-        let adm = Admission::new(4);
-        let mut running = adm.try_admit().expect("admit");
-        let waiting = adm.try_admit().expect("admit");
-        running.start();
-        let released = Arc::new(AtomicBool::new(false));
-        let (about_to_wait, go) = mpsc::channel();
-        let waiter = {
-            let (adm, released) = (Arc::clone(&adm), Arc::clone(&released));
-            std::thread::spawn(move || {
-                about_to_wait.send(()).expect("test thread alive");
-                adm.wait_idle();
-                released.load(Ordering::SeqCst)
-            })
-        };
-        go.recv().expect("waiter started");
-        drop(waiting);
-        released.store(true, Ordering::SeqCst);
-        drop(running);
-        assert!(waiter.join().expect("waiter"), "woke before the last ticket ended");
-    }
-
-    #[test]
-    fn a_panicking_task_still_releases_its_slot() {
-        let adm = Admission::new(1);
-        let mut ticket = adm.try_admit().expect("admit");
-        // The production path: the ticket rides a pool task, and the
-        // pool's backstop swallows the unwind.
-        batnet_exec::current().spawn(move || {
-            ticket.start();
-            panic!("handler bug below the dispatch frame");
-        });
-        adm.wait_idle();
-        assert!(adm.try_admit().is_some());
-    }
-
-    #[test]
-    fn overload_sheds_and_drain_waits_for_admitted_work() {
+    /// A server of `threads` dispatch threads and two queue slots, with
+    /// every dispatch thread holding a silent connection and both slots
+    /// holding a connection that sent `request` — proven full by the
+    /// next connect reading a whole 503 (the accept loop takes
+    /// connections in order, so the two before it are queued). Returns
+    /// the handle, the busy connections and the queued ones.
+    fn saturated(threads: usize, request: &[u8]) -> (Handle, Vec<TcpStream>, Vec<TcpStream>) {
         let cfg = ServeConfig {
             queue_depth: 2,
+            io_timeout_ms: 60_000,
             ..ServeConfig::default()
         };
-        let handle = spawn(cfg).expect("bind loopback");
+        let pool = batnet_exec::Pool::new(threads);
+        let handle = batnet_exec::with_pool(&pool, || spawn(cfg)).expect("bind loopback");
         let addr = handle.addr();
-        // Two admitted connections no pool thread has picked up yet.
-        let admitted: Vec<Ticket> = (0..2)
-            .map(|_| handle.ctx.admission.try_admit().expect("slot"))
+        let connect = || TcpStream::connect(addr).expect("connect");
+        let busy: Vec<TcpStream> = (0..threads).map(|_| connect()).collect();
+        wait_until("every dispatch thread holds a connection", || {
+            handle.ctx.inflight.load(Ordering::SeqCst) == threads
+        });
+        let queued: Vec<TcpStream> = (0..2)
+            .map(|_| {
+                let mut peer = connect();
+                std::io::Write::write_all(&mut peer, request).expect("send");
+                peer
+            })
             .collect();
         // The shed is written without reading the request, so a peer
         // that has sent nothing yet sees it whole.
         let mut shed = String::new();
-        let mut peer = TcpStream::connect(addr).expect("connect");
-        std::io::Read::read_to_string(&mut peer, &mut shed).expect("the shed is still an answer");
+        std::io::Read::read_to_string(&mut connect(), &mut shed)
+            .expect("the shed is still an answer");
         assert!(shed.starts_with("HTTP/1.1 503 "), "{shed}");
         assert!(shed.contains("\r\nRetry-After: 1\r\n"), "{shed}");
         assert!(shed.contains("\r\nX-Batnet-Trace-Id: "), "{shed}");
+        (handle, busy, queued)
+    }
 
-        let released = Arc::new(AtomicBool::new(false));
-        let drain = {
-            let released = Arc::clone(&released);
-            std::thread::spawn(move || {
-                handle.shutdown();
-                released.load(Ordering::SeqCst)
-            })
-        };
-        released.store(true, Ordering::SeqCst);
-        drop(admitted);
-        assert!(drain.join().expect("drain"), "drained past an admitted connection");
+    #[test]
+    fn overload_sheds_once_every_dispatch_thread_and_queue_slot_is_held() {
+        let (handle, busy, queued) = saturated(2, b"");
+        drop((busy, queued));
+        handle.shutdown();
+    }
+
+    #[test]
+    fn drain_answers_every_queued_connection_before_shutdown_returns() {
+        let request = b"GET /healthz HTTP/1.1\r\nHost: batnet\r\nConnection: close\r\n\r\n";
+        let (handle, busy, queued) = saturated(1, request);
+        let ctx = Arc::clone(&handle.ctx);
+        let drain = std::thread::spawn(move || handle.shutdown());
+        wait_until("the drain starts", || ctx.state.is_shutting_down());
+        drop(busy);
+        drain.join().expect("drain");
+        for mut peer in queued {
+            let mut answer = String::new();
+            std::io::Read::read_to_string(&mut peer, &mut answer).expect("answered");
+            assert!(
+                answer.starts_with("HTTP/1.1 200 "),
+                "a queued connection went unanswered: {answer:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_panicking_handler_still_frees_its_dispatch_thread() {
+        let pool = batnet_exec::Pool::new(1);
+        let handle =
+            batnet_exec::with_pool(&pool, || spawn(ServeConfig::default())).expect("bind loopback");
+        let addr = handle.addr();
+        let up = client::post(addr, "/snapshots/p", upload_body().as_bytes(), T);
+        assert_eq!(up.expect("upload").status, 201);
+        // A manager that knows none of the graph's nodes: the reach
+        // handler panics on its first BDD operation.
+        let p = handle.ctx.store.get("p").expect("stored");
+        *p.bdd.lock().expect("not poisoned") = batnet::bdd::Bdd::new(0);
+        let reach = client::get(addr, "/query/reach?snapshot=p&port=80", T).expect("reach");
+        assert_eq!(reach.status, 500, "{}", reach.body_str());
+        // The only dispatch thread survived and answers the next request.
+        let next = client::get(addr, "/healthz", T).expect("healthz");
+        assert_eq!(next.status, 200);
+        handle.shutdown();
     }
 
     #[test]

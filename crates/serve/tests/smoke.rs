@@ -206,10 +206,8 @@ fn run_smoke() -> Result<(), String> {
     if body.contains("serve.panics.contained") {
         return Err("metricsz: a panic was contained during smoke".to_string());
     }
-    for key in ["exec.workers", "exec.steals", "exec.queue_depth"] {
-        if !body.contains(key) {
-            return Err(format!("metricsz: execution-pool meta {key} missing"));
-        }
+    if !body.contains("exec.workers") {
+        return Err("metricsz: map-width meta exec.workers missing".to_string());
     }
 
     // Graceful drain: accepted, readiness drops, the process unwinds.

@@ -21,7 +21,7 @@
 //!   --max-flows N                       cap on example-flow witnesses
 //!   --max-starts N                      cap on start locations compared symbolically (0 = all)
 //!   --deadline-ms N                     wall-clock budget; a blown deadline yields a partial result, never a hang
-//!   --threads N                         size of the shared execution pool (0 or omitted = all cores)
+//!   --threads N                         width of the parallel joints (0 or omitted = all cores)
 //!   --help                              print this help and exit
 //! ```
 //!
@@ -128,9 +128,7 @@ fn load_sides(args: &flags::Parsed<'_>) -> Result<(Snapshot, Snapshot), String> 
 }
 
 fn run(args: &flags::Parsed<'_>) -> Result<ExitCode, String> {
-    if !batnet_exec::configure_threads(args.num("--threads").unwrap_or(0)) {
-        return Err("--threads: the execution pool is already sized differently".to_string());
-    }
+    batnet_exec::configure_threads(args.num("--threads").unwrap_or(0));
     let (before, after) = load_sides(args)?;
 
     let mut opts = DiffOptions::default();
