@@ -739,7 +739,7 @@ fn ablate_memory() {
         let mem = &world.dp.mem;
         let combos = world.dp.shareable_combos();
         println!(
-            "{id}: {} BGP routes, {} full bundles, {} shareable combos  sharing={:.1}x  reduction={:.0}%  saved~{}KB",
+            "{id}: {} BGP routes, {} interned bundles, {} shareable combos  sharing={:.1}x  reduction={:.0}%  saved~{}KB",
             mem.total_bgp_routes,
             mem.unique_attr_bundles,
             combos,

@@ -18,6 +18,20 @@
 //! re-announcement keeps the incumbent's arrival clock (so no churn).
 //! At sweep end each node rotates `delta_prev ← delta_cur`.
 //!
+//! ## What a route carries (§4.1.3)
+//!
+//! A [`BgpRoute`] keeps its own prefix and next hop; the attributes that
+//! routes share live in one interned [`PathAttrs`], so the pool holds one
+//! bundle per attribute combination rather than one per route. Route maps
+//! still evaluate a full `RouteAttrs`: [`export_route`] rebuilds it from
+//! the route and [`import_route`] splits the policy's result back.
+//! "Identical" above means the same bundle, next hop and sender.
+//!
+//! A pull over an eBGP session turns a route whose AS path already
+//! carries the receiver's AS into a withdraw without building its export:
+//! import would refuse it whatever export policy did, because route maps
+//! can only prepend.
+//!
 //! ## Session establishment (§4.1.1)
 //!
 //! A session comes up only when both ends are configured consistently
@@ -28,7 +42,7 @@
 //! fixed point; if viability changed, the computation re-runs.
 
 use crate::rib::{MainRib, RibDelta};
-use crate::routes::{BgpRoute, MainNextHop, PeerKey};
+use crate::routes::{BgpRoute, MainNextHop, PathAttrs, PeerKey};
 use batnet_config::vi::{
     Device, PolicyResult, RouteAttrs, RouteProtocol,
 };
@@ -106,7 +120,9 @@ impl BgpNode {
         let old_best = self.best.get(&prefix);
         let best_unchanged = match (&old_best, &new_best) {
             (None, None) => return,
-            (Some(o), Some(n)) => o.attrs == n.attrs && o.from == n.from,
+            (Some(o), Some(n)) => {
+                o.attrs == n.attrs && o.next_hop == n.next_hop && o.from == n.from
+            }
             _ => false,
         };
         // The main RIB's ECMP set may change even when the best route is
@@ -147,14 +163,14 @@ impl BgpNode {
 /// The main-RIB view of a BGP best route.
 pub fn main_route_of(r: &BgpRoute) -> crate::routes::MainRoute {
     crate::routes::MainRoute {
-        prefix: r.attrs.prefix,
+        prefix: r.prefix,
         admin_distance: crate::routes::admin_distance(r.attrs.protocol),
         metric: r.attrs.med,
         protocol: r.attrs.protocol,
-        next_hop: if r.attrs.next_hop == Ip::ZERO {
+        next_hop: if r.next_hop == Ip::ZERO {
             MainNextHop::Discard
         } else {
-            MainNextHop::Via(r.attrs.next_hop)
+            MainNextHop::Via(r.next_hop)
         },
     }
 }
@@ -302,8 +318,10 @@ pub fn bgp_path_clear(device: &Device, rib: &MainRib, local_ip: Ip, peer_ip: Ip)
     true
 }
 
-/// The sender-side export transform for one route over one session.
-/// Returns `None` when the route must not be advertised.
+/// The sender-side export transform for one route over one session: the
+/// route's full policy-facing bundle (`BgpRoute::route_attrs`) through
+/// the export route map and the session rewrites. Returns `None` when the
+/// route must not be advertised.
 ///
 /// Documented defaults (Lesson 3): an export policy referencing an
 /// *undefined* route map fails closed (nothing advertised).
@@ -320,7 +338,7 @@ pub fn export_route(
     if !session_is_ebgp && route.attrs.protocol == RouteProtocol::Ibgp {
         return None;
     }
-    let mut attrs: RouteAttrs = (*route.attrs).clone();
+    let mut attrs = route.route_attrs();
     let nb = &sender.bgp.as_ref()?.neighbors[neighbor_idx];
     if let Some(policy) = &nb.export_policy {
         match sender.route_maps.get(policy) {
@@ -350,8 +368,9 @@ pub fn export_route(
     Some(attrs)
 }
 
-/// The receiver-side import transform. Returns the interned route ready
-/// for the adj-RIB-in, or `None` when rejected.
+/// The receiver-side import transform. Returns the route ready for the
+/// adj-RIB-in — its prefix and next hop split off, the rest interned in
+/// `pool` — or `None` when rejected.
 ///
 /// Rejections: AS-path loop (own AS present), undefined import route map
 /// (fail closed), policy deny, unresolvable next hop.
@@ -363,7 +382,7 @@ pub fn import_route(
     mut attrs: RouteAttrs,
     sender_router_id: Ip,
     rib: &MainRib,
-    pool: &Interner<RouteAttrs>,
+    pool: &Interner<PathAttrs>,
     arrival: u64,
 ) -> Option<BgpRoute> {
     let ebgp = session.is_ebgp(receiver_asn);
@@ -391,13 +410,8 @@ pub fn import_route(
     // Resolve the IGP cost to the next hop against the current partial
     // data plane. Routes with unreachable next hops are unusable.
     let igp_cost = resolve_igp_cost(rib, attrs.next_hop)?;
-    Some(BgpRoute {
-        attrs: pool.intern(attrs),
-        from: PeerKey::Peer(session.peer_ip),
-        sender_router_id,
-        arrival,
-        igp_cost,
-    })
+    let from = PeerKey::Peer(session.peer_ip);
+    Some(BgpRoute::new(attrs, pool, from, sender_router_id, arrival, igp_cost))
 }
 
 /// The IGP metric to reach `next_hop`, or `None` when unreachable. A
@@ -425,8 +439,9 @@ pub struct RibInUpdate {
 }
 
 /// Applies an upsert to the adj-RIB-in, preserving the incumbent's arrival
-/// clock when an identical route is re-delivered (this is what makes
-/// delta over-delivery idempotent). Returns true when the RIB-in changed.
+/// clock when an identical route — same shared bundle, next hop and
+/// sender — is re-delivered (this is what makes delta over-delivery
+/// idempotent). Returns true when the RIB-in changed.
 pub fn apply_rib_in(node: &mut BgpNode, update: RibInUpdate) -> bool {
     match update.route {
         None => node
@@ -438,6 +453,7 @@ pub fn apply_rib_in(node: &mut BgpNode, update: RibInUpdate) -> bool {
             match peers.get(&update.peer) {
                 Some(existing)
                     if existing.attrs == route.attrs
+                        && existing.next_hop == route.next_hop
                         && existing.sender_router_id == route.sender_router_id =>
                 {
                     false // identical re-delivery: keep incumbent clock
@@ -447,23 +463,6 @@ pub fn apply_rib_in(node: &mut BgpNode, update: RibInUpdate) -> bool {
                     true
                 }
             }
-        }
-    }
-}
-
-/// Interning pools shared by a simulation run (§4.1.3). Only the attribute
-/// bundle pool is strictly needed for correctness of the idempotency
-/// check; the others exist for the memory accounting the A-2 ablation
-/// reports.
-pub struct BgpPools {
-    /// Attribute-bundle pool ("13 properties in one interned object").
-    pub attrs: Interner<RouteAttrs>,
-}
-
-impl Default for BgpPools {
-    fn default() -> Self {
-        BgpPools {
-            attrs: Interner::new(),
         }
     }
 }
@@ -536,13 +535,7 @@ mod tests {
         let pool = Interner::new();
         let mut attrs = RouteAttrs::new("10.5.0.0/16".parse().unwrap(), RouteProtocol::BgpLocal);
         attrs.local_pref = 300;
-        let route = BgpRoute {
-            attrs: pool.intern(attrs),
-            from: PeerKey::Local,
-            sender_router_id: ip("1.1.1.1"),
-            arrival: 0,
-            igp_cost: 0,
-        };
+        let route = BgpRoute::new(attrs, &pool, PeerKey::Local, ip("1.1.1.1"), 0, 0);
         let out = export_route(&sender, Asn(65001), true, ip("10.0.0.1"), 0, &route).unwrap();
         assert_eq!(out.as_path.0, vec![Asn(65001)]);
         assert_eq!(out.next_hop, ip("10.0.0.1"));
@@ -554,23 +547,12 @@ mod tests {
         let sender = dev_with_bgp("a", 65001, "10.0.0.1", "10.0.0.2", 65001);
         let pool = Interner::new();
         let attrs = RouteAttrs::new("10.5.0.0/16".parse().unwrap(), RouteProtocol::Ibgp);
-        let route = BgpRoute {
-            attrs: pool.intern(attrs),
-            from: PeerKey::Peer(ip("9.9.9.9")),
-            sender_router_id: ip("1.1.1.1"),
-            arrival: 0,
-            igp_cost: 0,
-        };
+        let from = PeerKey::Peer(ip("9.9.9.9"));
+        let route = BgpRoute::new(attrs, &pool, from, ip("1.1.1.1"), 0, 0);
         assert!(export_route(&sender, Asn(65001), false, ip("10.0.0.1"), 0, &route).is_none());
         // But eBGP-learned is fine over iBGP.
         let attrs2 = RouteAttrs::new("10.6.0.0/16".parse().unwrap(), RouteProtocol::Ebgp);
-        let route2 = BgpRoute {
-            attrs: pool.intern(attrs2),
-            from: PeerKey::Peer(ip("9.9.9.9")),
-            sender_router_id: ip("1.1.1.1"),
-            arrival: 0,
-            igp_cost: 0,
-        };
+        let route2 = BgpRoute::new(attrs2, &pool, from, ip("1.1.1.1"), 0, 0);
         assert!(export_route(&sender, Asn(65001), false, ip("10.0.0.1"), 0, &route2).is_some());
     }
 
@@ -580,13 +562,7 @@ mod tests {
         sender.bgp.as_mut().unwrap().neighbors[0].export_policy = Some("NOPE".into());
         let pool = Interner::new();
         let attrs = RouteAttrs::new("10.5.0.0/16".parse().unwrap(), RouteProtocol::BgpLocal);
-        let route = BgpRoute {
-            attrs: pool.intern(attrs),
-            from: PeerKey::Local,
-            sender_router_id: ip("1.1.1.1"),
-            arrival: 0,
-            igp_cost: 0,
-        };
+        let route = BgpRoute::new(attrs, &pool, PeerKey::Local, ip("1.1.1.1"), 0, 0);
         assert!(export_route(&sender, Asn(65001), true, ip("10.0.0.1"), 0, &route).is_none());
     }
 
@@ -633,37 +609,39 @@ mod tests {
 
     #[test]
     fn rib_in_keeps_incumbent_clock_on_identical_redelivery() {
-        let pool: Interner<RouteAttrs> = Interner::new();
+        let pool: Interner<PathAttrs> = Interner::new();
         let mut node = BgpNode::default();
-        let attrs = pool.intern(RouteAttrs::new("10.0.0.0/8".parse().unwrap(), RouteProtocol::Ebgp));
+        let attrs = RouteAttrs::new("10.0.0.0/8".parse().unwrap(), RouteProtocol::Ebgp);
         let peer = PeerKey::Peer(ip("10.0.0.1"));
-        let r1 = BgpRoute {
-            attrs: attrs.clone(),
-            from: peer,
-            sender_router_id: ip("1.1.1.1"),
-            arrival: 1,
-            igp_cost: 0,
+        let r1 = BgpRoute::new(attrs, &pool, peer, ip("1.1.1.1"), 1, 0);
+        let prefix = r1.prefix;
+        let upsert = |node: &mut BgpNode, route: Option<BgpRoute>| {
+            let update = RibInUpdate {
+                prefix,
+                peer,
+                route,
+            };
+            apply_rib_in(node, update)
         };
-        assert!(apply_rib_in(
-            &mut node,
-            RibInUpdate { prefix: r1.attrs.prefix, peer, route: Some(r1.clone()) }
-        ));
+        assert!(upsert(&mut node, Some(r1.clone())));
         // Re-delivery with a later clock must NOT replace the incumbent.
-        let r2 = BgpRoute { arrival: 99, ..r1.clone() };
-        assert!(!apply_rib_in(
-            &mut node,
-            RibInUpdate { prefix: r1.attrs.prefix, peer, route: Some(r2) }
-        ));
-        assert_eq!(node.rib_in[&r1.attrs.prefix][&peer].arrival, 1);
+        let r2 = BgpRoute {
+            arrival: 99,
+            ..r1.clone()
+        };
+        assert!(!upsert(&mut node, Some(r2)));
+        assert_eq!(node.rib_in[&prefix][&peer].arrival, 1);
+        // The same shared bundle behind a new next hop is a new route.
+        let moved = BgpRoute {
+            next_hop: ip("10.0.0.3"),
+            arrival: 2,
+            ..r1.clone()
+        };
+        assert!(upsert(&mut node, Some(moved)));
+        assert_eq!(node.rib_in[&prefix][&peer].arrival, 2);
         // Withdraw works.
-        assert!(apply_rib_in(
-            &mut node,
-            RibInUpdate { prefix: r1.attrs.prefix, peer, route: None }
-        ));
-        assert!(!apply_rib_in(
-            &mut node,
-            RibInUpdate { prefix: r1.attrs.prefix, peer, route: None }
-        ));
+        assert!(upsert(&mut node, None));
+        assert!(!upsert(&mut node, None));
     }
 
     #[test]

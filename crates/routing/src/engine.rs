@@ -17,24 +17,27 @@
 //! Same-color nodes are processed in parallel by a `batnet_exec` map
 //! (CPU-bound work on scoped OS threads — no async runtime, per the
 //! project's networking guides). The compute phase of each sweep fans
-//! out read-only; the apply phase is sequential in ascending node
-//! order, so RIBs are byte-identical at every thread count.
+//! out read-only over all nodes; the apply phase fans out too, because a
+//! node's changes write only that node's BGP state and main RIB — each
+//! map item owns one disjoint `(node, RIB)` pair, so RIBs, best routes
+//! and clocks are byte-identical at every thread count. Only the poison
+//! bookkeeping between the two runs sequentially, in ascending node
+//! order.
 
-use crate::bgp::{
-    self, apply_rib_in, BgpNode, BgpPools, RibInUpdate, Session, ATTR_BUNDLE_BYTES,
-};
+use crate::bgp::{self, apply_rib_in, BgpNode, RibInUpdate, Session, ATTR_BUNDLE_BYTES};
 use crate::env::Environment;
 use crate::fib::Fib;
 use crate::ospf::OspfGraph;
 use crate::rib::MainRib;
-use crate::routes::{BgpRoute, MainNextHop, MainRoute, PeerKey};
+use crate::routes::{BgpRoute, MainNextHop, MainRoute, PathAttrs, PeerKey};
 use crate::scheduler::{color_graph, color_groups, SchedulerMode};
 use batnet_config::vi::{Device, NextHop, RouteAttrs, RouteOrigin, RouteProtocol};
 use batnet_config::Topology;
 use batnet_net::governor::{Exhaustion, Outcome, ResourceGovernor};
-use batnet_net::{Asn, Prefix};
+use batnet_net::{Asn, Interner, Prefix};
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::AssertUnwindSafe;
+use std::sync::{Mutex, PoisonError};
 
 /// Engine options. The defaults are the production configuration; the
 /// ablation benchmarks flip individual fields.
@@ -93,8 +96,9 @@ pub struct ConvergenceReport {
 pub struct MemReport {
     /// Total BGP routes held across adj-RIBs-in.
     pub total_bgp_routes: u64,
-    /// Distinct interned attribute bundles (full bundles, including
-    /// prefix and next hop).
+    /// Distinct interned attribute bundles: the shareable properties
+    /// only — prefix and next hop stay with each route — so this is what
+    /// the run actually allocated against [`DataPlane::shareable_combos`].
     pub unique_attr_bundles: u64,
     /// Interner requests (≥ total routes; includes transient bundles).
     pub intern_requests: u64,
@@ -232,7 +236,7 @@ pub fn simulate_governed(
 
     // Phase 3+4+5: BGP with session re-evaluation.
     let bgp_span = batnet_obs::Span::enter("route.bgp");
-    let pools = BgpPools::default();
+    let pool: Interner<PathAttrs> = Interner::new();
     let mut report = ConvergenceReport::default();
     let external_peers = external_peer_map(&devices, env);
     let mut sessions = bgp::discover_sessions(&devices, &external_peers);
@@ -252,8 +256,8 @@ pub fn simulate_governed(
                 rib.withdraw(p, RouteProtocol::BgpLocal);
             }
         }
-        nodes = init_bgp_nodes(&devices, &sessions, &mut ribs, env, &pools, opts);
-        let r = run_bgp_fixed_point(&devices, &mut nodes, &mut ribs, &pools, opts, gov);
+        nodes = init_bgp_nodes(&devices, &sessions, &mut ribs, env, &pool, opts);
+        let r = run_bgp_fixed_point(&devices, &mut nodes, &mut ribs, &pool, opts, gov);
         report.converged = r.converged;
         report.sweeps += r.sweeps;
         report.colors = r.colors;
@@ -276,7 +280,9 @@ pub fn simulate_governed(
         established = now;
     }
     bgp_span.close();
+    let stats = pool.stats();
     batnet_obs::counter_add("route.sweeps", report.sweeps as u64);
+    batnet_obs::gauge_set("route.attr_bundles", stats.unique as f64);
     batnet_obs::gauge_set("route.colors", report.colors as f64);
     batnet_obs::gauge_set(
         "route.sessions.established",
@@ -298,7 +304,6 @@ pub fn simulate_governed(
     );
     fib_span.close();
 
-    let stats = pools.attrs.stats();
     let total_bgp_routes: u64 = nodes
         .iter()
         .map(|n| n.rib_in.values().map(|p| p.len() as u64).sum::<u64>())
@@ -461,7 +466,7 @@ fn init_bgp_nodes(
     sessions: &[Vec<Session>],
     ribs: &mut [MainRib],
     env: &Environment,
-    pools: &BgpPools,
+    pool: &Interner<PathAttrs>,
     opts: &SimOptions,
 ) -> Vec<BgpNode> {
     let mut nodes: Vec<BgpNode> = Vec::with_capacity(devices.len());
@@ -505,13 +510,8 @@ fn init_bgp_nodes(
             for (prefix, origin) in originate {
                 let mut attrs = RouteAttrs::new(prefix, RouteProtocol::BgpLocal);
                 attrs.origin = origin;
-                let route = BgpRoute {
-                    attrs: pools.attrs.intern(attrs),
-                    from: PeerKey::Local,
-                    sender_router_id: node.router_id,
-                    arrival: node.clock,
-                    igp_cost: 0,
-                };
+                let route =
+                    BgpRoute::new(attrs, pool, PeerKey::Local, node.router_id, node.clock, 0);
                 node.clock += 1;
                 apply_rib_in(
                     &mut node,
@@ -550,7 +550,7 @@ fn init_bgp_nodes(
                     attrs,
                     a.peer_ip,
                     &ribs[di],
-                    &pools.attrs,
+                    pool,
                     arrival,
                 ) {
                     node.clock += 1;
@@ -591,7 +591,7 @@ fn run_bgp_fixed_point(
     devices: &[Device],
     nodes: &mut Vec<BgpNode>,
     ribs: &mut [MainRib],
-    pools: &BgpPools,
+    pool: &Interner<PathAttrs>,
     opts: &SimOptions,
     gov: &ResourceGovernor,
 ) -> ConvergenceReport {
@@ -629,6 +629,7 @@ fn run_bgp_fixed_point(
     };
 
     let mut poisoned: BTreeSet<usize> = BTreeSet::new();
+    let mut updates = 0u64;
     'sweeps: for _sweep in 0..opts.max_sweeps {
         // Governor gate: a sweep only starts while within budget.
         if let Err(e) = gov.check("bgp-fixed-point") {
@@ -657,7 +658,7 @@ fn run_bgp_fixed_point(
                     };
                 }
                 match std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    compute_pulls(ni, devices, nodes, ribs, pools, &rank_of, opts)
+                    compute_pulls(ni, devices, nodes, ribs, pool, &rank_of, opts)
                 })) {
                     Ok(ch) => ch,
                     Err(_) => NodeChanges {
@@ -668,33 +669,39 @@ fn run_bgp_fixed_point(
                     },
                 }
             };
-            let changes: Vec<NodeChanges> = if group.len() >= 8 {
+            let parallel = group.len() >= 8;
+            let changes: Vec<NodeChanges> = if parallel {
                 batnet_exec::current().map(group, compute)
             } else {
                 group.iter().map(compute).collect()
             };
-            // Apply phase: sequential, ascending node order (deterministic).
+            // Poison bookkeeping: sequential, ascending node order.
+            let mut healthy = Vec::with_capacity(changes.len());
             for ch in changes {
-                if ch.poisoned {
-                    poisoned.insert(ch.node);
-                    let name = devices[ch.node].name.clone();
-                    if !report.poisoned_devices.contains(&name) {
-                        report.poisoned_devices.push(name);
-                    }
+                updates += ch.updates.len() as u64;
+                if !ch.poisoned {
+                    healthy.push(ch);
                     continue;
                 }
-                let node = &mut nodes[ch.node];
-                node.clock = ch.new_clock;
-                let mut touched: BTreeSet<Prefix> = BTreeSet::new();
-                for up in ch.updates {
-                    let prefix = up.prefix;
-                    if apply_rib_in(node, up) {
-                        touched.insert(prefix);
-                    }
+                poisoned.insert(ch.node);
+                let name = devices[ch.node].name.clone();
+                if !report.poisoned_devices.contains(&name) {
+                    report.poisoned_devices.push(name);
                 }
-                for p in touched {
-                    node.reselect(p, &mut ribs[ch.node], opts.use_logical_clocks);
+            }
+            // Apply phase: each node folds its own changes into its own
+            // state, so the order across nodes cannot matter.
+            let slots = claim_slots(healthy, nodes, ribs);
+            let fold = |slot: &ApplySlot<'_>| {
+                let taken = slot.lock().unwrap_or_else(PoisonError::into_inner).take();
+                if let Some((ch, node, rib)) = taken {
+                    apply_changes(ch, node, rib, opts.use_logical_clocks);
                 }
+            };
+            if parallel {
+                batnet_exec::current().map(&slots, fold);
+            } else {
+                slots.iter().for_each(fold);
             }
         }
         // Sweep end: rotate deltas; converged when nothing changed.
@@ -714,14 +721,53 @@ fn run_bgp_fixed_point(
         // delta_cur that was never rotated.
         let mut unstable: BTreeSet<Prefix> = BTreeSet::new();
         for node in nodes.iter() {
-            unstable.extend(node.delta_prev.added.iter().map(|r| r.attrs.prefix));
+            unstable.extend(node.delta_prev.added.iter().map(|r| r.prefix));
             unstable.extend(node.delta_prev.removed.iter().copied());
-            unstable.extend(node.delta_cur.added.iter().map(|r| r.attrs.prefix));
+            unstable.extend(node.delta_cur.added.iter().map(|r| r.prefix));
             unstable.extend(node.delta_cur.removed.iter().copied());
         }
         report.unstable_prefixes = unstable.into_iter().collect();
     }
+    batnet_obs::counter_add("route.updates", updates);
     report
+}
+
+/// One node's computed changes with exclusive access to the state they
+/// write: its BGP node and its main RIB. The lock only lets a map item
+/// take the triple out of a shared slice; no two items touch one slot.
+type ApplySlot<'a> = Mutex<Option<(NodeChanges, &'a mut BgpNode, &'a mut MainRib)>>;
+
+/// Pairs each node's changes (ascending node order) with disjoint
+/// mutable borrows of that node's BGP state and main RIB.
+fn claim_slots<'a>(
+    changes: Vec<NodeChanges>,
+    nodes: &'a mut [BgpNode],
+    ribs: &'a mut [MainRib],
+) -> Vec<ApplySlot<'a>> {
+    let mut changes = changes.into_iter().peekable();
+    let mut slots = Vec::new();
+    for (ni, (node, rib)) in nodes.iter_mut().zip(ribs.iter_mut()).enumerate() {
+        if let Some(ch) = changes.next_if(|ch| ch.node == ni) {
+            slots.push(Mutex::new(Some((ch, node, rib))));
+        }
+    }
+    slots
+}
+
+/// Folds one node's RIB-in updates in, in the order they were computed,
+/// then re-runs the decision process once per prefix that changed.
+fn apply_changes(ch: NodeChanges, node: &mut BgpNode, rib: &mut MainRib, use_clock: bool) {
+    node.clock = ch.new_clock;
+    let mut touched: BTreeSet<Prefix> = BTreeSet::new();
+    for up in ch.updates {
+        let prefix = up.prefix;
+        if apply_rib_in(node, up) {
+            touched.insert(prefix);
+        }
+    }
+    for p in touched {
+        node.reselect(p, rib, use_clock);
+    }
 }
 
 /// Computes the RIB-in updates node `ni` receives this sweep by pulling
@@ -731,7 +777,7 @@ fn compute_pulls(
     devices: &[Device],
     nodes: &[BgpNode],
     ribs: &[MainRib],
-    pools: &BgpPools,
+    pool: &Interner<PathAttrs>,
     rank_of: &[usize],
     opts: &SimOptions,
 ) -> NodeChanges {
@@ -768,6 +814,17 @@ fn compute_pulls(
                 });
             }
             for route in &delta.added {
+                // A path that already carries our AS is refused by import
+                // whatever export does to it: route maps can only prepend.
+                // Withdraw without building the export.
+                if session_is_ebgp && route.attrs.as_path.contains(node.asn) {
+                    updates.push(RibInUpdate {
+                        prefix: route.prefix,
+                        peer: peer_key,
+                        route: None,
+                    });
+                    continue;
+                }
                 let exported = bgp::export_route(
                     peer_device,
                     peer_node.asn,
@@ -780,7 +837,7 @@ fn compute_pulls(
                     None => RibInUpdate {
                         // An unexportable replacement acts as a withdraw
                         // of whatever we previously held from this peer.
-                        prefix: route.attrs.prefix,
+                        prefix: route.prefix,
                         peer: peer_key,
                         route: None,
                     },
@@ -793,19 +850,19 @@ fn compute_pulls(
                             attrs,
                             peer_node.router_id,
                             &ribs[ni],
-                            &pools.attrs,
+                            pool,
                             arrival,
                         ) {
                             Some(r) => {
                                 clock += 1;
                                 RibInUpdate {
-                                    prefix: r.attrs.prefix,
+                                    prefix: r.prefix,
                                     peer: peer_key,
                                     route: Some(r),
                                 }
                             }
                             None => RibInUpdate {
-                                prefix: route.attrs.prefix,
+                                prefix: route.prefix,
                                 peer: peer_key,
                                 route: None,
                             },
@@ -925,11 +982,10 @@ mod tests {
         );
     }
 
-    #[test]
-    fn ibgp_over_ospf_with_next_hop_self() {
-        // r1 -(ospf)- r2; iBGP between loopbacks; r1 has an eBGP-learned
-        // route (via environment) it re-advertises to r2.
-        let devices = devs(&[
+    /// r1 -(ospf)- r2 in AS 65000, iBGP between loopbacks with
+    /// next-hop-self on r1, which also has an external peer.
+    fn ibgp_pair() -> Vec<Device> {
+        devs(&[
             (
                 "r1",
                 "hostname r1\ninterface e0\n ip address 10.0.0.1/31\n ip ospf area 0\ninterface lo0\n ip address 1.1.1.1/32\n ip ospf area 0\n ip ospf passive\ninterface up\n ip address 10.9.0.1/24\nrouter ospf 1\nrouter bgp 65000\n bgp router-id 1.1.1.1\n neighbor 2.2.2.2 remote-as 65000\n neighbor 2.2.2.2 next-hop-self\n neighbor 10.9.0.2 remote-as 174\n",
@@ -938,7 +994,14 @@ mod tests {
                 "r2",
                 "hostname r2\ninterface e0\n ip address 10.0.0.0/31\n ip ospf area 0\ninterface lo0\n ip address 2.2.2.2/32\n ip ospf area 0\n ip ospf passive\nrouter ospf 1\nrouter bgp 65000\n bgp router-id 2.2.2.2\n neighbor 1.1.1.1 remote-as 65000\n",
             ),
-        ]);
+        ])
+    }
+
+    #[test]
+    fn ibgp_over_ospf_with_next_hop_self() {
+        // r1 has an eBGP-learned route (via environment) it re-advertises
+        // to r2.
+        let devices = ibgp_pair();
         let mut env = Environment::none();
         env.announcements.push(crate::env::ExternalAnnouncement::simple(
             "r1",
@@ -954,7 +1017,7 @@ mod tests {
         assert_eq!(best.attrs.protocol, RouteProtocol::Ibgp);
         // next-hop-self: next hop must be r1's loopback (the session
         // source), which r2 resolves via OSPF.
-        assert_eq!(best.attrs.next_hop, "1.1.1.1".parse().unwrap());
+        assert_eq!(best.next_hop, "1.1.1.1".parse().unwrap());
         assert!(best.igp_cost > 0, "resolved through OSPF");
         // Main RIB AD for iBGP is 200.
         let (_, routes) = r2.main_rib.lookup("203.0.113.7".parse().unwrap()).unwrap();
@@ -1003,6 +1066,97 @@ mod tests {
         assert!(r1.main_rib.lookup("10.2.0.5".parse().unwrap()).is_none());
         // The connected subnet of the failed interface is gone too.
         assert!(r1.main_rib.lookup("10.0.0.0".parse().unwrap()).is_none());
+    }
+
+    /// The converged per-device BGP state and main RIBs of `devices`, for
+    /// driving one more pull by hand.
+    fn converged(devices: &[Device]) -> (Vec<BgpNode>, Vec<MainRib>) {
+        let dp = simulate(devices, &Environment::none(), &SimOptions::default());
+        assert!(dp.convergence.converged);
+        dp.devices.into_iter().map(|d| (d.bgp, d.main_rib)).unzip()
+    }
+
+    /// Node `to`'s pulls in a sweep after the one in which node `from`
+    /// (which runs first) changed nothing but `route`.
+    fn pull_after(
+        devices: &[Device],
+        nodes: &mut [BgpNode],
+        ribs: &[MainRib],
+        pool: &Interner<PathAttrs>,
+        (from, to): (usize, usize),
+        route: BgpRoute,
+    ) -> NodeChanges {
+        nodes[from].delta_prev = crate::rib::RibDelta {
+            added: vec![route],
+            removed: Vec::new(),
+        };
+        let mut rank_of = vec![0; devices.len()];
+        rank_of[to] = 1;
+        let opts = SimOptions::default();
+        compute_pulls(to, devices, nodes, ribs, pool, &rank_of, &opts)
+    }
+
+    #[test]
+    fn a_looped_route_withdraws_the_peers_earlier_route() {
+        let devices = ebgp_pair();
+        let (mut nodes, mut ribs) = converged(&devices);
+        let lan: Prefix = "10.2.0.0/24".parse().unwrap();
+        let r2 = PeerKey::Peer("10.0.0.0".parse().unwrap());
+        assert!(nodes[0].rib_in[&lan].contains_key(&r2));
+        // r2 re-announces its LAN with r1's AS already on the path.
+        let pool = Interner::new();
+        let mut attrs = nodes[1].best[&lan].route_attrs();
+        attrs.as_path = batnet_net::AsPath(vec![Asn(65001)]);
+        let route = BgpRoute::new(attrs, &pool, PeerKey::Local, nodes[1].router_id, 0, 0);
+        let ch = pull_after(&devices, &mut nodes, &ribs, &pool, (1, 0), route);
+        assert_eq!(ch.updates.len(), 1);
+        assert_eq!((ch.updates[0].prefix, ch.updates[0].peer), (lan, r2));
+        assert!(ch.updates[0].route.is_none(), "a withdraw");
+        assert_eq!(ch.new_clock, nodes[0].clock, "no arrival stamp taken");
+        let (node, rib) = (&mut nodes[0], &mut ribs[0]);
+        apply_changes(ch, node, rib, true);
+        assert!(!node.rib_in.get(&lan).is_some_and(|p| p.contains_key(&r2)));
+        assert!(!node.best.contains_key(&lan));
+        assert!(rib.lookup("10.2.0.5".parse().unwrap()).is_none());
+    }
+
+    #[test]
+    fn an_export_map_prepending_the_receivers_as_is_still_refused() {
+        let mut devices = ebgp_pair();
+        let (d2, diags) = parse_device(
+            "r2",
+            "hostname r2\ninterface e0\n ip address 10.0.0.0/31\ninterface lan\n ip address 10.2.0.1/24\nrouter bgp 65002\n bgp router-id 2.2.2.2\n redistribute connected\n neighbor 10.0.0.1 remote-as 65001\n neighbor 10.0.0.1 route-map POISON out\nroute-map POISON permit 10\n set as-path prepend 65001\n",
+        );
+        assert!(diags.items().is_empty(), "{:?}", diags.items());
+        devices[1] = d2;
+        let dp = simulate(&devices, &Environment::none(), &SimOptions::default());
+        assert!(dp.convergence.converged);
+        let r1 = dp.device("r1").unwrap();
+        assert!(
+            !r1.bgp.best.contains_key(&"10.2.0.0/24".parse().unwrap()),
+            "the export map put r1's AS on the path: import must refuse it"
+        );
+        // The other direction is untouched.
+        let r2 = dp.device("r2").unwrap();
+        assert!(r2.bgp.best.contains_key(&"10.1.0.0/24".parse().unwrap()));
+    }
+
+    #[test]
+    fn an_ibgp_session_never_takes_the_loop_shortcut() {
+        let devices = ibgp_pair();
+        let (mut nodes, ribs) = converged(&devices);
+        // r1 re-advertises its loopback with r1's own AS on the path:
+        // loop prevention is an eBGP rule, so r2 must still import it.
+        let lo: Prefix = "1.1.1.1/32".parse().unwrap();
+        let pool = Interner::new();
+        let mut attrs = RouteAttrs::new(lo, RouteProtocol::Ebgp);
+        attrs.as_path = batnet_net::AsPath(vec![Asn(65000), Asn(174)]);
+        let route = BgpRoute::new(attrs, &pool, PeerKey::Local, nodes[0].router_id, 0, 0);
+        let ch = pull_after(&devices, &mut nodes, &ribs, &pool, (0, 1), route);
+        assert_eq!(ch.updates.len(), 1);
+        let got = ch.updates[0].route.as_ref().expect("iBGP imports it");
+        assert_eq!(got.attrs.as_path.0, vec![Asn(65000), Asn(174)]);
+        assert_eq!(got.attrs.protocol, RouteProtocol::Ibgp);
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //!   converge (Figure 1a) are detected and reported, not looped forever.
 //! * **Optimized memory footprint** (§4.1.3) — receivers *pull* RIB deltas
 //!   from neighbors (only the current and previous sweep's deltas are
-//!   retained; no per-session queues), and BGP attribute bundles, AS
-//!   paths, and community sets are interned.
+//!   retained; no per-session queues), and the attributes BGP routes
+//!   share (AS path, communities, local-pref, …) are interned as one
+//!   bundle while each route keeps its own prefix and next hop.
 //!
 //! The output is a [`DataPlane`]: per-device main RIBs and FIBs, plus
 //! convergence and memory statistics. `batnet-dataplane` (the BDD engine)
@@ -41,5 +42,5 @@ pub use error::RoutingError;
 pub use env::{Environment, ExternalAnnouncement};
 pub use fib::{Fib, FibAction, FibEntry, FibNextHop};
 pub use rib::{MainRib, RibDelta};
-pub use routes::{admin_distance, BgpRoute, MainNextHop, MainRoute, PeerKey};
+pub use routes::{admin_distance, BgpRoute, MainNextHop, MainRoute, PathAttrs, PeerKey};
 pub use scheduler::{color_graph, SchedulerMode};

@@ -1,8 +1,9 @@
 //! Route types and the BGP decision process.
 
-use batnet_config::vi::{RouteAttrs, RouteProtocol};
-use batnet_net::{Interned, Ip, Prefix};
+use batnet_config::vi::{RouteAttrs, RouteOrigin, RouteProtocol};
+use batnet_net::{AsPath, Community, Interned, Interner, Ip, Prefix};
 use std::cmp::Ordering;
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// Administrative distance per protocol — the cross-protocol preference
@@ -83,16 +84,42 @@ impl fmt::Display for PeerKey {
     }
 }
 
+/// The shareable half of a BGP route: every attribute except the
+/// per-route prefix and next hop. This is what one interned object holds
+/// (§4.1.3) — routes that followed similar paths share it, so it is one
+/// allocation per attribute combination rather than one per route.
+#[derive(Clone, PartialEq, Eq, Hash, Debug)]
+pub struct PathAttrs {
+    /// Protocol the route came from (`Ebgp`, `Ibgp` or `BgpLocal`).
+    pub protocol: RouteProtocol,
+    /// Local preference.
+    pub local_pref: u32,
+    /// Multi-exit discriminator.
+    pub med: u32,
+    /// AS path.
+    pub as_path: AsPath,
+    /// Communities.
+    pub communities: BTreeSet<Community>,
+    /// Origin.
+    pub origin: RouteOrigin,
+    /// Route tag.
+    pub tag: u32,
+}
+
 /// A BGP route as held in a device's BGP RIB.
 ///
-/// The attribute bundle is interned (§4.1.3): the thirteen-odd properties
-/// that routes following similar paths share live in one allocation, and
-/// equality during the decision process is a pointer comparison.
+/// The prefix and next hop are the route's own; everything else is an
+/// interned [`PathAttrs`] (§4.1.3), so equality of the shared part during
+/// the decision process is a pointer comparison.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct BgpRoute {
-    /// Shared attribute bundle (prefix, local-pref, AS path, MED,
-    /// communities, origin, next hop, …).
-    pub attrs: Interned<RouteAttrs>,
+    /// Destination prefix.
+    pub prefix: Prefix,
+    /// BGP next hop (`Ip::ZERO` for a locally originated route).
+    pub next_hop: Ip,
+    /// Shared attribute bundle (local-pref, AS path, MED, communities,
+    /// origin, …).
+    pub attrs: Interned<PathAttrs>,
     /// Which peer sent it.
     pub from: PeerKey,
     /// Router id of the sender (decision step 8).
@@ -104,6 +131,66 @@ pub struct BgpRoute {
     /// IGP metric to the route's next hop, resolved against the main RIB
     /// at import time (decision step 6). `u32::MAX` when unresolved.
     pub igp_cost: u32,
+}
+
+impl BgpRoute {
+    /// A route from a policy-facing bundle: the prefix and next hop stay
+    /// with the route, the rest is interned in `pool`.
+    pub(crate) fn new(
+        attrs: RouteAttrs,
+        pool: &Interner<PathAttrs>,
+        from: PeerKey,
+        sender_router_id: Ip,
+        arrival: u64,
+        igp_cost: u32,
+    ) -> BgpRoute {
+        let RouteAttrs {
+            prefix,
+            protocol,
+            next_hop,
+            local_pref,
+            med,
+            as_path,
+            communities,
+            origin,
+            tag,
+        } = attrs;
+        let shared = PathAttrs {
+            protocol,
+            local_pref,
+            med,
+            as_path,
+            communities,
+            origin,
+            tag,
+        };
+        BgpRoute {
+            prefix,
+            next_hop,
+            attrs: pool.intern(shared),
+            from,
+            sender_router_id,
+            arrival,
+            igp_cost,
+        }
+    }
+
+    /// The policy-facing view route maps evaluate: the shared attributes
+    /// with this route's prefix and next hop put back.
+    pub(crate) fn route_attrs(&self) -> RouteAttrs {
+        let a = &*self.attrs;
+        RouteAttrs {
+            prefix: self.prefix,
+            protocol: a.protocol,
+            next_hop: self.next_hop,
+            local_pref: a.local_pref,
+            med: a.med,
+            as_path: a.as_path.clone(),
+            communities: a.communities.clone(),
+            origin: a.origin,
+            tag: a.tag,
+        }
+    }
 }
 
 impl BgpRoute {
@@ -184,11 +271,10 @@ fn protocol_rank(p: RouteProtocol) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use batnet_net::{AsPath, Asn, Interner};
-    use batnet_config::vi::RouteOrigin;
+    use batnet_net::Asn;
 
     fn mk(
-        pool: &Interner<RouteAttrs>,
+        pool: &Interner<PathAttrs>,
         lp: u32,
         path_len: usize,
         med: u32,
@@ -202,13 +288,7 @@ mod tests {
         attrs.as_path = AsPath(vec![Asn(65000); path_len]);
         attrs.med = med;
         attrs.origin = RouteOrigin::Igp;
-        BgpRoute {
-            attrs: pool.intern(attrs),
-            from: PeerKey::Peer(Ip(rid)),
-            sender_router_id: Ip(rid),
-            arrival,
-            igp_cost: igp,
-        }
+        BgpRoute::new(attrs, pool, PeerKey::Peer(Ip(rid)), Ip(rid), arrival, igp)
     }
 
     #[test]
@@ -264,17 +344,31 @@ mod tests {
     #[test]
     fn local_routes_preferred_over_learned() {
         let pool = Interner::new();
-        let mut attrs = RouteAttrs::new("10.0.0.0/8".parse().unwrap(), RouteProtocol::BgpLocal);
-        attrs.local_pref = 100;
-        let local = BgpRoute {
-            attrs: pool.intern(attrs),
-            from: PeerKey::Local,
-            sender_router_id: Ip(0),
-            arrival: 100,
-            igp_cost: 0,
-        };
+        let attrs = RouteAttrs::new("10.0.0.0/8".parse().unwrap(), RouteProtocol::BgpLocal);
+        let local = BgpRoute::new(attrs, &pool, PeerKey::Local, Ip(0), 100, 0);
         let learned = mk(&pool, 100, 0, 0, RouteProtocol::Ebgp, 0, 0, 1);
         assert_eq!(local.decide(&learned, true), Ordering::Less);
+    }
+
+    #[test]
+    fn routes_share_one_bundle_across_prefixes_and_next_hops() {
+        let pool = Interner::new();
+        let mut a = RouteAttrs::new("10.0.0.0/8".parse().unwrap(), RouteProtocol::Ebgp);
+        a.next_hop = Ip(1);
+        a.as_path = AsPath(vec![Asn(65001)]);
+        a.med = 5;
+        let b = RouteAttrs {
+            prefix: "10.1.0.0/16".parse().unwrap(),
+            next_hop: Ip(2),
+            ..a.clone()
+        };
+        let ra = BgpRoute::new(a.clone(), &pool, PeerKey::Local, Ip(0), 0, 0);
+        let rb = BgpRoute::new(b.clone(), &pool, PeerKey::Local, Ip(0), 0, 0);
+        assert_eq!(ra.attrs, rb.attrs, "one interned bundle");
+        assert_eq!(pool.len(), 1);
+        // Route maps still see the whole route.
+        assert_eq!(ra.route_attrs(), a);
+        assert_eq!(rb.route_attrs(), b);
     }
 
     #[test]
