@@ -4,9 +4,9 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test test-repeat chaos clippy bench-smoke lint-smoke diff-smoke cov-smoke yardstick
+.PHONY: ci build test test-repeat chaos clippy bench-smoke lint-smoke diff-smoke cov-smoke yardstick loc
 
-ci: build test test-repeat chaos clippy bench-smoke lint-smoke diff-smoke cov-smoke yardstick
+ci: build test test-repeat chaos clippy bench-smoke lint-smoke diff-smoke cov-smoke yardstick loc
 
 # One way to run each tool. The front ends (batnet-lint, batnet-cov,
 # batnet-repair, batnet-diff, obs-validate) live in the root package.
@@ -144,3 +144,16 @@ yardstick: build
 	$(CARGO) run --release --quiet --offline --manifest-path benchmark/Cargo.toml -- run --all --quick --seconds 1; \
 		status=$$?; cp target/benchmark-Cargo.lock benchmark/Cargo.lock; exit $$status
 	$(VALIDATE) results/TRAJECTORY.jsonl
+
+# The size of the program: non-blank lines in crates/*/src/**/*.rs and
+# src/**/*.rs, without each file's column-0 `#[cfg(test)]` + `mod …`
+# block (its in-module tests, up to the next column-0 `}`). Integration
+# tests, examples and benchmark/ are not counted.
+loc:
+	@find crates/*/src src -name '*.rs' | LC_ALL=C sort | xargs awk '\
+		FNR == 1 { skip = 0; held = 0 } \
+		skip { if (/^}/) skip = 0; next } \
+		held { held = 0; if (/^mod /) { skip = !/;[[:space:]]*$$/; next } n++ } \
+		/^#\[cfg\(test\)\][[:space:]]*$$/ { held = 1; next } \
+		NF { n++ } \
+		END { print "loc:", n }'

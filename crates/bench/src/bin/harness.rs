@@ -580,11 +580,11 @@ fn cov_bench(full: bool, net: Option<&str>, rows: &mut Vec<Row>) {
 
 /// The diff bench: the three differential-analysis stages on N2 with a
 /// seeded `acl-attach-peering` perturbation (one ACL attach that kills a
-/// BGP session, so every layer has real work). Mirrors the staging of
-/// `batnet_diff::diff` but times each layer separately. Always writes
-/// `BENCH_diff.json` for the `diff-smoke` structure gate.
+/// BGP session, so every layer has real work). Runs `batnet_diff::diff`
+/// once and reads each layer's time from its `diff.configs` /
+/// `diff.routes` / `diff.reach` span. Always writes `BENCH_diff.json`
+/// for the `diff-smoke` structure gate.
 fn diff_bench(rows: &mut Vec<Row>) {
-    use batnet::diff::reach::{diff_reach, ReachInputs};
     banner("E-D: differential analysis (acl-attach-peering on N2)");
     let net = batnet_topogen::suite::n2();
     let p = batnet_topogen::perturb::perturb(
@@ -600,53 +600,41 @@ fn diff_bench(rows: &mut Vec<Row>) {
     let after = batnet::Snapshot::from_configs(p.configs).with_env(net.env.clone());
     let parse = t.elapsed();
 
-    let t = clock::now();
-    let structural = batnet::diff::structural::diff_structural(&before.devices, &after.devices);
-    let configs_time = t.elapsed();
-
-    let opts = batnet::DiffOptions::default();
-    let t = clock::now();
-    let dp_b = simulate(&before.devices, &before.env, &opts.sim);
-    let dp_a = simulate(&after.devices, &after.env, &opts.sim);
-    let routes = batnet::diff::routes::diff_routes(&dp_b, &dp_a);
-    let routes_time = t.elapsed();
-
-    let t = clock::now();
-    let mut changed = structural.changed_devices();
-    changed.extend(routes.changed_devices.iter().cloned());
-    let reach = diff_reach(
-        &ReachInputs {
-            devices_before: &before.devices,
-            dp_before: &dp_b,
-            devices_after: &after.devices,
-            dp_after: &dp_a,
-            changed_devices: &changed,
-        },
-        &opts,
-    );
-    let reach_time = t.elapsed();
+    let d = before.diff(&after);
+    let spans = batnet_obs::capture().spans;
+    let layer = |name: &str| {
+        spans
+            .iter()
+            .rev()
+            .find(|s| s.name == name)
+            .and_then(|s| s.dur_ns)
+            .map_or(Duration::ZERO, Duration::from_nanos)
+    };
+    let configs_time = layer("diff.configs");
+    let routes_time = layer("diff.routes");
+    let reach_time = layer("diff.reach");
 
     println!(
         "N2: parse {} | configs {} ({} changes) | routes {} ({} deltas) | reach {} ({}/{} starts, {} changed)",
         fmt_dur(parse),
         fmt_dur(configs_time),
-        structural.change_count(),
+        d.structural.change_count(),
         fmt_dur(routes_time),
-        routes.change_count(),
+        d.routes.change_count(),
         fmt_dur(reach_time),
-        reach.starts_compared,
-        reach.starts_total,
-        reach.changed_starts,
+        d.reach.starts_compared,
+        d.reach.starts_total,
+        d.reach.changed_starts,
     );
     rows.push(Row::new("diff", "N2", "parse", parse));
     rows.push(
-        Row::new("diff", "N2", "configs", configs_time).with("changes", structural.change_count()),
+        Row::new("diff", "N2", "configs", configs_time).with("changes", d.structural.change_count()),
     );
-    rows.push(Row::new("diff", "N2", "routes", routes_time).with("changes", routes.change_count()));
+    rows.push(Row::new("diff", "N2", "routes", routes_time).with("changes", d.routes.change_count()));
     rows.push(
         Row::new("diff", "N2", "reach", reach_time)
-            .with("starts", reach.starts_compared)
-            .with("changed", reach.changed_starts),
+            .with("starts", d.reach.starts_compared)
+            .with("changed", d.reach.changed_starts),
     );
 }
 

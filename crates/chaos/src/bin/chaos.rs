@@ -113,12 +113,8 @@ fn main() -> ExitCode {
             println!("chaos: serve rejected {n} as {class}, all accounted");
         }
         println!(
-            "chaos: serve traced {} requests — {} retained + {} evicted in the \
-             ring, {} access-log lines",
-            serve_report.requests,
-            serve_report.traces_retained,
-            serve_report.traces_evicted,
-            serve_report.access_lines
+            "chaos: serve traced {} requests — {} retained + {} evicted in the ring",
+            serve_report.requests, serve_report.traces_retained, serve_report.traces_evicted
         );
         violations.extend(
             serve_report

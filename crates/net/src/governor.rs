@@ -157,16 +157,6 @@ impl ResourceGovernor {
         ResourceGovernor::build(None, 0, None, Some(ceiling))
     }
 
-    /// Builder: adds a wall-clock deadline (from now).
-    pub fn and_deadline(self, budget: Duration) -> ResourceGovernor {
-        ResourceGovernor::build(
-            Some(clock::now() + budget),
-            budget.as_millis() as u64,
-            self.inner.iteration_budget,
-            self.inner.node_ceiling,
-        )
-    }
-
     /// Builder: adds an iteration budget.
     pub fn and_iteration_budget(self, budget: u64) -> ResourceGovernor {
         ResourceGovernor::build(

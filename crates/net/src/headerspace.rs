@@ -78,12 +78,6 @@ impl HeaderSpace {
         self
     }
 
-    /// Constrains the source port to a range (builder style).
-    pub fn src_port_range(mut self, r: PortRange) -> HeaderSpace {
-        self.src_ports.push(r);
-        self
-    }
-
     /// Does the concrete flow satisfy every field constraint?
     pub fn matches(&self, flow: &Flow) -> bool {
         let in_ranges = |ranges: &[IpRange], ip| ranges.is_empty() || ranges.iter().any(|r| r.contains(ip));

@@ -202,13 +202,6 @@ impl Prefix {
         let right = Prefix::new(Ip(self.network.0 | (1 << (31 - self.len))), self.len + 1);
         Some((left, right))
     }
-
-    /// An iterator over all host addresses (network and broadcast included).
-    pub fn addrs(&self) -> impl Iterator<Item = Ip> {
-        let start = self.network.0 as u64;
-        let n = self.size();
-        (start..start + n).map(|v| Ip(v as u32))
-    }
 }
 
 /// Network mask with `len` leading ones.

@@ -10,7 +10,6 @@
 //!
 //! Everything here is `std`-only, deterministic, and free of I/O.
 
-pub mod backoff;
 pub mod bgp;
 pub mod governor;
 pub mod headers;
@@ -19,7 +18,6 @@ pub mod intern;
 pub mod ip;
 pub mod rng;
 
-pub use backoff::Backoff;
 pub use bgp::{AsPath, Asn, Community};
 pub use governor::{Exhaustion, Limit, Outcome, ResourceGovernor};
 pub use headers::{Flow, IpProtocol, PortRange, TcpFlags};

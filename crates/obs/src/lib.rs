@@ -22,9 +22,6 @@
 //!   accounting. Serialization is a hand-rolled writer ([`json`], no
 //!   serde); the same module carries a minimal parser so reports can be
 //!   validated in-tree (the `obs-validate` bin and the chaos harness).
-//! * **Attribution** ([`attr`]) — per-span self time (exclusive of
-//!   children) and the critical path, so reports answer "which phase
-//!   inside a stage costs the time", not only stage totals.
 //! * **Trace export** ([`trace`]) — any span forest renders as Chrome
 //!   `trace.json` (Perfetto-loadable) or folded-stack flamegraph text;
 //!   the `obs-trace` bin exports run reports, bench files and `/tracez`
@@ -59,7 +56,6 @@
 //! lock recovers from poisoning (`PoisonError::into_inner`), because a
 //! contained panic in a serve worker must never disable telemetry.
 
-pub mod attr;
 pub mod clock;
 pub mod diff;
 pub mod flags;

@@ -143,7 +143,7 @@ impl Recorder {
     }
 
     /// Every recorded span as the flat, index-parented list all
-    /// consumers (report, attr, trace) work on.
+    /// consumers (report, trace) work on.
     pub fn records(&self) -> Vec<SpanRecord> {
         to_records(&self.spans)
     }

@@ -138,20 +138,6 @@ impl RunReport {
         }
     }
 
-    /// Self time (exclusive of children) in milliseconds of the first
-    /// span with this name, if it closed.
-    pub fn self_ms(&self, name: &str) -> Option<f64> {
-        let idx = self.spans.iter().position(|s| s.name == name)?;
-        self.spans[idx].dur_ns?;
-        Some(ms(crate::attr::self_times_ns(&self.spans)[idx]))
-    }
-
-    /// The critical path through the span forest: the chain from the
-    /// most expensive root through each level's most expensive child.
-    pub fn critical_path(&self) -> Vec<crate::attr::PathStep> {
-        crate::attr::critical_path(&self.spans)
-    }
-
     /// Serializes to schema-1 JSON.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
@@ -241,7 +227,6 @@ impl RunReport {
         out.push('}');
         out
     }
-
 }
 
 /// Serializes a flat span list as the nested schema-1 forest
@@ -258,8 +243,29 @@ pub fn write_span_forest(spans: &[SpanRecord], out: &mut String) {
             _ => roots.push(i),
         }
     }
-    let self_ns = crate::attr::self_times_ns(spans);
+    let self_ns = self_times_ns(spans);
     write_span_list(spans, out, &roots, &children, &self_ns);
+}
+
+/// Per-span self time in nanoseconds, indexed like `spans`: duration
+/// minus the durations of direct children, clamped at zero (children of
+/// an open span, or clock jitter at span edges, must never produce
+/// negative attribution). An open span attributes zero to itself; its
+/// closed children still carry their own time.
+fn self_times_ns(spans: &[SpanRecord]) -> Vec<u64> {
+    let mut child_sum: Vec<u64> = vec![0; spans.len()];
+    for s in spans {
+        if let (Some(p), Some(d)) = (s.parent, s.dur_ns) {
+            if p < spans.len() {
+                child_sum[p] = child_sum[p].saturating_add(d);
+            }
+        }
+    }
+    spans
+        .iter()
+        .zip(&child_sum)
+        .map(|(s, &c)| s.dur_ns.unwrap_or(0).saturating_sub(c))
+        .collect()
 }
 
 fn write_span_list(
@@ -497,6 +503,30 @@ pub fn validate_trajectory_row(v: &Value) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::span::Span;
+
+    #[test]
+    fn self_time_subtracts_children_and_clamps() {
+        let rec = |name: &str, parent, dur_ns| SpanRecord {
+            name: name.to_string(),
+            parent,
+            start_ns: 0,
+            dur_ns,
+            tid: 0,
+        };
+        let spans = vec![
+            rec("root", None, Some(100)),
+            rec("a", Some(0), Some(30)),
+            rec("b", Some(0), Some(40)),
+            rec("a.inner", Some(1), Some(25)),
+        ];
+        assert_eq!(self_times_ns(&spans), [30, 5, 40, 25]);
+        // Children can over-report (clock edges); self time clamps to 0.
+        let spans = vec![rec("root", None, Some(10)), rec("a", Some(0), Some(15))];
+        assert_eq!(self_times_ns(&spans)[0], 0);
+        // An open span attributes nothing to itself.
+        let spans = vec![rec("open", None, None), rec("a", Some(0), Some(5))];
+        assert_eq!(self_times_ns(&spans)[0], 0);
+    }
 
     #[test]
     fn capture_serialize_validate_roundtrip() {

@@ -33,8 +33,8 @@ pub struct SpanRecord {
     pub dur_ns: Option<u64>,
     /// The recording OS thread: a number drawn once per thread from a
     /// process counter, so distinct threads never share one (values are
-    /// sparse, not dense from 0). The Chrome-trace exporter renders one
-    /// track per value.
+    /// sparse, not dense from 0). The recorder keeps each thread's stack
+    /// of open spans under it.
     pub tid: u64,
 }
 

@@ -2,15 +2,9 @@
 //! in Perfetto / `chrome://tracing`) or as folded-stack flamegraph text.
 //!
 //! Chrome format: one complete event (`"ph": "X"`) per span, timestamps
-//! and durations in microseconds. Two renderers share it:
-//! [`chrome_trace`] works from a [`SpanNode`] forest (e.g. a report's
-//! JSON span tree, which carries no thread identity) and assigns one
-//! `tid` per root tree; [`chrome_trace_records`] works from in-process
-//! [`SpanRecord`]s and renders one `tid` per recording OS thread, with
-//! cross-thread parent links preserved in each event's `args.parent` —
-//! the faithful rendering of a multi-threaded run. Folded format: one
-//! line per distinct span path — `root;child;leaf <self-time-µs>` —
-//! ready for `flamegraph.pl` or speedscope.
+//! and durations in microseconds, one `tid` per root tree. Folded
+//! format: one line per distinct span path — `root;child;leaf
+//! <self-time-µs>` — ready for `flamegraph.pl` or speedscope.
 //!
 //! [`chrome_trace`] and [`folded`] work from a [`SpanNode`] forest built
 //! from a parsed run-report JSON document ([`forest_from_json`]), so the
@@ -19,6 +13,7 @@
 //! its request's tree in the same shape.
 
 use crate::json::{self, within, Value};
+#[cfg(test)]
 use crate::span::SpanRecord;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -129,38 +124,6 @@ pub fn chrome_trace(forest: &[SpanNode]) -> String {
     let mut first = true;
     for (i, root) in forest.iter().enumerate() {
         emit(&mut out, root, i + 1, &mut first);
-    }
-    out.push_str("\n]}");
-    out
-}
-
-/// Renders flat records as Chrome trace JSON with one `tid` per
-/// recording OS thread (`record.tid + 1`; Chrome reserves low ids for
-/// its own rows). Records arrive in global open order and each thread's
-/// spans open in start order, so `ts` stays monotone within every
-/// `tid`. A span whose parent lives on another thread keeps the link in
-/// `args.parent` (the parent's index in the record list), which
-/// Perfetto surfaces in the event detail pane.
-pub fn chrome_trace_records(spans: &[SpanRecord]) -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str("{\"displayTimeUnit\": \"ms\", \"traceEvents\": [\n ");
-    for (i, s) in spans.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n ");
-        }
-        out.push_str("{\"name\": ");
-        json::write_str(&mut out, &s.name);
-        out.push_str(", \"cat\": \"batnet\", \"ph\": \"X\", \"ts\": ");
-        json::write_f64(&mut out, us(s.start_ns));
-        out.push_str(", \"dur\": ");
-        json::write_f64(&mut out, us(s.dur_ns.unwrap_or(0)));
-        let _ = write!(out, ", \"pid\": 1, \"tid\": {}", s.tid + 1);
-        match s.parent {
-            Some(p) => {
-                let _ = write!(out, ", \"args\": {{\"parent\": {p}}}}}");
-            }
-            None => out.push('}'),
-        }
     }
     out.push_str("\n]}");
     out
@@ -278,51 +241,6 @@ mod tests {
             let ts = e.get("ts").and_then(Value::as_f64).expect("ts");
             assert!(ts >= last_ts, "ts monotone within a tid");
             last_ts = ts;
-        }
-    }
-
-    #[test]
-    fn chrome_trace_records_keeps_thread_tids_and_parent_links() {
-        use crate::span::SpanRecord;
-        let rec = |name: &str, parent: Option<usize>, start: u64, tid: u64| SpanRecord {
-            name: name.to_string(),
-            parent,
-            start_ns: start,
-            dur_ns: Some(10_000),
-            tid,
-        };
-        // A cross-thread forest: worker spans parent under the main
-        // thread's root but record on their own thread.
-        let spans = vec![
-            rec("root", None, 0, 0),
-            rec("worker", Some(0), 1_000, 1),
-            rec("worker.inner", Some(1), 2_000, 1),
-            rec("main.next", Some(0), 3_000, 0),
-        ];
-        let v = json::parse(&chrome_trace_records(&spans)).expect("trace parses");
-        validate_chrome_trace(&v).expect("trace validates");
-        let events = v.get("traceEvents").and_then(Value::as_arr).expect("events");
-        assert_eq!(events.len(), spans.len());
-        let tid = |i: usize| events[i].get("tid").and_then(Value::as_f64).expect("tid");
-        assert_eq!((tid(0), tid(1), tid(2), tid(3)), (1.0, 2.0, 2.0, 1.0));
-        // The cross-thread parent link survives in args.
-        let parent = |i: usize| {
-            events[i]
-                .get("args")
-                .and_then(|a| a.get("parent"))
-                .and_then(Value::as_f64)
-        };
-        assert_eq!(parent(1), Some(0.0));
-        assert_eq!(parent(2), Some(1.0));
-        assert_eq!(parent(0), None);
-        // ts monotone within each tid.
-        for t in [1.0, 2.0] {
-            let mut last = f64::MIN;
-            for e in events.iter().filter(|e| e.get("tid").and_then(Value::as_f64) == Some(t)) {
-                let ts = e.get("ts").and_then(Value::as_f64).expect("ts");
-                assert!(ts >= last);
-                last = ts;
-            }
         }
     }
 

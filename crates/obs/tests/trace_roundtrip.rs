@@ -83,10 +83,4 @@ fn report_to_chrome_trace_roundtrip() {
             root.name
         );
     }
-
-    // The report's own attribution agrees with the exported forest.
-    let run_self = report.self_ms("run").expect("run span closed");
-    let critical = report.critical_path();
-    assert_eq!(critical.first().map(|s| s.name.as_str()), Some("run"));
-    assert!(run_self >= 0.0);
 }

@@ -145,8 +145,8 @@ fn metricsz(_: &Request, _: &str, _: &DispatchCtx) -> Reply {
 /// `GET /tracez[?id=<trace-id>]`: the full ring dump, or one retained
 /// trace. A miss is a 404 that says *which kind* of miss: an id the
 /// server issued but the ring has since evicted, or an id this server
-/// never produced — distinguishable in O(1) because trace ids come from
-/// an invertible generator ([`crate::TraceIds::was_issued`]).
+/// never produced — distinguishable in O(1) because trace id *n* is
+/// just `n` in hex ([`crate::TraceIds::was_issued`]).
 fn tracez(req: &Request, _: &str, ctx: &DispatchCtx) -> Reply {
     let Some(id) = req.param("id") else {
         return Ok(Response::json(200, ctx.ring.render_json()));
@@ -162,7 +162,7 @@ fn tracez(req: &Request, _: &str, ctx: &DispatchCtx) -> Reply {
              raise --trace-ring to retain more\"}\n");
     } else {
         body.push_str(", \"reason\": \"unknown\", \"detail\": \
-            \"this server never issued the id (not in this seed's stream)\"}\n");
+            \"this server never issued the id\"}\n");
     }
     Err(Response::json(404, body))
 }

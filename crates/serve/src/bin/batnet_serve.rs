@@ -15,8 +15,6 @@
 //!   --store-capacity N  warm snapshots held before eviction
 //!   --prewarm IDS       comma-separated suite networks analyzed into the store before ready
 //!   --trace-ring N      recent request traces retained for GET /tracez (default 256)
-//!   --trace-seed N      seed for the deterministic X-Batnet-Trace-Id stream
-//!   --access-log        one JSON line per request on stderr
 //!   --help              print this help and exit
 //! ```
 //!
@@ -25,7 +23,7 @@
 //! `tests/smoke.rs`.
 
 use batnet_obs::flags::{self, Cli, Flag};
-use batnet_serve::{AccessLog, ServeConfig};
+use batnet_serve::ServeConfig;
 use std::process::ExitCode;
 
 static CLI: Cli = Cli {
@@ -42,8 +40,6 @@ static CLI: Cli = Cli {
         Flag::uint("--store-capacity", "warm snapshots held before eviction"),
         Flag::text("--prewarm", "IDS", "comma-separated suite networks analyzed into the store before ready"),
         Flag::uint("--trace-ring", "recent request traces retained for GET /tracez (default 256)"),
-        Flag::uint("--trace-seed", "seed for the deterministic X-Batnet-Trace-Id stream"),
-        Flag::switch("--access-log", "one JSON line per request on stderr"),
     ],
 };
 
@@ -61,8 +57,6 @@ fn main() -> ExitCode {
                 ids.split(',').filter(|s| !s.is_empty()).map(str::to_string).collect()
             }),
             trace_ring_capacity: args.num("--trace-ring").unwrap_or(d.trace_ring_capacity),
-            trace_seed: args.num("--trace-seed").unwrap_or(d.trace_seed),
-            access_log: if args.has("--access-log") { AccessLog::Stderr } else { d.access_log },
             ..d
         };
         Ok(match batnet_serve::spawn(cfg) {

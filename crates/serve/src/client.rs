@@ -1,13 +1,11 @@
 //! A minimal blocking HTTP/1.1 client for the served API.
 //!
-//! Exists so the load driver (`benchmark/`), the smoke mode, the
+//! Exists so the load driver (`benchmark/`), the smoke test, the
 //! chaos harness's *well-behaved* clients, and the integration tests
 //! all speak to the server the same way — one connection per request,
-//! `Connection: close`, socket timeouts armed. Idempotent GETs can be
-//! retried under a deterministic [`Backoff`] schedule: a `503` with
-//! `Retry-After` or a timeout is the server asking for exactly that.
+//! `Connection: close`, socket timeouts armed. Retrying is the caller's
+//! decision: a `503` carries `Retry-After`.
 
-use batnet_net::Backoff;
 use batnet_obs::json::{self, Value};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -22,8 +20,6 @@ pub struct ClientResponse {
     pub headers: Vec<(String, String)>,
     /// Body bytes.
     pub body: Vec<u8>,
-    /// GET retries consumed before this response (0 = first try).
-    pub retries: u32,
 }
 
 impl ClientResponse {
@@ -99,17 +95,15 @@ fn parse_response(raw: &[u8]) -> std::io::Result<ClientResponse> {
         status,
         headers,
         body: raw[split + 4..].to_vec(),
-        retries: 0,
     })
 }
 
-/// One GET, no retries.
+/// One GET.
 pub fn get(addr: SocketAddr, target: &str, timeout: Duration) -> std::io::Result<ClientResponse> {
     request(addr, "GET", target, None, timeout)
 }
 
-/// One POST. POSTs are *not* retried here: uploads and shutdown are not
-/// idempotent, so the retry decision belongs to the caller.
+/// One POST.
 pub fn post(
     addr: SocketAddr,
     target: &str,
@@ -117,45 +111,6 @@ pub fn post(
     timeout: Duration,
 ) -> std::io::Result<ClientResponse> {
     request(addr, "POST", target, Some(body), timeout)
-}
-
-/// A GET retried under a deterministic [`Backoff`] schedule on `503`
-/// (backpressure), `408` (watchdog), and transport errors — the
-/// failures a loaded-but-healthy server emits on purpose. Other
-/// statuses (including 4xx and 206-partial) return immediately: they
-/// are answers, not congestion.
-pub fn get_with_retry(
-    addr: SocketAddr,
-    target: &str,
-    timeout: Duration,
-    mut backoff: Backoff,
-) -> std::io::Result<ClientResponse> {
-    let mut retries = 0u32;
-    loop {
-        let outcome = get(addr, target, timeout);
-        let retryable = match &outcome {
-            Ok(r) => r.status == 503 || r.status == 408,
-            Err(_) => true,
-        };
-        if !retryable {
-            let mut r = outcome?;
-            r.retries = retries;
-            return Ok(r);
-        }
-        match backoff.next() {
-            Some(delay) => {
-                retries += 1;
-                std::thread::sleep(delay);
-            }
-            None => {
-                // Schedule exhausted: surface the last outcome as-is.
-                return outcome.map(|mut r| {
-                    r.retries = retries;
-                    r
-                });
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -21,11 +21,9 @@
 //!   dispatch threads on one bounded channel, slow-loris watchdog,
 //!   per-request panic isolation, graceful drain.
 //! * [`client`] — the blocking client the load driver and the tests
-//!   share, with deterministic [`batnet_net::Backoff`] retries
-//!   for idempotent GETs.
+//!   share.
 //! * [`tracing`] — per-request trace ids (`X-Batnet-Trace-Id` on every
-//!   response), the bounded recent-trace ring behind `GET /tracez`,
-//!   and the opt-in structured access log.
+//!   response) and the bounded recent-trace ring behind `GET /tracez`.
 //!
 //! Every rejection, partial answer, contained panic, and eviction is
 //! accounted in [`batnet_obs`] metrics, exposed at `GET /metricsz` —
@@ -40,8 +38,8 @@ pub mod server;
 pub mod store;
 pub mod tracing;
 
-pub use client::{get, get_with_retry, post, ClientResponse};
+pub use client::{get, post, ClientResponse};
 pub use http::{Limits, Method, ParseError, Request, Response};
 pub use server::{spawn, Handle, ServeConfig};
 pub use store::{SnapshotStore, StoredSnapshot};
-pub use tracing::{AccessLog, TraceEntry, TraceIds, TraceRing};
+pub use tracing::{TraceEntry, TraceIds, TraceRing};

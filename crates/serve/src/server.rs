@@ -37,7 +37,7 @@
 //! post-panic 500 — carries an `X-Batnet-Trace-Id`. For real requests
 //! the id keys a [`TraceEntry`] (queue wait, handler time, the request's
 //! span tree extracted via [`batnet_obs::take_tree`]) pushed into the
-//! bounded ring behind `GET /tracez`, and one access-log line. Handler
+//! bounded ring behind `GET /tracez`. Handler
 //! latency is also recorded per endpoint
 //! (`serve.latency.us.<endpoint>` histograms), so one endpoint's p99
 //! regression cannot hide behind a fast-path-dominated aggregate.
@@ -45,7 +45,7 @@
 use crate::api;
 use crate::http::{read_request, Limits, Response};
 use crate::store::SnapshotStore;
-use crate::tracing::{AccessLog, TraceEntry, TraceIds, TraceRing};
+use crate::tracing::{TraceEntry, TraceIds, TraceRing};
 use batnet_obs::Span;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -77,10 +77,6 @@ pub struct ServeConfig {
     pub prewarm: Vec<String>,
     /// Recent request traces retained for `GET /tracez`.
     pub trace_ring_capacity: usize,
-    /// Seed for the deterministic trace-id stream.
-    pub trace_seed: u64,
-    /// Where per-request access-log lines go (off by default).
-    pub access_log: AccessLog,
 }
 
 impl Default for ServeConfig {
@@ -95,8 +91,6 @@ impl Default for ServeConfig {
             store_capacity: 8,
             prewarm: Vec::new(),
             trace_ring_capacity: 256,
-            trace_seed: 0,
-            access_log: AccessLog::Off,
         }
     }
 }
@@ -230,7 +224,7 @@ pub fn spawn(cfg: ServeConfig) -> std::io::Result<Handle> {
         state: ServiceState::new(addr),
         inflight: AtomicUsize::new(0),
         limits: Limits::default().with_max_body(cfg.max_body_bytes),
-        ids: TraceIds::new(cfg.trace_seed),
+        ids: TraceIds::default(),
         ring: Arc::new(TraceRing::new(cfg.trace_ring_capacity)),
         cfg,
     });
@@ -357,8 +351,8 @@ fn dispatch_one(ctx: &DispatchCtx, stream: TcpStream, admitted_at: Instant) {
 /// One request per connection (`Connection: close`): parse under the
 /// limits, dispatch under a traced `serve.request` span, respond with
 /// the trace id stamped on. Parse rejections are accounted per class;
-/// real requests additionally feed the per-endpoint latency histogram,
-/// the trace ring, and the access log — the ring push happens before
+/// real requests additionally feed the per-endpoint latency histogram
+/// and the trace ring — the ring push happens before
 /// the response write, so accounting holds even when the client is
 /// already gone.
 fn serve_connection(ctx: &DispatchCtx, mut stream: TcpStream, trace_id: &str, queue_wait_us: u64) {
@@ -391,7 +385,6 @@ fn serve_connection(ctx: &DispatchCtx, mut stream: TcpStream, trace_id: &str, qu
                 partial: response.status == 206,
                 spans: batnet_obs::take_tree(span_ctx),
             };
-            ctx.cfg.access_log.emit(&entry);
             ctx.ring.push(entry);
             response
         }

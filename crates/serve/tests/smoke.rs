@@ -1,14 +1,13 @@
 //! The service's end-to-end smoke sequence, in one process: ephemeral
-//! port, `/readyz` poll, a real reachability query, a deliberately
+//! port, `/readyz` check, a real reachability query, a deliberately
 //! over-deadline query that must come back `206` partial (not hang), a
 //! bad route, a `/tracez` fetch validated against the deterministic
-//! seeded trace-id stream and folded into the exact per-path profile,
+//! sequential trace-id stream and folded into the exact per-path profile,
 //! single-trace `/tracez?id=` lookups (retained and never-issued; the
 //! evicted case is pinned by the chaos serve sweep), metrics audit with
 //! per-endpoint SLO meta, graceful drain — failing on the first
 //! deviation.
 
-use batnet_net::Backoff;
 use batnet_obs::trace::{folded, forest_from_json};
 use batnet_serve::{client, ServeConfig, TraceIds};
 use std::time::Duration;
@@ -21,10 +20,8 @@ fn smoke_sequence() {
 /// The smoke sequence. Every step names itself in its error.
 fn run_smoke() -> Result<(), String> {
     let net = "N2";
-    let seed = 0x5eed;
     let handle = batnet_serve::spawn(ServeConfig {
         prewarm: vec![net.to_string()],
-        trace_seed: seed,
         ..ServeConfig::default()
     })
     .map_err(|e| format!("spawn: {e}"))?;
@@ -35,35 +32,27 @@ fn run_smoke() -> Result<(), String> {
     };
     // Smoke requests are strictly sequential (one connection at a
     // time), so the trace-id stream is fully deterministic: request n
-    // carries exactly `TraceIds::nth(seed, n)`.
+    // carries exactly `TraceIds::nth(n)`.
     let mut issued: u64 = 0;
     let mut check_trace = |r: &client::ClientResponse, name: &str| -> Result<(), String> {
         let got = r
             .header("X-Batnet-Trace-Id")
             .ok_or_else(|| format!("{name}: X-Batnet-Trace-Id header missing"))?;
-        let want = TraceIds::nth(seed, issued);
+        let want = TraceIds::nth(issued);
         issued += 1;
         if got != want {
             return Err(format!(
-                "{name}: trace id {got:?} is not the expected seeded id {want:?}"
+                "{name}: trace id {got:?} is not the expected id {want:?}"
             ));
         }
         Ok(())
     };
 
-    // Liveness, then readiness under retry.
+    // Liveness, then readiness: `spawn` returns only once ready.
     let h = step("healthz", client::get(addr, "/healthz", t))?;
     expect(&h, 200, "healthz")?;
     check_trace(&h, "healthz")?;
-    let r = step(
-        "readyz",
-        client::get_with_retry(
-            addr,
-            "/readyz",
-            t,
-            Backoff::new(Duration::from_millis(10), Duration::from_millis(200), 20, 7),
-        ),
-    )?;
+    let r = step("readyz", client::get(addr, "/readyz", t))?;
     expect(&r, 200, "readyz")?;
     check_trace(&r, "readyz")?;
 
