@@ -86,9 +86,14 @@ pub struct BgpNode {
     pub router_id: Ip,
     /// Sessions in deterministic (config) order.
     pub sessions: Vec<Session>,
-    /// Adj-RIB-in: best route per (prefix, sending peer). `PeerKey::Local`
-    /// holds locally originated routes.
-    pub rib_in: BTreeMap<Prefix, BTreeMap<PeerKey, BgpRoute>>,
+    /// Adj-RIB-in: the routes held for each prefix, one per sending peer
+    /// (`PeerKey::Local` for locally originated routes). Each vector is
+    /// sorted by the route's own `from`, holds at most one route per
+    /// sender and is never empty: a prefix whose last sender withdraws is
+    /// removed. One vector per prefix rather than a map, because a map's
+    /// smallest node is sized for eleven senders and most prefixes have
+    /// four.
+    pub rib_in: BTreeMap<Prefix, Vec<BgpRoute>>,
     /// Selected best route per prefix.
     pub best: BTreeMap<Prefix, BgpRoute>,
     /// Best-set changes during the previous sweep (pulled by peers).
@@ -108,15 +113,8 @@ impl BgpNode {
     /// route multipath-equivalent to it is installed in the main RIB —
     /// BGP multipath, which DC fabrics rely on for ECMP.
     pub fn reselect(&mut self, prefix: Prefix, main_rib: &mut MainRib, use_clock: bool) {
-        let new_best = self
-            .rib_in
-            .get(&prefix)
-            .and_then(|peers| {
-                peers
-                    .values()
-                    .min_by(|a, b| a.decide(b, use_clock))
-                    .cloned()
-            });
+        let routes = self.rib_in.get(&prefix).map_or(&[][..], Vec::as_slice);
+        let new_best = routes.iter().min_by(|a, b| a.decide(b, use_clock)).cloned();
         let old_best = self.best.get(&prefix);
         let best_unchanged = match (&old_best, &new_best) {
             (None, None) => return,
@@ -133,17 +131,7 @@ impl BgpNode {
             main_rib.withdraw(prefix, old.attrs.protocol);
         }
         if let Some(new) = &new_best {
-            let multipath: Vec<&BgpRoute> = self
-                .rib_in
-                .get(&prefix)
-                .map(|peers| {
-                    peers
-                        .values()
-                        .filter(|r| r.multipath_equivalent(new))
-                        .collect()
-                })
-                .unwrap_or_default();
-            for r in multipath {
+            for r in routes.iter().filter(|r| r.multipath_equivalent(new)) {
                 main_rib.offer(main_route_of(r));
             }
         }
@@ -426,43 +414,70 @@ pub fn resolve_igp_cost(rib: &MainRib, next_hop: Ip) -> Option<u32> {
     })
 }
 
-/// An upsert to a node's adj-RIB-in computed during the parallel phase of
-/// a sweep: `None` route means withdraw.
+/// A change to a node's adj-RIB-in computed during the parallel phase of
+/// a sweep. An upsert is keyed by its route's own prefix and `from`.
 #[derive(Clone, Debug)]
-pub struct RibInUpdate {
-    /// Destination prefix.
-    pub prefix: Prefix,
-    /// Sending peer.
-    pub peer: PeerKey,
-    /// New route, or `None` for withdraw.
-    pub route: Option<BgpRoute>,
+pub enum RibInUpdate {
+    /// Install this route as its sender's route for its prefix.
+    Upsert(BgpRoute),
+    /// Drop whatever `peer` sent for `prefix`.
+    Withdraw {
+        /// Destination prefix.
+        prefix: Prefix,
+        /// Sending peer.
+        peer: PeerKey,
+    },
 }
 
-/// Applies an upsert to the adj-RIB-in, preserving the incumbent's arrival
+// A sweep on N11 buffers millions of these: keep the sender out of the
+// upsert's header.
+const _: () = assert!(std::mem::size_of::<RibInUpdate>() == 48);
+
+impl RibInUpdate {
+    /// The prefix the update is for.
+    pub fn prefix(&self) -> Prefix {
+        match self {
+            RibInUpdate::Upsert(route) => route.prefix,
+            RibInUpdate::Withdraw { prefix, .. } => *prefix,
+        }
+    }
+}
+
+/// Applies an update to the adj-RIB-in, preserving the incumbent's arrival
 /// clock when an identical route — same shared bundle, next hop and
 /// sender — is re-delivered (this is what makes delta over-delivery
 /// idempotent). Returns true when the RIB-in changed.
 pub fn apply_rib_in(node: &mut BgpNode, update: RibInUpdate) -> bool {
-    match update.route {
-        None => node
-            .rib_in
-            .get_mut(&update.prefix)
-            .is_some_and(|peers| peers.remove(&update.peer).is_some()),
-        Some(route) => {
-            let peers = node.rib_in.entry(update.prefix).or_default();
-            match peers.get(&update.peer) {
-                Some(existing)
+    match update {
+        RibInUpdate::Withdraw { prefix, peer } => {
+            let Some(routes) = node.rib_in.get_mut(&prefix) else {
+                return false;
+            };
+            let Ok(i) = routes.binary_search_by(|r| r.from.cmp(&peer)) else {
+                return false;
+            };
+            routes.remove(i);
+            if routes.is_empty() {
+                node.rib_in.remove(&prefix);
+            }
+            true
+        }
+        RibInUpdate::Upsert(route) => {
+            let routes = node.rib_in.entry(route.prefix).or_default();
+            match routes.binary_search_by(|r| r.from.cmp(&route.from)) {
+                Ok(i) => {
+                    let existing = &mut routes[i];
                     if existing.attrs == route.attrs
                         && existing.next_hop == route.next_hop
-                        && existing.sender_router_id == route.sender_router_id =>
-                {
-                    false // identical re-delivery: keep incumbent clock
+                        && existing.sender_router_id == route.sender_router_id
+                    {
+                        return false; // identical re-delivery: keep incumbent clock
+                    }
+                    *existing = route;
                 }
-                _ => {
-                    peers.insert(update.peer, route);
-                    true
-                }
+                Err(i) => routes.insert(i, route),
             }
+            true
         }
     }
 }
@@ -607,6 +622,11 @@ mod tests {
         assert_eq!(r.attrs.protocol, RouteProtocol::Ebgp);
     }
 
+    /// The route `peer` holds for `prefix` in `node`'s RIB-in.
+    fn held<'a>(node: &'a BgpNode, prefix: &Prefix, peer: PeerKey) -> Option<&'a BgpRoute> {
+        node.rib_in.get(prefix)?.iter().find(|r| r.from == peer)
+    }
+
     #[test]
     fn rib_in_keeps_incumbent_clock_on_identical_redelivery() {
         let pool: Interner<PathAttrs> = Interner::new();
@@ -615,33 +635,39 @@ mod tests {
         let peer = PeerKey::Peer(ip("10.0.0.1"));
         let r1 = BgpRoute::new(attrs, &pool, peer, ip("1.1.1.1"), 1, 0);
         let prefix = r1.prefix;
-        let upsert = |node: &mut BgpNode, route: Option<BgpRoute>| {
-            let update = RibInUpdate {
-                prefix,
-                peer,
-                route,
-            };
-            apply_rib_in(node, update)
-        };
-        assert!(upsert(&mut node, Some(r1.clone())));
+        let withdraw = RibInUpdate::Withdraw { prefix, peer };
+        assert!(apply_rib_in(&mut node, RibInUpdate::Upsert(r1.clone())));
         // Re-delivery with a later clock must NOT replace the incumbent.
         let r2 = BgpRoute {
             arrival: 99,
             ..r1.clone()
         };
-        assert!(!upsert(&mut node, Some(r2)));
-        assert_eq!(node.rib_in[&prefix][&peer].arrival, 1);
+        assert!(!apply_rib_in(&mut node, RibInUpdate::Upsert(r2)));
+        assert_eq!(held(&node, &prefix, peer).unwrap().arrival, 1);
         // The same shared bundle behind a new next hop is a new route.
         let moved = BgpRoute {
             next_hop: ip("10.0.0.3"),
             arrival: 2,
             ..r1.clone()
         };
-        assert!(upsert(&mut node, Some(moved)));
-        assert_eq!(node.rib_in[&prefix][&peer].arrival, 2);
+        assert!(apply_rib_in(&mut node, RibInUpdate::Upsert(moved)));
+        assert_eq!(held(&node, &prefix, peer).unwrap().arrival, 2);
         // Withdraw works.
-        assert!(upsert(&mut node, None));
-        assert!(!upsert(&mut node, None));
+        assert!(apply_rib_in(&mut node, withdraw.clone()));
+        assert!(!apply_rib_in(&mut node, withdraw));
+    }
+
+    #[test]
+    fn the_last_withdraw_removes_the_prefix() {
+        let pool: Interner<PathAttrs> = Interner::new();
+        let mut node = BgpNode::default();
+        let attrs = RouteAttrs::new("10.0.0.0/8".parse().unwrap(), RouteProtocol::Ebgp);
+        let peer = PeerKey::Peer(ip("10.0.0.1"));
+        let route = BgpRoute::new(attrs, &pool, peer, ip("1.1.1.1"), 1, 0);
+        let prefix = route.prefix;
+        assert!(apply_rib_in(&mut node, RibInUpdate::Upsert(route)));
+        assert!(apply_rib_in(&mut node, RibInUpdate::Withdraw { prefix, peer }));
+        assert!(!node.rib_in.contains_key(&prefix));
     }
 
     #[test]

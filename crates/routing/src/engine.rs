@@ -35,6 +35,7 @@ use batnet_config::vi::{Device, NextHop, RouteAttrs, RouteOrigin, RouteProtocol}
 use batnet_config::Topology;
 use batnet_net::governor::{Exhaustion, Outcome, ResourceGovernor};
 use batnet_net::{Asn, Interner, Prefix};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::AssertUnwindSafe;
 use std::sync::{Mutex, PoisonError};
@@ -175,8 +176,8 @@ impl DataPlane {
     pub fn shareable_combos(&self) -> u64 {
         let mut combos = BTreeSet::new();
         for d in &self.devices {
-            for peers in d.bgp.rib_in.values() {
-                for r in peers.values() {
+            for routes in d.bgp.rib_in.values() {
+                for r in routes {
                     combos.insert((
                         r.attrs.local_pref,
                         r.attrs.med,
@@ -211,24 +212,31 @@ pub fn simulate_governed(
     gov: &ResourceGovernor,
 ) -> Outcome<DataPlane> {
     let _span = batnet_obs::Span::enter("route.simulate");
-    // Phase 0: apply environment link failures.
-    let mut devices: Vec<Device> = devices.to_vec();
-    for d in devices.iter_mut() {
-        let name = d.name.clone();
-        for iface in d.interfaces.values_mut() {
-            if env.interface_failed(&name, &iface.name) {
-                iface.enabled = false;
+    // Phase 0: apply environment link failures. Only then do the devices
+    // differ from the caller's, so only then are they copied.
+    let devices: Cow<'_, [Device]> = if env.failed_interfaces.is_empty() {
+        Cow::Borrowed(devices)
+    } else {
+        let mut devices = devices.to_vec();
+        for d in devices.iter_mut() {
+            let name = d.name.clone();
+            for iface in d.interfaces.values_mut() {
+                if env.interface_failed(&name, &iface.name) {
+                    iface.enabled = false;
+                }
             }
         }
-    }
-    let topo = Topology::infer(&devices);
+        Cow::Owned(devices)
+    };
+    let devices = &*devices;
+    let topo = Topology::infer(devices);
 
     // Phases 1+2: connected + static, then OSPF.
     let igp_span = batnet_obs::Span::enter("route.igp");
     let mut ribs: Vec<MainRib> = devices.iter().map(local_routes).collect();
-    let ospf = OspfGraph::build(&devices, &topo);
+    let ospf = OspfGraph::build(devices, &topo);
     for (di, rib) in ribs.iter_mut().enumerate() {
-        for r in ospf.routes_for(di, &devices) {
+        for r in ospf.routes_for(di, devices) {
             rib.offer(r);
         }
     }
@@ -238,9 +246,9 @@ pub fn simulate_governed(
     let bgp_span = batnet_obs::Span::enter("route.bgp");
     let pool: Interner<PathAttrs> = Interner::new();
     let mut report = ConvergenceReport::default();
-    let external_peers = external_peer_map(&devices, env);
-    let mut sessions = bgp::discover_sessions(&devices, &external_peers);
-    let mut established = evaluate_sessions(&devices, &ribs, &mut sessions);
+    let external_peers = external_peer_map(devices, env);
+    let mut sessions = bgp::discover_sessions(devices, &external_peers);
+    let mut established = evaluate_sessions(devices, &ribs, &mut sessions);
     let mut nodes: Vec<BgpNode> = Vec::new();
     for round in 0..=SESSION_REEVAL_ROUNDS {
         // (Re)run BGP from scratch against the current session set.
@@ -256,8 +264,8 @@ pub fn simulate_governed(
                 rib.withdraw(p, RouteProtocol::BgpLocal);
             }
         }
-        nodes = init_bgp_nodes(&devices, &sessions, &mut ribs, env, &pool, opts);
-        let r = run_bgp_fixed_point(&devices, &mut nodes, &mut ribs, &pool, opts, gov);
+        nodes = init_bgp_nodes(devices, &sessions, &mut ribs, env, &pool, opts);
+        let r = run_bgp_fixed_point(devices, &mut nodes, &mut ribs, &pool, opts, gov);
         report.converged = r.converged;
         report.sweeps += r.sweeps;
         report.colors = r.colors;
@@ -273,7 +281,7 @@ pub fn simulate_governed(
             break;
         }
         // Re-evaluate viability against the fuller data plane.
-        let now = evaluate_sessions(&devices, &ribs, &mut sessions);
+        let now = evaluate_sessions(devices, &ribs, &mut sessions);
         if now == established || round == SESSION_REEVAL_ROUNDS {
             break;
         }
@@ -320,12 +328,12 @@ pub fn simulate_governed(
         .map(|(i, d)| (d.name.clone(), i))
         .collect();
     let devices = devices
-        .into_iter()
+        .iter()
         .zip(ribs)
         .zip(nodes)
         .zip(fibs)
         .map(|(((d, main_rib), bgp), fib)| DeviceDataPlane {
-            name: d.name,
+            name: d.name.clone(),
             main_rib,
             bgp,
             fib,
@@ -513,14 +521,7 @@ fn init_bgp_nodes(
                 let route =
                     BgpRoute::new(attrs, pool, PeerKey::Local, node.router_id, node.clock, 0);
                 node.clock += 1;
-                apply_rib_in(
-                    &mut node,
-                    RibInUpdate {
-                        prefix,
-                        peer: PeerKey::Local,
-                        route: Some(route),
-                    },
-                );
+                apply_rib_in(&mut node, RibInUpdate::Upsert(route));
                 node.reselect(prefix, &mut ribs[di], opts.use_logical_clocks);
             }
             // Environment announcements arrive on external sessions.
@@ -554,16 +555,8 @@ fn init_bgp_nodes(
                     arrival,
                 ) {
                     node.clock += 1;
-                    let prefix = a.prefix;
-                    apply_rib_in(
-                        &mut node,
-                        RibInUpdate {
-                            prefix,
-                            peer: PeerKey::Peer(session.peer_ip),
-                            route: Some(route),
-                        },
-                    );
-                    node.reselect(prefix, &mut ribs[di], opts.use_logical_clocks);
+                    apply_rib_in(&mut node, RibInUpdate::Upsert(route));
+                    node.reselect(a.prefix, &mut ribs[di], opts.use_logical_clocks);
                 }
             }
         }
@@ -637,6 +630,7 @@ fn run_bgp_fixed_point(
             break;
         }
         report.sweeps += 1;
+        let mut noops = 0u64;
         for group in &groups {
             // One iteration of shared budget per node processed.
             if let Err(e) = gov.tick("bgp-fixed-point", group.len() as u64) {
@@ -694,15 +688,15 @@ fn run_bgp_fixed_point(
             let slots = claim_slots(healthy, nodes, ribs);
             let fold = |slot: &ApplySlot<'_>| {
                 let taken = slot.lock().unwrap_or_else(PoisonError::into_inner).take();
-                if let Some((ch, node, rib)) = taken {
-                    apply_changes(ch, node, rib, opts.use_logical_clocks);
-                }
+                taken.map_or(0, |(ch, node, rib)| {
+                    apply_changes(ch, node, rib, opts.use_logical_clocks)
+                })
             };
-            if parallel {
-                batnet_exec::current().map(&slots, fold);
+            noops += if parallel {
+                batnet_exec::current().map(&slots, fold).into_iter().sum::<u64>()
             } else {
-                slots.iter().for_each(fold);
-            }
+                slots.iter().map(fold).sum::<u64>()
+            };
         }
         // Sweep end: rotate deltas; converged when nothing changed.
         let mut delta_total = 0u64;
@@ -711,6 +705,7 @@ fn run_bgp_fixed_point(
             node.delta_prev = std::mem::take(&mut node.delta_cur);
         }
         batnet_obs::observe("route.sweep.rib-delta", delta_total);
+        batnet_obs::observe("route.sweep.noop-updates", noops);
         if delta_total == 0 {
             report.converged = true;
             break;
@@ -756,18 +751,23 @@ fn claim_slots<'a>(
 
 /// Folds one node's RIB-in updates in, in the order they were computed,
 /// then re-runs the decision process once per prefix that changed.
-fn apply_changes(ch: NodeChanges, node: &mut BgpNode, rib: &mut MainRib, use_clock: bool) {
+/// Returns how many updates left the RIB-in unchanged.
+fn apply_changes(ch: NodeChanges, node: &mut BgpNode, rib: &mut MainRib, use_clock: bool) -> u64 {
     node.clock = ch.new_clock;
     let mut touched: BTreeSet<Prefix> = BTreeSet::new();
+    let mut noops = 0;
     for up in ch.updates {
-        let prefix = up.prefix;
+        let prefix = up.prefix();
         if apply_rib_in(node, up) {
             touched.insert(prefix);
+        } else {
+            noops += 1;
         }
     }
     for p in touched {
         node.reselect(p, rib, use_clock);
     }
+    noops
 }
 
 /// Computes the RIB-in updates node `ni` receives this sweep by pulling
@@ -807,22 +807,21 @@ fn compute_pulls(
         let Some(peer_nidx) = session.peer_neighbor_idx else { continue };
         for delta in deltas {
             for &prefix in &delta.removed {
-                updates.push(RibInUpdate {
+                updates.push(RibInUpdate::Withdraw {
                     prefix,
                     peer: peer_key,
-                    route: None,
                 });
             }
             for route in &delta.added {
                 // A path that already carries our AS is refused by import
                 // whatever export does to it: route maps can only prepend.
                 // Withdraw without building the export.
+                let withdraw = RibInUpdate::Withdraw {
+                    prefix: route.prefix,
+                    peer: peer_key,
+                };
                 if session_is_ebgp && route.attrs.as_path.contains(node.asn) {
-                    updates.push(RibInUpdate {
-                        prefix: route.prefix,
-                        peer: peer_key,
-                        route: None,
-                    });
+                    updates.push(withdraw);
                     continue;
                 }
                 let exported = bgp::export_route(
@@ -834,13 +833,9 @@ fn compute_pulls(
                     route,
                 );
                 let update = match exported {
-                    None => RibInUpdate {
-                        // An unexportable replacement acts as a withdraw
-                        // of whatever we previously held from this peer.
-                        prefix: route.prefix,
-                        peer: peer_key,
-                        route: None,
-                    },
+                    // An unexportable replacement acts as a withdraw of
+                    // whatever we previously held from this peer.
+                    None => withdraw,
                     Some(attrs) => {
                         let arrival = clock;
                         match bgp::import_route(
@@ -855,17 +850,9 @@ fn compute_pulls(
                         ) {
                             Some(r) => {
                                 clock += 1;
-                                RibInUpdate {
-                                    prefix: r.prefix,
-                                    peer: peer_key,
-                                    route: Some(r),
-                                }
+                                RibInUpdate::Upsert(r)
                             }
-                            None => RibInUpdate {
-                                prefix: route.prefix,
-                                peer: peer_key,
-                                route: None,
-                            },
+                            None => withdraw,
                         }
                     }
                 };
@@ -1102,7 +1089,7 @@ mod tests {
         let (mut nodes, mut ribs) = converged(&devices);
         let lan: Prefix = "10.2.0.0/24".parse().unwrap();
         let r2 = PeerKey::Peer("10.0.0.0".parse().unwrap());
-        assert!(nodes[0].rib_in[&lan].contains_key(&r2));
+        assert!(nodes[0].rib_in[&lan].iter().any(|r| r.from == r2));
         // r2 re-announces its LAN with r1's AS already on the path.
         let pool = Interner::new();
         let mut attrs = nodes[1].best[&lan].route_attrs();
@@ -1110,12 +1097,14 @@ mod tests {
         let route = BgpRoute::new(attrs, &pool, PeerKey::Local, nodes[1].router_id, 0, 0);
         let ch = pull_after(&devices, &mut nodes, &ribs, &pool, (1, 0), route);
         assert_eq!(ch.updates.len(), 1);
-        assert_eq!((ch.updates[0].prefix, ch.updates[0].peer), (lan, r2));
-        assert!(ch.updates[0].route.is_none(), "a withdraw");
+        assert!(
+            matches!(ch.updates[0], RibInUpdate::Withdraw { prefix, peer } if (prefix, peer) == (lan, r2)),
+            "a withdraw"
+        );
         assert_eq!(ch.new_clock, nodes[0].clock, "no arrival stamp taken");
         let (node, rib) = (&mut nodes[0], &mut ribs[0]);
         apply_changes(ch, node, rib, true);
-        assert!(!node.rib_in.get(&lan).is_some_and(|p| p.contains_key(&r2)));
+        assert!(!node.rib_in.get(&lan).is_some_and(|rs| rs.iter().any(|r| r.from == r2)));
         assert!(!node.best.contains_key(&lan));
         assert!(rib.lookup("10.2.0.5".parse().unwrap()).is_none());
     }
@@ -1154,7 +1143,9 @@ mod tests {
         let route = BgpRoute::new(attrs, &pool, PeerKey::Local, nodes[0].router_id, 0, 0);
         let ch = pull_after(&devices, &mut nodes, &ribs, &pool, (0, 1), route);
         assert_eq!(ch.updates.len(), 1);
-        let got = ch.updates[0].route.as_ref().expect("iBGP imports it");
+        let RibInUpdate::Upsert(got) = &ch.updates[0] else {
+            panic!("iBGP imports it");
+        };
         assert_eq!(got.attrs.as_path.0, vec![Asn(65000), Asn(174)]);
         assert_eq!(got.attrs.protocol, RouteProtocol::Ibgp);
     }

@@ -8,6 +8,8 @@
 //!   only that node's state. RIBs, best routes, every RIB-in arrival
 //!   stamp, clocks, FIBs and the convergence report must therefore be the
 //!   same at width 1 and width 4, in both scheduler modes.
+//! * **RIB-in layout.** Each prefix holds one vector of routes, one per
+//!   sender, sorted by sender, never empty.
 
 use batnet_exec::{with_pool, Pool};
 use batnet_routing::{simulate, DataPlane, SchedulerMode, SimOptions};
@@ -90,6 +92,48 @@ fn colour_groups_apply_the_same_changes_at_every_width() {
                 ..SimOptions::default()
             };
             assert_width_independent(&format!("{label} {scheduler:?}"), net, &opts);
+        }
+    }
+}
+
+/// The layout `BgpNode::rib_in` documents: each prefix's routes are filed
+/// under their own prefix, one per sender in strictly ascending sender
+/// order, and no prefix is left without a route.
+fn assert_rib_in_layout(label: &str, dp: &DataPlane) {
+    for d in &dp.devices {
+        for (prefix, routes) in &d.bgp.rib_in {
+            assert!(!routes.is_empty(), "{label}: {} keeps an empty {prefix}", d.name);
+            assert!(
+                routes.iter().all(|r| r.prefix == *prefix),
+                "{label}: {} files a route under another prefix than {prefix}",
+                d.name
+            );
+            assert!(
+                routes.windows(2).all(|w| w[0].from < w[1].from),
+                "{label}: {} {prefix}: senders not one each in ascending order",
+                d.name
+            );
+        }
+    }
+}
+
+#[test]
+fn rib_in_holds_one_sorted_route_per_sender_and_no_empty_prefix() {
+    let nets = [
+        ("fat tree", batnet_topogen::dc::fat_tree("t", 2, 3, 2, 8)),
+        ("fig1a", batnet_topogen::gadgets::fig1a()),
+        ("fig1b", batnet_topogen::gadgets::fig1b()),
+    ];
+    for (label, net) in &nets {
+        let devices = net.parse();
+        let opts = SimOptions {
+            max_sweeps: 60,
+            ..SimOptions::default()
+        };
+        for width in [1, 4] {
+            let dp = with_pool(&Pool::new(width), || simulate(&devices, &net.env, &opts));
+            assert!(dp.mem.total_bgp_routes > 0, "{label}: no BGP routes");
+            assert_rib_in_layout(&format!("{label} at width {width}"), &dp);
         }
     }
 }
