@@ -4,9 +4,9 @@
 
 CARGO ?= cargo
 
-.PHONY: ci build test test-repeat chaos clippy bench-smoke lint-smoke diff-smoke cov-smoke yardstick loc
+.PHONY: ci build test test-repeat chaos clippy route-digest bench-smoke lint-smoke diff-smoke cov-smoke yardstick loc
 
-ci: build test test-repeat chaos clippy bench-smoke lint-smoke diff-smoke cov-smoke yardstick loc
+ci: build test test-repeat chaos clippy route-digest bench-smoke lint-smoke diff-smoke cov-smoke yardstick loc
 
 # One way to run each tool. The front ends (batnet-lint, batnet-cov,
 # batnet-repair, batnet-diff, obs-validate) live in the root package.
@@ -71,6 +71,15 @@ clippy:
 	$(CARGO) clippy --offline -p batnet -p batnet-chaos -- -D clippy::unwrap_used -D clippy::panic
 	$(CARGO) clippy --offline -p batnet-obs -p batnet-serve -p batnet-lint -p batnet-diff -p batnet-coverage -- -D clippy::unwrap_used
 	$(CARGO) clippy --offline --workspace --all-targets -- -D clippy::disallowed_methods
+
+# Routing-state oracle: per suite network, the device count, the route
+# total and one digest of every device's main RIB, best routes, clock,
+# FIB and RIB-in plus the convergence report must equal the committed
+# results/route-digest.txt. A change that alters routing state on purpose
+# updates that file in the same commit and says why in CHANGES.md.
+route-digest: build
+	$(HARNESS) route-digest > target/route-digest.out
+	grep 'digest=' target/route-digest.out | diff results/route-digest.txt -
 
 # Pipeline gate: the N2 rows of Table 2 at `--threads 1` and at the
 # default all-core width. Both files validate and both match the

@@ -250,8 +250,7 @@ pub fn discover_sessions(
 
 /// Can `device` reach `peer_ip` per its current main RIB, and does the
 /// first-hop egress ACL permit BGP (TCP/179)? This is the partial-data-
-/// plane viability check of §4.1.1. Returns the egress interface when
-/// reachable.
+/// plane viability check of §4.1.1. Returns true when both hold.
 pub fn bgp_path_clear(device: &Device, rib: &MainRib, local_ip: Ip, peer_ip: Ip) -> bool {
     // Directly-owned address (loopback peering with self) never happens;
     // find the forwarding interface.

@@ -234,36 +234,47 @@ pub fn simulate_governed(
     // Phases 1+2: connected + static, then OSPF.
     let igp_span = batnet_obs::Span::enter("route.igp");
     let mut ribs: Vec<MainRib> = devices.iter().map(local_routes).collect();
+    let ospf_span = batnet_obs::Span::enter("route.ospf");
     let ospf = OspfGraph::build(devices, &topo);
     for (di, rib) in ribs.iter_mut().enumerate() {
-        for r in ospf.routes_for(di, devices) {
+        for r in ospf.routes_for(di) {
             rib.offer(r);
         }
     }
+    ospf_span.close();
     igp_span.close();
 
     // Phase 3+4+5: BGP with session re-evaluation.
     let bgp_span = batnet_obs::Span::enter("route.bgp");
     let pool: Interner<PathAttrs> = Interner::new();
     let mut report = ConvergenceReport::default();
-    let external_peers = external_peer_map(devices, env);
-    let mut sessions = bgp::discover_sessions(devices, &external_peers);
-    let mut established = evaluate_sessions(devices, &ribs, &mut sessions);
+    let mut sessions: Vec<Vec<Session>> = Vec::new();
+    let mut established: Option<BTreeSet<(usize, usize)>> = None;
     let mut nodes: Vec<BgpNode> = Vec::new();
     for round in 0..=SESSION_REEVAL_ROUNDS {
+        let sessions_span = batnet_obs::Span::enter("route.sessions");
+        if round == 0 {
+            let external_peers = external_peer_map(devices, env);
+            sessions = bgp::discover_sessions(devices, &external_peers);
+        }
+        // Evaluate viability against the data plane so far; after the
+        // first round, stop once the session set is stable.
+        let now = evaluate_sessions(devices, &ribs, &mut sessions);
+        if established.as_ref() == Some(&now) {
+            break;
+        }
+        established = Some(now);
         // (Re)run BGP from scratch against the current session set.
-        // Reset any BGP contributions in the main RIBs.
-        for rib in ribs.iter_mut() {
-            let prefixes: Vec<Prefix> = rib
-                .iter_best()
-                .map(|(p, _)| *p)
-                .collect();
-            for p in prefixes {
+        // `reselect` keeps BGP routes in a main RIB for exactly the
+        // prefixes in `best`, so those are the only ones to reset.
+        for (rib, node) in ribs.iter_mut().zip(&nodes) {
+            for &p in node.best.keys() {
                 rib.withdraw(p, RouteProtocol::Ebgp);
                 rib.withdraw(p, RouteProtocol::Ibgp);
                 rib.withdraw(p, RouteProtocol::BgpLocal);
             }
         }
+        sessions_span.close();
         nodes = init_bgp_nodes(devices, &sessions, &mut ribs, env, &pool, opts);
         let r = run_bgp_fixed_point(devices, &mut nodes, &mut ribs, &pool, opts, gov);
         report.converged = r.converged;
@@ -280,12 +291,6 @@ pub fn simulate_governed(
             // Out of budget: no further re-evaluation rounds.
             break;
         }
-        // Re-evaluate viability against the fuller data plane.
-        let now = evaluate_sessions(devices, &ribs, &mut sessions);
-        if now == established || round == SESSION_REEVAL_ROUNDS {
-            break;
-        }
-        established = now;
     }
     bgp_span.close();
     let stats = pool.stats();
@@ -294,7 +299,7 @@ pub fn simulate_governed(
     batnet_obs::gauge_set("route.colors", report.colors as f64);
     batnet_obs::gauge_set(
         "route.sessions.established",
-        established.len() as f64,
+        established.map_or(0, |e| e.len()) as f64,
     );
     if !report.poisoned_devices.is_empty() {
         batnet_obs::counter_add("route.poisoned", report.poisoned_devices.len() as u64);
@@ -608,7 +613,7 @@ fn run_bgp_fixed_point(
         }
         SchedulerMode::Lockstep => ((vec![(0..n).collect::<Vec<_>>()]), 1),
     };
-    // color_of[i] = position of i's group in the sweep order.
+    // rank_of[i] = position of i's group in the sweep order.
     let mut rank_of = vec![0usize; n];
     for (gi, g) in groups.iter().enumerate() {
         for &v in g {
@@ -664,11 +669,13 @@ fn run_bgp_fixed_point(
                 }
             };
             let parallel = group.len() >= 8;
+            let compute_span = batnet_obs::Span::enter("route.sweep.compute");
             let changes: Vec<NodeChanges> = if parallel {
                 batnet_exec::current().map(group, compute)
             } else {
                 group.iter().map(compute).collect()
             };
+            compute_span.close();
             // Poison bookkeeping: sequential, ascending node order.
             let mut healthy = Vec::with_capacity(changes.len());
             for ch in changes {
@@ -685,6 +692,7 @@ fn run_bgp_fixed_point(
             }
             // Apply phase: each node folds its own changes into its own
             // state, so the order across nodes cannot matter.
+            let apply_span = batnet_obs::Span::enter("route.sweep.apply");
             let slots = claim_slots(healthy, nodes, ribs);
             let fold = |slot: &ApplySlot<'_>| {
                 let taken = slot.lock().unwrap_or_else(PoisonError::into_inner).take();
@@ -697,6 +705,7 @@ fn run_bgp_fixed_point(
             } else {
                 slots.iter().map(fold).sum::<u64>()
             };
+            apply_span.close();
         }
         // Sweep end: rotate deltas; converged when nothing changed.
         let mut delta_total = 0u64;

@@ -140,84 +140,99 @@ impl OspfGraph {
     /// Computes the OSPF routes of device `src`, as main-RIB candidates.
     ///
     /// The returned routes include ECMP sets (one `MainRoute` per next hop
-    /// at equal cost), intra-area preferred over inter-area, internal over
-    /// external.
-    pub fn routes_for(&self, src: usize, devices: &[Device]) -> Vec<MainRoute> {
-        // dist[d] = (cost, set of first-hop next-hop IPs), per area.
-        let mut best: BTreeMap<Prefix, (u32, BTreeSet<Ip>)> = BTreeMap::new();
-        let my_areas = &self.member_areas[src];
-        for &area in my_areas.iter() {
-            let Some(graph) = self.areas.get(&area) else { continue };
-            let (dist, first_hops) = dijkstra(graph, src);
-            // Intra-area prefixes of every reachable router in this area.
+    /// at equal cost, in ascending next-hop order), intra-area preferred
+    /// over inter-area, internal over external.
+    ///
+    /// First hops are bitsets over `src`'s distinct adjacency next hops,
+    /// numbered in ascending address order: one row of words per router
+    /// per area. Every advertised prefix becomes one `(prefix, metric,
+    /// row)` candidate; after one sort, each prefix takes its lowest
+    /// metric over all areas and the union of the rows at that metric.
+    pub fn routes_for(&self, src: usize) -> Vec<MainRoute> {
+        let my_areas: Vec<&Vec<Vec<Adjacency>>> = self.member_areas[src]
+            .iter()
+            .filter_map(|area| self.areas.get(area))
+            .collect();
+        let mut hop_ips: Vec<Ip> = my_areas
+            .iter()
+            .flat_map(|graph| graph[src].iter().map(|a| a.next_hop_ip))
+            .collect();
+        hop_ips.sort_unstable();
+        hop_ips.dedup();
+        if hop_ips.is_empty() {
+            return Vec::new(); // no adjacency: every first-hop set is empty
+        }
+        let words = hop_ips.len().div_ceil(64);
+        let mut rows: Vec<u64> = Vec::new();
+        let mut candidates: Vec<(Prefix, u32, usize)> = Vec::new();
+        for graph in my_areas {
+            let base = rows.len() / words;
+            let dist = dijkstra(graph, src, &hop_ips, words, &mut rows);
             for (di, d) in dist.iter().enumerate() {
-                let Some(cost) = d else { continue };
-                for &(p, adv_cost, p_area) in &self.advertised[di] {
-                    if p_area != area {
-                        // Inter-area (one ABR hop): router di is in this
-                        // area but advertises a prefix homed in another —
-                        // allowed: di acts as the ABR summary point.
-                        // Metric still cost + advertised cost.
-                    }
-                    let total = cost + if di == src { 0 } else { adv_cost };
-                    if di == src {
-                        continue; // own connected subnets come from Connected
-                    }
-                    offer(&mut best, p, total, &first_hops[di]);
+                let row = base + di;
+                let Some(cost) = *d else { continue };
+                if di == src {
+                    continue; // own connected subnets come from Connected
+                }
+                if rows[row * words..(row + 1) * words].iter().all(|&w| w == 0) {
+                    continue; // no first hop, no route
+                }
+                // Another area's prefix is offered too: di is its border router.
+                for &(p, adv_cost, _) in &self.advertised[di] {
+                    candidates.push((p, cost + adv_cost, row));
                 }
                 // External (E2) routes: fixed metric biased above internal.
                 for &p in &self.external[di] {
-                    if di == src {
-                        continue;
-                    }
-                    offer(&mut best, p, E2_METRIC_BIAS + 20, &first_hops[di]);
+                    candidates.push((p, E2_METRIC_BIAS + 20, row));
                 }
             }
         }
+        candidates.sort_unstable();
         let mut out = Vec::new();
-        for (prefix, (metric, hops)) in best {
-            for nh in hops {
-                out.push(MainRoute {
-                    prefix,
-                    admin_distance: OSPF_AD,
-                    metric,
-                    protocol: RouteProtocol::Ospf,
-                    next_hop: MainNextHop::Via(nh),
-                });
+        let mut union = vec![0u64; words];
+        for group in candidates.chunk_by(|a, b| a.0 == b.0) {
+            let (prefix, metric, _) = group[0];
+            union.fill(0);
+            for &(_, _, row) in group.iter().take_while(|c| c.1 == metric) {
+                for (u, w) in union.iter_mut().zip(&rows[row * words..]) {
+                    *u |= w;
+                }
+            }
+            for (wi, &word) in union.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let nh = hop_ips[wi * 64 + bits.trailing_zeros() as usize];
+                    bits &= bits - 1;
+                    out.push(MainRoute {
+                        prefix,
+                        admin_distance: OSPF_AD,
+                        metric,
+                        protocol: RouteProtocol::Ospf,
+                        next_hop: MainNextHop::Via(nh),
+                    });
+                }
             }
         }
-        let _ = devices;
         out
     }
 }
 
-fn offer(best: &mut BTreeMap<Prefix, (u32, BTreeSet<Ip>)>, p: Prefix, metric: u32, hops: &BTreeSet<Ip>) {
-    if hops.is_empty() {
-        return;
-    }
-    match best.get_mut(&p) {
-        None => {
-            best.insert(p, (metric, hops.clone()));
-        }
-        Some((m, h)) => {
-            if metric < *m {
-                *m = metric;
-                *h = hops.clone();
-            } else if metric == *m {
-                h.extend(hops.iter().copied());
-            }
-        }
-    }
-}
-
 /// Dijkstra with ECMP first-hop tracking. Returns per-device distance and
-/// the set of first-hop neighbor addresses on shortest paths.
+/// appends one row of `words` words per device to `rows`: the bitset of
+/// first-hop indices into `hop_ips` (`src`'s sorted adjacency next hops)
+/// on shortest paths.
 ///
 /// Two phases: plain Dijkstra for distances, then a pass in increasing
 /// distance order that accumulates first-hop sets over the shortest-path
 /// DAG (the one-phase variant misses ECMP hops discovered after a node is
 /// popped).
-fn dijkstra(graph: &[Vec<Adjacency>], src: usize) -> (Vec<Option<u32>>, Vec<BTreeSet<Ip>>) {
+fn dijkstra(
+    graph: &[Vec<Adjacency>],
+    src: usize,
+    hop_ips: &[Ip],
+    words: usize,
+    rows: &mut Vec<u64>,
+) -> Vec<Option<u32>> {
     let n = graph.len();
     let mut dist: Vec<Option<u32>> = vec![None; n];
     let mut heap: BinaryHeap<std::cmp::Reverse<(u32, usize)>> = BinaryHeap::new();
@@ -239,24 +254,31 @@ fn dijkstra(graph: &[Vec<Adjacency>], src: usize) -> (Vec<Option<u32>>, Vec<BTre
         }
     }
     // Phase 2: first-hop sets, in distance order.
-    let mut hops: Vec<BTreeSet<Ip>> = vec![BTreeSet::new(); n];
+    let base = rows.len();
+    rows.resize(base + n * words, 0);
+    let hops = &mut rows[base..];
     let mut order: Vec<usize> = (0..n).filter(|&v| dist[v].is_some()).collect();
     order.sort_by_key(|&v| (dist[v], v));
     for &u in &order {
         // `order` is filtered to reachable nodes; stay total anyway.
         let Some(du) = dist[u] else { continue };
         for adj in &graph[u] {
-            if dist[adj.to] == Some(du + adj.cost) {
-                if u == src {
-                    hops[adj.to].insert(adj.next_hop_ip);
-                } else {
-                    let from = hops[u].clone();
-                    hops[adj.to].extend(from);
+            if dist[adj.to] != Some(du + adj.cost) {
+                continue;
+            }
+            if u == src {
+                // Every next hop of `src`'s adjacencies is in `hop_ips`.
+                if let Ok(i) = hop_ips.binary_search(&adj.next_hop_ip) {
+                    hops[adj.to * words + i / 64] |= 1 << (i % 64);
+                }
+            } else {
+                for w in 0..words {
+                    hops[adj.to * words + w] |= hops[u * words + w];
                 }
             }
         }
     }
-    (dist, hops)
+    dist
 }
 
 #[cfg(test)]
@@ -319,7 +341,7 @@ mod tests {
         let devices = triangle();
         let topo = Topology::infer(&devices);
         let g = OspfGraph::build(&devices, &topo);
-        let routes = g.routes_for(0, &devices);
+        let routes = g.routes_for(0);
         // r0 → 10.2.0.0/24 (r2's LAN): via r1 (1+1+5=7) not direct (10+5=15).
         let lan: Vec<_> = routes
             .iter()
@@ -336,7 +358,7 @@ mod tests {
         let devices = triangle();
         let topo = Topology::infer(&devices);
         let g = OspfGraph::build(&devices, &topo);
-        let routes = g.routes_for(0, &devices);
+        let routes = g.routes_for(0);
         // The far link 10.0.3.0/31 must be reachable via r1 (1+1=2).
         let far: Vec<_> = routes
             .iter()
@@ -382,7 +404,7 @@ mod tests {
         ];
         let topo = Topology::infer(&devices);
         let g = OspfGraph::build(&devices, &topo);
-        let routes = g.routes_for(0, &devices);
+        let routes = g.routes_for(0);
         let lan: Vec<_> = routes
             .iter()
             .filter(|r| r.prefix.to_string() == "10.3.0.0/24")
@@ -391,6 +413,120 @@ mod tests {
         let hops: BTreeSet<_> = lan.iter().map(|r| r.next_hop.clone()).collect();
         assert!(hops.contains(&MainNextHop::Via("10.0.1.1".parse().unwrap())));
         assert!(hops.contains(&MainNextHop::Via("10.0.2.1".parse().unwrap())));
+    }
+
+    /// [`dev`] for interface tables built at run time.
+    fn dev_owned(name: &str, ifaces: &[(String, String, u8, u32, u32, bool)]) -> Device {
+        let refs: Vec<_> = ifaces
+            .iter()
+            .map(|(n, ip, len, area, cost, passive)| {
+                (n.as_str(), ip.as_str(), *len, *area, *cost, *passive)
+            })
+            .collect();
+        dev(name, &refs)
+    }
+
+    #[test]
+    fn a_hub_with_seventy_neighbours_gets_seventy_ecmp_routes_in_order() {
+        // hub -(1)- m{i} -(1)- far for 70 middle routers; far has a LAN.
+        // Seventy first hops take two 64-bit words.
+        const K: usize = 70;
+        let link = |net: u8, i: usize, host: u8| format!("10.{net}.{i}.{host}");
+        let hub: Vec<_> = (0..K)
+            .map(|i| (format!("h{i}"), link(1, i, 0), 31, 0, 1, false))
+            .collect();
+        let mut far: Vec<_> = (0..K)
+            .map(|i| (format!("f{i}"), link(2, i, 1), 31, 0, 1, false))
+            .collect();
+        far.push(("lan".into(), "10.3.0.1".into(), 24, 0, 1, true));
+        let mut devices = vec![dev_owned("hub", &hub), dev_owned("far", &far)];
+        for i in 0..K {
+            devices.push(dev_owned(
+                &format!("m{i}"),
+                &[
+                    ("up".into(), link(1, i, 1), 31, 0, 1, false),
+                    ("down".into(), link(2, i, 0), 31, 0, 1, false),
+                ],
+            ));
+        }
+        let topo = Topology::infer(&devices);
+        let g = OspfGraph::build(&devices, &topo);
+        let lan: Vec<_> = g
+            .routes_for(0)
+            .into_iter()
+            .filter(|r| r.prefix.to_string() == "10.3.0.0/24")
+            .collect();
+        let want: Vec<_> = (0..K)
+            .map(|i| MainNextHop::Via(link(1, i, 1).parse().unwrap()))
+            .collect();
+        let got: Vec<_> = lan.iter().map(|r| r.next_hop.clone()).collect();
+        assert_eq!(got, want, "70 ECMP next hops in ascending order");
+        assert!(lan.iter().all(|r| r.metric == 3));
+    }
+
+    /// r0 reaches r3's LAN through r1 in area 0 and through r2 in area 1;
+    /// the area-1 links cost `area1_cost` each.
+    fn two_areas(area1_cost: u32) -> Vec<MainRoute> {
+        let devices = vec![
+            dev(
+                "r0",
+                &[
+                    ("a", "10.0.1.0", 31, 0, 1, false),
+                    ("b", "10.0.2.0", 31, 1, area1_cost, false),
+                ],
+            ),
+            dev(
+                "r1",
+                &[
+                    ("a", "10.0.1.1", 31, 0, 1, false),
+                    ("c", "10.0.3.0", 31, 0, 1, false),
+                ],
+            ),
+            dev(
+                "r2",
+                &[
+                    ("b", "10.0.2.1", 31, 1, area1_cost, false),
+                    ("d", "10.0.4.0", 31, 1, area1_cost, false),
+                ],
+            ),
+            dev(
+                "r3",
+                &[
+                    ("c", "10.0.3.1", 31, 0, 1, false),
+                    ("d", "10.0.4.1", 31, 1, area1_cost, false),
+                    ("lan", "10.3.0.1", 24, 0, 1, true),
+                ],
+            ),
+        ];
+        let topo = Topology::infer(&devices);
+        let g = OspfGraph::build(&devices, &topo);
+        g.routes_for(0)
+            .into_iter()
+            .filter(|r| r.prefix.to_string() == "10.3.0.0/24")
+            .collect()
+    }
+
+    #[test]
+    fn equal_cost_in_two_areas_takes_both_areas_first_hops() {
+        let lan = two_areas(1);
+        let hops: Vec<_> = lan.iter().map(|r| (r.next_hop.clone(), r.metric)).collect();
+        assert_eq!(
+            hops,
+            vec![
+                (MainNextHop::Via("10.0.1.1".parse().unwrap()), 3),
+                (MainNextHop::Via("10.0.2.1".parse().unwrap()), 3),
+            ]
+        );
+    }
+
+    #[test]
+    fn unequal_cost_in_two_areas_takes_only_the_cheaper_areas_first_hops() {
+        let lan = two_areas(5);
+        let hops: Vec<_> = lan.iter().map(|r| (r.next_hop.clone(), r.metric)).collect();
+        assert_eq!(
+            hops,
+            vec![(MainNextHop::Via("10.0.1.1".parse().unwrap()), 3)]
+        );
     }
 
     #[test]
@@ -405,7 +541,7 @@ mod tests {
             .ospf_area = Some(1);
         let topo = Topology::infer(&devices);
         let g = OspfGraph::build(&devices, &topo);
-        let routes = g.routes_for(0, &devices);
+        let routes = g.routes_for(0);
         let lan: Vec<_> = routes
             .iter()
             .filter(|r| r.prefix.to_string() == "10.2.0.0/24")
@@ -420,7 +556,7 @@ mod tests {
         devices[0].interfaces.get_mut("e01").unwrap().ospf_passive = true;
         let topo = Topology::infer(&devices);
         let g = OspfGraph::build(&devices, &topo);
-        let routes = g.routes_for(0, &devices);
+        let routes = g.routes_for(0);
         let lan: Vec<_> = routes
             .iter()
             .filter(|r| r.prefix.to_string() == "10.2.0.0/24")
@@ -440,7 +576,7 @@ mod tests {
         });
         let topo = Topology::infer(&devices);
         let g = OspfGraph::build(&devices, &topo);
-        let routes = g.routes_for(0, &devices);
+        let routes = g.routes_for(0);
         let ext: Vec<_> = routes
             .iter()
             .filter(|r| r.prefix.to_string() == "192.168.0.0/16")
@@ -455,10 +591,10 @@ mod tests {
         devices[0].ospf = None;
         let topo = Topology::infer(&devices);
         let g = OspfGraph::build(&devices, &topo);
-        assert!(g.routes_for(0, &devices).is_empty());
+        assert!(g.routes_for(0).is_empty());
         // And neighbors no longer see routes *through* it either way —
         // r1 still reaches r2 directly.
-        let r1_routes = g.routes_for(1, &devices);
+        let r1_routes = g.routes_for(1);
         assert!(r1_routes.iter().any(|r| r.prefix.to_string() == "10.2.0.0/24"));
     }
 }

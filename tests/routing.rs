@@ -10,9 +10,17 @@
 //!   same at width 1 and width 4, in both scheduler modes.
 //! * **RIB-in layout.** Each prefix holds one vector of routes, one per
 //!   sender, sorted by sender, never empty.
+//! * **BGP's main-RIB footprint.** A main RIB holds BGP routes for exactly
+//!   the prefixes with a best route: the multipath-equivalent RIB-in
+//!   routes. A session round resets only those prefixes.
 
+use batnet_config::vi::RouteProtocol::{BgpLocal, Ebgp, Ibgp};
 use batnet_exec::{with_pool, Pool};
-use batnet_routing::{simulate, DataPlane, SchedulerMode, SimOptions};
+use batnet_net::Prefix;
+use batnet_routing::bgp::main_route_of;
+use batnet_routing::{
+    simulate, DataPlane, Environment, MainRib, MainRoute, SchedulerMode, SimOptions,
+};
 use batnet_topogen::GeneratedNetwork;
 
 #[test]
@@ -136,4 +144,117 @@ fn rib_in_holds_one_sorted_route_per_sender_and_no_empty_prefix() {
             assert_rib_in_layout(&format!("{label} at width {width}"), &dp);
         }
     }
+}
+
+/// Three routers in a row, each in its own AS, each redistributing its
+/// loopback and LAN: r1 - r2 - r3. r1 and r3 also peer eBGP between their
+/// loopbacks, which neither can reach until the first round has learned
+/// them through r2, so the fixed point runs a second round.
+fn loopback_lab() -> GeneratedNetwork {
+    let router = |n: u8, links: &str, neighbors: &str| {
+        format!(
+            "hostname r{n}\n{links}interface lo0\n ip address {n}.{n}.{n}.{n}/32\n\
+             interface lan\n ip address 10.{n}.0.1/24\nrouter bgp 6500{n}\n\
+             \x20bgp router-id {n}.{n}.{n}.{n}\n redistribute connected\n{neighbors}"
+        )
+    };
+    let configs = vec![
+        router(
+            1,
+            "interface e0\n ip address 10.0.12.0/31\n",
+            " neighbor 10.0.12.1 remote-as 65002\n neighbor 3.3.3.3 remote-as 65003\n",
+        ),
+        router(
+            2,
+            "interface e0\n ip address 10.0.12.1/31\ninterface e1\n ip address 10.0.23.0/31\n",
+            " neighbor 10.0.12.0 remote-as 65001\n neighbor 10.0.23.1 remote-as 65003\n",
+        ),
+        router(
+            3,
+            "interface e1\n ip address 10.0.23.1/31\n",
+            " neighbor 10.0.23.0 remote-as 65002\n neighbor 1.1.1.1 remote-as 65001\n",
+        ),
+    ];
+    GeneratedNetwork {
+        name: "loopback-lab".into(),
+        kind: "lab".into(),
+        configs: configs
+            .into_iter()
+            .enumerate()
+            .map(|(i, text)| (format!("r{}", i + 1), text))
+            .collect(),
+        env: Environment::none(),
+    }
+}
+
+/// The BGP-protocol candidates `rib` holds for `prefix`.
+fn bgp_candidates(rib: &MainRib, prefix: &Prefix) -> Vec<MainRoute> {
+    let is_bgp = |p| matches!(p, Ebgp | Ibgp | BgpLocal);
+    let all = rib.candidates(prefix).iter();
+    all.filter(|r| is_bgp(r.protocol)).cloned().collect()
+}
+
+/// On every device and prefix: the main RIB's BGP candidates are exactly
+/// the main-RIB views of the RIB-in routes multipath-equivalent to the
+/// best route, and a prefix without a best route has none.
+fn assert_bgp_footprint(label: &str, dp: &DataPlane) {
+    for d in &dp.devices {
+        let mut want = MainRib::new();
+        for (prefix, best) in &d.bgp.best {
+            for r in d.bgp.rib_in.get(prefix).into_iter().flatten() {
+                if r.multipath_equivalent(best) {
+                    want.offer(main_route_of(r));
+                }
+            }
+        }
+        for (prefix, _) in d.main_rib.iter_best().chain(want.iter_best()) {
+            assert_eq!(
+                bgp_candidates(&d.main_rib, prefix),
+                bgp_candidates(&want, prefix),
+                "{label}: {} {prefix}",
+                d.name
+            );
+        }
+    }
+}
+
+#[test]
+fn main_ribs_hold_bgp_routes_exactly_for_best_prefixes() {
+    let nets = [
+        ("fat tree", batnet_topogen::dc::fat_tree("t", 2, 3, 2, 8)),
+        ("fig1a", batnet_topogen::gadgets::fig1a()),
+        ("fig1b", batnet_topogen::gadgets::fig1b()),
+        ("NET1", batnet_topogen::suite::net1()),
+        ("N2", batnet_topogen::suite::n2()),
+        ("N5", batnet_topogen::suite::n5()),
+        ("N7", batnet_topogen::suite::n7()),
+        ("loopback lab", loopback_lab()),
+    ];
+    let opts = SimOptions {
+        max_sweeps: 60,
+        ..SimOptions::default()
+    };
+    for (label, net) in &nets {
+        let dp = simulate(&net.parse(), &net.env, &opts);
+        assert!(dp.mem.total_bgp_routes > 0, "{label}: no BGP routes");
+        assert_bgp_footprint(label, &dp);
+    }
+}
+
+/// Round 0 knows no route to either loopback, so the loopback session can
+/// only be up in the sessions of a second round.
+#[test]
+fn the_loopback_lab_needs_a_second_session_round() {
+    let net = loopback_lab();
+    let dp = simulate(&net.parse(), &net.env, &SimOptions::default());
+    assert!(dp.convergence.converged);
+    let r1 = dp.device("r1").unwrap();
+    let up: Vec<_> = r1
+        .bgp
+        .sessions
+        .iter()
+        .filter(|s| s.established)
+        .map(|s| s.peer_ip.to_string())
+        .collect();
+    assert_eq!(up, ["10.0.12.1", "3.3.3.3"], "the loopback session came up");
 }
