@@ -1,5 +1,7 @@
 //! Memory accounting: a counting global allocator and windowed
-//! peak/delta measurement.
+//! peak/delta measurement, plus the two allocator controls a
+//! long-running server uses to keep its resident size close to its live
+//! data ([`map_large_blocks`], [`release_free_heap`]).
 //!
 //! Behind the `alloc-track` feature (std-only) this module installs a
 //! [`CountingAlloc`] as the global allocator: every allocation and
@@ -123,6 +125,53 @@ pub fn peak_bytes() -> u64 {
 pub fn reset_peak() {
     #[cfg(feature = "alloc-track")]
     imp::reset_peak();
+}
+
+/// glibc's allocator controls (`mallopt`, `malloc_trim`). Elsewhere the
+/// two functions below do nothing.
+#[cfg(all(target_os = "linux", target_env = "gnu"))]
+mod glibc {
+    use std::os::raw::c_int;
+
+    extern "C" {
+        pub fn mallopt(param: c_int, value: c_int) -> c_int;
+        pub fn malloc_trim(pad: usize) -> c_int;
+    }
+
+    /// `M_MMAP_THRESHOLD` in `<malloc.h>`.
+    pub const M_MMAP_THRESHOLD: c_int = -3;
+    /// glibc's own starting threshold (`DEFAULT_MMAP_THRESHOLD_MIN`).
+    pub const MMAP_THRESHOLD: c_int = 128 * 1024;
+}
+
+/// Keeps the heap from holding on to large freed blocks, for a process
+/// that runs analyses one after another for as long as it lives (the
+/// server). Allocations of 128 KiB and up then always get their own
+/// mapping, and each is unmapped again when it is freed. By default
+/// glibc raises that threshold to the size of every such block freed
+/// (up to 32 MiB), and later blocks below it come from the arenas and
+/// stay there.
+/// Call once at start-up; the setting is process-wide.
+pub fn map_large_blocks() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    // SAFETY: `mallopt` only sets an allocator parameter under the
+    // allocator's own lock.
+    unsafe {
+        glibc::mallopt(glibc::M_MMAP_THRESHOLD, glibc::MMAP_THRESHOLD);
+    }
+}
+
+/// Hands the heap's free pages back to the kernel. glibc keeps what a
+/// thread frees in that thread's arena; a served analysis frees ≈100 MB
+/// across whichever arenas its pool helpers drew. Call it after
+/// dropping a large transient, never on a hot path.
+pub fn release_free_heap() {
+    #[cfg(all(target_os = "linux", target_env = "gnu"))]
+    // SAFETY: `malloc_trim` takes each arena's own lock and releases
+    // only pages no allocation occupies; live pointers stay valid.
+    unsafe {
+        glibc::malloc_trim(0);
+    }
 }
 
 /// Peak/delta numbers for one closed [`MemWindow`].

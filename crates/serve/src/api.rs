@@ -476,5 +476,8 @@ fn diff(req: &Request, _: &str, ctx: &DispatchCtx) -> Reply {
     out.push_str(", \"report\": ");
     out.push_str(&batnet_diff::render_json(&d));
     out.push_str("}\n");
+    // Both sides' analyses are gone with `d`; return their pages.
+    drop(d);
+    batnet_obs::mem::release_free_heap();
     Ok(governed(200, partial.is_some(), out))
 }

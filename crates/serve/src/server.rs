@@ -210,6 +210,8 @@ pub fn spawn(cfg: ServeConfig) -> std::io::Result<Handle> {
     let listener = TcpListener::bind(&cfg.addr)?;
     let addr = listener.local_addr()?;
 
+    // Uploads and diffs free ≈100 MB each; see `SnapshotStore::insert`.
+    batnet_obs::mem::map_large_blocks();
     let store = SnapshotStore::new(cfg.store_capacity);
     for id in &cfg.prewarm {
         if store.prewarm(id).is_none() {

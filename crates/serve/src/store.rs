@@ -113,20 +113,25 @@ impl SnapshotStore {
             partial,
             seq: self.seq.fetch_add(1, Ordering::Relaxed) + 1,
         });
-        let mut map = self.lock();
-        if !map.contains_key(name) && map.len() >= self.capacity {
-            let oldest = map
-                .iter()
-                .min_by_key(|(_, s)| s.seq)
-                .map(|(k, _)| k.clone());
-            if let Some(k) = oldest {
-                map.remove(&k);
-                batnet_obs::counter_add("serve.store.evicted", 1);
-                batnet_obs::event("store-evict", &k, "capacity");
+        {
+            let mut map = self.lock();
+            if !map.contains_key(name) && map.len() >= self.capacity {
+                let oldest = map
+                    .iter()
+                    .min_by_key(|(_, s)| s.seq)
+                    .map(|(k, _)| k.clone());
+                if let Some(k) = oldest {
+                    map.remove(&k);
+                    batnet_obs::counter_add("serve.store.evicted", 1);
+                    batnet_obs::event("store-evict", &k, "capacity");
+                }
             }
+            map.insert(name.to_string(), Arc::clone(&stored));
+            batnet_obs::gauge_set("serve.store.snapshots", map.len() as f64);
         }
-        map.insert(name.to_string(), Arc::clone(&stored));
-        batnet_obs::gauge_set("serve.store.snapshots", map.len() as f64);
+        // The analysis' scratch and any replaced or evicted snapshot are
+        // freed by now; return their pages rather than keep them resident.
+        batnet_obs::mem::release_free_heap();
         Ok(stored)
     }
 
