@@ -43,7 +43,7 @@ test:
 # gate for that, for the recorder's own concurrency contracts (open
 # order, reset, take_tree), for the server's timing-sensitive
 # overload and drain tests, and for the BGP colour groups' parallel
-# apply phase (width 1 vs 4, both scheduler modes).
+# sweep (width 1 vs 4, both scheduler modes).
 test-repeat:
 	for i in 1 2 3 4 5; do $(CARGO) test -q --offline --test parallel || exit 1; done
 	for i in 1 2 3 4 5; do $(CARGO) test -q --offline --test routing colour_groups || exit 1; done

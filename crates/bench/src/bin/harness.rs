@@ -749,6 +749,8 @@ fn ablate_memory() {
         let window = batnet_obs::MemWindow::open();
         let mut dp = simulate(&devices, &net.env, &SimOptions::default());
         let peak = window.close().peak_bytes;
+        let entries: usize = dp.devices.iter().map(|d| d.fib.len()).sum();
+        let hop_sets: usize = dp.devices.iter().map(|d| d.fib.hop_sets()).sum();
         let mut freed = |take: fn(&mut DeviceDataPlane)| {
             let before = batnet_obs::mem::current_bytes();
             dp.devices.iter_mut().for_each(take);
@@ -760,7 +762,7 @@ fn ablate_memory() {
         let ribs = freed(|d| drop(std::mem::take(&mut d.main_rib)));
         let mb = |b: u64| b as f64 / 1_048_576.0;
         println!(
-            "{id}: held at convergence: FIBs {:.1} MB, RIB-in {:.1} MB, best {:.1} MB, main RIBs {:.1} MB  (simulate peak {:.1} MB)",
+            "{id}: held at convergence: FIBs {:.1} MB ({entries} entries, {hop_sets} hop sets), RIB-in {:.1} MB, best {:.1} MB, main RIBs {:.1} MB  (simulate peak {:.1} MB)",
             mb(fibs),
             mb(rib_in),
             mb(best),

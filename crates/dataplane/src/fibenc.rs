@@ -23,6 +23,11 @@
 //!   ECMP set, or discarded / unresolved / no-route) is `TRUE` there;
 //! * two halves join with one [`Bdd::node`] per class present in either.
 //!
+//! A hop class is the hop's position among the device's distinct hops in
+//! ascending order. Positions are worked out once per shared
+//! [`NextHops`](batnet_routing::NextHops) set, not once per entry, and
+//! joins compare them as integers rather than by interface name.
+//!
 //! No `apply`, no operation cache, no materialised trie. The cost is one
 //! unique-table probe per class per trie node — output-sensitive: a
 //! sub-table whose halves agree collapses to its child, and identical
@@ -35,7 +40,7 @@
 use crate::vars::{Field, PacketVars};
 use batnet_bdd::{Bdd, NodeId};
 use batnet_routing::{Fib, FibAction, FibEntry, FibNextHop};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// A compiled FIB.
 #[derive(Debug, PartialEq, Eq)]
@@ -54,12 +59,7 @@ pub struct FibBdd {
 
 /// Compiles a FIB against the variable layout.
 pub fn compile_fib(bdd: &mut Bdd, vars: &PacketVars, fib: &Fib) -> FibBdd {
-    compile_entries(bdd, vars, fib.entries())
-}
-
-/// [`compile_fib`] on the bare entry slice, which must be in strictly
-/// increasing `(network, len)` order.
-fn compile_entries(bdd: &mut Bdd, vars: &PacketVars, entries: &[FibEntry]) -> FibBdd {
+    let entries = fib.entries();
     debug_assert!(
         entries.windows(2).all(|w| w[0].prefix < w[1].prefix),
         "FIB entries must be in strictly increasing (network, len) order"
@@ -70,10 +70,27 @@ fn compile_entries(bdd: &mut Bdd, vars: &PacketVars, entries: &[FibEntry]) -> Fi
         unresolved: NodeId::FALSE,
         no_route: NodeId::FALSE,
     };
-    for (class, set) in table(bdd, vars, entries, 0, None) {
+    let mut sets: Vec<&[FibNextHop]> = entries
+        .iter()
+        .filter_map(|e| match &e.action {
+            FibAction::Forward(hops) => Some(&hops[..]),
+            _ => None,
+        })
+        .collect();
+    sets.sort_unstable_by_key(|set| set.as_ptr());
+    sets.dedup_by_key(|set| set.as_ptr());
+    let mut hops: Vec<&FibNextHop> = sets.iter().flat_map(|set| set.iter()).collect();
+    hops.sort_unstable();
+    hops.dedup();
+    let position = |hop: &FibNextHop| hops.partition_point(|&h| h < hop) as u32;
+    let ranks: Ranks = sets
+        .iter()
+        .map(|set| (set.as_ptr(), set.iter().map(position).collect()))
+        .collect();
+    for (class, set) in table(bdd, vars, &ranks, entries, 0, None) {
         match class {
-            Class::Hop(hop) => {
-                compiled.forwards.insert(hop.clone(), set);
+            Class::Hop(rank) => {
+                compiled.forwards.insert(hops[rank as usize].clone(), set);
             }
             Class::Discard => compiled.discarded = set,
             Class::Unresolved => compiled.unresolved = set,
@@ -86,8 +103,9 @@ fn compile_entries(bdd: &mut Bdd, vars: &PacketVars, entries: &[FibEntry]) -> Fi
 /// What a packet's longest match does with it; the buckets of a
 /// [`FibBdd`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Class<'a> {
-    Hop(&'a FibNextHop),
+enum Class {
+    /// The hop's position among the device's distinct hops.
+    Hop(u32),
     Discard,
     Unresolved,
     NoRoute,
@@ -96,7 +114,11 @@ enum Class<'a> {
 /// A sub-table's compiled form: its non-empty classes in `Class` order,
 /// each with its BDD over the destination bits from the sub-table's depth
 /// down.
-type Table<'a> = Vec<(Class<'a>, NodeId)>;
+type Table = Vec<(Class, NodeId)>;
+
+/// Each ECMP set's hop classes, keyed by the set's allocation: entries
+/// that share a set share its classes.
+type Ranks = HashMap<*const FibNextHop, Box<[u32]>>;
 
 /// Compiles `entries`, which share their first `depth` destination bits.
 /// Packets none of them covers take the `inherited` action (`None`: no
@@ -104,46 +126,46 @@ type Table<'a> = Vec<(Class<'a>, NodeId)>;
 fn table<'a>(
     bdd: &mut Bdd,
     vars: &PacketVars,
+    ranks: &Ranks,
     entries: &'a [FibEntry],
     depth: u32,
     inherited: Option<&'a FibAction>,
-) -> Table<'a> {
+) -> Table {
     // Pre-order: the sub-table's own route, if it has one, comes first.
     let (inherited, rest) = match entries.split_first() {
         Some((own, rest)) if u32::from(own.prefix.len()) == depth => (Some(&own.action), rest),
         _ => (inherited, entries),
     };
     if rest.is_empty() {
-        return leaf(inherited);
+        return leaf(ranks, inherited);
     }
     let bit = 1u32 << (31 - depth);
     let split = rest.partition_point(|e| e.prefix.network().0 & bit == 0);
-    let lo = table(bdd, vars, &rest[..split], depth + 1, inherited);
-    let hi = table(bdd, vars, &rest[split..], depth + 1, inherited);
+    let lo = table(bdd, vars, ranks, &rest[..split], depth + 1, inherited);
+    let hi = table(bdd, vars, ranks, &rest[split..], depth + 1, inherited);
     join(bdd, vars.var_of(Field::DstIp, depth, false), lo, hi)
 }
 
 /// The sub-table nothing splits: every packet takes `action`, so each of
 /// its classes is `TRUE`.
-fn leaf(action: Option<&FibAction>) -> Table<'_> {
+fn leaf(ranks: &Ranks, action: Option<&FibAction>) -> Table {
     let whole = |class| (class, NodeId::TRUE);
-    let mut classes: Table = match action {
+    match action {
         None => vec![whole(Class::NoRoute)],
         Some(FibAction::Discard) => vec![whole(Class::Discard)],
         Some(FibAction::Unresolved) => vec![whole(Class::Unresolved)],
-        Some(FibAction::Forward(hops)) => hops.iter().map(|hop| whole(Class::Hop(hop))).collect(),
-    };
-    // `Fib::build` emits ECMP sets sorted and duplicate-free; the type
-    // does not promise it.
-    classes.sort_unstable();
-    classes.dedup();
-    classes
+        // `NextHops` is sorted and free of repeats, so its classes are
+        // ascending and distinct already.
+        Some(FibAction::Forward(hops)) => {
+            ranks[&hops.as_ptr()].iter().map(|&rank| whole(Class::Hop(rank))).collect()
+        }
+    }
 }
 
 /// Merges the `var`-clear half `lo` and the `var`-set half `hi`: one node
 /// per class present in either, `FALSE` standing in on the side a class
 /// is absent from.
-fn join<'a>(bdd: &mut Bdd, var: u32, lo: Table<'a>, hi: Table<'a>) -> Table<'a> {
+fn join(bdd: &mut Bdd, var: u32, lo: Table, hi: Table) -> Table {
     let mut joined = Vec::with_capacity(lo.len().max(hi.len()));
     let mut lo = lo.into_iter().peekable();
     let mut hi = hi.into_iter().peekable();
@@ -321,25 +343,6 @@ mod tests {
         let compiled = compile_checked(&mut bdd, &vars, &covered);
         let ifaces: Vec<&str> = compiled.forwards.keys().map(|h| h.iface.as_str()).collect();
         assert_eq!(ifaces, ["hi-half", "lo-half"]);
-    }
-
-    /// `Fib::build` never repeats a hop inside an ECMP set, but nothing in
-    /// `FibAction::Forward`'s type says so: a repeat must not give the hop
-    /// two entries in a class list.
-    #[test]
-    fn duplicate_hops_in_one_ecmp_set_collapse() {
-        let hop = |iface: &str| FibNextHop { iface: iface.into(), gateway: None };
-        let entry = |hops: Vec<FibNextHop>| FibEntry {
-            prefix: "10.0.0.0/8".parse().unwrap(),
-            action: FibAction::Forward(hops),
-            protocol: RouteProtocol::Static,
-        };
-        let (mut bdd, vars) = PacketVars::new(0);
-        let repeated = [entry(vec![hop("b"), hop("a"), hop("b")])];
-        let clean = [entry(vec![hop("a"), hop("b")])];
-        let compiled = compile_entries(&mut bdd, &vars, &repeated);
-        assert_eq!(compiled.forwards.len(), 2);
-        assert_eq!(compiled, compile_entries(&mut bdd, &vars, &clean));
     }
 
     /// A seeded table with every shape the recursion distinguishes: a

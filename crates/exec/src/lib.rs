@@ -2,13 +2,14 @@
 //! the one map they run through — helpers spawned with
 //! `std::thread::scope` for the length of a call: no resident workers,
 //! no queue, no `unsafe`. The three joints that measure a gain at two
-//! threads (BGP colour-group compute and per-device FIB build in
+//! threads (BGP colour-group sweeps and per-device FIB build in
 //! `batnet-routing`, the fixed reach shards in `batnet-dataplane`) each
-//! make one [`Pool::map`]. The contract they lean on: results come back
-//! in input order, placed by the index each claimant took from one
-//! atomic cursor; width 1 runs every item inline on the caller, the
-//! sequential code path by construction; every item runs before the
-//! first panic in input order is re-raised with its payload.
+//! make one [`Pool::map`] (or [`Pool::map_mut`], which is one). The
+//! contract they lean on: results come back in input order, placed by
+//! the index each claimant took from one atomic cursor; width 1 runs
+//! every item inline on the caller, the sequential code path by
+//! construction; every item runs before the first panic in input order
+//! is re-raised with its payload.
 
 #![forbid(unsafe_code)]
 
@@ -16,7 +17,7 @@ use batnet_obs::SpanContext;
 use std::cell::RefCell;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// The process-wide width; 0 until configured or first read.
 static WIDTH: AtomicUsize = AtomicUsize::new(0);
@@ -133,6 +134,15 @@ impl Pool {
         self.map_opts(items, MapOptions::default(), f)
     }
 
+    /// [`Pool::map`] over items the map may change in place: each item
+    /// goes to exactly one call of `f`.
+    pub fn map_mut<T: Send, R: Send>(&self, items: &mut [T], f: impl Fn(&mut T) -> R + Sync) -> Vec<R> {
+        // One claimant per slot, so no lock is ever contended: it only
+        // carries the `&mut` to whichever thread claims the item.
+        let slots: Vec<Mutex<&mut T>> = items.iter_mut().map(Mutex::new).collect();
+        self.map(&slots, |slot| f(&mut slot.lock().unwrap_or_else(PoisonError::into_inner)))
+    }
+
     /// [`Pool::map`] with explicit [`MapOptions`] (helper spans).
     pub fn map_opts<T: Sync, R: Send>(
         &self,
@@ -214,6 +224,20 @@ mod tests {
             );
             let detail = payload.downcast_ref::<String>().expect("formatted payload");
             assert_eq!(detail, "boom at 3", "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn map_mut_changes_each_item_once_and_keeps_input_order() {
+        for threads in [1, 2, 4] {
+            let mut items: Vec<u64> = (0..57).collect();
+            let before = Pool::new(threads).map_mut(&mut items, |x| {
+                let was = *x;
+                *x = was * 3 + 1;
+                was
+            });
+            assert_eq!(before, (0..57).collect::<Vec<u64>>(), "threads={threads}");
+            assert!(items.iter().zip(0..).all(|(x, i)| *x == i * 3 + 1), "threads={threads}");
         }
     }
 

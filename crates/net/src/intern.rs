@@ -125,7 +125,7 @@ impl InternStats {
 ///
 /// The pool is [`SHARDS`] `Mutex<HashMap>`s and a value lives in the one
 /// its hash picks, so equal values still meet in one map. One lock was
-/// not enough: the BGP compute phase interns every exported and imported
+/// not enough: the BGP sweep interns every exported and imported
 /// route from each map thread at once (≈1.2 M routes on N11), and with
 /// two threads on two cores a single lock left one of them queued often
 /// enough to cancel the second core.

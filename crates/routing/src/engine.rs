@@ -14,15 +14,18 @@
 //!    session's viability, BGP re-runs (bounded rounds);
 //! 6. FIB construction.
 //!
-//! Same-color nodes are processed in parallel by a `batnet_exec` map
-//! (CPU-bound work on scoped OS threads — no async runtime, per the
-//! project's networking guides). The compute phase of each sweep fans
-//! out read-only over all nodes; the apply phase fans out too, because a
-//! node's changes write only that node's BGP state and main RIB — each
-//! map item owns one disjoint `(node, RIB)` pair, so RIBs, best routes
+//! Same-color nodes are processed in parallel by one `batnet_exec` map
+//! per colour group (CPU-bound work on scoped OS threads — no async
+//! runtime, per the project's networking guides). Each map item pulls one
+//! member's updates from its peers and folds them straight into that
+//! member's state, so only one member's updates are buffered per thread.
+//! Before the map, each member's written state — RIB-in, best routes,
+//! current delta, clock and main RIB — moves out of the shared vectors;
+//! what its pulls read of peers stays in place. No pull reads another
+//! member's moved-out state: colour-group members are never peers, and
+//! lockstep pulls read only peers' previous deltas. So RIBs, best routes
 //! and clocks are byte-identical at every thread count. Only the poison
-//! bookkeeping between the two runs sequentially, in ascending node
-//! order.
+//! bookkeeping after the map runs sequentially, in ascending node order.
 
 use crate::bgp::{self, apply_rib_in, BgpNode, RibInUpdate, Session, ATTR_BUNDLE_BYTES};
 use crate::env::Environment;
@@ -38,7 +41,6 @@ use batnet_net::{Asn, Interner, Prefix};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::AssertUnwindSafe;
-use std::sync::{Mutex, PoisonError};
 
 /// Engine options. The defaults are the production configuration; the
 /// ablation benchmarks flip individual fields.
@@ -316,6 +318,10 @@ pub fn simulate_governed(
         Fib::build,
     );
     fib_span.close();
+    let entries: usize = fibs.iter().map(Fib::len).sum();
+    let hop_sets: usize = fibs.iter().map(Fib::hop_sets).sum();
+    batnet_obs::gauge_set("route.fib.entries", entries as f64);
+    batnet_obs::gauge_set("route.fib.hop_sets", hop_sets as f64);
 
     let total_bgp_routes: u64 = nodes
         .iter()
@@ -574,20 +580,10 @@ fn init_bgp_nodes(
     nodes
 }
 
-/// One receiver's computed changes for a sweep.
-struct NodeChanges {
-    node: usize,
-    updates: Vec<RibInUpdate>,
-    new_clock: u64,
-    /// The node's computation panicked; the panic was contained and the
-    /// node contributes nothing (here and in later sweeps).
-    poisoned: bool,
-}
-
 /// Runs the colored (or lockstep) fixed point. Returns the report.
 fn run_bgp_fixed_point(
     devices: &[Device],
-    nodes: &mut Vec<BgpNode>,
+    nodes: &mut [BgpNode],
     ribs: &mut [MainRib],
     pool: &Interner<PathAttrs>,
     opts: &SimOptions,
@@ -642,70 +638,51 @@ fn run_bgp_fixed_point(
                 report.aborted = Some(e);
                 break 'sweeps;
             }
-            // Compute phase: read-only over all nodes; parallel when the
-            // group is large enough to pay for threads. A panicking node
-            // is contained here (not propagated): it yields no updates
-            // and is flagged for quarantine by the caller.
-            let poisoned_now = &poisoned;
-            let compute = |&ni: &usize| -> NodeChanges {
-                if poisoned_now.contains(&ni) {
-                    return NodeChanges {
-                        node: ni,
-                        updates: Vec::new(),
-                        new_clock: nodes[ni].clock,
-                        poisoned: false,
-                    };
-                }
-                match std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    compute_pulls(ni, devices, nodes, ribs, pool, &rank_of, opts)
-                })) {
-                    Ok(ch) => ch,
-                    Err(_) => NodeChanges {
-                        node: ni,
-                        updates: Vec::new(),
-                        new_clock: nodes[ni].clock,
-                        poisoned: true,
-                    },
-                }
+            let group_span = batnet_obs::Span::enter("route.sweep.group");
+            // Move out what each member writes (see the module doc for
+            // why no pull reads it).
+            let mut members: Vec<Member> = group
+                .iter()
+                .filter(|ni| !poisoned.contains(ni))
+                .map(|&ni| Member::take(ni, nodes, ribs))
+                .collect();
+            let in_place: &[BgpNode] = nodes;
+            // A panicking pull is contained (not propagated): the node
+            // keeps its moved-out state untouched and is flagged for
+            // quarantine by the caller.
+            let sweep = |m: &mut Member| -> Option<(u64, u64)> {
+                let pulled = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    pull(m, devices, in_place, pool, &rank_of, opts)
+                }));
+                let (pulled, clock) = pulled.ok()?;
+                let count = pulled.len() as u64;
+                m.state.clock = clock;
+                Some((count, fold_in(pulled, m, opts.use_logical_clocks)))
             };
-            let parallel = group.len() >= 8;
-            let compute_span = batnet_obs::Span::enter("route.sweep.compute");
-            let changes: Vec<NodeChanges> = if parallel {
-                batnet_exec::current().map(group, compute)
+            // Parallel when the group is large enough to pay for threads.
+            let outcomes: Vec<Option<(u64, u64)>> = if group.len() >= 8 {
+                batnet_exec::current().map_mut(&mut members, sweep)
             } else {
-                group.iter().map(compute).collect()
+                members.iter_mut().map(sweep).collect()
             };
-            compute_span.close();
             // Poison bookkeeping: sequential, ascending node order.
-            let mut healthy = Vec::with_capacity(changes.len());
-            for ch in changes {
-                updates += ch.updates.len() as u64;
-                if !ch.poisoned {
-                    healthy.push(ch);
-                    continue;
+            for (m, outcome) in members.into_iter().zip(outcomes) {
+                match outcome {
+                    Some((pulled, unchanged)) => {
+                        updates += pulled;
+                        noops += unchanged;
+                    }
+                    None => {
+                        poisoned.insert(m.ni);
+                        let name = devices[m.ni].name.clone();
+                        if !report.poisoned_devices.contains(&name) {
+                            report.poisoned_devices.push(name);
+                        }
+                    }
                 }
-                poisoned.insert(ch.node);
-                let name = devices[ch.node].name.clone();
-                if !report.poisoned_devices.contains(&name) {
-                    report.poisoned_devices.push(name);
-                }
+                m.put_back(nodes, ribs);
             }
-            // Apply phase: each node folds its own changes into its own
-            // state, so the order across nodes cannot matter.
-            let apply_span = batnet_obs::Span::enter("route.sweep.apply");
-            let slots = claim_slots(healthy, nodes, ribs);
-            let fold = |slot: &ApplySlot<'_>| {
-                let taken = slot.lock().unwrap_or_else(PoisonError::into_inner).take();
-                taken.map_or(0, |(ch, node, rib)| {
-                    apply_changes(ch, node, rib, opts.use_logical_clocks)
-                })
-            };
-            noops += if parallel {
-                batnet_exec::current().map(&slots, fold).into_iter().sum::<u64>()
-            } else {
-                slots.iter().map(fold).sum::<u64>()
-            };
-            apply_span.close();
+            group_span.close();
         }
         // Sweep end: rotate deltas; converged when nothing changed.
         let mut delta_total = 0u64;
@@ -736,63 +713,78 @@ fn run_bgp_fixed_point(
     report
 }
 
-/// One node's computed changes with exclusive access to the state they
-/// write: its BGP node and its main RIB. The lock only lets a map item
-/// take the triple out of a shared slice; no two items touch one slot.
-type ApplySlot<'a> = Mutex<Option<(NodeChanges, &'a mut BgpNode, &'a mut MainRib)>>;
-
-/// Pairs each node's changes (ascending node order) with disjoint
-/// mutable borrows of that node's BGP state and main RIB.
-fn claim_slots<'a>(
-    changes: Vec<NodeChanges>,
-    nodes: &'a mut [BgpNode],
-    ribs: &'a mut [MainRib],
-) -> Vec<ApplySlot<'a>> {
-    let mut changes = changes.into_iter().peekable();
-    let mut slots = Vec::new();
-    for (ni, (node, rib)) in nodes.iter_mut().zip(ribs.iter_mut()).enumerate() {
-        if let Some(ch) = changes.next_if(|ch| ch.node == ni) {
-            slots.push(Mutex::new(Some((ch, node, rib))));
-        }
-    }
-    slots
+/// What a sweep writes of one node, moved out of the shared state for
+/// its colour group: the RIB-in, best routes, current delta and clock (in
+/// a `BgpNode` that holds nothing else) and the main RIB.
+struct Member {
+    ni: usize,
+    state: BgpNode,
+    rib: MainRib,
 }
 
-/// Folds one node's RIB-in updates in, in the order they were computed,
+impl Member {
+    fn take(ni: usize, nodes: &mut [BgpNode], ribs: &mut [MainRib]) -> Member {
+        let node = &mut nodes[ni];
+        let state = BgpNode {
+            rib_in: std::mem::take(&mut node.rib_in),
+            best: std::mem::take(&mut node.best),
+            delta_cur: std::mem::take(&mut node.delta_cur),
+            clock: node.clock,
+            ..BgpNode::default()
+        };
+        Member {
+            ni,
+            state,
+            rib: std::mem::take(&mut ribs[ni]),
+        }
+    }
+
+    fn put_back(self, nodes: &mut [BgpNode], ribs: &mut [MainRib]) {
+        let node = &mut nodes[self.ni];
+        node.rib_in = self.state.rib_in;
+        node.best = self.state.best;
+        node.delta_cur = self.state.delta_cur;
+        node.clock = self.state.clock;
+        ribs[self.ni] = self.rib;
+    }
+}
+
+/// Folds a member's RIB-in updates in, in the order they were pulled,
 /// then re-runs the decision process once per prefix that changed.
 /// Returns how many updates left the RIB-in unchanged.
-fn apply_changes(ch: NodeChanges, node: &mut BgpNode, rib: &mut MainRib, use_clock: bool) -> u64 {
-    node.clock = ch.new_clock;
+fn fold_in(updates: Vec<RibInUpdate>, m: &mut Member, use_clock: bool) -> u64 {
     let mut touched: BTreeSet<Prefix> = BTreeSet::new();
     let mut noops = 0;
-    for up in ch.updates {
+    for up in updates {
         let prefix = up.prefix();
-        if apply_rib_in(node, up) {
+        if apply_rib_in(&mut m.state, up) {
             touched.insert(prefix);
         } else {
             noops += 1;
         }
     }
     for p in touched {
-        node.reselect(p, rib, use_clock);
+        m.state.reselect(p, &mut m.rib, use_clock);
     }
     noops
 }
 
-/// Computes the RIB-in updates node `ni` receives this sweep by pulling
+/// Computes the RIB-in updates member `m` receives this sweep by pulling
 /// each established session's peer deltas through export + import policy.
-fn compute_pulls(
-    ni: usize,
+/// Reads the member's own moved-out clock and main RIB, and everything
+/// else in place. Returns the updates and the advanced clock.
+fn pull(
+    m: &Member,
     devices: &[Device],
     nodes: &[BgpNode],
-    ribs: &[MainRib],
     pool: &Interner<PathAttrs>,
     rank_of: &[usize],
     opts: &SimOptions,
-) -> NodeChanges {
+) -> (Vec<RibInUpdate>, u64) {
+    let ni = m.ni;
     let node = &nodes[ni];
     let device = &devices[ni];
-    let mut clock = node.clock;
+    let mut clock = m.state.clock;
     let mut updates = Vec::new();
     for session in &node.sessions {
         if !session.established {
@@ -853,7 +845,7 @@ fn compute_pulls(
                             session,
                             attrs,
                             peer_node.router_id,
-                            &ribs[ni],
+                            &m.rib,
                             pool,
                             arrival,
                         ) {
@@ -869,12 +861,7 @@ fn compute_pulls(
             }
         }
     }
-    NodeChanges {
-        node: ni,
-        updates,
-        new_clock: clock,
-        poisoned: false,
-    }
+    (updates, clock)
 }
 
 #[cfg(test)]
@@ -1073,15 +1060,16 @@ mod tests {
     }
 
     /// Node `to`'s pulls in a sweep after the one in which node `from`
-    /// (which runs first) changed nothing but `route`.
+    /// (which runs first) changed nothing but `route`: its moved-out
+    /// state, the updates and the advanced clock.
     fn pull_after(
         devices: &[Device],
         nodes: &mut [BgpNode],
-        ribs: &[MainRib],
+        ribs: &mut [MainRib],
         pool: &Interner<PathAttrs>,
         (from, to): (usize, usize),
         route: BgpRoute,
-    ) -> NodeChanges {
+    ) -> (Member, Vec<RibInUpdate>, u64) {
         nodes[from].delta_prev = crate::rib::RibDelta {
             added: vec![route],
             removed: Vec::new(),
@@ -1089,7 +1077,9 @@ mod tests {
         let mut rank_of = vec![0; devices.len()];
         rank_of[to] = 1;
         let opts = SimOptions::default();
-        compute_pulls(to, devices, nodes, ribs, pool, &rank_of, &opts)
+        let m = Member::take(to, nodes, ribs);
+        let (updates, clock) = pull(&m, devices, nodes, pool, &rank_of, &opts);
+        (m, updates, clock)
     }
 
     #[test]
@@ -1104,15 +1094,18 @@ mod tests {
         let mut attrs = nodes[1].best[&lan].route_attrs();
         attrs.as_path = batnet_net::AsPath(vec![Asn(65001)]);
         let route = BgpRoute::new(attrs, &pool, PeerKey::Local, nodes[1].router_id, 0, 0);
-        let ch = pull_after(&devices, &mut nodes, &ribs, &pool, (1, 0), route);
-        assert_eq!(ch.updates.len(), 1);
+        let clock = nodes[0].clock;
+        let (mut m, updates, new_clock) =
+            pull_after(&devices, &mut nodes, &mut ribs, &pool, (1, 0), route);
+        assert_eq!(updates.len(), 1);
         assert!(
-            matches!(ch.updates[0], RibInUpdate::Withdraw { prefix, peer } if (prefix, peer) == (lan, r2)),
+            matches!(updates[0], RibInUpdate::Withdraw { prefix, peer } if (prefix, peer) == (lan, r2)),
             "a withdraw"
         );
-        assert_eq!(ch.new_clock, nodes[0].clock, "no arrival stamp taken");
-        let (node, rib) = (&mut nodes[0], &mut ribs[0]);
-        apply_changes(ch, node, rib, true);
+        assert_eq!(new_clock, clock, "no arrival stamp taken");
+        fold_in(updates, &mut m, true);
+        m.put_back(&mut nodes, &mut ribs);
+        let (node, rib) = (&nodes[0], &ribs[0]);
         assert!(!node.rib_in.get(&lan).is_some_and(|rs| rs.iter().any(|r| r.from == r2)));
         assert!(!node.best.contains_key(&lan));
         assert!(rib.lookup("10.2.0.5".parse().unwrap()).is_none());
@@ -1142,7 +1135,7 @@ mod tests {
     #[test]
     fn an_ibgp_session_never_takes_the_loop_shortcut() {
         let devices = ibgp_pair();
-        let (mut nodes, ribs) = converged(&devices);
+        let (mut nodes, mut ribs) = converged(&devices);
         // r1 re-advertises its loopback with r1's own AS on the path:
         // loop prevention is an eBGP rule, so r2 must still import it.
         let lo: Prefix = "1.1.1.1/32".parse().unwrap();
@@ -1150,9 +1143,9 @@ mod tests {
         let mut attrs = RouteAttrs::new(lo, RouteProtocol::Ebgp);
         attrs.as_path = batnet_net::AsPath(vec![Asn(65000), Asn(174)]);
         let route = BgpRoute::new(attrs, &pool, PeerKey::Local, nodes[0].router_id, 0, 0);
-        let ch = pull_after(&devices, &mut nodes, &ribs, &pool, (0, 1), route);
-        assert_eq!(ch.updates.len(), 1);
-        let RibInUpdate::Upsert(got) = &ch.updates[0] else {
+        let (_, updates, _) = pull_after(&devices, &mut nodes, &mut ribs, &pool, (0, 1), route);
+        assert_eq!(updates.len(), 1);
+        let RibInUpdate::Upsert(got) = &updates[0] else {
             panic!("iBGP imports it");
         };
         assert_eq!(got.attrs.as_path.0, vec![Asn(65000), Asn(174)]);

@@ -40,7 +40,7 @@ pub use engine::{
 };
 pub use error::RoutingError;
 pub use env::{Environment, ExternalAnnouncement};
-pub use fib::{Fib, FibAction, FibEntry, FibNextHop};
+pub use fib::{Fib, FibAction, FibEntry, FibNextHop, NextHops};
 pub use rib::{MainRib, RibDelta};
 pub use routes::{admin_distance, BgpRoute, MainNextHop, MainRoute, PathAttrs, PeerKey};
 pub use scheduler::{color_graph, SchedulerMode};

@@ -480,7 +480,7 @@ impl<'a> Tracer<'a> {
                 finish(hops, Disposition::NoRoute { device: device_name }, flow, paths);
                 return;
             }
-            FibAction::Forward(h) => h.clone(),
+            FibAction::Forward(h) => h,
         };
 
         // ECMP fork: each resolved next hop continues as its own path.
