@@ -38,7 +38,7 @@ test:
 	$(CARGO) test -q --offline --workspace
 
 # The tests that were red off a 1-CPU box share the process-global
-# recorder and map width (still statics: ROADMAP item 6); five
+# recorder and map width (still statics: ROADMAP item 9); five
 # consecutive passes at the default --test-threads is the regression
 # gate for that, for the recorder's own concurrency contracts (open
 # order, reset, take_tree), for the server's timing-sensitive

@@ -32,7 +32,6 @@
 //! assert!(bdd.implies_true(f, g)); // x0∧x1 ⊆ x0∨x1
 //! ```
 
-mod dot;
 mod manager;
 mod ops;
 mod sat;

@@ -12,7 +12,6 @@ use batnet::dataplane::{ForwardingGraph, NodeKind, PacketVars, ReachAnalysis, Sh
 use batnet::routing::{simulate, DataPlane, SimOptions};
 use batnet_obs::Span;
 use batnet_topogen::GeneratedNetwork;
-use std::fmt::Write as _;
 use std::time::Duration;
 
 /// A built world for measurement.
@@ -223,48 +222,25 @@ pub fn bench_json(
     rows: &[Row],
     report: &batnet_obs::RunReport,
 ) -> String {
-    use batnet_obs::json;
-    let mut out = String::with_capacity(8192);
-    let _ = write!(out, "{{\"schema\": {}", batnet_obs::report::SCHEMA_VERSION);
-    out.push_str(", \"bench\": ");
-    json::write_str(&mut out, bench);
-    out.push_str(", \"meta\": {");
-    for (i, (k, v)) in meta.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        json::write_str(&mut out, k);
-        out.push_str(": ");
-        json::write_str(&mut out, v);
-    }
-    out.push_str("}, \"rows\": [");
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str("{\"bench\": ");
-        json::write_str(&mut out, &row.bench);
-        out.push_str(", \"network\": ");
-        json::write_str(&mut out, &row.network);
-        out.push_str(", \"stage\": ");
-        json::write_str(&mut out, &row.stage);
-        out.push_str(", \"ms\": ");
-        json::write_f64(&mut out, row.ms);
-        out.push_str(", \"meta\": {");
-        for (j, (k, v)) in row.meta.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            json::write_str(&mut out, k);
-            out.push_str(": ");
-            json::write_str(&mut out, v);
-        }
-        out.push_str("}}");
-    }
-    out.push_str("], \"report\": ");
-    out.push_str(&report.to_json());
-    out.push('}');
-    out
+    batnet_obs::json::Writer::spaced()
+        .obj(|w| {
+            w.field("schema", batnet_obs::report::SCHEMA_VERSION)
+                .field("bench", bench)
+                .strs("meta", meta.iter().map(|(k, v)| (k, v)))
+                .array("rows", |w| {
+                    for row in rows {
+                        w.obj(|w| {
+                            w.field("bench", &row.bench)
+                                .field("network", &row.network)
+                                .field("stage", &row.stage)
+                                .field("ms", row.ms)
+                                .strs("meta", row.meta.iter().map(|(k, v)| (k, v)));
+                        });
+                    }
+                })
+                .raw("report", &report.to_json());
+        })
+        .finish()
 }
 
 /// The rustc that built this binary (`rustc --version` of the ambient

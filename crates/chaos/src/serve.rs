@@ -152,19 +152,17 @@ fn fixture_upload_body() -> String {
             "hostname r2\ninterface core\n ip address 172.16.0.0/31\ninterface servers\n ip address 10.2.0.1/24\nip route 10.1.0.0/24 172.16.0.1\n",
         ),
     ];
-    let mut body = String::from("{\"configs\": [");
-    for (i, (name, text)) in configs.iter().enumerate() {
-        if i > 0 {
-            body.push_str(", ");
-        }
-        body.push_str("{\"name\": ");
-        batnet_obs::json::write_str(&mut body, name);
-        body.push_str(", \"text\": ");
-        batnet_obs::json::write_str(&mut body, text);
-        body.push('}');
-    }
-    body.push_str("]}");
-    body
+    batnet_obs::json::Writer::spaced()
+        .obj(|w| {
+            w.array("configs", |w| {
+                for (name, text) in configs {
+                    w.obj(|w| {
+                        w.field("name", name).field("text", text);
+                    });
+                }
+            });
+        })
+        .finish()
 }
 
 /// Runs the adversarial sweep against a fresh in-process server and

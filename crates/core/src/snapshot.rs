@@ -11,7 +11,7 @@ use batnet_config::{parse_device, Diagnostic, Severity, Topology};
 use batnet_dataplane::{ForwardingGraph, PacketVars};
 use batnet_net::governor::{Exhaustion, Outcome, ResourceGovernor};
 use batnet_net::Flow;
-use batnet_obs::report::{PartialOutcome, SnapshotSummary};
+use batnet_obs::report::SnapshotSummary;
 use batnet_obs::RunReport;
 use batnet_queries::QueryContext;
 use batnet_routing::{simulate_governed, DataPlane, Environment, SimOptions};
@@ -461,11 +461,7 @@ fn finish_report(
 ) -> RunReport {
     let mut report = batnet_obs::capture();
     report.quarantined = quarantined.iter().map(Quarantine::report_entry).collect();
-    report.partial = partial.map(|(abandoned, why)| PartialOutcome {
-        stage: why.stage.clone(),
-        limit: why.limit.to_string(),
-        abandoned: abandoned.to_vec(),
-    });
+    report.partial = partial.map(|(abandoned, why)| why.outcome(abandoned));
     report.snapshot = Some(SnapshotSummary {
         devices,
         quarantined: quarantined.len(),

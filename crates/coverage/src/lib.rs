@@ -37,7 +37,7 @@ use batnet_bdd::NodeId;
 use batnet_config::vi::{Device, SourceSpan};
 use batnet_dataplane::{acl::compile_acl, PacketVars};
 use batnet_lint::{dead_clauses, never_touched_structures, StructureRef};
-use batnet_obs::json::{within, write_str, Value};
+use batnet_obs::json::{within, Value, Writer};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -296,22 +296,13 @@ fn session_comes_up(
     })
 }
 
-fn write_summary(out: &mut String, s: &Summary) {
-    let _ = write!(
-        out,
-        "{{\"device\":{device},\"items\":{},\"exercised\":{},\"shadowed\":{},\
-         \"never_touched\":{},\"coverage_permille\":{}}}",
-        s.items,
-        s.exercised,
-        s.shadowed,
-        s.never_touched,
-        s.coverage_permille(),
-        device = {
-            let mut q = String::new();
-            write_str(&mut q, &s.device);
-            q
-        },
-    );
+fn write_summary(w: &mut Writer, s: &Summary) {
+    w.field("device", &s.device)
+        .field("items", s.items)
+        .field("exercised", s.exercised)
+        .field("shadowed", s.shadowed)
+        .field("never_touched", s.never_touched)
+        .field("coverage_permille", s.coverage_permille());
 }
 
 /// The schema tag every coverage report carries.
@@ -321,42 +312,35 @@ pub const SCHEMA: &str = "batnet-cov/v1";
 /// sorted: the same devices serialize to the same bytes in any input
 /// order, which is what the determinism gate compares.
 pub fn render_json(network: &str, report: &CoverageReport) -> String {
-    let mut out = String::new();
-    out.push_str("{\"schema\":\"batnet-cov/v1\",\"network\":");
-    write_str(&mut out, network);
-    out.push_str(",\"totals\":");
-    write_summary(&mut out, &report.totals());
-    out.push_str(",\"devices\":[");
-    for (i, s) in report.device_summaries().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_summary(&mut out, s);
-    }
-    out.push_str("],\"items\":[");
-    for (i, item) in report.items.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"device\":");
-        write_str(&mut out, &item.device);
-        out.push_str(",\"path\":");
-        write_str(&mut out, &item.path);
-        out.push_str(",\"status\":");
-        write_str(&mut out, item.status.as_str());
-        if !item.reason.is_empty() {
-            out.push_str(",\"reason\":");
-            write_str(&mut out, &item.reason);
-        }
-        if !item.file.is_empty() {
-            out.push_str(",\"file\":");
-            write_str(&mut out, &item.file);
-            let _ = write!(out, ",\"line\":{},\"end_line\":{}", item.line, item.end_line);
-        }
-        out.push('}');
-    }
-    out.push_str("]}\n");
-    out
+    Writer::compact()
+        .obj(|w| {
+            w.field("schema", SCHEMA)
+                .field("network", network)
+                .object("totals", |w| write_summary(w, &report.totals()))
+                .array("devices", |w| {
+                    for s in report.device_summaries() {
+                        w.obj(|w| write_summary(w, &s));
+                    }
+                })
+                .array("items", |w| {
+                    for item in &report.items {
+                        w.obj(|w| {
+                            w.field("device", &item.device)
+                                .field("path", &item.path)
+                                .field("status", item.status.as_str());
+                            if !item.reason.is_empty() {
+                                w.field("reason", &item.reason);
+                            }
+                            if !item.file.is_empty() {
+                                w.field("file", &item.file)
+                                    .field("line", item.line)
+                                    .field("end_line", item.end_line);
+                            }
+                        });
+                    }
+                });
+        })
+        .finish_line()
 }
 
 /// Plain-text rendering: per-device percentages, then the gap list.

@@ -7,7 +7,7 @@
 
 use crate::{QuarantinedDevice, SnapshotDiff};
 use batnet_config::vi::SourceSpan;
-use batnet_obs::json::{write_str, Value};
+use batnet_obs::json::{Value, Writer};
 use std::fmt::Write as _;
 
 /// The JSON schema identifier emitted and accepted by this version.
@@ -120,158 +120,97 @@ pub fn render_text(diff: &SnapshotDiff) -> String {
     out
 }
 
-fn write_quarantine_list(out: &mut String, list: &[QuarantinedDevice]) {
-    out.push('[');
-    for (i, q) in list.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+fn write_quarantine_list(w: &mut Writer, key: &str, list: &[QuarantinedDevice]) {
+    w.array(key, |w| {
+        for q in list {
+            w.obj(|w| {
+                w.field("device", &q.device).field("stage", &q.stage).field("code", &q.code);
+            });
         }
-        out.push_str("{\"device\":");
-        write_str(out, &q.device);
-        out.push_str(",\"stage\":");
-        write_str(out, &q.stage);
-        out.push_str(",\"code\":");
-        write_str(out, &q.code);
-        out.push('}');
-    }
-    out.push(']');
+    });
 }
 
-fn write_opt_str(out: &mut String, v: &Option<String>) {
+fn write_opt_span(w: &mut Writer, key: &str, v: &Option<SourceSpan>) {
     match v {
-        Some(s) => write_str(out, s),
-        None => out.push_str("null"),
-    }
-}
-
-fn write_opt_span(out: &mut String, v: &Option<SourceSpan>) {
-    match v {
-        Some(s) => {
-            out.push_str("{\"file\":");
-            write_str(out, &s.file);
-            let _ = write!(out, ",\"line\":{}}}", s.line);
-        }
-        None => out.push_str("null"),
-    }
+        Some(s) => w.object(key, |w| {
+            w.field("file", &s.file).field("line", s.line);
+        }),
+        None => w.field(key, None::<u32>),
+    };
 }
 
 /// Renders the machine-readable report (schema `batnet-diff-1`).
 pub fn render_json(diff: &SnapshotDiff) -> String {
-    let mut o = String::with_capacity(4096);
-    o.push_str("{\"schema\":");
-    write_str(&mut o, SCHEMA);
-    let _ = write!(
-        o,
-        ",\"summary\":{{\"empty\":{},\"structural_changes\":{},\"route_changes\":{},\
-         \"changed_starts\":{},\"flow_deltas\":{},\"quarantined_before\":{},\
-         \"quarantined_after\":{}}}",
-        diff.is_empty(),
-        diff.structural.change_count(),
-        diff.routes.change_count(),
-        diff.reach.changed_starts,
-        diff.reach.deltas.len(),
-        diff.quarantined_before.len(),
-        diff.quarantined_after.len(),
-    );
-
-    o.push_str(",\"structural\":{\"devices_added\":[");
-    for (i, d) in diff.structural.devices_added.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        write_str(&mut o, d);
-    }
-    o.push_str("],\"devices_removed\":[");
-    for (i, d) in diff.structural.devices_removed.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        write_str(&mut o, d);
-    }
-    o.push_str("],\"changes\":[");
-    for (i, c) in diff.structural.changes.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        o.push_str("{\"device\":");
-        write_str(&mut o, &c.device);
-        o.push_str(",\"path\":");
-        write_str(&mut o, &c.path);
-        o.push_str(",\"kind\":");
-        write_str(&mut o, &c.kind.to_string());
-        o.push_str(",\"detail\":");
-        write_str(&mut o, &c.detail);
-        o.push_str(",\"before_src\":");
-        write_opt_span(&mut o, &c.before_src);
-        o.push_str(",\"after_src\":");
-        write_opt_span(&mut o, &c.after_src);
-        o.push('}');
-    }
-    o.push_str("]}");
-
-    let _ = write!(
-        o,
-        ",\"routes\":{{\"total_rib_changes\":{},\"total_fib_changes\":{},\"truncated\":{},\
-         \"changes\":[",
-        diff.routes.total_rib_changes, diff.routes.total_fib_changes, diff.routes.truncated,
-    );
-    for (i, c) in diff.routes.changes.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        o.push_str("{\"device\":");
-        write_str(&mut o, &c.device);
-        o.push_str(",\"layer\":");
-        write_str(&mut o, c.layer);
-        o.push_str(",\"prefix\":");
-        write_str(&mut o, &c.prefix.to_string());
-        o.push_str(",\"kind\":");
-        write_str(&mut o, &c.kind.to_string());
-        o.push_str(",\"before\":");
-        write_opt_str(&mut o, &c.before);
-        o.push_str(",\"after\":");
-        write_opt_str(&mut o, &c.after);
-        o.push('}');
-    }
-    o.push_str("]}");
-
-    let r = &diff.reach;
-    let _ = write!(
-        o,
-        ",\"reach\":{{\"starts_total\":{},\"starts_compared\":{},\"changed_starts\":{},\
-         \"truncated\":{},\"skipped_equivalent\":{},\"deltas\":[",
-        r.starts_total, r.starts_compared, r.changed_starts, r.truncated, r.skipped_equivalent,
-    );
-    for (i, d) in r.deltas.iter().enumerate() {
-        if i > 0 {
-            o.push(',');
-        }
-        o.push_str("{\"device\":");
-        write_str(&mut o, &d.device);
-        o.push_str(",\"iface\":");
-        write_str(&mut o, &d.iface);
-        o.push_str(",\"direction\":");
-        write_str(&mut o, &d.direction.to_string());
-        o.push_str(",\"flow\":");
-        write_str(&mut o, &d.flow);
-        o.push_str(",\"before_disposition\":");
-        write_str(&mut o, &d.before_disposition);
-        o.push_str(",\"after_disposition\":");
-        write_str(&mut o, &d.after_disposition);
-        o.push_str(",\"before_trace\":");
-        write_str(&mut o, &d.before_trace);
-        o.push_str(",\"after_trace\":");
-        write_str(&mut o, &d.after_trace);
-        o.push('}');
-    }
-    o.push_str("]}");
-
-    o.push_str(",\"quarantined_before\":");
-    write_quarantine_list(&mut o, &diff.quarantined_before);
-    o.push_str(",\"quarantined_after\":");
-    write_quarantine_list(&mut o, &diff.quarantined_after);
-    o.push_str("}\n");
-    o
+    let (structural, routes, r) = (&diff.structural, &diff.routes, &diff.reach);
+    Writer::compact()
+        .obj(|w| {
+            w.field("schema", SCHEMA).object("summary", |w| {
+                w.field("empty", diff.is_empty())
+                    .field("structural_changes", structural.change_count())
+                    .field("route_changes", routes.change_count())
+                    .field("changed_starts", r.changed_starts)
+                    .field("flow_deltas", r.deltas.len())
+                    .field("quarantined_before", diff.quarantined_before.len())
+                    .field("quarantined_after", diff.quarantined_after.len());
+            });
+            w.object("structural", |w| {
+                w.vals("devices_added", &structural.devices_added)
+                    .vals("devices_removed", &structural.devices_removed)
+                    .array("changes", |w| {
+                        for c in &structural.changes {
+                            w.obj(|w| {
+                                w.field("device", &c.device)
+                                    .field("path", &c.path)
+                                    .field("kind", c.kind.to_string())
+                                    .field("detail", &c.detail);
+                                write_opt_span(w, "before_src", &c.before_src);
+                                write_opt_span(w, "after_src", &c.after_src);
+                            });
+                        }
+                    });
+            });
+            w.object("routes", |w| {
+                w.field("total_rib_changes", routes.total_rib_changes)
+                    .field("total_fib_changes", routes.total_fib_changes)
+                    .field("truncated", routes.truncated)
+                    .array("changes", |w| {
+                        for c in &routes.changes {
+                            w.obj(|w| {
+                                w.field("device", &c.device)
+                                    .field("layer", c.layer)
+                                    .field("prefix", c.prefix.to_string())
+                                    .field("kind", c.kind.to_string())
+                                    .field("before", &c.before)
+                                    .field("after", &c.after);
+                            });
+                        }
+                    });
+            });
+            w.object("reach", |w| {
+                w.field("starts_total", r.starts_total)
+                    .field("starts_compared", r.starts_compared)
+                    .field("changed_starts", r.changed_starts)
+                    .field("truncated", r.truncated)
+                    .field("skipped_equivalent", r.skipped_equivalent)
+                    .array("deltas", |w| {
+                        for d in &r.deltas {
+                            w.obj(|w| {
+                                w.field("device", &d.device)
+                                    .field("iface", &d.iface)
+                                    .field("direction", d.direction.to_string())
+                                    .field("flow", &d.flow)
+                                    .field("before_disposition", &d.before_disposition)
+                                    .field("after_disposition", &d.after_disposition)
+                                    .field("before_trace", &d.before_trace)
+                                    .field("after_trace", &d.after_trace);
+                            });
+                        }
+                    });
+            });
+            write_quarantine_list(w, "quarantined_before", &diff.quarantined_before);
+            write_quarantine_list(w, "quarantined_after", &diff.quarantined_after);
+        })
+        .finish_line()
 }
 
 /// Validates a parsed `batnet-diff-1` document: schema tag, required

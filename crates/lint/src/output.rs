@@ -1,10 +1,11 @@
 //! Finding serialization: text, a stable JSON report, SARIF-lite, and
 //! fingerprint baselines.
 //!
-//! All JSON is hand-rolled over [`batnet_obs::json`] (the workspace is
-//! offline — no serde) and deliberately timestamp-free: the same devices
-//! always serialize to the same bytes, which is what lets CI diff
-//! reports and the determinism tests compare runs bytewise.
+//! Every JSON document here is written by [`batnet_obs::json::Writer`]
+//! in its compact layout and is deliberately timestamp-free: the same
+//! devices always serialize to the same bytes, which is what lets CI
+//! diff reports and the determinism tests compare runs bytewise
+//! (`tests/golden.rs` pins them).
 //!
 //! The SARIF output is a pragmatic subset of SARIF 2.1.0 — `tool.driver`
 //! with a rule per catalog check, one `result` per finding with
@@ -16,7 +17,7 @@
 //! surprise.
 
 use crate::{Finding, Severity, CHECKS};
-use batnet_obs::json::{self, within, write_str, Value};
+use batnet_obs::json::{self, within, Value, Writer};
 use std::fmt::Write as _;
 
 /// Plain-text rendering, one finding per line:
@@ -51,109 +52,113 @@ fn count_by(findings: &[Finding], sev: Severity) -> usize {
 /// the full finding list (sorted by the caller; [`crate::run_all`]
 /// already sorts). No timestamps — byte-identical across runs.
 pub fn render_json(network: &str, findings: &[Finding]) -> String {
-    let mut out = String::new();
-    out.push_str("{\"schema\":\"batnet-lint/v1\",\"network\":");
-    write_str(&mut out, network);
-    let _ = write!(
-        out,
-        ",\"counts\":{{\"error\":{},\"warning\":{},\"info\":{},\"total\":{}}},\"findings\":[",
-        count_by(findings, Severity::Error),
-        count_by(findings, Severity::Warning),
-        count_by(findings, Severity::Info),
-        findings.len()
-    );
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"fingerprint\":");
-        write_str(&mut out, &f.fingerprint());
-        out.push_str(",\"check\":");
-        write_str(&mut out, f.check);
-        out.push_str(",\"severity\":");
-        write_str(&mut out, f.severity.as_str());
-        out.push_str(",\"device\":");
-        write_str(&mut out, &f.device);
-        out.push_str(",\"path\":");
-        write_str(&mut out, &f.path);
-        out.push_str(",\"message\":");
-        write_str(&mut out, &f.message);
-        if !f.file.is_empty() {
-            out.push_str(",\"file\":");
-            write_str(&mut out, &f.file);
-            let _ = write!(out, ",\"line\":{}", f.line);
-        }
-        if !f.witness.is_empty() {
-            out.push_str(",\"witness\":");
-            write_str(&mut out, &f.witness);
-        }
-        out.push('}');
-    }
-    out.push_str("]}\n");
-    out
+    Writer::compact()
+        .obj(|w| {
+            w.field("schema", "batnet-lint/v1").field("network", network);
+            w.object("counts", |w| {
+                w.field("error", count_by(findings, Severity::Error))
+                    .field("warning", count_by(findings, Severity::Warning))
+                    .field("info", count_by(findings, Severity::Info))
+                    .field("total", findings.len());
+            });
+            w.array("findings", |w| {
+                for f in findings {
+                    w.obj(|w| {
+                        w.field("fingerprint", f.fingerprint())
+                            .field("check", f.check)
+                            .field("severity", f.severity.as_str())
+                            .field("device", &f.device)
+                            .field("path", &f.path)
+                            .field("message", &f.message);
+                        if !f.file.is_empty() {
+                            w.field("file", &f.file).field("line", f.line);
+                        }
+                        if !f.witness.is_empty() {
+                            w.field("witness", &f.witness);
+                        }
+                    });
+                }
+            });
+        })
+        .finish_line()
 }
 
 /// SARIF-lite 2.1.0: one run, one rule per catalog check, one result per
 /// finding.
 pub fn render_sarif(findings: &[Finding]) -> String {
-    let mut out = String::new();
-    out.push_str(
-        "{\"version\":\"2.1.0\",\"$schema\":\"https://json.schemastore.org/sarif-2.1.0.json\",\
-         \"runs\":[{\"tool\":{\"driver\":{\"name\":\"batnet-lint\",\"rules\":[",
-    );
-    for (i, c) in CHECKS.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"id\":");
-        write_str(&mut out, c.id);
-        out.push_str(",\"shortDescription\":{\"text\":");
-        write_str(&mut out, c.what);
-        out.push_str("},\"defaultConfiguration\":{\"level\":");
-        write_str(&mut out, c.severity.sarif_level());
-        out.push_str("}}");
+    Writer::compact()
+        .obj(|w| {
+            w.field("version", "2.1.0")
+                .field("$schema", "https://json.schemastore.org/sarif-2.1.0.json");
+            w.array("runs", |w| {
+                w.obj(|w| {
+                    w.object("tool", |w| {
+                        w.object("driver", |w| {
+                            w.field("name", "batnet-lint").array("rules", |w| {
+                                for c in CHECKS {
+                                    w.obj(|w| {
+                                        w.field("id", c.id)
+                                            .object("shortDescription", |w| {
+                                                w.field("text", c.what);
+                                            })
+                                            .object("defaultConfiguration", |w| {
+                                                w.field("level", c.severity.sarif_level());
+                                            });
+                                    });
+                                }
+                            });
+                        });
+                    });
+                    w.array("results", |w| {
+                        for f in findings {
+                            w.obj(|w| write_sarif_result(w, f));
+                        }
+                    });
+                });
+            });
+        })
+        .finish_line()
+}
+
+fn write_sarif_result(w: &mut Writer, f: &Finding) {
+    let text = if f.witness.is_empty() {
+        f.message.clone()
+    } else {
+        format!("{} (witness: {})", f.message, f.witness)
+    };
+    w.field("ruleId", f.check)
+        .field("level", f.severity.sarif_level())
+        .object("message", |w| {
+            w.field("text", text);
+        })
+        .object("partialFingerprints", |w| {
+            w.field("batnet/v1", f.fingerprint());
+        });
+    if f.device.is_empty() && f.file.is_empty() {
+        return;
     }
-    out.push_str("]}},\"results\":[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"ruleId\":");
-        write_str(&mut out, f.check);
-        out.push_str(",\"level\":");
-        write_str(&mut out, f.severity.sarif_level());
-        out.push_str(",\"message\":{\"text\":");
-        let text = if f.witness.is_empty() {
-            f.message.clone()
-        } else {
-            format!("{} (witness: {})", f.message, f.witness)
-        };
-        write_str(&mut out, &text);
-        out.push_str("},\"partialFingerprints\":{\"batnet/v1\":");
-        write_str(&mut out, &f.fingerprint());
-        out.push('}');
-        if !f.device.is_empty() || !f.file.is_empty() {
-            // Physical location when we have a file, logical otherwise.
-            out.push_str(",\"locations\":[{");
+    // Physical location when we have a file, logical otherwise.
+    w.array("locations", |w| {
+        w.obj(|w| {
             if !f.file.is_empty() {
-                out.push_str("\"physicalLocation\":{\"artifactLocation\":{\"uri\":");
-                write_str(&mut out, &f.file);
-                let _ = write!(out, "}},\"region\":{{\"startLine\":{}}}}}", f.line.max(1));
-                if !f.device.is_empty() {
-                    out.push(',');
-                }
+                w.object("physicalLocation", |w| {
+                    w.object("artifactLocation", |w| {
+                        w.field("uri", &f.file);
+                    })
+                    .object("region", |w| {
+                        w.field("startLine", f.line.max(1));
+                    });
+                });
             }
             if !f.device.is_empty() {
-                out.push_str("\"logicalLocations\":[{\"name\":");
-                write_str(&mut out, &f.device);
-                out.push_str("}]");
+                w.array("logicalLocations", |w| {
+                    w.obj(|w| {
+                        w.field("name", &f.device);
+                    });
+                });
             }
-            out.push_str("}]");
-        }
-        out.push('}');
-    }
-    out.push_str("]}]}\n");
-    out
+        });
+    });
 }
 
 fn is_fingerprint(s: &str) -> bool {
@@ -209,16 +214,11 @@ pub fn write_baseline(findings: &[Finding]) -> String {
     let mut fps: Vec<String> = findings.iter().map(Finding::fingerprint).collect();
     fps.sort();
     fps.dedup();
-    let mut out = String::new();
-    out.push_str("{\"schema\":\"batnet-lint-baseline/v1\",\"fingerprints\":[");
-    for (i, fp) in fps.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        write_str(&mut out, fp);
-    }
-    out.push_str("]}\n");
-    out
+    Writer::compact()
+        .obj(|w| {
+            w.field("schema", "batnet-lint-baseline/v1").vals("fingerprints", &fps);
+        })
+        .finish_line()
 }
 
 /// Parses a baseline file into its fingerprint list.

@@ -72,6 +72,18 @@ impl std::fmt::Display for Exhaustion {
 
 impl std::error::Error for Exhaustion {}
 
+impl Exhaustion {
+    /// This trip as run-report partial accounting, with the identifiers
+    /// of the work it abandoned.
+    pub fn outcome(&self, abandoned: &[String]) -> batnet_obs::report::PartialOutcome {
+        batnet_obs::report::PartialOutcome {
+            stage: self.stage.clone(),
+            limit: self.limit.to_string(),
+            abandoned: abandoned.to_vec(),
+        }
+    }
+}
+
 struct Inner {
     /// Absolute deadline, if any.
     deadline: Option<Instant>,

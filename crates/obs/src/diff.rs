@@ -9,7 +9,7 @@
 //! diffing two single runs, and file-level `meta` is provenance, not
 //! input.
 
-use crate::json::{self, Value};
+use crate::json::{Value, Writer};
 use crate::report::validate_bench;
 use std::collections::BTreeSet;
 use std::fmt::Write as _;
@@ -83,37 +83,23 @@ impl DiffReport {
 
     /// JSON rendering (`{ok, compared, findings, warnings}`).
     pub fn render_json(&self) -> String {
-        let mut out = String::with_capacity(256);
-        let _ = write!(
-            out,
-            "{{\"ok\": {}, \"compared\": {}",
-            self.ok(),
-            self.compared
-        );
-        out.push_str(", \"findings\": [");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str("{\"kind\": ");
-            let kind = match f.kind {
-                FindingKind::MissingInNew => "missing",
-                FindingKind::ExtraInNew => "extra",
-            };
-            json::write_str(&mut out, kind);
-            out.push_str(", \"key\": ");
-            json::write_str(&mut out, &f.key);
-            out.push('}');
-        }
-        out.push_str("], \"warnings\": [");
-        for (i, w) in self.warnings.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            json::write_str(&mut out, w);
-        }
-        out.push_str("]}");
-        out
+        Writer::spaced()
+            .obj(|w| {
+                w.field("ok", self.ok()).field("compared", self.compared);
+                w.array("findings", |w| {
+                    for f in &self.findings {
+                        let kind = match f.kind {
+                            FindingKind::MissingInNew => "missing",
+                            FindingKind::ExtraInNew => "extra",
+                        };
+                        w.obj(|w| {
+                            w.field("kind", kind).field("key", &f.key);
+                        });
+                    }
+                });
+                w.vals("warnings", &self.warnings);
+            })
+            .finish()
     }
 }
 
@@ -174,6 +160,7 @@ pub fn diff_bench(base: &Value, new: &Value) -> Result<DiffReport, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
 
     /// A bench document over `rows` of `(network, stage, ms)`.
     fn bench_doc(rows: &[(&str, &str, f64)]) -> Value {

@@ -19,9 +19,10 @@
 //!   governor trips, timestamped against the run epoch.
 //! * **Run reports** ([`report`]) — one JSON document per run capturing
 //!   the span tree, metric snapshot, events, and quarantine/partial
-//!   accounting. Serialization is a hand-rolled writer ([`json`], no
-//!   serde); the same module carries a minimal parser so reports can be
-//!   validated in-tree (the `obs-validate` bin and the chaos harness).
+//!   accounting. Every JSON artifact in the workspace is written by one
+//!   streaming writer ([`json::Writer`], no serde); the same module
+//!   carries a minimal parser so reports can be validated in-tree (the
+//!   `obs-validate` bin and the chaos harness).
 //! * **Trace export** ([`trace`]) — any span forest renders as Chrome
 //!   `trace.json` (Perfetto-loadable) or folded-stack flamegraph text;
 //!   the `obs-trace` bin exports run reports, bench files and `/tracez`

@@ -29,11 +29,10 @@
 //! An open span (`Span` alive at capture) serializes `"ms": null`;
 //! histogram buckets list only non-empty `[lo, hi, count]` triples.
 
-use crate::json::{self, within, Value};
+use crate::json::{within, Value, Writer};
 use crate::metrics::{bucket_range, Event, MetricValue};
 use crate::span::SpanRecord;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
 /// Current report schema version.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -140,101 +139,70 @@ impl RunReport {
 
     /// Serializes to schema-1 JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\"schema\": ");
-        let _ = write!(out, "{SCHEMA_VERSION}");
-        out.push_str(", \"meta\": {");
-        for (i, (k, v)) in self.meta.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            json::write_str(&mut out, k);
-            out.push_str(": ");
-            json::write_str(&mut out, v);
-        }
-        out.push_str("}, \"spans\": ");
-        write_span_forest(&self.spans, &mut out);
-        out.push_str(", \"metrics\": {");
-        for (i, (name, value)) in self.metrics.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            json::write_str(&mut out, name);
-            out.push_str(": ");
-            write_metric(&mut out, value);
-        }
-        out.push_str("}, \"events\": [");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str("{\"at_ms\": ");
-            json::write_f64(&mut out, ms(e.at_ns));
-            out.push_str(", \"kind\": ");
-            json::write_str(&mut out, &e.kind);
-            out.push_str(", \"subject\": ");
-            json::write_str(&mut out, &e.subject);
-            out.push_str(", \"detail\": ");
-            json::write_str(&mut out, &e.detail);
-            out.push('}');
-        }
-        out.push_str("], \"events_dropped\": ");
-        let _ = write!(out, "{}", self.events_dropped);
-        out.push_str(", \"quarantined\": [");
-        for (i, q) in self.quarantined.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str("{\"device\": ");
-            json::write_str(&mut out, &q.device);
-            out.push_str(", \"stage\": ");
-            json::write_str(&mut out, &q.stage);
-            out.push_str(", \"code\": ");
-            json::write_str(&mut out, &q.code);
-            out.push_str(", \"detail\": ");
-            json::write_str(&mut out, &q.detail);
-            out.push('}');
-        }
-        out.push_str("], \"partial\": ");
-        match &self.partial {
-            None => out.push_str("null"),
-            Some(p) => {
-                out.push_str("{\"stage\": ");
-                json::write_str(&mut out, &p.stage);
-                out.push_str(", \"limit\": ");
-                json::write_str(&mut out, &p.limit);
-                out.push_str(", \"abandoned\": [");
-                for (i, a) in p.abandoned.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
+        Writer::spaced()
+            .obj(|w| {
+                w.field("schema", SCHEMA_VERSION).strs("meta", &self.meta);
+                write_span_forest(w, &self.spans);
+                w.object("metrics", |w| {
+                    for (name, value) in &self.metrics {
+                        w.object(name, |w| write_metric(w, value));
                     }
-                    json::write_str(&mut out, a);
-                }
-                out.push_str("]}");
-            }
-        }
-        out.push_str(", \"snapshot\": ");
-        match &self.snapshot {
-            None => out.push_str("null"),
-            Some(s) => {
-                let _ = write!(
-                    out,
-                    "{{\"devices\": {}, \"quarantined\": {}, \"diagnostics\": {}}}",
-                    s.devices, s.quarantined, s.diagnostics
-                );
-            }
-        }
-        out.push('}');
-        out
+                });
+                w.array("events", |w| {
+                    for e in &self.events {
+                        w.obj(|w| {
+                            w.field("at_ms", ms(e.at_ns))
+                                .field("kind", &e.kind)
+                                .field("subject", &e.subject)
+                                .field("detail", &e.detail);
+                        });
+                    }
+                });
+                w.field("events_dropped", self.events_dropped);
+                w.array("quarantined", |w| {
+                    for q in &self.quarantined {
+                        w.obj(|w| {
+                            w.field("device", &q.device)
+                                .field("stage", &q.stage)
+                                .field("code", &q.code)
+                                .field("detail", &q.detail);
+                        });
+                    }
+                });
+                write_partial(w, self.partial.as_ref());
+                match &self.snapshot {
+                    None => w.field("snapshot", None::<u64>),
+                    Some(s) => w.object("snapshot", |w| {
+                        w.field("devices", s.devices)
+                            .field("quarantined", s.quarantined)
+                            .field("diagnostics", s.diagnostics);
+                    }),
+                };
+            })
+            .finish()
     }
 }
 
-/// Serializes a flat span list as the nested schema-1 forest
-/// (`{name, start_ms, ms, self_ms, children}`). This is the report's
-/// own `"spans"` renderer, exposed so other producers of span trees —
+/// Writes the `"partial"` member: the `{stage, limit, abandoned}`
+/// accounting of a tripped governor, or `null`. Run reports and the
+/// service's governed answers share this one shape.
+pub fn write_partial(w: &mut Writer, partial: Option<&PartialOutcome>) {
+    match partial {
+        None => w.field("partial", None::<u64>),
+        Some(p) => w.object("partial", |w| {
+            w.field("stage", &p.stage)
+                .field("limit", &p.limit)
+                .vals("abandoned", &p.abandoned);
+        }),
+    };
+}
+
+/// Writes a flat span list as the `"spans"` member: the nested schema-1
+/// forest (`{name, start_ms, ms, self_ms, children}`). This is the
+/// report's own renderer, exposed so other producers of span trees —
 /// the serve `/tracez` endpoint's per-request traces — emit the exact
 /// same shape and validate with the same code.
-pub fn write_span_forest(spans: &[SpanRecord], out: &mut String) {
+pub fn write_span_forest(w: &mut Writer, spans: &[SpanRecord]) {
     let mut children: Vec<Vec<usize>> = vec![Vec::new(); spans.len()];
     let mut roots: Vec<usize> = Vec::new();
     for (i, s) in spans.iter().enumerate() {
@@ -243,8 +211,8 @@ pub fn write_span_forest(spans: &[SpanRecord], out: &mut String) {
             _ => roots.push(i),
         }
     }
-    let self_ns = self_times_ns(spans);
-    write_span_list(spans, out, &roots, &children, &self_ns);
+    let forest = Forest { spans, children, self_ns: self_times_ns(spans) };
+    w.array("spans", |w| forest.write(w, &roots));
 }
 
 /// Per-span self time in nanoseconds, indexed like `spans`: duration
@@ -268,70 +236,47 @@ fn self_times_ns(spans: &[SpanRecord]) -> Vec<u64> {
         .collect()
 }
 
-fn write_span_list(
-    spans: &[SpanRecord],
-    out: &mut String,
-    idxs: &[usize],
-    children: &[Vec<usize>],
-    self_ns: &[u64],
-) {
-    out.push('[');
-    for (i, &idx) in idxs.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let s = &spans[idx];
-        out.push_str("{\"name\": ");
-        json::write_str(out, &s.name);
-        out.push_str(", \"start_ms\": ");
-        json::write_f64(out, ms(s.start_ns));
-        out.push_str(", \"ms\": ");
-        match s.dur_ns {
-            Some(d) => json::write_f64(out, ms(d)),
-            None => out.push_str("null"),
-        }
-        out.push_str(", \"self_ms\": ");
-        json::write_f64(out, ms(self_ns[idx]));
-        out.push_str(", \"children\": ");
-        write_span_list(spans, out, &children[idx], children, self_ns);
-        out.push('}');
-    }
-    out.push(']');
+/// A span list with its child lists and self times, for rendering.
+struct Forest<'a> {
+    spans: &'a [SpanRecord],
+    children: Vec<Vec<usize>>,
+    self_ns: Vec<u64>,
 }
 
-fn write_metric(out: &mut String, value: &MetricValue) {
-    match value {
-        MetricValue::Counter(c) => {
-            let _ = write!(out, "{{\"type\": \"counter\", \"value\": {c}}}");
-        }
-        MetricValue::Gauge(g) => {
-            out.push_str("{\"type\": \"gauge\", \"value\": ");
-            json::write_f64(out, *g);
-            out.push('}');
-        }
-        MetricValue::Histogram(h) => {
-            let _ = write!(
-                out,
-                "{{\"type\": \"histogram\", \"count\": {}, \"sum\": {}, \"mean\": ",
-                h.count, h.sum
-            );
-            json::write_f64(out, h.mean());
-            out.push_str(", \"buckets\": [");
-            let mut first = true;
-            for (i, &n) in h.buckets.iter().enumerate() {
-                if n == 0 {
-                    continue;
-                }
-                if !first {
-                    out.push_str(", ");
-                }
-                first = false;
-                let (lo, hi) = bucket_range(i);
-                let _ = write!(out, "[{lo}, {hi}, {n}]");
-            }
-            out.push_str("]}");
+impl Forest<'_> {
+    /// The spans at `idxs`, each with its subtree, as array elements.
+    fn write(&self, w: &mut Writer, idxs: &[usize]) {
+        for &idx in idxs {
+            let s = &self.spans[idx];
+            w.obj(|w| {
+                w.field("name", &s.name)
+                    .field("start_ms", ms(s.start_ns))
+                    .field("ms", s.dur_ns.map(ms))
+                    .field("self_ms", ms(self.self_ns[idx]))
+                    .array("children", |w| self.write(w, &self.children[idx]));
+            });
         }
     }
+}
+
+fn write_metric(w: &mut Writer, value: &MetricValue) {
+    match value {
+        MetricValue::Counter(c) => w.field("type", "counter").field("value", *c),
+        MetricValue::Gauge(g) => w.field("type", "gauge").field("value", *g),
+        MetricValue::Histogram(h) => w
+            .field("type", "histogram")
+            .field("count", h.count)
+            .field("sum", h.sum)
+            .field("mean", h.mean())
+            .array("buckets", |w| {
+                for (i, &n) in h.buckets.iter().enumerate().filter(|(_, &n)| n > 0) {
+                    let (lo, hi) = bucket_range(i);
+                    w.arr(|w| {
+                        w.val(lo).val(hi).val(n);
+                    });
+                }
+            }),
+    };
 }
 
 /// The version gate every schema-1 document opens with.
@@ -502,6 +447,7 @@ pub fn validate_trajectory_row(v: &Value) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json;
     use crate::span::Span;
 
     #[test]

@@ -156,7 +156,7 @@ mod tests {
         assert!(spans.iter().all(|s| s.dur_ns.is_some()));
         assert!(spans[a].start_ns >= spans[root].start_ns);
         assert!(spans[b].start_ns >= spans[a].start_ns);
-        // A single-threaded run records everything on one shard.
+        // A single-threaded run records every span with one thread id.
         assert!(spans.iter().all(|s| s.tid == spans[root].tid));
         // Children close within (or equal to) the parent's window.
         let end = |i: usize| spans[i].start_ns + spans[i].dur_ns.expect("closed");

@@ -1,12 +1,11 @@
 //! Byte-level serializer stability: a fixed, fully deterministic
 //! `RunReport` must serialize to exactly the committed golden file.
 //!
-//! The fixture was generated by the pre-sharding recorder (one global
-//! mutex, spans stored in open order), so this test pins the contract
-//! that the sharded recorder's deterministic merge preserves: for a
-//! single-threaded run the merged span order *is* the open order, the
-//! metric map ordering is unchanged, and `to_json` emits the same
-//! bytes. Regenerate with
+//! The recorder is one value behind one lock, storing spans in open
+//! order (`src/recorder.rs`), so for a single-threaded run the span
+//! order *is* the open order and the metric map is sorted by name; this
+//! test pins that `to_json` turns such a report into exactly the same
+//! bytes, whatever writes its layout. Regenerate with
 //! `cargo test -p batnet-obs --test golden -- --ignored write_golden`
 //! only when the schema intentionally changes (and say so in the PR).
 

@@ -422,19 +422,17 @@ mod tests {
 
     /// Two routers, one hop apart, as an upload body.
     fn upload_body() -> String {
-        let mut body = String::from("{\"configs\": [");
-        for (i, (name, text)) in two_router_configs().iter().enumerate() {
-            if i > 0 {
-                body.push_str(", ");
-            }
-            body.push_str("{\"name\": ");
-            batnet_obs::json::write_str(&mut body, name);
-            body.push_str(", \"text\": ");
-            batnet_obs::json::write_str(&mut body, text);
-            body.push('}');
-        }
-        body.push_str("]}");
-        body
+        batnet_obs::json::Writer::spaced()
+            .obj(|w| {
+                w.array("configs", |w| {
+                    for (name, text) in two_router_configs() {
+                        w.obj(|w| {
+                            w.field("name", name).field("text", text);
+                        });
+                    }
+                });
+            })
+            .finish()
     }
 
     fn bare(method: Method, path: &str) -> Request {

@@ -11,10 +11,9 @@
 //! by `obs-validate`). Evictions are counted, never silent —
 //! chaos invariant 9 checks `requests == ring + evicted` exactly.
 
-use batnet_obs::json;
+use batnet_obs::json::Writer;
 use batnet_obs::span::SpanRecord;
 use std::collections::VecDeque;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -75,28 +74,16 @@ fn ms(us: u64) -> f64 {
 
 impl TraceEntry {
     /// The entry as a `/tracez` trace object (with the span forest).
-    fn write_trace(&self, out: &mut String) {
-        out.push_str("{\"trace_id\": ");
-        json::write_str(out, &self.trace_id);
-        out.push_str(", \"method\": ");
-        json::write_str(out, &self.method);
-        out.push_str(", \"path\": ");
-        json::write_str(out, &self.path);
-        let _ = write!(out, ", \"status\": {}, \"queue_wait_ms\": ", self.status);
-        json::write_f64(out, ms(self.queue_wait_us));
-        out.push_str(", \"handler_ms\": ");
-        json::write_f64(out, ms(self.handler_us));
-        out.push_str(", \"deadline_ms\": ");
-        match self.deadline_ms {
-            Some(d) => {
-                let _ = write!(out, "{d}");
-            }
-            None => out.push_str("null"),
-        }
-        let _ = write!(out, ", \"partial\": {}", self.partial);
-        out.push_str(", \"spans\": ");
-        batnet_obs::report::write_span_forest(&self.spans, out);
-        out.push('}');
+    fn write_trace(&self, w: &mut Writer) {
+        w.field("trace_id", &self.trace_id)
+            .field("method", &self.method)
+            .field("path", &self.path)
+            .field("status", self.status)
+            .field("queue_wait_ms", ms(self.queue_wait_us))
+            .field("handler_ms", ms(self.handler_us))
+            .field("deadline_ms", self.deadline_ms)
+            .field("partial", self.partial);
+        batnet_obs::report::write_span_forest(w, &self.spans);
     }
 }
 
@@ -157,42 +144,36 @@ impl TraceRing {
     pub fn render_one(&self, trace_id: &str) -> Option<String> {
         let st = self.lock();
         let e = st.entries.iter().find(|e| e.trace_id == trace_id)?;
-        let mut out = String::with_capacity(1024);
-        let _ = write!(
-            out,
-            "{{\"schema\": 1, \"capacity\": {}, \"evicted\": {}, \"traces\": [",
-            self.capacity, st.evicted
-        );
-        e.write_trace(&mut out);
-        out.push_str("]}");
-        Some(out)
+        Some(self.render(&st, [e]))
     }
 
     /// The `/tracez` document: schema 1, ring accounting, traces
     /// newest-first (the recent ones are what an operator is after).
     pub fn render_json(&self) -> String {
         let st = self.lock();
-        let mut out = String::with_capacity(4096);
-        let _ = write!(
-            out,
-            "{{\"schema\": 1, \"capacity\": {}, \"evicted\": {}, \"traces\": [",
-            self.capacity, st.evicted
-        );
-        for (i, e) in st.entries.iter().rev().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            e.write_trace(&mut out);
-        }
-        out.push_str("]}");
-        out
+        self.render(&st, st.entries.iter().rev())
+    }
+
+    fn render<'a>(&self, st: &RingState, traces: impl IntoIterator<Item = &'a TraceEntry>) -> String {
+        Writer::spaced()
+            .obj(|w| {
+                w.field("schema", 1u64)
+                    .field("capacity", self.capacity)
+                    .field("evicted", st.evicted)
+                    .array("traces", |w| {
+                        for e in traces {
+                            w.obj(|w| e.write_trace(w));
+                        }
+                    });
+            })
+            .finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use batnet_obs::json::Value;
+    use batnet_obs::json::{self, Value};
     use batnet_obs::report::validate_tracez;
 
     fn entry(id: &str) -> TraceEntry {
