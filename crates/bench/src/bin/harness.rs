@@ -507,7 +507,7 @@ fn lint_bench(full: bool, net: Option<&str>, rows: &mut Vec<Row>) {
         for (name, text) in &net.configs {
             let (device, dg) = batnet::config::parse_device(name, text);
             devices.push(device);
-            diags.push((name.clone(), dg));
+            diags.push((name.clone(), dg.into_items()));
         }
         let parse = t.elapsed();
         let t = clock::now();

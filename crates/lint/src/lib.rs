@@ -37,7 +37,7 @@ pub use exercise::{never_touched_structures, unexercised_config, NeverTouched, S
 pub use routemap::{dead_clauses, route_map_dead_clauses};
 
 use batnet_bdd::NodeId;
-use batnet_config::diag::{self, Diagnostics};
+use batnet_config::diag::{self, Diagnostic};
 use batnet_config::vi::{Device, RouteMapMatch, SourceSpan};
 use batnet_config::Topology;
 use batnet_dataplane::acl::compile_acl;
@@ -269,8 +269,8 @@ pub const PASSES: &[(&str, &[&str], Pass)] = &[
     ("unexercised-config", &["unexercised-config"], Pass::Network(unexercised_config)),
 ];
 
-/// Runs every registered pass with no budget: [`run_all_governed`]'s
-/// complete result.
+/// Runs every registered pass with no budget: the complete result of
+/// the passes [`run_network`] runs, without the diagnostics bridge.
 pub fn run_all(devices: &[Device]) -> Vec<Finding> {
     run_all_governed(devices, &batnet_net::governor::ResourceGovernor::unlimited()).into_value()
 }
@@ -285,7 +285,7 @@ pub fn run_all(devices: &[Device]) -> Vec<Finding> {
 /// granularity. A tripped budget abandons the remaining passes *by
 /// name* and returns the findings of the passes that did run, sorted,
 /// deduped, and suppression-filtered like a complete run.
-pub fn run_all_governed(
+fn run_all_governed(
     devices: &[Device],
     gov: &batnet_net::governor::ResourceGovernor,
 ) -> batnet_net::governor::Outcome<Vec<Finding>> {
@@ -318,14 +318,15 @@ pub fn run_all_governed(
     Outcome::Complete(finish(findings))
 }
 
-/// Governed passes via [`run_all_governed`] plus the diagnostics bridge,
-/// for callers (the CLI) that hold the per-device [`Diagnostics`]. The
-/// bridge is always included, complete or partial, because the
-/// diagnostics were already computed at parse time and cost nothing to
-/// surface.
+/// Every registered pass under a governor, plus the diagnostics bridge
+/// over the per-device parse diagnostics (the shape
+/// `Snapshot::diagnostics` stores), so the CLI and the service lint the
+/// same way. The bridge is always included, complete or partial, because
+/// the diagnostics were already computed at parse time and cost nothing
+/// to surface.
 pub fn run_network_governed(
     devices: &[Device],
-    diags: &[(String, Diagnostics)],
+    diags: &[(String, Vec<Diagnostic>)],
     gov: &batnet_net::governor::ResourceGovernor,
 ) -> batnet_net::governor::Outcome<Vec<Finding>> {
     let mut bridged: Vec<Finding> = diags
@@ -344,16 +345,15 @@ pub fn run_network_governed(
 
 /// [`run_all`] plus parse diagnostics bridged into the same stream:
 /// [`run_network_governed`] with no budget.
-pub fn run_network(devices: &[Device], diags: &[(String, Diagnostics)]) -> Vec<Finding> {
+pub fn run_network(devices: &[Device], diags: &[(String, Vec<Diagnostic>)]) -> Vec<Finding> {
     run_network_governed(devices, diags, &batnet_net::governor::ResourceGovernor::unlimited())
         .into_value()
 }
 
 /// Bridges one device's parse diagnostics into findings, with the same
 /// fingerprint scheme as VI-model checks (path = `line <n>`).
-pub fn diagnostics_findings(device: &str, diags: &Diagnostics) -> Vec<Finding> {
+pub fn diagnostics_findings(device: &str, diags: &[Diagnostic]) -> Vec<Finding> {
     diags
-        .items()
         .iter()
         .map(|d| {
             let check = match d.severity {
@@ -1102,11 +1102,11 @@ mod tests {
 
     #[test]
     fn diagnostics_bridge_maps_severities() {
-        let mut dg = Diagnostics::new();
+        let mut dg = diag::Diagnostics::new();
         dg.push(diag::Severity::UnrecognizedLine, 3, "mystery knob");
         dg.push(diag::Severity::UndefinedReference, 9, "route-map NOPE");
         dg.push(diag::Severity::ParseError, 12, "garbled");
-        let f = diagnostics_findings("r1", &dg);
+        let f = diagnostics_findings("r1", dg.items());
         assert_eq!(f.len(), 3);
         assert!(f.iter().any(|x| x.check == "unrecognized-line" && x.severity == Severity::Warning));
         assert!(f.iter().any(|x| x.check == "undefined-reference" && x.severity == Severity::Error));

@@ -82,7 +82,7 @@ fn run(args: &flags::Parsed<'_>) -> Result<ExitCode, String> {
     for (name, text) in &net.configs {
         let (device, dg) = parse_device(name, text);
         devices.push(device);
-        diags.push((name.clone(), dg));
+        diags.push((name.clone(), dg.into_items()));
     }
     let gov = batnet_repro::governor(args.num("--deadline-ms"));
     let (mut findings, partial) = run_network_governed(&devices, &diags, &gov).into_parts();

@@ -103,7 +103,7 @@ fn run_artifacts(
     let mut diags = Vec::with_capacity(parsed.len());
     for ((name, _), (device, dg)) in perturbed.iter().zip(parsed) {
         devices.push(device);
-        diags.push((name.clone(), dg));
+        diags.push((name.clone(), dg.into_items()));
     }
     let findings = batnet::lint::run_network(&devices, &diags);
     let lint_json = batnet::lint::output::render_json("N2", &findings);
