@@ -743,7 +743,7 @@ fn ablate_memory() {
     // What each converged structure holds, counted: the heap bytes that
     // dropping it from every device gives back. `best` goes after the
     // RIB-in, so the last references to the interned bundles go with it.
-    for id in ["N2", "N5", "N11"] {
+    for id in ["N2", "N5", "N7", "N11"] {
         let net = (batnet_topogen::suite::find(id).unwrap_or_else(|e| CLI.fail(&e)).build)();
         let devices = net.parse();
         let window = batnet_obs::MemWindow::open();

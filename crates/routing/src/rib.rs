@@ -10,22 +10,30 @@
 //! (§4.1.3): receivers pull a neighbor's delta instead of the neighbor
 //! pushing copies onto per-session queues.
 
-use crate::routes::{MainNextHop, MainRoute};
+use crate::routes::MainRoute;
 use batnet_config::vi::RouteProtocol;
 use batnet_net::{Ip, Prefix};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 /// A device's main RIB.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct MainRib {
-    /// All candidate routes per prefix, kept sorted by
-    /// `(admin_distance, metric, next_hop)` so the best set is the leading
-    /// run and iteration order is deterministic.
+    /// All candidate routes per prefix, kept in [`slot_order`] so the best
+    /// set is the leading run and iteration order is deterministic.
     routes: BTreeMap<Prefix, Vec<MainRoute>>,
 }
 
-fn sort_key(r: &MainRoute) -> (u8, u32, MainNextHop) {
-    (r.admin_distance, r.metric, r.next_hop.clone())
+/// The order within a prefix's slot: `(admin_distance, metric, next_hop,
+/// protocol)`. It is total on the routes of one prefix, so a slot's order
+/// never depends on arrival and an equal route is a duplicate.
+fn slot_order(a: &MainRoute, b: &MainRoute) -> Ordering {
+    (a.admin_distance, a.metric, &a.next_hop, a.protocol).cmp(&(
+        b.admin_distance,
+        b.metric,
+        &b.next_hop,
+        b.protocol,
+    ))
 }
 
 impl MainRib {
@@ -38,20 +46,52 @@ impl MainRib {
     /// *best set* for the prefix changed.
     pub fn offer(&mut self, route: MainRoute) -> bool {
         let slot = self.routes.entry(route.prefix).or_default();
-        if slot.contains(&route) {
+        let Err(pos) = slot.binary_search_by(|r| slot_order(r, &route)) else {
             return false;
-        }
+        };
         let old_best = best_key(slot);
         let new_key = (route.admin_distance, route.metric);
-        let pos = slot
-            .binary_search_by_key(&sort_key(&route), sort_key)
-            .unwrap_or_else(|p| p);
         slot.insert(pos, route);
         // The best set changed iff the new route entered it: its key is at
         // least as good as the previous best (or there was none).
         match old_best {
             None => true,
             Some(k) => new_key <= k,
+        }
+    }
+
+    /// This RIB plus `routes`, built in one pass: equal to offering each
+    /// route in turn, but every slot is allocated at its exact length and
+    /// the map is built from sorted input. `routes` must be sorted by
+    /// prefix and then in slot order, and hold no route this RIB already
+    /// has — as [`crate::ospf::OspfGraph::routes_for`] emits them.
+    pub(crate) fn merged_with(&self, routes: Vec<MainRoute>) -> MainRib {
+        let mut slots: Vec<(Prefix, Vec<MainRoute>)> =
+            Vec::with_capacity(self.routes.len() + routes.len());
+        let mut mine = self.routes.iter().peekable();
+        let mut theirs = routes.into_iter();
+        loop {
+            let prefix = match (mine.peek(), theirs.as_slice().first()) {
+                (None, None) => break,
+                (Some((&p, _)), None) => p,
+                (None, Some(r)) => r.prefix,
+                (Some((&p, _)), Some(r)) => p.min(r.prefix),
+            };
+            let old = mine.next_if(|(&p, _)| p == prefix).map_or(&[][..], |(_, v)| v.as_slice());
+            let added = theirs.as_slice().iter().take_while(|r| r.prefix == prefix).count();
+            let mut slot = Vec::with_capacity(old.len() + added);
+            let mut new = theirs.by_ref().take(added).peekable();
+            for r in old {
+                while let Some(n) = new.next_if(|n| slot_order(n, r).is_lt()) {
+                    slot.push(n);
+                }
+                slot.push(r.clone());
+            }
+            slot.extend(new);
+            slots.push((prefix, slot));
+        }
+        MainRib {
+            routes: slots.into_iter().collect(),
         }
     }
 
@@ -114,6 +154,12 @@ impl MainRib {
     pub fn route_count(&self) -> usize {
         self.routes.values().map(|v| best_run(v).len()).sum()
     }
+
+    /// Allocated but unused candidate places, summed over slots.
+    #[cfg(test)]
+    pub(crate) fn spare_capacity(&self) -> usize {
+        self.routes.values().map(|v| v.capacity() - v.len()).sum()
+    }
 }
 
 fn best_key(slot: &[MainRoute]) -> Option<(u8, u32)> {
@@ -171,6 +217,7 @@ impl<R> RibDelta<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::routes::MainNextHop;
 
     fn route(p: &str, ad: u8, metric: u32, proto: RouteProtocol, nh: &str) -> MainRoute {
         MainRoute {
@@ -211,6 +258,52 @@ mod tests {
         rib.offer(route("10.0.0.0/8", 110, 30, RouteProtocol::Ospf, "1.1.1.3"));
         assert_eq!(rib.best(&p).len(), 2);
         assert_eq!(rib.candidates(&p).len(), 3);
+    }
+
+    #[test]
+    fn a_tie_on_distance_metric_and_next_hop_takes_one_slot_order() {
+        let p: Prefix = "10.0.0.0/8".parse().unwrap();
+        let ibgp = route("10.0.0.0/8", 200, 0, RouteProtocol::Ibgp, "1.1.1.1");
+        let local = route("10.0.0.0/8", 200, 0, RouteProtocol::BgpLocal, "1.1.1.1");
+        let mut forward = MainRib::new();
+        assert!(forward.offer(ibgp.clone()));
+        assert!(forward.offer(local.clone()));
+        let mut backward = MainRib::new();
+        assert!(backward.offer(local.clone()));
+        assert!(backward.offer(ibgp.clone()));
+        assert_eq!(forward, backward);
+        assert_eq!(forward.candidates(&p), [ibgp.clone(), local.clone()]);
+        // Either is a duplicate now.
+        assert!(!forward.offer(local));
+        assert!(!forward.offer(ibgp));
+        assert_eq!(forward.candidates(&p).len(), 2);
+    }
+
+    #[test]
+    fn merging_sorted_routes_equals_offering_them_with_exact_slots() {
+        let mut local = MainRib::new();
+        local.offer(route("10.0.0.0/8", 1, 0, RouteProtocol::Static, "9.9.9.9"));
+        local.offer(route("10.2.0.0/16", 250, 0, RouteProtocol::Static, "9.9.9.9"));
+        local.offer(route("10.9.0.0/16", 1, 0, RouteProtocol::Static, "9.9.9.9"));
+        let ospf = vec![
+            route("10.0.0.0/8", 110, 20, RouteProtocol::Ospf, "1.1.1.1"),
+            route("10.1.0.0/16", 110, 20, RouteProtocol::Ospf, "1.1.1.1"),
+            route("10.1.0.0/16", 110, 20, RouteProtocol::Ospf, "1.1.1.2"),
+            route("10.2.0.0/16", 110, 30, RouteProtocol::Ospf, "1.1.1.1"),
+            route("10.3.0.0/16", 110, 30, RouteProtocol::Ospf, "1.1.1.1"),
+        ];
+        let merged = local.merged_with(ospf.clone());
+        let mut offered = local.clone();
+        for r in ospf {
+            offered.offer(r);
+        }
+        assert_eq!(merged, offered);
+        assert_eq!(merged.prefix_count(), 5);
+        let p: Prefix = "10.2.0.0/16".parse().unwrap();
+        assert_eq!(merged.best(&p)[0].protocol, RouteProtocol::Ospf, "a floating static trails");
+        assert_eq!(merged.spare_capacity(), 0);
+        assert!(offered.spare_capacity() > 0);
+        assert_eq!(local.merged_with(Vec::new()), local);
     }
 
     #[test]
