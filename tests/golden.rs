@@ -8,7 +8,10 @@
 //! run from the repository root prints the bytes of
 //! `lint-bad.lint.json`. A fixed in-test finding list sets every
 //! optional member (`file`/`line`, `witness`, an empty device) and
-//! strings that need escaping. Regenerate with
+//! strings that need escaping. The N2 `acl-attach-peering` seed-3 diff
+//! (the one `harness diff` benches) is too large to commit, so one line
+//! pins its shape and an FNV-1a 64 digest of its JSON bytes instead.
+//! Regenerate with
 //! `cargo test --test golden -- --ignored write_golden` only when a
 //! format intentionally changes (and say so in the change log).
 
@@ -17,6 +20,7 @@ use batnet::config::parse_device;
 use batnet::config::vi::{Device, SourceSpan};
 use batnet::lint::{output, run_network, Finding};
 use batnet::{DiffOptions, Snapshot};
+use batnet_topogen::perturb::{perturb, Scenario};
 use std::path::{Path, PathBuf};
 
 const LINT_BAD: &str = "fixtures/lint-bad";
@@ -81,6 +85,40 @@ fn artifacts() -> Vec<(&'static str, String)> {
     ]
 }
 
+/// FNV-1a 64 of `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+const N2_DIGEST: &str = "n2-acl-attach-peering-3.diff.fnv";
+
+/// The digest line of `batnet-diff --net N2 --scenario acl-attach-peering
+/// --seed 3 --format json`: its layer counts, byte length and FNV-1a 64.
+fn n2_digest_line() -> String {
+    let net = batnet_topogen::suite::n2();
+    let p = perturb(&net, Scenario::AclAttachPeering, 3).expect("a leaf is always eligible");
+    let snapshot = |configs| Snapshot::from_configs(configs).with_env(net.env.clone());
+    let diff = snapshot(net.configs.clone()).diff(&snapshot(p.configs));
+    let json = batnet::diff::render_json(&diff);
+    format!(
+        "structural={} routes={} changed_starts={} bytes={} fnv1a64={:016x}\n",
+        diff.structural.change_count(),
+        diff.routes.change_count(),
+        diff.reach.changed_starts,
+        json.len(),
+        fnv1a64(json.as_bytes()),
+    )
+}
+
+#[test]
+fn n2_perturbation_diff_matches_its_digest() {
+    let want = std::fs::read_to_string(golden_path(N2_DIGEST))
+        .unwrap_or_else(|e| panic!("committed golden file {N2_DIGEST}: {e}"));
+    assert_eq!(n2_digest_line(), want, "the N2 diff JSON drifted");
+}
+
 #[test]
 fn audit_artifacts_match_their_golden_files() {
     for (name, got) in artifacts() {
@@ -97,4 +135,5 @@ fn write_golden() {
     for (name, text) in artifacts() {
         std::fs::write(golden_path(name), text).expect("write golden file");
     }
+    std::fs::write(golden_path(N2_DIGEST), n2_digest_line()).expect("write golden file");
 }
