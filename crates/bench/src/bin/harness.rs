@@ -618,7 +618,7 @@ fn diff_bench(rows: &mut Vec<Row>) {
     let reach_time = layer("diff.reach");
 
     println!(
-        "N2: parse {} | configs {} ({} changes) | routes {} ({} deltas) | reach {} ({}/{} starts, {} changed)",
+        "N2: parse {} | configs {} ({} changes) | routes {} ({} deltas) | reach {} ({}/{} starts, {} walks, {} changed)",
         fmt_dur(parse),
         fmt_dur(configs_time),
         d.structural.change_count(),
@@ -627,6 +627,7 @@ fn diff_bench(rows: &mut Vec<Row>) {
         fmt_dur(reach_time),
         d.reach.starts_compared,
         d.reach.starts_total,
+        d.reach.walks,
         d.reach.changed_starts,
     );
     rows.push(Row::new("diff", "N2", "parse", parse));
@@ -637,6 +638,7 @@ fn diff_bench(rows: &mut Vec<Row>) {
     rows.push(
         Row::new("diff", "N2", "reach", reach_time)
             .with("starts", d.reach.starts_compared)
+            .with("walks", d.reach.walks)
             .with("changed", d.reach.changed_starts),
     );
 }

@@ -309,11 +309,13 @@ impl Snapshot {
 
     /// This snapshot as one side of a differential comparison: the
     /// healthy devices plus the quarantine accounting, in the diff
-    /// crate's facade-independent vocabulary.
+    /// crate's facade-independent vocabulary. It carries no data plane,
+    /// so the diff simulates this side.
     pub fn diff_side(&self) -> batnet_diff::DiffSide<'_> {
         batnet_diff::DiffSide {
             devices: &self.devices,
             env: &self.env,
+            dp: None,
             quarantined: self
                 .quarantined
                 .iter()

@@ -71,8 +71,9 @@ impl<'g> ReachAnalysis<'g> {
         ReachAnalysis { graph }
     }
 
-    /// Applies an edge label in the forward direction.
-    fn apply(bdd: &mut Bdd, label: EdgeLabel, set: NodeId) -> NodeId {
+    /// Applies an edge label in the forward direction: the packets
+    /// `set` becomes on the edge's far side.
+    pub fn apply(bdd: &mut Bdd, label: EdgeLabel, set: NodeId) -> NodeId {
         match label {
             EdgeLabel::Bdd(l) => bdd.and(l, set),
             EdgeLabel::Transform(rule, t) => bdd.transform(set, rule, t),

@@ -33,7 +33,8 @@ pub use routes::{RouteChange, RouteChangeKind, RouteDiff};
 pub use structural::{ChangeKind, StructChange, StructuralDiff};
 
 use batnet_config::vi::Device;
-use batnet_routing::{Environment, SimOptions};
+use batnet_routing::{DataPlane, Environment, SimOptions};
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 /// Tuning knobs for a diff run.
@@ -80,6 +81,10 @@ pub struct DiffSide<'a> {
     pub env: &'a Environment,
     /// Devices excluded from this side.
     pub quarantined: Vec<QuarantinedDevice>,
+    /// A data plane already simulated for `devices` and `env` under the
+    /// diff's `sim` options, or `None` to simulate this side under the
+    /// diff's governor.
+    pub dp: Option<&'a DataPlane>,
 }
 
 /// The full three-layer diff of two snapshots.
@@ -111,11 +116,26 @@ impl SnapshotDiff {
     }
 }
 
+/// A side's data plane: the one it carries, or its simulation under
+/// `gov`.
+fn data_plane<'a>(
+    side: &DiffSide<'a>,
+    opts: &DiffOptions,
+    gov: &batnet_net::governor::ResourceGovernor,
+) -> batnet_net::governor::Outcome<Cow<'a, DataPlane>> {
+    match side.dp {
+        Some(dp) => batnet_net::governor::Outcome::Complete(Cow::Borrowed(dp)),
+        None => batnet_routing::simulate_governed(side.devices, side.env, &opts.sim, gov)
+            .map(Cow::Owned),
+    }
+}
+
 /// The three-layer comparison under a
 /// [`batnet_net::governor::ResourceGovernor`]: structural, then control
-/// plane (simulate both sides, merge-join the RIBs/FIBs), then data
-/// plane — with the equivalence fast path: identical devices and
-/// identical RIBs/FIBs make the graphs equal by construction.
+/// plane (simulate each side that carries no data plane, merge-join the
+/// RIBs/FIBs), then data plane — with the equivalence fast path:
+/// identical devices and identical RIBs/FIBs make the graphs equal by
+/// construction.
 ///
 /// The governor is consulted at the three layer boundaries
 /// (`diff.configs`, `diff.routes`, `diff.reach`) and threaded into the
@@ -153,9 +173,9 @@ pub fn diff_governed(
         return partial(out, &["routes", "reach"], why);
     }
     let span = batnet_obs::Span::enter("diff.routes");
-    let sim_before = batnet_routing::simulate_governed(before.devices, before.env, &opts.sim, gov);
-    let sim_after = batnet_routing::simulate_governed(after.devices, after.env, &opts.sim, gov);
-    let (dp_before, dp_after) = (sim_before.value(), sim_after.value());
+    let sim_before = data_plane(before, opts, gov);
+    let sim_after = data_plane(after, opts, gov);
+    let (dp_before, dp_after): (&DataPlane, &DataPlane) = (sim_before.value(), sim_after.value());
     out.routes = routes::diff_routes(dp_before, dp_after);
     batnet_obs::counter_add("diff.routes.changes", out.routes.change_count() as u64);
     span.close();

@@ -6,8 +6,9 @@
 //! they still count as changed devices so the data-plane layer explores
 //! flows toward them.
 
-use batnet_routing::{DataPlane, FibAction, FibEntry, MainRoute};
 use batnet_net::Prefix;
+use batnet_routing::{DataPlane, Fib, FibAction, FibEntry, MainRib, MainRoute};
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -104,54 +105,43 @@ fn render_fib(e: &FibEntry) -> String {
     format!("{action} [{}]", e.protocol)
 }
 
-/// Merge-joins two prefix-keyed rendered maps into changes.
-fn diff_prefix_maps(
+/// Merge-joins two prefix-sorted runs into changes, rendering only the
+/// entries that are added, withdrawn or changed. Both renderers print
+/// every field, so comparing the values is comparing their renderings.
+fn diff_sorted<'x, T: PartialEq + ?Sized + 'x>(
     device: &str,
     layer: &'static str,
-    before: &BTreeMap<Prefix, String>,
-    after: &BTreeMap<Prefix, String>,
+    before: impl Iterator<Item = (Prefix, &'x T)>,
+    after: impl Iterator<Item = (Prefix, &'x T)>,
+    render: impl Fn(&T) -> String,
     out: &mut Vec<RouteChange>,
 ) -> usize {
+    let (mut before, mut after) = (before.peekable(), after.peekable());
     let mut n = 0;
-    for (p, vb) in before {
-        match after.get(p) {
-            None => {
-                n += 1;
-                out.push(RouteChange {
-                    device: device.to_string(),
-                    layer,
-                    prefix: *p,
-                    kind: RouteChangeKind::Withdrawn,
-                    before: Some(vb.clone()),
-                    after: None,
-                });
-            }
-            Some(va) if va != vb => {
-                n += 1;
-                out.push(RouteChange {
-                    device: device.to_string(),
-                    layer,
-                    prefix: *p,
-                    kind: RouteChangeKind::Changed,
-                    before: Some(vb.clone()),
-                    after: Some(va.clone()),
-                });
-            }
-            Some(_) => {}
-        }
-    }
-    for (p, va) in after {
-        if !before.contains_key(p) {
-            n += 1;
-            out.push(RouteChange {
-                device: device.to_string(),
-                layer,
-                prefix: *p,
-                kind: RouteChangeKind::Added,
-                before: None,
-                after: Some(va.clone()),
-            });
-        }
+    loop {
+        let (prefix, order) = match (before.peek().map(|e| e.0), after.peek().map(|e| e.0)) {
+            (None, None) => break,
+            (Some(pb), None) => (pb, Ordering::Less),
+            (None, Some(pa)) => (pa, Ordering::Greater),
+            (Some(pb), Some(pa)) => (pb.min(pa), pb.cmp(&pa)),
+        };
+        let vb = if order.is_le() { before.next().map(|e| e.1) } else { None };
+        let va = if order.is_ge() { after.next().map(|e| e.1) } else { None };
+        let kind = match (vb, va) {
+            (Some(b), Some(a)) if b == a => continue,
+            (Some(_), Some(_)) => RouteChangeKind::Changed,
+            (Some(_), None) => RouteChangeKind::Withdrawn,
+            _ => RouteChangeKind::Added,
+        };
+        n += 1;
+        out.push(RouteChange {
+            device: device.to_string(),
+            layer,
+            prefix,
+            kind,
+            before: vb.map(&render),
+            after: va.map(&render),
+        });
     }
     n
 }
@@ -162,7 +152,7 @@ const MAX_ROUTE_CHANGES: usize = 200;
 /// Diffs two data planes device by device. [`MAX_ROUTE_CHANGES`] caps
 /// the *detailed* change list; totals and the changed-device set are
 /// always complete.
-pub fn diff_routes(before: &DataPlane, after: &DataPlane) -> RouteDiff {
+pub fn diff_routes<'a>(before: &'a DataPlane, after: &'a DataPlane) -> RouteDiff {
     let b: BTreeMap<&str, usize> = before
         .devices
         .iter()
@@ -185,17 +175,19 @@ pub fn diff_routes(before: &DataPlane, after: &DataPlane) -> RouteDiff {
         let db = &before.devices[ib];
         let da = &after.devices[ia];
         // RIB layer: the best-route run per prefix.
-        let rib_b: BTreeMap<Prefix, String> =
-            db.main_rib.iter_best().map(|(p, rs)| (*p, render_rib(rs))).collect();
-        let rib_a: BTreeMap<Prefix, String> =
-            da.main_rib.iter_best().map(|(p, rs)| (*p, render_rib(rs))).collect();
-        let rib_n = diff_prefix_maps(name, "rib", &rib_b, &rib_a, &mut detailed);
-        // FIB layer: one rendered action per prefix.
-        let fib_b: BTreeMap<Prefix, String> =
-            db.fib.entries().iter().map(|e| (e.prefix, render_fib(e))).collect();
-        let fib_a: BTreeMap<Prefix, String> =
-            da.fib.entries().iter().map(|e| (e.prefix, render_fib(e))).collect();
-        let fib_n = diff_prefix_maps(name, "fib", &fib_b, &fib_a, &mut detailed);
+        let best = |rib: &'a MainRib| rib.iter_best().map(|(p, rs)| (*p, rs));
+        let rib_n = diff_sorted(
+            name,
+            "rib",
+            best(&db.main_rib),
+            best(&da.main_rib),
+            render_rib,
+            &mut detailed,
+        );
+        // FIB layer: one action per prefix.
+        let entries = |fib: &'a Fib| fib.entries().iter().map(|e| (e.prefix, e));
+        let fib_n =
+            diff_sorted(name, "fib", entries(&db.fib), entries(&da.fib), render_fib, &mut detailed);
         diff.total_rib_changes += rib_n;
         diff.total_fib_changes += fib_n;
         if rib_n + fib_n > 0 {
@@ -258,5 +250,29 @@ mod tests {
         let rev = diff_routes(&after, &before);
         assert_eq!(rev.change_count(), fwd.change_count());
         assert!(rev.changes.iter().all(|c| c.kind == RouteChangeKind::Added));
+    }
+
+    #[test]
+    fn next_hop_change_is_changed_and_new_prefix_is_added() {
+        let base = "hostname r1\ninterface e0\n ip address 10.0.0.1/24\n";
+        let before = dp(&[("r1", &format!("{base}ip route 10.9.0.0/24 10.0.0.2\n"))]);
+        let after = dp(&[(
+            "r1",
+            &format!("{base}ip route 10.9.0.0/24 10.0.0.3\nip route 10.8.0.0/24 10.0.0.2\n"),
+        )]);
+        let d = diff_routes(&before, &after);
+        let got: Vec<(&str, String, RouteChangeKind)> =
+            d.changes.iter().map(|c| (c.layer, c.prefix.to_string(), c.kind)).collect();
+        let want = |layer| {
+            [
+                (layer, "10.8.0.0/24".to_string(), RouteChangeKind::Added),
+                (layer, "10.9.0.0/24".to_string(), RouteChangeKind::Changed),
+            ]
+        };
+        assert_eq!(got, [want("fib"), want("rib")].concat());
+        let changed = &d.changes[1];
+        assert_eq!(changed.before.as_deref(), Some("via 10.0.0.2 (e0) [static]"));
+        assert_eq!(changed.after.as_deref(), Some("via 10.0.0.3 (e0) [static]"));
+        assert_eq!((d.total_rib_changes, d.total_fib_changes), (2, 2));
     }
 }

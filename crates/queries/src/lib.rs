@@ -28,5 +28,6 @@ pub use examples::{pick_flow, Preferences};
 pub use scope::{host_facing_interfaces, scoped_sources, HostIface};
 pub use service::{
     QueryContext,
-    service_blocked, service_reachable, waypoint_enforced, QueryReport, ServiceSpec, Violation,
+    service_blocked, service_reachable, service_sinks, waypoint_enforced, QueryReport,
+    ServiceSpec, Violation,
 };

@@ -11,6 +11,7 @@ use batnet_dataplane::{ForwardingGraph, NodeKind, PacketVars, ReachAnalysis};
 use batnet_net::{Flow, IpProtocol, Prefix};
 use batnet_routing::DataPlane;
 use batnet_traceroute::{StartLocation, Tracer};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// The service being checked.
@@ -126,29 +127,6 @@ impl QueryContext<'_> {
         self.bdd.and(traffic, scoped)
     }
 
-    /// Success sinks that deliver into the service prefix.
-    pub fn service_sinks(&self, service: &ServiceSpec) -> Vec<usize> {
-        self.graph.nodes_where(|k| match k {
-            NodeKind::DeliveredToSubnet(d, i) => self
-                .devices
-                .iter()
-                .find(|dev| dev.name == *d)
-                .and_then(|dev| dev.interfaces.get(i))
-                .and_then(|iface| iface.connected_prefix())
-                .is_some_and(|p| p.overlaps(&service.prefix)),
-            NodeKind::Accept(d) => self
-                .devices
-                .iter()
-                .find(|dev| dev.name == *d)
-                .is_some_and(|dev| {
-                    dev.active_interfaces()
-                        .filter_map(|i| i.ip())
-                        .any(|ip| service.prefix.contains(ip))
-                }),
-            _ => false,
-        })
-    }
-
     fn annotate(&self, start: &HostIface, flow: &Flow) -> String {
         let tracer = Tracer::new(self.devices, self.dp, self.topo);
         let trace = tracer.trace(
@@ -159,12 +137,40 @@ impl QueryContext<'_> {
     }
 }
 
+/// The success sinks of `graph` that deliver into the service prefix:
+/// subnet delivery on an interface whose subnet overlaps it, and
+/// acceptance by a device that owns an address in it. Needs no BDD work,
+/// so a caller that shares the manager can compute it before locking.
+pub fn service_sinks(
+    graph: &ForwardingGraph,
+    devices: &[Device],
+    service: &ServiceSpec,
+) -> Vec<usize> {
+    let mut by_name: BTreeMap<&str, &Device> = BTreeMap::new();
+    for d in devices {
+        by_name.entry(d.name.as_str()).or_insert(d);
+    }
+    graph.nodes_where(|k| match k {
+        NodeKind::DeliveredToSubnet(d, i) => by_name
+            .get(d.as_str())
+            .and_then(|dev| dev.interfaces.get(i))
+            .and_then(|iface| iface.connected_prefix())
+            .is_some_and(|p| p.overlaps(&service.prefix)),
+        NodeKind::Accept(d) => by_name.get(d.as_str()).is_some_and(|dev| {
+            dev.active_interfaces()
+                .filter_map(|i| i.ip())
+                .any(|ip| service.prefix.contains(ip))
+        }),
+        _ => false,
+    })
+}
+
 /// "Clients should reach the service": from every (non-external)
 /// host-facing interface, *all* scoped service traffic must arrive.
 /// Violations report the packets that do not.
 pub fn service_reachable(ctx: &mut QueryContext<'_>, service: &ServiceSpec) -> QueryReport {
     let traffic = ctx.service_traffic(service);
-    let sinks = ctx.service_sinks(service);
+    let sinks = service_sinks(ctx.graph, ctx.devices, service);
     let starts: Vec<HostIface> = host_facing_interfaces(ctx.devices, ctx.topo)
         .into_iter()
         .filter(|h| !h.external && !h.subnet.overlaps(&service.prefix))
@@ -220,7 +226,7 @@ pub fn service_blocked(
     from_external_only: bool,
 ) -> QueryReport {
     let traffic = ctx.service_traffic(service);
-    let sinks = ctx.service_sinks(service);
+    let sinks = service_sinks(ctx.graph, ctx.devices, service);
     let starts: Vec<HostIface> = host_facing_interfaces(ctx.devices, ctx.topo)
         .into_iter()
         .filter(|h| (!from_external_only || h.external) && !h.subnet.overlaps(&service.prefix))
@@ -297,7 +303,7 @@ pub fn waypoint_enforced(
     service: &ServiceSpec,
 ) -> QueryReport {
     let traffic = ctx.service_traffic(service);
-    let sinks = ctx.service_sinks(service);
+    let sinks = service_sinks(ctx.graph, ctx.devices, service);
     let starts: Vec<HostIface> = host_facing_interfaces(ctx.devices, ctx.topo)
         .into_iter()
         .filter(|h| !h.subnet.overlaps(&service.prefix))

@@ -25,7 +25,7 @@ use batnet_net::{Flow, Prefix};
 use batnet_obs::json::{self, Writer};
 use batnet_obs::metrics::MetricValue;
 use batnet_obs::report;
-use batnet_queries::{host_facing_interfaces, QueryContext, ServiceSpec};
+use batnet_queries::{service_sinks, HostIface, QueryContext, ServiceSpec};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -304,6 +304,23 @@ fn query_reach(req: &Request, _: &str, ctx: &DispatchCtx) -> Reply {
     let port: u16 = (req.param("port").unwrap_or("80").parse())
         .map_err(|e| Response::error(400, &format!("bad port: {e}")))?;
     let service = ServiceSpec::tcp(prefix, port);
+    // Everything that needs no BDD work happens before the lock: the
+    // start node of every internal host-facing interface, and the sinks.
+    // Serve's sink rule is narrower than the query library's: delivery
+    // into the service subnet only, not acceptance by a device that owns
+    // an address in it.
+    let starts: Vec<(&HostIface, usize)> = s
+        .host_facing
+        .iter()
+        .filter(|h| !h.external)
+        .filter_map(|h| {
+            let kind = NodeKind::IfaceSrc(h.device.clone(), h.interface.clone());
+            s.graph.node(&kind).map(|node| (h, node))
+        })
+        .collect();
+    let mut sinks = service_sinks(&s.graph, &s.devices, &service);
+    sinks.retain(|&n| matches!(s.graph.nodes[n], NodeKind::DeliveredToSubnet(..)));
+
     // The one lock a query takes. Poisoning cannot happen (a handler
     // panic is caught above the guard's frame), but recover anyway. The
     // wait is a span of its own, so a request queued behind another
@@ -320,24 +337,15 @@ fn query_reach(req: &Request, _: &str, ctx: &DispatchCtx) -> Reply {
         graph: &s.graph,
     };
 
-    // Seed every internal host-facing interface with its scoped sources.
+    // Seed every start with its scoped sources.
     let traffic = q.service_traffic(&service);
     let mut seeds = Vec::new();
-    for h in host_facing_interfaces(q.devices, q.topo).iter().filter(|h| !h.external) {
-        let kind = NodeKind::IfaceSrc(h.device.clone(), h.interface.clone());
-        let Some(node) = q.graph.node(&kind) else {
-            continue;
-        };
+    for (h, node) in starts {
         let seed = q.seed(h, traffic);
         if seed != batnet::bdd::NodeId::FALSE {
             seeds.push((node, seed));
         }
     }
-    // Serve's sink rule is narrower than the query library's: delivery
-    // into the service subnet only, not acceptance by a device that owns
-    // an address in it.
-    let mut sinks = q.service_sinks(&service);
-    sinks.retain(|&n| matches!(q.graph.nodes[n], NodeKind::DeliveredToSubnet(..)));
 
     let (result, partial) = ReachAnalysis::new(q.graph)
         .forward_governed(q.bdd, &seeds, &gov)
@@ -423,7 +431,9 @@ fn lint(req: &Request, _: &str, ctx: &DispatchCtx) -> Reply {
 }
 
 /// `GET /diff?snapshot=A&against=B`: three-layer differential analysis
-/// between two stored snapshots, governed at the layer boundaries.
+/// between two stored snapshots, governed at the layer boundaries. A side
+/// whose stored analysis is whole lends the diff its data plane
+/// ([`StoredSnapshot::diff_side`]).
 fn diff(req: &Request, _: &str, ctx: &DispatchCtx) -> Reply {
     let gov = request_governor(req, &ctx.cfg)?;
     let (Some(a_name), Some(b_name)) = (req.param("snapshot"), req.param("against")) else {
@@ -433,8 +443,8 @@ fn diff(req: &Request, _: &str, ctx: &DispatchCtx) -> Reply {
         return Err(Response::error(404, "unknown snapshot in snapshot/against"));
     };
     let (d, partial) = batnet_diff::diff_governed(
-        &a.snapshot.diff_side(),
-        &b.snapshot.diff_side(),
+        &a.diff_side(),
+        &b.diff_side(),
         &batnet::DiffOptions::default(),
         &gov,
     )

@@ -19,7 +19,9 @@ use batnet::{Analysis, Error, Exhaustion, ResourceGovernor, Snapshot};
 use batnet_config::vi::Device;
 use batnet_config::Topology;
 use batnet_dataplane::{ForwardingGraph, PacketVars};
+use batnet_diff::DiffSide;
 use batnet_obs::RunReport;
+use batnet_queries::{host_facing_interfaces, HostIface};
 use batnet_routing::{DataPlane, SimOptions};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -45,6 +47,9 @@ pub struct StoredSnapshot {
     pub vars: PacketVars,
     /// The dataflow graph.
     pub graph: ForwardingGraph,
+    /// The host-facing interfaces of `devices`, found once at upload:
+    /// `/query/reach` seeds its starts from them.
+    pub host_facing: Vec<HostIface>,
     /// The upload's run report, served at `GET /report`.
     pub report: RunReport,
     /// Abandoned work and the limit that tripped, when the upload's
@@ -52,6 +57,21 @@ pub struct StoredSnapshot {
     pub partial: Option<(Vec<String>, Exhaustion)>,
     /// Monotone upload sequence number (eviction order).
     pub seq: u64,
+}
+
+impl StoredSnapshot {
+    /// This snapshot as one side of a diff. An analysis that completed
+    /// and kept every parse-healthy device holds the data plane the diff
+    /// would simulate (uploads and diffs both use `SimOptions::default()`),
+    /// so the diff reuses it; otherwise the diff simulates this side.
+    pub fn diff_side(&self) -> DiffSide<'_> {
+        let mut side = self.snapshot.diff_side();
+        if self.partial.is_none() && self.devices.len() == self.snapshot.devices.len() {
+            side.devices = &self.devices;
+            side.dp = Some(&self.dp);
+        }
+        side
+    }
 }
 
 /// The shared store: name → immutable snapshot, bounded.
@@ -100,10 +120,12 @@ impl SnapshotStore {
             report,
             quarantined: _,
         } = analysis;
+        let host_facing = host_facing_interfaces(&devices, &topo);
         let stored = Arc::new(StoredSnapshot {
             name: name.to_string(),
             snapshot,
             devices,
+            host_facing,
             topo,
             dp,
             bdd: Mutex::new(bdd),
@@ -187,6 +209,21 @@ pub(crate) mod tests {
         assert_eq!(list[0].name, "a");
         assert_eq!(list[0].devices.len(), 2);
         assert!(store.get("missing").is_none());
+    }
+
+    #[test]
+    fn diff_side_reuses_only_a_whole_analysis() {
+        let store = SnapshotStore::new(4);
+        let whole = store
+            .insert("a", two_router_configs(), &ResourceGovernor::unlimited())
+            .expect("insert");
+        assert!(whole.diff_side().dp.is_some());
+        let tripped = ResourceGovernor::with_deadline(std::time::Duration::ZERO);
+        let partial = store
+            .insert("b", two_router_configs(), &tripped)
+            .expect("insert");
+        assert!(partial.partial.is_some());
+        assert!(partial.diff_side().dp.is_none());
     }
 
     #[test]
