@@ -1,8 +1,7 @@
 //! The BDD manager: node arena, hash-consing, and the apply/ITE core.
 
 use batnet_net::governor::{Exhaustion, ResourceGovernor};
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use batnet_net::hash::{fx_add, FxMap};
 
 /// A reference to a BDD node within one [`Bdd`] manager.
 ///
@@ -38,46 +37,11 @@ const _: () = assert!(std::mem::size_of::<Node>() == 12);
 /// min-var recursion in apply never descends into a terminal.
 const TERMINAL_VAR: u32 = u32::MAX;
 
-/// A fast, deterministic hasher (FxHash-style multiply-xor). BDD workloads
-/// are hash-table bound; SipHash's DoS resistance buys nothing here because
-/// all keys are internally generated.
-#[derive(Default)]
-pub(crate) struct FxHasher {
-    hash: u64,
-}
-
-const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-impl Hasher for FxHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(b as u64);
-        }
-    }
-    fn write_u32(&mut self, v: u32) {
-        self.write_u64(v as u64);
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ v).wrapping_mul(SEED);
-    }
-    fn write_usize(&mut self, v: usize) {
-        self.write_u64(v as u64);
-    }
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-}
-
-pub(crate) type FxBuild = BuildHasherDefault<FxHasher>;
-pub(crate) type FxMap<K, V> = HashMap<K, V, FxBuild>;
-
-/// The same multiply-xor mix over three words, for the two tables the
+/// The workspace hasher's mix over three words, for the two tables the
 /// manager owns. The upper half of the product is the well-mixed one.
 #[inline]
 fn hash3(a: u32, b: u32, c: u32) -> usize {
-    let h = (u64::from(a).rotate_left(5) ^ u64::from(b)).wrapping_mul(SEED);
-    let h = (h.rotate_left(5) ^ u64::from(c)).wrapping_mul(SEED);
-    (h >> 32) as usize
+    (fx_add(fx_add(u64::from(a), u64::from(b)), u64::from(c)) >> 32) as usize
 }
 
 /// Binary operations computed by `apply`.

@@ -7,7 +7,8 @@
 //! the intersection stays non-empty, and a concrete cube is read off the
 //! result.
 
-use crate::manager::{Bdd, FxMap, NodeId};
+use crate::manager::{Bdd, NodeId};
+use batnet_net::hash::FxMap;
 
 /// A (partial) satisfying assignment: `Some(bit)` for constrained
 /// variables, `None` for don't-cares. Indexed by variable number.

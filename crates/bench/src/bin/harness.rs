@@ -257,7 +257,9 @@ fn measure_pipeline(
     let world = build_world(net);
     let (mut bdd, vars, graph, graph_time) = build_graph(&world, 0);
     let (dest_time, dest_n) = dest_reachability(&mut bdd, &vars, &graph, 3);
-    let (mp_time, mp_n, _) = multipath_consistency(&mut bdd, &graph, 8);
+    let starts = spread_starts(&graph, 8);
+    let (mp_time, _) = multipath_consistency(&mut bdd, &graph, &starts);
+    let mp_n = starts.len();
     let total = span.close();
     let m = PipelineMeasure {
         nodes: world.net.node_count(),
@@ -367,37 +369,55 @@ fn fig3(rows: &mut Vec<Row>) {
     let (mut bdd, _vars, graph, graph_time) = build_graph(&world, 0);
     println!("dataflow graph build (BDD):      {}", fmt_dur(graph_time));
     rows.push(Row::new("fig3", "NET1", "graph", graph_time));
-    let (bdd_time, starts, bdd_viol) = multipath_consistency(&mut bdd, &graph, 24);
+    // One set of 24 (device, interface) starts for both engines.
+    let starts = spread_starts(&graph, 24);
+    let names: Vec<(String, String)> = starts
+        .iter()
+        .map(|&n| match &graph.nodes[n] {
+            NodeKind::IfaceSrc(d, i) => (d.clone(), i.clone()),
+            other => unreachable!("spread_starts picked {other:?}"),
+        })
+        .collect();
+    let (bdd_time, bdd_viol) = multipath_consistency(&mut bdd, &graph, &starts);
     println!(
-        "verification (BDD engine):       {}  ({starts} starts, {bdd_viol} inconsistent)",
-        fmt_dur(bdd_time)
+        "verification (BDD engine):       {}  ({} starts, {bdd_viol} inconsistent)",
+        fmt_dur(bdd_time),
+        starts.len()
     );
     rows.push(
         Row::new("fig3", "NET1", "multipath", bdd_time)
             .with("engine", "bdd")
-            .with("queries", starts),
+            .with("queries", starts.len()),
     );
     let outer = batnet_obs::Span::enter("multipath-cubes");
     let span = batnet_obs::Span::enter("cube-build");
     let cube_net = CubeNetwork::build(&world.devices, &world.dp, &world.topo);
     let cube_build = span.close();
     let ingresses = cube_net.ingresses();
-    let step = (ingresses.len() / 24).max(1);
+    for start in &names {
+        assert!(
+            ingresses.contains(start),
+            "the cube engine has no ingress {start:?}"
+        );
+    }
     let span = batnet_obs::Span::enter("cube-query");
     let mut cube_viol = 0;
-    let mut cube_starts = 0;
-    for (d, i) in ingresses.iter().step_by(step).take(24) {
-        cube_starts += 1;
+    for (d, i) in &names {
         if !cube_net.multipath_inconsistency(d, i).is_empty() {
             cube_viol += 1;
         }
     }
     let cube_time = span.close();
     drop(outer);
+    let cube_starts = names.len();
     println!(
         "verification (cube engine):      {}  (+{} build; {cube_starts} starts, {cube_viol} inconsistent)",
         fmt_dur(cube_time),
         fmt_dur(cube_build)
+    );
+    assert_eq!(
+        bdd_viol, cube_viol,
+        "the BDD and cube engines disagree on the same starts"
     );
     println!(
         "  -> verification speedup:       {}  (paper: ~12x)",

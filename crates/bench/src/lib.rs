@@ -132,28 +132,34 @@ pub fn dest_reachability(
     (dt, chosen.len())
 }
 
-/// Multipath-consistency measurement over up to `max_starts` interface
-/// sources (the §6.1 verification benchmark query).
+/// Up to `max_starts` interface sources spread evenly over the graph's
+/// `IfaceSrc` nodes, in node order.
+pub fn spread_starts(graph: &ForwardingGraph, max_starts: usize) -> Vec<usize> {
+    let sources = graph.nodes_where(|k| matches!(k, NodeKind::IfaceSrc(_, _)));
+    let step = (sources.len() / max_starts.max(1)).max(1);
+    sources.into_iter().step_by(step).take(max_starts).collect()
+}
+
+/// Multipath-consistency measurement from the interface sources `starts`
+/// (the §6.1 verification benchmark query). Returns the time and how many
+/// starts are inconsistent.
 pub fn multipath_consistency(
     bdd: &mut Bdd,
     graph: &ForwardingGraph,
-    max_starts: usize,
-) -> (Duration, usize, usize) {
-    let sources = graph.nodes_where(|k| matches!(k, NodeKind::IfaceSrc(_, _)));
-    let step = (sources.len() / max_starts.max(1)).max(1);
-    let chosen: Vec<usize> = sources.iter().copied().step_by(step).take(max_starts).collect();
+    starts: &[usize],
+) -> (Duration, usize) {
     let analysis = ReachAnalysis::new(graph);
     let mut violations = 0usize;
     let mut shard_stats = ShardStats::default();
     let dt = mem_stage("multipath", || {
         let span = Span::enter("multipath");
-        let (verdicts, stats) = analysis.multipath_sharded(bdd, &chosen);
+        let (verdicts, stats) = analysis.multipath_sharded(bdd, starts);
         violations = verdicts.iter().filter(|(_, bad)| *bad).count();
         shard_stats = stats;
         span.close()
     });
     bdd_shard_gauges("multipath", &shard_stats);
-    (dt, chosen.len(), violations)
+    (dt, violations)
 }
 
 /// Pretty-prints a duration for tables.

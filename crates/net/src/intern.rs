@@ -16,12 +16,12 @@
 //! ablation experiment reports: total requests vs. unique values, and an
 //! estimate of bytes saved.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use crate::hash::{FxBuild, FxMap};
+use std::collections::hash_map::Entry;
 use std::fmt;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash, Hasher};
 use std::ops::Deref;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 
 /// A handle to an interned value. Clone is an `Arc` bump; `Eq`/`Hash`/`Ord`
 /// consider two handles from the *same pool* equal iff they point at the
@@ -123,12 +123,16 @@ impl InternStats {
 
 /// A thread-safe deduplicating pool.
 ///
-/// The pool is [`SHARDS`] `Mutex<HashMap>`s and a value lives in the one
-/// its hash picks, so equal values still meet in one map. One lock was
-/// not enough: the BGP sweep interns every exported and imported
-/// route from each map thread at once (≈1.2 M routes on N11), and with
-/// two threads on two cores a single lock left one of them queued often
-/// enough to cancel the second core.
+/// The pool is [`SHARDS`] `Mutex`-guarded maps and a value lives in the
+/// one its hash picks, so equal values still meet in one map. One lock was
+/// not enough: the BGP sweep interns every imported route from each map
+/// thread at once, and with two threads on two cores a single lock left
+/// one of them queued often enough to cancel the second core.
+///
+/// A value is hashed once, with the workspace's [`FxHasher`](crate::hash::FxHasher):
+/// the hash's upper half picks the shard and the whole hash keys the
+/// shard's map. Two distinct values with one 64-bit hash are possible, so
+/// the map holds the first and a short list holds the rest.
 pub struct Interner<T: Eq + Hash> {
     shards: Vec<Mutex<PoolInner<T>>>,
 }
@@ -137,7 +141,9 @@ pub struct Interner<T: Eq + Hash> {
 const SHARDS: usize = 16;
 
 struct PoolInner<T> {
-    map: HashMap<Arc<T>, ()>,
+    map: FxMap<u64, Arc<T>>,
+    /// Values whose hash the map already holds for a different value.
+    collided: Vec<(u64, Arc<T>)>,
     stats: InternStats,
 }
 
@@ -152,7 +158,8 @@ impl<T: Eq + Hash> Interner<T> {
     pub fn new() -> Interner<T> {
         let shard = || {
             Mutex::new(PoolInner {
-                map: HashMap::new(),
+                map: FxMap::default(),
+                collided: Vec::new(),
                 stats: InternStats::default(),
             })
         };
@@ -161,25 +168,30 @@ impl<T: Eq + Hash> Interner<T> {
         }
     }
 
-    /// The shard `value` lives in, chosen before any lock is taken.
-    fn shard(&self, value: &T) -> MutexGuard<'_, PoolInner<T>> {
-        let mut hasher = DefaultHasher::new();
-        value.hash(&mut hasher);
-        self.shards[hasher.finish() as usize % SHARDS]
-            .lock()
-            .expect("interner poisoned")
-    }
-
     /// Returns the canonical handle for `value`, inserting it on first
     /// sight.
     pub fn intern(&self, value: T) -> Interned<T> {
-        let mut pool = self.shard(&value);
+        let hash = FxBuild::default().hash_one(&value);
+        let mut pool = self.shards[(hash >> 32) as usize % SHARDS]
+            .lock()
+            .expect("interner poisoned");
         pool.stats.requests += 1;
-        if let Some((existing, ())) = pool.map.get_key_value(&value) {
-            return Interned(Arc::clone(existing));
-        }
-        let arc = Arc::new(value);
-        pool.map.insert(Arc::clone(&arc), ());
+        let pool = &mut *pool;
+        let arc = match pool.map.entry(hash) {
+            Entry::Occupied(held) if **held.get() == value => {
+                return Interned(Arc::clone(held.get()))
+            }
+            Entry::Occupied(_) => {
+                let same = |(h, held): &&(u64, Arc<T>)| *h == hash && **held == value;
+                if let Some((_, held)) = pool.collided.iter().find(same) {
+                    return Interned(Arc::clone(held));
+                }
+                let arc = Arc::new(value);
+                pool.collided.push((hash, Arc::clone(&arc)));
+                arc
+            }
+            Entry::Vacant(slot) => Arc::clone(slot.insert(Arc::new(value))),
+        };
         pool.stats.unique += 1;
         Interned(arc)
     }
@@ -197,7 +209,10 @@ impl<T: Eq + Hash> Interner<T> {
 
     /// Number of distinct values currently stored.
     pub fn len(&self) -> usize {
-        let len = |shard: &Mutex<PoolInner<T>>| shard.lock().expect("interner poisoned").map.len();
+        let len = |shard: &Mutex<PoolInner<T>>| {
+            let pool = shard.lock().expect("interner poisoned");
+            pool.map.len() + pool.collided.len()
+        };
         self.shards.iter().map(len).sum()
     }
 
@@ -226,6 +241,37 @@ mod tests {
         assert_eq!(stats.requests, 3);
         assert_eq!(stats.unique, 2);
         assert!((stats.sharing_factor() - 1.5).abs() < 1e-9);
+    }
+
+    /// Distinct values that all hash alike.
+    #[derive(PartialEq, Eq, Debug)]
+    struct Collides(u32);
+
+    impl Hash for Collides {
+        fn hash<H: Hasher>(&self, state: &mut H) {
+            state.write_u32(7);
+        }
+    }
+
+    #[test]
+    fn equal_hashes_of_distinct_values_stay_distinct() {
+        let pool: Interner<Collides> = Interner::new();
+        let one = pool.intern(Collides(1));
+        let two = pool.intern(Collides(2));
+        let three = pool.intern(Collides(3));
+        assert_ne!(one, two);
+        assert_ne!(two, three);
+        assert_eq!(pool.intern(Collides(1)), one);
+        assert_eq!(pool.intern(Collides(3)), three);
+        assert_eq!(*pool.intern(Collides(2)), Collides(2));
+        assert_eq!(pool.len(), 3);
+        assert_eq!(
+            pool.stats(),
+            InternStats {
+                requests: 6,
+                unique: 3
+            }
+        );
     }
 
     #[test]

@@ -43,9 +43,7 @@
 
 use crate::rib::{MainRib, RibDelta};
 use crate::routes::{BgpRoute, MainNextHop, PathAttrs, PeerKey};
-use batnet_config::vi::{
-    Device, PolicyResult, RouteAttrs, RouteProtocol,
-};
+use batnet_config::vi::{BgpNeighbor, Device, PolicyResult, RouteAttrs, RouteProtocol};
 use batnet_net::{Asn, Flow, Interner, Ip, Prefix};
 use std::collections::BTreeMap;
 
@@ -341,18 +339,48 @@ pub fn export_route(
     }
     if session_is_ebgp {
         attrs.as_path = attrs.as_path.prepend(sender_asn, 1);
-        attrs.next_hop = session_local_ip;
         // Local preference is not transitive across AS boundaries.
         attrs.local_pref = 100;
-    } else {
-        if nb.next_hop_self || attrs.next_hop == Ip::ZERO {
-            attrs.next_hop = session_local_ip;
-        }
     }
+    attrs.next_hop = export_next_hop(nb, session_is_ebgp, session_local_ip, attrs.next_hop);
     if !nb.send_community {
         attrs.communities.clear();
     }
     Some(attrs)
+}
+
+/// The next hop a sender advertises over a session whose neighbor entry
+/// is `nb`, for a route whose (post-policy) next hop is `next_hop`: its
+/// own session address over eBGP, with `next-hop-self`, or for a locally
+/// originated route; otherwise the route's own next hop.
+pub(crate) fn export_next_hop(
+    nb: &BgpNeighbor,
+    session_is_ebgp: bool,
+    session_local_ip: Ip,
+    next_hop: Ip,
+) -> Ip {
+    if session_is_ebgp || nb.next_hop_self || next_hop == Ip::ZERO {
+        session_local_ip
+    } else {
+        next_hop
+    }
+}
+
+/// The sender's neighbor entry of a session on which neither the
+/// sender's export side nor the receiver's import side names a route map
+/// (defined or not), or `None`. Only route maps read a route's prefix and
+/// next hop, so on such a session the bundle import interns depends on
+/// nothing but the sent bundle, the sender's AS, eBGP or not and the
+/// entry's `send_community`; the receiver's AS is fixed per pull.
+pub(crate) fn unmapped_sender<'a>(
+    sender: &'a Device,
+    sender_nidx: usize,
+    receiver: &Device,
+    receiver_nidx: usize,
+) -> Option<&'a BgpNeighbor> {
+    let out = &sender.bgp.as_ref()?.neighbors[sender_nidx];
+    let inbound = &receiver.bgp.as_ref()?.neighbors[receiver_nidx];
+    (out.export_policy.is_none() && inbound.import_policy.is_none()).then_some(out)
 }
 
 /// The receiver-side import transform. Returns the route ready for the
@@ -415,7 +443,7 @@ pub fn resolve_igp_cost(rib: &MainRib, next_hop: Ip) -> Option<u32> {
 
 /// A change to a node's adj-RIB-in computed during the parallel phase of
 /// a sweep. An upsert is keyed by its route's own prefix and `from`.
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Eq, Debug)]
 pub enum RibInUpdate {
     /// Install this route as its sender's route for its prefix.
     Upsert(BgpRoute),
@@ -489,7 +517,7 @@ pub const ATTR_BUNDLE_BYTES: usize = 88;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use batnet_config::vi::{BgpNeighbor, BgpProcess, Interface};
+    use batnet_config::vi::{BgpProcess, Interface};
 
     fn ip(s: &str) -> Ip {
         s.parse().unwrap()

@@ -37,7 +37,8 @@ use crate::scheduler::{color_graph, color_groups, SchedulerMode};
 use batnet_config::vi::{Device, NextHop, RouteAttrs, RouteOrigin, RouteProtocol};
 use batnet_config::Topology;
 use batnet_net::governor::{Exhaustion, Outcome, ResourceGovernor};
-use batnet_net::{Asn, Interner, Prefix};
+use batnet_net::hash::FxMap;
+use batnet_net::{Asn, Interned, Interner, Prefix};
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::panic::AssertUnwindSafe;
@@ -103,8 +104,6 @@ pub struct MemReport {
     /// only — prefix and next hop stay with each route — so this is what
     /// the run actually allocated against [`DataPlane::shareable_combos`].
     pub unique_attr_bundles: u64,
-    /// Interner requests (≥ total routes; includes transient bundles).
-    pub intern_requests: u64,
 }
 
 impl MemReport {
@@ -322,7 +321,6 @@ pub fn simulate_governed(
     let mem = MemReport {
         total_bgp_routes,
         unique_attr_bundles: stats.unique,
-        intern_requests: stats.requests,
     };
 
     let index = devices
@@ -633,13 +631,16 @@ fn run_bgp_fixed_point(
 
     let mut poisoned: BTreeSet<usize> = BTreeSet::new();
     let mut updates = 0u64;
-    'sweeps: for _sweep in 0..opts.max_sweeps {
+    let mut memo_hits = 0u64;
+    'sweeps: for sweep in 1..=opts.max_sweeps {
         // Governor gate: a sweep only starts while within budget.
         if let Err(e) = gov.check("bgp-fixed-point") {
             report.aborted = Some(e);
             break;
         }
         report.sweeps += 1;
+        // Numbered, so a folded profile keeps each sweep's time apart.
+        let sweep_span = batnet_obs::Span::enter(format!("route.sweep.{sweep}"));
         let mut noops = 0u64;
         for group in &groups {
             // One iteration of shared budget per node processed.
@@ -659,27 +660,36 @@ fn run_bgp_fixed_point(
             // A panicking pull is contained (not propagated): the node
             // keeps its moved-out state untouched and is flagged for
             // quarantine by the caller.
-            let sweep = |m: &mut Member| -> Option<(u64, u64)> {
+            let visit = |m: &mut Member| -> Option<(u64, u64, u64)> {
                 let pulled = std::panic::catch_unwind(AssertUnwindSafe(|| {
                     pull(m, devices, in_place, pool, &rank_of, opts)
                 }));
-                let (pulled, clock) = pulled.ok()?;
-                let count = pulled.len() as u64;
+                let Pulled {
+                    updates,
+                    clock,
+                    memo_hits,
+                } = pulled.ok()?;
+                let count = updates.len() as u64;
                 m.state.clock = clock;
-                Some((count, fold_in(pulled, m, opts.use_logical_clocks)))
+                Some((
+                    count,
+                    fold_in(updates, m, opts.use_logical_clocks),
+                    memo_hits,
+                ))
             };
             // Parallel when the group is large enough to pay for threads.
-            let outcomes: Vec<Option<(u64, u64)>> = if group.len() >= 8 {
-                batnet_exec::current().map_mut(&mut members, sweep)
+            let outcomes: Vec<Option<(u64, u64, u64)>> = if group.len() >= 8 {
+                batnet_exec::current().map_mut(&mut members, visit)
             } else {
-                members.iter_mut().map(sweep).collect()
+                members.iter_mut().map(visit).collect()
             };
             // Poison bookkeeping: sequential, ascending node order.
             for (m, outcome) in members.into_iter().zip(outcomes) {
                 match outcome {
-                    Some((pulled, unchanged)) => {
+                    Some((pulled, unchanged, hits)) => {
                         updates += pulled;
                         noops += unchanged;
+                        memo_hits += hits;
                     }
                     None => {
                         poisoned.insert(m.ni);
@@ -701,6 +711,7 @@ fn run_bgp_fixed_point(
         }
         batnet_obs::observe("route.sweep.rib-delta", delta_total);
         batnet_obs::observe("route.sweep.noop-updates", noops);
+        sweep_span.close();
         if delta_total == 0 {
             report.converged = true;
             break;
@@ -719,6 +730,7 @@ fn run_bgp_fixed_point(
         report.unstable_prefixes = unstable.into_iter().collect();
     }
     batnet_obs::counter_add("route.updates", updates);
+    batnet_obs::counter_add("route.attr_memo_hits", memo_hits);
     report
 }
 
@@ -778,11 +790,169 @@ fn fold_in(updates: Vec<RibInUpdate>, m: &mut Member, use_clock: bool) -> u64 {
     noops
 }
 
+/// What one member's pull produced.
+struct Pulled {
+    /// RIB-in updates, in pull order.
+    updates: Vec<RibInUpdate>,
+    /// The member's clock after stamping every upsert.
+    clock: u64,
+    /// Imports that reused a bundle derived earlier in the pull.
+    memo_hits: u64,
+}
+
+/// A bundle derived within one pull on a session with no route map,
+/// keyed by everything the derivation reads: the sent bundle (by
+/// pointer: the pool never drops a bundle, so an address names one
+/// bundle for the whole run), the sender's AS, eBGP or not, and the
+/// sender's `send_community`.
+type BundleMemo = FxMap<(*const PathAttrs, Asn, bool, bool), Interned<PathAttrs>>;
+
 /// Computes the RIB-in updates member `m` receives this sweep by pulling
 /// each established session's peer deltas through export + import policy.
 /// Reads the member's own moved-out clock and main RIB, and everything
-/// else in place. Returns the updates and the advanced clock.
+/// else in place.
+///
+/// On a session without route maps ([`bgp::unmapped_sender`]) an import
+/// whose key the pull has already derived reuses that bundle: it then
+/// only picks the next hop by export's rule, resolves its IGP cost and
+/// stamps its arrival, exactly as the full export → import path would.
 fn pull(
+    m: &Member,
+    devices: &[Device],
+    nodes: &[BgpNode],
+    pool: &Interner<PathAttrs>,
+    rank_of: &[usize],
+    opts: &SimOptions,
+) -> Pulled {
+    let ni = m.ni;
+    let node = &nodes[ni];
+    let device = &devices[ni];
+    let mut clock = m.state.clock;
+    let mut updates = Vec::new();
+    let mut memo = BundleMemo::default();
+    let mut memo_hits = 0;
+    for session in &node.sessions {
+        if !session.established {
+            continue;
+        }
+        let Some(pi) = session.peer_device else {
+            continue; // external announcements were injected at init
+        };
+        let peer_node = &nodes[pi];
+        let peer_device = &devices[pi];
+        let peer_ran_first = matches!(opts.scheduler, SchedulerMode::Colored)
+            && rank_of[pi] < rank_of[ni];
+        // Pull order: previous sweep's delta, then (Gauss–Seidel) this
+        // sweep's if the peer already ran.
+        let mut deltas: Vec<&crate::rib::RibDelta<BgpRoute>> = vec![&peer_node.delta_prev];
+        if peer_ran_first {
+            deltas.push(&peer_node.delta_cur);
+        }
+        let session_is_ebgp = session.is_ebgp(node.asn);
+        let peer_key = PeerKey::Peer(session.peer_ip);
+        let Some(peer_nidx) = session.peer_neighbor_idx else { continue };
+        let unmapped = bgp::unmapped_sender(peer_device, peer_nidx, device, session.neighbor_idx);
+        for delta in deltas {
+            for &prefix in &delta.removed {
+                updates.push(RibInUpdate::Withdraw {
+                    prefix,
+                    peer: peer_key,
+                });
+            }
+            for route in &delta.added {
+                // A path that already carries our AS is refused by import
+                // whatever export does to it: route maps can only prepend.
+                // Withdraw without building the export.
+                let withdraw = RibInUpdate::Withdraw {
+                    prefix: route.prefix,
+                    peer: peer_key,
+                };
+                if session_is_ebgp && route.attrs.as_path.contains(node.asn) {
+                    updates.push(withdraw);
+                    continue;
+                }
+                let key = unmapped.map(|nb| {
+                    (
+                        route.attrs.as_ptr(),
+                        peer_node.asn,
+                        session_is_ebgp,
+                        nb.send_community,
+                    )
+                });
+                if let (Some(nb), Some(attrs)) = (unmapped, key.and_then(|k| memo.get(&k))) {
+                    memo_hits += 1;
+                    let next_hop =
+                        bgp::export_next_hop(nb, session_is_ebgp, session.peer_ip, route.next_hop);
+                    let update = match bgp::resolve_igp_cost(&m.rib, next_hop) {
+                        Some(igp_cost) => {
+                            let arrival = clock;
+                            clock += 1;
+                            RibInUpdate::Upsert(BgpRoute {
+                                prefix: route.prefix,
+                                next_hop,
+                                attrs: attrs.clone(),
+                                from: peer_key,
+                                sender_router_id: peer_node.router_id,
+                                arrival,
+                                igp_cost,
+                            })
+                        }
+                        None => withdraw,
+                    };
+                    updates.push(update);
+                    continue;
+                }
+                let exported = bgp::export_route(
+                    peer_device,
+                    peer_node.asn,
+                    session_is_ebgp,
+                    session.peer_ip, // the peer's address on this session
+                    peer_nidx,
+                    route,
+                );
+                let update = match exported {
+                    // An unexportable replacement acts as a withdraw of
+                    // whatever we previously held from this peer.
+                    None => withdraw,
+                    Some(attrs) => {
+                        let arrival = clock;
+                        match bgp::import_route(
+                            device,
+                            node.asn,
+                            session,
+                            attrs,
+                            peer_node.router_id,
+                            &m.rib,
+                            pool,
+                            arrival,
+                        ) {
+                            Some(r) => {
+                                clock += 1;
+                                if let Some(k) = key {
+                                    memo.insert(k, r.attrs.clone());
+                                }
+                                RibInUpdate::Upsert(r)
+                            }
+                            None => withdraw,
+                        }
+                    }
+                };
+                updates.push(update);
+            }
+        }
+    }
+    Pulled {
+        updates,
+        clock,
+        memo_hits,
+    }
+}
+
+/// The reference [`pull`] checks its bundle memo against: every import
+/// through the full export → import path. Returns the updates and the
+/// advanced clock.
+#[cfg(test)]
+fn pull_reference(
     m: &Member,
     devices: &[Device],
     nodes: &[BgpNode],
@@ -1087,8 +1257,8 @@ mod tests {
         rank_of[to] = 1;
         let opts = SimOptions::default();
         let m = Member::take(to, nodes, ribs);
-        let (updates, clock) = pull(&m, devices, nodes, pool, &rank_of, &opts);
-        (m, updates, clock)
+        let pulled = pull(&m, devices, nodes, pool, &rank_of, &opts);
+        (m, pulled.updates, pulled.clock)
     }
 
     #[test]
@@ -1159,6 +1329,193 @@ mod tests {
         };
         assert_eq!(got.attrs.as_path.0, vec![Asn(65000), Asn(174)]);
         assert_eq!(got.attrs.protocol, RouteProtocol::Ibgp);
+    }
+
+    /// Every member's pull, with every node's best routes as both of its
+    /// deltas and `rank_of` = node index, so each route crosses every
+    /// session (twice from a peer with a lower index). Each pull must equal
+    /// [`pull_reference`]'s field for field, arrival included, and end on
+    /// the same clock. Then, per member and per established session with a
+    /// route map on either side, pulling that session after all of the
+    /// member's sessions without one must add no memo hit. Returns the
+    /// memo hits of the full pulls.
+    fn pulls_match_reference(devices: &[Device], env: &Environment) -> u64 {
+        let dp = simulate(devices, env, &SimOptions::default());
+        assert!(dp.convergence.converged);
+        let (mut nodes, mut ribs): (Vec<BgpNode>, Vec<MainRib>) =
+            dp.devices.into_iter().map(|d| (d.bgp, d.main_rib)).unzip();
+        for node in nodes.iter_mut() {
+            let best: Vec<BgpRoute> = node.best.values().cloned().collect();
+            node.delta_prev = crate::rib::RibDelta {
+                added: best.clone(),
+                removed: Vec::new(),
+            };
+            node.delta_cur = crate::rib::RibDelta {
+                added: best,
+                removed: Vec::new(),
+            };
+        }
+        let rank_of: Vec<usize> = (0..devices.len()).collect();
+        let opts = SimOptions::default();
+        let pool = Interner::new();
+        let mut hits = 0;
+        for ni in 0..devices.len() {
+            let m = Member::take(ni, &mut nodes, &mut ribs);
+            let pulled = pull(&m, devices, &nodes, &pool, &rank_of, &opts);
+            let (updates, clock) = pull_reference(&m, devices, &nodes, &pool, &rank_of, &opts);
+            let name = &devices[ni].name;
+            assert_eq!(pulled.updates, updates, "{name}: updates");
+            assert_eq!(pulled.clock, clock, "{name}: clock");
+            hits += pulled.memo_hits;
+
+            let sessions = nodes[ni].sessions.clone();
+            let up = |s: &&Session| s.established && s.peer_device.is_some();
+            let mapped = |s: &Session| {
+                let (Some(pi), Some(pn)) = (s.peer_device, s.peer_neighbor_idx) else {
+                    return false;
+                };
+                bgp::unmapped_sender(&devices[pi], pn, &devices[ni], s.neighbor_idx).is_none()
+            };
+            let plain: Vec<Session> = sessions
+                .iter()
+                .filter(up)
+                .filter(|s| !mapped(s))
+                .cloned()
+                .collect();
+            nodes[ni].sessions = plain.clone();
+            let warm = pull(&m, devices, &nodes, &pool, &rank_of, &opts).memo_hits;
+            for s in sessions.iter().filter(up).filter(|s| mapped(s)) {
+                nodes[ni].sessions = plain.iter().chain([s]).cloned().collect();
+                let pulled = pull(&m, devices, &nodes, &pool, &rank_of, &opts);
+                assert_eq!(
+                    pulled.memo_hits, warm,
+                    "{name}: a route-mapped session hit the memo"
+                );
+                let (updates, _) = pull_reference(&m, devices, &nodes, &pool, &rank_of, &opts);
+                assert_eq!(pulled.updates, updates, "{name}: updates");
+            }
+            nodes[ni].sessions = sessions;
+            m.put_back(&mut nodes, &mut ribs);
+        }
+        hits
+    }
+
+    /// The pulls of a suite network against the reference; returns the
+    /// memo hits.
+    fn suite_pulls_match_reference(net: &batnet_topogen::GeneratedNetwork) -> u64 {
+        pulls_match_reference(&net.parse(), &Environment::of(net))
+    }
+
+    #[test]
+    fn memo_pulls_match_the_reference_on_n2() {
+        assert!(suite_pulls_match_reference(&batnet_topogen::suite::n2()) > 0);
+    }
+
+    #[test]
+    fn memo_pulls_match_the_reference_on_net1() {
+        assert!(suite_pulls_match_reference(&batnet_topogen::suite::net1()) > 0);
+    }
+
+    /// Aggs export to cores through the `TO-CORE` map, an export-only
+    /// route map on an in-snapshot session.
+    #[test]
+    fn memo_pulls_match_the_reference_on_a_fat_tree() {
+        let fat = batnet_topogen::dc::fat_tree("t", 2, 3, 2, 8);
+        assert!(suite_pulls_match_reference(&fat) > 0);
+    }
+
+    /// r2, r3 and r5 (AS 65002) all relay r4's LAN to r1 in one bundle.
+    /// r1 ← r2 has no route map; r1 ← r3 has r3's export map and r1's
+    /// import map; r1 ← r5 has r1's import map only. Each map changes the
+    /// bundle, so a memo hit on a mapped session would show.
+    fn route_map_lab() -> Vec<Device> {
+        devs(&[
+            (
+                "r1",
+                "hostname r1\ninterface e2\n ip address 10.0.12.1/31\ninterface e3\n ip address 10.0.13.1/31\ninterface e5\n ip address 10.0.15.1/31\nrouter bgp 65001\n bgp router-id 1.1.1.1\n neighbor 10.0.12.0 remote-as 65002\n neighbor 10.0.13.0 remote-as 65002\n neighbor 10.0.13.0 route-map SETLP in\n neighbor 10.0.15.0 remote-as 65002\n neighbor 10.0.15.0 route-map SETLP in\nroute-map SETLP permit 10\n set local-preference 250\n",
+            ),
+            (
+                "r2",
+                "hostname r2\ninterface e1\n ip address 10.0.12.0/31\ninterface e4\n ip address 10.0.24.0/31\nrouter bgp 65002\n bgp router-id 2.2.2.2\n neighbor 10.0.12.1 remote-as 65001\n neighbor 10.0.24.1 remote-as 65004\n",
+            ),
+            (
+                "r3",
+                "hostname r3\ninterface e1\n ip address 10.0.13.0/31\ninterface e4\n ip address 10.0.34.0/31\nrouter bgp 65002\n bgp router-id 3.3.3.3\n neighbor 10.0.13.1 remote-as 65001\n neighbor 10.0.13.1 route-map SETMED out\n neighbor 10.0.34.1 remote-as 65004\nroute-map SETMED permit 10\n set metric 5\n",
+            ),
+            (
+                "r4",
+                "hostname r4\ninterface e2\n ip address 10.0.24.1/31\ninterface e3\n ip address 10.0.34.1/31\ninterface e5\n ip address 10.0.45.1/31\ninterface lan\n ip address 10.4.0.1/24\nrouter bgp 65004\n bgp router-id 4.4.4.4\n redistribute connected\n neighbor 10.0.24.0 remote-as 65002\n neighbor 10.0.34.0 remote-as 65002\n neighbor 10.0.45.0 remote-as 65002\n",
+            ),
+            (
+                "r5",
+                "hostname r5\ninterface e1\n ip address 10.0.15.0/31\ninterface e4\n ip address 10.0.45.0/31\nrouter bgp 65002\n bgp router-id 5.5.5.5\n neighbor 10.0.15.1 remote-as 65001\n neighbor 10.0.45.1 remote-as 65004\n",
+            ),
+        ])
+    }
+
+    #[test]
+    fn memo_pulls_match_the_reference_on_route_mapped_sessions() {
+        let devices = route_map_lab();
+        assert!(pulls_match_reference(&devices, &Environment::none()) > 0);
+        let dp = simulate(&devices, &Environment::none(), &SimOptions::default());
+        let lan: Prefix = "10.4.0.0/24".parse().unwrap();
+        let held = &dp.device("r1").unwrap().bgp.rib_in[&lan];
+        let from = |peer: &str| {
+            let peer = PeerKey::Peer(peer.parse().unwrap());
+            let r = held.iter().find(|r| r.from == peer).unwrap();
+            (r.attrs.local_pref, r.attrs.med)
+        };
+        assert_eq!(from("10.0.12.0"), (100, 0));
+        assert_eq!(from("10.0.13.0"), (250, 5));
+        assert_eq!(from("10.0.15.0"), (250, 0));
+    }
+
+    #[test]
+    fn memo_pulls_match_the_reference_over_ibgp_with_next_hop_self() {
+        let mut env = Environment::none();
+        env.announcements.push(crate::env::ExternalAnnouncement::simple(
+            "r1",
+            "10.9.0.2".parse().unwrap(),
+            Asn(174),
+            "203.0.113.0/24".parse().unwrap(),
+        ));
+        assert!(pulls_match_reference(&ibgp_pair(), &env) > 0);
+    }
+
+    /// r2 and r3 (AS 65002) both hear one external announcement with a
+    /// community, so they hold one bundle; r2 sends communities to r1,
+    /// r3 does not. The memo must keep the two derived bundles apart.
+    #[test]
+    fn memo_pulls_match_the_reference_across_send_community() {
+        let mut devices = devs(&[
+            (
+                "r1",
+                "hostname r1\ninterface e2\n ip address 10.0.12.1/31\ninterface e3\n ip address 10.0.13.1/31\nrouter bgp 65001\n bgp router-id 1.1.1.1\n neighbor 10.0.12.0 remote-as 65002\n neighbor 10.0.13.0 remote-as 65002\n",
+            ),
+            (
+                "r2",
+                "hostname r2\ninterface e1\n ip address 10.0.12.0/31\ninterface up\n ip address 10.9.2.1/24\nrouter bgp 65002\n bgp router-id 2.2.2.2\n neighbor 10.0.12.1 remote-as 65001\n neighbor 10.0.12.1 send-community\n neighbor 10.9.2.2 remote-as 174\n",
+            ),
+            (
+                "r3",
+                "hostname r3\ninterface e1\n ip address 10.0.13.0/31\ninterface up\n ip address 10.9.3.1/24\nrouter bgp 65002\n bgp router-id 3.3.3.3\n neighbor 10.0.13.1 remote-as 65001\n neighbor 10.9.3.2 remote-as 174\n",
+            ),
+        ]);
+        devices[2].bgp.as_mut().unwrap().neighbors[0].send_community = false;
+        let prefix: Prefix = "203.0.113.0/24".parse().unwrap();
+        let mut env = Environment::none();
+        for (device, peer) in [("r2", "10.9.2.2"), ("r3", "10.9.3.2")] {
+            let mut a = crate::env::ExternalAnnouncement::simple(device, peer.parse().unwrap(), Asn(174), prefix);
+            a.communities = vec!["174:100".parse().unwrap()];
+            env.announcements.push(a);
+        }
+        // The two sessions' keys differ only in `send_community`: neither
+        // reuses the other's bundle.
+        assert_eq!(pulls_match_reference(&devices, &env), 0);
+        let dp = simulate(&devices, &env, &SimOptions::default());
+        let held = &dp.device("r1").unwrap().bgp.rib_in[&prefix];
+        let communities: Vec<usize> = held.iter().map(|r| r.attrs.communities.len()).collect();
+        assert_eq!(communities, [1, 0], "r2 sends its community, r3 does not");
     }
 
     #[test]

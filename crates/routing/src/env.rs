@@ -65,6 +65,26 @@ impl Environment {
             .iter()
             .any(|(d, i)| d == device && i == interface)
     }
+
+    /// A generated network's environment, for tests that simulate one.
+    /// `batnet-topogen` links the library build of this crate, so its
+    /// environment is another type than a test build's: copy it field by
+    /// field.
+    #[cfg(test)]
+    pub(crate) fn of(net: &batnet_topogen::GeneratedNetwork) -> Environment {
+        let announcements = net.env.announcements.iter().map(|a| ExternalAnnouncement {
+            device: a.device.clone(),
+            peer_ip: a.peer_ip,
+            prefix: a.prefix,
+            as_path: a.as_path.clone(),
+            med: a.med,
+            communities: a.communities.clone(),
+        });
+        Environment {
+            failed_interfaces: net.env.failed_interfaces.clone(),
+            announcements: announcements.collect(),
+        }
+    }
 }
 
 #[cfg(test)]

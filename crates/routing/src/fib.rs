@@ -294,7 +294,7 @@ fn resolve(rib: &MainRib, route: &MainRoute, depth: usize) -> Resolution {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{simulate, Environment, ExternalAnnouncement, SimOptions};
+    use crate::{simulate, Environment, SimOptions};
     use batnet_config::vi::RouteProtocol;
     use batnet_topogen::{suite, GeneratedNetwork};
     use std::collections::{BTreeMap, BTreeSet};
@@ -350,21 +350,7 @@ mod tests {
     /// Every device of a suite network matches the reference; returns the
     /// ECMP sets summed over devices.
     fn hop_sets_checked_on(net: &GeneratedNetwork) -> usize {
-        // `batnet-topogen` links the library build of this crate, so its
-        // environment is another type than this test build's.
-        let announcements = net.env.announcements.iter().map(|a| ExternalAnnouncement {
-            device: a.device.clone(),
-            peer_ip: a.peer_ip,
-            prefix: a.prefix,
-            as_path: a.as_path.clone(),
-            med: a.med,
-            communities: a.communities.clone(),
-        });
-        let env = Environment {
-            failed_interfaces: net.env.failed_interfaces.clone(),
-            announcements: announcements.collect(),
-        };
-        let dp = simulate(&net.parse(), &env, &SimOptions::default());
+        let dp = simulate(&net.parse(), &Environment::of(net), &SimOptions::default());
         dp.devices.iter().map(|d| checked_build(&d.main_rib).hop_sets()).sum()
     }
 

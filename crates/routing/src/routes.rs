@@ -122,14 +122,16 @@ pub struct BgpRoute {
     pub attrs: Interned<PathAttrs>,
     /// Which peer sent it.
     pub from: PeerKey,
-    /// Router id of the sender (decision step 8).
+    /// Router id of the sender (decision step 9).
     pub sender_router_id: Ip,
     /// Lamport-style arrival stamp assigned by the *receiver* (§4.1.2:
     /// logical clocks tie-break by arrival time, like routers do). Lower =
     /// arrived earlier = preferred.
     pub arrival: u64,
     /// IGP metric to the route's next hop, resolved against the main RIB
-    /// at import time (decision step 6). `u32::MAX` when unresolved.
+    /// at import time (decision step 7); 0 for a locally originated
+    /// route. Import refuses a next hop that does not resolve, so every
+    /// held route has one.
     pub igp_cost: u32,
 }
 
