@@ -91,13 +91,15 @@ bench-smoke: build
 	$(call bench-gate,table2 --net N2,target/BENCH_n2.json,BENCH_table2.json)
 	$(OBS_TRACE) target/BENCH_n2.json --format folded --out target/BENCH_n2.folded
 
-# Lint gate: SARIF output on the smallest suite network validates
-# against the in-tree checker, the clean network passes `--deny error`,
-# and the planted undefined-reference fixture fails it — proving the
-# exit gate actually gates.
+# Lint gate: SARIF output on the smallest and the largest suite network
+# validates against the in-tree checker, the clean network passes
+# `--deny error`, and the planted undefined-reference fixture fails it —
+# proving the exit gate actually gates.
 lint-smoke: build
 	$(LINT) --net n2 --format sarif --out target/lint-n2.sarif
 	$(VALIDATE) target/lint-n2.sarif
+	$(LINT) --net n11 --format sarif --out target/lint-n11.sarif
+	$(VALIDATE) target/lint-n11.sarif
 	$(LINT) --net n2 --deny error --out /dev/null
 	! $(LINT) --dir fixtures/lint-bad --deny error --out /dev/null
 
@@ -120,19 +122,23 @@ diff-smoke: build
 	! $(DIFF) --before fixtures/diff-pair/before --after fixtures/diff-pair/after --deny any --out target/diff-pair.txt
 	$(call bench-gate,diff,target/BENCH_diff_smoke.json,BENCH_diff.json)
 
-# Coverage + repair gate: (1) the N2 coverage report validates and is
-# byte-identical across two runs (the JSON is the audit artifact, so
-# determinism is the contract); (2) the planted lint-bad fixture has a
-# genuine never-touched gap and fails `--deny gap` — proving the exit
-# gate actually gates; (3) `batnet-repair` reproduces both committed
-# expected patches byte for byte (lint-driven delete and diff-driven
-# revert); (4) the cov bench re-measures its stages, the emitted file
-# validates, and its structure matches the committed BENCH_cov.json.
+# Coverage + repair gate: (1) the N2 coverage report validates, and the
+# N2 and N11 reports are each byte-identical across two runs (the JSON
+# is the audit artifact, so determinism is the contract); (2) the
+# planted lint-bad fixture has a genuine never-touched gap and fails
+# `--deny gap` — proving the exit gate actually gates; (3)
+# `batnet-repair` reproduces both committed expected patches byte for
+# byte (lint-driven delete and diff-driven revert); (4) the cov bench
+# re-measures its stages, the emitted file validates, and its structure
+# matches the committed BENCH_cov.json.
 cov-smoke: build
 	$(COV) --net n2 --format json --out target/cov-n2-1.json
 	$(VALIDATE) target/cov-n2-1.json
 	$(COV) --net n2 --format json --out target/cov-n2-2.json
 	cmp target/cov-n2-1.json target/cov-n2-2.json
+	$(COV) --net n11 --format json --out target/cov-n11-1.json
+	$(COV) --net n11 --format json --out target/cov-n11-2.json
+	cmp target/cov-n11-1.json target/cov-n11-2.json
 	! $(COV) --dir fixtures/lint-bad --deny gap --out /dev/null
 	$(REPAIR) --dir fixtures/repair-bad/lint --check undefined-reference --out target/repair-lint.patch
 	cmp target/repair-lint.patch fixtures/repair-bad/lint/expected.patch

@@ -531,7 +531,8 @@ fn lint_bench(full: bool, net: Option<&str>, rows: &mut Vec<Row>) {
         }
         let parse = t.elapsed();
         let t = clock::now();
-        let findings = batnet::lint::run_network(&devices, &diags);
+        let topo = batnet::config::Topology::infer(&devices);
+        let findings = batnet::lint::run_network(&devices, &topo, &diags);
         let lint = t.elapsed();
         let errors = findings
             .iter()
@@ -577,7 +578,7 @@ fn cov_bench(full: bool, net: Option<&str>, rows: &mut Vec<Row>) {
         }
         let parse = t.elapsed();
         let t = clock::now();
-        let report = batnet_coverage::analyze(&devices);
+        let report = batnet_coverage::analyze(&devices, &batnet::config::Topology::infer(&devices));
         let analyze = t.elapsed();
         let totals = report.totals();
         let gaps = report.gaps().count();

@@ -45,6 +45,7 @@
 
 use crate::mutate::{mutate, MutationClass};
 use batnet::{ResourceGovernor, Snapshot};
+use batnet_config::Topology;
 use batnet_routing::SimOptions;
 use batnet_topogen::GeneratedNetwork;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -245,9 +246,8 @@ fn run_one(net: &GeneratedNetwork, class: MutationClass, seed: u64, cfg: &ChaosC
         let fingerprints = |findings: &[batnet::lint::Finding]| -> Vec<String> {
             findings.iter().map(batnet::lint::Finding::fingerprint).collect()
         };
-        let first = fingerprints(&batnet::lint::run_all(&devices));
-        let second = fingerprints(&batnet::lint::run_all(&devices));
-        (first, second)
+        let lint = || batnet::lint::run_all(&devices, &Topology::infer(&devices));
+        (fingerprints(&lint()), fingerprints(&lint()))
     }));
     match lint_outcome {
         Err(_) => run
@@ -273,9 +273,11 @@ fn run_one(net: &GeneratedNetwork, class: MutationClass, seed: u64, cfg: &ChaosC
             .iter()
             .map(|(name, text)| batnet_config::parse_device(name, text).0)
             .collect();
-        let first = batnet_coverage::render_json(&run.net, &batnet_coverage::analyze(&devices));
-        let second = batnet_coverage::render_json(&run.net, &batnet_coverage::analyze(&devices));
-        (first, second)
+        let cov = || {
+            let report = batnet_coverage::analyze(&devices, &Topology::infer(&devices));
+            batnet_coverage::render_json(&run.net, &report)
+        };
+        (cov(), cov())
     }));
     match cov_outcome {
         Err(_) => run

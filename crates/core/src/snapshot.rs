@@ -275,7 +275,7 @@ impl Snapshot {
 
     /// Runs the Lesson-5 configuration checks (no simulation needed).
     pub fn lint(&self) -> Vec<batnet_lint::Finding> {
-        batnet_lint::run_all(&self.devices)
+        batnet_lint::run_all(&self.devices, &Topology::infer(&self.devices))
     }
 
     /// Compares this snapshot (the *before* side) with `other` (the

@@ -1,10 +1,17 @@
 //! Fixture contract tests: the committed expected patches are what
-//! `batnet-repair` emits, byte for byte, and the committed lint-bad
-//! fixture carries a genuine never-touched coverage gap.
+//! `batnet-repair` emits, byte for byte, the committed lint-bad
+//! fixture carries a genuine never-touched coverage gap, and muting a
+//! lint check leaves coverage alone.
 
+use batnet_config::vi::Device;
+use batnet_config::Topology;
 use batnet_coverage::repair::{repair_diff, repair_lint, RepairLimits};
-use batnet_coverage::{analyze, render_json, validate_report, Status};
+use batnet_coverage::{render_json, validate_report, CoverageReport, Status};
 use std::path::{Path, PathBuf};
+
+fn analyze(devices: &[Device]) -> CoverageReport {
+    batnet_coverage::analyze(devices, &Topology::infer(devices))
+}
 
 fn fixture(rel: &str) -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -89,4 +96,56 @@ fn lint_bad_fixture_has_a_genuine_never_touched_gap() {
     let doc = batnet_obs::json::parse(&json).expect("report parses");
     validate_report(&doc).expect("valid report");
     assert_eq!(json, render_json("lint-bad", &analyze(&devices)));
+}
+
+/// Coverage reads lint's passes before suppressions apply: a device that
+/// mutes `acl-shadowing` still has its shadowed line reported shadowed,
+/// while lint itself goes quiet about it.
+#[test]
+fn lint_disable_directive_leaves_coverage_unchanged() {
+    // The directive goes last, so both configs put every structure on
+    // the same source line.
+    let config = |directive: &str| {
+        format!(
+            "hostname r1
+interface e0
+ ip address 10.0.0.1/24
+ ip access-group EDGE in
+ip access-list extended EDGE
+ 10 deny tcp any any eq 22
+ 20 deny tcp any any eq 22
+ 30 permit ip any any
+{directive}"
+        )
+    };
+    let parse = |text: &str| {
+        let (mut d, _) = batnet_config::parse_device("r1", text);
+        d.stamp_source_file("r1");
+        vec![d]
+    };
+    let plain = parse(&config(""));
+    let muted = parse(&config("! batnet-lint-disable acl-shadowing\n"));
+    assert_eq!(muted[0].lint_suppressions, ["acl-shadowing"], "the directive parses");
+    let shadow_findings = |devices: &[Device]| {
+        batnet_lint::run_all(devices, &Topology::infer(devices))
+            .into_iter()
+            .filter(|f| f.check == "acl-shadowing")
+            .count()
+    };
+    assert_eq!(shadow_findings(&plain), 1);
+    assert_eq!(shadow_findings(&muted), 0, "lint honours the directive");
+    let line_20 = |devices: &[Device]| {
+        analyze(devices)
+            .items
+            .into_iter()
+            .find(|i| i.path == "acl EDGE/line 20")
+            .map(|i| i.status)
+    };
+    assert_eq!(line_20(&plain), Some(Status::Shadowed));
+    assert_eq!(line_20(&muted), Some(Status::Shadowed), "coverage ignores the directive");
+    assert_eq!(
+        render_json("t", &analyze(&plain)),
+        render_json("t", &analyze(&muted)),
+        "the whole report is unchanged"
+    );
 }

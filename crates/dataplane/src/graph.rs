@@ -31,7 +31,7 @@ use crate::acl::compile_acl;
 use crate::fibenc::compile_fib;
 use crate::vars::{Field, PacketVars};
 use batnet_bdd::{Bdd, NodeId, Transform};
-use batnet_config::vi::{Device, NatKind};
+use batnet_config::vi::{Device, Interface, NatKind};
 use batnet_config::{InterfaceRef, Topology};
 use batnet_net::{Ip, IpRange};
 use batnet_routing::DataPlane;
@@ -237,15 +237,9 @@ impl ForwardingGraph {
             // Local delivery split: PreFwd → Accept on owned addresses,
             // PreFwd → Fwd on the rest.
             let mut owned = NodeId::FALSE;
-            for iface in device.active_interfaces() {
-                if let Some(ip) = iface.ip() {
-                    let f = vars.field_value(bdd, Field::DstIp, ip.0 as u64);
-                    owned = bdd.or(owned, f);
-                }
-                for &(ip, _) in &iface.secondary_addresses {
-                    let f = vars.field_value(bdd, Field::DstIp, ip.0 as u64);
-                    owned = bdd.or(owned, f);
-                }
+            for ip in device.active_interfaces().flat_map(Interface::addresses) {
+                let f = vars.field_value(bdd, Field::DstIp, ip.0 as u64);
+                owned = bdd.or(owned, f);
             }
             let not_owned = bdd.not(owned);
             g.add_edge(pre_fwd, accept, EdgeLabel::Bdd(owned));
@@ -380,26 +374,13 @@ impl ForwardingGraph {
                     None => g.add_edge(pre_acl, out, EdgeLabel::Bdd(NodeId::TRUE)),
                 }
 
-                // Hand-off per gateway bucket.
+                // Hand-off per gateway bucket, to the neighbor owning the
+                // gateway (the topology's owner index).
                 let me = InterfaceRef::new(&dev, &oiface);
                 let neighbors = topo.neighbors_of(&me);
-                // Map gateway IP → (neighbor device, neighbor iface).
-                let mut gw_owner: BTreeMap<Ip, InterfaceRef> = BTreeMap::new();
-                for nb in neighbors {
-                    if let Some(nd) = devices.iter().find(|d| d.name == nb.device) {
-                        if let Some(ni) = nd.interfaces.get(&nb.interface) {
-                            if let Some(ip) = ni.ip() {
-                                gw_owner.insert(ip, nb.clone());
-                            }
-                            for &(ip, _) in &ni.secondary_addresses {
-                                gw_owner.insert(ip, nb.clone());
-                            }
-                        }
-                    }
-                }
                 for (gateway, set) in buckets {
                     match gateway {
-                        Some(gw) => match gw_owner.get(&gw) {
+                        Some(gw) => match topo.neighbor_owning(&me, gw) {
                             Some(nb) => {
                                 let next = g.add_node(NodeKind::PreIn(
                                     nb.device.clone(),
@@ -425,11 +406,20 @@ impl ForwardingGraph {
                             }
                         },
                         None => {
-                            // Connected delivery: per neighbor-owned dst a
-                            // hand-off; the remainder goes to hosts on the
-                            // subnet.
+                            // Connected delivery: per neighbor-owned dst on
+                            // this interface's subnets a hand-off; the
+                            // remainder goes to hosts on the subnet.
+                            let mut on_link: Vec<(Ip, &InterfaceRef)> = device
+                                .interfaces
+                                .get(&oiface)
+                                .into_iter()
+                                .flat_map(Interface::connected_prefixes)
+                                .flat_map(|p| topo.neighbor_addresses_in(&me, p))
+                                .collect();
+                            on_link.sort();
+                            on_link.dedup();
                             let mut remainder = set;
-                            for (ip, nb) in &gw_owner {
+                            for (ip, nb) in on_link {
                                 let dst = vars.field_value(bdd, Field::DstIp, ip.0 as u64);
                                 let to_nb = bdd.and(set, dst);
                                 if to_nb != NodeId::FALSE {

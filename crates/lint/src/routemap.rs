@@ -240,7 +240,7 @@ pub(crate) fn cube_route(cube: &Cube) -> String {
 
 /// Dead clauses of one route map: clauses whose match set is fully
 /// covered by earlier clauses.
-pub fn dead_clauses(device: &Device, rm: &RouteMap) -> Vec<u32> {
+fn dead_clauses(device: &Device, rm: &RouteMap) -> Vec<u32> {
     let (mut bdd, vars) = RouteVars::new(device);
     let mut claimed = NodeId::FALSE;
     let mut dead = Vec::new();

@@ -1,9 +1,9 @@
 //! End-to-end engine properties over generated networks: determinism,
 //! order-insensitivity, clean baselines, and seeded drift detection.
 
-use batnet_config::parse_device;
 use batnet_config::vi::Device;
-use batnet_lint::{output, run_all, Finding, Severity};
+use batnet_config::{parse_device, Topology};
+use batnet_lint::{output, Finding, Severity};
 use batnet_topogen::suite::n2;
 
 fn parse_net(net: &batnet_topogen::GeneratedNetwork) -> Vec<Device> {
@@ -11,6 +11,10 @@ fn parse_net(net: &batnet_topogen::GeneratedNetwork) -> Vec<Device> {
         .iter()
         .map(|(name, text)| parse_device(name, text).0)
         .collect()
+}
+
+fn run_all(devices: &[Device]) -> Vec<Finding> {
+    batnet_lint::run_all(devices, &Topology::infer(devices))
 }
 
 /// The generated N2 leaf–spine is policy-clean: no warnings or errors,

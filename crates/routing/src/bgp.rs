@@ -44,6 +44,7 @@
 use crate::rib::{MainRib, RibDelta};
 use crate::routes::{BgpRoute, MainNextHop, PathAttrs, PeerKey};
 use batnet_config::vi::{BgpNeighbor, Device, PolicyResult, RouteAttrs, RouteProtocol};
+use batnet_config::Topology;
 use batnet_net::{Asn, Flow, Interner, Ip, Prefix};
 use std::collections::BTreeMap;
 
@@ -162,45 +163,28 @@ pub fn main_route_of(r: &BgpRoute) -> crate::routes::MainRoute {
 }
 
 /// Discovers the configured sessions of every device: a neighbor statement
-/// pairs with the in-snapshot device owning the peer address (when both
-/// sides' AS expectations match), or becomes an external session when the
-/// environment announces routes on it.
+/// pairs with the in-snapshot device owning the peer address when
+/// [`Topology::bgp_pairing`] says so, or becomes an external session when
+/// no other device owns the address and the environment announces routes
+/// on it. `topo` must be inferred from `devices`.
 pub fn discover_sessions(
     devices: &[Device],
+    topo: &Topology,
     external_peers: &BTreeMap<(usize, Ip), Asn>,
 ) -> Vec<Vec<Session>> {
-    // Map interface IP → device index for peer resolution.
-    let mut ip_owner: BTreeMap<Ip, usize> = BTreeMap::new();
-    for (di, d) in devices.iter().enumerate() {
-        for i in d.active_interfaces() {
-            if let Some(ip) = i.ip() {
-                ip_owner.insert(ip, di);
-            }
-            for &(ip, _) in &i.secondary_addresses {
-                ip_owner.insert(ip, di);
-            }
-        }
-    }
     let mut all = Vec::with_capacity(devices.len());
     for (di, d) in devices.iter().enumerate() {
         let mut sessions = Vec::new();
         if let Some(bgp) = &d.bgp {
             for (ni, nb) in bgp.neighbors.iter().enumerate() {
-                match ip_owner.get(&nb.peer_ip) {
-                    Some(&pi) if pi != di => {
-                        let peer = &devices[pi];
-                        let Some(peer_bgp) = &peer.bgp else { continue };
-                        // The peer must point back at one of our addresses
-                        // with our AS.
-                        let reverse = peer_bgp.neighbors.iter().position(|pn| {
-                            pn.remote_as == bgp.asn
-                                && ip_owner.get(&pn.peer_ip) == Some(&di)
-                        });
-                        let Some(reverse_idx) = reverse else { continue };
-                        // AS expectation must match in our direction too.
-                        if nb.remote_as != peer_bgp.asn {
+                let pairing = topo.bgp_pairing(devices, di, nb);
+                match pairing.peer {
+                    Some(pi) if pi != di => {
+                        let (true, Some(reverse_idx), Some(peer_bgp)) =
+                            (pairing.pairs(), pairing.reverse, &devices[pi].bgp)
+                        else {
                             continue;
-                        }
+                        };
                         sessions.push(Session {
                             neighbor_idx: ni,
                             peer_ip: nb.peer_ip,
@@ -534,11 +518,15 @@ mod tests {
         d
     }
 
+    fn discover(devices: &[Device], ext: &BTreeMap<(usize, Ip), Asn>) -> Vec<Vec<Session>> {
+        discover_sessions(devices, &Topology::infer(devices), ext)
+    }
+
     #[test]
     fn sessions_pair_when_consistent() {
         let a = dev_with_bgp("a", 65001, "10.0.0.1", "10.0.0.2", 65002);
         let b = dev_with_bgp("b", 65002, "10.0.0.2", "10.0.0.1", 65001);
-        let sessions = discover_sessions(&[a, b], &BTreeMap::new());
+        let sessions = discover(&[a, b], &BTreeMap::new());
         assert_eq!(sessions[0].len(), 1);
         assert_eq!(sessions[1].len(), 1);
         let s = &sessions[0][0];
@@ -551,7 +539,7 @@ mod tests {
     fn as_mismatch_blocks_session() {
         let a = dev_with_bgp("a", 65001, "10.0.0.1", "10.0.0.2", 65099); // wrong AS
         let b = dev_with_bgp("b", 65002, "10.0.0.2", "10.0.0.1", 65001);
-        let sessions = discover_sessions(&[a, b], &BTreeMap::new());
+        let sessions = discover(&[a, b], &BTreeMap::new());
         assert!(sessions[0].is_empty());
         assert!(sessions[1].is_empty());
     }
@@ -560,12 +548,12 @@ mod tests {
     fn external_session_needs_environment() {
         let a = dev_with_bgp("a", 65001, "10.0.0.1", "10.0.0.9", 174);
         // Without an external peer: no session.
-        let none = discover_sessions(std::slice::from_ref(&a), &BTreeMap::new());
+        let none = discover(std::slice::from_ref(&a), &BTreeMap::new());
         assert!(none[0].is_empty());
         // With one: session to the environment.
         let mut ext = BTreeMap::new();
         ext.insert((0usize, ip("10.0.0.9")), Asn(174));
-        let some = discover_sessions(&[a], &ext);
+        let some = discover(&[a], &ext);
         assert_eq!(some[0].len(), 1);
         assert_eq!(some[0][0].peer_device, None);
         assert_eq!(some[0][0].local_ip, ip("10.0.0.1"));

@@ -248,7 +248,7 @@ pub fn simulate_governed(
         let sessions_span = batnet_obs::Span::enter("route.sessions");
         if round == 0 {
             let external_peers = external_peer_map(devices, env);
-            sessions = bgp::discover_sessions(devices, &external_peers);
+            sessions = bgp::discover_sessions(devices, &topo, &external_peers);
         }
         // Evaluate viability against the data plane so far; after the
         // first round, stop once the session set is stable.
@@ -385,20 +385,9 @@ pub(crate) fn igp_ribs(devices: &[Device], topo: &Topology) -> Vec<MainRib> {
 pub(crate) fn local_routes(d: &Device) -> MainRib {
     let mut rib = MainRib::new();
     for iface in d.active_interfaces() {
-        if let Some(p) = iface.connected_prefix() {
+        for prefix in iface.connected_prefixes() {
             rib.offer(MainRoute {
-                prefix: p,
-                admin_distance: 0,
-                metric: 0,
-                protocol: RouteProtocol::Connected,
-                next_hop: MainNextHop::Connected {
-                    iface: iface.name.clone(),
-                },
-            });
-        }
-        for &(ip, len) in &iface.secondary_addresses {
-            rib.offer(MainRoute {
-                prefix: Prefix::new(ip, len),
+                prefix,
                 admin_distance: 0,
                 metric: 0,
                 protocol: RouteProtocol::Connected,

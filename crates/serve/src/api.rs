@@ -421,7 +421,8 @@ fn lint(req: &Request, _: &str, ctx: &DispatchCtx) -> Reply {
     let s = snapshot(req, ctx)?;
     let gov = request_governor(req, &ctx.cfg)?;
     let (findings, partial) =
-        batnet_lint::run_network_governed(&s.devices, &s.snapshot.diagnostics, &gov).into_parts();
+        batnet_lint::run_network_governed(&s.devices, &s.topo, &s.snapshot.diagnostics, &gov)
+            .into_parts();
     let out = body(|w| {
         w.field("query", "lint").field("snapshot", &s.name).field("findings", findings.len());
         write_partial(w, partial.as_ref());

@@ -22,7 +22,7 @@
 //! deterministic — byte-identical across runs and device orderings —
 //! and `obs-validate` re-checks one against the in-tree schema.
 
-use batnet::config::parse_device;
+use batnet::config::{parse_device, Topology};
 use batnet::config::vi::Device;
 use batnet::obs::flags::{self, Cli, Flag};
 use batnet_coverage::{analyze, render_json, render_text};
@@ -64,11 +64,12 @@ fn run(args: &flags::Parsed<'_>) -> Result<ExitCode, String> {
             d
         })
         .collect();
-    let report = analyze(&devices);
+    let topo = Topology::infer(&devices);
+    let report = analyze(&devices, &topo);
     let rendered = match args.text("--format") {
         Some("json") => render_json(&net.name, &report),
         Some("sarif") => {
-            batnet::lint::output::render_sarif(&batnet::lint::unexercised_config(&devices))
+            batnet::lint::output::render_sarif(&batnet::lint::unexercised_config(&devices, &topo))
         }
         _ => render_text(&net.name, &report),
     };

@@ -25,7 +25,7 @@
 //! findings, not aborts. Reports carry no timestamps, so two runs emit
 //! byte-identical output.
 
-use batnet::config::parse_device;
+use batnet::config::{parse_device, Topology};
 use batnet::lint::{output, run_network_governed, Severity};
 use batnet::obs::flags::{self, Cli, Flag};
 use std::process::ExitCode;
@@ -85,7 +85,8 @@ fn run(args: &flags::Parsed<'_>) -> Result<ExitCode, String> {
         diags.push((name.clone(), dg.into_items()));
     }
     let gov = batnet_repro::governor(args.num("--deadline-ms"));
-    let (mut findings, partial) = run_network_governed(&devices, &diags, &gov).into_parts();
+    let topo = Topology::infer(&devices);
+    let (mut findings, partial) = run_network_governed(&devices, &topo, &diags, &gov).into_parts();
     span.close();
     if let Some((abandoned, why)) = &partial {
         batnet::obs::counter_add("lint.partial", 1);

@@ -19,7 +19,7 @@
 //! tests of one file on concurrent threads, so this file owns its
 //! process — the width sweep first, then the poisoning check.
 
-use batnet::config::parse_device;
+use batnet::config::{parse_device, Topology};
 use batnet::{DiffOptions, Snapshot};
 use batnet_exec::{with_pool, MapOptions, Pool};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -105,7 +105,8 @@ fn run_artifacts(
         devices.push(device);
         diags.push((name.clone(), dg.into_items()));
     }
-    let findings = batnet::lint::run_network(&devices, &diags);
+    let topo = Topology::infer(&devices);
+    let findings = batnet::lint::run_network(&devices, &topo, &diags);
     let lint_json = batnet::lint::output::render_json("N2", &findings);
 
     let diff = before.diff_with(&after, &DiffOptions::default());
@@ -114,7 +115,7 @@ fn run_artifacts(
     for (device, (name, _)) in devices.iter_mut().zip(perturbed.iter()) {
         device.stamp_source_file(name);
     }
-    let coverage = batnet_coverage::analyze(&devices);
+    let coverage = batnet_coverage::analyze(&devices, &topo);
     let cov_json = batnet_coverage::render_json("N2", &coverage);
 
     (report, lint_json, diff_json, cov_json)
