@@ -556,6 +556,46 @@ impl Bdd {
         count
     }
 
+    /// Copies `f` out of `src` into this manager: the same function over
+    /// the same variable indices, rebuilt children first with one
+    /// unique-table probe per decision node of `f`. Managers hash-cons,
+    /// so importing a function this manager already holds returns the
+    /// node it has.
+    ///
+    /// # Panics
+    /// If `f` tests a variable this manager does not have.
+    pub fn import(&mut self, src: &Bdd, f: NodeId) -> NodeId {
+        let mut copied: FxMap<NodeId, NodeId> = FxMap::default();
+        copied.insert(NodeId::FALSE, NodeId::FALSE);
+        copied.insert(NodeId::TRUE, NodeId::TRUE);
+        let mut stack = vec![f];
+        while let Some(&n) = stack.last() {
+            if copied.contains_key(&n) {
+                stack.pop();
+                continue;
+            }
+            let (lo, hi) = (src.lo_of(n), src.hi_of(n));
+            match (copied.get(&lo), copied.get(&hi)) {
+                (Some(&lo), Some(&hi)) => {
+                    let var = src.var_of(n);
+                    assert!(var < self.num_vars, "variable {var} out of range");
+                    let id = self.mk(var, lo, hi);
+                    copied.insert(n, id);
+                    stack.pop();
+                }
+                (l, h) => {
+                    if l.is_none() {
+                        stack.push(lo);
+                    }
+                    if h.is_none() {
+                        stack.push(hi);
+                    }
+                }
+            }
+        }
+        copied[&f]
+    }
+
     /// Current statistics snapshot.
     pub fn stats(&self) -> BddStats {
         BddStats {

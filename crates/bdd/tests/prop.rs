@@ -305,3 +305,30 @@ fn results_do_not_depend_on_what_the_cache_forgot() {
     }
     assert!(small_misses > misses, "16 slots must actually evict: {small_misses} vs {misses}");
 }
+
+/// `import` copies a function between managers: the copy agrees with the
+/// original on every assignment and on every count, and importing into a
+/// fork (which already holds the diagram) finds the original's nodes.
+#[test]
+fn import_copies_the_function_between_managers() {
+    for case in 0..CASES {
+        let mut rng = case_rng(10, case);
+        let e = gen_expr(&mut rng, 4);
+        let noise = gen_expr(&mut rng, 4);
+        let mut src = Bdd::new(NVARS);
+        let f = to_bdd(&e, &mut src);
+        // A destination that already holds unrelated nodes, so ids differ.
+        let mut dst = Bdd::new(NVARS);
+        to_bdd(&noise, &mut dst);
+        let g = dst.import(&src, f);
+        assert_eq!(dst.sat_count(g), src.sat_count(f), "case {case}: {e:?}");
+        assert_eq!(dst.size(g), src.size(f), "case {case}");
+        assert_eq!(dst.support(g), src.support(f), "case {case}");
+        for a in assignments() {
+            assert_eq!(dst.eval(g, &a), src.eval(f, &a), "case {case}: {e:?}");
+        }
+        assert_eq!(dst.import(&src, f), g, "case {case}: importing twice");
+        let mut fork = src.fork();
+        assert_eq!(fork.import(&src, f), f, "case {case}: fork");
+    }
+}

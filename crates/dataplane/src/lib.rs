@@ -16,8 +16,8 @@
 //! * [`compress`] — graph compression (§4.2.3): splicing out simple
 //!   nodes, composing their edge labels.
 //! * [`reach`] — forward fixed-point propagation, backward propagation
-//!   for single-destination queries, loop detection, and multipath
-//!   consistency.
+//!   for single-destination queries and from every success sink at once,
+//!   loop detection, and multipath consistency.
 //! * [`bidir`] — bidirectional reachability with firewall sessions
 //!   (§4.2.3): a forward pass collects installable sessions, the graph is
 //!   instrumented with return fast-path edges, and a second pass runs in

@@ -7,7 +7,9 @@
 //!
 //! Backward analysis (§4.2.3): for single-destination queries, walk the
 //! graph backwards propagating pre-images, *"sav[ing] us from walking the
-//! edges that do not lie on the destination's forwarding tree."*
+//! edges that do not lie on the destination's forwarding tree."* Walked
+//! from every success sink at once, one backward pass answers every
+//! source.
 
 use crate::graph::{DropKind, EdgeLabel, ForwardingGraph, NodeKind};
 use crate::vars::PacketVars;
@@ -211,6 +213,50 @@ impl<'g> ReachAnalysis<'g> {
         batnet_obs::counter_add("reach.queries", 1);
         batnet_obs::observe("reach.relaxations", relaxations);
         self.finish(reach, relaxations, worklist, why)
+    }
+
+    /// Backward fixed point from every success sink at once, each seeded
+    /// with `TRUE`: `reach[n]` is the packets that, placed at `n`, are
+    /// delivered somewhere. One walk answers every start (§4.2.3). Nodes
+    /// are popped in reverse topological rank, sinks first, so outside
+    /// cycles a node is pulled from once, after everything it forwards
+    /// to has settled. ([`ReachAnalysis::backward`] keeps index order:
+    /// its relaxation counts are pinned.)
+    pub fn backward_from_success(&self, bdd: &mut Bdd, vars: &PacketVars) -> ReachResult {
+        let span = batnet_obs::Span::enter("reach.backward");
+        let order = post_order(self.graph);
+        let mut rank = vec![0; order.len()];
+        for (r, &node) in order.iter().enumerate() {
+            rank[node] = r;
+        }
+        let mut reach = vec![NodeId::FALSE; order.len()];
+        let mut worklist: BTreeSet<usize> = BTreeSet::new();
+        for sink in self.graph.nodes_where(NodeKind::is_success_sink) {
+            reach[sink] = NodeId::TRUE;
+            worklist.insert(rank[sink]);
+        }
+        let mut relaxations = 0u64;
+        while let Some(r) = worklist.pop_first() {
+            let node = order[r];
+            let current = reach[node];
+            for &eid in &self.graph.in_edges[node] {
+                relaxations += 1;
+                let edge = &self.graph.edges[eid];
+                let pulled = Self::apply_rev(bdd, vars, edge.label, current);
+                if pulled == NodeId::FALSE {
+                    continue;
+                }
+                let merged = bdd.or(reach[edge.from], pulled);
+                if merged != reach[edge.from] {
+                    reach[edge.from] = merged;
+                    worklist.insert(rank[edge.from]);
+                }
+            }
+        }
+        span.close();
+        batnet_obs::counter_add("reach.queries", 1);
+        batnet_obs::observe("reach.relaxations", relaxations);
+        ReachResult { reach, relaxations }
     }
 
     /// Budget poll shared by the governed fixed points: the governor's
@@ -431,6 +477,40 @@ impl<'g> ReachAnalysis<'g> {
         }
         loops
     }
+}
+
+/// The graph's nodes in one depth-first post-order over out-edges: a node
+/// comes after everything it reaches, except around a cycle.
+fn post_order(graph: &ForwardingGraph) -> Vec<usize> {
+    let n = graph.nodes.len();
+    let mut seen = vec![false; n];
+    let mut order = Vec::with_capacity(n);
+    let mut stack: Vec<(usize, usize)> = Vec::new();
+    for root in 0..n {
+        if seen[root] {
+            continue;
+        }
+        seen[root] = true;
+        stack.push((root, 0));
+        while let Some(top) = stack.last_mut() {
+            let (node, next) = *top;
+            match graph.out_edges[node].get(next) {
+                Some(&eid) => {
+                    top.1 += 1;
+                    let to = graph.edges[eid].to;
+                    if !seen[to] {
+                        seen[to] = true;
+                        stack.push((to, 0));
+                    }
+                }
+                None => {
+                    order.push(node);
+                    stack.pop();
+                }
+            }
+        }
+    }
+    order
 }
 
 /// The reverse data for a registered transform handle, or `None` for a
