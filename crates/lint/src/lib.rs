@@ -693,6 +693,9 @@ pub fn mtu_mismatch(devices: &[Device], topo: &Topology) -> Vec<Finding> {
 ///   (`deny ip any any`) are exempt: their written space is the full
 ///   universe by idiom, not by intent.
 pub fn acl_shadowing(d: &Device) -> Vec<Finding> {
+    if d.acls.is_empty() {
+        return Vec::new();
+    }
     let (mut bdd, vars) = PacketVars::new(0);
     let mut out = Vec::new();
     for acl in d.acls.values() {
