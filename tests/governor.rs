@@ -4,6 +4,7 @@
 //! in-process *and* through a live `batnet-serve` endpoint returning
 //! partial JSON. Reported, never hung and never panicking.
 
+use batnet::config::Topology;
 use batnet::dataplane::{NodeKind, ReachAnalysis};
 use batnet::net::governor::{Limit, Outcome, ResourceGovernor};
 use batnet::routing::{simulate_governed, SchedulerMode, SimOptions};
@@ -26,8 +27,9 @@ fn lockstep() -> SimOptions {
 fn fig1b_iteration_budget_yields_partial() {
     let net = fig1b();
     let devices = net.parse();
+    let topo = Topology::infer(&devices);
     let gov = ResourceGovernor::with_iteration_budget(50);
-    match simulate_governed(&devices, &net.env, &lockstep(), &gov) {
+    match simulate_governed(&devices, &topo, &net.env, &lockstep(), &gov) {
         Outcome::Partial {
             completed,
             abandoned,
@@ -50,8 +52,9 @@ fn fig1b_iteration_budget_yields_partial() {
 fn fig1b_deadline_yields_partial() {
     let net = fig1b();
     let devices = net.parse();
+    let topo = Topology::infer(&devices);
     let gov = ResourceGovernor::with_deadline(Duration::ZERO);
-    let outcome = simulate_governed(&devices, &net.env, &lockstep(), &gov);
+    let outcome = simulate_governed(&devices, &topo, &net.env, &lockstep(), &gov);
     match outcome {
         Outcome::Partial { why, .. } => {
             assert!(matches!(why.limit, Limit::Deadline { .. }), "{why:?}")
@@ -191,6 +194,7 @@ fn governed_complete_matches_ungoverned() {
     let opts = SimOptions::default();
     let governed = simulate_governed(
         &devices,
+        &Topology::infer(&devices),
         &net.env,
         &opts,
         &ResourceGovernor::with_deadline(Duration::from_secs(600)),
