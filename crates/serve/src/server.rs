@@ -422,10 +422,15 @@ mod tests {
 
     /// Two routers, one hop apart, as an upload body.
     fn upload_body() -> String {
+        body_of(two_router_configs())
+    }
+
+    /// `configs` as an upload body.
+    fn body_of(configs: Vec<(String, String)>) -> String {
         batnet_obs::json::Writer::spaced()
             .obj(|w| {
                 w.array("configs", |w| {
-                    for (name, text) in two_router_configs() {
+                    for (name, text) in configs {
                         w.obj(|w| {
                             w.field("name", name).field("text", text);
                         });
@@ -474,6 +479,53 @@ mod tests {
         drop(held);
         let reach = client::get(addr, "/query/reach?snapshot=a&port=80", T).expect("reach");
         assert_eq!(reach.status, 200, "{}", reach.body_str());
+        handle.shutdown();
+    }
+
+    /// A diff walks a fork of each stored manager, so the arena keeps
+    /// only what the upload and reaches put there, and a reach capped at
+    /// that arena's size answers the same before and after a diff.
+    #[test]
+    fn a_diff_leaves_the_stored_managers_as_it_found_them() {
+        let handle = spawn(ServeConfig::default()).expect("bind loopback");
+        let addr = handle.addr();
+        // `b` drops web traffic at r1's host port.
+        let acl =
+            "ip access-list extended WEB\n 10 deny tcp any any eq 80\n 20 permit ip any any\n";
+        let mut filtered = two_router_configs();
+        let r1 = &mut filtered[0].1;
+        *r1 = r1.replace("10.1.0.1/24\n", "10.1.0.1/24\n ip access-group WEB in\n") + acl;
+        for (name, configs) in [("a", two_router_configs()), ("b", filtered)] {
+            let body = body_of(configs);
+            let up = client::post(addr, &format!("/snapshots/{name}"), body.as_bytes(), T);
+            assert_eq!(up.expect("upload").status, 201);
+        }
+        let reach = |query: &str| {
+            let r = client::get(addr, &format!("/query/reach?snapshot=a&port=80{query}"), T);
+            let r = r.expect("reach");
+            (r.status, r.body_str().to_string())
+        };
+        let uncapped = reach("");
+        assert_eq!(uncapped.0, 200, "{}", uncapped.1);
+        let stored = ["a", "b"].map(|name| handle.ctx.store.get(name).expect("stored"));
+        let nodes = || {
+            stored
+                .each_ref()
+                .map(|s| s.bdd.lock().expect("not poisoned").node_count())
+        };
+        let arenas = nodes();
+        let capped = format!("&max_bdd_nodes={}", arenas[0] + 1);
+        assert_eq!(reach(&capped), uncapped);
+        for path in ["/diff?snapshot=a&against=b", "/diff?snapshot=b&against=a"] {
+            let d = client::get(addr, path, T).unwrap_or_else(|e| panic!("{path}: {e}"));
+            assert_eq!(d.status, 200, "{path}: {}", d.body_str());
+            let body = batnet_obs::json::parse(d.body_str()).expect("diff body parses");
+            let summary = body.get("report").and_then(|r| r.get("summary"));
+            let starts = summary.expect("summary").num("changed_starts");
+            assert_eq!(starts, Ok(1.0), "{path}");
+        }
+        assert_eq!(nodes(), arenas);
+        assert_eq!(reach(&capped), uncapped);
         handle.shutdown();
     }
 
