@@ -12,7 +12,9 @@
 //! (the one `harness diff` benches) is too large to commit, so one line
 //! pins its shape and an FNV-1a 64 digest of its JSON bytes instead; so
 //! do one line each for `batnet-lint --format json` and `batnet-cov
-//! --format json` on N2 and on NET1.
+//! --format json` on N2 and on NET1, and one line each for a seeded set
+//! of service questions on N2 and on NET1 (their starts, violations and
+//! examples).
 //! Regenerate with
 //! `cargo test --test golden -- --ignored write_golden` only when a
 //! format intentionally changes (and say so in the change log).
@@ -21,6 +23,9 @@ use batnet::config::diag::Diagnostic;
 use batnet::config::{parse_device, Topology};
 use batnet::config::vi::{Device, SourceSpan};
 use batnet::lint::{output, run_network, Finding};
+use batnet::net::rng::Rng;
+use batnet::net::Prefix;
+use batnet::queries::{service_blocked, service_reachable, QueryReport, ServiceSpec};
 use batnet::{DiffOptions, Snapshot};
 use batnet_topogen::perturb::{perturb, Scenario};
 use std::path::{Path, PathBuf};
@@ -167,6 +172,66 @@ fn suite_lint_and_coverage_match_their_digests() {
     }
 }
 
+/// Service ports the seeded questions draw from.
+const QUESTION_PORTS: [u16; 4] = [22, 80, 443, 53];
+
+/// Seeded questions per network.
+const QUESTIONS: usize = 20;
+
+/// The digest line of a seeded set of service questions on one suite
+/// network: for each of [`QUESTIONS`] (connected prefix, port) picks,
+/// `service_reachable` and `service_blocked` from external interfaces,
+/// one long-lived analysis answering them in order. The FNV-1a 64
+/// covers each question's prefix, port, `starts_checked` and every
+/// violation's start, example and positive example.
+fn questions_digest_line(id: &str) -> String {
+    let net = (batnet_topogen::suite::find(id).expect("suite network").build)();
+    let mut analysis = Snapshot::from_configs(net.configs.clone())
+        .with_env(net.env.clone())
+        .analyze();
+    let mut universe: Vec<Prefix> = analysis
+        .devices
+        .iter()
+        .flat_map(|d| d.active_interfaces().filter_map(|i| i.connected_prefix()))
+        .collect();
+    universe.sort();
+    universe.dedup();
+    let mut rng = Rng::new(1);
+    let mut text = String::new();
+    let (mut starts, mut violations) = (0, 0);
+    for _ in 0..QUESTIONS {
+        let service = ServiceSpec::tcp(*rng.pick(&universe), *rng.pick(&QUESTION_PORTS));
+        let reachable = service_reachable(&mut analysis.query_context(), &service);
+        let blocked = service_blocked(&mut analysis.query_context(), &service, true);
+        for report in [reachable, blocked] {
+            let QueryReport { query, violations: found, starts_checked } = report;
+            text += &format!("{query} {} {} {starts_checked}\n", service.prefix, service.port);
+            starts += starts_checked;
+            violations += found.len();
+            for v in found {
+                text += &format!(
+                    "{}[{}] {:?} {:?}\n",
+                    v.start.device, v.start.interface, v.example, v.positive_example
+                );
+            }
+        }
+    }
+    format!(
+        "questions={QUESTIONS} starts_checked={starts} violations={violations} fnv1a64={:016x}\n",
+        fnv1a64(text.as_bytes())
+    )
+}
+
+#[test]
+fn suite_service_questions_match_their_digests() {
+    for id in SUITE_DIGESTS {
+        let name = format!("{}.questions.fnv", id.to_lowercase());
+        let want = std::fs::read_to_string(golden_path(&name))
+            .unwrap_or_else(|e| panic!("committed golden file {name}: {e}"));
+        assert_eq!(questions_digest_line(id), want, "{name}: the {id} answers drifted");
+    }
+}
+
 #[test]
 fn audit_artifacts_match_their_golden_files() {
     for (name, got) in artifacts() {
@@ -188,5 +253,7 @@ fn write_golden() {
         for (name, line) in suite_digest_lines(id) {
             std::fs::write(golden_path(&name), line).expect("write golden file");
         }
+        let name = format!("{}.questions.fnv", id.to_lowercase());
+        std::fs::write(golden_path(&name), questions_digest_line(id)).expect("write golden file");
     }
 }
