@@ -270,9 +270,10 @@ impl<'g> Walks<'g> {
     fn success(&mut self, bdd: &mut Bdd, vars: &PacketVars, start: usize) -> NodeId {
         if !self.nat[start] {
             let analysis = &self.analysis;
-            let delivered = self
-                .delivered
-                .get_or_insert_with(|| analysis.backward_from_success(bdd, vars).reach);
+            let delivered = self.delivered.get_or_insert_with(|| {
+                let sinks = analysis.graph.nodes_where(NodeKind::is_success_sink);
+                analysis.backward_from(bdd, vars, &sinks).reach
+            });
             return delivered[start];
         }
         let seeds = ingress_seeds(self.analysis.graph, bdd, start);

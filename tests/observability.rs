@@ -2,8 +2,9 @@
 //! must produce a RunReport that (a) contains every pipeline stage span
 //! exactly once, (b) validates against the schema-1 validator, and
 //! (c) accounts for every quarantined device with its reason code; and
-//! (d) one service question on that analysis opens only the spans its
-//! verdict needs.
+//! (d) one service question on that analysis, or on a lab with one or
+//! five client subnets, runs exactly one backward walk and no forward
+//! one.
 //!
 //! A single `#[test]` on purpose: the observability registry is
 //! process-global and `cargo test` runs tests on threads, so this file
@@ -12,7 +13,7 @@
 use batnet::obs;
 use batnet::queries::{host_facing_interfaces, service_reachable, ServiceSpec};
 use batnet::routing::SimOptions;
-use batnet::{ResourceGovernor, Snapshot};
+use batnet::{Analysis, ResourceGovernor, Snapshot};
 
 /// Binary slush no parser understands — quarantined at the parse stage.
 const GARBAGE: &str = "\u{1}\u{2}\u{3}%PDF-1.4 \u{7f}\u{6}binary\u{5}slush\n\
@@ -96,15 +97,41 @@ fn net1_run_report_is_complete_and_accountable() {
         "BDD gauges missing"
     );
 
-    // (d) `service_reachable`'s verdict is the seed minus what the
-    // backward walk from the sinks projects onto each start, so a
-    // question runs backward walks and no forward fixed point per start.
+    // (d) `service_reachable`'s verdict is the seed minus what one
+    // backward walk from the service's sinks projects onto each start, so
+    // a question runs exactly one fixed point, whatever its start count.
     let hosts = host_facing_interfaces(&analysis.devices, &analysis.topo);
     let service = hosts.iter().find(|h| !h.external).expect("NET1 has host subnets").subnet;
+    let question = ask(&mut analysis, ServiceSpec::tcp(service, 80));
+    assert!(question > 5, "{question} starts");
+    for hosts in [1, 5] {
+        let mut lab = Snapshot::from_configs(clients_and_servers(hosts)).analyze();
+        let service = ServiceSpec::tcp("10.2.0.0/24".parse().expect("prefix"), 443);
+        assert_eq!(ask(&mut lab, service), hosts);
+    }
+}
+
+/// Asks `service_reachable` alone on a fresh recorder and checks that it
+/// ran one backward walk and no forward one; returns its start count.
+fn ask(analysis: &mut Analysis, service: ServiceSpec) -> usize {
     obs::reset();
-    let answer = service_reachable(&mut analysis.query_context(), &ServiceSpec::tcp(service, 80));
+    let answer = service_reachable(&mut analysis.query_context(), &service);
     let question = obs::capture();
-    assert!(answer.starts_checked > 0);
-    assert!(question.span_count("reach.backward") > 0, "the question never ran");
+    assert_eq!(question.span_count("reach.backward"), 1, "one walk per question");
+    assert_eq!(question.counter("reach.queries"), Some(1));
     assert_eq!(question.span_count("reach.forward"), 0, "a forward pass nothing reads");
+    answer.starts_checked
+}
+
+/// `hosts` client subnets on r1, servers behind r2.
+fn clients_and_servers(hosts: usize) -> Vec<(String, String)> {
+    let mut r1 = String::from("hostname r1\ninterface core\n ip address 172.16.0.1/31\n");
+    for h in 0..hosts {
+        r1 += &format!("interface hosts{h}\n ip address 10.1.{h}.1/24\n");
+    }
+    r1 += "ip route 10.2.0.0/24 172.16.0.0\n";
+    let r2 = "hostname r2\ninterface core\n ip address 172.16.0.0/31\n\
+              interface servers\n ip address 10.2.0.1/24\n\
+              ip route 10.1.0.0/16 172.16.0.1\n";
+    vec![("r1".into(), r1), ("r2".into(), r2.into())]
 }
