@@ -519,7 +519,18 @@ impl Analysis {
 
     /// A query context borrowing this analysis (the `bdd` borrow is
     /// exclusive, so queries run one at a time).
+    ///
+    /// The first call pins glibc's mmap threshold for the process
+    /// (`mem::map_large_blocks`, as `batnet_serve::spawn` does). An
+    /// analysis queried for long grows its manager's tables by doubling.
+    /// Under the default threshold, each replaced table, and every large
+    /// block a pool helper freed while the analysis was built, stays in
+    /// whichever arena drew it, so the process's resident peak depends on
+    /// which thread built what. Pinned, each large block is unmapped when
+    /// freed.
     pub fn query_context(&mut self) -> QueryContext<'_> {
+        static MAP_LARGE_BLOCKS: std::sync::Once = std::sync::Once::new();
+        MAP_LARGE_BLOCKS.call_once(batnet_obs::mem::map_large_blocks);
         QueryContext {
             devices: &self.devices,
             dp: &self.dp,
