@@ -8,10 +8,11 @@
 //! run from the repository root prints the bytes of
 //! `lint-bad.lint.json`. A fixed in-test finding list sets every
 //! optional member (`file`/`line`, `witness`, an empty device) and
-//! strings that need escaping. The N2 `acl-attach-peering` seed-3 diff
-//! (the one `harness diff` benches) is too large to commit, so one line
-//! pins its shape and an FNV-1a 64 digest of its JSON bytes instead; so
-//! do one line each for `batnet-lint --format json` and `batnet-cov
+//! strings that need escaping. Seeded perturbation diffs (N2's
+//! `acl-attach-peering` seed 3, the one `harness diff` benches, and
+//! NAT-crossing drain-device and acl-add-line diffs on NET1, N3 and N7)
+//! are too large to commit, so one line each pins its shape and an
+//! FNV-1a 64 digest of its JSON bytes instead; so do one line each for `batnet-lint --format json` and `batnet-cov
 //! --format json` on N2 and on NET1, and one line each for a seeded set
 //! of service questions on N2 and on NET1 (their starts, violations and
 //! examples).
@@ -100,13 +101,31 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     })
 }
 
-const N2_DIGEST: &str = "n2-acl-attach-peering-3.diff.fnv";
+/// The seeded perturbation diffs pinned by digest: (suite network,
+/// scenario, seed). N2's diff crosses no NAT; on NET1, N3 and N7 every
+/// start's forward cone holds the border's source NAT, so their lines
+/// pin the before/after traces the diff JSON embeds for NAT-crossing
+/// flows.
+const DIFF_DIGESTS: &[(&str, Scenario, u64)] = &[
+    ("N2", Scenario::AclAttachPeering, 3),
+    ("NET1", Scenario::DrainDevice, 1),
+    ("NET1", Scenario::AclAddLine, 1),
+    ("N3", Scenario::DrainDevice, 1),
+    ("N3", Scenario::AclAddLine, 1),
+    ("N7", Scenario::DrainDevice, 1),
+    ("N7", Scenario::AclAddLine, 1),
+];
 
-/// The digest line of `batnet-diff --net N2 --scenario acl-attach-peering
-/// --seed 3 --format json`: its layer counts, byte length and FNV-1a 64.
-fn n2_digest_line() -> String {
-    let net = batnet_topogen::suite::n2();
-    let p = perturb(&net, Scenario::AclAttachPeering, 3).expect("a leaf is always eligible");
+/// The golden file of one [`DIFF_DIGESTS`] row.
+fn diff_digest_name(id: &str, scenario: Scenario, seed: u64) -> String {
+    format!("{}-{}-{seed}.diff.fnv", id.to_lowercase(), scenario.name())
+}
+
+/// The digest line of `batnet-diff --net ID --scenario S --seed N
+/// --format json`: its layer counts, byte length and FNV-1a 64.
+fn diff_digest_line(id: &str, scenario: Scenario, seed: u64) -> String {
+    let net = (batnet_topogen::suite::find(id).expect("suite network").build)();
+    let p = perturb(&net, scenario, seed).expect("a victim is eligible");
     let snapshot = |configs| Snapshot::from_configs(configs).with_env(net.env.clone());
     let diff = snapshot(net.configs.clone()).diff(&snapshot(p.configs));
     let json = batnet::diff::render_json(&diff);
@@ -120,11 +139,32 @@ fn n2_digest_line() -> String {
     )
 }
 
+/// Checks every [`DIFF_DIGESTS`] row on network `id` against its golden
+/// file.
+fn check_diff_digests(id: &str) {
+    for &(net, scenario, seed) in DIFF_DIGESTS.iter().filter(|row| row.0 == id) {
+        let name = diff_digest_name(net, scenario, seed);
+        let want = std::fs::read_to_string(golden_path(&name))
+            .unwrap_or_else(|e| panic!("committed golden file {name}: {e}"));
+        assert_eq!(diff_digest_line(net, scenario, seed), want, "{name}: the diff JSON drifted");
+    }
+}
+
 #[test]
 fn n2_perturbation_diff_matches_its_digest() {
-    let want = std::fs::read_to_string(golden_path(N2_DIGEST))
-        .unwrap_or_else(|e| panic!("committed golden file {N2_DIGEST}: {e}"));
-    assert_eq!(n2_digest_line(), want, "the N2 diff JSON drifted");
+    check_diff_digests("N2");
+}
+
+#[test]
+fn nat_crossing_diffs_match_their_digests() {
+    check_diff_digests("NET1");
+    check_diff_digests("N3");
+}
+
+/// N7's two diffs take the longest, so they run beside the others.
+#[test]
+fn n7_nat_crossing_diffs_match_their_digests() {
+    check_diff_digests("N7");
 }
 
 /// The suite networks whose lint and coverage JSON are pinned by digest.
@@ -248,7 +288,10 @@ fn write_golden() {
     for (name, text) in artifacts() {
         std::fs::write(golden_path(name), text).expect("write golden file");
     }
-    std::fs::write(golden_path(N2_DIGEST), n2_digest_line()).expect("write golden file");
+    for &(id, scenario, seed) in DIFF_DIGESTS {
+        let line = diff_digest_line(id, scenario, seed);
+        std::fs::write(golden_path(&diff_digest_name(id, scenario, seed)), line).expect("write golden file");
+    }
     for id in SUITE_DIGESTS {
         for (name, line) in suite_digest_lines(id) {
             std::fs::write(golden_path(&name), line).expect("write golden file");
