@@ -18,13 +18,13 @@
 //! * [`reach`] — forward fixed-point propagation, backward propagation
 //!   for single-destination queries and from every success sink at once,
 //!   loop detection, and multipath consistency.
-//! * [`bidir`] — bidirectional reachability with firewall sessions
-//!   (§4.2.3): a forward pass collects installable sessions, the graph is
-//!   instrumented with return fast-path edges, and a second pass runs in
-//!   the reverse direction.
+//!
+//! §4.2.3's bidirectional reachability (firewall sessions and a return
+//! pass over a graph instrumented with session fast paths) is not
+//! carried: no question asks for it. Stateful devices apply their zone
+//! policy to every transiting flow.
 
 pub mod acl;
-pub mod bidir;
 pub mod compress;
 pub mod fibenc;
 pub mod graph;

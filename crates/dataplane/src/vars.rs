@@ -478,9 +478,7 @@ impl PacketVars {
 
     /// Projects a packet set onto the 5-tuple (both IPs, both ports,
     /// protocol) by existentially quantifying TCP flags, ICMP fields, and
-    /// the zone/waypoint bookkeeping bits. Session matching is 5-tuple
-    /// based (§4.2.3), so installable-session sets are projected before
-    /// mirroring.
+    /// the zone/waypoint bookkeeping bits.
     pub fn project_five_tuple(&self, bdd: &mut Bdd, set: NodeId) -> NodeId {
         let mut vars_to_drop: Vec<u32> = Vec::new();
         for field in [Field::IcmpCode, Field::IcmpType, Field::TcpFlags] {
@@ -508,25 +506,6 @@ impl PacketVars {
             acc = bdd.and(acc, v);
         }
         acc
-    }
-
-    /// A renaming that swaps source and destination (IPs and ports) —
-    /// used to mirror firewall session sets for return traffic (§4.2.3).
-    pub fn register_swap(&self, bdd: &mut Bdd) -> batnet_bdd::VarMap {
-        let mut pairs = Vec::new();
-        for i in 0..32 {
-            let d = self.var_of(Field::DstIp, i, false);
-            let s = self.var_of(Field::SrcIp, i, false);
-            pairs.push((d, s));
-            pairs.push((s, d));
-        }
-        for i in 0..16 {
-            let d = self.var_of(Field::DstPort, i, false);
-            let s = self.var_of(Field::SrcPort, i, false);
-            pairs.push((d, s));
-            pairs.push((s, d));
-        }
-        bdd.register_map(&pairs)
     }
 }
 
@@ -745,23 +724,6 @@ mod tests {
         let after = bdd.transform(start, rule, vars.waypoint_transforms[0]);
         let w = bdd.var(vars.waypoint_var(0));
         assert_eq!(bdd.and(after, w), after, "bit set after traversal");
-    }
-
-    #[test]
-    fn swap_mirrors_session_sets() {
-        let (mut bdd, vars) = setup();
-        let fwd = Flow::tcp("10.0.0.9".parse().unwrap(), 50000, "203.0.113.99".parse().unwrap(), 443);
-        let set = vars.flow(&mut bdd, &fwd);
-        let swap = vars.register_swap(&mut bdd);
-        let mirrored = bdd.rename(set, swap);
-        let ret = fwd.reverse();
-        // The mirrored set contains the return flow's 5-tuple (flags and
-        // other fixed fields are untouched by the swap, so compare with
-        // the forward flags).
-        let mut ret_like = ret;
-        ret_like.tcp_flags = fwd.tcp_flags;
-        assert!(eval_flow(&bdd, &vars, mirrored, &ret_like));
-        assert!(!eval_flow(&bdd, &vars, mirrored, &fwd));
     }
 
     #[test]

@@ -302,27 +302,6 @@ impl Flow {
             tcp_flags: TcpFlags::EMPTY,
         }
     }
-
-    /// The flow of the return direction: endpoints and ports swapped, and
-    /// for TCP the SYN→SYN/ACK transition applied. Used by bidirectional
-    /// reachability analysis (§4.2.3).
-    pub fn reverse(&self) -> Flow {
-        let tcp_flags = if self.protocol == IpProtocol::Tcp {
-            TcpFlags::SYN.union(TcpFlags::ACK)
-        } else {
-            TcpFlags::EMPTY
-        };
-        Flow {
-            src_ip: self.dst_ip,
-            dst_ip: self.src_ip,
-            src_port: self.dst_port,
-            dst_port: self.src_port,
-            protocol: self.protocol,
-            icmp_type: if self.protocol == IpProtocol::Icmp { 0 } else { 0 },
-            icmp_code: 0,
-            tcp_flags,
-        }
-    }
 }
 
 impl fmt::Display for Flow {
@@ -421,15 +400,6 @@ mod tests {
         let b = PortRange::new(150, 300);
         assert_eq!(a.intersect(b), Some(PortRange::new(150, 200)));
         assert_eq!(a.intersect(PortRange::new(201, 300)), None);
-    }
-
-    #[test]
-    fn flow_reverse_swaps_endpoints() {
-        let f = Flow::tcp("10.0.0.1".parse().unwrap(), 40000, "10.0.1.1".parse().unwrap(), 443);
-        let r = f.reverse();
-        assert_eq!(r.src_ip, f.dst_ip);
-        assert_eq!(r.dst_port, f.src_port);
-        assert!(r.tcp_flags.contains(TcpFlags::ACK));
     }
 
     #[test]

@@ -15,20 +15,20 @@
 //!
 //! 1. ingress ACL (`in.acl_in`);
 //! 2. destination NAT (rules scoped to *in* or unscoped);
-//! 3. stateful session match (return traffic takes the fast path past
-//!    filters);
-//! 4. local delivery check (destination owned by the device);
-//! 5. FIB lookup (ECMP forks the trace);
-//! 6. zone policy (`zone(in) → zone(out)`) on stateful devices;
-//! 7. source NAT (rules scoped to *out* or unscoped);
-//! 8. egress ACL (`out.acl_out`);
-//! 9. hand-off to the L3 neighbor owning the gateway address.
+//! 3. local delivery check (destination owned by the device);
+//! 4. FIB lookup (ECMP forks the trace);
+//! 5. zone policy (`zone(in) → zone(out)`) on stateful devices;
+//! 6. source NAT (rules scoped to *out* or unscoped);
+//! 7. egress ACL (`out.acl_out`);
+//! 8. hand-off to the L3 neighbor owning the gateway address.
+//!
+//! Traces are one-way: a stateful device installs no session, and return
+//! traffic meets the zone policy like any other flow (§4.2.3's
+//! bidirectional reachability is not carried).
 //!
 //! Every step is annotated (route used, ACL line hit) for the §4.4.3
 //! violation explanations.
 
-pub mod session;
 pub mod trace;
 
-pub use session::{FirewallSession, SessionTable};
 pub use trace::{Disposition, Hop, StartLocation, Trace, TracePath, Tracer};
