@@ -432,16 +432,19 @@ impl ForwardingGraph {
                                 }
                             }
                             if remainder != NodeId::FALSE {
-                                // On-subnet host delivery vs off-subnet
-                                // (edge interface → exits network).
-                                let subnet = device
+                                // On-subnet host delivery (any of the
+                                // interface's subnets) vs off-subnet (edge
+                                // interface → exits network).
+                                let mut on_subnet = NodeId::FALSE;
+                                for p in device
                                     .interfaces
                                     .get(&oiface)
-                                    .and_then(|i| i.connected_prefix());
-                                let on_subnet = match subnet {
-                                    Some(p) => vars.ip_range(bdd, Field::DstIp, IpRange::from_prefix(p)),
-                                    None => NodeId::FALSE,
-                                };
+                                    .into_iter()
+                                    .flat_map(Interface::connected_prefixes)
+                                {
+                                    let range = vars.ip_range(bdd, Field::DstIp, IpRange::from_prefix(p));
+                                    on_subnet = bdd.or(on_subnet, range);
+                                }
                                 let host_part = bdd.and(remainder, on_subnet);
                                 if host_part != NodeId::FALSE {
                                     let sink = g.add_node(NodeKind::DeliveredToSubnet(
