@@ -314,8 +314,8 @@ pub struct Device {
     /// When no zone policy matches a (from, to) zone pair: permit?
     /// Vendor-default deny, as on real zone firewalls.
     pub zone_default_permit: bool,
-    /// Does this device track firewall sessions (stateful)? Set for zone
-    /// firewalls; enables return-traffic fast path in both engines.
+    /// Is this device a stateful zone firewall? Set for zone firewalls;
+    /// both engines apply its zone policy to every transiting flow.
     pub stateful: bool,
     /// Configured NTP servers (management-plane consistency checks).
     pub ntp_servers: Vec<Ip>,

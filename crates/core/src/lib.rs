@@ -11,7 +11,7 @@
 //!    clocks, pull-based RIB deltas, attribute interning) → RIBs + FIBs.
 //! 3. **Verify** ([`batnet_dataplane`]) — BDD-based dataflow analysis
 //!    over the forwarding graph: reachability, multipath consistency,
-//!    loops, NAT, zones, sessions, waypoints.
+//!    loops, NAT, zones, waypoints.
 //! 4. **Explain** ([`batnet_traceroute`], [`batnet_queries`]) — concrete
 //!    annotated traces, scoped defaults, positive/negative examples.
 //!
