@@ -9,7 +9,7 @@
 //! the two engines' answers are comparable on NAT-free networks.
 
 use crate::cubes::CubeSet;
-use batnet_config::vi::{AclAction, Device};
+use batnet_config::vi::{AclAction, Device, Interface};
 use batnet_config::{InterfaceRef, Topology};
 use batnet_net::Ip;
 use batnet_routing::{DataPlane, FibAction};
@@ -194,17 +194,18 @@ impl CubeNetwork {
                             }
                         }
                         if !remainder.is_empty() {
-                            let subnet = device
+                            // Any of the interface's subnets, as the
+                            // graph and the tracer deliver.
+                            let subnets = device
                                 .interfaces
                                 .get(oiface)
-                                .and_then(|i| i.connected_prefix());
-                            let (on, off) = match subnet {
-                                Some(p) => {
-                                    let s = CubeSet::dst_prefix(p);
-                                    (remainder.intersect(&s), remainder.subtract(&s))
-                                }
-                                None => (CubeSet::empty(), remainder),
-                            };
+                                .into_iter()
+                                .flat_map(Interface::connected_prefixes)
+                                .fold(CubeSet::empty(), |acc, p| {
+                                    acc.union(&CubeSet::dst_prefix(p))
+                                });
+                            let on = remainder.intersect(&subnets);
+                            let off = remainder.subtract(&subnets);
                             if !on.is_empty() {
                                 let t = net.node(Node::Terminal(
                                     CubeDisposition::DeliveredToSubnet(
@@ -384,6 +385,19 @@ mod tests {
             .get(&CubeDisposition::Dropped("r1".into()))
             .expect("non-web dropped");
         assert!(dropped.matches(&ssh));
+
+        // Hosts on a secondary subnet are delivered, as the graph and the
+        // tracer deliver them, not sent out of the network.
+        let (devices, dp, topo) = world(&[(
+            "r1",
+            "hostname r1\ninterface hosts\n ip address 10.1.0.1/24\ninterface lan\n ip address 10.2.0.1/24\n ip address 10.3.0.1 255.255.255.0 secondary\n",
+        )]);
+        let net = CubeNetwork::build(&devices, &dp, &topo);
+        let to_secondary = CubeSet::dst_prefix("10.3.0.0/24".parse().unwrap());
+        let (dispositions, _) = net.reach("r1", "hosts", to_secondary.clone());
+        let lan = CubeDisposition::DeliveredToSubnet("r1".into(), "lan".into());
+        assert_eq!(dispositions.keys().collect::<Vec<_>>(), [&lan]);
+        assert!(to_secondary.subtract(&dispositions[&lan]).is_empty());
     }
 
     #[test]
