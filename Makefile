@@ -66,11 +66,12 @@ chaos: build
 # would turn one contained worker panic into poisoned telemetry for the
 # whole process, so every lock must recover via `PoisonError::into_inner`.
 # The last invocation enforces the workspace-wide timing discipline from
-# clippy.toml: `Instant::now` is disallowed outside batnet_obs::clock.
+# clippy.toml (`Instant::now` is disallowed outside batnet_obs::clock) and
+# denies unused code, so a deletion cannot leave imports behind.
 clippy:
 	$(CARGO) clippy --offline -p batnet -p batnet-chaos -- -D clippy::unwrap_used -D clippy::panic
 	$(CARGO) clippy --offline -p batnet-obs -p batnet-serve -p batnet-lint -p batnet-diff -p batnet-coverage -- -D clippy::unwrap_used
-	$(CARGO) clippy --offline --workspace --all-targets -- -D clippy::disallowed_methods
+	$(CARGO) clippy --offline --workspace --all-targets -- -D clippy::disallowed_methods -D unused
 
 # Routing-state oracle: per suite network, the device count, the route
 # total and one digest of every device's main RIB, best routes, clock,

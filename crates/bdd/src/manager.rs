@@ -1,6 +1,5 @@
 //! The BDD manager: node arena, hash-consing, and the apply/ITE core.
 
-use batnet_net::governor::{Exhaustion, ResourceGovernor};
 use batnet_net::hash::{fx_add, FxMap};
 
 /// A reference to a BDD node within one [`Bdd`] manager.
@@ -147,8 +146,6 @@ pub struct Bdd {
     num_vars: u32,
     cache_hits: u64,
     cache_misses: u64,
-    governor: Option<ResourceGovernor>,
-    exhausted: Option<Exhaustion>,
 }
 
 impl Bdd {
@@ -166,8 +163,6 @@ impl Bdd {
             num_vars,
             cache_hits: 0,
             cache_misses: 0,
-            governor: None,
-            exhausted: None,
         };
         // Terminals occupy slots 0 and 1; their `lo`/`hi` are self-loops
         // that no operation ever follows.
@@ -184,9 +179,8 @@ impl Bdd {
     /// A detached copy for a shard worker: same node arena, unique
     /// table, and registered maps/transforms — every existing `NodeId`,
     /// `VarMap`, and `Transform` handle stays valid in the fork — but a
-    /// fresh empty operation cache and **no governor** (shards are
-    /// budgeted by their driver, not by a shared manager; a governor
-    /// must not be cloned into threads it was not accounting for).
+    /// fresh empty operation cache. The manager enforces no budget, so
+    /// none is copied: a fork's driver polls its own per-call governor.
     /// Forks diverge from the parent: nodes created in one are
     /// invisible to the other, which is exactly what per-worker
     /// reachability sharding wants.
@@ -201,8 +195,6 @@ impl Bdd {
             num_vars: self.num_vars,
             cache_hits: 0,
             cache_misses: 0,
-            governor: None,
-            exhausted: None,
         }
     }
 
@@ -240,23 +232,6 @@ impl Bdd {
                 0 => break,
                 i if self.nodes[i as usize] == node => return NodeId(i),
                 _ => slot = (slot + 1) & mask,
-            }
-        }
-        // Governance: record (once, sticky) when the arena crosses the
-        // ceiling or the deadline passes. The in-flight operation still
-        // completes — canonicity requires finishing the recursion — but
-        // governed drivers poll `exhausted()` between operations and stop.
-        // The deadline is polled every 4096 allocations (an `Instant::now`
-        // per node would dominate mk).
-        if self.exhausted.is_none() {
-            if let Some(gov) = &self.governor {
-                if let Err(e) = gov.check_nodes("bdd", self.nodes.len()) {
-                    self.exhausted = Some(e);
-                } else if self.nodes.len() & 0xFFF == 0 {
-                    if let Err(e) = gov.check("bdd") {
-                        self.exhausted = Some(e);
-                    }
-                }
             }
         }
         let id = u32::try_from(self.nodes.len())
@@ -324,11 +299,10 @@ impl Bdd {
     /// The canonical node "if `var` then `hi` else `lo`", for encoders that
     /// build a diagram bottom-up instead of through `apply` (prefix cubes,
     /// longest-prefix-match tables): one unique-table probe, no operation
-    /// cache. Hash-consing, `lo == hi` elision and governor polling are
-    /// [`Bdd::mk`]'s; what this adds is the ordering check in release
-    /// builds, because a caller that passes a child testing `var` or an
-    /// earlier variable would otherwise put a non-canonical node in the
-    /// arena.
+    /// cache. Hash-consing and `lo == hi` elision are [`Bdd::mk`]'s; what
+    /// this adds is the ordering check in release builds, because a caller
+    /// that passes a child testing `var` or an earlier variable would
+    /// otherwise put a non-canonical node in the arena.
     ///
     /// # Panics
     /// If `var` is out of range or not strictly above both children in the
@@ -340,19 +314,6 @@ impl Bdd {
             "ordering violation at var {var}"
         );
         self.mk(var, lo, hi)
-    }
-
-    /// Installs a [`ResourceGovernor`]. The manager polls it as the arena
-    /// grows; drivers observe trips via [`Bdd::exhausted`].
-    pub fn install_governor(&mut self, gov: ResourceGovernor) {
-        if gov.is_limited() {
-            self.governor = Some(gov);
-        }
-    }
-
-    /// The sticky exhaustion record, if a governed limit has tripped.
-    pub fn exhausted(&self) -> Option<&Exhaustion> {
-        self.exhausted.as_ref()
     }
 
     /// The function "variable `v` is 1".
@@ -875,30 +836,6 @@ mod tests {
     }
 
     #[test]
-    fn governor_ceiling_sets_sticky_exhaustion() {
-        let mut b = Bdd::new(32);
-        b.install_governor(ResourceGovernor::with_node_ceiling(16));
-        assert!(b.exhausted().is_none());
-        // Build something bigger than 16 nodes; the op completes but the
-        // exhaustion is recorded.
-        let mut acc = NodeId::FALSE;
-        for k in 0..64u64 {
-            let c = b.value_cube(0, 32, k * 997);
-            acc = b.or(acc, c);
-        }
-        assert_ne!(acc, NodeId::FALSE);
-        let e = b.exhausted().expect("ceiling must trip");
-        assert_eq!(e.stage, "bdd");
-        // Unlimited governors are not even installed.
-        let mut b2 = Bdd::new(4);
-        b2.install_governor(ResourceGovernor::unlimited());
-        let x = b2.var(0);
-        let y = b2.var(1);
-        b2.and(x, y);
-        assert!(b2.exhausted().is_none());
-    }
-
-    #[test]
     fn take_stats_resets_cache_counters_not_nodes() {
         let mut b = Bdd::new(8);
         let x = b.var(0);
@@ -928,7 +865,6 @@ mod tests {
         let x = b.var(0);
         let y = b.var(3);
         let f = b.and(x, y);
-        b.install_governor(ResourceGovernor::with_node_ceiling(10_000));
         let mut shard = b.fork();
         // Existing NodeIds mean the same function in the fork.
         for v in 0u32..4 {
@@ -944,8 +880,6 @@ mod tests {
         let g = shard.or(f, z);
         assert!(shard.eval(g, &[false, false, false, false, false, false, true, false]));
         assert_eq!(b.node_count(), parent_nodes);
-        // The governor stays behind: forks are budgeted by their driver.
-        assert!(shard.exhausted().is_none());
     }
 
     /// Every decision node of the arena resolves to its own id, and

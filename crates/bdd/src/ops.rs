@@ -201,13 +201,6 @@ impl Bdd {
         let erased = self.exists(conj, data.cube);
         self.rename(erased, data.map)
     }
-
-    /// Universal quantification, defined dually to [`Bdd::exists`].
-    pub fn forall(&mut self, f: NodeId, cube: NodeId) -> NodeId {
-        let nf = self.not(f);
-        let e = self.exists(nf, cube);
-        self.not(e)
-    }
 }
 
 #[cfg(test)]
@@ -242,17 +235,6 @@ mod tests {
         let cube_z = b.cube_of_vars(&[2]);
         let h = b.exists(f, cube_z);
         assert_eq!(h, NodeId::TRUE);
-    }
-
-    #[test]
-    fn forall_duality() {
-        let mut b = Bdd::new(3);
-        let x = b.var(0);
-        let y = b.var(1);
-        let f = b.or(x, y);
-        let cube = b.cube_of_vars(&[0]);
-        // ∀x. x∨y == y
-        assert_eq!(b.forall(f, cube), y);
     }
 
     #[test]

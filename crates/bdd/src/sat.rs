@@ -114,36 +114,6 @@ impl Bdd {
         self.pick_cube(cur)
     }
 
-    /// Calls `visit` for every cube (path to TRUE) of `f`. Used by tests
-    /// and by the cube-based baseline engine for cross-validation; the
-    /// number of cubes can be exponential, so production analyses never
-    /// call this on large diagrams.
-    pub fn for_each_cube(&self, f: NodeId, mut visit: impl FnMut(&Cube)) {
-        let mut bits = vec![None; self.num_vars() as usize];
-        self.cube_walk(f, &mut bits, &mut visit);
-    }
-
-    fn cube_walk(
-        &self,
-        f: NodeId,
-        bits: &mut Vec<Option<bool>>,
-        visit: &mut impl FnMut(&Cube),
-    ) {
-        if f == NodeId::FALSE {
-            return;
-        }
-        if f == NodeId::TRUE {
-            visit(&Cube { bits: bits.clone() });
-            return;
-        }
-        let v = self.var_of(f) as usize;
-        bits[v] = Some(false);
-        self.cube_walk(self.lo_of(f), bits, visit);
-        bits[v] = Some(true);
-        self.cube_walk(self.hi_of(f), bits, visit);
-        bits[v] = None;
-    }
-
     /// The support of `f`: every variable tested anywhere in the diagram,
     /// ascending.
     pub fn support(&self, f: NodeId) -> Vec<u32> {
@@ -235,20 +205,6 @@ mod tests {
         let f = b.value_cube(0, 8, 0xA5);
         let c = b.pick_cube(f).unwrap();
         assert_eq!(c.field(0, 8), 0xA5);
-    }
-
-    #[test]
-    fn cube_enumeration_counts() {
-        let mut b = Bdd::new(3);
-        let x = b.var(0);
-        let y = b.var(1);
-        let f = b.xor(x, y);
-        let mut n = 0;
-        b.for_each_cube(f, |c| {
-            n += 1;
-            assert!(b.eval(f, &c.concretize()));
-        });
-        assert_eq!(n, 2, "xor has two cubes");
     }
 
     #[test]

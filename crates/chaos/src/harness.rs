@@ -170,7 +170,7 @@ fn run_one(net: &GeneratedNetwork, class: MutationClass, seed: u64, cfg: &ChaosC
         let diag_names: Vec<String> =
             snapshot.diagnostics.iter().map(|(n, _)| n.clone()).collect();
         let healthy: Vec<String> = snapshot.devices.iter().map(|d| d.name.clone()).collect();
-        let result = snapshot.analyze_resilient(&SimOptions::default(), 1, &gov);
+        let result = snapshot.analyze_resilient(&gov);
         (snapshot, quarantine, diag_names, healthy, result)
     }));
     let (snapshot, quarantine, diag_names, _healthy, result) = match outcome {
@@ -431,7 +431,7 @@ fn run_one(net: &GeneratedNetwork, class: MutationClass, seed: u64, cfg: &ChaosC
                     .iter()
                     .map(|q| (q.device.clone(), q.reason.code()))
                     .collect();
-                let result = snap.analyze_resilient(&SimOptions::default(), 1, &gov);
+                let result = snap.analyze_resilient(&gov);
                 (quarantine, result)
             })
         }));

@@ -149,18 +149,12 @@ impl Snapshot {
         self.diagnostics.iter().map(|(_, d)| d.len()).sum()
     }
 
-    /// Runs the full pipeline with default options and one waypoint
-    /// variable available.
-    pub fn analyze(&self) -> Analysis {
-        self.analyze_with(&SimOptions::default(), 1)
-    }
-
-    /// Runs the full pipeline with explicit options: the ungoverned name
-    /// for [`Snapshot::analyze_resilient`]'s body. Unlike it, an empty
-    /// snapshot is not an error here — it analyzes to an empty
+    /// Runs the full pipeline with default options, one waypoint
+    /// variable and no budget. Unlike [`Snapshot::analyze_resilient`], an
+    /// empty snapshot is not an error here — it analyzes to an empty
     /// [`Analysis`].
-    pub fn analyze_with(&self, opts: &SimOptions, waypoints: u32) -> Analysis {
-        self.pipeline(opts, waypoints, &ResourceGovernor::unlimited())
+    pub fn analyze(&self) -> Analysis {
+        self.pipeline(&ResourceGovernor::unlimited())
             .map(Outcome::into_value)
             .expect("forwarding graph construction panicked")
     }
@@ -174,33 +168,27 @@ impl Snapshot {
     ///   analysis built from the state computed so far, with the
     ///   abandoned work listed.
     /// * [`Error::EmptySnapshot`] when no devices survive.
-    pub fn analyze_resilient(
-        &self,
-        opts: &SimOptions,
-        waypoints: u32,
-        gov: &ResourceGovernor,
-    ) -> Result<Outcome<Analysis>, Error> {
+    pub fn analyze_resilient(&self, gov: &ResourceGovernor) -> Result<Outcome<Analysis>, Error> {
         if self.devices.is_empty() {
             return Err(Error::EmptySnapshot);
         }
-        let outcome = self.pipeline(opts, waypoints, gov)?;
+        let outcome = self.pipeline(gov)?;
         if outcome.value().devices.is_empty() {
             return Err(Error::EmptySnapshot);
         }
         Ok(outcome)
     }
 
-    /// The one pipeline body behind every `analyze*` name: infer the
-    /// topology, simulate on it (re-inferring and re-running on the
-    /// survivors while devices poison the route stage), build the
-    /// forwarding graph, capture the report. Errs only when graph
-    /// construction panics.
-    fn pipeline(
-        &self,
-        opts: &SimOptions,
-        waypoints: u32,
-        gov: &ResourceGovernor,
-    ) -> Result<Outcome<Analysis>, Error> {
+    /// The one pipeline body behind both `analyze*` names, with default
+    /// [`SimOptions`] and one waypoint variable: infer the topology,
+    /// simulate on it (re-inferring and re-running on the survivors while
+    /// devices poison the route stage), build the forwarding graph,
+    /// capture the report. Errs only when graph construction panics.
+    ///
+    /// `gov` bounds simulation only. Graph build is ungoverned: a tripped
+    /// budget leaves a partial data plane to encode, never a partial
+    /// graph, and a later question's own governor bounds its fixed point.
+    fn pipeline(&self, gov: &ResourceGovernor) -> Result<Outcome<Analysis>, Error> {
         let mut devices = self.devices.clone();
         let mut quarantined = self.quarantined.clone();
         let root = batnet_obs::Span::enter("pipeline");
@@ -214,7 +202,7 @@ impl Snapshot {
         let mut topo = infer(&devices);
         let mut round = 0;
         let outcome = loop {
-            let out = simulate_governed(&devices, &topo, &self.env, opts, gov);
+            let out = simulate_governed(&devices, &topo, &self.env, &SimOptions::default(), gov);
             round += 1;
             let poisoned = &out.value().convergence.poisoned_devices;
             for name in poisoned {
@@ -243,7 +231,7 @@ impl Snapshot {
             batnet_obs::event("governor-trip", &why.stage, &why.limit.to_string());
         }
 
-        let (mut bdd, vars) = PacketVars::new(waypoints);
+        let (mut bdd, vars) = PacketVars::new(1);
         let graph = catch_unwind(AssertUnwindSafe(|| {
             ForwardingGraph::build(&mut bdd, &vars, &devices, &dp, &topo)
         }))
@@ -670,7 +658,7 @@ mod tests {
     fn analyze_resilient_complete_on_healthy_input() {
         let snapshot = Snapshot::from_configs(two_router_configs());
         let out = snapshot
-            .analyze_resilient(&SimOptions::default(), 1, &ResourceGovernor::unlimited())
+            .analyze_resilient(&ResourceGovernor::unlimited())
             .expect("analysis runs");
         assert!(!out.is_partial());
         assert!(out.value().dp.convergence.converged);
@@ -680,7 +668,7 @@ mod tests {
     fn analyze_resilient_empty_snapshot_is_typed_error() {
         let snapshot = Snapshot::from_configs(vec![]);
         let err = snapshot
-            .analyze_resilient(&SimOptions::default(), 1, &ResourceGovernor::unlimited())
+            .analyze_resilient(&ResourceGovernor::unlimited())
             .err()
             .expect("no devices to analyze");
         assert!(matches!(err, Error::EmptySnapshot));

@@ -184,10 +184,7 @@ fn join(bdd: &mut Bdd, var: u32, lo: Table, hi: Table) -> Table {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ForwardingGraph, NodeKind, ReachAnalysis};
     use batnet_config::vi::RouteProtocol;
-    use batnet_config::Topology;
-    use batnet_net::governor::{Limit, Outcome, ResourceGovernor};
     use batnet_net::{Flow, Ip, Prefix, Rng};
     use batnet_routing::{simulate, DataPlane, MainNextHop, MainRib, MainRoute, SimOptions};
     use batnet_topogen::{suite, GeneratedNetwork};
@@ -453,16 +450,14 @@ mod tests {
         assert_eq!(deepest, 32);
     }
 
-    fn data_plane(net: &GeneratedNetwork) -> (Vec<batnet_config::vi::Device>, DataPlane) {
-        let devices = net.parse();
-        let dp = simulate(&devices, &net.env, &SimOptions::default());
-        (devices, dp)
+    fn data_plane(net: &GeneratedNetwork) -> DataPlane {
+        simulate(&net.parse(), &net.env, &SimOptions::default())
     }
 
     /// Suite oracle: every device's FIB, both encoders, one shared
     /// manager (so hash-consing across devices is exercised too).
     fn matches_chain_reference_on(net: &GeneratedNetwork) {
-        let (_, dp) = data_plane(net);
+        let dp = data_plane(net);
         let (mut bdd, vars) = PacketVars::new(0);
         for device in &dp.devices {
             compile_checked(&mut bdd, &vars, &device.fib);
@@ -496,7 +491,7 @@ mod tests {
     /// tables and an op-cache lookup per step).
     #[test]
     fn n2_fibs_stay_small_and_never_touch_the_op_cache() {
-        let (_, dp) = data_plane(&suite::n2());
+        let dp = data_plane(&suite::n2());
         let (mut bdd, vars) = PacketVars::new(0);
         let before = bdd.stats();
         for device in &dp.devices {
@@ -509,37 +504,5 @@ mod tests {
             (before.cache_hits, before.cache_misses),
             "compile_fib must not look anything up in an operation cache"
         );
-    }
-
-    /// `Bdd::node` goes through `mk`, so a ceiling installed on the
-    /// manager still trips inside `compile_fib`, and a fixed point on the
-    /// graph built over that manager still stops with balanced books.
-    #[test]
-    fn node_ceiling_trips_during_compile_and_reach_reports_partial() {
-        let net = suite::n2();
-        let (devices, dp) = data_plane(&net);
-        let (mut bdd, vars) = PacketVars::new(0);
-        bdd.install_governor(ResourceGovernor::with_node_ceiling(bdd.node_count() + 64));
-        compile_fib(&mut bdd, &vars, &dp.devices[0].fib);
-        let tripped = bdd.exhausted().expect("ceiling must trip inside compile_fib");
-        assert!(matches!(tripped.limit, Limit::BddNodes { .. }), "{tripped:?}");
-
-        let topo = Topology::infer(&devices);
-        let graph = ForwardingGraph::build(&mut bdd, &vars, &devices, &dp, &topo);
-        let init = vars.initial_bits(&mut bdd);
-        let seeds: Vec<(usize, NodeId)> = graph
-            .nodes_where(|k| matches!(k, NodeKind::IfaceSrc(_, _)))
-            .into_iter()
-            .map(|n| (n, init))
-            .collect();
-        let reach = ReachAnalysis::new(&graph);
-        match reach.forward_governed(&mut bdd, &seeds, &ResourceGovernor::unlimited()) {
-            Outcome::Partial { completed, abandoned, why } => {
-                assert!(matches!(why.limit, Limit::BddNodes { .. }), "{why:?}");
-                assert_eq!(completed.reach.len(), graph.nodes.len());
-                assert!(!abandoned.is_empty(), "pending devices must be named");
-            }
-            Outcome::Complete(_) => panic!("an exhausted manager must stop the fixed point"),
-        }
     }
 }

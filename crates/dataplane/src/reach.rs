@@ -107,7 +107,7 @@ impl<'g> ReachAnalysis<'g> {
     }
 
     /// Forward fixed point under a [`ResourceGovernor`]. When a limit
-    /// trips (including the BDD manager's own node ceiling) the sets
+    /// trips (the node ceiling is polled against `bdd`'s arena) the sets
     /// computed so far are returned as [`Outcome::Partial`], with the
     /// devices still on the worklist listed as abandoned.
     pub fn forward_governed(
@@ -129,7 +129,7 @@ impl<'g> ReachAnalysis<'g> {
         let mut relaxations = 0u64;
         let mut why: Option<Exhaustion> = None;
         while let Some(node) = worklist.pop_first() {
-            if let Some(e) = self.out_of_budget(bdd, gov, "reach-forward", relaxations) {
+            if let Err(e) = Self::out_of_budget(bdd, gov, relaxations) {
                 worklist.insert(node);
                 why = Some(e);
                 break;
@@ -156,7 +156,8 @@ impl<'g> ReachAnalysis<'g> {
     }
 
     /// Backward fixed point: the packets that, placed at each node, can
-    /// go on to reach `target` carrying a packet in `target_set`.
+    /// go on to reach `target` carrying a packet in `target_set`. Nodes
+    /// pop in index order.
     pub fn backward(
         &self,
         bdd: &mut Bdd,
@@ -164,35 +165,13 @@ impl<'g> ReachAnalysis<'g> {
         target: usize,
         target_set: NodeId,
     ) -> ReachResult {
-        self.backward_governed(bdd, vars, target, target_set, &ResourceGovernor::unlimited())
-            .into_value()
-    }
-
-    /// Backward fixed point under a [`ResourceGovernor`]; see
-    /// [`ReachAnalysis::forward_governed`] for the partial-result
-    /// contract.
-    pub fn backward_governed(
-        &self,
-        bdd: &mut Bdd,
-        vars: &PacketVars,
-        target: usize,
-        target_set: NodeId,
-        gov: &ResourceGovernor,
-    ) -> Outcome<ReachResult> {
         let span = batnet_obs::Span::enter("reach.backward");
-        let n = self.graph.nodes.len();
-        let mut reach = vec![NodeId::FALSE; n];
+        let mut reach = vec![NodeId::FALSE; self.graph.nodes.len()];
         reach[target] = target_set;
         let mut worklist: BTreeSet<usize> = BTreeSet::new();
         worklist.insert(target);
         let mut relaxations = 0u64;
-        let mut why: Option<Exhaustion> = None;
         while let Some(node) = worklist.pop_first() {
-            if let Some(e) = self.out_of_budget(bdd, gov, "reach-backward", relaxations) {
-                worklist.insert(node);
-                why = Some(e);
-                break;
-            }
             let current = reach[node];
             for &eid in &self.graph.in_edges[node] {
                 relaxations += 1;
@@ -211,7 +190,7 @@ impl<'g> ReachAnalysis<'g> {
         span.close();
         batnet_obs::counter_add("reach.queries", 1);
         batnet_obs::observe("reach.relaxations", relaxations);
-        self.finish(reach, relaxations, worklist, why)
+        ReachResult { reach, relaxations }
     }
 
     /// Backward fixed point from `sinks`, each seeded `TRUE`: `reach[n]` is
@@ -259,35 +238,22 @@ impl<'g> ReachAnalysis<'g> {
         ReachResult { reach, relaxations }
     }
 
-    /// Budget poll shared by the governed fixed points: the governor's
-    /// own limits plus the BDD manager's sticky exhaustion (node
-    /// ceiling), amortized over relaxations.
+    /// Budget poll of the governed forward fixed point, the deadline
+    /// amortized over relaxations. The node ceiling is polled against the
+    /// arena the walk grows, so a governor handed in per query (e.g. by
+    /// batnet-serve) bounds BDD growth.
     fn out_of_budget(
-        &self,
-        bdd: &mut Bdd,
+        bdd: &Bdd,
         gov: &ResourceGovernor,
-        stage: &str,
         relaxations: u64,
-    ) -> Option<Exhaustion> {
-        if let Some(e) = bdd.exhausted() {
-            return Some(e.clone());
-        }
-        if let Err(e) = gov.tick(stage, 1) {
-            return Some(e);
-        }
-        // Poll the node ceiling against the shared arena directly, so a
-        // governor handed in per-query (e.g. by batnet-serve) bounds BDD
-        // growth without being installed into — and thereby poisoning —
-        // the long-lived manager.
-        if let Err(e) = gov.check_nodes(stage, bdd.node_count()) {
-            return Some(e);
-        }
+    ) -> Result<(), Exhaustion> {
+        const STAGE: &str = "reach-forward";
+        gov.tick(STAGE, 1)?;
+        gov.check_nodes(STAGE, bdd.node_count())?;
         if relaxations & 0x3F == 0 {
-            if let Err(e) = gov.check(stage) {
-                return Some(e);
-            }
+            gov.check(STAGE)?;
         }
-        None
+        Ok(())
     }
 
     /// Packages a (possibly aborted) fixed point into an [`Outcome`].

@@ -791,34 +791,10 @@ pub fn dead_device(d: &Device) -> Vec<Finding> {
     out
 }
 
-/// "Does this ACL permit this packet?" — the paper's direct ACL query,
-/// answered symbolically so the result can also report *which* line.
-pub fn acl_permits(
-    d: &Device,
-    acl_name: &str,
-    flow: &batnet_net::Flow,
-) -> Option<(bool, Option<String>)> {
-    let acl = d.acls.get(acl_name)?;
-    let (mut bdd, vars) = PacketVars::new(0);
-    let compiled = compile_acl(&mut bdd, &vars, acl);
-    let f = vars.flow(&mut bdd, flow);
-    let permitted = bdd.and(compiled.permits, f) != NodeId::FALSE;
-    let line = compiled
-        .line_hits
-        .iter()
-        .position(|&h| {
-            let hit = bdd.and(h, f);
-            hit != NodeId::FALSE
-        })
-        .map(|i| acl.lines[i].text.clone());
-    Some((permitted, line))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use batnet_config::parse_device;
-    use batnet_net::Flow;
 
     fn dev(text: &str) -> Device {
         parse_device("t", text).0
@@ -988,22 +964,6 @@ mod tests {
         // A live device is clean.
         let live = dev("hostname r2\ninterface e0\n ip address 10.0.0.2/24\n");
         assert!(dead_device(&live).is_empty());
-    }
-
-    #[test]
-    fn acl_permit_query_names_the_line() {
-        let d = dev(
-            "hostname r1\nip access-list extended A\n 10 deny tcp any any eq 22\n 20 permit tcp any any\n",
-        );
-        let ssh = Flow::tcp("1.1.1.1".parse().unwrap(), 9, "2.2.2.2".parse().unwrap(), 22);
-        let (ok, line) = acl_permits(&d, "A", &ssh).unwrap();
-        assert!(!ok);
-        assert!(line.unwrap().contains("eq 22"));
-        let http = Flow::tcp("1.1.1.1".parse().unwrap(), 9, "2.2.2.2".parse().unwrap(), 80);
-        let (ok, line) = acl_permits(&d, "A", &http).unwrap();
-        assert!(ok);
-        assert!(line.unwrap().contains("permit tcp"));
-        assert!(acl_permits(&d, "NOPE", &http).is_none());
     }
 
     #[test]

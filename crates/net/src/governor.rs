@@ -4,16 +4,18 @@
 //! *input* (Lesson 3) but on pathological *computations*: BGP gadgets that
 //! never converge, BDD blowups, fixed points that outlive their usefulness.
 //! The [`ResourceGovernor`] is the single mechanism every stage consults:
-//! the routing engine checks it between sweeps, the BDD manager checks it
-//! as the arena grows, and reachability checks it between edge
-//! relaxations. When any limit trips, the stage stops where it is and the
-//! pipeline reports an [`Outcome::Partial`] — what was completed, what was
-//! abandoned, and exactly which limit was hit — instead of hanging,
-//! OOMing, or aborting.
+//! the routing engine checks it between sweeps, and reachability checks it
+//! between edge relaxations, polling the node ceiling against the BDD
+//! arena it grows. It is handed to each call, never installed into a BDD
+//! manager. Forwarding-graph construction is not governed: an upload's
+//! governor bounds simulation, and a query's bounds its fixed point. When
+//! any limit trips, the stage stops where it is and the pipeline reports
+//! an [`Outcome::Partial`] — what was completed, what was abandoned, and
+//! exactly which limit was hit — instead of hanging, OOMing, or aborting.
 //!
 //! The governor is shared (cheap `Clone`, internally an [`Arc`]) so one
-//! budget can span the whole pipeline: iterations consumed by routing count
-//! against the same budget the dataplane stage inherits.
+//! budget can span a whole call: iterations consumed by a diff's
+//! simulations count against the same budget its later layers check.
 
 use batnet_obs::clock;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -189,14 +191,6 @@ impl ResourceGovernor {
         )
     }
 
-    /// Does this governor impose any limit at all? Stages may skip
-    /// periodic checks entirely when not.
-    pub fn is_limited(&self) -> bool {
-        self.inner.deadline.is_some()
-            || self.inner.iteration_budget.is_some()
-            || self.inner.node_ceiling.is_some()
-    }
-
     /// Checks the deadline and the iteration budget (call between units of
     /// work). `Err` carries the stage name and the limit that tripped.
     pub fn check(&self, stage: &str) -> Result<(), Exhaustion> {
@@ -337,7 +331,6 @@ mod tests {
     #[test]
     fn unlimited_always_passes() {
         let g = ResourceGovernor::unlimited();
-        assert!(!g.is_limited());
         assert!(g.check("x").is_ok());
         assert!(g.tick("x", 1_000_000).is_ok());
         assert!(g.check_nodes("x", usize::MAX).is_ok());

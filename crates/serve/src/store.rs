@@ -26,7 +26,7 @@ use batnet_dataplane::{ForwardingGraph, PacketVars};
 use batnet_diff::{DiffSide, SideAnalysis};
 use batnet_obs::RunReport;
 use batnet_queries::{host_facing_interfaces, HostIface};
-use batnet_routing::{DataPlane, SimOptions};
+use batnet_routing::DataPlane;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -118,9 +118,7 @@ impl SnapshotStore {
         gov: &ResourceGovernor,
     ) -> Result<Arc<StoredSnapshot>, Error> {
         let snapshot = Snapshot::from_configs(configs);
-        let (analysis, partial) = snapshot
-            .analyze_resilient(&SimOptions::default(), 1, gov)?
-            .into_parts();
+        let (analysis, partial) = snapshot.analyze_resilient(gov)?.into_parts();
         let Analysis {
             devices,
             topo,

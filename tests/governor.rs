@@ -85,7 +85,7 @@ fn two_router_configs() -> Vec<(String, String)> {
 fn bdd_node_ceiling_yields_partial_reachability() {
     let snapshot = Snapshot::from_configs(two_router_configs());
     let mut analysis = snapshot
-        .analyze_resilient(&SimOptions::default(), 1, &ResourceGovernor::unlimited())
+        .analyze_resilient(&ResourceGovernor::unlimited())
         .expect("analyze")
         .into_value();
     let init = analysis.vars.initial_bits(&mut analysis.bdd);

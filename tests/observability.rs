@@ -12,7 +12,6 @@
 
 use batnet::obs;
 use batnet::queries::{host_facing_interfaces, service_reachable, ServiceSpec};
-use batnet::routing::SimOptions;
 use batnet::{Analysis, ResourceGovernor, Snapshot};
 
 /// Binary slush no parser understands — quarantined at the parse stage.
@@ -31,7 +30,7 @@ fn net1_run_report_is_complete_and_accountable() {
     obs::reset();
     let snapshot = Snapshot::from_configs(configs).with_env(net.env.clone());
     let outcome = snapshot
-        .analyze_resilient(&SimOptions::default(), 1, &ResourceGovernor::unlimited())
+        .analyze_resilient(&ResourceGovernor::unlimited())
         .expect("healthy subset analyzes");
     assert!(!outcome.is_partial(), "unlimited governor cannot trip");
     let mut analysis = outcome.into_value();

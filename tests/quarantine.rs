@@ -3,7 +3,6 @@
 //! analyzing that subset alone, with every corrupted device quarantined
 //! under a machine-readable reason.
 
-use batnet::routing::SimOptions;
 use batnet::{Outcome, QuarantineStage, ResourceGovernor, Snapshot};
 use batnet_topogen::dc::leaf_spine;
 use batnet_topogen::enterprise::{enterprise, EnterpriseSpec};
@@ -57,7 +56,7 @@ fn check_monotone(net: GeneratedNetwork, k: usize) {
 
     // Analyze with the corrupted devices present (quarantined)...
     let with_quarantine = snapshot
-        .analyze_resilient(&SimOptions::default(), 1, &ResourceGovernor::unlimited())
+        .analyze_resilient(&ResourceGovernor::unlimited())
         .expect("healthy devices remain")
         .into_value();
 
@@ -70,7 +69,7 @@ fn check_monotone(net: GeneratedNetwork, k: usize) {
         .collect();
     let alone = Snapshot::from_configs(subset)
         .with_env(net.env)
-        .analyze_resilient(&SimOptions::default(), 1, &ResourceGovernor::unlimited())
+        .analyze_resilient(&ResourceGovernor::unlimited())
         .expect("subset analyzes")
         .into_value();
 
@@ -119,7 +118,7 @@ fn all_devices_corrupted_is_typed_error() {
     let (configs, _) = corrupt_k(&net, k);
     let snapshot = Snapshot::from_configs(configs).with_env(net.env);
     assert!(snapshot.devices.is_empty());
-    match snapshot.analyze_resilient(&SimOptions::default(), 1, &ResourceGovernor::unlimited()) {
+    match snapshot.analyze_resilient(&ResourceGovernor::unlimited()) {
         Err(err) => assert!(matches!(err, batnet::Error::EmptySnapshot)),
         Ok(_) => panic!("nothing to analyze: expected a typed error"),
     }
@@ -133,7 +132,7 @@ fn healthy_snapshot_completes_under_governor() {
     let snapshot = Snapshot::from_configs(net.configs).with_env(net.env);
     assert!(snapshot.quarantined.is_empty());
     let outcome = snapshot
-        .analyze_resilient(&SimOptions::default(), 1, &ResourceGovernor::unlimited())
+        .analyze_resilient(&ResourceGovernor::unlimited())
         .expect("analyzes");
     assert!(matches!(outcome, Outcome::Complete(_)));
 }
