@@ -67,11 +67,12 @@ chaos: build
 # whole process, so every lock must recover via `PoisonError::into_inner`.
 # The last invocation enforces the workspace-wide timing discipline from
 # clippy.toml (`Instant::now` is disallowed outside batnet_obs::clock) and
-# denies unused code, so a deletion cannot leave imports behind.
+# denies unused code, so a deletion cannot leave imports behind, and
+# parameters a function only passes to itself when it recurses.
 clippy:
 	$(CARGO) clippy --offline -p batnet -p batnet-chaos -- -D clippy::unwrap_used -D clippy::panic
 	$(CARGO) clippy --offline -p batnet-obs -p batnet-serve -p batnet-lint -p batnet-diff -p batnet-coverage -- -D clippy::unwrap_used
-	$(CARGO) clippy --offline --workspace --all-targets -- -D clippy::disallowed_methods -D unused
+	$(CARGO) clippy --offline --workspace --all-targets -- -D clippy::disallowed_methods -D unused -D clippy::only_used_in_recursion
 
 # Routing-state oracle: per suite network, the device count, the route
 # total and one digest of every device's main RIB, best routes, clock,

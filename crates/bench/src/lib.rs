@@ -31,11 +31,6 @@ pub struct World {
     pub dpgen_time: Duration,
 }
 
-/// Parses and simulates a generated network, timing both stages.
-pub fn build_world(net: GeneratedNetwork) -> World {
-    build_world_with(net, &SimOptions::default())
-}
-
 /// Opens a memory window and, on close, publishes the stage's peak and
 /// retained-delta bytes as `mem.<stage>.peak_bytes` /
 /// `mem.<stage>.delta_bytes` gauges. Windows reset the global
@@ -70,8 +65,8 @@ fn bdd_shard_gauges(stage: &str, stats: &ShardStats) {
     batnet_obs::gauge_set(&format!("bdd.{stage}.cache_misses"), stats.cache_misses as f64);
 }
 
-/// [`build_world`] with explicit engine options (for the ablations).
-pub fn build_world_with(net: GeneratedNetwork, opts: &SimOptions) -> World {
+/// Parses and simulates a generated network, timing both stages.
+pub fn build_world(net: GeneratedNetwork) -> World {
     let (devices, parse_time) = mem_stage("parse", || {
         let span = Span::enter("parse");
         let devices = net.parse();
@@ -80,7 +75,7 @@ pub fn build_world_with(net: GeneratedNetwork, opts: &SimOptions) -> World {
     let ((topo, dp), dpgen_time) = mem_stage("dpgen", || {
         let span = Span::enter("dpgen");
         let topo = Topology::infer(&devices);
-        let dp = simulate(&devices, &net.env, opts);
+        let dp = simulate(&devices, &net.env, &SimOptions::default());
         ((topo, dp), span.close())
     });
     World {

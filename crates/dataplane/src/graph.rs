@@ -1,8 +1,7 @@
 //! The dataflow graph (Figure 2 of the paper).
 //!
 //! Nodes are pipeline stages; edges carry either a packet-set BDD
-//! (intersection) or a transform (NAT relation, zone tagging, waypoint
-//! marking). Terminal sinks are *typed* so symbolic dispositions align
+//! (intersection) or a transform (NAT relation, zone tagging). Terminal sinks are *typed* so symbolic dispositions align
 //! one-to-one with the concrete engine's [`batnet_traceroute::Disposition`]
 //! values — the alignment differential testing depends on.
 //!
@@ -128,8 +127,7 @@ impl NodeKind {
 pub enum EdgeLabel {
     /// Intersect with this set (packet unchanged).
     Bdd(NodeId),
-    /// Apply this relation with this transform handle (NAT, zone tag,
-    /// waypoint mark).
+    /// Apply this relation with this transform handle (NAT, zone tag).
     Transform(NodeId, Transform),
 }
 
@@ -470,29 +468,6 @@ impl ForwardingGraph {
         batnet_obs::gauge_set("graph.nodes", g.nodes.len() as f64);
         batnet_obs::gauge_set("graph.edges", g.edges.len() as f64);
         g
-    }
-
-    /// Instruments the graph for a waypoint query: every edge into the
-    /// device's `Fwd` node is rerouted through a transform that sets
-    /// waypoint bit `w` (§4.2.3).
-    pub fn instrument_waypoint(&mut self, bdd: &mut Bdd, vars: &PacketVars, device: &str, w: u32) {
-        let Some(fwd) = self.node(&NodeKind::Fwd(device.to_string())) else {
-            return;
-        };
-        let rule = vars.waypoint_set_rule(bdd, w);
-        let t = vars.waypoint_transforms[w as usize];
-        let mark = self.add_node(NodeKind::PostZone(
-            device.to_string(),
-            format!("__wp{w}__"),
-        ));
-        // Retarget incoming edges to the marker node.
-        let incoming: Vec<usize> = self.in_edges[fwd].clone();
-        for eid in incoming {
-            self.edges[eid].to = mark;
-            self.in_edges[mark].push(eid);
-        }
-        self.in_edges[fwd].clear();
-        self.add_edge(mark, fwd, EdgeLabel::Transform(rule, t));
     }
 
     /// Total node and edge counts (reported by Table 2's graph-build

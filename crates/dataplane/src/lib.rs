@@ -8,7 +8,7 @@
 //! * [`vars`] — the packet variable layout: the §4.2.2 frequency-ordered
 //!   fields (destination IP first, TCP flags last), MSB-first bits,
 //!   interleaved primed copies of the transformable fields for NAT
-//!   relations, reusable zone bits, and on-demand waypoint bits.
+//!   relations, reusable zone bits, and waypoint bits no query sets.
 //! * [`acl`] / [`fibenc`] — compilation of ACLs (first-match) and FIBs
 //!   (longest-prefix-match) into edge BDDs.
 //! * [`graph`] — the dataflow graph (Figure 2 of the paper), with typed
@@ -16,7 +16,8 @@
 //! * [`compress`] — graph compression (§4.2.3): splicing out simple
 //!   nodes, composing their edge labels.
 //! * [`reach`] — forward fixed-point propagation, backward propagation
-//!   for single-destination queries and from every success sink at once,
+//!   for single-destination queries and from a set of sinks at once (the
+//!   one governed walk: service questions, `/query/reach`, the diff),
 //!   loop detection, and multipath consistency.
 //!
 //! §4.2.3's bidirectional reachability (firewall sessions and a return

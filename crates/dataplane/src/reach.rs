@@ -102,20 +102,6 @@ impl<'g> ReachAnalysis<'g> {
 
     /// Forward fixed point from `sources` (node, packet set) seeds.
     pub fn forward(&self, bdd: &mut Bdd, sources: &[(usize, NodeId)]) -> ReachResult {
-        self.forward_governed(bdd, sources, &ResourceGovernor::unlimited())
-            .into_value()
-    }
-
-    /// Forward fixed point under a [`ResourceGovernor`]. When a limit
-    /// trips (the node ceiling is polled against `bdd`'s arena) the sets
-    /// computed so far are returned as [`Outcome::Partial`], with the
-    /// devices still on the worklist listed as abandoned.
-    pub fn forward_governed(
-        &self,
-        bdd: &mut Bdd,
-        sources: &[(usize, NodeId)],
-        gov: &ResourceGovernor,
-    ) -> Outcome<ReachResult> {
         let span = batnet_obs::Span::enter("reach.forward");
         let n = self.graph.nodes.len();
         let mut reach = vec![NodeId::FALSE; n];
@@ -127,13 +113,7 @@ impl<'g> ReachAnalysis<'g> {
             }
         }
         let mut relaxations = 0u64;
-        let mut why: Option<Exhaustion> = None;
         while let Some(node) = worklist.pop_first() {
-            if let Err(e) = Self::out_of_budget(bdd, gov, relaxations) {
-                worklist.insert(node);
-                why = Some(e);
-                break;
-            }
             let current = reach[node];
             for &eid in &self.graph.out_edges[node] {
                 relaxations += 1;
@@ -152,7 +132,7 @@ impl<'g> ReachAnalysis<'g> {
         span.close();
         batnet_obs::counter_add("reach.queries", 1);
         batnet_obs::observe("reach.relaxations", relaxations);
-        self.finish(reach, relaxations, worklist, why)
+        ReachResult { reach, relaxations }
     }
 
     /// Backward fixed point: the packets that, placed at each node, can
@@ -199,7 +179,21 @@ impl<'g> ReachAnalysis<'g> {
     /// node is pulled from once; popped again, it pulls only what it gained.
     /// ([`ReachAnalysis::backward`] keeps index order: its relaxation
     /// counts are pinned.)
-    pub fn backward_from(&self, bdd: &mut Bdd, vars: &PacketVars, sinks: &[usize]) -> ReachResult {
+    ///
+    /// `gov` is polled on every pop, its node ceiling against `bdd`'s
+    /// arena, so a governor handed in per query (e.g. by batnet-serve)
+    /// bounds the walk's time and BDD growth. When a limit trips, the sets
+    /// computed so far are returned as [`Outcome::Partial`] (each an
+    /// under-approximation), with the devices still on the worklist listed
+    /// as abandoned.
+    pub fn backward_from(
+        &self,
+        bdd: &mut Bdd,
+        vars: &PacketVars,
+        sinks: &[usize],
+        gov: &ResourceGovernor,
+    ) -> Outcome<ReachResult> {
+        const STAGE: &str = "reach-backward";
         let span = batnet_obs::Span::enter("reach.backward");
         let order = post_order(self.graph);
         let mut rank = vec![0; order.len()];
@@ -214,7 +208,14 @@ impl<'g> ReachAnalysis<'g> {
             worklist.insert(rank[sink]);
         }
         let mut relaxations = 0u64;
+        let mut why: Option<Exhaustion> = None;
         while let Some(r) = worklist.pop_first() {
+            let polled = gov.tick(STAGE, 1).and_then(|()| gov.check_nodes(STAGE, bdd.node_count()));
+            if let Err(e) = polled {
+                worklist.insert(r);
+                why = Some(e);
+                break;
+            }
             let node = order[r];
             let gained = bdd.diff(reach[node], pulled[node]);
             pulled[node] = reach[node];
@@ -235,50 +236,15 @@ impl<'g> ReachAnalysis<'g> {
         span.close();
         batnet_obs::counter_add("reach.queries", 1);
         batnet_obs::observe("reach.relaxations", relaxations);
-        ReachResult { reach, relaxations }
-    }
-
-    /// Budget poll of the governed forward fixed point, the deadline
-    /// amortized over relaxations. The node ceiling is polled against the
-    /// arena the walk grows, so a governor handed in per query (e.g. by
-    /// batnet-serve) bounds BDD growth.
-    fn out_of_budget(
-        bdd: &Bdd,
-        gov: &ResourceGovernor,
-        relaxations: u64,
-    ) -> Result<(), Exhaustion> {
-        const STAGE: &str = "reach-forward";
-        gov.tick(STAGE, 1)?;
-        gov.check_nodes(STAGE, bdd.node_count())?;
-        if relaxations & 0x3F == 0 {
-            gov.check(STAGE)?;
-        }
-        Ok(())
-    }
-
-    /// Packages a (possibly aborted) fixed point into an [`Outcome`].
-    fn finish(
-        &self,
-        reach: Vec<NodeId>,
-        relaxations: u64,
-        pending: BTreeSet<usize>,
-        why: Option<Exhaustion>,
-    ) -> Outcome<ReachResult> {
-        let result = ReachResult { reach, relaxations };
-        match why {
-            None => Outcome::Complete(result),
-            Some(why) => {
-                let mut abandoned: BTreeSet<String> = BTreeSet::new();
-                for node in pending {
-                    abandoned.insert(self.graph.nodes[node].device().to_string());
-                }
-                Outcome::Partial {
-                    completed: result,
-                    abandoned: abandoned.into_iter().collect(),
-                    why,
-                }
-            }
-        }
+        let completed = ReachResult { reach, relaxations };
+        let Some(why) = why else {
+            return Outcome::Complete(completed);
+        };
+        let abandoned: BTreeSet<String> = worklist
+            .into_iter()
+            .map(|r| self.graph.nodes[order[r]].device().to_string())
+            .collect();
+        Outcome::Partial { completed, abandoned: abandoned.into_iter().collect(), why }
     }
 
     /// Convenience: seeds every `IfaceSrc` node with `set` and runs
@@ -487,9 +453,6 @@ fn rev_of(vars: &PacketVars, t: Transform) -> Option<crate::vars::TransformRev> 
     } else if t == vars.zone_transform {
         Some(vars.zone_rev)
     } else {
-        vars.waypoint_transforms
-            .iter()
-            .position(|&w| w == t)
-            .and_then(|idx| vars.waypoint_revs.get(idx).copied())
+        None
     }
 }

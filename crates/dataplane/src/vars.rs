@@ -11,9 +11,15 @@
 //! interleave the variables for input-output packet pairs since a
 //! variable in the output packet tends to closely depend on the
 //! corresponding variable of the input packet"*). Zone bits (4, reused
-//! across firewalls — *"we have never needed more than four bits"*) and
-//! waypoint bits are appended, each with a primed partner because they
-//! are set by transform edges.
+//! across firewalls — *"we have never needed more than four bits"*) are
+//! appended, each with a primed partner because zone edges rewrite them.
+//!
+//! Waypoint bits (§4.2.3: a bit set on the way through a device) follow
+//! the zone bits, primed partners included, although no query sets them:
+//! the facade and the benchmark build `PacketVars::new(1)`, and keeping
+//! the bits keeps that layout's variable count and order, so every BDD
+//! over it is unchanged. Sources clear them ([`PacketVars::initial_bits`])
+//! and projections drop them ([`PacketVars::project_five_tuple`]).
 
 use batnet_bdd::{Bdd, Cube, NodeId, Transform, VarMap};
 use batnet_net::{Flow, HeaderSpace, Ip, IpProtocol, IpRange, PortRange, Prefix, TcpFlags};
@@ -103,14 +109,10 @@ pub struct PacketVars {
     pub nat_transform: Transform,
     /// Transform: rewrite the 4 zone bits.
     pub zone_transform: Transform,
-    /// Per-waypoint transforms: set that waypoint bit.
-    pub waypoint_transforms: Vec<Transform>,
     /// Reverse data for [`PacketVars::nat_transform`].
     pub nat_rev: TransformRev,
     /// Reverse data for [`PacketVars::zone_transform`].
     pub zone_rev: TransformRev,
-    /// Reverse data per waypoint transform.
-    pub waypoint_revs: Vec<TransformRev>,
 }
 
 const FIXED_BASE: u32 = 2 * TRANSFORM_BITS; // 192
@@ -133,13 +135,6 @@ impl PacketVars {
             .map(|z| (ZONE_BASE + 2 * z + 1, ZONE_BASE + 2 * z))
             .collect();
         let zone_transform = bdd.register_transform(&zone_inputs, &zone_pairs);
-        // One transform per waypoint bit.
-        let mut waypoint_transforms = Vec::new();
-        for w in 0..waypoint_count {
-            let orig = WAYPOINT_BASE + 2 * w;
-            let t = bdd.register_transform(&[orig], &[(orig + 1, orig)]);
-            waypoint_transforms.push(t);
-        }
         // Reverse data (for backward propagation, §4.2.3's single-device
         // backward walk).
         let nat_up: Vec<(u32, u32)> = (0..TRANSFORM_BITS).map(|k| (2 * k, 2 * k + 1)).collect();
@@ -156,14 +151,6 @@ impl PacketVars {
             up: bdd.register_map(&zone_up),
             primed_cube: bdd.cube_of_vars(&zone_primed),
         };
-        let mut waypoint_revs = Vec::new();
-        for w in 0..waypoint_count {
-            let orig = WAYPOINT_BASE + 2 * w;
-            waypoint_revs.push(TransformRev {
-                up: bdd.register_map(&[(orig, orig + 1)]),
-                primed_cube: bdd.cube_of_vars(&[orig + 1]),
-            });
-        }
         (
             bdd,
             PacketVars {
@@ -171,10 +158,8 @@ impl PacketVars {
                 num_vars,
                 nat_transform,
                 zone_transform,
-                waypoint_transforms,
                 nat_rev,
                 zone_rev,
-                waypoint_revs,
             },
         )
     }
@@ -469,13 +454,6 @@ impl PacketVars {
         WAYPOINT_BASE + 2 * w
     }
 
-    /// The waypoint-set rule `w' == 1 ∧ (other waypoints identity)` —
-    /// with the per-waypoint transform only bit `w` is quantified, so the
-    /// rule is just `w' == 1`.
-    pub fn waypoint_set_rule(&self, bdd: &mut Bdd, w: u32) -> NodeId {
-        bdd.var(self.waypoint_var(w) + 1)
-    }
-
     /// Projects a packet set onto the 5-tuple (both IPs, both ports,
     /// protocol) by existentially quantifying TCP flags, ICMP fields, and
     /// the zone/waypoint bookkeeping bits.
@@ -710,20 +688,6 @@ mod tests {
         let z1 = vars.zone_value(&mut bdd, 1);
         assert_eq!(bdd.and(tagged, z3), tagged, "all tagged packets in zone 3");
         assert_eq!(bdd.and(tagged, z1), NodeId::FALSE);
-    }
-
-    #[test]
-    fn waypoint_bit_set() {
-        let (mut bdd, vars) = setup();
-        let start = {
-            // Start with waypoint bit 0 clear.
-            let w = bdd.var(vars.waypoint_var(0));
-            bdd.not(w)
-        };
-        let rule = vars.waypoint_set_rule(&mut bdd, 0);
-        let after = bdd.transform(start, rule, vars.waypoint_transforms[0]);
-        let w = bdd.var(vars.waypoint_var(0));
-        assert_eq!(bdd.and(after, w), after, "bit set after traversal");
     }
 
     #[test]

@@ -6,6 +6,7 @@ use batnet_config::vi::Device;
 use batnet_config::{parse_device, Topology};
 use batnet_dataplane::compress::compress;
 use batnet_dataplane::{ForwardingGraph, NodeKind, PacketVars, ReachAnalysis};
+use batnet_net::governor::ResourceGovernor;
 use batnet_net::{Flow, Ip};
 use batnet_routing::{simulate, DataPlane, Environment, SimOptions};
 use batnet_traceroute::{Disposition, StartLocation, Tracer};
@@ -175,16 +176,17 @@ fn backward_agrees_with_forward() {
 /// a node gained since it was last popped loses nothing.
 fn check_backward_from(w: &mut World, sinks: &[usize]) {
     let analysis = ReachAnalysis::new(&w.graph);
+    let unlimited = ResourceGovernor::unlimited();
     let mut union = vec![NodeId::FALSE; w.graph.nodes.len()];
     for &sink in sinks {
         let one = analysis.backward(&mut w.bdd, &w.vars, sink, NodeId::TRUE);
-        let from = analysis.backward_from(&mut w.bdd, &w.vars, &[sink]);
+        let from = analysis.backward_from(&mut w.bdd, &w.vars, &[sink], &unlimited).into_value();
         assert!(one.reach == from.reach, "sink {:?}", w.graph.nodes[sink]);
         for (acc, set) in union.iter_mut().zip(one.reach) {
             *acc = w.bdd.or(*acc, set);
         }
     }
-    let all = analysis.backward_from(&mut w.bdd, &w.vars, sinks);
+    let all = analysis.backward_from(&mut w.bdd, &w.vars, sinks, &unlimited).into_value();
     for (node, (&got, &want)) in all.reach.iter().zip(&union).enumerate() {
         assert_eq!(got, want, "node {:?}", w.graph.nodes[node]);
     }
@@ -224,33 +226,6 @@ fn backward_from_sinks_is_the_union_of_single_sink_walks() {
     assert!(w.graph.edges.iter().any(|e| matches!(e.label, batnet_dataplane::EdgeLabel::Transform(..))));
     let sinks = w.graph.nodes_where(NodeKind::is_success_sink);
     check_backward_from(&mut w, &sinks);
-}
-
-#[test]
-fn waypoint_instrumentation() {
-    let mut w = figure2();
-    // Waypoint: does traffic from r1.i0 to r3's LAN traverse r3's Fwd?
-    w.graph
-        .instrument_waypoint(&mut w.bdd, &w.vars, "r3", 0);
-    let src = src_node(&w, "r1", "i0");
-    let analysis = ReachAnalysis::new(&w.graph);
-    let r = analysis.forward(&mut w.bdd, &[(src, NodeId::TRUE)]);
-    let sink = w
-        .graph
-        .node(&NodeKind::DeliveredToSubnet("r3".into(), "lan".into()))
-        .unwrap();
-    let at_sink = r.at(sink);
-    let wp = w.bdd.var(w.vars.waypoint_var(0));
-    // Everything delivered to r3's LAN went through r3.
-    assert!(w.bdd.implies_true(at_sink, wp));
-    // But traffic to r2's LAN did not.
-    let sink2 = w
-        .graph
-        .node(&NodeKind::DeliveredToSubnet("r2".into(), "lan".into()))
-        .unwrap();
-    let at_sink2 = r.at(sink2);
-    let no_wp = w.bdd.not(wp);
-    assert!(w.bdd.implies_true(at_sink2, no_wp));
 }
 
 /// §4.3.2, direction 1: for each success sink, pick a representative

@@ -58,8 +58,6 @@ pub struct DiffOptions {
     /// Cap on start locations actually compared symbolically
     /// (0 = unlimited). Pruned starts do not count.
     pub max_starts: usize,
-    /// Route-simulation options (shared by both sides).
-    pub sim: SimOptions,
 }
 
 impl Default for DiffOptions {
@@ -67,7 +65,6 @@ impl Default for DiffOptions {
         DiffOptions {
             max_flow_deltas: 16,
             max_starts: 0,
-            sim: SimOptions::default(),
         }
     }
 }
@@ -114,9 +111,9 @@ pub struct DiffSide<'a> {
     pub env: &'a Environment,
     /// Devices excluded from this side.
     pub quarantined: Vec<QuarantinedDevice>,
-    /// An analysis already run for `devices` and `env` under the diff's
-    /// `sim` options, or `None` to simulate this side under the diff's
-    /// governor and build its graph here.
+    /// An analysis already run for `devices` and `env` under
+    /// `SimOptions::default()`, or `None` to simulate this side the same
+    /// way, under the diff's governor, and build its graph here.
     pub analysis: Option<SideAnalysis<'a>>,
 }
 
@@ -153,7 +150,6 @@ impl SnapshotDiff {
 /// topology inferred here and the simulation under `gov` run on it.
 fn control_plane<'a>(
     side: &DiffSide<'a>,
-    opts: &DiffOptions,
     gov: &batnet_net::governor::ResourceGovernor,
 ) -> (
     Cow<'a, Topology>,
@@ -170,7 +166,7 @@ fn control_plane<'a>(
                 side.devices,
                 &topo,
                 side.env,
-                &opts.sim,
+                &SimOptions::default(),
                 gov,
             )
             .map(Cow::Owned);
@@ -222,8 +218,8 @@ pub fn diff_governed(
         return partial(out, &["routes", "reach"], why);
     }
     let span = batnet_obs::Span::enter("diff.routes");
-    let (topo_before, sim_before) = control_plane(before, opts, gov);
-    let (topo_after, sim_after) = control_plane(after, opts, gov);
+    let (topo_before, sim_before) = control_plane(before, gov);
+    let (topo_after, sim_after) = control_plane(after, gov);
     let (dp_before, dp_after): (&DataPlane, &DataPlane) = (sim_before.value(), sim_after.value());
     out.routes = routes::diff_routes(dp_before, dp_after);
     batnet_obs::counter_add("diff.routes.changes", out.routes.change_count() as u64);

@@ -272,7 +272,8 @@ impl<'g> Walks<'g> {
             let analysis = &self.analysis;
             let delivered = self.delivered.get_or_insert_with(|| {
                 let sinks = analysis.graph.nodes_where(NodeKind::is_success_sink);
-                analysis.backward_from(bdd, vars, &sinks).reach
+                let unlimited = batnet_net::governor::ResourceGovernor::unlimited();
+                analysis.backward_from(bdd, vars, &sinks, &unlimited).into_value().reach
             });
             return delivered[start];
         }

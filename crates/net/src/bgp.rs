@@ -134,9 +134,10 @@ impl fmt::Display for AsPath {
     }
 }
 
-/// A minimal regex matcher supporting `^ $ . * _ [0-9] literal` — enough for
+/// A minimal regex matcher supporting `^ $ . * _` and literals — enough for
 /// the AS-path patterns that appear in practice (`^$`, `_65000_`, `^65001`,
-/// `.*` etc.). `_` matches a boundary: start, end, or a space.
+/// `.*` etc.). `_` matches a boundary: start, end, or a space. There are
+/// no character classes: in `[0-9]`, each character matches only itself.
 ///
 /// Implemented by backtracking over the pattern; patterns are tiny so the
 /// worst case is irrelevant.
@@ -145,13 +146,13 @@ pub fn simple_regex_match(pattern: &str, text: &str) -> bool {
     let txt: Vec<char> = text.chars().collect();
     // `^` anchors at start; otherwise try each starting offset.
     if pat.first() == Some(&'^') {
-        match_here(&pat[1..], &txt, 0, text)
+        match_here(&pat[1..], &txt, 0)
     } else {
-        (0..=txt.len()).any(|i| match_here(&pat, &txt, i, text))
+        (0..=txt.len()).any(|i| match_here(&pat, &txt, i))
     }
 }
 
-fn match_here(pat: &[char], txt: &[char], i: usize, full: &str) -> bool {
+fn match_here(pat: &[char], txt: &[char], i: usize) -> bool {
     if pat.is_empty() {
         return true;
     }
@@ -163,7 +164,7 @@ fn match_here(pat: &[char], txt: &[char], i: usize, full: &str) -> bool {
         let rest = &pat[2..];
         let mut j = i;
         loop {
-            if match_here(rest, txt, j, full) {
+            if match_here(rest, txt, j) {
                 return true;
             }
             if j < txt.len() && char_matches(pat[0], txt, j) {
@@ -176,15 +177,15 @@ fn match_here(pat: &[char], txt: &[char], i: usize, full: &str) -> bool {
     if pat[0] == '_' {
         // Boundary: start of text, end of text, or a literal space.
         if i == 0 || i == txt.len() {
-            return match_here(&pat[1..], txt, i, full);
+            return match_here(&pat[1..], txt, i);
         }
         if txt[i] == ' ' {
-            return match_here(&pat[1..], txt, i + 1, full);
+            return match_here(&pat[1..], txt, i + 1);
         }
         return false;
     }
     if i < txt.len() && char_matches(pat[0], txt, i) {
-        return match_here(&pat[1..], txt, i + 1, full);
+        return match_here(&pat[1..], txt, i + 1);
     }
     false
 }

@@ -28,6 +28,6 @@ pub use examples::{pick_flow, Preferences};
 pub use scope::{host_facing_interfaces, scoped_sources, HostIface};
 pub use service::{
     QueryContext,
-    service_blocked, service_reachable, service_sinks, waypoint_enforced, QueryReport,
+    service_blocked, service_reachable, service_sinks, QueryReport,
     ServiceSpec, Violation,
 };

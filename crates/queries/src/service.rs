@@ -5,8 +5,6 @@
 //! fixed point per question (§4.2.3), seeded at the union of the
 //! service's sinks: a start's answer is its seed intersected with the
 //! walk's set at its source node, so no walk depends on the start.
-//! `waypoint_enforced` walks forward per start, since the waypoint bit is
-//! set on the way.
 
 use crate::examples::{pick_flow, Preferences};
 use crate::scope::{host_facing_interfaces, HostIface};
@@ -15,6 +13,7 @@ use batnet_config::vi::Device;
 use batnet_config::Topology;
 use batnet_dataplane::vars::Field;
 use batnet_dataplane::{ForwardingGraph, NodeKind, PacketVars, ReachAnalysis};
+use batnet_net::governor::ResourceGovernor;
 use batnet_net::{Flow, IpProtocol, Prefix};
 use batnet_routing::DataPlane;
 use batnet_traceroute::{StartLocation, Tracer};
@@ -184,7 +183,10 @@ pub fn service_reachable(ctx: &mut QueryContext<'_>, service: &ServiceSpec) -> Q
         .filter(|h| !h.external && !h.subnet.overlaps(&service.prefix))
         .collect();
     let prefs = Preferences::likely(ctx.bdd, ctx.vars);
-    let ok = ReachAnalysis::new(ctx.graph).backward_from(ctx.bdd, ctx.vars, &sinks).reach;
+    let ok = ReachAnalysis::new(ctx.graph)
+        .backward_from(ctx.bdd, ctx.vars, &sinks, &ResourceGovernor::unlimited())
+        .into_value()
+        .reach;
     let mut violations = Vec::new();
     for start in &starts {
         let Some(src_node) = ctx.graph.node(&NodeKind::IfaceSrc(
@@ -241,7 +243,10 @@ pub fn service_blocked(
         .filter(|h| (!from_external_only || h.external) && !h.subnet.overlaps(&service.prefix))
         .collect();
     let prefs = Preferences::likely(ctx.bdd, ctx.vars);
-    let ok = ReachAnalysis::new(ctx.graph).backward_from(ctx.bdd, ctx.vars, &sinks).reach;
+    let ok = ReachAnalysis::new(ctx.graph)
+        .backward_from(ctx.bdd, ctx.vars, &sinks, &ResourceGovernor::unlimited())
+        .into_value()
+        .reach;
     let mut violations = Vec::new();
     for start in &starts {
         let Some(src_node) = ctx.graph.node(&NodeKind::IfaceSrc(
@@ -277,63 +282,6 @@ pub fn service_blocked(
     }
     QueryReport {
         query: "service-blocked",
-        violations,
-        starts_checked: starts.len(),
-    }
-}
-
-/// Waypoint enforcement: all `service` traffic from host-facing
-/// interfaces that reaches the service must traverse `waypoint_device`.
-/// The graph must have been built with ≥1 waypoint variable and
-/// instrumented by the caller via
-/// [`ForwardingGraph::instrument_waypoint`] on waypoint bit 0.
-pub fn waypoint_enforced(
-    ctx: &mut QueryContext<'_>,
-    service: &ServiceSpec,
-) -> QueryReport {
-    let traffic = ctx.service_traffic(service);
-    let sinks = service_sinks(ctx.graph, ctx.devices, service);
-    let starts: Vec<HostIface> = host_facing_interfaces(ctx.devices, ctx.topo)
-        .into_iter()
-        .filter(|h| !h.subnet.overlaps(&service.prefix))
-        .collect();
-    let prefs = Preferences::likely(ctx.bdd, ctx.vars);
-    let analysis = ReachAnalysis::new(ctx.graph);
-    let wp = ctx.bdd.var(ctx.vars.waypoint_var(0));
-    let no_wp = ctx.bdd.not(wp);
-    let mut violations = Vec::new();
-    for start in &starts {
-        let Some(src_node) = ctx.graph.node(&NodeKind::IfaceSrc(
-            start.device.clone(),
-            start.interface.clone(),
-        )) else {
-            continue;
-        };
-        let seed = ctx.seed(start, traffic);
-        if seed == NodeId::FALSE {
-            continue;
-        }
-        let r = analysis.forward(ctx.bdd, &[(src_node, seed)]);
-        let mut arrived_bypassing = NodeId::FALSE;
-        for &s in &sinks {
-            let at = r.at(s);
-            let bypass = ctx.bdd.and(at, no_wp);
-            arrived_bypassing = ctx.bdd.or(arrived_bypassing, bypass);
-        }
-        if arrived_bypassing != NodeId::FALSE {
-            let example =
-                pick_flow(ctx.bdd, ctx.vars, arrived_bypassing, &prefs).expect("non-empty");
-            let trace = ctx.annotate(start, &example);
-            violations.push(Violation {
-                start: start.clone(),
-                example,
-                positive_example: None,
-                trace,
-            });
-        }
-    }
-    QueryReport {
-        query: "waypoint-enforced",
         violations,
         starts_checked: starts.len(),
     }
@@ -572,30 +520,5 @@ mod tests {
             assert_eq!(report.starts_checked, 1);
             assert!(report.holds(), "{prefix}: {}", report.violations[0]);
         }
-    }
-
-    #[test]
-    fn waypoint_query_detects_bypass() {
-        // Two paths from clients to servers: via fw (r3) and via a direct
-        // backdoor link r1–r2. The waypoint query must catch the bypass.
-        let mut w = build(&[
-            (
-                "r1",
-                "hostname r1\ninterface hosts\n ip address 10.1.0.1/24\ninterface viafw\n ip address 172.16.0.1/31\ninterface direct\n ip address 172.16.1.1/31\nip route 10.2.0.0/24 172.16.0.0\nip route 10.2.0.0/24 172.16.1.0\n",
-            ),
-            (
-                "fw",
-                "hostname fw\ninterface a\n ip address 172.16.0.0/31\ninterface b\n ip address 172.16.2.1/31\nip route 10.2.0.0/24 172.16.2.0\nip route 10.1.0.0/24 172.16.0.1\n",
-            ),
-            (
-                "r2",
-                "hostname r2\ninterface direct\n ip address 172.16.1.0/31\ninterface fromfw\n ip address 172.16.2.0/31\ninterface servers\n ip address 10.2.0.1/24\nip route 10.1.0.0/24 172.16.1.1\n",
-            ),
-        ]);
-        w.graph.instrument_waypoint(&mut w.bdd, &w.vars, "fw", 0);
-        let mut ctx = w.ctx();
-        let service = ServiceSpec::tcp("10.2.0.0/24".parse().unwrap(), 443);
-        let report = waypoint_enforced(&mut ctx, &service);
-        assert!(!report.holds(), "direct path bypasses the firewall");
     }
 }

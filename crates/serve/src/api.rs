@@ -12,13 +12,15 @@
 //! spaced [`Writer`] object with a trailing newline.
 //!
 //! Locking rule: a stored snapshot is immutable; the BDD manager is the
-//! only thing a query locks. `/query/reach` waits for it; `/diff` holds
-//! it only to fork it and walks the fork, and builds the side's graph
-//! afresh when a reach holds it, so only a reach ever waits.
+//! only thing a query locks. `/query/reach` waits for it and holds it for
+//! one backward walk from the service's sinks; `/diff` holds it only to
+//! fork it and walks the fork, and builds the side's graph afresh when a
+//! reach holds it, so only a reach ever waits.
 
 use crate::http::{Method, Request, Response};
 use crate::server::{DispatchCtx, ServeConfig};
 use crate::store::StoredSnapshot;
+use batnet::bdd::NodeId;
 use batnet::traceroute::{StartLocation, Tracer};
 use batnet::{Exhaustion, ResourceGovernor};
 use batnet_dataplane::{NodeKind, ReachAnalysis};
@@ -293,10 +295,12 @@ fn summary_json(s: &StoredSnapshot) -> String {
     })
 }
 
-/// `GET /query/reach?snapshot=S&prefix=P&port=N`: symbolic service
-/// reachability from every host-facing interface, under the request's
-/// governor. A tripped budget returns 206 with the fixed point computed
-/// so far — the honest under-approximation, never a hang.
+/// `GET /query/reach?snapshot=S&prefix=P&port=N`: can scoped service
+/// traffic from some internal host-facing interface be delivered into the
+/// service subnet? One backward walk from the service's sinks answers
+/// every start (§4.2.3), under the request's governor. A tripped budget
+/// returns 206 with the sets computed so far — the honest
+/// under-approximation, never a hang.
 fn query_reach(req: &Request, _: &str, ctx: &DispatchCtx) -> Reply {
     let s = snapshot(req, ctx)?;
     let gov = request_governor(req, &ctx.cfg)?;
@@ -304,7 +308,43 @@ fn query_reach(req: &Request, _: &str, ctx: &DispatchCtx) -> Reply {
         .map_err(|e| Response::error(400, &format!("bad prefix: {e}")))?;
     let port: u16 = (req.param("port").unwrap_or("80").parse())
         .map_err(|e| Response::error(400, &format!("bad port: {e}")))?;
-    let service = ServiceSpec::tcp(prefix, port);
+    let (v, partial) = reach_verdict(&s, &ServiceSpec::tcp(prefix, port), &gov);
+    let out = body(|w| {
+        w.field("query", "reach")
+            .field("snapshot", &s.name)
+            .field("prefix", prefix.to_string())
+            .field("port", port)
+            .field("starts", v.starts)
+            .field("sinks", v.sinks)
+            .field("delivered", v.delivered)
+            .field("nodes_reached", v.nodes_reached)
+            .field("relaxations", v.relaxations);
+        write_partial(w, partial.as_ref());
+    });
+    Ok(governed(200, partial.is_some(), out))
+}
+
+/// What `/query/reach` reports about one service.
+struct ReachVerdict {
+    /// Internal host-facing starts whose scoped seed is non-empty.
+    starts: usize,
+    /// Delivery sinks into the service subnet.
+    sinks: usize,
+    /// Some start's seed meets what reaches a sink from it.
+    delivered: bool,
+    /// Graph nodes from which some packet reaches a sink (backward walk).
+    nodes_reached: usize,
+    /// Edges the backward walk pulled across.
+    relaxations: u64,
+}
+
+/// `/query/reach`'s verdict on `service` in `s`, plus the walk's partial
+/// accounting when `gov` tripped.
+fn reach_verdict(
+    s: &StoredSnapshot,
+    service: &ServiceSpec,
+    gov: &ResourceGovernor,
+) -> (ReachVerdict, Option<(Vec<String>, Exhaustion)>) {
     // Everything that needs no BDD work happens before the lock: the
     // start node of every internal host-facing interface, and the sinks.
     // Serve's sink rule is narrower than the query library's: delivery
@@ -319,7 +359,7 @@ fn query_reach(req: &Request, _: &str, ctx: &DispatchCtx) -> Reply {
             s.graph.node(&kind).map(|node| (h, node))
         })
         .collect();
-    let mut sinks = service_sinks(&s.graph, &s.devices, &service);
+    let mut sinks = service_sinks(&s.graph, &s.devices, service);
     sinks.retain(|&n| matches!(s.graph.nodes[n], NodeKind::DeliveredToSubnet(..)));
 
     // The one lock a query takes. Poisoning cannot happen (a handler
@@ -337,43 +377,26 @@ fn query_reach(req: &Request, _: &str, ctx: &DispatchCtx) -> Reply {
         vars: &s.vars,
         graph: &s.graph,
     };
-
-    // Seed every start with its scoped sources.
-    let traffic = q.service_traffic(&service);
-    let mut seeds = Vec::new();
-    for (h, node) in starts {
-        let seed = q.seed(h, traffic);
-        if seed != batnet::bdd::NodeId::FALSE {
-            seeds.push((node, seed));
-        }
-    }
-
-    let (result, partial) = ReachAnalysis::new(q.graph)
-        .forward_governed(q.bdd, &seeds, &gov)
+    let traffic = q.service_traffic(service);
+    let seeds: Vec<(usize, NodeId)> = starts
+        .into_iter()
+        .map(|(h, node)| (node, q.seed(h, traffic)))
+        .filter(|&(_, seed)| seed != NodeId::FALSE)
+        .collect();
+    let (walk, partial) = ReachAnalysis::new(q.graph)
+        .backward_from(q.bdd, q.vars, &sinks, gov)
         .into_parts();
-    let mut delivered = batnet::bdd::NodeId::FALSE;
-    for &sk in &sinks {
-        delivered = q.bdd.or(delivered, result.at(sk));
-    }
-    let nodes_reached = result
-        .reach
+    let delivered = seeds
         .iter()
-        .filter(|&&n| n != batnet::bdd::NodeId::FALSE)
-        .count();
-
-    let out = body(|w| {
-        w.field("query", "reach")
-            .field("snapshot", &s.name)
-            .field("prefix", prefix.to_string())
-            .field("port", port)
-            .field("starts", seeds.len())
-            .field("sinks", sinks.len())
-            .field("delivered", delivered != batnet::bdd::NodeId::FALSE)
-            .field("nodes_reached", nodes_reached)
-            .field("relaxations", result.relaxations);
-        write_partial(w, partial.as_ref());
-    });
-    Ok(governed(200, partial.is_some(), out))
+        .any(|&(node, seed)| q.bdd.and(seed, walk.at(node)) != NodeId::FALSE);
+    let verdict = ReachVerdict {
+        starts: seeds.len(),
+        sinks: sinks.len(),
+        delivered,
+        nodes_reached: walk.reach.iter().filter(|&&n| n != NodeId::FALSE).count(),
+        relaxations: walk.relaxations,
+    };
+    (verdict, partial)
 }
 
 /// `GET /query/trace?snapshot=S&device=D&iface=I&src=IP&dst=IP&port=N
@@ -465,4 +488,94 @@ fn diff(req: &Request, _: &str, ctx: &DispatchCtx) -> Reply {
     drop(d);
     batnet_obs::mem::release_free_heap();
     Ok(governed(200, partial.is_some(), out))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::store::tests::two_router_configs;
+    use crate::store::SnapshotStore;
+    use batnet_net::rng::Rng;
+
+    /// `(starts, sinks, delivered)` as `/query/reach` answered before one
+    /// backward walk did: one forward walk from every internal host-facing
+    /// start's seed, the union taken at the delivery sinks.
+    fn forward_reference(s: &StoredSnapshot, service: &ServiceSpec) -> (usize, usize, bool) {
+        let mut sinks = service_sinks(&s.graph, &s.devices, service);
+        sinks.retain(|&n| matches!(s.graph.nodes[n], NodeKind::DeliveredToSubnet(..)));
+        let mut bdd = s.bdd.lock().expect("not poisoned");
+        let mut q = QueryContext {
+            devices: &s.devices,
+            dp: &s.dp,
+            topo: &s.topo,
+            bdd: &mut bdd,
+            vars: &s.vars,
+            graph: &s.graph,
+        };
+        let traffic = q.service_traffic(service);
+        let mut seeds = Vec::new();
+        for h in s.host_facing.iter().filter(|h| !h.external) {
+            let kind = NodeKind::IfaceSrc(h.device.clone(), h.interface.clone());
+            let Some(node) = s.graph.node(&kind) else { continue };
+            let seed = q.seed(h, traffic);
+            if seed != NodeId::FALSE {
+                seeds.push((node, seed));
+            }
+        }
+        let r = ReachAnalysis::new(q.graph).forward(q.bdd, &seeds);
+        let mut delivered = NodeId::FALSE;
+        for &sk in &sinks {
+            delivered = q.bdd.or(delivered, r.at(sk));
+        }
+        (seeds.len(), sinks.len(), delivered != NodeId::FALSE)
+    }
+
+    /// N2, NET1 (whose every start's forward cone crosses the border's
+    /// source NAT) on seeded questions, and a lab whose ACL admits 443 and
+    /// denies 80, so both verdicts occur.
+    #[test]
+    fn reach_verdict_equals_the_forward_reference() {
+        let store = SnapshotStore::new(3);
+        let unlimited = ResourceGovernor::unlimited();
+        // r2 lets only HTTPS out towards its servers, whichever host
+        // port (r1's or its own) the traffic came in by.
+        let mut lab = two_router_configs();
+        let r2 = &mut lab[1].1;
+        *r2 = r2.replace("10.2.0.1/24\n", "10.2.0.1/24\n ip access-group WEB out\n")
+            + "ip access-list extended WEB\n 10 permit tcp any any eq 443\n 20 deny ip any any\n";
+        let servers: Prefix = "10.2.0.0/24".parse().expect("prefix");
+        let mut networks = vec![("lab".to_string(), lab, vec![(servers, 443), (servers, 80)])];
+        let mut rng = Rng::new(11);
+        for net in [batnet_topogen::suite::n2(), batnet_topogen::suite::net1()] {
+            let mut universe: Vec<Prefix> = net
+                .parse()
+                .iter()
+                .flat_map(|d| d.active_interfaces().filter_map(|i| i.connected_prefix()))
+                .collect();
+            universe.sort();
+            universe.dedup();
+            universe.push("0.0.0.0/0".parse().expect("prefix"));
+            let questions = (0..10)
+                .map(|_| (*rng.pick(&universe), *rng.pick(&[22, 80, 443, 53])))
+                .collect();
+            networks.push((net.name, net.configs, questions));
+        }
+        for (name, configs, questions) in networks {
+            let s = store.insert(&name, configs, &unlimited).expect("upload");
+            assert!(s.partial.is_none(), "{name}");
+            let mut verdicts = Vec::new();
+            for (prefix, port) in questions {
+                let service = ServiceSpec::tcp(prefix, port);
+                let (got, partial) = reach_verdict(&s, &service, &unlimited);
+                assert!(partial.is_none());
+                let want = forward_reference(&s, &service);
+                assert_eq!((got.starts, got.sinks, got.delivered), want, "{name} {prefix}:{port}");
+                verdicts.push(got.delivered);
+            }
+            assert!(verdicts.contains(&true), "{name}: nothing delivered");
+            if name == "lab" {
+                assert_eq!(verdicts, [true, false]);
+            }
+        }
+    }
 }

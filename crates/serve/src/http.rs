@@ -13,38 +13,12 @@
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 
-/// Parser limits. Defaults are deliberately tight; uploads that need a
-/// bigger body get it from [`Limits::with_max_body`].
-#[derive(Clone, Debug)]
-pub struct Limits {
-    /// Longest accepted request line (method + target + version).
-    pub max_request_line: usize,
-    /// Longest accepted single header line.
-    pub max_header_line: usize,
-    /// Most accepted headers.
-    pub max_headers: usize,
-    /// Largest accepted `Content-Length`.
-    pub max_body: usize,
-}
-
-impl Default for Limits {
-    fn default() -> Limits {
-        Limits {
-            max_request_line: 4096,
-            max_header_line: 4096,
-            max_headers: 64,
-            max_body: 4 << 20,
-        }
-    }
-}
-
-impl Limits {
-    /// Same limits with a different body cap.
-    pub fn with_max_body(mut self, max_body: usize) -> Limits {
-        self.max_body = max_body;
-        self
-    }
-}
+/// Longest accepted request line (method + target + version).
+const MAX_REQUEST_LINE: usize = 4096;
+/// Longest accepted single header line.
+const MAX_HEADER_LINE: usize = 4096;
+/// Most accepted headers.
+const MAX_HEADERS: usize = 64;
 
 /// Why a request was rejected at the parse layer.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -283,10 +257,12 @@ fn parse_target(target: &str) -> (String, Vec<(String, String)>) {
     (percent_decode(path), params)
 }
 
-/// Reads and validates one request. `Ok(None)` means the peer closed
-/// before sending anything (an idle probe, not an error).
-pub fn read_request(r: &mut impl Read, limits: &Limits) -> Result<Option<Request>, ParseError> {
-    let line = match read_line(r, limits.max_request_line, ParseError::RequestLineTooLong)? {
+/// Reads and validates one request, accepting a `Content-Length` of at
+/// most `max_body` (the request-line and header limits are fixed).
+/// `Ok(None)` means the peer closed before sending anything (an idle
+/// probe, not an error).
+pub fn read_request(r: &mut impl Read, max_body: usize) -> Result<Option<Request>, ParseError> {
+    let line = match read_line(r, MAX_REQUEST_LINE, ParseError::RequestLineTooLong)? {
         None => return Ok(None),
         Some(l) => l,
     };
@@ -309,13 +285,13 @@ pub fn read_request(r: &mut impl Read, limits: &Limits) -> Result<Option<Request
     // never grow the map — and never trip the limit or the watchdog.
     let mut header_lines = 0usize;
     loop {
-        let hline = read_line(r, limits.max_header_line, ParseError::HeaderTooLong)?
+        let hline = read_line(r, MAX_HEADER_LINE, ParseError::HeaderTooLong)?
             .ok_or(ParseError::Truncated)?;
         if hline.is_empty() {
             break;
         }
         header_lines += 1;
-        if header_lines > limits.max_headers {
+        if header_lines > MAX_HEADERS {
             return Err(ParseError::TooManyHeaders);
         }
         let (k, v) = hline
@@ -329,10 +305,10 @@ pub fn read_request(r: &mut impl Read, limits: &Limits) -> Result<Option<Request
             let declared: usize = v
                 .parse()
                 .map_err(|_| ParseError::BadContentLength(clip(v)))?;
-            if declared > limits.max_body {
+            if declared > max_body {
                 return Err(ParseError::BodyTooLarge {
                     declared,
-                    limit: limits.max_body,
+                    limit: max_body,
                 });
             }
             let mut body = vec![0u8; declared];
@@ -471,8 +447,13 @@ impl Response {
 mod tests {
     use super::*;
 
+    /// The server's default body cap.
+    fn body_cap() -> usize {
+        crate::server::ServeConfig::default().max_body_bytes
+    }
+
     fn parse(raw: &[u8]) -> Result<Option<Request>, ParseError> {
-        read_request(&mut &raw[..], &Limits::default())
+        read_request(&mut &raw[..], body_cap())
     }
 
     #[test]
@@ -525,7 +506,7 @@ mod tests {
         let mut raw = b"GET /".to_vec();
         raw.extend(std::iter::repeat(b'a').take(5000));
         raw.extend_from_slice(b" HTTP/1.1\r\n\r\n");
-        let e = read_request(&mut &raw[..], &Limits::default()).unwrap_err();
+        let e = read_request(&mut &raw[..], body_cap()).unwrap_err();
         assert_eq!(e, ParseError::RequestLineTooLong);
         assert_eq!(e.status(), 431);
         assert_eq!(e.metric_class(), "too-large");
@@ -539,7 +520,7 @@ mod tests {
         }
         raw.extend_from_slice(b"\r\n");
         assert_eq!(
-            read_request(&mut &raw[..], &Limits::default()).unwrap_err(),
+            read_request(&mut &raw[..], body_cap()).unwrap_err(),
             ParseError::TooManyHeaders
         );
 
@@ -553,7 +534,7 @@ mod tests {
         }
         raw.extend_from_slice(b"\r\n");
         assert_eq!(
-            read_request(&mut &raw[..], &Limits::default()).unwrap_err(),
+            read_request(&mut &raw[..], body_cap()).unwrap_err(),
             ParseError::TooManyHeaders
         );
 
@@ -561,7 +542,7 @@ mod tests {
         raw.extend(std::iter::repeat(b'v').take(8192));
         raw.extend_from_slice(b"\r\n\r\n");
         assert_eq!(
-            read_request(&mut &raw[..], &Limits::default()).unwrap_err(),
+            read_request(&mut &raw[..], body_cap()).unwrap_err(),
             ParseError::HeaderTooLong
         );
     }

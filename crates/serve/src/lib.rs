@@ -39,7 +39,7 @@ pub mod store;
 pub mod tracing;
 
 pub use client::{get, post, ClientResponse};
-pub use http::{Limits, Method, ParseError, Request, Response};
+pub use http::{Method, ParseError, Request, Response};
 pub use server::{spawn, Handle, ServeConfig};
 pub use store::{SnapshotStore, StoredSnapshot};
 pub use tracing::{TraceEntry, TraceIds, TraceRing};

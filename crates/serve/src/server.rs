@@ -43,7 +43,7 @@
 //! regression cannot hide behind a fast-path-dominated aggregate.
 
 use crate::api;
-use crate::http::{read_request, Limits, Response};
+use crate::http::{read_request, Response};
 use crate::store::SnapshotStore;
 use crate::tracing::{TraceEntry, TraceIds, TraceRing};
 use batnet_obs::Span;
@@ -198,7 +198,6 @@ pub(crate) struct DispatchCtx {
     pub(crate) state: ServiceState,
     /// Connections being served right now: the `serve.inflight` gauge.
     inflight: AtomicUsize,
-    limits: Limits,
     pub(crate) ids: TraceIds,
     pub(crate) ring: Arc<TraceRing>,
 }
@@ -225,7 +224,6 @@ pub fn spawn(cfg: ServeConfig) -> std::io::Result<Handle> {
         store,
         state: ServiceState::new(addr),
         inflight: AtomicUsize::new(0),
-        limits: Limits::default().with_max_body(cfg.max_body_bytes),
         ids: TraceIds::default(),
         ring: Arc::new(TraceRing::new(cfg.trace_ring_capacity)),
         cfg,
@@ -358,7 +356,7 @@ fn dispatch_one(ctx: &DispatchCtx, stream: TcpStream, admitted_at: Instant) {
 /// the response write, so accounting holds even when the client is
 /// already gone.
 fn serve_connection(ctx: &DispatchCtx, mut stream: TcpStream, trace_id: &str, queue_wait_us: u64) {
-    let response = match read_request(&mut stream, &ctx.limits) {
+    let response = match read_request(&mut stream, ctx.cfg.max_body_bytes) {
         Ok(None) => {
             // Clean close before a request — a probe or a mid-dial
             // disconnect. Nothing to answer.

@@ -7,12 +7,13 @@
 //! memory. A stored snapshot is immutable: handlers share it through an
 //! `Arc` and read it without locking. The one exception is the BDD
 //! manager, which needs `&mut` to answer a symbolic query, so it sits
-//! behind the snapshot's only mutex: `/query/reach` waits for it, under
-//! its per-request deadline, and holds it for its walk. `/diff` holds it
-//! only to fork the manager (a copy of the arena) and walks the fork, or,
-//! when a reach holds it, builds that side's graph afresh. So only a
-//! reach waits, for at most another reach's deadline or one fork, and the
-//! arena holds only what the upload and reaches put there.
+//! behind the snapshot's only mutex: `/query/reach` waits for it and
+//! holds it for one backward walk from the service's sinks, under its
+//! per-request governor. `/diff` holds it only to fork the manager (a
+//! copy of the arena) and walks the fork, or, when a reach holds it,
+//! builds that side's graph afresh. So only a reach waits, for at most
+//! another reach's deadline or one fork, and the arena holds only what
+//! the upload and reaches put there.
 //!
 //! The store itself is bounded: at capacity, the oldest snapshot is
 //! evicted (uploads must not grow memory without limit any more than a
@@ -66,8 +67,9 @@ pub struct StoredSnapshot {
 impl StoredSnapshot {
     /// This snapshot as one side of a diff. An analysis that completed
     /// and kept every parse-healthy device holds the data plane, topology
-    /// and graph the diff would build (uploads and diffs both use
-    /// `SimOptions::default()`), so the diff walks them in a fork of
+    /// and graph the diff would build (uploads and diffs both simulate
+    /// with `SimOptions::default()`, the only options either takes), so
+    /// the diff walks them in a fork of
     /// this snapshot's manager; otherwise the diff simulates this side.
     pub fn diff_side(&self) -> DiffSide<'_> {
         let mut side = self.snapshot.diff_side();

@@ -88,18 +88,12 @@ fn bdd_node_ceiling_yields_partial_reachability() {
         .analyze_resilient(&ResourceGovernor::unlimited())
         .expect("analyze")
         .into_value();
-    let init = analysis.vars.initial_bits(&mut analysis.bdd);
-    let seeds: Vec<(usize, batnet::bdd::NodeId)> = analysis
-        .graph
-        .nodes_where(|k| matches!(k, NodeKind::IfaceSrc(_, _)))
-        .into_iter()
-        .map(|n| (n, init))
-        .collect();
-    assert!(!seeds.is_empty());
+    let sinks = analysis.graph.nodes_where(NodeKind::is_success_sink);
+    assert!(!sinks.is_empty());
     let arena_before = analysis.bdd.node_count();
     let gov = ResourceGovernor::with_node_ceiling(2);
     let reach = ReachAnalysis::new(&analysis.graph);
-    match reach.forward_governed(&mut analysis.bdd, &seeds, &gov) {
+    match reach.backward_from(&mut analysis.bdd, &analysis.vars, &sinks, &gov) {
         Outcome::Partial {
             completed,
             abandoned,
@@ -110,7 +104,7 @@ fn bdd_node_ceiling_yields_partial_reachability() {
             };
             assert_eq!(ceiling, 2);
             assert!(reached >= arena_before, "{reached} < {arena_before}");
-            assert_eq!(why.stage, "reach-forward");
+            assert_eq!(why.stage, "reach-backward");
             assert!(!abandoned.is_empty(), "worklist devices must be named");
             assert_eq!(completed.reach.len(), analysis.graph.nodes.len());
         }
@@ -118,9 +112,10 @@ fn bdd_node_ceiling_yields_partial_reachability() {
     }
     // The same query against the same manager, ungoverned, completes:
     // the ceiling lived in the request's governor, not the manager.
-    let again = reach.forward_governed(
+    let again = reach.backward_from(
         &mut analysis.bdd,
-        &seeds,
+        &analysis.vars,
+        &sinks,
         &ResourceGovernor::unlimited(),
     );
     assert!(matches!(again, Outcome::Complete(_)));
