@@ -164,17 +164,6 @@ impl AptEngine {
         })
     }
 
-    /// The atom-set encoding of an arbitrary packet set.
-    pub fn encode(&self, bdd: &mut Bdd, set: NodeId) -> AtomSet {
-        let mut s = AtomSet::with_capacity(self.atoms.len());
-        for (i, &a) in self.atoms.iter().enumerate() {
-            if bdd.and(a, set) != NodeId::FALSE {
-                s.insert(i);
-            }
-        }
-        s
-    }
-
     /// Decodes an atom set back to a BDD.
     pub fn decode(&self, bdd: &mut Bdd, set: &AtomSet) -> NodeId {
         let mut acc = NodeId::FALSE;

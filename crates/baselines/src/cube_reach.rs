@@ -70,12 +70,10 @@ impl CubeNetwork {
         };
         for (di, device) in devices.iter().enumerate() {
             let ddp = &dp.devices[di];
-            // Owned addresses.
+            // Owned addresses, primary and secondary.
             let mut owned = CubeSet::empty();
-            for iface in device.active_interfaces() {
-                if let Some(ip) = iface.ip() {
-                    owned = owned.union(&CubeSet::dst_prefix(batnet_net::Prefix::host(ip)));
-                }
+            for ip in device.active_interfaces().flat_map(Interface::addresses) {
+                owned = owned.union(&CubeSet::dst_prefix(batnet_net::Prefix::host(ip)));
             }
             // FIB buckets with LPM semantics.
             let mut order: Vec<usize> = (0..ddp.fib.entries().len()).collect();
@@ -147,44 +145,37 @@ impl CubeNetwork {
                     if out_set.is_empty() {
                         continue;
                     }
-                    // Hand-off resolution mirrors the BDD graph.
+                    // Hand-off resolution mirrors the BDD graph: the
+                    // neighbor owning the gateway (the topology's owner
+                    // index).
                     let me = InterfaceRef::new(&device.name, oiface);
-                    let neighbors = topo.neighbors_of(&me);
-                    let mut receiver: Option<InterfaceRef> = None;
+                    let subnets = || {
+                        device
+                            .interfaces
+                            .get(oiface)
+                            .into_iter()
+                            .flat_map(Interface::connected_prefixes)
+                    };
                     if let Some(gw) = gateway {
-                        for nb in neighbors {
-                            let owner = devices
-                                .iter()
-                                .find(|d| d.name == nb.device)
-                                .and_then(|d| d.interfaces.get(&nb.interface))
-                                .and_then(|i| i.ip());
-                            if owner == Some(*gw) {
-                                receiver = Some(nb.clone());
-                                break;
-                            }
-                        }
-                        let target = match receiver {
-                            Some(nb) => net.node(Node::In(nb.device, nb.interface)),
-                            None => net.node(Node::Terminal(if neighbors.is_empty() {
-                                CubeDisposition::ExitsNetwork(device.name.clone(), oiface.clone())
-                            } else {
+                        let target = match topo.neighbor_owning(&me, *gw) {
+                            Some(nb) => net.node(Node::In(nb.device.clone(), nb.interface.clone())),
+                            None => net.node(Node::Terminal(if topo.has_neighbor(&me) {
                                 CubeDisposition::Dropped(device.name.clone())
+                            } else {
+                                CubeDisposition::ExitsNetwork(device.name.clone(), oiface.clone())
                             })),
                         };
                         net.edges[ingress].push(CubeEdge { to: target, set: out_set });
                     } else {
-                        // Connected delivery: split per neighbor address,
-                        // remainder to subnet hosts.
+                        // Connected delivery: split per neighbor-owned
+                        // address on the interface's subnets, remainder to
+                        // subnet hosts.
+                        let mut on_link: Vec<(Ip, &InterfaceRef)> =
+                            subnets().flat_map(|p| topo.neighbor_addresses_in(&me, p)).collect();
+                        on_link.sort();
+                        on_link.dedup();
                         let mut remainder = out_set;
-                        for nb in neighbors {
-                            let Some(nb_ip) = devices
-                                .iter()
-                                .find(|d| d.name == nb.device)
-                                .and_then(|d| d.interfaces.get(&nb.interface))
-                                .and_then(|i| i.ip())
-                            else {
-                                continue;
-                            };
+                        for (nb_ip, nb) in on_link {
                             let host = CubeSet::dst_prefix(batnet_net::Prefix::host(nb_ip));
                             let to_nb = remainder.intersect(&host);
                             if !to_nb.is_empty() {
@@ -196,14 +187,9 @@ impl CubeNetwork {
                         if !remainder.is_empty() {
                             // Any of the interface's subnets, as the
                             // graph and the tracer deliver.
-                            let subnets = device
-                                .interfaces
-                                .get(oiface)
-                                .into_iter()
-                                .flat_map(Interface::connected_prefixes)
-                                .fold(CubeSet::empty(), |acc, p| {
-                                    acc.union(&CubeSet::dst_prefix(p))
-                                });
+                            let subnets = subnets().fold(CubeSet::empty(), |acc, p| {
+                                acc.union(&CubeSet::dst_prefix(p))
+                            });
                             let on = remainder.intersect(&subnets);
                             let off = remainder.subtract(&subnets);
                             if !on.is_empty() {
@@ -387,7 +373,8 @@ mod tests {
         assert!(dropped.matches(&ssh));
 
         // Hosts on a secondary subnet are delivered, as the graph and the
-        // tracer deliver them, not sent out of the network.
+        // tracer deliver them, not sent out of the network; the secondary
+        // address itself is the router's own, as the graph accepts it.
         let (devices, dp, topo) = world(&[(
             "r1",
             "hostname r1\ninterface hosts\n ip address 10.1.0.1/24\ninterface lan\n ip address 10.2.0.1/24\n ip address 10.3.0.1 255.255.255.0 secondary\n",
@@ -396,8 +383,12 @@ mod tests {
         let to_secondary = CubeSet::dst_prefix("10.3.0.0/24".parse().unwrap());
         let (dispositions, _) = net.reach("r1", "hosts", to_secondary.clone());
         let lan = CubeDisposition::DeliveredToSubnet("r1".into(), "lan".into());
-        assert_eq!(dispositions.keys().collect::<Vec<_>>(), [&lan]);
-        assert!(to_secondary.subtract(&dispositions[&lan]).is_empty());
+        let own = CubeDisposition::Accepted("r1".into());
+        assert_eq!(dispositions.keys().collect::<Vec<_>>(), [&own, &lan]);
+        let address = CubeSet::dst_prefix("10.3.0.1/32".parse().unwrap());
+        assert!(address.subtract(&dispositions[&own]).is_empty());
+        assert!(dispositions[&own].subtract(&address).is_empty());
+        assert!(to_secondary.subtract(&address).subtract(&dispositions[&lan]).is_empty());
     }
 
     #[test]

@@ -92,7 +92,7 @@ pub struct Topology {
 
 impl Topology {
     /// Infers the topology from interface addressing: active interfaces
-    /// sharing the same connected prefix are adjacent.
+    /// sharing a connected prefix, primary or secondary, are adjacent.
     ///
     /// `/32`s never form links, and an interface is never its own
     /// neighbor. Interfaces whose subnets contain no other interface are
@@ -110,27 +110,32 @@ impl Topology {
                     interface: InterfaceRef::new(&d.name, &i.name),
                 });
                 topo.owners.extend(i.addresses().map(|ip| (ip, slot)));
-                if let Some(p) = i.connected_prefix() {
-                    if p.len() < 32 {
-                        by_prefix.entry(p).or_default().push(slot);
-                    }
+                for p in i.connected_prefixes().filter(|p| p.len() < 32) {
+                    by_prefix.entry(p).or_default().push(slot);
                 }
             }
         }
         // Stable, so each address's owners stay in device order.
         topo.owners.sort_by_key(|&(ip, _)| ip);
+        // Per slot, its neighbours' slots: ascending, each once however
+        // many subnets the two share.
+        let mut adjacent: Vec<Vec<usize>> = vec![Vec::new(); topo.interfaces.len()];
         for slots in by_prefix.values() {
             for &a in slots {
-                let a = &topo.interfaces[a].interface;
-                for &b in slots {
-                    let b = &topo.interfaces[b].interface;
-                    if a != b {
-                        topo.neighbors.entry(a.clone()).or_default().push(b.clone());
-                    }
+                adjacent[a].extend(slots.iter().filter(|&&b| b != a));
+            }
+        }
+        for (a, mut slots) in adjacent.into_iter().enumerate() {
+            slots.sort_unstable();
+            slots.dedup();
+            topo.edge_count += slots.iter().filter(|&&b| b > a).count();
+            let a = &topo.interfaces[a].interface;
+            for b in slots {
+                let b = &topo.interfaces[b].interface;
+                if a != b {
+                    topo.neighbors.entry(a.clone()).or_default().push(b.clone());
                 }
             }
-            let n = slots.len();
-            topo.edge_count += n * n.saturating_sub(1) / 2;
         }
         topo
     }
@@ -279,6 +284,26 @@ mod tests {
         let topo = Topology::infer(&[r1, r2]);
         assert_eq!(topo.edge_count(), 0);
         assert!(!topo.has_neighbor(&InterfaceRef::new("r1", "e1")));
+    }
+
+    #[test]
+    fn a_shared_secondary_subnet_links_once() {
+        let secondary = |d: &mut Device, ip: &str| {
+            let e1 = d.interfaces.get_mut("e1").unwrap();
+            e1.secondary_addresses.push((ip.parse().unwrap(), 24));
+        };
+        let mut r1 = device("r1", &[("e1", "10.0.0.1", 31)]);
+        let mut r2 = device("r2", &[("e1", "10.0.1.1", 31)]);
+        let mut r3 = device("r3", &[("e1", "10.0.0.0", 31)]);
+        secondary(&mut r1, "10.9.9.1");
+        secondary(&mut r2, "10.9.9.2");
+        secondary(&mut r3, "10.9.9.3");
+        let topo = Topology::infer(&[r1, r2, r3]);
+        // r1–r3 share both subnets and count once; r2 shares only the
+        // secondary with each.
+        assert_eq!(topo.edge_count(), 3);
+        let n = topo.neighbors_of(&InterfaceRef::new("r1", "e1"));
+        assert_eq!(n, &[InterfaceRef::new("r2", "e1"), InterfaceRef::new("r3", "e1")]);
     }
 
     #[test]

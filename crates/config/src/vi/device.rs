@@ -116,7 +116,12 @@ impl Interface {
         }
     }
 
-    /// The connected prefix implied by the primary address.
+    /// The connected prefix of the primary address alone. Only the
+    /// benchmark's input generators (`benchmark/src/inputs.rs` and
+    /// `batch.rs`) call it; in the workspace clippy's `disallowed-methods`
+    /// sends every caller to [`Interface::connected_prefixes`], and
+    /// [`Interface::shares_primary_subnet`] is the one decision that means
+    /// the primary subnet.
     pub fn connected_prefix(&self) -> Option<Prefix> {
         self.address.map(|(ip, len)| Prefix::new(ip, len))
     }
@@ -126,20 +131,31 @@ impl Interface {
         self.address.map(|(ip, _)| ip)
     }
 
-    /// Every address of the interface: the primary, then the secondaries.
-    pub fn addresses(&self) -> impl Iterator<Item = Ip> + '_ {
-        self.ip()
-            .into_iter()
-            .chain(self.secondary_addresses.iter().map(|&(ip, _)| ip))
+    /// Every `(address, length)`: the primary, then the secondaries.
+    fn all_addresses(&self) -> impl Iterator<Item = (Ip, u8)> + '_ {
+        self.address.into_iter().chain(self.secondary_addresses.iter().copied())
     }
 
-    /// Every connected prefix: the primary's, then the secondaries'.
+    /// Every address of the interface: the primary, then the secondaries.
+    pub fn addresses(&self) -> impl Iterator<Item = Ip> + '_ {
+        self.all_addresses().map(|(ip, _)| ip)
+    }
+
+    /// Every connected prefix: the primary's, then the secondaries', in
+    /// the order of [`Interface::addresses`]. The one answer to "which
+    /// subnets does this interface connect" in every layer.
     pub fn connected_prefixes(&self) -> impl Iterator<Item = Prefix> + '_ {
-        self.connected_prefix().into_iter().chain(
-            self.secondary_addresses
-                .iter()
-                .map(|&(ip, len)| Prefix::new(ip, len)),
-        )
+        self.all_addresses().map(|(ip, len)| Prefix::new(ip, len))
+    }
+
+    /// Do this interface and `other`, topology neighbours, share their
+    /// primary subnets? IOS forms an OSPF adjacency only over the primary
+    /// subnet, so both OSPF engines (routing's and the Datalog
+    /// baseline's) drop a neighbour that shares only a secondary one: its
+    /// primary address, OSPF's next hop, is not on the link.
+    #[allow(clippy::disallowed_methods)] // OSPF adjacency means the primary subnet alone
+    pub fn shares_primary_subnet(&self, other: &Interface) -> bool {
+        self.connected_prefix().is_some_and(|p| other.connected_prefix() == Some(p))
     }
 
     /// Is the interface up and addressed (i.e. participates in routing)?
@@ -479,10 +495,12 @@ mod tests {
     }
 
     #[test]
-    fn connected_prefix_masks_host_bits() {
+    fn connected_prefixes_mask_host_bits() {
         let mut i = Interface::new("e1");
         i.address = Some((ip("10.1.2.3"), 24));
-        assert_eq!(i.connected_prefix().unwrap().to_string(), "10.1.2.0/24");
+        i.secondary_addresses.push((ip("10.9.9.1"), 24));
+        let got: Vec<String> = i.connected_prefixes().map(|p| p.to_string()).collect();
+        assert_eq!(got, ["10.1.2.0/24", "10.9.9.0/24"]);
     }
 
     #[test]

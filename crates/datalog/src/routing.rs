@@ -112,7 +112,9 @@ impl RoutingInputs {
                 }
                 let me = InterfaceRef::new(&d.name, &iface.name);
                 for nb in topo.neighbors_of(&me) {
-                    if let Some(&ni) = index.get(nb.device.as_str()) {
+                    let Some(&ni) = index.get(nb.device.as_str()) else { continue };
+                    let niface = devices[ni].interfaces.get(&nb.interface);
+                    if niface.is_some_and(|n| iface.shares_primary_subnet(n)) {
                         adj[di].push((ni, cost));
                     }
                 }
@@ -405,7 +407,7 @@ pub fn compute(devices: &[Device], topo: &Topology, inputs: &RoutingInputs) -> D
     for (di, d) in devices.iter().enumerate() {
         let ds = dev_sym[di];
         for iface in d.active_interfaces() {
-            if let Some(p) = iface.connected_prefix() {
+            for p in iface.connected_prefixes() {
                 engine.insert_input(Fact {
                     pred: CONNECTED,
                     values: vec![ds, pack_prefix(p)],
@@ -415,7 +417,7 @@ pub fn compute(devices: &[Device], topo: &Topology, inputs: &RoutingInputs) -> D
             if d.ospf.is_some() {
                 if let Some(area) = iface.ospf_area {
                     let cost = iface.ospf_cost.unwrap_or(1) as Value;
-                    if let Some(p) = iface.connected_prefix() {
+                    for p in iface.connected_prefixes() {
                         engine.insert_input(Fact {
                             pred: ADV,
                             values: vec![ds, pack_prefix(p), cost],
@@ -430,7 +432,10 @@ pub fn compute(devices: &[Device], topo: &Topology, inputs: &RoutingInputs) -> D
                                 continue;
                             }
                             let Some(niface) = nd.interfaces.get(&nb.interface) else { continue };
-                            if niface.ospf_area != Some(area) || niface.ospf_passive {
+                            if niface.ospf_area != Some(area)
+                                || niface.ospf_passive
+                                || !iface.shares_primary_subnet(niface)
+                            {
                                 continue;
                             }
                             let Some(nh) = niface.ip() else { continue };
@@ -482,13 +487,11 @@ pub fn compute(devices: &[Device], topo: &Topology, inputs: &RoutingInputs) -> D
                 });
             }
             if bgp.redistribute_connected {
-                for iface in d.active_interfaces() {
-                    if let Some(p) = iface.connected_prefix() {
-                        engine.insert_input(Fact {
-                            pred: ORIGINATE,
-                            values: vec![ds, pack_prefix(p)],
-                        });
-                    }
+                for p in d.active_interfaces().flat_map(|i| i.connected_prefixes()) {
+                    engine.insert_input(Fact {
+                        pred: ORIGINATE,
+                        values: vec![ds, pack_prefix(p)],
+                    });
                 }
             }
         }
@@ -581,6 +584,43 @@ mod tests {
             result.fact_count
         );
         assert!(result.firings > result.fact_count as u64);
+    }
+
+    /// r2's passive host interface carries a secondary subnet; r1 and r3
+    /// run OSPF on interfaces that share only a secondary subnet.
+    #[test]
+    fn ospf_offers_secondaries_and_forms_no_adjacency_over_them() {
+        let devs = devices(&[
+            (
+                "r1",
+                "hostname r1\ninterface core\n ip address 172.16.0.1/31\n ip ospf area 0\n\
+                 interface side\n ip address 172.16.1.1/31\n ip address 10.13.0.1 255.255.255.0 secondary\n ip ospf area 0\n\
+                 router ospf 1\n",
+            ),
+            (
+                "r2",
+                "hostname r2\ninterface core\n ip address 172.16.0.0/31\n ip ospf area 0\n\
+                 interface hosts\n ip address 10.2.0.1/24\n ip address 10.9.9.1 255.255.255.0 secondary\n \
+                 ip ospf area 0\n ip ospf passive\nrouter ospf 1\n",
+            ),
+            (
+                "r3",
+                "hostname r3\ninterface side\n ip address 172.16.3.1/31\n ip address 10.13.0.3 255.255.255.0 secondary\n ip ospf area 0\n\
+                 interface lan\n ip address 10.33.0.1/24\n ip ospf area 0\n ip ospf passive\nrouter ospf 1\n",
+            ),
+        ]);
+        let topo = Topology::infer(&devs);
+        let result = compute(&devs, &topo, &RoutingInputs::for_network(&devs, &topo));
+        let r1 = &result.routes["r1"];
+        let to = |p: &str| r1.iter().filter(|r| r.prefix.to_string() == p).collect::<Vec<_>>();
+        // The imperative engine's route: OSPF via r2's core address.
+        let secondary = to("10.9.9.0/24");
+        assert_eq!(secondary.len(), 1, "{r1:?}");
+        assert_eq!(secondary[0].proto, PROTO_OSPF);
+        assert_eq!(secondary[0].next_hop, "172.16.0.0".parse::<Ip>().unwrap());
+        // IOS forms no adjacency over a secondary subnet, so r3's LAN is
+        // not learned.
+        assert!(to("10.33.0.0/24").is_empty(), "{r1:?}");
     }
 
     #[test]

@@ -154,11 +154,6 @@ impl Prefix {
         self.len
     }
 
-    /// True only for the default route `0.0.0.0/0`.
-    pub fn is_default(&self) -> bool {
-        self.len == 0
-    }
-
     /// The highest address covered by this prefix.
     pub fn last_ip(&self) -> Ip {
         Ip(self.network.0 | !mask(self.len))

@@ -26,21 +26,22 @@ pub struct HostIface {
     pub external: bool,
 }
 
-/// The scoping heuristics. An active interface is host-facing when:
+/// The scoping heuristics. An active interface faces hosts on one of its
+/// connected subnets (primary or secondary; one [`HostIface`] each) when:
 ///
-/// * its remote end is not in the snapshot (no inferred L3 neighbor), and
-/// * its subnet is big enough to hold hosts (`/29` or shorter — /30, /31
-///   and /32 are link or loopback shapes), and
+/// * its remote end is not in the snapshot (no inferred L3 neighbor on
+///   any of its subnets), and
+/// * that subnet is big enough to hold hosts (`/29` or shorter — /30,
+///   /31 and /32 are link or loopback shapes), and
 /// * it does not run a routing protocol actively (a passive OSPF subnet
 ///   is fine — that's the classic host VLAN shape).
 ///
-/// Interfaces failing only the subnet-size test are *external*-facing
-/// (uplinks to providers).
+/// Subnets failing only the size test are *external*-facing (uplinks to
+/// providers).
 pub fn host_facing_interfaces(devices: &[Device], topo: &Topology) -> Vec<HostIface> {
     let mut out = Vec::new();
     for d in devices {
         for iface in d.active_interfaces() {
-            let Some(subnet) = iface.connected_prefix() else { continue };
             let has_remote = topo.has_neighbor(&InterfaceRef::new(&d.name, &iface.name));
             if has_remote {
                 continue; // inter-router link
@@ -49,22 +50,13 @@ pub fn host_facing_interfaces(devices: &[Device], topo: &Topology) -> Vec<HostIf
             if runs_igp_actively {
                 continue; // expects a router on the other side
             }
-            if subnet.len() >= 32 {
-                continue; // loopback
-            }
-            if subnet.len() <= 29 {
+            // /32s are loopbacks.
+            for subnet in iface.connected_prefixes().filter(|p| p.len() < 32) {
                 out.push(HostIface {
                     device: d.name.clone(),
                     interface: iface.name.clone(),
                     subnet,
-                    external: false,
-                });
-            } else {
-                out.push(HostIface {
-                    device: d.name.clone(),
-                    interface: iface.name.clone(),
-                    subnet,
-                    external: true,
+                    external: subnet.len() > 29,
                 });
             }
         }
@@ -114,6 +106,24 @@ mod tests {
         assert_eq!(hosts.subnet.to_string(), "10.1.0.0/24");
         let uplink = found.iter().find(|h| h.interface == "uplink").unwrap();
         assert!(uplink.external);
+    }
+
+    #[test]
+    fn each_subnet_of_an_interface_is_a_start() {
+        let devices: Vec<Device> = [(
+            "r1",
+            "hostname r1\ninterface hosts\n ip address 10.1.0.1 255.255.255.0\n \
+             ip address 203.0.113.1 255.255.255.252 secondary\n",
+        )]
+        .iter()
+        .map(|(n, t)| parse_device(n, t).0)
+        .collect();
+        let topo = Topology::infer(&devices);
+        let found: Vec<(String, bool)> = host_facing_interfaces(&devices, &topo)
+            .into_iter()
+            .map(|h| (h.subnet.to_string(), h.external))
+            .collect();
+        assert_eq!(found, [("10.1.0.0/24".into(), false), ("203.0.113.0/30".into(), true)]);
     }
 
     #[test]

@@ -414,7 +414,7 @@ mod tests {
             let mut universe: Vec<Prefix> = w
                 .devices
                 .iter()
-                .flat_map(|d| d.active_interfaces().filter_map(|i| i.connected_prefix()))
+                .flat_map(|d| d.active_interfaces().flat_map(|i| i.connected_prefixes()))
                 .collect();
             universe.sort();
             universe.dedup();

@@ -200,16 +200,13 @@ pub fn discover_sessions(
                         // environment speaks on it.
                         if let Some(&peer_as) = external_peers.get(&(di, nb.peer_ip)) {
                             if peer_as == nb.remote_as {
-                                // Our session source: the interface on the
-                                // peer's subnet.
+                                // Our session source: the interface
+                                // address whose subnet holds the peer.
                                 let local_ip = d
                                     .active_interfaces()
-                                    .find(|i| {
-                                        i.connected_prefix()
-                                            .is_some_and(|p| p.contains(nb.peer_ip))
-                                    })
-                                    .and_then(|i| i.ip())
-                                    .unwrap_or(Ip::ZERO);
+                                    .flat_map(|i| i.addresses().zip(i.connected_prefixes()))
+                                    .find(|(_, p)| p.contains(nb.peer_ip))
+                                    .map_or(Ip::ZERO, |(ip, _)| ip);
                                 sessions.push(Session {
                                     neighbor_idx: ni,
                                     peer_ip: nb.peer_ip,
@@ -557,6 +554,18 @@ mod tests {
         assert_eq!(some[0].len(), 1);
         assert_eq!(some[0][0].peer_device, None);
         assert_eq!(some[0][0].local_ip, ip("10.0.0.1"));
+    }
+
+    #[test]
+    fn external_session_on_a_secondary_subnet_sources_from_its_address() {
+        let mut a = dev_with_bgp("a", 65001, "10.0.0.1", "192.0.2.9", 174);
+        let e1 = a.interfaces.get_mut("e1").unwrap();
+        e1.secondary_addresses.push((ip("192.0.2.1"), 24));
+        let mut ext = BTreeMap::new();
+        ext.insert((0usize, ip("192.0.2.9")), Asn(174));
+        let sessions = discover(&[a], &ext);
+        assert_eq!(sessions[0].len(), 1);
+        assert_eq!(sessions[0][0].local_ip, ip("192.0.2.1"));
     }
 
     #[test]

@@ -508,10 +508,8 @@ fn init_bgp_nodes(
                 }
             }
             if bgp.redistribute_connected {
-                for iface in d.active_interfaces() {
-                    if let Some(p) = iface.connected_prefix() {
-                        originate.push((p, RouteOrigin::Incomplete));
-                    }
+                for p in d.active_interfaces().flat_map(|i| i.connected_prefixes()) {
+                    originate.push((p, RouteOrigin::Incomplete));
                 }
             }
             if bgp.redistribute_static {

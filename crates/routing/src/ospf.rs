@@ -53,7 +53,7 @@ pub struct OspfGraph {
     /// area → adjacency list per device index.
     areas: BTreeMap<u32, Vec<Vec<Adjacency>>>,
     /// Every prefix offered into OSPF — each OSPF-enabled interface's
-    /// subnet (passive included) and each redistributed prefix — sorted
+    /// subnets (passive included) and each redistributed prefix — sorted
     /// by domain and then by prefix, so a router's candidates come in
     /// prefix order without a sort of their own.
     origins: Vec<Origin>,
@@ -79,8 +79,11 @@ fn iface_cost(dev: &Device, ifname: &str) -> u32 {
 impl OspfGraph {
     /// Builds the per-area OSPF graphs from device configs and the inferred
     /// L3 topology. Adjacency requires: both devices run OSPF, both
-    /// interfaces have an area configured, areas match, and neither side
-    /// is passive.
+    /// interfaces have an area configured, areas match, neither side is
+    /// passive, and the two share their primary subnet
+    /// ([`batnet_config::vi::Interface::shares_primary_subnet`]). Every
+    /// connected prefix of an OSPF interface, secondaries included, is
+    /// offered.
     pub fn build(devices: &[Device], topo: &Topology) -> OspfGraph {
         let index: BTreeMap<&str, usize> = devices
             .iter()
@@ -100,9 +103,7 @@ impl OspfGraph {
                 let Some(area) = iface.ospf_area else { continue };
                 member_areas[di].insert(area);
                 let cost = iface_cost(dev, &iface.name);
-                if let Some(p) = iface.connected_prefix() {
-                    offers.push((di, p, Some(cost)));
-                }
+                offers.extend(iface.connected_prefixes().map(|p| (di, p, Some(cost))));
                 if iface.ospf_passive {
                     continue;
                 }
@@ -114,7 +115,11 @@ impl OspfGraph {
                         continue;
                     }
                     let Some(niface) = ndev.interfaces.get(&nb.interface) else { continue };
-                    if niface.ospf_area != Some(area) || niface.ospf_passive || !niface.is_active() {
+                    if niface.ospf_area != Some(area)
+                        || niface.ospf_passive
+                        || !niface.is_active()
+                        || !iface.shares_primary_subnet(niface)
+                    {
                         continue;
                     }
                     let Some(nh_ip) = niface.ip() else { continue };
@@ -134,9 +139,7 @@ impl OspfGraph {
                     for iface in dev.active_interfaces() {
                         // Only subnets not already advertised into OSPF.
                         if iface.ospf_area.is_none() {
-                            if let Some(p) = iface.connected_prefix() {
-                                offers.push((di, p, None));
-                            }
+                            offers.extend(iface.connected_prefixes().map(|p| (di, p, None)));
                         }
                     }
                 }
@@ -478,6 +481,32 @@ mod tests {
         let hops: BTreeSet<_> = lan.iter().map(|r| r.next_hop.clone()).collect();
         assert!(hops.contains(&MainNextHop::Via("10.0.1.1".parse().unwrap())));
         assert!(hops.contains(&MainNextHop::Via("10.0.2.1".parse().unwrap())));
+    }
+
+    /// r0 and r1 are linked over `a` and, by a shared secondary subnet
+    /// only, over `s`: IOS forms an adjacency over the primary subnet
+    /// alone, so `s` carries none, while its subnets are still offered.
+    #[test]
+    fn a_shared_secondary_subnet_forms_no_adjacency() {
+        let mut devices = vec![
+            dev("r0", &[("a", "10.0.1.0", 31, 0, 1, false), ("s", "10.0.8.0", 31, 0, 1, false)]),
+            dev("r1", &[("a", "10.0.1.1", 31, 0, 1, false), ("s", "10.0.9.0", 31, 0, 1, false)]),
+        ];
+        for (d, ip) in devices.iter_mut().zip(["10.9.9.1", "10.9.9.2"]) {
+            let s = d.interfaces.get_mut("s").unwrap();
+            s.secondary_addresses.push((ip.parse().unwrap(), 24));
+        }
+        let topo = Topology::infer(&devices);
+        assert_eq!(topo.edge_count(), 2);
+        let g = OspfGraph::build(&devices, &topo);
+        let routes = g.routes_for(0);
+        let far: Vec<_> = routes
+            .iter()
+            .filter(|r| r.prefix.to_string() == "10.0.9.0/31")
+            .map(|r| &r.next_hop)
+            .collect();
+        assert_eq!(far, [&MainNextHop::Via("10.0.1.1".parse().unwrap())]);
+        assert!(routes.iter().any(|r| r.prefix.to_string() == "10.9.9.0/24"));
     }
 
     /// [`dev`] for interface tables built at run time.

@@ -326,7 +326,8 @@ fn query_reach(req: &Request, _: &str, ctx: &DispatchCtx) -> Reply {
 
 /// What `/query/reach` reports about one service.
 struct ReachVerdict {
-    /// Internal host-facing starts whose scoped seed is non-empty.
+    /// Internal host-facing starts outside the service subnet whose scoped
+    /// seed is non-empty.
     starts: usize,
     /// Delivery sinks into the service subnet.
     sinks: usize,
@@ -346,14 +347,15 @@ fn reach_verdict(
     gov: &ResourceGovernor,
 ) -> (ReachVerdict, Option<(Vec<String>, Exhaustion)>) {
     // Everything that needs no BDD work happens before the lock: the
-    // start node of every internal host-facing interface, and the sinks.
-    // Serve's sink rule is narrower than the query library's: delivery
-    // into the service subnet only, not acceptance by a device that owns
-    // an address in it.
+    // start node of every internal host-facing subnet outside the
+    // service (`service_reachable`'s start rule), and the sinks. Serve's
+    // sink rule is narrower than the query library's: delivery into the
+    // service subnet only, not acceptance by a device that owns an
+    // address in it.
     let starts: Vec<(&HostIface, usize)> = s
         .host_facing
         .iter()
-        .filter(|h| !h.external)
+        .filter(|h| !h.external && !h.subnet.overlaps(&service.prefix))
         .filter_map(|h| {
             let kind = NodeKind::IfaceSrc(h.device.clone(), h.interface.clone());
             s.graph.node(&kind).map(|node| (h, node))
@@ -514,7 +516,8 @@ mod tests {
         };
         let traffic = q.service_traffic(service);
         let mut seeds = Vec::new();
-        for h in s.host_facing.iter().filter(|h| !h.external) {
+        let clients = s.host_facing.iter();
+        for h in clients.filter(|h| !h.external && !h.subnet.overlaps(&service.prefix)) {
             let kind = NodeKind::IfaceSrc(h.device.clone(), h.interface.clone());
             let Some(node) = s.graph.node(&kind) else { continue };
             let seed = q.seed(h, traffic);
@@ -550,7 +553,7 @@ mod tests {
             let mut universe: Vec<Prefix> = net
                 .parse()
                 .iter()
-                .flat_map(|d| d.active_interfaces().filter_map(|i| i.connected_prefix()))
+                .flat_map(|d| d.active_interfaces().flat_map(|i| i.connected_prefixes()))
                 .collect();
             universe.sort();
             universe.dedup();
@@ -576,6 +579,27 @@ mod tests {
             if name == "lab" {
                 assert_eq!(verdicts, [true, false]);
             }
+        }
+    }
+
+    /// The servers' own subnet is not a client of their service: with
+    /// r1's hosts denied port 80 on the way in, nothing else can reach
+    /// r2's servers on it, though their own hosts reach their subnet.
+    #[test]
+    fn a_start_inside_the_service_subnet_is_no_client() {
+        let store = SnapshotStore::new(1);
+        let unlimited = ResourceGovernor::unlimited();
+        let mut lab = two_router_configs();
+        let r1 = &mut lab[0].1;
+        *r1 = r1.replace("10.1.0.1/24\n", "10.1.0.1/24\n ip access-group NOWEB in\n")
+            + "ip access-list extended NOWEB\n 10 deny tcp any 10.2.0.0/24 eq 80\n 20 permit ip any any\n";
+        let s = store.insert("lab", lab, &unlimited).expect("upload");
+        let servers: Prefix = "10.2.0.0/24".parse().expect("prefix");
+        for (port, delivered) in [(80, false), (443, true)] {
+            let service = ServiceSpec::tcp(servers, port);
+            let (got, _) = reach_verdict(&s, &service, &unlimited);
+            assert_eq!((got.starts, got.delivered), (1, delivered), "port {port}");
+            assert_eq!(forward_reference(&s, &service), (got.starts, got.sinks, got.delivered));
         }
     }
 }

@@ -438,7 +438,7 @@ mod tests {
         // border redistributes its transit default).
         let access = dp.device("access0").unwrap();
         let (p, routes) = access.main_rib.lookup("8.8.8.8".parse().unwrap()).expect("default route");
-        assert!(p.is_default());
+        assert_eq!(p.len(), 0);
         assert_eq!(routes[0].protocol, batnet_config::vi::RouteProtocol::Ospf);
         // And OSPF routes to other access subnets.
         let (p2, r2) = access.main_rib.lookup("10.0.1.9".parse().unwrap()).unwrap();

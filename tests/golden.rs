@@ -232,7 +232,7 @@ fn questions_digest_line(id: &str) -> String {
     let mut universe: Vec<Prefix> = analysis
         .devices
         .iter()
-        .flat_map(|d| d.active_interfaces().filter_map(|i| i.connected_prefix()))
+        .flat_map(|d| d.active_interfaces().flat_map(|i| i.connected_prefixes()))
         .collect();
     universe.sort();
     universe.dedup();

@@ -206,3 +206,113 @@ fn lab_source_nat() {
     );
     assert_eq!(out.dst_ip, flow.dst_ip);
 }
+
+/// Lab 6 builder: r1's hosts reach r2 over a primary /31, and r3 only
+/// over a subnet that r1 and r3 share as a secondary. r2's host
+/// interface carries a secondary subnet, 10.9.9.0/24. `igp` names how
+/// r1 and r2 exchange routes: `"ospf"` (r2's host interface passive) or
+/// `"bgp"` (r2 redistributes connected).
+fn secondary_lab(igp: &str) -> Snapshot {
+    let (ospf, passive, r1_proc, r2_proc) = match igp {
+        "ospf" => (
+            " ip ospf area 0\n",
+            " ip ospf area 0\n ip ospf passive\n",
+            "router ospf 1\n".to_string(),
+            "router ospf 1\n".to_string(),
+        ),
+        _ => (
+            "",
+            "",
+            "router bgp 65001\n neighbor 172.16.0.0 remote-as 65002\n".to_string(),
+            "router bgp 65002\n redistribute connected\n neighbor 172.16.0.1 remote-as 65001\n".to_string(),
+        ),
+    };
+    Snapshot::from_configs(vec![
+        (
+            "r1".into(),
+            format!(
+                "hostname r1\ninterface hosts\n ip address 10.1.0.1/24\n{passive}\
+                 interface core\n ip address 172.16.0.1/31\n{ospf}\
+                 interface side\n ip address 172.16.1.1/31\n ip address 10.13.0.1 255.255.255.0 secondary\n\
+                 ip route 10.33.0.0/24 10.13.0.3\n{r1_proc}"
+            ),
+        ),
+        (
+            "r2".into(),
+            format!(
+                "hostname r2\ninterface core\n ip address 172.16.0.0/31\n{ospf}\
+                 interface hosts\n ip address 10.2.0.1/24\n ip address 10.9.9.1 255.255.255.0 secondary\n{passive}\
+                 {r2_proc}"
+            ),
+        ),
+        (
+            "r3".into(),
+            "hostname r3\ninterface side\n ip address 172.16.3.1/31\n ip address 10.13.0.3 255.255.255.0 secondary\n\
+             interface lan\n ip address 10.33.0.1/24\n"
+                .into(),
+        ),
+    ])
+}
+
+/// Lab 6: a secondary subnet means what a primary one does. Other
+/// routers learn it (OSPF, or BGP's redistribute connected), a shared
+/// secondary subnet is a link, and every engine agrees.
+#[test]
+fn lab_secondary_subnets() {
+    use batnet::baselines::{CubeDisposition, CubeNetwork, CubeSet};
+    use batnet::datalog::{datalog_routes, RoutingInputs};
+    use batnet::routing::MainNextHop;
+
+    let delivered = |device: &str, iface: &str| Disposition::DeliveredToSubnet {
+        device: device.into(),
+        iface: iface.into(),
+    };
+    for igp in ["ospf", "bgp"] {
+        let mut analysis = secondary_lab(igp).analyze();
+        let truth = vec![
+            // r2's secondary subnet is advertised to r1.
+            expect("r1", "hosts", tcp("10.1.0.5", 40000, "10.9.9.5", 80), delivered("r2", "hosts")),
+            // The static next hop lies on the r1–r3 secondary subnet.
+            expect("r1", "hosts", tcp("10.1.0.5", 40000, "10.33.0.9", 80), delivered("r3", "lan")),
+        ];
+        let report = validate_lab(&analysis, &truth);
+        assert!(report.ok(), "{igp}: {:#?}", report.mismatches);
+
+        let report = batnet::differential_test(&mut analysis, usize::MAX);
+        assert!(report.ok(), "{igp}: {:#?}", report.mismatches);
+
+        let cubes = CubeNetwork::build(&analysis.devices, &analysis.dp, &analysis.topo);
+        for (dst, address, device, iface) in [
+            ("10.9.9.0/24", "10.9.9.1/32", "r2", "hosts"),
+            ("10.33.0.0/24", "10.33.0.1/32", "r3", "lan"),
+        ] {
+            // The router's own address is accepted, every other address
+            // delivered onto the subnet.
+            let to = CubeSet::dst_prefix(dst.parse().unwrap());
+            let own = CubeSet::dst_prefix(address.parse().unwrap());
+            let (dispositions, _) = cubes.reach("r1", "hosts", to.clone());
+            let accepted = CubeDisposition::Accepted(device.into());
+            let sink = CubeDisposition::DeliveredToSubnet(device.into(), iface.into());
+            assert_eq!(dispositions.keys().collect::<Vec<_>>(), [&accepted, &sink], "{igp} {dst}");
+            assert!(own.subtract(&dispositions[&accepted]).is_empty(), "{igp} {dst}");
+            assert!(to.subtract(&own).subtract(&dispositions[&sink]).is_empty(), "{igp} {dst}");
+        }
+
+        // The Datalog baseline derives r2's secondary subnet at r1 with
+        // the imperative engine's next hop.
+        let r1 = analysis.dp.device("r1").unwrap();
+        let (_, routes) = r1.main_rib.lookup("10.9.9.5".parse().unwrap()).expect("route");
+        let want: Vec<MainNextHop> = routes.iter().map(|r| r.next_hop.clone()).collect();
+        let datalog = datalog_routes(
+            &analysis.devices,
+            &analysis.topo,
+            &RoutingInputs::for_network(&analysis.devices, &analysis.topo),
+        );
+        let got: Vec<MainNextHop> = datalog.routes["r1"]
+            .iter()
+            .filter(|r| r.prefix.to_string() == "10.9.9.0/24")
+            .map(|r| MainNextHop::Via(r.next_hop))
+            .collect();
+        assert_eq!(got, want, "{igp}");
+    }
+}
