@@ -471,8 +471,8 @@ pub fn compute(devices: &[Device], topo: &Topology, inputs: &RoutingInputs) -> D
                     if pb.asn != nb.remote_as {
                         continue;
                     }
-                    let owns = peer.active_interfaces().any(|i| i.ip() == Some(nb.peer_ip));
-                    if owns {
+                    let mut owned = peer.active_interfaces().flat_map(|i| i.addresses());
+                    if owned.any(|ip| ip == nb.peer_ip) {
                         engine.insert_input(Fact {
                             pred: SESSION,
                             values: vec![ds, dev_sym[pi], nb.peer_ip.0 as Value],
@@ -650,6 +650,35 @@ mod tests {
         assert_eq!(lan.len(), 1, "{r3:?}");
         assert_eq!(lan[0].proto, PROTO_BGP);
         assert_eq!(lan[0].next_hop, "10.0.1.0".parse::<Ip>().unwrap());
+    }
+
+    /// The imperative engine pairs a session dialled at a secondary
+    /// address (`Topology::bgp_pairing`); so must the baseline.
+    #[test]
+    fn bgp_session_pairs_over_secondary_addresses() {
+        let devs = devices(&[
+            (
+                "r1",
+                "hostname r1\ninterface e0\n ip address 10.0.0.1/31\n ip address 192.0.2.1 255.255.255.0 secondary\n\
+                 interface lan\n ip address 10.1.0.1/24\n\
+                 router bgp 65001\n neighbor 192.0.2.2 remote-as 65002\n",
+            ),
+            (
+                "r2",
+                "hostname r2\ninterface e0\n ip address 10.0.0.0/31\n ip address 192.0.2.2 255.255.255.0 secondary\n\
+                 interface lan\n ip address 10.2.0.1/24\n\
+                 router bgp 65002\n redistribute connected\n neighbor 192.0.2.1 remote-as 65001\n",
+            ),
+        ]);
+        let topo = Topology::infer(&devs);
+        let result = compute(&devs, &topo, &RoutingInputs::for_network(&devs, &topo));
+        let lan: Vec<_> = result.routes["r1"]
+            .iter()
+            .filter(|r| r.prefix.to_string() == "10.2.0.0/24")
+            .collect();
+        assert_eq!(lan.len(), 1, "{lan:?}");
+        assert_eq!(lan[0].proto, PROTO_BGP);
+        assert_eq!(lan[0].next_hop, "192.0.2.2".parse::<Ip>().unwrap());
     }
 
     #[test]
