@@ -117,24 +117,21 @@ impl Topology {
         }
         // Stable, so each address's owners stay in device order.
         topo.owners.sort_by_key(|&(ip, _)| ip);
-        // Per slot, its neighbours' slots: ascending, each once however
-        // many subnets the two share.
-        let mut adjacent: Vec<Vec<usize>> = vec![Vec::new(); topo.interfaces.len()];
+        // Every ordered pair of slots on a shared subnet, once however
+        // many subnets the two share: both directions, in slot order.
+        let mut pairs: Vec<(usize, usize)> = Vec::new();
         for slots in by_prefix.values() {
             for &a in slots {
-                adjacent[a].extend(slots.iter().filter(|&&b| b != a));
+                pairs.extend(slots.iter().filter(|&&b| b != a).map(|&b| (a, b)));
             }
         }
-        for (a, mut slots) in adjacent.into_iter().enumerate() {
-            slots.sort_unstable();
-            slots.dedup();
-            topo.edge_count += slots.iter().filter(|&&b| b > a).count();
-            let a = &topo.interfaces[a].interface;
-            for b in slots {
-                let b = &topo.interfaces[b].interface;
-                if a != b {
-                    topo.neighbors.entry(a.clone()).or_default().push(b.clone());
-                }
+        pairs.sort_unstable();
+        pairs.dedup();
+        topo.edge_count = pairs.len() / 2;
+        for (a, b) in pairs {
+            let (a, b) = (&topo.interfaces[a].interface, &topo.interfaces[b].interface);
+            if a != b {
+                topo.neighbors.entry(a.clone()).or_default().push(b.clone());
             }
         }
         topo
