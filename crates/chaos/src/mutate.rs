@@ -237,11 +237,11 @@ fn mutate_text(text: &str, class: MutationClass, rng: &mut Rng) -> String {
             out.join("\n")
         }
         MutationClass::UndefinedReference => {
-            // Append an interface carrying references to structures that
-            // do not exist anywhere in the config.
+            // Append an interface and a zone-pair carrying references to
+            // structures that do not exist anywhere in the config.
             let n = rng.below(200);
             format!(
-                "{text}\ninterface Chaos{n}\n ip address 10.254.{}.1/24\n ip access-group CHAOS_MISSING_{n} in\n ip access-group CHAOS_MISSING_OUT_{n} out\n",
+                "{text}\ninterface Chaos{n}\n ip address 10.254.{}.1/24\n ip access-group CHAOS_MISSING_{n} in\n ip access-group CHAOS_MISSING_OUT_{n} out\nzone-pair security CHAOS_IN_{n} CHAOS_OUT_{n} acl CHAOS_MISSING_ZONE_{n}\n",
                 n % 250
             )
         }
@@ -295,6 +295,17 @@ mod tests {
                 .count();
             assert!(changed <= 1, "{}: at most the victim changes", class.name());
         }
+    }
+
+    #[test]
+    fn undefined_ref_plants_an_undefined_zone_acl() {
+        let m = mutate(&cfgs(), &Environment::none(), MutationClass::UndefinedReference, 3, 1);
+        let (name, text) = m.configs.iter().find(|(n, _)| *n == m.victims[0]).expect("victim");
+        let device = batnet_config::parse_device(name, text).0;
+        let paths: Vec<String> =
+            batnet::lint::undefined_references(&device).into_iter().map(|f| f.path).collect();
+        assert_eq!(paths.len(), 3, "{paths:?}");
+        assert!(paths.iter().any(|p| p.starts_with("zone-policy CHAOS_IN_")), "{paths:?}");
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! ```text
 //! device NAME
 //! ntp-server IP                     dns-server IP
-//! interface NAME ip=IP/LEN [acl-in=ACL] [acl-out=ACL] [ospf-cost=N]
-//!     [ospf-area=N] [passive] [shutdown] [mtu=N] [zone=Z] [desc=TEXT]
+//! interface NAME ip=IP/LEN [ip2=IP/LEN]... [acl-in=ACL] [acl-out=ACL]
+//!     [ospf-cost=N] [ospf-area=N] [passive] [shutdown] [mtu=N] [zone=Z]
+//!     [desc=TEXT]
 //! static PREFIX via IP [ad=N] | static PREFIX discard [ad=N]
 //! ospf [router-id=IP] [redistribute=connected,static]
 //! bgp asn=N [router-id=IP] [redistribute=connected,static,ospf]
@@ -32,6 +33,10 @@
 //! zone-policy FROM TO acl=ACL
 //! zone-default-permit
 //! ```
+//!
+//! `ip2=` adds a secondary address and may repeat. References are by
+//! name, so an ACL may be defined after the interface or zone policy that
+//! uses it.
 
 use crate::diag::{Diagnostics, Severity};
 use crate::vi::*;
@@ -70,8 +75,6 @@ fn parse_ip_range(s: &str) -> Option<IpRange> {
 pub fn parse(name: &str, text: &str) -> (Device, Diagnostics) {
     let mut d = Device::new(name);
     let mut diags = Diagnostics::new();
-    // Zone policies may reference ACLs defined later; resolve after.
-    let mut pending_zone_policies: Vec<(String, String, String, usize)> = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
         let no = idx + 1;
         let line = raw.trim();
@@ -195,31 +198,18 @@ pub fn parse(name: &str, text: &str) -> (Device, Diagnostics) {
                     }
                 }
                 match acl {
-                    Some(a) => pending_zone_policies.push((from.to_string(), to.to_string(), a, no)),
+                    Some(acl) => d.zone_policies.push(ZonePolicy {
+                        from_zone: from.to_string(),
+                        to_zone: to.to_string(),
+                        acl,
+                        src: SourceSpan::at(no),
+                    }),
                     None => diags.push(Severity::ParseError, no, "zone-policy needs acl="),
                 }
             }
             "zone-default-permit" => d.zone_default_permit = true,
             _ => diags.push(Severity::UnrecognizedLine, no, line.to_string()),
         }
-    }
-    for (from, to, acl_name, no) in pending_zone_policies {
-        let acl = match d.acls.get(&acl_name) {
-            Some(a) => a.clone(),
-            None => {
-                diags.push(
-                    Severity::UndefinedReference,
-                    no,
-                    format!("zone-policy references undefined acl {acl_name}"),
-                );
-                Acl::new(acl_name)
-            }
-        };
-        d.zone_policies.push(ZonePolicy {
-            from_zone: from,
-            to_zone: to,
-            acl,
-        });
     }
     d.lint_suppressions = crate::suppress::scan_suppressions(text);
     (d, diags)
@@ -236,13 +226,14 @@ fn parse_interface(words: &[&str], no: usize, d: &mut Device, diags: &mut Diagno
         .or_insert_with(|| Interface::new(name.to_string()));
     for w in &words[2..] {
         match kv(w) {
-            ("ip", Some(v)) => {
+            (key @ ("ip" | "ip2"), Some(v)) => {
                 let Some((ip_s, len_s)) = v.split_once('/') else {
                     diags.push(Severity::ParseError, no, format!("bad ip {v}"));
                     continue;
                 };
                 match (ip_s.parse(), len_s.parse()) {
-                    (Ok(ip), Ok(len)) => iface.address = Some((ip, len)),
+                    (Ok(ip), Ok(len)) if key == "ip" => iface.address = Some((ip, len)),
+                    (Ok(ip), Ok(len)) => iface.secondary_addresses.push((ip, len)),
                     _ => diags.push(Severity::ParseError, no, format!("bad ip {v}")),
                 }
             }
@@ -583,6 +574,7 @@ fn parse_nat(words: &[&str], no: usize, line: &str, d: &mut Device, diags: &mut 
         pool,
         port,
         text: line.to_string(),
+        acl: None,
     });
 }
 
@@ -646,7 +638,7 @@ zone-policy dmz internal acl=EDGE
         assert_eq!(d.nat_rules.len(), 1);
         assert_eq!(d.nat_rules[0].pool.size(), 4);
         assert_eq!(d.zone_policies.len(), 1);
-        assert_eq!(d.zone_policies[0].acl.lines.len(), 3);
+        assert_eq!(d.zone_acl("dmz", "internal").map(|a| a.lines.len()), Some(3));
     }
 
     #[test]
@@ -660,12 +652,6 @@ zone-policy dmz internal acl=EDGE
                 count: 2
             }]
         );
-    }
-
-    #[test]
-    fn zone_policy_undefined_acl() {
-        let (_, diags) = parse("f1", "zone-policy a b acl=NOPE\n");
-        assert_eq!(diags.count(Severity::UndefinedReference), 1);
     }
 
     #[test]

@@ -57,6 +57,11 @@
 //! Address forms in ACLs: `any`, `host IP`, `IP WILDCARD` (contiguous
 //! wildcard masks only), `PREFIX/LEN`. Port specs: `eq N`, `range A B`,
 //! `gt N`, `lt N`.
+//!
+//! The model holds references by name: an access-group, a zone-pair and a
+//! NAT list may name an ACL defined later in the file, and an ACL written
+//! in several blocks is one ACL. `Device::zone_acl` resolves a zone-pair's
+//! ACL; lint reports one that is undefined.
 
 use crate::diag::{Diagnostics, Severity};
 use crate::vi::*;
@@ -179,33 +184,14 @@ fn convert_section(
             });
         }
         "zone" if h.word(1) == "default-permit" => d.zone_default_permit = true,
-        "zone-pair" if h.word(1) == "security" => {
+        "zone-pair" if h.word(1) == "security" && h.word(4) == "acl" => {
             // zone-pair security FROM TO acl ACL
-            let from = h.word(2).to_string();
-            let to = h.word(3).to_string();
-            if h.word(4) == "acl" {
-                let acl_name = h.word(5).to_string();
-                let acl = match d.acls.get(&acl_name) {
-                    Some(a) => a.clone(),
-                    None => {
-                        diags.push(
-                            Severity::UndefinedReference,
-                            h.no,
-                            format!("zone-pair references undefined acl {acl_name}"),
-                        );
-                        // Documented default: undefined zone policy ACL
-                        // denies (empty ACL).
-                        Acl::new(acl_name)
-                    }
-                };
-                d.zone_policies.push(ZonePolicy {
-                    from_zone: from,
-                    to_zone: to,
-                    acl,
-                });
-            } else {
-                diags.push(Severity::UnrecognizedLine, h.no, h.text());
-            }
+            d.zone_policies.push(ZonePolicy {
+                from_zone: h.word(2).to_string(),
+                to_zone: h.word(3).to_string(),
+                acl: h.word(5).to_string(),
+                src: SourceSpan::at(h.no),
+            });
         }
         _ => diags.push(Severity::UnrecognizedLine, h.no, h.text()),
     }
@@ -828,6 +814,7 @@ fn convert_nat(
                 pool: IpRange::single(global),
                 port: None,
                 text: h.text(),
+                acl: None,
             });
         }
         ("destination", "static") => {
@@ -844,6 +831,7 @@ fn convert_nat(
                 pool: IpRange::single(local),
                 port,
                 text: h.text(),
+                acl: None,
             });
         }
         ("source", "list") => {
@@ -880,15 +868,16 @@ fn convert_nat(
                     }
                 }
             }
-            // Stash the ACL name in `text`; `expand_nat_lists` resolves it
-            // into per-line rules after all ACLs are parsed.
+            // `expand_nat_lists` resolves the ACL into per-line rules after
+            // all ACLs are parsed.
             d.nat_rules.push(NatRule {
                 kind: NatKind::Source,
                 interface,
                 match_space: HeaderSpace::any(),
                 pool,
                 port,
-                text: format!("@list:{acl_name} {}", h.text()),
+                text: h.text(),
+                acl: Some(acl_name),
             });
         }
         _ => diags.push(Severity::UnrecognizedLine, h.no, h.text()),
@@ -900,28 +889,25 @@ fn convert_nat(
 fn expand_nat_lists(d: &mut Device, diags: &mut Diagnostics) {
     let mut out = Vec::with_capacity(d.nat_rules.len());
     for rule in std::mem::take(&mut d.nat_rules) {
-        if let Some(rest) = rule.text.strip_prefix("@list:") {
-            let (acl_name, orig_text) = rest.split_once(' ').unwrap_or((rest, ""));
-            match d.acls.get(acl_name) {
-                Some(acl) => {
-                    for line in &acl.lines {
-                        if line.action == AclAction::Permit {
-                            out.push(NatRule {
-                                match_space: line.space.clone(),
-                                text: format!("{orig_text} [{}]", line.text),
-                                ..rule.clone()
-                            });
-                        }
-                    }
-                }
-                None => diags.push(
-                    Severity::UndefinedReference,
-                    0,
-                    format!("nat references undefined acl {acl_name}"),
-                ),
-            }
-        } else {
+        let Some(acl_name) = &rule.acl else {
             out.push(rule);
+            continue;
+        };
+        match d.acls.get(acl_name) {
+            Some(acl) => {
+                for line in acl.lines.iter().filter(|l| l.action == AclAction::Permit) {
+                    out.push(NatRule {
+                        match_space: line.space.clone(),
+                        text: format!("{} [{}]", rule.text, line.text),
+                        ..rule.clone()
+                    });
+                }
+            }
+            None => diags.push(
+                Severity::UndefinedReference,
+                0,
+                format!("nat references undefined acl {acl_name}"),
+            ),
         }
     }
     d.nat_rules = out;
@@ -1172,14 +1158,29 @@ ip access-list extended Z1
 interface e1
  zone-member security trust
 ";
-        // Note: zone-pair appears before the ACL here, exercising the
-        // undefined-at-that-point branch (IOS would accept this ordering;
-        // our single pass documents the fail-closed default).
         let (d, diags) = parse("fw1", text);
         assert!(d.stateful);
         assert_eq!(d.zones.len(), 2);
         assert_eq!(d.zone_policies.len(), 1);
-        assert_eq!(diags.count(Severity::UndefinedReference), 1);
+        assert_eq!(d.zone_policies[0].src.line, 3);
+        assert_eq!(diags.count(Severity::UndefinedReference), 0);
+        assert_eq!(d.zone_acl("trust", "untrust").map(|a| a.lines.len()), Some(1));
         assert_eq!(d.interfaces["e1"].zone.as_deref(), Some("trust"));
+    }
+
+    #[test]
+    fn zone_acl_split_around_its_zone_pair_resolves_to_both_blocks() {
+        let text = "\
+ip access-list extended Z1
+ 10 permit tcp any any eq 443
+zone-pair security trust untrust acl Z1
+ip access-list extended Z1
+ 20 permit tcp any any eq 22
+";
+        let (d, _) = parse("fw1", text);
+        assert_eq!(d.acls["Z1"].lines.len(), 2);
+        let acl = d.zone_acl("trust", "untrust").expect("policy for the pair");
+        let seqs: Vec<u32> = acl.lines.iter().map(|l| l.seq).collect();
+        assert_eq!(seqs, [10, 20]);
     }
 }

@@ -4,8 +4,9 @@
 //! Every statement is one `set` line whose words form a path into a
 //! configuration tree. Unlike the [`crate::ios`] dialect there is no
 //! indentation structure; the "AST" is the set of paths, and conversion
-//! walks them in file order (with two pre-passes for structures referenced
-//! before definition: named communities and firewall filters).
+//! walks them in file order (with a pre-pass for named communities, which
+//! policy statements copy by value). Zone policies and interfaces hold
+//! their filters by name, so a filter may be defined after its use.
 //!
 //! ## Grammar (the subset we model)
 //!
@@ -134,9 +135,8 @@ pub fn parse(name: &str, text: &str) -> (Device, Diagnostics) {
     for p in &paths {
         convert_path(p, &mut d, &mut diags, &communities, &mut state);
     }
-    // Post-passes: zone policies referencing firewall filters (order-
-    // independent, unlike the single-pass ios dialect), NAT rule assembly,
-    // and the router id for processes configured after `routing-options`.
+    // Post-passes: NAT rule assembly and the router id for processes
+    // configured after `routing-options`.
     finish(&mut d, &mut diags, state);
     d.lint_suppressions = crate::suppress::scan_suppressions(text);
     (d, diags)
@@ -154,8 +154,6 @@ struct ConvertState {
     nat: BTreeMap<(u8, String), NatBuilder>,
     /// NAT rule order of first appearance.
     nat_order: Vec<(u8, String)>,
-    /// Zone policies referencing filters, resolved in a post-pass.
-    pending_zone_policies: Vec<(String, String, String, usize)>,
     /// Local AS from routing-options (used by internal groups).
     local_as: Option<Asn>,
     /// Router id from routing-options, applied to processes in the
@@ -616,17 +614,13 @@ fn convert_security(p: &Path, d: &mut Device, diags: &mut Diagnostics, st: &mut 
                 zone.interfaces.push(p.word(5).to_string());
             }
         }
-        "policies" if p.word(2) == "from-zone" && p.word(4) == "to-zone" => {
-            if p.word(6) == "filter" {
-                st.pending_zone_policies.push((
-                    p.word(3).to_string(),
-                    p.word(5).to_string(),
-                    p.word(7).to_string(),
-                    p.no,
-                ));
-            } else {
-                diags.push(Severity::UnrecognizedLine, p.no, p.text());
-            }
+        "policies" if p.word(2) == "from-zone" && p.word(4) == "to-zone" && p.word(6) == "filter" => {
+            d.zone_policies.push(ZonePolicy {
+                from_zone: p.word(3).to_string(),
+                to_zone: p.word(5).to_string(),
+                acl: p.word(7).to_string(),
+                src: SourceSpan::at(p.no),
+            });
         }
         "nat" => {
             let kind = match p.word(2) {
@@ -704,30 +698,6 @@ fn finish(d: &mut Device, diags: &mut Diagnostics, st: ConvertState) {
             bgp.asn = asn;
         }
     }
-    for (from, to, filter, no) in st.pending_zone_policies {
-        match d.acls.get(&filter) {
-            Some(acl) => {
-                let acl = acl.clone();
-                d.zone_policies.push(ZonePolicy {
-                    from_zone: from,
-                    to_zone: to,
-                    acl,
-                });
-            }
-            None => {
-                diags.push(
-                    Severity::UndefinedReference,
-                    no,
-                    format!("zone policy references undefined filter {filter}"),
-                );
-                d.zone_policies.push(ZonePolicy {
-                    from_zone: from,
-                    to_zone: to,
-                    acl: Acl::new(filter),
-                });
-            }
-        }
-    }
     for key in st.nat_order {
         let b = &st.nat[&key];
         let Some(pool) = b.pool else {
@@ -745,6 +715,7 @@ fn finish(d: &mut Device, diags: &mut Diagnostics, st: ConvertState) {
             pool,
             port: b.port,
             text: b.text.clone(),
+            acl: None,
         });
     }
 }
@@ -881,7 +852,7 @@ set security nat source rule snat then translate 203.0.113.1 to 203.0.113.4
         assert_eq!(d.zones["trust"].interfaces, vec!["ge-0/0/0".to_string()]);
         assert_eq!(d.zone_policies.len(), 1);
         assert_eq!(d.zone_policies[0].from_zone, "untrust");
-        assert_eq!(d.zone_policies[0].acl.lines.len(), 2);
+        assert_eq!(d.zone_acl("untrust", "trust").map(|a| a.lines.len()), Some(2));
     }
 
     #[test]

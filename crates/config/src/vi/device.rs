@@ -4,6 +4,7 @@ use super::acl::Acl;
 use super::nat::NatRule;
 use super::policy::{CommunityList, PrefixList, RouteMap};
 use batnet_net::{Asn, Ip, Prefix};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// Where a VI structure came from in the original configuration text.
@@ -285,7 +286,8 @@ pub struct Zone {
 }
 
 /// An inter-zone policy: traffic entering via `from_zone` and leaving via
-/// `to_zone` is filtered by `acl`. Absent policies fall back to the
+/// `to_zone` is filtered by the ACL named `acl`, which
+/// [`Device::zone_acl`] resolves. Absent policies fall back to the
 /// device-wide default ([`Device::zone_default_permit`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ZonePolicy {
@@ -293,8 +295,10 @@ pub struct ZonePolicy {
     pub from_zone: String,
     /// Egress zone name.
     pub to_zone: String,
-    /// Filter applied to matching traffic.
-    pub acl: Acl,
+    /// Name of the filter applied to matching traffic.
+    pub acl: String,
+    /// Where the policy statement was written.
+    pub src: SourceSpan,
 }
 
 /// The vendor-independent model of one device.
@@ -387,7 +391,7 @@ impl Device {
             }
         }
         for zp in &mut self.zone_policies {
-            stamp(&mut zp.acl.src);
+            stamp(&mut zp.src);
         }
     }
 
@@ -409,6 +413,18 @@ impl Device {
             .filter_map(Interface::ip)
             .max()
             .unwrap_or(Ip::ZERO)
+    }
+
+    /// The filter for traffic from zone `from` to zone `to`: `None` when no
+    /// policy names the pair, so [`Device::zone_default_permit`] applies.
+    /// A policy whose ACL is undefined resolves to the empty ACL, which
+    /// denies everything: the documented fail-closed default.
+    pub fn zone_acl(&self, from: &str, to: &str) -> Option<Cow<'_, Acl>> {
+        let zp = self.zone_policies.iter().find(|zp| zp.from_zone == from && zp.to_zone == to)?;
+        Some(match self.acls.get(&zp.acl) {
+            Some(acl) => Cow::Borrowed(acl),
+            None => Cow::Owned(Acl::new(zp.acl.as_str())),
+        })
     }
 
     /// All active (up + addressed) interfaces, deterministically ordered.
@@ -520,5 +536,23 @@ mod tests {
         assert_eq!(d.zone_of_interface("e1"), Some("trust"));
         assert_eq!(d.zone_of_interface("e2"), Some("untrust"));
         assert_eq!(d.zone_of_interface("e3"), None);
+    }
+
+    #[test]
+    fn zone_acl_resolves_by_name_and_fails_closed() {
+        let mut d = Device::new("fw");
+        d.acls.insert("WEB".into(), Acl::permit_any("WEB"));
+        for (from, to, acl) in [("trust", "untrust", "WEB"), ("untrust", "trust", "NOPE")] {
+            d.zone_policies.push(ZonePolicy {
+                from_zone: from.into(),
+                to_zone: to.into(),
+                acl: acl.into(),
+                src: SourceSpan::at(1),
+            });
+        }
+        assert!(matches!(d.zone_acl("trust", "untrust"), Some(Cow::Borrowed(a)) if a.lines.len() == 1));
+        let undefined = d.zone_acl("untrust", "trust").expect("a policy names the pair");
+        assert_eq!((undefined.name.as_str(), undefined.lines.len()), ("NOPE", 0));
+        assert!(d.zone_acl("trust", "dmz").is_none());
     }
 }

@@ -39,6 +39,8 @@ pub struct NatRule {
     pub port: Option<u16>,
     /// Original configuration text for annotation.
     pub text: String,
+    /// The ACL an IOS `ip nat source list` rule was expanded from.
+    pub acl: Option<String>,
 }
 
 impl NatRule {
@@ -103,6 +105,7 @@ mod tests {
             pool: IpRange::single(ip("203.0.113.1")),
             port: None,
             text: "nat source 10/8 -> 203.0.113.1".into(),
+            acl: None,
         };
         let f = Flow::tcp(ip("10.1.2.3"), 40000, ip("8.8.8.8"), 443);
         assert!(rule.matches(&f));
@@ -121,6 +124,7 @@ mod tests {
             pool: IpRange::single(ip("10.0.5.5")),
             port: Some(8080),
             text: "dnat vip".into(),
+            acl: None,
         };
         let f = Flow::tcp(ip("1.2.3.4"), 5555, ip("203.0.113.10"), 80);
         assert!(rule.matches(&f));
@@ -145,6 +149,7 @@ mod tests {
             },
             port: None,
             text: "pat pool".into(),
+            acl: None,
         };
         for host in 0..32u32 {
             let f = Flow::udp(Ip(0x0a000000 + host), 1000, ip("8.8.8.8"), 53);

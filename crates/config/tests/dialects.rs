@@ -3,7 +3,7 @@
 //! Stage-1 normalization promise — analyses must not be able to tell
 //! which vendor a config came from.
 
-use batnet_config::vi::Device;
+use batnet_config::vi::{Device, SourceSpan};
 use batnet_config::{parse_device, Dialect};
 use batnet_net::{Flow, Ip};
 
@@ -154,5 +154,126 @@ fn route_map_behaviour_matches_across_dialects() {
         let mut attrs = RouteAttrs::new("192.168.0.0/16".parse().unwrap(), RouteProtocol::Ebgp);
         let r = rm.evaluate(&mut attrs, &dev.prefix_lists, &dev.community_lists);
         assert_eq!(r, PolicyResult::Deny, "{d}");
+    }
+}
+
+/// One of each construct the three dialects share: an interface with
+/// secondary addresses, an ACL line, a zone policy, a NAT rule, a static
+/// route and a BGP neighbour.
+const SHARED: [(Dialect, &str); 3] = [
+    (
+        Dialect::Ios,
+        "\
+hostname fw
+interface e0
+ ip address 10.0.0.1/24
+ ip address 10.9.0.1/24 secondary
+ ip address 10.8.0.1/25 secondary
+ zone-member security trust
+interface e1
+ ip address 172.16.0.1/31
+ zone-member security untrust
+zone security trust
+zone security untrust
+zone-pair security trust untrust acl WEB
+ip access-list extended WEB
+ 10 permit tcp any any eq 443
+ip nat source static 10.0.0.5 203.0.113.5 interface e1
+ip route 10.8.0.0/16 172.16.0.0 5
+router bgp 65001
+ neighbor 172.16.0.0 remote-as 65002
+",
+    ),
+    (
+        Dialect::Junos,
+        "\
+set system host-name fw
+set interfaces e0 unit 0 family inet address 10.0.0.1/24
+set interfaces e0 unit 0 family inet address 10.9.0.1/24
+set interfaces e0 unit 0 family inet address 10.8.0.1/25
+set interfaces e1 unit 0 family inet address 172.16.0.1/31
+set security zones security-zone trust interfaces e0
+set security zones security-zone untrust interfaces e1
+set security policies from-zone trust to-zone untrust filter WEB
+set firewall filter WEB term 10 from protocol tcp
+set firewall filter WEB term 10 from destination-port 443
+set firewall filter WEB term 10 then accept
+set security nat source rule s1 match source-address 10.0.0.5/32
+set security nat source rule s1 match interface e1
+set security nat source rule s1 then translate 203.0.113.5
+set routing-options static route 10.8.0.0/16 next-hop 172.16.0.0
+set routing-options autonomous-system 65001
+set protocols bgp group ext type external
+set protocols bgp group ext neighbor 172.16.0.0 peer-as 65002
+",
+    ),
+    (
+        Dialect::Flat,
+        "\
+device fw
+interface e0 ip=10.0.0.1/24 ip2=10.9.0.1/24 ip2=10.8.0.1/25
+interface e1 ip=172.16.0.1/31
+zone trust iface=e0
+zone untrust iface=e1
+zone-policy trust untrust acl=WEB
+acl WEB 10 permit proto=tcp dport=443
+nat src iface=e1 match-src=10.0.0.5/32 pool=203.0.113.5
+static 10.8.0.0/16 via 172.16.0.0 ad=5
+bgp asn=65001
+bgp-neighbor 172.16.0.0 remote-as=65002
+",
+    ),
+];
+
+/// Each interface's zone, read through `Device::zone_of_interface` (IOS
+/// records membership on the interface, junos on the zone), beside the
+/// device with that membership, its source text and its spans cleared.
+fn without_text_and_spans(mut d: Device) -> (Device, Vec<(String, Option<String>)>) {
+    let zones = d
+        .interfaces
+        .keys()
+        .map(|i| (i.clone(), d.zone_of_interface(i).map(str::to_string)))
+        .collect();
+    for iface in d.interfaces.values_mut() {
+        iface.zone = None;
+    }
+    for zone in d.zones.values_mut() {
+        zone.interfaces.clear();
+    }
+    for acl in d.acls.values_mut() {
+        acl.src = SourceSpan::default();
+        for line in &mut acl.lines {
+            line.text.clear();
+        }
+    }
+    for rule in &mut d.nat_rules {
+        rule.text.clear();
+    }
+    for zp in &mut d.zone_policies {
+        zp.src = SourceSpan::default();
+    }
+    for nb in d.bgp.iter_mut().flat_map(|bgp| &mut bgp.neighbors) {
+        nb.src = SourceSpan::default();
+    }
+    (d, zones)
+}
+
+#[test]
+fn shared_constructs_parse_to_equal_vi() {
+    let parsed = SHARED.map(|(dialect, text)| {
+        assert_eq!(Dialect::detect(text), dialect);
+        let (device, diags) = parse_device("fw", text);
+        assert!(diags.items().is_empty(), "{dialect}: {:?}", diags.items());
+        (dialect, without_text_and_spans(device))
+    });
+    let (_, (ios, zones)) = &parsed[0];
+    assert_eq!(ios.interfaces["e0"].secondary_addresses.len(), 2);
+    assert_eq!(ios.zone_acl("trust", "untrust").map(|a| a.lines.len()), Some(1));
+    assert_eq!((ios.nat_rules.len(), ios.static_routes.len()), (1, 1));
+    assert_eq!(ios.bgp.as_ref().map(|b| b.neighbors.len()), Some(1));
+    let want = [("e0", "trust"), ("e1", "untrust")].map(|(i, z)| (i.to_string(), Some(z.to_string())));
+    assert_eq!(zones, &want);
+    for (dialect, got) in &parsed[1..] {
+        assert_eq!(got, &parsed[0].1, "{dialect}");
     }
 }

@@ -617,6 +617,24 @@ mod tests {
     }
 
     #[test]
+    fn repair_targets_an_undefined_zone_acl_by_its_path() {
+        let configs = vec![(
+            "fw".to_string(),
+            "hostname fw\nzone security a\nzone security b\n\
+             interface e0\n ip address 10.0.0.1/24\n zone-member security a\n\
+             interface e1\n ip address 10.0.1.1/24\n zone-member security b\n\
+             zone-pair security a b acl MISSING\n"
+                .to_string(),
+        )];
+        let out = repair_lint(&configs, "undefined-reference", None, &RepairLimits::default())
+            .expect("target finding exists");
+        assert_eq!(out.target, "undefined-reference fw zone-policy a -> b/acl MISSING");
+        assert!(out.balanced(), "accounting: {}", out.summary());
+        assert_eq!(out.accepted, 1, "{}", out.summary());
+        assert!(out.patch.is_some());
+    }
+
+    #[test]
     fn repair_diff_reverts_the_planted_edit() {
         let before = vec![(
             "r1".to_string(),

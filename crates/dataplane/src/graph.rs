@@ -268,10 +268,8 @@ impl ForwardingGraph {
                 // Destination NAT (first match; fall-through passes
                 // untouched) then zone tagging into PreFwd.
                 let tag = device.stateful.then(|| {
-                    let z = iface
-                        .zone
-                        .as_deref()
-                        .or_else(|| device.zone_of_interface(&iface.name))
+                    let z = device
+                        .zone_of_interface(&iface.name)
                         .and_then(|z| zone_index.get(z).copied())
                         .unwrap_or(0);
                     let rule = vars.zone_set_rule(bdd, z);
@@ -538,12 +536,8 @@ fn zone_policy_sets(
             permit = bdd.or(permit, zin);
             continue;
         }
-        let policy = device
-            .zone_policies
-            .iter()
-            .find(|zp| zp.from_zone == *in_name && zp.to_zone == out_name);
-        let allowed_headers = match policy {
-            Some(zp) => compile_acl(bdd, vars, &zp.acl).permits,
+        let allowed_headers = match device.zone_acl(in_name, out_name) {
+            Some(acl) => compile_acl(bdd, vars, &acl).permits,
             None => {
                 if device.zone_default_permit {
                     NodeId::TRUE

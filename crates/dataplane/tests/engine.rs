@@ -224,6 +224,16 @@ fn backward_from_sinks_is_the_union_of_single_sink_walks() {
         ),
     ]);
     assert!(w.graph.edges.iter().any(|e| matches!(e.label, batnet_dataplane::EdgeLabel::Transform(..))));
+    // INBOUND, written after its zone-pair, admits tcp/443 and denies tcp/80.
+    let tracer = Tracer::new(&w.devices, &w.dp, &w.topo);
+    for (port, want) in [
+        (443, Disposition::DeliveredToSubnet { device: "fw".into(), iface: "h1".into() }),
+        (80, Disposition::DeniedZone { device: "fw".into(), zones: "outside->inside".into() }),
+    ] {
+        let flow = Flow::tcp(Ip::new(10, 2, 0, 10), 40000, Ip::new(10, 1, 1, 9), port);
+        let trace = tracer.trace(&StartLocation::ingress("r2", "servers"), &flow);
+        assert_eq!(trace.dispositions().into_iter().collect::<Vec<_>>(), [&want], "{trace}");
+    }
     let sinks = w.graph.nodes_where(NodeKind::is_success_sink);
     check_backward_from(&mut w, &sinks);
 }

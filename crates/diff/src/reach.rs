@@ -526,6 +526,7 @@ mod tests {
     use super::*;
     use crate::{diff, DiffOptions, DiffSide, SideAnalysis};
     use batnet_config::parse_device;
+    use batnet_net::{Flow, Ip};
     use batnet_routing::{simulate, Environment, SimOptions};
     use batnet_topogen::perturb::{perturb, Scenario};
     use batnet_topogen::suite;
@@ -645,6 +646,23 @@ mod tests {
         let zone = has_transform_from(&c.graph, |k| matches!(k, NodeKind::PostZone(..)));
         assert!(dnat && zone);
         assert_eq!((c.starts, c.backward, c.walks), (5, 0, 3));
+    }
+
+    /// INBOUND, written after its zone-pair, admits tcp/443 from the
+    /// servers and its implicit deny drops tcp/80.
+    #[test]
+    fn firewall_lab_zones_filter_by_their_acls() {
+        let devices = firewall_lab("");
+        let dp = simulate(&devices, &Environment::none(), &SimOptions::default());
+        let topo = Topology::infer(&devices);
+        let tracer = Tracer::new(&devices, &dp, &topo);
+        let start = StartLocation::ingress("r2", "servers");
+        let dispositions = |port| {
+            let flow = Flow::tcp(Ip::new(10, 2, 0, 10), 40000, Ip::new(10, 1, 1, 9), port);
+            dispositions_of(&tracer.trace(&start, &flow))
+        };
+        assert_eq!(dispositions(443), "delivered to subnet via fw[h1]");
+        assert_eq!(dispositions(80), "denied by zone policy outside->inside at fw");
     }
 
     /// The same lab without the NAT: zone tags alone leave every start to

@@ -9,8 +9,9 @@
 
 use batnet_config::vi::{
     Acl, BgpNeighbor, BgpProcess, Device, Interface, NextHop, OspfProcess, RouteMap, SourceSpan,
-    StaticRoute, Zone, ZonePolicy,
+    StaticRoute, Zone,
 };
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -549,8 +550,15 @@ fn describe_zone(z: &Zone) -> String {
     format!("{} interfaces", z.interfaces.len())
 }
 
-fn zone_policy_key(p: &ZonePolicy) -> String {
-    format!("zone-policy {} -> {}", p.from_zone, p.to_zone)
+/// Each zone pair's filter as the engines resolve it, keyed `FROM -> TO`.
+fn zone_acls(d: &Device) -> BTreeMap<String, Cow<'_, Acl>> {
+    d.zone_policies
+        .iter()
+        .filter_map(|p| {
+            let acl = d.zone_acl(&p.from_zone, &p.to_zone)?;
+            Some((format!("{} -> {}", p.from_zone, p.to_zone), acl))
+        })
+        .collect()
 }
 
 /// Diffs one device present in both snapshots.
@@ -669,52 +677,17 @@ fn diff_device(b: &Device, a: &Device, changes: &mut Vec<StructChange>) {
     diff_bgp(changes, dev, &b.bgp, &a.bgp);
     diff_ospf(changes, dev, &b.ospf, &a.ospf);
 
-    // Zone policies: keyed by (from, to) pair.
-    let zb: BTreeMap<String, &ZonePolicy> =
-        b.zone_policies.iter().map(|p| (zone_policy_key(p), p)).collect();
-    let za: BTreeMap<String, &ZonePolicy> =
-        a.zone_policies.iter().map(|p| (zone_policy_key(p), p)).collect();
-    for (k, pb) in &zb {
-        match za.get(k) {
-            None => push(
-                changes,
-                dev,
-                k.clone(),
-                ChangeKind::Removed,
-                format!("acl {}", pb.acl.name),
-                span(&pb.acl.src),
-                None,
-            ),
-            Some(pa) if pa.from_zone != pb.from_zone
-                || pa.to_zone != pb.to_zone
-                || !same_acl(&pb.acl, &pa.acl) =>
-            {
-                push(
-                    changes,
-                    dev,
-                    k.clone(),
-                    ChangeKind::Modified,
-                    modified_acl(&pb.acl, &pa.acl),
-                    span(&pb.acl.src),
-                    span(&pa.acl.src),
-                );
-            }
-            Some(_) => {}
-        }
-    }
-    for (k, pa) in &za {
-        if !zb.contains_key(k) {
-            push(
-                changes,
-                dev,
-                k.clone(),
-                ChangeKind::Added,
-                format!("acl {}", pa.acl.name),
-                None,
-                span(&pa.acl.src),
-            );
-        }
-    }
+    diff_map(
+        changes,
+        dev,
+        "zone-policy",
+        &zone_acls(b),
+        &zone_acls(a),
+        |x, y| same_acl(x, y),
+        |acl| format!("acl {}", acl.name),
+        |x, y| modified_acl(x, y),
+        |acl| span(&acl.src),
+    );
 
     // NAT rules: positional (evaluation order is semantic).
     if b.nat_rules != a.nat_rules {

@@ -81,8 +81,8 @@ pub fn never_touched_structures(devices: &[Device], topo: &Topology) -> Vec<Neve
                     }
                 }
             }
-            let zone_used = d.zone_policies.iter().any(|zp| zp.acl.name == *name);
-            let nat_used = d.nat_rules.iter().any(|r| r.text.contains(name.as_str()));
+            let zone_used = d.zone_policies.iter().any(|zp| zp.acl == *name);
+            let nat_used = d.nat_rules.iter().any(|r| r.acl.as_ref() == Some(name));
             if active_attach || zone_used || nat_used {
                 continue;
             }

@@ -406,7 +406,8 @@ fn apply_suppressions(devices: &[Device], findings: &mut Vec<Finding>) {
 
 /// Undefined references: route maps, ACLs, prefix lists, and community
 /// lists that are used but defined nowhere (the paper's canonical
-/// Lesson-5 example).
+/// Lesson-5 example). The one report of a zone policy's undefined ACL,
+/// which `Device::zone_acl` resolves to deny-all.
 pub fn undefined_references(d: &Device) -> Vec<Finding> {
     let mut out = Vec::new();
     let mut missing = |kind: &str, name: &str, site: String, src: Option<&SourceSpan>| {
@@ -428,6 +429,12 @@ pub fn undefined_references(d: &Device) -> Vec<Finding> {
                     missing("acl", name, format!("interface {} ({dir})", iface.name), None);
                 }
             }
+        }
+    }
+    for zp in &d.zone_policies {
+        if !d.acls.contains_key(&zp.acl) {
+            let site = format!("zone-policy {} -> {}", zp.from_zone, zp.to_zone);
+            missing("acl", &zp.acl, site, Some(&zp.src));
         }
     }
     if let Some(bgp) = &d.bgp {
@@ -480,9 +487,8 @@ pub fn unused_structures(d: &Device) -> Vec<Finding> {
         used_acls.extend(iface.acl_in.as_deref());
         used_acls.extend(iface.acl_out.as_deref());
     }
-    // NAT rule expansion and zone policies embed ACLs by value; their
-    // names appear in rule text, so check those too.
-    let nat_text: String = d.nat_rules.iter().map(|r| r.text.as_str()).collect();
+    used_acls.extend(d.zone_policies.iter().map(|zp| zp.acl.as_str()));
+    used_acls.extend(d.nat_rules.iter().filter_map(|r| r.acl.as_deref()));
     let mut used_maps: Vec<&str> = Vec::new();
     if let Some(bgp) = &d.bgp {
         for nb in &bgp.neighbors {
@@ -504,8 +510,7 @@ pub fn unused_structures(d: &Device) -> Vec<Finding> {
     }
     let mut out = Vec::new();
     for (name, acl) in &d.acls {
-        let zone_used = d.zone_policies.iter().any(|zp| zp.acl.name == *name);
-        if !used_acls.contains(&name.as_str()) && !zone_used && !nat_text.contains(name) {
+        if !used_acls.contains(&name.as_str()) {
             out.push(
                 Finding::new(
                     "unused-structure",
@@ -834,6 +839,46 @@ mod tests {
         assert!(f.iter().any(|x| x.message.contains("acl DEAD")));
         assert!(f.iter().any(|x| x.message.contains("route-map ORPHAN")));
         assert!(f.iter().any(|x| x.message.contains("prefix-list LONELY")));
+    }
+
+    #[test]
+    fn nat_lists_use_their_acl_by_name() {
+        let d = dev(
+            "hostname b1\ninterface uplink\n ip address 203.0.113.1/30\n\
+             ip nat pool EDGE 198.51.100.1 198.51.100.4\n\
+             ip access-list extended INSIDE\n 10 permit ip 10.0.0.0 0.255.255.255 any\n\
+             ip access-list extended EDGE\n 10 permit ip any any\n\
+             ip access-list extended IN\n 10 permit ip any any\n\
+             ip nat source list INSIDE pool EDGE interface uplink\n",
+        );
+        let unused: Vec<String> = unused_structures(&d).into_iter().map(|f| f.path).collect();
+        assert_eq!(unused, ["acl EDGE", "acl IN"]);
+        let devices = [d];
+        let never = exercise::never_touched_structures(&devices, &Topology::infer(&devices));
+        let never: Vec<String> = never.iter().map(|n| n.what.path()).collect();
+        assert_eq!(never, ["acl EDGE", "acl IN"]);
+    }
+
+    #[test]
+    fn an_undefined_zone_acl_is_one_finding_at_its_policy_in_every_dialect() {
+        for text in [
+            "hostname fw\nzone security a\nzone-pair security a b acl NOPE\n",
+            "set system host-name fw\nset security zones security-zone a interfaces e0\n\
+             set security policies from-zone a to-zone b filter NOPE\n",
+            "device fw\nzone a iface=e0\nzone-policy a b acl=NOPE\n",
+        ] {
+            let (d, diags) = parse_device("fw", text);
+            assert!(diags.items().is_empty(), "{text}: {:?}", diags.items());
+            let devices = [d];
+            let bridged = [("fw".to_string(), diags.items().to_vec())];
+            let found: Vec<Finding> = run_network(&devices, &Topology::infer(&devices), &bridged)
+                .into_iter()
+                .filter(|f| f.check == "undefined-reference")
+                .collect();
+            assert_eq!(found.len(), 1, "{text}: {found:?}");
+            let f = &found[0];
+            assert_eq!((f.path.as_str(), f.file.as_str(), f.line), ("zone-policy a -> b/acl NOPE", "fw", 3));
+        }
     }
 
     #[test]

@@ -436,15 +436,11 @@ impl<'a> Tracer<'a> {
                 let to = device.zone_of_interface(&out_iface);
                 if let (Some(from), Some(to)) = (from, to) {
                     if from != to {
-                        let policy = device
-                            .zone_policies
-                            .iter()
-                            .find(|zp| zp.from_zone == from && zp.to_zone == to);
-                        let permitted = match policy {
-                            Some(zp) => {
-                                let (action, line) = zp.acl.check(&flow);
+                        let permitted = match device.zone_acl(from, to) {
+                            Some(acl) => {
+                                let (action, line) = acl.check(&flow);
                                 let text = line
-                                    .map(|l| zp.acl.lines[l].text.clone())
+                                    .map(|l| acl.lines[l].text.clone())
                                     .unwrap_or_else(|| "implicit deny".into());
                                 steps.push(format!("zone {from}->{to}: {action} ({text})"));
                                 action == AclAction::Permit
