@@ -6,12 +6,13 @@
 //! span, so the same numbers that print in the text tables appear in the
 //! machine-readable run report (`BENCH_<cmd>.json`, see [`bench_json`]).
 
-use batnet::bdd::Bdd;
+use batnet::bdd::{Bdd, NodeId};
 use batnet::config::Topology;
 use batnet::dataplane::{ForwardingGraph, NodeKind, PacketVars, ReachAnalysis, ShardStats};
 use batnet::routing::{simulate, DataPlane, SimOptions};
 use batnet_obs::Span;
 use batnet_topogen::GeneratedNetwork;
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// A built world for measurement.
@@ -89,8 +90,8 @@ pub fn build_world(net: GeneratedNetwork) -> World {
 }
 
 /// Builds the BDD forwarding graph, timed.
-pub fn build_graph(world: &World, waypoints: u32) -> (Bdd, PacketVars, ForwardingGraph, Duration) {
-    let (mut bdd, vars) = PacketVars::new(waypoints);
+pub fn build_graph(world: &World) -> (Bdd, PacketVars, ForwardingGraph, Duration) {
+    let (mut bdd, vars) = PacketVars::new(0);
     let (graph, dt) = mem_stage("graph", || {
         let span = Span::enter("graph");
         let graph = ForwardingGraph::build(&mut bdd, &vars, &world.devices, &world.dp, &world.topo);
@@ -127,34 +128,26 @@ pub fn dest_reachability(
     (dt, chosen.len())
 }
 
-/// Up to `max_starts` interface sources spread evenly over the graph's
-/// `IfaceSrc` nodes, in node order.
-pub fn spread_starts(graph: &ForwardingGraph, max_starts: usize) -> Vec<usize> {
-    let sources = graph.nodes_where(|k| matches!(k, NodeKind::IfaceSrc(_, _)));
-    let step = (sources.len() / max_starts.max(1)).max(1);
-    sources.into_iter().step_by(step).take(max_starts).collect()
-}
-
-/// Multipath-consistency measurement from the interface sources `starts`
-/// (the §6.1 verification benchmark query). Returns the time and how many
-/// starts are inconsistent.
+/// Multipath consistency (the §6.1 verification query) for every
+/// interface source, from the two backward walks of
+/// [`ReachAnalysis::multipath`]. Returns the time and each start's
+/// verdict: inconsistent or not.
 pub fn multipath_consistency(
     bdd: &mut Bdd,
+    vars: &PacketVars,
     graph: &ForwardingGraph,
-    starts: &[usize],
-) -> (Duration, usize) {
-    let analysis = ReachAnalysis::new(graph);
-    let mut violations = 0usize;
-    let mut shard_stats = ShardStats::default();
+) -> (Duration, BTreeMap<usize, bool>) {
+    let starts = graph.nodes_where(|k| matches!(k, NodeKind::IfaceSrc(_, _)));
+    let mut verdicts = BTreeMap::new();
     let dt = mem_stage("multipath", || {
         let span = Span::enter("multipath");
-        let (verdicts, stats) = analysis.multipath_sharded(bdd, starts);
-        violations = verdicts.iter().filter(|(_, bad)| *bad).count();
-        shard_stats = stats;
+        for m in ReachAnalysis::new(graph).multipath(bdd, vars, &starts) {
+            verdicts.insert(m.start, m.inconsistent != NodeId::FALSE);
+        }
         span.close()
     });
-    bdd_shard_gauges("multipath", &shard_stats);
-    (dt, violations)
+    bdd_stage_stats("multipath", bdd);
+    (dt, verdicts)
 }
 
 /// Pretty-prints a duration for tables.

@@ -17,8 +17,8 @@
 //!   nodes, composing their edge labels.
 //! * [`reach`] — forward fixed-point propagation, backward propagation
 //!   for single-destination queries and from a set of sinks at once (the
-//!   one governed walk: service questions, `/query/reach`, the diff),
-//!   loop detection, and multipath consistency.
+//!   one governed walk: service questions, `/query/reach`, the diff, and
+//!   every start's multipath consistency and only-loops sets).
 //!
 //! §4.2.3's bidirectional reachability (firewall sessions and a return
 //! pass over a graph instrumented with session fast paths) is not
@@ -33,5 +33,5 @@ pub mod reach;
 pub mod vars;
 
 pub use graph::{DropKind, EdgeLabel, ForwardingGraph, NodeKind};
-pub use reach::{ReachAnalysis, ReachResult, ShardStats, StartSummary};
+pub use reach::{Multipath, ReachAnalysis, ReachResult, ShardStats, StartSummary};
 pub use vars::PacketVars;

@@ -5,7 +5,7 @@ use batnet_bdd::{Bdd, NodeId};
 use batnet_config::vi::Device;
 use batnet_config::{parse_device, Topology};
 use batnet_dataplane::compress::compress;
-use batnet_dataplane::{ForwardingGraph, NodeKind, PacketVars, ReachAnalysis};
+use batnet_dataplane::{ForwardingGraph, Multipath, NodeKind, PacketVars, ReachAnalysis};
 use batnet_net::governor::ResourceGovernor;
 use batnet_net::{Flow, Ip};
 use batnet_routing::{simulate, DataPlane, Environment, SimOptions};
@@ -422,45 +422,399 @@ fn both_engines_deliver_to_a_secondary_subnet() {
     }
 }
 
+/// The egress-semantics reference: one forward walk from `src`, meeting
+/// the delivered and dropped sets at the sinks.
+#[allow(clippy::disallowed_methods)] // the reference the ingress answer is checked against
+fn forward_inconsistent(w: &mut World, src: usize) -> NodeId {
+    ReachAnalysis::new(&w.graph).multipath_inconsistency(&mut w.bdd, src)
+}
+
+/// The ingress-semantics answer for each of `starts`.
+fn multipath(w: &mut World, starts: &[usize]) -> Vec<Multipath> {
+    ReachAnalysis::new(&w.graph).multipath(&mut w.bdd, &w.vars, starts)
+}
+
+fn iface_sources(w: &World) -> Vec<usize> {
+    w.graph
+        .nodes_where(|k| matches!(k, NodeKind::IfaceSrc(_, _)))
+}
+
+/// Checks `answer` against the concrete engine on `flows` and on one
+/// witness flow picked from each of its non-empty sets: a flow is
+/// inconsistent exactly when some path succeeds and some path reaches a
+/// drop other than a loop, and only loops exactly when every path loops.
+/// Returns how many of those flows were inconsistent.
+fn check_with_tracer(w: &mut World, answer: &Multipath, flows: &[Flow]) -> usize {
+    let NodeKind::IfaceSrc(dev, iface) = w.graph.nodes[answer.start].clone() else {
+        panic!(
+            "start {:?} is not an interface source",
+            w.graph.nodes[answer.start]
+        );
+    };
+    let witnesses = [answer.inconsistent, answer.only_loops]
+        .into_iter()
+        .filter_map(|set| w.bdd.pick_cube(set))
+        .map(|cube| w.vars.cube_to_flow(&cube));
+    let mut inconsistent = 0;
+    for flow in &flows.iter().copied().chain(witnesses).collect::<Vec<_>>() {
+        let trace = Tracer::new(&w.devices, &w.dp, &w.topo)
+            .trace(&StartLocation::ingress(&dev, &iface), flow);
+        let dropped = trace
+            .paths
+            .iter()
+            .any(|p| !p.disposition.is_success() && p.disposition != Disposition::Loop);
+        let concrete = trace.any_succeeds() && dropped;
+        let loops = trace
+            .paths
+            .iter()
+            .all(|p| p.disposition == Disposition::Loop);
+        assert_eq!(
+            flow_in(w, answer.inconsistent, flow),
+            concrete,
+            "{flow} from {dev}[{iface}]:\n{trace}"
+        );
+        assert_eq!(
+            flow_in(w, answer.only_loops, flow),
+            loops,
+            "{flow} from {dev}[{iface}]:\n{trace}"
+        );
+        inconsistent += usize::from(concrete);
+    }
+    inconsistent
+}
+
 #[test]
 fn multipath_consistency_clean_network() {
     let mut w = figure2();
-    for (dev, iface) in [("r1", "i0"), ("r2", "lan"), ("r3", "lan")] {
-        let src = src_node(&w, dev, iface);
-        let analysis = ReachAnalysis::new(&w.graph);
-        let bad = analysis.multipath_inconsistency(&mut w.bdd, src);
+    let starts = iface_sources(&w);
+    for m in multipath(&mut w, &starts) {
         // Fig-2 is single-path everywhere: a packet either succeeds or
-        // drops, never both.
-        assert_eq!(bad, NodeId::FALSE, "from {dev}[{iface}]");
+        // drops, never both, and never loops; the forward form agrees.
+        let at = w.graph.nodes[m.start].clone();
+        assert_eq!(m.inconsistent, NodeId::FALSE, "from {at:?}");
+        assert_eq!(m.only_loops, NodeId::FALSE, "from {at:?}");
+        assert_eq!(
+            forward_inconsistent(&mut w, m.start),
+            NodeId::FALSE,
+            "from {at:?}"
+        );
+    }
+}
+
+/// Three routers: r1 admits only 10.1.1.0/24 from its hosts and sends
+/// 10.2.0.0/24 to r2 (and, with `ecmp`, also to r3). r2 exits towards the
+/// outside through `r2_extra` (source NAT or a zone firewall); r3's egress
+/// ACL denies everything.
+fn three_router_lab(ecmp: bool, r2_extra: &str) -> World {
+    let r1 = format!(
+        "hostname r1\n\
+         interface h1\n ip address 10.1.1.1/24\n ip access-group HOSTS in\n\
+         interface to2\n ip address 10.0.12.1/31\n\
+         interface to3\n ip address 10.0.13.1/31\n\
+         ip access-list extended HOSTS\n 10 permit ip 10.1.1.0 0.0.0.255 any\n\
+         ip route 10.2.0.0/24 10.0.12.0\n{}",
+        if ecmp {
+            "ip route 10.2.0.0/24 10.0.13.0\n"
+        } else {
+            ""
+        }
+    );
+    let r2 = format!(
+        "hostname r2\n\
+         interface from1\n ip address 10.0.12.0/31\n\
+         interface up\n ip address 192.0.2.1/24\n\
+         ip route 10.2.0.0/24 192.0.2.254\n{r2_extra}"
+    );
+    let r3 = "hostname r3\n\
+         interface from1\n ip address 10.0.13.0/31\n\
+         interface up\n ip address 192.0.3.1/24\n ip access-group BLOCK out\n\
+         ip access-list extended BLOCK\n 10 deny ip any any\n\
+         ip route 10.2.0.0/24 192.0.3.254\n";
+    build(&[("r1", &r1), ("r2", &r2), ("r3", r3)])
+}
+
+const SOURCE_NAT: &str = "ip access-list extended NATMATCH\n 10 permit ip any any\n\
+    ip nat pool P 203.0.113.1 203.0.113.1\n\
+    ip nat source list NATMATCH pool P interface up\n";
+
+const ZONE_FIREWALL: &str = "zone security inside\nzone security outside\n\
+    zone-pair security inside outside acl OUTBOUND\n\
+    interface from1\n zone-member security inside\n\
+    interface up\n zone-member security outside\n\
+    ip access-list extended OUTBOUND\n 10 permit ip any any\n";
+
+/// Seeded TCP flows from r1's hosts (and from anywhere) to 10.2.0.0/24
+/// (and to anywhere), plus the source-NAT address as a source.
+fn lab_flows(seed: u64) -> Vec<Flow> {
+    let mut rng = batnet_net::Rng::new(seed);
+    let mut flows = vec![Flow::tcp(
+        Ip::new(203, 0, 113, 1),
+        40000,
+        Ip::new(10, 2, 0, 7),
+        80,
+    )];
+    for _ in 0..60 {
+        let src = if rng.flip() {
+            Ip(0x0a01_0100 | rng.range_u32(1, 254))
+        } else {
+            Ip(rng.next_u32())
+        };
+        let dst = if rng.flip() {
+            Ip(0x0a02_0000 | rng.range_u32(1, 254))
+        } else {
+            Ip(rng.next_u32())
+        };
+        flows.push(Flow::tcp(src, rng.range_u32(1024, 65535) as u16, dst, 80));
+    }
+    flows
+}
+
+/// r1 → r2 only, r2 source-NATs: every packet has one path, so the start
+/// is consistent. The forward form reads it inconsistent, because the
+/// rewritten header 203.0.113.1 that r2 delivers is one r1's ingress ACL
+/// drops.
+#[test]
+fn multipath_is_consistent_on_a_single_path_through_source_nat() {
+    let mut w = three_router_lab(false, SOURCE_NAT);
+    let src = src_node(&w, "r1", "h1");
+    let [m] = multipath(&mut w, &[src])[..] else {
+        unreachable!()
+    };
+    assert_eq!(m.inconsistent, NodeId::FALSE);
+    assert_eq!(check_with_tracer(&mut w, &m, &lab_flows(1)), 0);
+    let forward = forward_inconsistent(&mut w, src);
+    let natted = Flow::tcp(Ip::new(203, 0, 113, 1), 40000, Ip::new(10, 2, 0, 7), 80);
+    assert!(
+        flow_in(&mut w, forward, &natted),
+        "the forward form's false positive"
+    );
+}
+
+/// r1 splits 10.2.0.0/24 over r2 (source NAT, exits) and r3 (denies):
+/// 10.1.1.5 → 10.2.0.7 is delivered on one path and dropped on the other.
+/// The forward form misses it: the header it delivers is rewritten.
+#[test]
+fn multipath_holds_a_flow_split_across_source_nat_and_a_deny() {
+    let mut w = three_router_lab(true, SOURCE_NAT);
+    let src = src_node(&w, "r1", "h1");
+    let [m] = multipath(&mut w, &[src])[..] else {
+        unreachable!()
+    };
+    let flow = Flow::tcp(Ip::new(10, 1, 1, 5), 40000, Ip::new(10, 2, 0, 7), 80);
+    let trace =
+        Tracer::new(&w.devices, &w.dp, &w.topo).trace(&StartLocation::ingress("r1", "h1"), &flow);
+    let want = [
+        Disposition::ExitsNetwork {
+            device: "r2".into(),
+            iface: "up".into(),
+        },
+        Disposition::DeniedOut {
+            device: "r3".into(),
+            acl: "BLOCK".into(),
+        },
+    ];
+    assert_eq!(trace.dispositions(), want.iter().collect(), "{trace}");
+    assert!(flow_in(&mut w, m.inconsistent, &flow));
+    check_with_tracer(&mut w, &m, &lab_flows(2));
+    let forward = forward_inconsistent(&mut w, src);
+    assert!(
+        !flow_in(&mut w, forward, &flow),
+        "the forward form's missed flow"
+    );
+}
+
+/// The same split through a zone firewall at r2, no NAT: the forward form
+/// reads the start consistent, because r2's zone tag marks the delivered
+/// side only, so it never meets the dropped side.
+#[test]
+fn multipath_holds_a_flow_split_across_a_zone_firewall_and_a_deny() {
+    let mut w = three_router_lab(true, ZONE_FIREWALL);
+    let src = src_node(&w, "r1", "h1");
+    let [m] = multipath(&mut w, &[src])[..] else {
+        unreachable!()
+    };
+    let flow = Flow::tcp(Ip::new(10, 1, 1, 5), 40000, Ip::new(10, 2, 0, 7), 80);
+    assert!(flow_in(&mut w, m.inconsistent, &flow));
+    check_with_tracer(&mut w, &m, &lab_flows(3));
+    assert_eq!(
+        forward_inconsistent(&mut w, src),
+        NodeId::FALSE,
+        "the forward form's false negative"
+    );
+}
+
+/// Seeded flows between the network's own subnets (and from anywhere),
+/// from seeded starts: the ingress answer agrees with the tracer on each.
+/// Returns how many starts had a witness of each set: (inconsistent,
+/// only loops).
+fn check_suite_with_tracer(
+    configs: &[(String, String)],
+    env: &Environment,
+    seed: u64,
+) -> (usize, usize) {
+    let devices = configs.iter().map(|(n, t)| parse_device(n, t).0).collect();
+    let mut w = world(devices, env);
+    let prefixes: Vec<batnet_net::Prefix> = w
+        .devices
+        .iter()
+        .flat_map(|d| {
+            d.active_interfaces()
+                .flat_map(|i| i.connected_prefixes())
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    let mut rng = batnet_net::Rng::new(seed);
+    let host = |rng: &mut batnet_net::Rng| {
+        let p = *rng.pick(&prefixes);
+        Ip(p.network().0 + rng.below(p.size()) as u32)
+    };
+    let sources = iface_sources(&w);
+    let starts: Vec<usize> = (0..12).map(|_| *rng.pick(&sources)).collect();
+    let answers = multipath(&mut w, &starts);
+    let witnessed =
+        |set: fn(&Multipath) -> NodeId| answers.iter().filter(|m| set(m) != NodeId::FALSE).count();
+    let counts = (witnessed(|m| m.inconsistent), witnessed(|m| m.only_loops));
+    for m in &answers {
+        let flows: Vec<Flow> = (0..8)
+            .map(|_| {
+                let src = if rng.flip() {
+                    host(&mut rng)
+                } else {
+                    Ip(rng.next_u32())
+                };
+                Flow::tcp(src, 40000, host(&mut rng), 22)
+            })
+            .collect();
+        check_with_tracer(&mut w, m, &flows);
+    }
+    counts
+}
+
+#[test]
+fn multipath_agrees_with_the_tracer_on_net1() {
+    let net = batnet_topogen::suite::net1();
+    assert_eq!(check_suite_with_tracer(&net.configs, &net.env, 7), (0, 0));
+}
+
+#[test]
+fn multipath_agrees_with_the_tracer_on_n7() {
+    let net = batnet_topogen::suite::n7();
+    assert_eq!(check_suite_with_tracer(&net.configs, &net.env, 7), (0, 0));
+}
+
+/// NET1 with access22 drained (every interface shut; perturbation seed
+/// 1): traffic to its hosts' subnet follows the default routes, which exit
+/// at a border on some ECMP branches and loop among the cores on others.
+/// Such a packet is in neither set: it does end, on some path, and no path
+/// drops it.
+#[test]
+fn multipath_does_not_report_a_loop_on_one_branch_of_a_drained_net1() {
+    let net = batnet_topogen::suite::net1();
+    let drained =
+        batnet_topogen::perturb::perturb(&net, batnet_topogen::perturb::Scenario::DrainDevice, 1)
+            .expect("a device to drain");
+    assert_eq!(drained.victim, "access22");
+    assert_eq!(
+        check_suite_with_tracer(&drained.configs, &net.env, 7),
+        (0, 0)
+    );
+    let devices = drained
+        .configs
+        .iter()
+        .map(|(n, t)| parse_device(n, t).0)
+        .collect();
+    let mut w = world(devices, &net.env);
+    let flow = Flow::tcp(Ip::new(10, 0, 0, 5), 40000, Ip::new(10, 0, 22, 9), 443);
+    let trace = Tracer::new(&w.devices, &w.dp, &w.topo)
+        .trace(&StartLocation::ingress("access0", "hosts"), &flow);
+    assert!(trace.any_succeeds(), "{trace}");
+    assert!(trace.dispositions().contains(&Disposition::Loop), "{trace}");
+    let src = src_node(&w, "access0", "hosts");
+    let [m] = multipath(&mut w, &[src])[..] else {
+        unreachable!()
+    };
+    assert_eq!(check_with_tracer(&mut w, &m, &[flow]), 0);
+    assert!(!flow_in(&mut w, m.only_loops, &flow));
+}
+
+/// Where no start's cone holds a NAT or zone verdict that splits, the two
+/// forms give every start the same verdict.
+#[test]
+fn multipath_verdicts_equal_the_forward_form_on_n2_and_net1() {
+    for net in [batnet_topogen::suite::n2(), batnet_topogen::suite::net1()] {
+        let mut w = world(net.parse(), &net.env);
+        let starts = iface_sources(&w);
+        let mut violated = [0, 0];
+        for m in multipath(&mut w, &starts) {
+            let backward = m.inconsistent != NodeId::FALSE;
+            let forward = forward_inconsistent(&mut w, m.start) != NodeId::FALSE;
+            assert_eq!(
+                backward, forward,
+                "{}: {:?}",
+                net.name, w.graph.nodes[m.start]
+            );
+            violated[usize::from(backward)] += 1;
+        }
+        assert_eq!(violated, [starts.len(), 0], "{}", net.name);
     }
 }
 
 #[test]
 fn loop_detection_on_looping_statics() {
+    // r1 and r2 bounce 10.9/16 between them; 10.8/16 exits at r2;
+    // 10.7/16 has no route.
     let mut w = build(&[
         (
             "r1",
-            "hostname r1\ninterface e0\n ip address 10.0.0.1/31\nip route 10.9.0.0/16 10.0.0.0\n",
+            "hostname r1\ninterface e0\n ip address 10.0.0.1/31\n\
+             ip route 10.9.0.0/16 10.0.0.0\nip route 10.8.0.0/16 10.0.0.0\n",
         ),
         (
             "r2",
-            "hostname r2\ninterface e0\n ip address 10.0.0.0/31\nip route 10.9.0.0/16 10.0.0.1\n",
+            "hostname r2\ninterface e0\n ip address 10.0.0.0/31\n\
+             interface up\n ip address 192.0.2.1/24\n\
+             ip route 10.9.0.0/16 10.0.0.1\nip route 10.8.0.0/16 192.0.2.254\n",
         ),
     ]);
-    let analysis = ReachAnalysis::new(&w.graph);
-    let r = analysis.forward_from_all_sources(&mut w.bdd, NodeId::TRUE);
-    let loops = analysis.detect_loops(&mut w.bdd, &r);
-    assert!(!loops.is_empty(), "static route loop must be found");
-    // The looping set is exactly traffic to 10.9/16.
-    let (_, set) = loops[0];
-    let inside = Flow::icmp_echo(Ip::new(1, 1, 1, 1), Ip::new(10, 9, 1, 1));
-    let outside = Flow::icmp_echo(Ip::new(1, 1, 1, 1), Ip::new(10, 8, 1, 1));
-    assert!(flow_in(&mut w, set, &inside));
-    assert!(!flow_in(&mut w, set, &outside));
+    let src = src_node(&w, "r1", "e0");
+    let [m] = multipath(&mut w, &[src])[..] else {
+        unreachable!()
+    };
+    let looping = Flow::icmp_echo(Ip::new(1, 1, 1, 1), Ip::new(10, 9, 1, 1));
+    let exiting = Flow::icmp_echo(Ip::new(1, 1, 1, 1), Ip::new(10, 8, 1, 1));
+    let no_route = Flow::icmp_echo(Ip::new(1, 1, 1, 1), Ip::new(10, 7, 1, 1));
+    assert!(flow_in(&mut w, m.only_loops, &looping));
+    assert!(!flow_in(&mut w, m.only_loops, &exiting));
+    assert!(!flow_in(&mut w, m.only_loops, &no_route));
+    // The tracer agrees: every path of the first loops, neither other does.
+    assert_eq!(
+        check_with_tracer(&mut w, &m, &[looping, exiting, no_route]),
+        0
+    );
+    let trace = Tracer::new(&w.devices, &w.dp, &w.topo)
+        .trace(&StartLocation::ingress("r1", "e0"), &looping);
+    assert!(
+        trace
+            .paths
+            .iter()
+            .all(|p| p.disposition == Disposition::Loop),
+        "{trace}"
+    );
+    let trace = Tracer::new(&w.devices, &w.dp, &w.topo)
+        .trace(&StartLocation::ingress("r1", "e0"), &exiting);
+    assert_eq!(
+        trace.dispositions().into_iter().collect::<Vec<_>>(),
+        [&Disposition::ExitsNetwork {
+            device: "r2".into(),
+            iface: "up".into()
+        }],
+        "{trace}"
+    );
 
     // And the clean fixture has no loops.
     let mut clean = figure2();
-    let analysis = ReachAnalysis::new(&clean.graph);
-    let r = analysis.forward_from_all_sources(&mut clean.bdd, NodeId::TRUE);
-    assert!(analysis.detect_loops(&mut clean.bdd, &r).is_empty());
+    let starts = iface_sources(&clean);
+    assert!(multipath(&mut clean, &starts)
+        .iter()
+        .all(|m| m.only_loops == NodeId::FALSE));
 }

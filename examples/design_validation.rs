@@ -54,19 +54,29 @@ fn main() {
     println!("property: minimum ECMP width across leaf pairs = {min_width} (want 4)");
     assert_eq!(min_width, 4);
 
-    // Property 2: no forwarding loops anywhere.
-    let r = {
-        let a = ReachAnalysis::new(&analysis.graph);
-        a.forward_from_all_sources(&mut analysis.bdd, NodeId::TRUE)
-    };
-    let loops = {
-        let a = ReachAnalysis::new(&analysis.graph);
-        a.detect_loops(&mut analysis.bdd, &r)
-    };
-    println!("property: forwarding loops = {} (want 0)", loops.len());
-    assert!(loops.is_empty());
+    // Property 2: from every interface, no packet only loops, and none is
+    // delivered on one ECMP path and dropped on another.
+    let starts = analysis
+        .graph
+        .nodes_where(|k| matches!(k, NodeKind::IfaceSrc(_, _)));
+    let a = ReachAnalysis::new(&analysis.graph);
+    let answers = a.multipath(&mut analysis.bdd, &analysis.vars, &starts);
+    let looping = answers
+        .iter()
+        .filter(|m| m.only_loops != NodeId::FALSE)
+        .count();
+    let inconsistent = answers
+        .iter()
+        .filter(|m| m.inconsistent != NodeId::FALSE)
+        .count();
+    println!(
+        "property: {} starts, {looping} with looping packets, {inconsistent} inconsistent (want 0, 0)",
+        starts.len()
+    );
+    assert_eq!((looping, inconsistent), (0, 0));
 
     // Property 3: server traffic reaches every server sink.
+    let r = a.forward_from_all_sources(&mut analysis.bdd, NodeId::TRUE);
     let sinks = analysis
         .graph
         .nodes_where(|k| matches!(k, NodeKind::DeliveredToSubnet(_, i) if i == "servers"));
