@@ -42,13 +42,15 @@ test:
 # consecutive passes at the default --test-threads is the regression
 # gate for that, for the recorder's own concurrency contracts (open
 # order, reset, take_tree), for the server's timing-sensitive
-# overload and drain tests, and for the BGP colour groups' parallel
+# overload and drain tests, for concurrent /diffs sharing a stored
+# snapshot's memo lock, and for the BGP colour groups' parallel
 # sweep (width 1 vs 4, both scheduler modes).
 test-repeat:
 	for i in 1 2 3 4 5; do $(CARGO) test -q --offline --test parallel || exit 1; done
 	for i in 1 2 3 4 5; do $(CARGO) test -q --offline --test routing colour_groups || exit 1; done
 	for i in 1 2 3 4 5; do $(CARGO) test -q --offline -p batnet-obs --test concurrency || exit 1; done
 	for i in 1 2 3 4 5; do $(CARGO) test -q --offline -p batnet-serve --lib server || exit 1; done
+	for i in 1 2 3 4 5; do $(CARGO) test -q --offline -p batnet-serve --test diff || exit 1; done
 
 # Robustness gate: 25 seeds x all 6 mutation classes over NET1 and the
 # N2 data center — zero escaped panics, every quarantined device

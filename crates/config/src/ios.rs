@@ -142,10 +142,14 @@ pub fn parse(name: &str, text: &str) -> (Device, Diagnostics) {
             }
         }
     }
+    // The statement line of each NAT rule, for what `expand_nat_lists`
+    // reports: every rule a section adds is that section's statement.
+    let mut nat_lines = Vec::new();
     for s in &sections {
         convert_section(s, &mut device, &mut diags, &pools);
+        nat_lines.resize(device.nat_rules.len(), s.header.no);
     }
-    expand_nat_lists(&mut device, &mut diags);
+    expand_nat_lists(&mut device, &nat_lines, &mut diags);
     device.lint_suppressions = crate::suppress::scan_suppressions(text);
     (device, diags)
 }
@@ -886,9 +890,11 @@ fn convert_nat(
 
 /// Resolves `ip nat source list ACL …` rules into one rule per permit line
 /// of the referenced ACL (so NAT match spaces stay single header spaces).
-fn expand_nat_lists(d: &mut Device, diags: &mut Diagnostics) {
+/// `lines[i]` is the statement line of rule `i`, where an undefined ACL
+/// is reported.
+fn expand_nat_lists(d: &mut Device, lines: &[usize], diags: &mut Diagnostics) {
     let mut out = Vec::with_capacity(d.nat_rules.len());
-    for rule in std::mem::take(&mut d.nat_rules) {
+    for (rule, &line) in std::mem::take(&mut d.nat_rules).into_iter().zip(lines) {
         let Some(acl_name) = &rule.acl else {
             out.push(rule);
             continue;
@@ -905,7 +911,7 @@ fn expand_nat_lists(d: &mut Device, diags: &mut Diagnostics) {
             }
             None => diags.push(
                 Severity::UndefinedReference,
-                0,
+                line,
                 format!("nat references undefined acl {acl_name}"),
             ),
         }
@@ -1106,6 +1112,27 @@ ip nat source static 10.0.5.5 203.0.113.99
             "ip access-list extended A\n 10 permit ip any any\nip nat source list A pool NOPE\n",
         );
         assert_eq!(diags.count(Severity::UndefinedReference), 1);
+    }
+
+    #[test]
+    fn undefined_nat_list_is_diagnosed_at_its_statement() {
+        let (d, diags) = parse(
+            "r1",
+            "hostname r1\nip nat pool P 203.0.113.1 203.0.113.8\n\
+             ip nat source list NOPE pool P\nip nat source list LATER pool P\n\
+             ip access-list extended LATER\n 10 permit ip any any\n",
+        );
+        let undefined: Vec<_> = diags
+            .items()
+            .iter()
+            .filter(|d| d.severity == Severity::UndefinedReference)
+            .collect();
+        assert_eq!(undefined.len(), 1);
+        assert_eq!(undefined[0].line, 3);
+        assert_eq!(undefined[0].message, "nat references undefined acl NOPE");
+        // The rule after it still resolves its list, defined later.
+        assert_eq!(d.nat_rules.len(), 1);
+        assert!(d.nat_rules[0].text.contains("LATER"));
     }
 
     #[test]

@@ -21,7 +21,9 @@
 //! whose manager the diff walks a fork of; a side without one is
 //! simulated and its graph built in a scratch manager, which the sides
 //! that lend none share and which is walked in place, so every caller
-//! takes the same reach path.
+//! takes the same reach path. A side may also lend a [`SideMemo`] of
+//! what its starts deliver, filled by earlier diffs of it, so that only
+//! the compared starts it lacks are walked.
 //!
 //! When the first two layers are empty, the forwarding graphs are equal
 //! by construction (the graph is a function of devices, FIBs, and the
@@ -36,7 +38,7 @@ pub mod report;
 pub mod routes;
 pub mod structural;
 
-pub use reach::{FlowDelta, FlowDirection, ReachDiff, ReachInputs};
+pub use reach::{FlowDelta, FlowDirection, ReachDiff, ReachInputs, SideMemo};
 pub use report::{render_json, render_text, validate, SCHEMA};
 pub use routes::{RouteChange, RouteChangeKind, RouteDiff};
 pub use structural::{ChangeKind, StructChange, StructuralDiff};
@@ -100,6 +102,10 @@ pub struct SideAnalysis<'a> {
     /// else holds it, the diff builds this side's graph afresh rather
     /// than wait.
     pub bdd: &'a Mutex<Bdd>,
+    /// What this graph's starts deliver, as earlier diffs of it recorded:
+    /// the diff walks only for the compared starts it lacks, and records
+    /// those. `None` gives the diff a memo of its own.
+    pub memo: Option<&'a Mutex<SideMemo>>,
 }
 
 /// One side of a diff: the healthy devices, their environment, and the

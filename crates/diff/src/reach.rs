@@ -3,14 +3,23 @@
 //! Each side is walked in its own BDD manager — a fork of the stored
 //! analysis' when the side lends one, else a scratch one its graph is
 //! built in — and only the small five-tuple projections of what each
-//! start delivers are copied ([`Bdd::import`]) into one comparison
-//! manager, where the delta is a plain XOR (computed as two set
-//! differences to keep the lost/gained split). Per changed start
+//! start delivers leave it. They are recorded in the side's
+//! [`SideMemo`] and copied ([`Bdd::import`]) from there into one
+//! comparison manager, where the delta is a plain XOR (computed as two
+//! set differences to keep the lost/gained split). Per changed start
 //! location the diff yields a concrete example flow (picked with the
 //! §4.4.3-style preferences) and a before/after trace from the concrete
 //! tracer. A lent manager is locked only long enough to fork it, and
 //! the side is walked in the fork: the walk neither keeps a
 //! `/query/reach` waiting nor leaves its nodes in the lender's arena.
+//!
+//! What a start delivers is a function of its side alone, so a side that
+//! lends a memo with its analysis (`batnet-serve` keeps one per stored
+//! snapshot) is walked only for the compared starts no earlier diff of
+//! it recorded; the others are imported from the memo. A side lending
+//! none gets a memo local to the diff, so both take the same path. The
+//! memo holds projections only, in a small manager of its own, never a
+//! fork.
 //!
 //! Cost is bounded by *cone pruning*: a start location whose node cannot
 //! even topologically reach a changed device — in either graph — is
@@ -94,15 +103,19 @@ pub struct ReachDiff {
     /// Starts whose fixed point was actually computed (the rest were
     /// pruned as provably unchanged, or dropped by `max_starts`).
     pub starts_compared: usize,
-    /// Fixed points run for those starts, both sides: at most one
-    /// backward walk per side, plus one forward walk per distinct
-    /// ingress seed of a start that can reach a NAT edge. A cost figure,
-    /// not part of the rendered report.
+    /// Fixed points this diff ran for those starts, both sides: at most
+    /// one backward walk per side, plus one forward walk per distinct
+    /// ingress seed of a start that can reach a NAT edge, and none for a
+    /// side whose memo held every compared start. A cost figure, not
+    /// part of the rendered report.
     pub walks: usize,
-    /// Compared starts, counted once per side, whose forward cone holds
-    /// a NAT edge, so a forward walk answered them; the backward walk
-    /// answered the other `2 × starts_compared − forward_starts`.
+    /// Compared starts, counted once per side, that a forward walk of
+    /// this diff answered (their forward cone holds a NAT edge).
     pub forward_starts: usize,
+    /// Compared starts, counted once per side, that a backward walk of
+    /// this diff answered. A start a side's memo already held counts in
+    /// neither.
+    pub backward_starts: usize,
     /// Starts whose five-tuple success set changed.
     pub changed_starts: usize,
     /// Example-flow witnesses (capped; see `truncated`).
@@ -333,14 +346,97 @@ impl Scratch {
             graph,
             vars: &self.vars,
             bdd: &self.bdd,
+            memo: None,
         }
     }
 }
 
-/// Walks one side in its own manager and imports the five-tuple
-/// projection of what each of `starts` delivers into `cmp`. Returns the
-/// imported projections, in `starts` order, the walks it took and how
-/// many of `starts` a forward walk answered.
+/// The five-tuple projection of what each start of one side's graph
+/// delivers, for every start a diff of that side has compared, kept in
+/// a small manager of the comparison's layout (`PacketVars::new(0)`).
+/// It belongs to one graph: lend it only beside that graph.
+pub struct SideMemo {
+    bdd: Bdd,
+    delivers: BTreeMap<usize, NodeId>,
+}
+
+impl SideMemo {
+    /// How many starts it holds.
+    pub fn starts(&self) -> usize {
+        self.delivers.len()
+    }
+}
+
+impl Default for SideMemo {
+    /// An empty memo.
+    fn default() -> SideMemo {
+        SideMemo {
+            bdd: PacketVars::new(0).0,
+            delivers: BTreeMap::new(),
+        }
+    }
+}
+
+/// The walks one diff ran on one side.
+#[derive(Default)]
+struct Ran {
+    walks: usize,
+    /// Starts a forward walk answered.
+    forward: usize,
+    /// Starts the backward walk answered.
+    backward: usize,
+}
+
+/// Imports into `cmp` the five-tuple projection of what each of `starts`
+/// delivers on one side, in `starts` order, and says which walks it ran.
+/// The side's memo (or one local to this call) answers the starts it
+/// holds; the others are walked and recorded in it first. The memo stays
+/// locked until the imports are done, so a second diff of the same side
+/// waits for the first's walk and then reads it rather than walking too.
+fn project_side(
+    devices: &[Device],
+    side: &SideAnalysis<'_>,
+    in_place: bool,
+    starts: &[usize],
+    cmp: &mut Bdd,
+) -> (Vec<NodeId>, Ran) {
+    let local;
+    let memo = match side.memo {
+        Some(memo) => memo,
+        None => {
+            local = Mutex::new(SideMemo::default());
+            &local
+        }
+    };
+    // A diff that panicked holding the memo left it valid: each start
+    // is recorded whole, after its projection's import.
+    let mut memo = memo.lock().unwrap_or_else(PoisonError::into_inner);
+    let missing: Vec<usize> = starts
+        .iter()
+        .copied()
+        .filter(|s| !memo.delivers.contains_key(s))
+        .collect();
+    let ran = if missing.is_empty() {
+        Ran::default()
+    } else {
+        walk_side(devices, side, in_place, &missing, &mut memo)
+    };
+    // Equal projections share a memo node, and so an import.
+    let mut imported: BTreeMap<NodeId, NodeId> = BTreeMap::new();
+    let nodes = starts
+        .iter()
+        .map(|s| {
+            let p = memo.delivers[s];
+            *imported
+                .entry(p)
+                .or_insert_with(|| cmp.import(&memo.bdd, p))
+        })
+        .collect();
+    (nodes, ran)
+}
+
+/// Walks one side in its own manager and records in `memo` the
+/// five-tuple projection of what each of `starts` delivers.
 ///
 /// A manager the diff built itself (`in_place`) is walked as it is: no
 /// one else holds it, and its nodes go with the diff. A lent manager is
@@ -350,13 +446,13 @@ impl Scratch {
 /// graph is built again in a fresh manager of the same layout, and must
 /// number its nodes as the lent graph does, since `starts` are the lent
 /// graph's.
-fn project_side(
+fn walk_side(
     devices: &[Device],
     side: &SideAnalysis<'_>,
     in_place: bool,
     starts: &[usize],
-    cmp: &mut Bdd,
-) -> (Vec<NodeId>, usize, usize) {
+    memo: &mut SideMemo,
+) -> Ran {
     let (mut held, mut owned, rebuilt);
     let (bdd, graph, vars): (&mut Bdd, &ForwardingGraph, &PacketVars) = if in_place {
         held = side.bdd.lock().unwrap_or_else(PoisonError::into_inner);
@@ -386,11 +482,10 @@ fn project_side(
         }
     };
     let mut walks = Walks::new(graph, vars);
-    // Both memos are keyed by this side's nodes: starts that deliver the
+    // Both maps are keyed by this side's nodes: starts that deliver the
     // same set share a projection, equal projections share an import.
     let mut projected: BTreeMap<NodeId, NodeId> = BTreeMap::new();
     let mut imported: BTreeMap<NodeId, NodeId> = BTreeMap::new();
-    let mut out = Vec::with_capacity(starts.len());
     for &start in starts {
         let s = walks.success(bdd, vars, start);
         // Project away TCP flags / ICMP codes / zone & waypoint
@@ -399,10 +494,15 @@ fn project_side(
         let p = *projected
             .entry(s)
             .or_insert_with(|| vars.project_five_tuple(bdd, s));
-        out.push(*imported.entry(p).or_insert_with(|| cmp.import(bdd, p)));
+        let m = *imported.entry(p).or_insert_with(|| memo.bdd.import(bdd, p));
+        memo.delivers.insert(start, m);
     }
     let forward = starts.iter().filter(|&&s| walks.nat[s]).count();
-    (out, walks.count(), forward)
+    Ran {
+        walks: walks.count(),
+        forward,
+        backward: starts.len() - forward,
+    }
 }
 
 fn dispositions_of(trace: &Trace) -> String {
@@ -452,7 +552,7 @@ pub fn diff_reach(inputs: &ReachInputs<'_>, opts: &DiffOptions) -> ReachDiff {
     let in_place = |side: &SideAnalysis<'_>| std::ptr::eq(inputs.scratch, side.bdd);
     let (mut bdd, vars) = PacketVars::new(0);
     let nodes_b: Vec<usize> = compared.iter().map(|&(_, nb, _)| nb).collect();
-    let (projected_b, walks_b, forward_b) = project_side(
+    let (projected_b, ran_b) = project_side(
         inputs.devices_before,
         before,
         in_place(before),
@@ -460,7 +560,7 @@ pub fn diff_reach(inputs: &ReachInputs<'_>, opts: &DiffOptions) -> ReachDiff {
         &mut bdd,
     );
     let nodes_a: Vec<usize> = compared.iter().map(|&(_, _, na)| na).collect();
-    let (projected_a, walks_a, forward_a) = project_side(
+    let (projected_a, ran_a) = project_side(
         inputs.devices_after,
         after,
         in_place(after),
@@ -507,16 +607,14 @@ pub fn diff_reach(inputs: &ReachInputs<'_>, opts: &DiffOptions) -> ReachDiff {
         }
     }
     diff.starts_compared = compared.len();
-    diff.walks = walks_b + walks_a;
-    diff.forward_starts = forward_b + forward_a;
+    diff.walks = ran_b.walks + ran_a.walks;
+    diff.forward_starts = ran_b.forward + ran_a.forward;
+    diff.backward_starts = ran_b.backward + ran_a.backward;
     batnet_obs::gauge_set("diff.reach.starts", diff.starts_total as f64);
     batnet_obs::gauge_set("diff.reach.compared", diff.starts_compared as f64);
     batnet_obs::gauge_set("diff.reach.walks", diff.walks as f64);
     batnet_obs::gauge_set("diff.reach.forward-starts", diff.forward_starts as f64);
-    batnet_obs::gauge_set(
-        "diff.reach.backward-starts",
-        (2 * diff.starts_compared - diff.forward_starts) as f64,
-    );
+    batnet_obs::gauge_set("diff.reach.backward-starts", diff.backward_starts as f64);
     batnet_obs::counter_add("diff.reach.changed-starts", diff.changed_starts as u64);
     diff
 }
@@ -613,6 +711,9 @@ mod tests {
         assert!(c.walks < c.starts, "{} walks, {} starts", c.walks, c.starts);
     }
 
+    /// The lab's destination NAT.
+    const NAT: &str = "ip nat destination static 203.0.113.10 10.2.0.10\n";
+
     fn firewall_lab(nat: &str) -> Vec<Device> {
         let fw = format!(
             "hostname fw\nzone security inside\nzone security outside\n\
@@ -638,10 +739,7 @@ mod tests {
     /// and a zone share one.
     #[test]
     fn walks_match_per_start_walks_through_nat_and_zones() {
-        let c = check(
-            &firewall_lab("ip nat destination static 203.0.113.10 10.2.0.10\n"),
-            &Environment::none(),
-        );
+        let c = check(&firewall_lab(NAT), &Environment::none());
         let dnat = has_transform_from(&c.graph, |k| matches!(k, NodeKind::PostIn(..)));
         let zone = has_transform_from(&c.graph, |k| matches!(k, NodeKind::PostZone(..)));
         assert!(dnat && zone);
@@ -675,7 +773,8 @@ mod tests {
         assert_eq!((c.starts, c.backward, c.walks), (5, 5, 1));
     }
 
-    /// One side's whole analysis, as `batnet-serve` stores it.
+    /// One side's whole analysis, as `batnet-serve` stores it, memo
+    /// included.
     struct Stored {
         devices: Vec<Device>,
         dp: DataPlane,
@@ -683,6 +782,7 @@ mod tests {
         graph: ForwardingGraph,
         vars: PacketVars,
         bdd: Mutex<Bdd>,
+        memo: Mutex<SideMemo>,
     }
 
     impl Stored {
@@ -699,10 +799,12 @@ mod tests {
                 graph,
                 vars,
                 bdd,
+                memo: Mutex::new(SideMemo::default()),
             }
         }
 
-        fn side<'a>(&'a self, env: &'a Environment) -> DiffSide<'a> {
+        /// This analysis as a diff side, lending its memo or not.
+        fn side<'a>(&'a self, env: &'a Environment, memo: bool) -> DiffSide<'a> {
             DiffSide {
                 devices: &self.devices,
                 env,
@@ -713,8 +815,13 @@ mod tests {
                     graph: &self.graph,
                     vars: &self.vars,
                     bdd: &self.bdd,
+                    memo: memo.then_some(&self.memo),
                 }),
             }
+        }
+
+        fn memoised(&self) -> usize {
+            self.memo.lock().expect("not poisoned").starts()
         }
     }
 
@@ -728,8 +835,8 @@ mod tests {
         let after = Stored::new(parse(&p.configs), &net.env);
         let run = || {
             diff(
-                &before.side(&net.env),
-                &after.side(&net.env),
+                &before.side(&net.env, false),
+                &after.side(&net.env, false),
                 &DiffOptions::default(),
             )
         };
@@ -739,6 +846,110 @@ mod tests {
         drop(held);
         assert_eq!(free.reach.changed_starts, 71);
         assert_eq!(crate::render_json(&busy), crate::render_json(&free));
+    }
+
+    /// Two diffs of one pair that share both sides' memos: the second
+    /// walks neither side and reports the same bytes.
+    #[test]
+    fn a_repeated_diff_reads_its_memos() {
+        let net = suite::n2();
+        let p = perturb(&net, Scenario::AclAttachPeering, 3).expect("N2 has a victim");
+        let before = Stored::new(net.parse(), &net.env);
+        let after = Stored::new(parse(&p.configs), &net.env);
+        let run = || {
+            diff(
+                &before.side(&net.env, true),
+                &after.side(&net.env, true),
+                &DiffOptions::default(),
+            )
+        };
+        let first = run();
+        assert_eq!(
+            (first.reach.walks, first.reach.backward_starts),
+            (2, 2 * 770)
+        );
+        assert_eq!((before.memoised(), after.memoised()), (770, 770));
+        let second = run();
+        assert_eq!(second.reach.starts_compared, 770);
+        let ran = (
+            second.reach.walks,
+            second.reach.forward_starts,
+            second.reach.backward_starts,
+        );
+        assert_eq!(ran, (0, 0, 0));
+        assert_eq!(crate::render_json(&second), crate::render_json(&first));
+    }
+
+    /// `before`, lending its memo, is diffed against each of `afters` in
+    /// turn, the first diff capped at `first_cap` starts. Each diff walks
+    /// `before` only for the compared starts the memo lacks, and reports
+    /// what a diff without a memo reports. Returns how many starts the
+    /// memo held after each diff.
+    fn memo_serves_later_diffs(
+        before: &Stored,
+        afters: &[Vec<Device>],
+        env: &Environment,
+        first_cap: usize,
+    ) -> Vec<usize> {
+        let mut held = vec![0];
+        for (k, devices) in afters.iter().enumerate() {
+            let after = DiffSide {
+                devices,
+                env,
+                quarantined: Vec::new(),
+                analysis: None,
+            };
+            let opts = DiffOptions {
+                max_starts: if k == 0 { first_cap } else { 0 },
+                ..DiffOptions::default()
+            };
+            let d = diff(&before.side(env, true), &after, &opts);
+            let fresh = diff(&before.side(env, false), &after, &opts);
+            assert_eq!(
+                crate::render_json(&d),
+                crate::render_json(&fresh),
+                "diff {k}"
+            );
+            let (was, now) = (held[k], before.memoised());
+            // The after side has no memo, so it walks every compared
+            // start; the before side only those it lacked.
+            let walked = fresh.reach.forward_starts + fresh.reach.backward_starts;
+            let ran = d.reach.forward_starts + d.reach.backward_starts;
+            assert_eq!(walked, 2 * d.reach.starts_compared, "diff {k}");
+            assert_eq!(ran, d.reach.starts_compared + now - was, "diff {k}");
+            held.push(now);
+        }
+        held
+    }
+
+    /// NET1's starts all walk forward. A memo filled by a drain-device
+    /// diff serves an acl-add-line diff, whose changed cone holds three
+    /// starts more, and that one's memo serves the drain-device diff
+    /// again.
+    #[test]
+    fn a_memo_serves_a_diff_of_another_cone_under_nat() {
+        let net = suite::net1();
+        let before = Stored::new(net.parse(), &net.env);
+        let drain = perturb(&net, Scenario::DrainDevice, 1).expect("NET1 has a victim");
+        let acl = perturb(&net, Scenario::AclAddLine, 1).expect("NET1 has a victim");
+        let afters = [&drain, &acl, &drain].map(|p| parse(&p.configs));
+        let held = memo_serves_later_diffs(&before, &afters, &net.env, 0);
+        assert_eq!(held, [0, 417, 420, 420]);
+    }
+
+    /// On the dNAT + zone lab, a diff capped at two starts leaves the
+    /// memo partial, and a diff of another edit walks only the rest.
+    #[test]
+    fn a_memo_serves_a_diff_of_another_edit_through_nat_and_zones() {
+        let before = Stored::new(firewall_lab(NAT), &Environment::none());
+        let afters = vec![
+            firewall_lab(&format!("{NAT}ip route 10.3.0.0/24 172.16.0.0\n")),
+            firewall_lab(&format!(
+                "{NAT}ip access-list extended EXTRA\n 10 permit ip any any\n"
+            )),
+        ];
+        let held = memo_serves_later_diffs(&before, &afters, &Environment::none(), 2);
+        assert_eq!(held, [0, 2, 5]);
     }
 
     #[test]
@@ -755,5 +966,6 @@ mod tests {
         let d = diff(&side(&before), &side(&after), &DiffOptions::default());
         assert_eq!((d.reach.starts_compared, d.reach.changed_starts), (770, 71));
         assert_eq!((d.reach.walks, d.reach.forward_starts), (2, 0));
+        assert_eq!(d.reach.backward_starts, 2 * 770);
     }
 }

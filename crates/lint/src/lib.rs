@@ -1102,6 +1102,24 @@ mod tests {
         assert!(f.iter().any(|x| x.check == "parse-error" && x.line == 12 && x.file == "r1"));
     }
 
+    /// An `ip nat source list` naming no ACL is reported once, by the
+    /// bridge, at the statement's line.
+    #[test]
+    fn undefined_nat_list_is_bridged_with_its_location() {
+        let text = "hostname r1\nip nat pool P 203.0.113.1 203.0.113.8\nip nat source list NOPE pool P\n";
+        let (device, diags) = batnet_config::parse_device("r1", text);
+        let found = run_network(
+            std::slice::from_ref(&device),
+            &Topology::infer(std::slice::from_ref(&device)),
+            &[("r1".to_string(), diags.items().to_vec())],
+        );
+        let undefined: Vec<&Finding> =
+            found.iter().filter(|f| f.check == "undefined-reference").collect();
+        assert_eq!(undefined.len(), 1, "{found:?}");
+        assert_eq!((undefined[0].file.as_str(), undefined[0].line), ("r1", 3));
+        assert_eq!(undefined[0].path, "line 3");
+    }
+
     #[test]
     fn severity_parses_and_orders() {
         assert!(Severity::Info < Severity::Warning);

@@ -11,11 +11,14 @@
 //! computed is returned, what was abandoned is named. Every body is one
 //! spaced [`Writer`] object with a trailing newline.
 //!
-//! Locking rule: a stored snapshot is immutable; the BDD manager is the
-//! only thing a query locks. `/query/reach` waits for it and holds it for
-//! one backward walk from the service's sinks; `/diff` holds it only to
-//! fork it and walks the fork, and builds the side's graph afresh when a
-//! reach holds it, so only a reach ever waits.
+//! Locking rule: a stored snapshot is immutable but for its BDD manager
+//! and its diff memo. `/query/reach` locks only the manager, and holds it
+//! for one backward walk from the service's sinks. `/diff` locks one
+//! side's memo at a time, walks the starts that memo lacks, and only
+//! try-locks the manager, to fork it and walk the fork; it builds the
+//! side's graph afresh when a reach holds it. So a reach never waits for
+//! a diff's walk, and a diff waits only for another diff's walk of the
+//! same side, whose answers it then reads.
 
 use crate::http::{Method, Request, Response};
 use crate::server::{DispatchCtx, ServeConfig};
@@ -460,7 +463,8 @@ fn lint(req: &Request, _: &str, ctx: &DispatchCtx) -> Reply {
 /// `GET /diff?snapshot=A&against=B`: three-layer differential analysis
 /// between two stored snapshots, governed at the layer boundaries. A side
 /// whose stored analysis is whole lends the diff its data plane,
-/// topology, graph and manager ([`StoredSnapshot::diff_side`]).
+/// topology, graph, manager and memo ([`StoredSnapshot::diff_side`]), so
+/// it is walked only for the starts no earlier diff of it compared.
 fn diff(req: &Request, _: &str, ctx: &DispatchCtx) -> Reply {
     let gov = request_governor(req, &ctx.cfg)?;
     let (Some(a_name), Some(b_name)) = (req.param("snapshot"), req.param("against")) else {

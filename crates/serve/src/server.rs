@@ -480,9 +480,11 @@ mod tests {
         handle.shutdown();
     }
 
-    /// A diff walks a fork of each stored manager, so the arena keeps
-    /// only what the upload and reaches put there, and a reach capped at
-    /// that arena's size answers the same before and after a diff.
+    /// A diff walks a fork of each stored manager and keeps only
+    /// projections in the snapshot's memo, so the arena keeps only what
+    /// the upload and reaches put there, whether a diff walks or reads
+    /// the memo, and a reach capped at that arena's size answers the same
+    /// before and after diffs.
     #[test]
     fn a_diff_leaves_the_stored_managers_as_it_found_them() {
         let handle = spawn(ServeConfig::default()).expect("bind loopback");
@@ -514,7 +516,15 @@ mod tests {
         let arenas = nodes();
         let capped = format!("&max_bdd_nodes={}", arenas[0] + 1);
         assert_eq!(reach(&capped), uncapped);
-        for path in ["/diff?snapshot=a&against=b", "/diff?snapshot=b&against=a"] {
+        let memoised = || {
+            stored
+                .each_ref()
+                .map(|s| s.memo.lock().expect("not poisoned").starts())
+        };
+        assert_eq!(memoised(), [0, 0]);
+        // The first diff walks both sides; the others read the memos.
+        let paths = ["/diff?snapshot=a&against=b", "/diff?snapshot=b&against=a"];
+        for path in [paths[0], paths[1], paths[0]] {
             let d = client::get(addr, path, T).unwrap_or_else(|e| panic!("{path}: {e}"));
             assert_eq!(d.status, 200, "{path}: {}", d.body_str());
             let body = batnet_obs::json::parse(d.body_str()).expect("diff body parses");
@@ -523,6 +533,8 @@ mod tests {
             assert_eq!(starts, Ok(1.0), "{path}");
         }
         assert_eq!(nodes(), arenas);
+        let [a, b] = memoised();
+        assert!(a > 0 && b > 0, "memos hold {a} and {b} starts");
         assert_eq!(reach(&capped), uncapped);
         handle.shutdown();
     }

@@ -5,15 +5,21 @@
 //! the request's [`ResourceGovernor`]) and the result — parsed devices,
 //! simulated RIBs/FIBs, and the BDD forwarding graph — stays warm in
 //! memory. A stored snapshot is immutable: handlers share it through an
-//! `Arc` and read it without locking. The one exception is the BDD
-//! manager, which needs `&mut` to answer a symbolic query, so it sits
-//! behind the snapshot's only mutex: `/query/reach` waits for it and
-//! holds it for one backward walk from the service's sinks, under its
-//! per-request governor. `/diff` holds it only to fork the manager (a
-//! copy of the arena) and walks the fork, or, when a reach holds it,
-//! builds that side's graph afresh. So only a reach waits, for at most
-//! another reach's deadline or one fork, and the arena holds only what
-//! the upload and reaches put there.
+//! `Arc` and read it without locking. Two things are not. The BDD
+//! manager needs `&mut` to answer a symbolic query, so it sits behind a
+//! mutex: `/query/reach` waits for it and holds it for one backward walk
+//! from the service's sinks, under its per-request governor. And the
+//! diff memo ([`SideMemo`]: what each start delivers, as five-tuple
+//! projections in a small manager of its own) records what `/diff`s of
+//! the snapshot have walked, so a stored side is walked once for every
+//! diff it takes part in. A `/diff` holds a side's memo while it reads
+//! it and walks the starts it lacks, one side at a time; it holds the
+//! manager only to fork it (a copy of the arena) and walks the fork, or,
+//! when a reach holds it, builds that side's graph afresh. So a reach
+//! waits for at most another reach's deadline or one fork, a diff waits
+//! only for another diff's walk of the same side, and the arena holds
+//! only what the upload and reaches put there. The memo starts empty at
+//! upload and goes with the snapshot, so a re-upload starts afresh.
 //!
 //! The store itself is bounded: at capacity, the oldest snapshot is
 //! evicted (uploads must not grow memory without limit any more than a
@@ -24,7 +30,7 @@ use batnet::{Analysis, Error, Exhaustion, ResourceGovernor, Snapshot};
 use batnet_config::vi::Device;
 use batnet_config::Topology;
 use batnet_dataplane::{ForwardingGraph, PacketVars};
-use batnet_diff::{DiffSide, SideAnalysis};
+use batnet_diff::{DiffSide, SideAnalysis, SideMemo};
 use batnet_obs::RunReport;
 use batnet_queries::{host_facing_interfaces, HostIface};
 use batnet_routing::DataPlane;
@@ -52,6 +58,9 @@ pub struct StoredSnapshot {
     pub vars: PacketVars,
     /// The dataflow graph.
     pub graph: ForwardingGraph,
+    /// What `graph`'s starts deliver, for every start a `/diff` of this
+    /// snapshot has compared.
+    pub memo: Mutex<SideMemo>,
     /// The host-facing interfaces of `devices`, found once at upload:
     /// `/query/reach` seeds its starts from them.
     pub host_facing: Vec<HostIface>,
@@ -69,8 +78,9 @@ impl StoredSnapshot {
     /// and kept every parse-healthy device holds the data plane, topology
     /// and graph the diff would build (uploads and diffs both simulate
     /// with `SimOptions::default()`, the only options either takes), so
-    /// the diff walks them in a fork of
-    /// this snapshot's manager; otherwise the diff simulates this side.
+    /// the diff reads this snapshot's memo and walks the starts it lacks
+    /// in a fork of this snapshot's manager; otherwise the diff simulates
+    /// this side.
     pub fn diff_side(&self) -> DiffSide<'_> {
         let mut side = self.snapshot.diff_side();
         if self.partial.is_none() && self.devices.len() == self.snapshot.devices.len() {
@@ -81,6 +91,7 @@ impl StoredSnapshot {
                 graph: &self.graph,
                 vars: &self.vars,
                 bdd: &self.bdd,
+                memo: Some(&self.memo),
             });
         }
         side
@@ -142,6 +153,7 @@ impl SnapshotStore {
             bdd: Mutex::new(bdd),
             vars,
             graph,
+            memo: Mutex::new(SideMemo::default()),
             report,
             partial,
             seq: self.seq.fetch_add(1, Ordering::Relaxed) + 1,
