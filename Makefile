@@ -114,7 +114,9 @@ lint-smoke: build
 # contract pre-deployment gating stands on);
 # (2) the committed fixture pair with one planted ACL edit reports the
 # delta and fails under `--deny any` — proving the gate actually gates;
-# (3) the diff bench re-measures its stages, the emitted file validates,
+# (3) the fixture pair whose after side only adds comment lines (every
+# span below them shifts) passes `--deny any`;
+# (4) the diff bench re-measures its stages, the emitted file validates,
 # and its structure matches the committed BENCH_diff.json baseline.
 diff-smoke: build
 	$(DIFF) --net N2 --format json --out target/diff-self-1.json --deny any
@@ -124,6 +126,7 @@ diff-smoke: build
 	cmp target/diff-self-1.json target/diff-self-t1.json
 	$(VALIDATE) target/diff-self-1.json
 	! $(DIFF) --before fixtures/diff-pair/before --after fixtures/diff-pair/after --deny any --out target/diff-pair.txt
+	$(DIFF) --before fixtures/diff-shift/before --after fixtures/diff-shift/after --deny any --out target/diff-shift.txt
 	$(call bench-gate,diff,target/BENCH_diff_smoke.json,BENCH_diff.json)
 
 # Coverage + repair gate: (1) the N2 coverage report validates, and the
