@@ -22,6 +22,11 @@
 //! 7. egress ACL (`out.acl_out`);
 //! 8. hand-off to the L3 neighbor owning the gateway address.
 //!
+//! Steps 1 and 7 are one filter step. An interface ACL the device does
+//! not define permits (the parser flags the reference), and the trace
+//! says so in either direction: `ingress acl NAME undefined: permit`,
+//! `egress acl NAME undefined: permit`.
+//!
 //! Traces are one-way: a stateful device installs no session, and return
 //! traffic meets the zone policy like any other flow (§4.2.3's
 //! bidirectional reachability is not carried).

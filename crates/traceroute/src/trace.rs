@@ -1,8 +1,8 @@
 //! The tracer: a concrete packet through the general device pipeline.
 
-use batnet_config::vi::{AclAction, Device, NatKind};
+use batnet_config::vi::{Acl, AclAction, Device, NatKind, NatRule};
 use batnet_config::{InterfaceRef, Topology};
-use batnet_net::{Flow, Ip};
+use batnet_net::Flow;
 use batnet_routing::{DataPlane, FibAction};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -258,343 +258,237 @@ impl<'a> Tracer<'a> {
         device_name: String,
         in_iface: Option<String>,
         mut flow: Flow,
-        mut hops: Vec<Hop>,
+        hops: Vec<Hop>,
         visited: &mut BTreeSet<(String, Flow)>,
         paths: &mut Vec<TracePath>,
     ) {
         let flow_in = flow;
-        let finish = |hops: Vec<Hop>, d: Disposition, f: Flow, paths: &mut Vec<TracePath>| {
+        if hops.len() >= MAX_HOPS || !visited.insert((device_name.clone(), flow)) {
             paths.push(TracePath {
                 hops,
-                disposition: d,
-                final_flow: f,
+                disposition: Disposition::Loop,
+                final_flow: flow,
             });
-        };
-        if hops.len() >= MAX_HOPS || !visited.insert((device_name.clone(), flow)) {
-            finish(hops, Disposition::Loop, flow, paths);
             return;
         }
         let Some(device) = self.device(&device_name) else {
             // Unknown device: treat as exiting the modeled network.
-            finish(
+            let disposition = Disposition::ExitsNetwork {
+                device: device_name,
+                iface: String::new(),
+            };
+            paths.push(TracePath {
                 hops,
-                Disposition::ExitsNetwork {
-                    device: device_name,
-                    iface: String::new(),
-                },
-                flow,
-                paths,
-            );
+                disposition,
+                final_flow: flow,
+            });
             return;
         };
         let ddp = self.dp.device(&device_name).expect("device in data plane");
+        let here = || device_name.clone();
+        // This device's hop, leaving by `out` (`None`: stopped here).
+        let hop = |out: Option<&str>, flow_out: Flow, steps: Vec<String>| Hop {
+            device: here(),
+            in_iface: in_iface.clone(),
+            out_iface: out.map(str::to_string),
+            flow_in,
+            flow_out,
+            steps,
+        };
+        // Ends a path at this device.
+        let stop = |mut hops: Vec<Hop>,
+                    out: Option<&str>,
+                    flow: Flow,
+                    steps: Vec<String>,
+                    disposition: Disposition,
+                    paths: &mut Vec<TracePath>| {
+            hops.push(hop(out, flow, steps));
+            paths.push(TracePath {
+                hops,
+                disposition,
+                final_flow: flow,
+            });
+        };
         let mut steps: Vec<String> = Vec::new();
 
         // Step 1: ingress ACL.
-        if let Some(iname) = &in_iface {
-            if let Some(iface) = device.interfaces.get(iname) {
-                if let Some(acl_name) = &iface.acl_in {
-                    match device.acls.get(acl_name) {
-                        Some(acl) => {
-                            let (action, line) = acl.check(&flow);
-                            let text = line
-                                .map(|l| acl.lines[l].text.clone())
-                                .unwrap_or_else(|| "implicit deny".into());
-                            steps.push(format!("ingress acl {acl_name}: {action} ({text})"));
-                            if action == AclAction::Deny {
-                                hops.push(Hop {
-                                    device: device_name.clone(),
-                                    in_iface,
-                                    out_iface: None,
-                                    flow_in,
-                                    flow_out: flow,
-                                    steps,
-                                });
-                                finish(
-                                    hops,
-                                    Disposition::DeniedIn {
-                                        device: device_name,
-                                        acl: acl_name.clone(),
-                                    },
-                                    flow,
-                                    paths,
-                                );
-                                return;
-                            }
-                        }
-                        // Undefined ACL reference: documented default
-                        // permit (parser flagged it).
-                        None => steps.push(format!("ingress acl {acl_name} undefined: permit")),
-                    }
-                }
-            }
+        let iface_in = in_iface.as_deref().and_then(|i| device.interfaces.get(i));
+        let acl_in = iface_in.and_then(|i| i.acl_in.as_ref());
+        if let Some(acl) = filter(device, "ingress", acl_in, &flow, &mut steps) {
+            let disposition = Disposition::DeniedIn {
+                device: here(),
+                acl,
+            };
+            return stop(hops, None, flow, steps, disposition, paths);
         }
 
         // Step 2: destination NAT.
-        if in_iface.is_some() {
-            for rule in &device.nat_rules {
-                if rule.kind != NatKind::Destination {
-                    continue;
-                }
-                if let Some(scope) = &rule.interface {
-                    if Some(scope) != in_iface.as_ref() {
-                        continue;
-                    }
-                }
-                if rule.matches(&flow) {
-                    let new = rule.translate(&flow);
-                    steps.push(format!("dest nat [{}]: {flow} -> {new}", rule.text));
-                    flow = new;
-                    break;
-                }
+        if let Some(i) = &in_iface {
+            if let Some(rule) = first_nat(device, NatKind::Destination, i, &flow) {
+                let new = rule.translate(&flow);
+                steps.push(format!("dest nat [{}]: {flow} -> {new}", rule.text));
+                flow = new;
             }
         }
 
         // Step 3: local delivery.
-        if self.topo.owners(flow.dst_ip).any(|o| o.interface.device == device_name) {
+        if self
+            .topo
+            .owners(flow.dst_ip)
+            .any(|o| o.interface.device == device_name)
+        {
             steps.push("destination owned by device".into());
-            hops.push(Hop {
-                device: device_name.clone(),
-                in_iface,
-                out_iface: None,
-                flow_in,
-                flow_out: flow,
-                steps,
-            });
-            finish(
-                hops,
-                Disposition::Accepted {
-                    device: device_name,
-                },
-                flow,
-                paths,
-            );
-            return;
+            let disposition = Disposition::Accepted { device: here() };
+            return stop(hops, None, flow, steps, disposition, paths);
         }
 
         // Step 4: FIB lookup.
         let Some(entry) = ddp.fib.lookup(flow.dst_ip) else {
             steps.push("no matching FIB entry".into());
-            hops.push(Hop {
-                device: device_name.clone(),
-                in_iface,
-                out_iface: None,
-                flow_in,
-                flow_out: flow,
-                steps,
-            });
-            finish(hops, Disposition::NoRoute { device: device_name }, flow, paths);
-            return;
+            let disposition = Disposition::NoRoute { device: here() };
+            return stop(hops, None, flow, steps, disposition, paths);
+        };
+        let via = match &entry.action {
+            FibAction::Forward(h) => format!("{} hop(s)", h.len()),
+            FibAction::Discard => "discard".into(),
+            FibAction::Unresolved => "unresolved".into(),
         };
         steps.push(format!(
-            "fib: {} ({:?} via {})",
-            entry.prefix, entry.protocol, {
-                match &entry.action {
-                    FibAction::Forward(h) => format!("{} hop(s)", h.len()),
-                    FibAction::Discard => "discard".into(),
-                    FibAction::Unresolved => "unresolved".into(),
-                }
-            }
+            "fib: {} ({:?} via {via})",
+            entry.prefix, entry.protocol
         ));
         let next_hops = match &entry.action {
-            FibAction::Discard => {
-                hops.push(Hop {
-                    device: device_name.clone(),
-                    in_iface,
-                    out_iface: None,
-                    flow_in,
-                    flow_out: flow,
-                    steps,
-                });
-                finish(hops, Disposition::NullRouted { device: device_name }, flow, paths);
-                return;
-            }
-            FibAction::Unresolved => {
-                hops.push(Hop {
-                    device: device_name.clone(),
-                    in_iface,
-                    out_iface: None,
-                    flow_in,
-                    flow_out: flow,
-                    steps,
-                });
-                finish(hops, Disposition::NoRoute { device: device_name }, flow, paths);
-                return;
-            }
             FibAction::Forward(h) => h,
+            action => {
+                let disposition = match action {
+                    FibAction::Discard => Disposition::NullRouted { device: here() },
+                    _ => Disposition::NoRoute { device: here() },
+                };
+                return stop(hops, None, flow, steps, disposition, paths);
+            }
         };
 
         // ECMP fork: each resolved next hop continues as its own path.
         for nh in next_hops {
-            let mut steps = steps.clone();
-            let mut flow = flow;
-            let out_iface = nh.iface.clone();
+            let (mut hops, mut steps, mut flow) = (hops.clone(), steps.clone(), flow);
+            let out = nh.iface.as_str();
 
             // Step 5: zone policy (stateful devices, transiting traffic).
-            if device.stateful && in_iface.is_some() {
-                let from = in_iface.as_deref().and_then(|i| device.zone_of_interface(i));
-                let to = device.zone_of_interface(&out_iface);
-                if let (Some(from), Some(to)) = (from, to) {
-                    if from != to {
-                        let permitted = match device.zone_acl(from, to) {
-                            Some(acl) => {
-                                let (action, line) = acl.check(&flow);
-                                let text = line
-                                    .map(|l| acl.lines[l].text.clone())
-                                    .unwrap_or_else(|| "implicit deny".into());
-                                steps.push(format!("zone {from}->{to}: {action} ({text})"));
-                                action == AclAction::Permit
-                            }
-                            None => {
-                                steps.push(format!(
-                                    "zone {from}->{to}: no policy, default {}",
-                                    if device.zone_default_permit { "permit" } else { "deny" }
-                                ));
-                                device.zone_default_permit
-                            }
-                        };
-                        if !permitted {
-                            let mut hops = hops.clone();
-                            hops.push(Hop {
-                                device: device_name.clone(),
-                                in_iface: in_iface.clone(),
-                                out_iface: Some(out_iface),
-                                flow_in,
-                                flow_out: flow,
-                                steps,
-                            });
-                            finish(
-                                hops,
-                                Disposition::DeniedZone {
-                                    device: device_name.clone(),
-                                    zones: format!("{from}->{to}"),
-                                },
-                                flow,
-                                paths,
-                            );
-                            continue;
-                        }
+            let from = in_iface
+                .as_deref()
+                .filter(|_| device.stateful)
+                .and_then(|i| device.zone_of_interface(i));
+            let zones = from.and_then(|from| Some((from, device.zone_of_interface(out)?)));
+            if let Some((from, to)) = zones.filter(|(from, to)| from != to) {
+                let (action, text) = match device.zone_acl(from, to) {
+                    Some(acl) => verdict(&acl, &flow),
+                    None if device.zone_default_permit => {
+                        (AclAction::Permit, "no policy, default permit".into())
                     }
+                    None => (AclAction::Deny, "no policy, default deny".into()),
+                };
+                steps.push(format!("zone {from}->{to}: {text}"));
+                if action == AclAction::Deny {
+                    let zones = format!("{from}->{to}");
+                    let disposition = Disposition::DeniedZone {
+                        device: here(),
+                        zones,
+                    };
+                    stop(hops, Some(out), flow, steps, disposition, paths);
+                    continue;
                 }
             }
 
             // Step 6: source NAT on the egress interface.
-            for rule in &device.nat_rules {
-                if rule.kind != NatKind::Source {
-                    continue;
-                }
-                if let Some(scope) = &rule.interface {
-                    if *scope != out_iface {
-                        continue;
-                    }
-                }
-                if rule.matches(&flow) {
-                    let new = rule.translate(&flow);
-                    steps.push(format!("source nat [{}]: {flow} -> {new}", rule.text));
-                    flow = new;
-                    break;
-                }
+            if let Some(rule) = first_nat(device, NatKind::Source, out, &flow) {
+                let new = rule.translate(&flow);
+                steps.push(format!("source nat [{}]: {flow} -> {new}", rule.text));
+                flow = new;
             }
 
             // Step 7: egress ACL.
-            if let Some(iface) = device.interfaces.get(&out_iface) {
-                if let Some(acl_name) = &iface.acl_out {
-                    if let Some(acl) = device.acls.get(acl_name) {
-                        let (action, line) = acl.check(&flow);
-                        let text = line
-                            .map(|l| acl.lines[l].text.clone())
-                            .unwrap_or_else(|| "implicit deny".into());
-                        steps.push(format!("egress acl {acl_name}: {action} ({text})"));
-                        if action == AclAction::Deny {
-                            let mut hops = hops.clone();
-                            hops.push(Hop {
-                                device: device_name.clone(),
-                                in_iface: in_iface.clone(),
-                                out_iface: Some(out_iface),
-                                flow_in,
-                                flow_out: flow,
-                                steps,
-                            });
-                            finish(
-                                hops,
-                                Disposition::DeniedOut {
-                                    device: device_name.clone(),
-                                    acl: acl_name.clone(),
-                                },
-                                flow,
-                                paths,
-                            );
-                            continue;
-                        }
-                    }
-                }
+            let iface_out = device.interfaces.get(out);
+            let acl_out = iface_out.and_then(|i| i.acl_out.as_ref());
+            if let Some(acl) = filter(device, "egress", acl_out, &flow, &mut steps) {
+                let disposition = Disposition::DeniedOut {
+                    device: here(),
+                    acl,
+                };
+                stop(hops, Some(out), flow, steps, disposition, paths);
+                continue;
             }
 
-            // Step 8: hand-off.
-            let me = InterfaceRef::new(&device_name, &out_iface);
-            let neighbors = self.topo.neighbors_of(&me);
-            let target_ip: Ip = nh.gateway.unwrap_or(flow.dst_ip);
-            // The same neighbor the forwarding graph hands off to.
-            let receiver = self.topo.neighbor_owning(&me, target_ip).cloned();
-            let mut hops2 = hops.clone();
-            hops2.push(Hop {
-                device: device_name.clone(),
-                in_iface: in_iface.clone(),
-                out_iface: Some(out_iface.clone()),
-                flow_in,
-                flow_out: flow,
-                steps: steps.clone(),
-            });
-            match receiver {
-                Some(nb) => {
-                    let mut visited2 = visited.clone();
-                    self.walk(
-                        nb.device,
-                        Some(nb.interface),
-                        flow,
-                        hops2,
-                        &mut visited2,
-                        paths,
-                    );
-                }
-                None => {
-                    let disposition = if neighbors.is_empty() {
-                        // Edge interface: delivered to an attached host if
-                        // the destination is on a connected subnet,
-                        // otherwise the packet leaves the modeled network.
-                        let on_subnet = device
-                            .interfaces
-                            .get(&out_iface)
-                            .is_some_and(|i| i.connected_prefixes().any(|p| p.contains(flow.dst_ip)));
-                        if on_subnet {
-                            Disposition::DeliveredToSubnet {
-                                device: device_name.clone(),
-                                iface: out_iface.clone(),
-                            }
-                        } else {
-                            Disposition::ExitsNetwork {
-                                device: device_name.clone(),
-                                iface: out_iface.clone(),
-                            }
-                        }
-                    } else if nh.gateway.is_none() {
-                        // Destination on a shared router subnet but owned
-                        // by no device: an attached host.
-                        Disposition::DeliveredToSubnet {
-                            device: device_name.clone(),
-                            iface: out_iface.clone(),
-                        }
-                    } else {
-                        Disposition::NeighborUnreachable {
-                            device: device_name.clone(),
-                            iface: out_iface.clone(),
-                        }
-                    };
-                    finish(hops2, disposition, flow, paths);
-                }
+            // Step 8: hand-off, to the same neighbor the forwarding graph
+            // hands off to.
+            let me = InterfaceRef::new(&device_name, out);
+            let target_ip = nh.gateway.unwrap_or(flow.dst_ip);
+            if let Some(nb) = self.topo.neighbor_owning(&me, target_ip) {
+                hops.push(hop(Some(out), flow, steps));
+                let mut visited = visited.clone();
+                let (device, iface) = (nb.device.clone(), Some(nb.interface.clone()));
+                self.walk(device, iface, flow, hops, &mut visited, paths);
+                continue;
             }
+            // An edge interface delivers to an attached host when the
+            // destination is on a connected subnet, and otherwise the
+            // packet leaves the modeled network. On a shared router subnet,
+            // a destination owned by no device is an attached host.
+            let edge = self.topo.neighbors_of(&me).is_empty();
+            let delivered = if edge {
+                iface_out.is_some_and(|i| i.connected_prefixes().any(|p| p.contains(flow.dst_ip)))
+            } else {
+                nh.gateway.is_none()
+            };
+            let (device, iface) = (here(), out.to_string());
+            let disposition = match (delivered, edge) {
+                (true, _) => Disposition::DeliveredToSubnet { device, iface },
+                (false, true) => Disposition::ExitsNetwork { device, iface },
+                (false, false) => Disposition::NeighborUnreachable { device, iface },
+            };
+            stop(hops, Some(out), flow, steps, disposition, paths);
         }
     }
+}
+
+/// An ACL's verdict on `flow` and its note: the action, then the line
+/// that matched or `implicit deny`.
+fn verdict(acl: &Acl, flow: &Flow) -> (AclAction, String) {
+    let (action, line) = acl.check(flow);
+    let text = line.map_or("implicit deny", |l| acl.lines[l].text.as_str());
+    (action, format!("{action} ({text})"))
+}
+
+/// Steps 1 and 7: the `dir`ection's interface ACL `acl` on `flow`, noted in
+/// `steps`. Returns the ACL's name when it denies. An undefined ACL
+/// permits (the parser flagged the reference).
+fn filter(
+    device: &Device,
+    dir: &str,
+    acl: Option<&String>,
+    flow: &Flow,
+    steps: &mut Vec<String>,
+) -> Option<String> {
+    let name = acl?;
+    let Some(acl) = device.acls.get(name) else {
+        steps.push(format!("{dir} acl {name} undefined: permit"));
+        return None;
+    };
+    let (action, text) = verdict(acl, flow);
+    steps.push(format!("{dir} acl {name}: {text}"));
+    (action == AclAction::Deny).then(|| name.clone())
+}
+
+/// Steps 2 and 6: the first `kind` NAT rule that applies on `iface` (it
+/// is scoped there or unscoped) and matches `flow`.
+fn first_nat<'d>(
+    device: &'d Device,
+    kind: NatKind,
+    iface: &str,
+    flow: &Flow,
+) -> Option<&'d NatRule> {
+    device.nat_rules.iter().find(|r| {
+        r.kind == kind && r.interface.as_deref().is_none_or(|s| s == iface) && r.matches(flow)
+    })
 }
 
 #[cfg(test)]
