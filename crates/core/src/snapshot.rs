@@ -313,15 +313,7 @@ impl Snapshot {
             devices: &self.devices,
             env: &self.env,
             analysis: None,
-            quarantined: self
-                .quarantined
-                .iter()
-                .map(|q| batnet_diff::QuarantinedDevice {
-                    device: q.device.clone(),
-                    stage: q.stage.to_string(),
-                    code: q.reason.code().to_string(),
-                })
-                .collect(),
+            quarantined: self.quarantined.iter().map(Quarantine::report_entry).collect(),
         }
     }
 }

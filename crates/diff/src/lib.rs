@@ -47,6 +47,7 @@ use batnet_bdd::Bdd;
 use batnet_config::vi::Device;
 use batnet_config::Topology;
 use batnet_dataplane::{ForwardingGraph, PacketVars};
+use batnet_obs::report::QuarantineEntry;
 use batnet_routing::{DataPlane, Environment, SimOptions};
 use std::borrow::Cow;
 use std::collections::BTreeSet;
@@ -69,19 +70,6 @@ impl Default for DiffOptions {
             max_starts: 0,
         }
     }
-}
-
-/// A device excluded from the comparison, with its machine-readable
-/// quarantine accounting (mirrors `batnet`'s quarantine codes without
-/// depending on the facade crate).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct QuarantinedDevice {
-    /// Device (or file stem).
-    pub device: String,
-    /// Pipeline stage ("load", "parse", "route", …).
-    pub stage: String,
-    /// Stable machine-readable reason code.
-    pub code: String,
 }
 
 /// A whole analysis of one side's devices, lent to the diff: what the
@@ -115,8 +103,8 @@ pub struct DiffSide<'a> {
     pub devices: &'a [Device],
     /// External announcements and link state.
     pub env: &'a Environment,
-    /// Devices excluded from this side.
-    pub quarantined: Vec<QuarantinedDevice>,
+    /// Devices excluded from this side, as the run report lists them.
+    pub quarantined: Vec<QuarantineEntry>,
     /// An analysis already run for `devices` and `env` under
     /// `SimOptions::default()`, or `None` to simulate this side the same
     /// way, under the diff's governor, and build its graph here.
@@ -134,9 +122,9 @@ pub struct SnapshotDiff {
     pub reach: ReachDiff,
     /// Before-side quarantine accounting (not a difference per se: these
     /// devices were never compared, and the report must say so).
-    pub quarantined_before: Vec<QuarantinedDevice>,
+    pub quarantined_before: Vec<QuarantineEntry>,
     /// After-side quarantine accounting.
-    pub quarantined_after: Vec<QuarantinedDevice>,
+    pub quarantined_after: Vec<QuarantineEntry>,
 }
 
 impl SnapshotDiff {

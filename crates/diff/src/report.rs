@@ -5,9 +5,10 @@
 //! clocks or randomness, so the same diff always renders byte-identical
 //! output — the CI determinism gate stands on this.
 
-use crate::{QuarantinedDevice, SnapshotDiff};
+use crate::SnapshotDiff;
 use batnet_config::vi::SourceSpan;
 use batnet_obs::json::{Value, Writer};
+use batnet_obs::report::QuarantineEntry;
 use std::fmt::Write as _;
 
 /// The JSON schema identifier emitted and accepted by this version.
@@ -120,7 +121,7 @@ pub fn render_text(diff: &SnapshotDiff) -> String {
     out
 }
 
-fn write_quarantine_list(w: &mut Writer, key: &str, list: &[QuarantinedDevice]) {
+fn write_quarantine_list(w: &mut Writer, key: &str, list: &[QuarantineEntry]) {
     w.array(key, |w| {
         for q in list {
             w.obj(|w| {
